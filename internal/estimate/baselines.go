@@ -355,25 +355,42 @@ type EvalResult struct {
 // as immediate, which matches how the record module sees a steady stream of
 // finished jobs.
 func Evaluate(est Estimator, jobs []trace.Job) EvalResult {
-	res := EvalResult{Estimator: est.Name(), Jobs: len(jobs)}
-	covered := 0
-	under := 0
-	aeaSum := 0.0
+	var t evalTally
 	for i := range jobs {
 		j := jobs[i]
-		if pred, ok := est.Estimate(&j); ok && pred > 0 {
-			covered++
-			aeaSum += EA(pred, j.Runtime)
-			if pred < j.Runtime {
-				under++
-			}
+		if pred, ok := est.Estimate(&j); ok {
+			t.add(pred, j.Runtime)
 		}
 		est.Observe(j)
 	}
-	if covered > 0 {
-		res.AEA = aeaSum / float64(covered)
-		res.UnderestimateRate = float64(under) / float64(covered)
-		res.Coverage = float64(covered) / math.Max(1, float64(len(jobs)))
+	return t.result(est.Name(), len(jobs))
+}
+
+// evalTally accumulates the Fig. 11b metrics over the covered jobs of one
+// replay.
+type evalTally struct {
+	covered, under int
+	aeaSum         float64
+}
+
+// add scores one prediction; non-positive predictions count as uncovered.
+func (t *evalTally) add(pred, runtime time.Duration) {
+	if pred <= 0 {
+		return
+	}
+	t.covered++
+	t.aeaSum += EA(pred, runtime)
+	if pred < runtime {
+		t.under++
+	}
+}
+
+func (t *evalTally) result(name string, jobs int) EvalResult {
+	res := EvalResult{Estimator: name, Jobs: jobs}
+	if t.covered > 0 {
+		res.AEA = t.aeaSum / float64(t.covered)
+		res.UnderestimateRate = float64(t.under) / float64(t.covered)
+		res.Coverage = float64(t.covered) / math.Max(1, float64(jobs))
 	}
 	return res
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"eslurm/internal/obs"
 	"eslurm/internal/trace"
 )
 
@@ -368,5 +369,53 @@ func TestLoadStateRejectsGarbage(t *testing.T) {
 	}
 	if err := f.LoadState(strings.NewReader(`{"version":99,"history":[]}`)); err == nil {
 		t.Error("future version accepted")
+	}
+}
+
+// TestEvaluateSlacksMatchesIndependentReplays is the oracle for the shared
+// sweep: one generator feeding nine records must reproduce, field for field
+// and bit for bit, nine frameworks that each replay the trace alone.
+func TestEvaluateSlacksMatchesIndependentReplays(t *testing.T) {
+	jobs := replayTrace(700)
+	cfg := FrameworkConfig{K: 40}
+	alphas := []float64{1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08}
+	got := EvaluateSlacks(cfg, alphas, jobs)
+	if len(got) != len(alphas) {
+		t.Fatalf("%d results for %d alphas", len(got), len(alphas))
+	}
+	covered := false
+	for i, a := range alphas {
+		c := cfg
+		c.Alpha = a
+		want := Evaluate(NewFramework(c), jobs)
+		if got[i] != want {
+			t.Errorf("alpha %.2f: shared sweep %+v, independent replay %+v", a, got[i], want)
+		}
+		covered = covered || want.Coverage > 0
+	}
+	if !covered {
+		t.Error("no replay covered any job: the comparison is vacuous")
+	}
+}
+
+func TestFrameworkObsCounters(t *testing.T) {
+	jobs := replayTrace(1500)
+	f := NewFramework(FrameworkConfig{})
+	reg := obs.NewRegistry()
+	f.SetObs(reg)
+	Evaluate(f, jobs)
+	gens := reg.Counter("estimate.generations").Value()
+	if gens == 0 || gens != int64(f.Generations) {
+		t.Errorf("estimate.generations = %d, Generations = %d", gens, f.Generations)
+	}
+	if n := reg.Counter("estimate.predictions").Value(); n != int64(len(jobs)) {
+		t.Errorf("estimate.predictions = %d, want %d", n, len(jobs))
+	}
+	// Duplicated feature rows with different runtimes keep some cluster
+	// fits from converging on this trace; at most one per cluster per
+	// generation can be counted.
+	maxiter := reg.Counter("estimate.svr_maxiter").Value()
+	if maxiter == 0 || maxiter > gens*int64(f.Config().K) {
+		t.Errorf("estimate.svr_maxiter = %d over %d generations of %d fits", maxiter, gens, f.Config().K)
 	}
 }

@@ -97,34 +97,143 @@ func weightFeatures(x []float64) []float64 {
 }
 
 // model is one generation of the estimation model: a clustering of the
-// interest window plus one SVR per cluster, with the record module's
-// per-cluster accuracy state.
+// interest window plus one SVR per cluster. It depends on no record-module
+// parameter, so any number of records may share it.
 type model struct {
 	scaler *mlkit.StandardScaler
 	km     *mlkit.KMeans
-	svrCfg mlkit.SVRConfig
 	svrs   []*mlkit.SVR
 	// base is the cluster-mean log-runtime; each SVR regresses the
 	// residual from it, so queries with no close neighbours in the
 	// training window fall back to the cluster mean instead of an
 	// arbitrary far-field value.
 	base []float64
-	// Record-module state (Eq. 5): running AEA per cluster.
-	aeaSum   []float64
-	aeaCount []int
+	// window holds the model's own un-slacked estimates for the jobs it
+	// was trained on; every record seeds its AEA from them.
+	window []windowPred
+	// unconverged counts the per-cluster SVR fits of this generation that
+	// stopped at MaxIter rather than Tol.
+	unconverged int
 }
 
-// predictLog returns the model's log-runtime estimate for a weighted,
-// scaled feature vector in the given cluster.
-func (m *model) predictLog(c int, x []float64) float64 {
-	return m.base[c] + m.svrs[c].Predict(x)
+// query is the model's answer for one job: its cluster and the raw
+// (un-slacked) runtime estimate. cluster is -1 when no model exists yet.
+type query struct {
+	cluster int
+	raw     time.Duration
 }
 
-func (m *model) aea(cluster int) float64 {
-	if m.aeaCount[cluster] == 0 {
+// windowPred is one interest-window job as the fresh model sees it.
+type windowPred struct {
+	query
+	runtime time.Duration
+}
+
+// predict returns the model's raw estimate for a weighted, scaled feature
+// vector in the given cluster.
+func (m *model) predict(c int, x []float64) time.Duration {
+	return fromLogSeconds(m.base[c] + m.svrs[c].Predict(x))
+}
+
+// generator is the estimation model generator of Fig. 6: the historical
+// job queue, the refresh clock, and the current model generation.
+type generator struct {
+	cfg FrameworkConfig
+	rng *rand.Rand
+
+	// historical job queue (completed jobs, submission order).
+	history []trace.Job
+	m       *model
+	lastGen time.Duration
+	started bool
+}
+
+func newGenerator(cfg FrameworkConfig) generator {
+	return generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+}
+
+// query matches a job to its cluster and runs that cluster's SVR.
+func (g *generator) query(j *trace.Job) query {
+	if g.m == nil {
+		return query{cluster: -1}
+	}
+	x := weightFeatures(g.m.scaler.Transform(Features(j)))
+	c := g.m.km.Nearest(x)
+	return query{cluster: c, raw: g.m.predict(c, x)}
+}
+
+// observe appends a completed job to the historical queue.
+func (g *generator) observe(j *trace.Job) {
+	g.history = append(g.history, *j)
+	// Bound memory: keep a few windows of history.
+	if len(g.history) > 4*g.cfg.InterestWindow {
+		g.history = append([]trace.Job(nil), g.history[len(g.history)-2*g.cfg.InterestWindow:]...)
+	}
+}
+
+// record is the record module of Fig. 6 for one slack value: it turns the
+// generator's raw estimate into the slack-adjusted one (Eq. 3), keeps the
+// running per-cluster AEA of those estimates (Eqs. 4–5), and applies the
+// AEA gate against the user estimate.
+type record struct {
+	alpha, gate float64
+	aeaSum      []float64
+	aeaCount    []int
+}
+
+func newRecord(cfg FrameworkConfig) record {
+	return record{alpha: cfg.Alpha, gate: cfg.AEAGate}
+}
+
+// slack implements Eq. 3: multiply by the slack variable to penalize
+// underestimation.
+func (r *record) slack(raw time.Duration) time.Duration {
+	return time.Duration(float64(raw) * r.alpha)
+}
+
+// complete folds one finished job into its cluster's AEA, scoring the
+// slack-adjusted estimate the model gives it; a no-op before the first
+// generation.
+func (r *record) complete(q query, runtime time.Duration) {
+	if q.cluster < 0 {
+		return
+	}
+	r.aeaSum[q.cluster] += EA(r.slack(q.raw), runtime)
+	r.aeaCount[q.cluster]++
+}
+
+// reseed starts the AEA state of a new model generation by scoring the
+// training window itself, so the gate has data before the first
+// completions arrive.
+func (r *record) reseed(m *model) {
+	r.aeaSum = make([]float64, m.km.K())
+	r.aeaCount = make([]int, m.km.K())
+	for _, w := range m.window {
+		r.complete(w.query, w.runtime)
+	}
+}
+
+func (r *record) aea(cluster int) float64 {
+	if r.aeaCount[cluster] == 0 {
 		return 0
 	}
-	return m.aeaSum[cluster] / float64(m.aeaCount[cluster])
+	return r.aeaSum[cluster] / float64(r.aeaCount[cluster])
+}
+
+// predict is the real-time estimation module's decision for one job.
+func (r *record) predict(j *trace.Job, q query) Prediction {
+	p := Prediction{Cluster: q.cluster, Used: j.UserEstimate}
+	if q.cluster < 0 {
+		return p
+	}
+	p.Model = r.slack(q.raw)
+	// "When the user does not submit a runtime estimate, we directly adopt
+	// the runtime estimation given by the estimation model."
+	if j.UserEstimate <= 0 || r.aea(q.cluster) > r.gate {
+		p.Used = p.Model
+		p.UsedModel = true
+	}
+	return p
 }
 
 // Prediction is the real-time estimation module's output for one job.
@@ -142,29 +251,38 @@ type Prediction struct {
 	Cluster int
 }
 
-// Framework is the ESlurm job-runtime-estimation framework (Fig. 6).
+// estimate is the Estimator view of a prediction: the model's
+// slack-adjusted estimate, available once the first model is built and
+// only for jobs whose cluster passes the AEA gate — exactly the estimates
+// the deployed framework would actually substitute for a user request
+// (Section V-B). Low-confidence clusters decline, the way other
+// estimators decline during cold start.
+func (p Prediction) estimate() (time.Duration, bool) {
+	if p.Model == 0 || !p.UsedModel {
+		return 0, false
+	}
+	return p.Model, true
+}
+
+// Framework is the ESlurm job-runtime-estimation framework (Fig. 6): one
+// model generator feeding one record module.
 type Framework struct {
 	cfg FrameworkConfig
-	rng *rand.Rand
-
-	// historical job queue (completed jobs, submission order).
-	history []trace.Job
-	m       *model
-	lastGen time.Duration
-	started bool
+	gen generator
+	rec record
 
 	// Generations counts model rebuilds (for tests/reports).
 	Generations int
 
 	// Registry instruments; nil until SetObs is called. obs instruments
 	// no-op on nil receivers, so unbound frameworks pay nothing.
-	cPredictions, cModelUsed, cGenerations *obs.Counter
+	cPredictions, cModelUsed, cGenerations, cSVRMaxIter *obs.Counter
 }
 
 // NewFramework returns an empty framework; models appear as jobs complete.
 func NewFramework(cfg FrameworkConfig) *Framework {
 	cfg = cfg.withDefaults()
-	return &Framework{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Framework{cfg: cfg, gen: newGenerator(cfg), rec: newRecord(cfg)}
 }
 
 // Config returns the effective configuration.
@@ -172,79 +290,96 @@ func (f *Framework) Config() FrameworkConfig { return f.cfg }
 
 // SetObs binds the framework to a metrics registry (typically the driving
 // engine's — the framework itself is engine-free). It registers counters
-// estimate.predictions, estimate.model_used, and estimate.generations.
+// estimate.predictions, estimate.model_used, estimate.generations, and
+// estimate.svr_maxiter.
 func (f *Framework) SetObs(m *obs.Registry) {
 	f.cPredictions = m.Counter("estimate.predictions")
 	f.cModelUsed = m.Counter("estimate.model_used")
 	f.cGenerations = m.Counter("estimate.generations")
+	f.cSVRMaxIter = m.Counter("estimate.svr_maxiter")
 }
 
+// frameworkName is the framework's row label in the Fig. 11b comparison.
+const frameworkName = "ESlurm"
+
 // Name implements Estimator.
-func (f *Framework) Name() string { return "ESlurm" }
+func (f *Framework) Name() string { return frameworkName }
+
+// adopt hands a freshly generated model to the record module.
+func (f *Framework) adopt() {
+	f.rec.reseed(f.gen.m)
+	f.Generations++
+	f.cGenerations.Inc()
+	f.cSVRMaxIter.Add(int64(f.gen.m.unconverged))
+}
 
 // Predict runs the real-time estimation module for a newly submitted job.
 func (f *Framework) Predict(j *trace.Job) Prediction {
 	f.cPredictions.Inc()
-	f.maybeRefresh(j.Submit)
-	p := Prediction{Cluster: -1, Used: j.UserEstimate}
-	if f.m == nil {
-		return p
+	if f.gen.maybeRefresh(j.Submit) {
+		f.adopt()
 	}
-	x := weightFeatures(f.m.scaler.Transform(Features(j)))
-	p.Cluster = f.m.km.Nearest(x)
-	raw := fromLogSeconds(f.m.predictLog(p.Cluster, x))
-	// Eq. 3: multiply by the slack variable to penalize underestimation.
-	p.Model = time.Duration(float64(raw) * f.cfg.Alpha)
-	if j.UserEstimate <= 0 {
-		// "When the user does not submit a runtime estimate, we directly
-		// adopt the runtime estimation given by the estimation model."
-		p.Used = p.Model
-		p.UsedModel = true
-		f.cModelUsed.Inc()
-		return p
-	}
-	if f.m.aea(p.Cluster) > f.cfg.AEAGate {
-		p.Used = p.Model
-		p.UsedModel = true
+	p := f.rec.predict(j, f.gen.query(j))
+	if p.UsedModel {
 		f.cModelUsed.Inc()
 	}
 	return p
 }
 
-// Estimate implements Estimator for the Fig. 11b comparison: the model's
-// slack-adjusted estimate, available once the first model is built and
-// only for jobs whose cluster passes the AEA gate — exactly the estimates
-// the deployed framework would actually substitute for a user request
-// (Section V-B). Low-confidence clusters decline, the way other
-// estimators decline during cold start.
+// Estimate implements Estimator for the Fig. 11b comparison; see
+// Prediction.estimate for which predictions count.
 func (f *Framework) Estimate(j *trace.Job) (time.Duration, bool) {
-	p := f.Predict(j)
-	if p.Model == 0 || !p.UsedModel {
-		return 0, false
-	}
-	return p.Model, true
+	return f.Predict(j).estimate()
 }
 
 // Complete feeds the record module: append to the historical queue, and
 // update the job's cluster AEA with the accuracy of the model's estimate
 // (Eqs. 4–5).
 func (f *Framework) Complete(j *trace.Job) {
-	if f.m != nil {
-		x := weightFeatures(f.m.scaler.Transform(Features(j)))
-		c := f.m.km.Nearest(x)
-		pred := time.Duration(float64(fromLogSeconds(f.m.predictLog(c, x))) * f.cfg.Alpha)
-		f.m.aeaSum[c] += EA(pred, j.Runtime)
-		f.m.aeaCount[c]++
-	}
-	f.history = append(f.history, *j)
-	// Bound memory: keep a few windows of history.
-	if len(f.history) > 4*f.cfg.InterestWindow {
-		f.history = append([]trace.Job(nil), f.history[len(f.history)-2*f.cfg.InterestWindow:]...)
-	}
+	f.rec.complete(f.gen.query(j), j.Runtime)
+	f.gen.observe(j)
 }
 
 // Observe implements Estimator.
 func (f *Framework) Observe(j trace.Job) { f.Complete(&j) }
+
+// EvaluateSlacks replays a trace once through one model generator and one
+// record module per slack value, returning for each α what
+// Evaluate(NewFramework(cfg with Alpha: α), jobs) returns. The model
+// generations do not depend on α, so the sweep of Table VIII fits each of
+// them once instead of once per α.
+func EvaluateSlacks(cfg FrameworkConfig, alphas []float64, jobs []trace.Job) []EvalResult {
+	gen := newGenerator(cfg.withDefaults())
+	recs := make([]record, len(alphas))
+	for i, a := range alphas {
+		c := cfg
+		c.Alpha = a
+		recs[i] = newRecord(c.withDefaults())
+	}
+	tallies := make([]evalTally, len(alphas))
+	for i := range jobs {
+		j := &jobs[i]
+		fresh := gen.maybeRefresh(j.Submit)
+		// Evaluate completes each job right after predicting it, with no
+		// refresh in between: one query serves both.
+		q := gen.query(j)
+		for r := range recs {
+			if fresh {
+				recs[r].reseed(gen.m)
+			}
+			if pred, ok := recs[r].predict(j, q).estimate(); ok {
+				tallies[r].add(pred, j.Runtime)
+			}
+			recs[r].complete(q, j.Runtime)
+		}
+		gen.observe(j)
+	}
+	out := make([]EvalResult, len(alphas))
+	for i := range out {
+		out[i] = tallies[i].result(frameworkName, len(jobs))
+	}
+	return out
+}
 
 // ClusterStat is one cluster's record-module view (for operator
 // observability: which job families the model trusts).
@@ -263,42 +398,60 @@ type ClusterStat struct {
 // ClusterStats returns the record module's per-cluster state for the
 // current model generation (nil before the first generation).
 func (f *Framework) ClusterStats() []ClusterStat {
-	if f.m == nil {
+	if f.gen.m == nil {
 		return nil
 	}
-	out := make([]ClusterStat, f.m.km.K())
+	out := make([]ClusterStat, f.gen.m.km.K())
 	for c := range out {
 		out[c] = ClusterStat{
 			Cluster:   c,
-			AEA:       f.m.aea(c),
-			Samples:   f.m.aeaCount[c],
-			Trusted:   f.m.aea(c) > f.cfg.AEAGate,
-			TrainSize: f.m.km.Sizes[c],
+			AEA:       f.rec.aea(c),
+			Samples:   f.rec.aeaCount[c],
+			Trusted:   f.rec.aea(c) > f.rec.gate,
+			TrainSize: f.gen.m.km.Sizes[c],
 		}
 	}
 	return out
 }
 
 // maybeRefresh regenerates the model when the refresh period elapsed (in
-// trace time) and enough history exists.
-func (f *Framework) maybeRefresh(now time.Duration) {
-	if len(f.history) < f.cfg.MinTrain {
-		return
+// trace time) and enough history exists. It reports whether g.m is a new
+// generation, which every record must then be reseeded from.
+func (g *generator) maybeRefresh(now time.Duration) bool {
+	if len(g.history) < g.cfg.MinTrain {
+		return false
 	}
-	if f.started && now-f.lastGen < f.cfg.RefreshEvery {
-		return
+	if g.started && now-g.lastGen < g.cfg.RefreshEvery {
+		return false
 	}
-	f.generate()
-	f.lastGen = now
-	f.started = true
+	g.generate()
+	g.lastGen = now
+	g.started = true
+	return true
 }
 
-// generate is the estimation model generator: select the interest window,
-// cluster it, and fit one SVR per cluster.
-func (f *Framework) generate() {
-	window := f.history
-	if len(window) > f.cfg.InterestWindow {
-		window = window[len(window)-f.cfg.InterestWindow:]
+// restore replaces the historical queue with a snapshot's and, when that
+// already holds enough jobs, builds a model from it at once, clocked at the
+// last job's submission. Like maybeRefresh it reports a new generation.
+func (g *generator) restore(history []trace.Job) bool {
+	g.history = history
+	if len(history) < g.cfg.MinTrain {
+		return false
+	}
+	g.generate()
+	g.started = true
+	if len(history) > 0 {
+		g.lastGen = history[len(history)-1].Submit
+	}
+	return true
+}
+
+// generate selects the interest window, clusters it, and fits one SVR per
+// cluster.
+func (g *generator) generate() {
+	window := g.history
+	if len(window) > g.cfg.InterestWindow {
+		window = window[len(window)-g.cfg.InterestWindow:]
 	}
 	raw := make([][]float64, len(window))
 	ys := make([]float64, len(window))
@@ -312,14 +465,14 @@ func (f *Framework) generate() {
 		weightFeatures(xs[i])
 	}
 
-	k := f.cfg.K
-	if f.cfg.KAuto {
-		k = mlkit.ChooseKElbow(xs, 2, 40, 30, f.rng)
+	k := g.cfg.K
+	if g.cfg.KAuto {
+		k = mlkit.ChooseKElbow(xs, 2, 40, 30, g.rng)
 	}
-	km := mlkit.KMeansFit(xs, k, 50, f.rng)
+	km := mlkit.KMeansFit(xs, k, 50, g.rng)
 
 	svrCfg := mlkit.SVRConfig{C: 10, Epsilon: 0.01, MaxIter: 1500, Kernel: mlkit.RBFKernel{Gamma: 0.25}}
-	if f.cfg.AutoTune {
+	if g.cfg.AutoTune {
 		// Tune on a bounded subsample: residual structure is shared across
 		// clusters, so one search per generation suffices.
 		tx, ty := xs, ys
@@ -335,19 +488,17 @@ func (f *Framework) generate() {
 			Cs:      []float64{5, 10, 50},
 			Gammas:  []float64{0.1, 0.25, 0.5},
 			Epsilon: 0.01,
-		}, f.rng)
+		}, g.rng)
 		tuned.MaxIter = 1500
 		svrCfg = tuned
 	}
 
 	m := &model{
-		scaler:   scaler,
-		km:       km,
-		svrCfg:   svrCfg,
-		svrs:     make([]*mlkit.SVR, km.K()),
-		base:     make([]float64, km.K()),
-		aeaSum:   make([]float64, km.K()),
-		aeaCount: make([]int, km.K()),
+		scaler: scaler,
+		km:     km,
+		svrs:   make([]*mlkit.SVR, km.K()),
+		base:   make([]float64, km.K()),
+		window: make([]windowPred, len(window)),
 	}
 	assign := km.Assign(xs)
 	for c := 0; c < km.K(); c++ {
@@ -364,17 +515,14 @@ func (f *Framework) generate() {
 		for i, v := range cy {
 			res[i] = v - m.base[c]
 		}
-		m.svrs[c] = mlkit.SVRFit(cx, res, m.svrCfg)
+		m.svrs[c] = mlkit.SVRFit(cx, res, svrCfg)
+		if !m.svrs[c].Converged() {
+			m.unconverged++
+		}
 	}
-	// Seed the record module by scoring the training window itself, so the
-	// AEA gate has data before the first completions arrive.
 	for i := range window {
 		c := assign[i]
-		pred := time.Duration(float64(fromLogSeconds(m.predictLog(c, xs[i]))) * f.cfg.Alpha)
-		m.aeaSum[c] += EA(pred, window[i].Runtime)
-		m.aeaCount[c]++
+		m.window[i] = windowPred{query{c, m.predict(c, xs[i])}, window[i].Runtime}
 	}
-	f.m = m
-	f.Generations++
-	f.cGenerations.Inc()
+	g.m = m
 }

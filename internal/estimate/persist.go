@@ -26,7 +26,7 @@ const stateVersion = 1
 // SaveState writes the framework's historical job queue.
 func (f *Framework) SaveState(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	return enc.Encode(stateFile{Version: stateVersion, History: f.history})
+	return enc.Encode(stateFile{Version: stateVersion, History: f.gen.history})
 }
 
 // LoadState replaces the framework's history from a snapshot and
@@ -41,16 +41,11 @@ func (f *Framework) LoadState(r io.Reader) error {
 	if sf.Version != stateVersion {
 		return fmt.Errorf("estimate: state version %d, want %d", sf.Version, stateVersion)
 	}
-	f.history = sf.History
-	if len(f.history) >= f.cfg.MinTrain {
-		f.generate()
-		f.started = true
-		if len(f.history) > 0 {
-			f.lastGen = f.history[len(f.history)-1].Submit
-		}
+	if f.gen.restore(sf.History) {
+		f.adopt()
 	}
 	return nil
 }
 
 // HistoryLen returns the number of completed jobs retained.
-func (f *Framework) HistoryLen() int { return len(f.history) }
+func (f *Framework) HistoryLen() int { return len(f.gen.history) }

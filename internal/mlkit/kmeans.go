@@ -93,24 +93,28 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 	return km
 }
 
-// seedPlusPlus picks k initial centroids with D² weighting.
+// seedPlusPlus picks k initial centroids with D² weighting. d2[i] is the
+// running minimum squared distance from sample i to the centroids chosen so
+// far; each round folds in only the newest centroid, so seeding costs
+// O(k·n) distance evaluations. min is exact in floating point, so d2 — and
+// with it every draw — equals an all-centroids recompute bit for bit.
 func seedPlusPlus(samples [][]float64, k int, rng *rand.Rand) [][]float64 {
 	centroids := make([][]float64, 0, k)
 	first := samples[rng.Intn(len(samples))]
 	centroids = append(centroids, append([]float64(nil), first...))
 
 	d2 := make([]float64, len(samples))
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		total := 0.0
 		for i, s := range samples {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := SqDist(s, c); d < best {
-					best = d
-				}
+			if d := SqDist(s, newest); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
-			total += best
+			total += d2[i]
 		}
 		if total == 0 {
 			// All remaining samples coincide with centroids; duplicate one.
@@ -118,8 +122,14 @@ func seedPlusPlus(samples [][]float64, k int, rng *rand.Rand) [][]float64 {
 			continue
 		}
 		r := rng.Float64() * total
+		// Until the walk reaches r, idx trails it as the last sample with
+		// any weight: rounding in the running subtraction can leave r > 0
+		// past the final sample, and the draw then belongs to that one.
 		idx := 0
 		for i, d := range d2 {
+			if d > 0 {
+				idx = i
+			}
 			r -= d
 			if r <= 0 {
 				idx = i

@@ -83,15 +83,30 @@ func TestChooseKElbowFindsBlobCount(t *testing.T) {
 
 // --- SVR --------------------------------------------------------------------
 
-func TestSVRFitsLinearFunction(t *testing.T) {
+// linearData samples y = 3x + 1 on [-2, 2).
+func linearData() (xs [][]float64, ys []float64) {
 	rng := rand.New(rand.NewSource(4))
-	var xs [][]float64
-	var ys []float64
 	for i := 0; i < 120; i++ {
 		x := rng.Float64()*4 - 2
 		xs = append(xs, []float64{x})
 		ys = append(ys, 3*x+1)
 	}
+	return xs, ys
+}
+
+// sinData samples y = sin(x) on [-3, 3).
+func sinData() (xs [][]float64, ys []float64) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		x := rng.Float64()*6 - 3
+		xs = append(xs, []float64{x})
+		ys = append(ys, math.Sin(x))
+	}
+	return xs, ys
+}
+
+func TestSVRFitsLinearFunction(t *testing.T) {
+	xs, ys := linearData()
 	m := SVRFit(xs, ys, SVRConfig{C: 100, Epsilon: 0.05})
 	for _, q := range []float64{-1.5, 0, 1.5} {
 		got := m.Predict([]float64{q})
@@ -103,14 +118,7 @@ func TestSVRFitsLinearFunction(t *testing.T) {
 }
 
 func TestSVRFitsNonlinearWithRBF(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 200; i++ {
-		x := rng.Float64()*6 - 3
-		xs = append(xs, []float64{x})
-		ys = append(ys, math.Sin(x))
-	}
+	xs, ys := sinData()
 	m := SVRFit(xs, ys, SVRConfig{C: 50, Epsilon: 0.02, Kernel: RBFKernel{Gamma: 1}})
 	errSum := 0.0
 	n := 0

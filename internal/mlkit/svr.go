@@ -76,13 +76,16 @@ type SVR struct {
 	// support indexes the non-zero coefficients.
 	support []int
 	iters   int
+	// converged records that the last sweep moved no coefficient by Tol or
+	// more; false means the fit stopped at MaxIter.
+	converged bool
 }
 
 // SVRFit trains an SVR on row-major samples x with targets y.
 func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 	n := len(x)
 	if n == 0 {
-		return &SVR{cfg: cfg.withDefaults(0)}
+		return &SVR{cfg: cfg.withDefaults(0), converged: true}
 	}
 	if len(y) != n {
 		panic("mlkit: SVRFit requires len(x) == len(y)")
@@ -131,8 +134,12 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 				continue
 			}
 			m.beta[i] = nb
-			for j := 0; j < n; j++ {
-				f[j] += d * km[i*n+j]
+			// Ranging over the row slice, with f cut to the same length,
+			// lets the compiler drop both per-element bounds checks.
+			row := km[i*n : i*n+n]
+			fr := f[:len(row)]
+			for j, kij := range row {
+				fr[j] += d * kij
 			}
 			if ad := math.Abs(d); ad > maxDelta {
 				maxDelta = ad
@@ -140,6 +147,7 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 		}
 		m.iters = sweep + 1
 		if maxDelta < cfg.Tol {
+			m.converged = true
 			break
 		}
 	}
@@ -167,3 +175,7 @@ func (m *SVR) SupportVectors() int { return len(m.support) }
 
 // Iterations returns the number of coordinate-descent sweeps performed.
 func (m *SVR) Iterations() int { return m.iters }
+
+// Converged reports whether coordinate descent stopped on the Tol criterion
+// rather than by exhausting MaxIter sweeps.
+func (m *SVR) Converged() bool { return m.converged }

@@ -73,6 +73,7 @@ func MetricTaxonomy() []MetricInfo {
 		{"estimate.generations", "counter", "estimate", "estimation-model regenerations"},
 		{"estimate.model_used", "counter", "estimate", "predictions served by a fitted model (vs. the user estimate)"},
 		{"estimate.predictions", "counter", "estimate", "walltime predictions requested"},
+		{"estimate.svr_maxiter", "counter", "estimate", "per-cluster SVR fits that stopped at MaxIter instead of Tol"},
 		{"master.broadcasts", "counter", "core", "broadcasts initiated by the master"},
 		{"master.heartbeat_sweeps", "counter", "core", "heartbeat sweeps over the satellite pool"},
 		{"master.pool_drained_fallbacks", "counter", "core", "takeovers forced by a fully drained pool"},

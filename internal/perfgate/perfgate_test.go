@@ -13,7 +13,7 @@ func baseRecord() *Record {
 		Experiments: []Experiment{
 			{ID: "fig7f", Events: 20_000_000, EventsPerSec: 1_400_000},
 			{ID: "fig10", Events: 14_000_000, EventsPerSec: 1_000_000},
-			{ID: "table8", Events: 0, EventsPerSec: 0},
+			{ID: "table8", WallMS: 1000, Events: 0, EventsPerSec: 0},
 		},
 		Kernel: []Microbench{
 			{Name: "EngineStep", NsPerOp: 160, AllocsPerOp: 0},
@@ -72,6 +72,43 @@ func TestExperimentRegressionFires(t *testing.T) {
 	rep := Compare(base, fresh, Tolerance{})
 	if rep.Regressions() != 1 || !strings.Contains(rep.String(), "experiment fig10") {
 		t.Fatalf("want one fig10 regression:\n%s", rep)
+	}
+}
+
+// TestZeroEventExperimentGatesWallTime covers the experiments that never
+// touch the simulation kernel: with no events on either side their wall_ms
+// is judged at the experiment tolerance, and like every timing it is
+// demoted on a machine mismatch.
+func TestZeroEventExperimentGatesWallTime(t *testing.T) {
+	base := baseRecord()
+
+	fresh := clone(base)
+	fresh.Experiments[2].WallMS = 1350 // +35%, exp tol 40%
+	if rep := Compare(base, fresh, Tolerance{}); rep.Regressions() != 0 {
+		t.Fatalf("in-tolerance wall time regressed:\n%s", rep)
+	}
+
+	fresh.Experiments[2].WallMS = 1500 // +50% > 40% tolerance
+	rep := Compare(base, fresh, Tolerance{})
+	if rep.Regressions() != 1 || !strings.Contains(rep.String(), "experiment table8 wall time") {
+		t.Fatalf("want one table8 wall-time regression:\n%s", rep)
+	}
+
+	fresh.NumCPU = 4
+	rep = Compare(base, fresh, Tolerance{})
+	if rep.Regressions() != 0 || !strings.Contains(rep.String(), "num_cpu differs") {
+		t.Fatalf("want the wall-time check demoted to the num_cpu note:\n%s", rep)
+	}
+
+	// Below minGatedWallMS a swing is noise: table1 runs in microseconds,
+	// fig5 in ~100 ms next to a neighbour under -parallel.
+	for _, ms := range []float64{0.04, 124} {
+		base.Experiments[2].WallMS = ms
+		fresh = clone(base)
+		fresh.Experiments[2].WallMS = ms * 10
+		if rep := Compare(base, fresh, Tolerance{}); rep.Regressions() != 0 {
+			t.Fatalf("sub-floor wall time %v ms must not be judged:\n%s", ms, rep)
+		}
 	}
 }
 
