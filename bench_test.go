@@ -80,7 +80,7 @@ func BenchmarkFig7_MasterResourceHour(b *testing.B) {
 func benchOccupation(b *testing.B, mk func(c *cluster.Cluster) rm.RM) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		experiment.OccupationTime(mk, 2048, 2048)
+		experiment.OccupationTime(new(experiment.Env), mk, 2048, 2048)
 	}
 }
 

@@ -11,6 +11,7 @@
 //
 //	benchrunner -list                 # show available experiments
 //	benchrunner -exp fig8b            # run one experiment (quick preset)
+//	benchrunner -exp fig8a,fig8b      # run several, in registry order
 //	benchrunner -exp fig10 -paper     # run at the paper's full scale
 //	benchrunner -all                  # run every experiment
 //	benchrunner -all -parallel 4      # ...on exactly 4 workers
@@ -26,6 +27,10 @@
 // whole run: per experiment × root-span kind, top-K slowest paths,
 // per-kind time attribution, retry/rebuild share. Same flags →
 // byte-identical file; diff two runs with `critdiff a.txt b.txt`.
+// -trace, -metrics and -critpath run on the ordinary worker pool: their
+// output is assembled from the results in registry order, each
+// experiment's engines in creation order, so it is byte-identical at any
+// -parallel.
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
 package main
@@ -34,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -42,42 +48,51 @@ import (
 
 	"eslurm/internal/experiment"
 	"eslurm/internal/obs"
-	"eslurm/internal/simnet"
 	"eslurm/internal/simnet/benchkit"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams as parameters, so the tests
+// drive the whole CLI in-process; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expID    = flag.String("exp", "", "experiment ID to run (see -list)")
-		all      = flag.Bool("all", false, "run every experiment")
-		paper    = flag.Bool("paper", false, "use the paper-scale preset (slow: full node counts)")
-		list     = flag.Bool("list", false, "list available experiments")
-		csvDir   = flag.String("csv", "", "also write the Fig. 7/9 time-series CSVs into this directory")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker-pool size (tables always print in registry order)")
-		jsonOut  = flag.Bool("json", false, "write a BENCH_<preset>.json perf record (suite stats + kernel microbench)")
-		jsonPath = flag.String("jsonout", "", "write the perf record to this path instead of BENCH_<preset>.json (implies -json); lets CI produce a fresh record without clobbering the committed baseline")
-		trace    = flag.String("trace", "", "write a Chrome trace_event JSON of every engine to this file (forces serial execution)")
-		metrics  = flag.Bool("metrics", false, "dump each engine's metrics registry to stdout (forces serial execution)")
-		critPath = flag.String("critpath", "", "write the deterministic critical-path report of every engine to this file (forces serial execution)")
-		spans    = flag.Bool("spans", false, "print the span and metric taxonomy tables (the generated half of OBSERVABILITY.md) and exit")
-		shards   = flag.Int("shards", 0, "run shard-aware experiments (fig7f, fig10) on the sharded kernel with N window workers (0 = legacy single-engine path)")
+		expID    = fs.String("exp", "", "experiment ID to run (see -list); a comma-separated list runs each, in registry order")
+		all      = fs.Bool("all", false, "run every experiment")
+		paper    = fs.Bool("paper", false, "use the paper-scale preset (slow: full node counts)")
+		list     = fs.Bool("list", false, "list available experiments")
+		csvDir   = fs.String("csv", "", "also write the Fig. 7/9 time-series CSVs into this directory")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker-pool size (tables always print in registry order)")
+		jsonOut  = fs.Bool("json", false, "write a BENCH_<preset>.json perf record (suite stats + kernel microbench)")
+		jsonPath = fs.String("jsonout", "", "write the perf record to this path instead of BENCH_<preset>.json (implies -json); lets CI produce a fresh record without clobbering the committed baseline")
+		trace    = fs.String("trace", "", "write a Chrome trace_event JSON of every engine to this file")
+		metrics  = fs.Bool("metrics", false, "dump each engine's metrics registry to stdout")
+		critPath = fs.String("critpath", "", "write the deterministic critical-path report of every engine to this file")
+		spans    = fs.Bool("spans", false, "print the span and metric taxonomy tables (the generated half of OBSERVABILITY.md) and exit")
+		shards   = fs.Int("shards", 0, "run the experiments that have a sharded driver (fig7f, fig10) on the sharded kernel with N window workers (0 = legacy single-engine path)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, s := range experiment.Registry() {
-			fmt.Printf("  %-10s %s\n", s.ID, s.Artifact)
+			fmt.Fprintf(stdout, "  %-10s %s\n", s.ID, s.Artifact)
 		}
-		return
+		return 0
 	}
 	if *spans {
 		// The exact blocks OBSERVABILITY.md embeds; docs_test.go byte-gates
 		// them, so paste this output verbatim when the taxonomy changes.
-		fmt.Print(obs.SpanTaxonomyMarkdown())
-		fmt.Println()
-		fmt.Print(obs.MetricTaxonomyMarkdown())
-		return
+		fmt.Fprint(stdout, obs.SpanTaxonomyMarkdown())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, obs.MetricTaxonomyMarkdown())
+		return 0
 	}
 
 	params := experiment.QuickParams()
@@ -89,13 +104,13 @@ func main() {
 	params.Shards = *shards
 
 	if *csvDir != "" {
-		fmt.Fprintf(os.Stderr, "-- writing figure time series to %s\n", *csvDir)
+		fmt.Fprintf(stderr, "-- writing figure time series to %s\n", *csvDir)
 		if err := experiment.WriteFigureSeries(*csvDir, params); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if *expID == "" && !*all {
-			return
+			return 0
 		}
 	}
 
@@ -104,113 +119,82 @@ func main() {
 	case *all:
 		specs = experiment.Registry()
 	case *expID != "":
-		s, ok := experiment.Lookup(*expID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *expID)
-			os.Exit(1)
+		var err error
+		if specs, err = lookupAll(*expID); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		specs = []experiment.Spec{s}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
-	if p, warn := serialOverride(*parallel, *trace != "", *metrics, *critPath != ""); p != *parallel || warn != "" {
-		*parallel = p
-		if warn != "" {
-			fmt.Fprintln(os.Stderr, warn)
-		}
-	}
 	emit := func(r experiment.Result) {
-		fmt.Fprintf(os.Stderr, "-- %s (%s) done in %s: %d events, %.0f events/s\n",
+		fmt.Fprintf(stderr, "-- %s (%s) done in %s: %d events, %.0f events/s\n",
 			r.Spec.ID, r.Spec.Artifact, r.Wall.Round(time.Millisecond), r.Events, r.EventsPerSec())
 		for _, tb := range r.Tables {
-			tb.Fprint(os.Stdout)
+			tb.Fprint(stdout)
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "-- %d experiment(s), %s preset, %d worker(s)\n", len(specs), preset, *parallel)
+	fmt.Fprintf(stderr, "-- %d experiment(s), %s preset, %d worker(s)\n", len(specs), preset, *parallel)
 	suiteStart := time.Now()
 	var results []experiment.Result
-	if *trace != "" || *metrics || *critPath != "" {
-		results = runObserved(specs, params, *trace, *critPath, *metrics, emit)
+	if spans := *trace != "" || *critPath != ""; spans || *metrics {
+		results = experiment.RunObserved(specs, params, *parallel, spans, emit)
 	} else {
 		results = experiment.RunConcurrent(specs, params, *parallel, emit)
 	}
 	suiteWall := time.Since(suiteStart)
-	fmt.Fprintf(os.Stderr, "-- suite done in %s\n", suiteWall.Round(time.Millisecond))
+	fmt.Fprintf(stderr, "-- suite done in %s\n", suiteWall.Round(time.Millisecond))
+	if err := writeObserved(stdout, stderr, experiment.ObservedEngines(results), *trace, *critPath, *metrics); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *jsonOut || *jsonPath != "" {
 		path := *jsonPath
 		if path == "" {
 			path = "BENCH_" + preset + ".json"
 		}
-		if err := writePerfRecord(path, preset, *parallel, *shards, suiteWall, results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := writePerfRecord(stderr, path, preset, *parallel, *shards, suiteWall, results); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "-- wrote %s\n", path)
+		fmt.Fprintf(stderr, "-- wrote %s\n", path)
 	}
+	return 0
 }
 
-// serialOverride resolves the worker-pool size when an observability flag
-// is set: engine collection is goroutine-scoped, so -trace, -metrics and
-// -critpath force the experiments onto the calling goroutine. When that
-// overrides a multi-worker request (including the GOMAXPROCS default),
-// the returned warning says so on stderr instead of silently dropping the
-// parallelism.
-func serialOverride(parallel int, trace, metrics, critpath bool) (int, string) {
-	if !trace && !metrics && !critpath {
-		return parallel, ""
+// lookupAll resolves a comma-separated -exp value into specs in registry
+// order, whatever order the IDs were given in, so the run's output order
+// is the same as -all's.
+func lookupAll(ids string) ([]experiment.Spec, error) {
+	want := make(map[string]bool)
+	for _, id := range strings.Split(ids, ",") {
+		s, ok := experiment.Lookup(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q; try -list", id)
+		}
+		want[s.ID] = true
 	}
-	if parallel == 1 {
-		return 1, ""
+	var specs []experiment.Spec
+	for _, s := range experiment.Registry() {
+		if want[s.ID] {
+			specs = append(specs, s)
+		}
 	}
-	var set []string
-	if trace {
-		set = append(set, "-trace")
-	}
-	if metrics {
-		set = append(set, "-metrics")
-	}
-	if critpath {
-		set = append(set, "-critpath")
-	}
-	return 1, fmt.Sprintf("-- %s forces serial execution (engine collection is goroutine-scoped); overriding -parallel %d",
-		strings.Join(set, " and "), parallel)
+	return specs, nil
 }
 
-// runObserved executes specs serially on the calling goroutine, arming
-// tracing on every engine each experiment constructs (simnet.CollectEngines
-// fires before any event runs, so spans cover from virtual time zero).
-// The Chrome file gets one process per engine — pid is the engine's index
-// across the whole run, the process name carries the experiment ID and the
-// engine's seed — and -metrics dumps each engine's registry in the same
-// order. -critpath feeds the same engines, with the same labels, through
-// experiment.CritpathReport. Engines record passively, so tables stay
-// byte-identical to an untraced run.
-func runObserved(specs []experiment.Spec, params experiment.Params, tracePath, critPath string, metrics bool, emit func(experiment.Result)) []experiment.Result {
-	var all []experiment.TracedEngine
-	results := make([]experiment.Result, 0, len(specs))
-	for _, s := range specs {
-		start := time.Now()
-		var tables []*experiment.Table
-		engines := simnet.CollectEngines(func(e *simnet.Engine) {
-			if tracePath != "" || critPath != "" {
-				e.EnableTracing()
-			}
-		}, func() { tables = s.Run(params) })
-		r := experiment.Result{Spec: s, Tables: tables, Wall: time.Since(start)}
-		for _, e := range engines {
-			r.Events += e.Processed()
-			all = append(all, experiment.TracedEngine{Exp: s.ID, E: e})
-		}
-		results = append(results, r)
-		if emit != nil {
-			emit(r)
-		}
-	}
-
+// writeObserved emits what the observability flags asked for from the
+// engines a RunObserved call kept (none after a plain run, so every
+// branch is a no-op then). The Chrome file gets one process per engine —
+// pid is the engine's index across the whole run, the process name
+// carries the experiment ID and the engine's seed — -critpath feeds the
+// same engines, with the same labels, through experiment.CritpathReport,
+// and -metrics dumps each engine's registry in the same order.
+func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, tracePath, critPath string, metrics bool) error {
 	if tracePath != "" {
 		procs := make([]obs.Process, 0, len(all))
 		for i, o := range all {
@@ -220,45 +204,26 @@ func runObserved(specs []experiment.Spec, params experiment.Params, tracePath, c
 				T:    o.E.Tracer(),
 			})
 		}
-		f, err := os.Create(tracePath)
+		err := obs.WriteFile(tracePath, func(w io.Writer) error { return obs.WriteChrome(w, procs...) })
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		if err := obs.WriteChrome(f, procs...); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "-- trace: %d engine(s) -> %s\n", len(procs), tracePath)
+		fmt.Fprintf(stderr, "-- trace: %d engine(s) -> %s\n", len(procs), tracePath)
 	}
 	if critPath != "" {
 		rep := experiment.CritpathReport(all, 5)
-		f, err := os.Create(critPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := obs.WriteFile(critPath, rep.WriteText); err != nil {
+			return err
 		}
-		if err := rep.WriteText(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "-- critpath: %d source(s) -> %s\n", rep.Sources, critPath)
+		fmt.Fprintf(stderr, "-- critpath: %d source(s) -> %s\n", rep.Sources, critPath)
 	}
 	if metrics {
 		for i, o := range all {
-			fmt.Printf("metrics %s engine %d seed %d:\n", o.Exp, i, o.E.Seed())
-			o.E.Metrics().WriteText(os.Stdout)
+			fmt.Fprintf(stdout, "metrics %s engine %d seed %d:\n", o.Exp, i, o.E.Seed())
+			o.E.Metrics().WriteText(stdout)
 		}
 	}
-	return results
+	return nil
 }
 
 // A perfRecord is the benchmark trajectory the repo commits per preset:
@@ -267,9 +232,9 @@ func runObserved(specs []experiment.Spec, params experiment.Params, tracePath, c
 // "Performance" section of DESIGN.md).
 type perfRecord struct {
 	Preset string `json:"preset"`
-	// Parallel is the experiment worker-pool size actually used (after any
-	// serial override); Shards is the -shards setting: the window worker
-	// count for shard-aware experiments, 0 for the legacy kernel.
+	// Parallel is the experiment worker-pool size; Shards is the -shards
+	// setting: the window worker count for the experiments that have a
+	// sharded driver, 0 for the legacy kernel.
 	Parallel     int          `json:"parallel"`
 	Shards       int          `json:"shards"`
 	GoVersion    string       `json:"go_version"`
@@ -289,8 +254,8 @@ type expRecord struct {
 	WallMS   float64 `json:"wall_ms"`
 	Events   uint64  `json:"events"`
 	// Shards is the shard worker count this experiment actually ran with:
-	// the -shards setting for shard-aware experiments, 0 for experiments
-	// that always run the single-engine path.
+	// the -shards setting when it built a shard group, 0 when it ran the
+	// single-engine path.
 	Shards       int     `json:"shards"`
 	EventsPerSec float64 `json:"events_per_sec"`
 }
@@ -318,7 +283,7 @@ var seedKernelBaseline = map[string][3]float64{
 	"EngineRand":           {12543, 4, 5448},
 }
 
-func writePerfRecord(path, preset string, parallel, shards int, suiteWall time.Duration, results []experiment.Result) error {
+func writePerfRecord(stderr io.Writer, path, preset string, parallel, shards int, suiteWall time.Duration, results []experiment.Result) error {
 	rec := perfRecord{
 		Preset:      preset,
 		Parallel:    parallel,
@@ -332,7 +297,7 @@ func writePerfRecord(path, preset string, parallel, shards int, suiteWall time.D
 	for _, r := range results {
 		rec.TotalEvents += r.Events
 		expShards := 0
-		if experiment.ShardAware(r.Spec.ID) {
+		if r.Sharded {
 			expShards = shards
 		}
 		rec.Experiments = append(rec.Experiments, expRecord{
@@ -347,7 +312,7 @@ func writePerfRecord(path, preset string, parallel, shards int, suiteWall time.D
 	if suiteWall > 0 {
 		rec.EventsPerSec = float64(rec.TotalEvents) / suiteWall.Seconds()
 	}
-	fmt.Fprintln(os.Stderr, "-- running kernel microbenchmarks")
+	fmt.Fprintln(stderr, "-- running kernel microbenchmarks")
 	for _, kb := range []struct {
 		name string
 		fn   func(*testing.B)

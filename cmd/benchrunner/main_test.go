@@ -1,55 +1,85 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestSerialOverride pins the -trace/-metrics/-critpath serial-execution
-// override: observability runs must drop to one worker, and doing so over
-// a multi-worker request (explicit or the GOMAXPROCS default) must produce
-// a warning naming the responsible flag — never a silent downgrade.
-func TestSerialOverride(t *testing.T) {
-	cases := []struct {
-		name                     string
-		parallel                 int
-		trace, metrics, critpath bool
-		want                     int
-		warnContains             []string // empty slice = no warning expected
-	}{
-		{name: "no observability flags", parallel: 8, want: 8},
-		{name: "trace forces serial", parallel: 8, trace: true, want: 1,
-			warnContains: []string{"-trace", "forces serial", "-parallel 8"}},
-		{name: "metrics forces serial", parallel: 4, metrics: true, want: 1,
-			warnContains: []string{"-metrics", "forces serial", "-parallel 4"}},
-		{name: "critpath forces serial", parallel: 6, critpath: true, want: 1,
-			warnContains: []string{"-critpath", "forces serial", "-parallel 6"}},
-		{name: "both flags named", parallel: 2, trace: true, metrics: true, want: 1,
-			warnContains: []string{"-trace and -metrics", "-parallel 2"}},
-		{name: "all three flags named", parallel: 3, trace: true, metrics: true, critpath: true, want: 1,
-			warnContains: []string{"-trace and -metrics and -critpath", "-parallel 3"}},
-		{name: "already serial stays silent", parallel: 1, trace: true, want: 1},
+// observed runs the CLI in-process over a handful of sub-second
+// experiments with every observability flag set, and returns stdout and
+// the two files it wrote.
+func observed(t *testing.T, parallel string) (stdout, trace, critpath []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	tr, cp := filepath.Join(dir, "trace.json"), filepath.Join(dir, "critpath.txt")
+	var out, errs bytes.Buffer
+	args := []string{"-exp", "rack-outage,fig8a,fig8b,ablation-width", "-parallel", parallel,
+		"-trace", tr, "-metrics", "-critpath", cp}
+	if code := run(args, &out, &errs); code != 0 {
+		t.Fatalf("benchrunner %v: exit %d\n%s", args, code, errs.String())
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, warn := serialOverride(tc.parallel, tc.trace, tc.metrics, tc.critpath)
-			if got != tc.want {
-				t.Errorf("parallel = %d, want %d", got, tc.want)
-			}
-			if len(tc.warnContains) == 0 {
-				if warn != "" {
-					t.Errorf("unexpected warning: %q", warn)
-				}
-				return
-			}
-			if warn == "" {
-				t.Fatal("want a warning, got none")
-			}
-			for _, sub := range tc.warnContains {
-				if !strings.Contains(warn, sub) {
-					t.Errorf("warning %q does not mention %q", warn, sub)
-				}
-			}
-		})
+	read := func(path string) []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	return out.Bytes(), read(tr), read(cp)
+}
+
+// TestObservedRunsAreParallelInvariant pins what replaced the forced-serial
+// override: -trace, -metrics and -critpath run on the ordinary worker pool,
+// and stdout and both files are byte-identical at -parallel 1 and 4.
+func TestObservedRunsAreParallelInvariant(t *testing.T) {
+	out1, tr1, cp1 := observed(t, "1")
+	out4, tr4, cp4 := observed(t, "4")
+	if !bytes.Equal(out1, out4) {
+		t.Errorf("stdout differs between -parallel 1 and -parallel 4")
+	}
+	if !bytes.Equal(tr1, tr4) {
+		t.Errorf("-trace file differs between -parallel 1 and -parallel 4")
+	}
+	if !bytes.Equal(cp1, cp4) {
+		t.Errorf("-critpath file differs between -parallel 1 and -parallel 4")
+	}
+
+	// The run saw every experiment's engines, in registry order whatever
+	// order -exp named them in.
+	var last int
+	for _, id := range []string{"fig8a", "fig8b", "ablation-width", "rack-outage"} {
+		i := bytes.Index(out1, []byte("metrics "+id+" engine "))
+		if i < last {
+			t.Errorf("no metrics dump for %s after byte %d of stdout", id, last)
+		}
+		last = i
+		if !bytes.Contains(tr1, []byte(id+" engine ")) {
+			t.Errorf("-trace file names no %s engine", id)
+		}
+		if !bytes.Contains(cp1, []byte(id)) {
+			t.Errorf("-critpath report has no %s group", id)
+		}
+	}
+
+	// Recording is passive: the tables are the plain run's, byte for byte.
+	var plain, errs bytes.Buffer
+	if code := run([]string{"-exp", "fig8a,fig8b,ablation-width,rack-outage", "-parallel", "4"}, &plain, &errs); code != 0 {
+		t.Fatalf("plain run: exit %d\n%s", code, errs.String())
+	}
+	if plain.Len() == 0 || !bytes.HasPrefix(out1, plain.Bytes()) {
+		t.Errorf("observed run's tables differ from the plain run's")
+	}
+}
+
+func TestUnknownExperiment(t *testing.T) {
+	var out, errs bytes.Buffer
+	if code := run([]string{"-exp", "fig8a,nope"}, &out, &errs); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errs.String(), `unknown experiment "nope"`) {
+		t.Errorf("stderr does not name the unknown ID: %q", errs.String())
 	}
 }

@@ -24,8 +24,9 @@
 // With -shards N (N >= 1) the soak runs on the shard-parallel kernel
 // (chaos.ShardedSoak): one cluster partitioned by rack across engine
 // cells, executed on N worker goroutines. The report is byte-identical
-// for ANY N — only wall-clock changes. -trace and -metrics apply to the
-// single-engine soak only.
+// for ANY N — only wall-clock changes. -trace writes one trace process
+// per seed × cell and -metrics dumps each seed's registry merged across
+// its cells; both are byte-identical for any N too.
 //
 // -critpath arms span recording and writes the deterministic
 // critical-path report (internal/obs/critpath): per root-span kind, the
@@ -34,7 +35,12 @@
 // single-engine and -shards soaks — on the sharded kernel the per-cell
 // recordings are stitched across cells and the report is byte-identical
 // at ANY worker count. Diff two reports with `critdiff a.txt b.txt`.
-// Not available with -reconcile.
+//
+// A flag the selected soak cannot honour is an error (exit 2), never
+// silently dropped: -reconcile records no spans and keeps no registry
+// (-critpath, -trace, -metrics), only the single-engine soak has a
+// monitoring layer to hide fail-stops from (-silent), and -target/-spec
+// mean nothing without -reconcile.
 //
 // With -reconcile the soak overlays the full fault campaign on a
 // reconciler driving a timed spec schedule (chaos.ReconcileSoak) and
@@ -48,7 +54,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"eslurm/internal/chaos"
 	"eslurm/internal/obs"
@@ -56,102 +64,142 @@ import (
 	"eslurm/internal/reconcile"
 )
 
-// writeCritpath writes the critical-path report to path (exit 2 on I/O
-// failure, matching the other artifact writers).
-func writeCritpath(path string, rep *critpath.Report) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaossoak:", err)
-		os.Exit(2)
-	}
-	if err := rep.WriteText(f); err != nil {
-		fmt.Fprintln(os.Stderr, "chaossoak:", err)
-		os.Exit(2)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "chaossoak:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("critpath: %d seed(s) -> %s\n", rep.Sources, path)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	cfg := chaos.DefaultConfig()
-	seeds := flag.Int("seeds", cfg.Seeds, "number of seeds to soak")
-	base := flag.Int64("seed", cfg.BaseSeed, "first seed")
-	nodes := flag.Int("nodes", cfg.Computes, "compute nodes")
-	sats := flag.Int("sats", cfg.Satellites, "satellite nodes")
-	span := flag.Duration("span", cfg.Span, "driven virtual time per seed")
-	bcasts := flag.Int("broadcasts", cfg.Broadcasts, "broadcasts driven over the span")
-	bound := flag.Duration("bound", cfg.Bound, "per-broadcast resolution bound")
-	loss := flag.Float64("loss", cfg.LossProb, "message loss probability")
-	dup := flag.Float64("dup", cfg.DupProb, "message duplication probability")
-	silent := flag.Float64("silent", cfg.SilentFraction, "fraction of fail-stops hidden from monitoring")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of every seed to this file")
-	critPath := flag.String("critpath", "", "write the deterministic critical-path report of every seed to this file")
-	metrics := flag.Bool("metrics", false, "dump each seed's metrics registry after the report")
-	shards := flag.Int("shards", 0, "run the sharded kernel soak on N workers (0 = single-engine soak)")
-	reconcileMode := flag.Bool("reconcile", false, "overlay the campaign on a reconciler and assert convergence (chaos.ReconcileSoak)")
-	target := flag.Int("target", 0, "reconcile mode: initial in-service satellite target (0 = default)")
-	specPath := flag.String("spec", "", "reconcile mode: spec/schedule JSON replacing the built-in schedule")
-	flag.Parse()
+// The three soaks, named as the refusal message names them.
+const (
+	modeSingle    = "the single-engine soak"
+	modeSharded   = "-shards"
+	modeReconcile = "-reconcile"
+)
 
-	if *reconcileMode && *critPath != "" {
-		fmt.Fprintln(os.Stderr, "chaossoak: -critpath is not available with -reconcile (the reconcile soak records no spans)")
-		os.Exit(2)
+// unsupported lists, per soak, the flags it has nothing to honour them
+// with, and why.
+var unsupported = map[string]map[string]string{
+	modeReconcile: {
+		"critpath": "the reconcile soak records no spans",
+		"trace":    "the reconcile soak records no spans",
+		"metrics":  "the reconcile soak keeps no per-seed registry",
+		"silent":   "the reconcile soak draws its campaign with a fixed silent fraction",
+	},
+	modeSharded: {
+		"silent": "the sharded soak has no monitoring layer to hide fail-stops from",
+		"target": "it is a -reconcile setting",
+		"spec":   "it is a -reconcile setting",
+	},
+	modeSingle: {
+		"target": "it is a -reconcile setting",
+		"spec":   "it is a -reconcile setting",
+	},
+}
+
+// run is main with its arguments and streams as parameters, so the tests
+// drive the whole CLI in-process; it returns the exit status: 0 clean, 1
+// when an invariant was violated, 2 on a usage or I/O error.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg := chaos.DefaultConfig()
+	fs := flag.NewFlagSet("chaossoak", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seeds := fs.Int("seeds", cfg.Seeds, "number of seeds to soak")
+	base := fs.Int64("seed", cfg.BaseSeed, "first seed")
+	nodes := fs.Int("nodes", cfg.Computes, "compute nodes")
+	sats := fs.Int("sats", cfg.Satellites, "satellite nodes")
+	span := fs.Duration("span", cfg.Span, "driven virtual time per seed")
+	bcasts := fs.Int("broadcasts", cfg.Broadcasts, "broadcasts driven over the span")
+	bound := fs.Duration("bound", cfg.Bound, "per-broadcast resolution bound")
+	loss := fs.Float64("loss", cfg.LossProb, "message loss probability")
+	dup := fs.Float64("dup", cfg.DupProb, "message duplication probability")
+	silent := fs.Float64("silent", cfg.SilentFraction, "fraction of fail-stops hidden from monitoring (single-engine soak only)")
+	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of every seed to this file")
+	critPath := fs.String("critpath", "", "write the deterministic critical-path report of every seed to this file")
+	metrics := fs.Bool("metrics", false, "dump each seed's metrics registry after the report")
+	shards := fs.Int("shards", 0, "run the sharded kernel soak on N workers (0 = single-engine soak)")
+	reconcileMode := fs.Bool("reconcile", false, "overlay the campaign on a reconciler and assert convergence (chaos.ReconcileSoak)")
+	target := fs.Int("target", 0, "reconcile mode: initial in-service satellite target (0 = default)")
+	specPath := fs.String("spec", "", "reconcile mode: spec/schedule JSON replacing the built-in schedule")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "chaossoak:", err)
+		return 2
 	}
 
-	if *reconcileMode {
+	mode := modeSingle
+	switch {
+	case *reconcileMode:
+		mode = modeReconcile
+	case *shards > 0:
+		mode = modeSharded
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var refused []string
+	fs.VisitAll(func(f *flag.Flag) { // VisitAll: sorted by name, so the message is stable
+		if why, ok := unsupported[mode][f.Name]; ok && set[f.Name] {
+			refused = append(refused, fmt.Sprintf("-%s is not available with %s (%s)", f.Name, mode, why))
+		}
+	})
+	if len(refused) > 0 {
+		return fail(fmt.Errorf("%s", strings.Join(refused, "; ")))
+	}
+
+	var seedResults []chaos.SeedResult
+	var critRep func(topK int) *critpath.Report
+	violations := 0
+	switch mode {
+	case modeReconcile:
 		// The reconcile soak has its own calibrated defaults (more
 		// satellites, a shorter span); only flags the user actually set
 		// override them.
 		rcfg := chaos.ReconcileConfig{Target: *target, Workers: *shards}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seeds":
-				rcfg.Seeds = *seeds
-			case "seed":
-				rcfg.BaseSeed = *base
-			case "nodes":
-				rcfg.Computes = *nodes
-			case "sats":
-				rcfg.Satellites = *sats
-			case "span":
-				rcfg.Span = *span
-			case "broadcasts":
-				rcfg.Broadcasts = *bcasts
-			case "bound":
-				rcfg.Bound = *bound
-			case "loss":
-				rcfg.LossProb = *loss
-			case "dup":
-				rcfg.DupProb = *dup
-			}
-		})
+		if set["seeds"] {
+			rcfg.Seeds = *seeds
+		}
+		if set["seed"] {
+			rcfg.BaseSeed = *base
+		}
+		if set["nodes"] {
+			rcfg.Computes = *nodes
+		}
+		if set["sats"] {
+			rcfg.Satellites = *sats
+		}
+		if set["span"] {
+			rcfg.Span = *span
+		}
+		if set["broadcasts"] {
+			rcfg.Broadcasts = *bcasts
+		}
+		if set["bound"] {
+			rcfg.Bound = *bound
+		}
+		if set["loss"] {
+			rcfg.LossProb = *loss
+		}
+		if set["dup"] {
+			rcfg.DupProb = *dup
+		}
 		if *specPath != "" {
 			f, err := os.Open(*specPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "chaossoak:", err)
-				os.Exit(2)
+				return fail(err)
 			}
 			sched, err := reconcile.ParseSchedule(f)
 			f.Close()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaossoak: %s: %v\n", *specPath, err)
-				os.Exit(2)
+				return fail(fmt.Errorf("%s: %v", *specPath, err))
 			}
 			rcfg.Initial = sched.Initial
 			rcfg.Mutations = sched.Mutations
 		}
 		rep := chaos.ReconcileSoak(rcfg)
-		fmt.Print(rep.String())
-		if rep.Violations() > 0 {
-			os.Exit(1)
-		}
-		return
-	}
+		fmt.Fprint(stdout, rep.String())
+		violations = rep.Violations()
 
-	if *shards > 0 {
+	case modeSharded:
 		rep := chaos.ShardedSoak(chaos.ShardedConfig{
 			Seeds:      *seeds,
 			BaseSeed:   *base,
@@ -163,70 +211,76 @@ func main() {
 			Bound:      *bound,
 			LossProb:   *loss,
 			DupProb:    *dup,
-			Trace:      *critPath != "",
+			Trace:      *tracePath != "" || *critPath != "",
 		})
-		fmt.Print(rep.String())
-		if *critPath != "" {
-			writeCritpath(*critPath, rep.CritpathReport(5))
-		}
-		if rep.Violations() > 0 {
-			os.Exit(1)
-		}
-		return
+		fmt.Fprint(stdout, rep.String())
+		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()
+
+	default:
+		cfg.Seeds = *seeds
+		cfg.BaseSeed = *base
+		cfg.Computes = *nodes
+		cfg.Satellites = *sats
+		cfg.Span = *span
+		cfg.Broadcasts = *bcasts
+		cfg.Bound = *bound
+		cfg.LossProb = *loss
+		cfg.DupProb = *dup
+		cfg.SilentFraction = *silent
+		cfg.Trace = *tracePath != "" || *critPath != ""
+		rep := chaos.Soak(cfg)
+		fmt.Fprint(stdout, rep.String())
+		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()
 	}
-
-	cfg.Seeds = *seeds
-	cfg.BaseSeed = *base
-	cfg.Computes = *nodes
-	cfg.Satellites = *sats
-	cfg.Span = *span
-	cfg.Broadcasts = *bcasts
-	cfg.Bound = *bound
-	cfg.LossProb = *loss
-	cfg.DupProb = *dup
-	cfg.SilentFraction = *silent
-	cfg.Trace = *tracePath != "" || *critPath != ""
-
-	rep := chaos.Soak(cfg)
-	fmt.Print(rep.String())
 
 	if *critPath != "" {
-		writeCritpath(*critPath, rep.CritpathReport(5))
+		rep := critRep(5)
+		if err := obs.WriteFile(*critPath, rep.WriteText); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "critpath: %d seed(s) -> %s\n", rep.Sources, *critPath)
 	}
-
 	if *tracePath != "" {
-		// One trace process per seed, pid = seed, so Perfetto shows the
-		// soak side by side. Same flags → byte-identical file.
-		procs := make([]obs.Process, 0, len(rep.Seeds))
-		for _, s := range rep.Seeds {
+		procs := traceProcesses(seedResults)
+		if err := obs.WriteFile(*tracePath, func(w io.Writer) error { return obs.WriteChrome(w, procs...) }); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "trace: %d seeds -> %s\n", len(seedResults), *tracePath)
+	}
+	if *metrics {
+		for _, s := range seedResults {
+			fmt.Fprintf(stdout, "metrics seed %d:\n", s.Seed)
+			s.Metrics.WriteText(stdout)
+		}
+	}
+	if violations > 0 {
+		return 1
+	}
+	return 0
+}
+
+// traceProcesses lays the seeds out as Chrome trace processes so Perfetto
+// shows the soak side by side: one process per seed (pid = seed) for the
+// single-engine soak, one per seed × cell (pid = seed·cells + cell) for
+// the sharded one. Same flags → byte-identical file.
+func traceProcesses(seeds []chaos.SeedResult) []obs.Process {
+	var procs []obs.Process
+	for _, s := range seeds {
+		if s.CellTraces == nil {
 			procs = append(procs, obs.Process{
 				PID:  int(s.Seed),
 				Name: fmt.Sprintf("chaossoak seed %d", s.Seed),
 				T:    s.Trace,
 			})
+			continue
 		}
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaossoak:", err)
-			os.Exit(2)
-		}
-		if err := obs.WriteChrome(f, procs...); err != nil {
-			fmt.Fprintln(os.Stderr, "chaossoak:", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "chaossoak:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("trace: %d seeds -> %s\n", len(procs), *tracePath)
-	}
-	if *metrics {
-		for _, s := range rep.Seeds {
-			fmt.Printf("metrics seed %d:\n", s.Seed)
-			s.Metrics.WriteText(os.Stdout)
+		for c, t := range s.CellTraces {
+			procs = append(procs, obs.Process{
+				PID:  int(s.Seed)*len(s.CellTraces) + c,
+				Name: fmt.Sprintf("chaossoak seed %d cell %d", s.Seed, c),
+				T:    t,
+			})
 		}
 	}
-	if rep.Violations() > 0 {
-		os.Exit(1)
-	}
+	return procs
 }

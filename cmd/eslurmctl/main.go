@@ -244,7 +244,7 @@ func main() {
 	cfg := trace.Tianhe2AConfig(*jobs)
 	cfg.MaxNodes = *nodes
 	tr := trace.Generate(cfg)
-	overhead := experiment.OccupationProbeLookup(*rmName, *nodes)
+	overhead := experiment.OccupationProbeLookup(new(experiment.Env), *rmName, *nodes)
 	scfg := sched.Config{Nodes: *nodes, Policy: sched.Backfill, KillAtLimit: true, Overhead: overhead, Seed: *seed}
 	if *rmName == "eslurm" {
 		scfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(fwCfg)}

@@ -1,15 +1,18 @@
 // Doc-drift gates: the documentation makes checkable claims about the
-// code (the README's analyzer table mirrors the linter registry; relative
+// code (the README's analyzer table mirrors the linter registry; DESIGN's
+// suppression ledger mirrors the ignore directives in the tree; relative
 // markdown links point at files that exist), and these tests fail when
-// either drifts. They are the dynamic half of the documentation contract
+// any drifts. They are the dynamic half of the documentation contract
 // whose static half is the lint pkgdoc analyzer.
 package eslurm_test
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -59,6 +62,75 @@ func TestObservabilityTaxonomyTables(t *testing.T) {
 			t.Errorf("OBSERVABILITY.md %s table drifted from the obs taxonomy.\n"+
 				"Replace it with the matching block from `go run ./cmd/benchrunner -spans`:\n\n%s", name, want)
 		}
+	}
+}
+
+// ignoreDirective matches a suppression on a comment line of its own, the
+// only form the linter honours; group 1 is the analyzer list.
+var ignoreDirective = regexp.MustCompile(`^\s*//eslurmlint:ignore\s+(\S+)\s+\S`)
+
+// ledgerRow matches one row of DESIGN.md's suppression ledger:
+// | `file` | `analyzer` | reason |
+var ledgerRow = regexp.MustCompile("^\\| `([^`]+)` \\| `([^`]+)` \\| (\\S.*) \\|$")
+
+// TestSuppressionLedger pins DESIGN.md's suppression ledger to the tree:
+// every //eslurmlint:ignore directive in non-test, non-testdata Go source
+// has a (file, analyzer) row with a reason, and every row still has its
+// directive. A new waiver therefore cannot land without being written
+// down where the analyzer audit is read, and a deleted one cannot linger.
+func TestSuppressionLedger(t *testing.T) {
+	var inTree []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if m := ignoreDirective.FindStringSubmatch(line); m != nil {
+				for _, analyzer := range strings.Split(m[1], ",") {
+					inTree = append(inTree, filepath.ToSlash(path)+" "+analyzer)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const start, end = "<!-- suppression-ledger:start -->", "<!-- suppression-ledger:end -->"
+	doc := string(design)
+	i, j := strings.Index(doc, start), strings.Index(doc, end)
+	if i < 0 || j < i {
+		t.Fatalf("DESIGN.md has no %s ... %s block", start, end)
+	}
+	var ledger []string
+	for _, line := range strings.Split(doc[i+len(start):j], "\n") {
+		if m := ledgerRow.FindStringSubmatch(line); m != nil {
+			ledger = append(ledger, m[1]+" "+m[2])
+		}
+	}
+
+	sort.Strings(inTree)
+	sort.Strings(ledger)
+	if got, want := strings.Join(ledger, "\n"), strings.Join(inTree, "\n"); got != want {
+		t.Errorf("DESIGN.md suppression ledger drifted from the tree.\nledger (file analyzer):\n%s\n\nin-tree directives:\n%s", got, want)
 	}
 }
 

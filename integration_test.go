@@ -45,7 +45,7 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 			continue
 		}
 		t.Run(spec.ID, func(t *testing.T) {
-			tables := spec.Run(p)
+			tables := spec.Run(new(experiment.Env), p)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -160,7 +160,7 @@ func TestExperimentDeterminism(t *testing.T) {
 		}
 		render := func() string {
 			var sb strings.Builder
-			for _, tb := range spec.Run(p) {
+			for _, tb := range spec.Run(new(experiment.Env), p) {
 				tb.Fprint(&sb)
 			}
 			return sb.String()

@@ -21,7 +21,7 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -142,8 +142,9 @@ type SeedResult struct {
 	KernelDigest uint64
 	Violations   []string
 	// Trace is the seed engine's span recording (nil unless Config.Trace);
-	// Metrics is its registry. Neither contributes to Report.String or
-	// Digest — the report stays byte-stable with tracing on or off.
+	// Metrics is its registry (a sharded seed's is merged across cells).
+	// Neither contributes to Report.String or Digest — the report stays
+	// byte-stable with tracing on or off.
 	Trace   *obs.Tracer
 	Metrics *obs.Registry
 	// CellTraces holds the per-cell span recordings of a sharded seed in
@@ -327,9 +328,9 @@ func checkPartition(seed int64, bc int, targets []cluster.NodeID, r comm.Result,
 	all := make([]cluster.NodeID, 0, len(r.Resolved)+len(r.Unreachable))
 	all = append(all, r.Resolved...)
 	all = append(all, r.Unreachable...)
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	want := append([]cluster.NodeID(nil), targets...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(all)
+	want := slices.Clone(targets)
+	slices.Sort(want)
 	if len(all) != len(want) {
 		return // already reported via the counter mismatch above
 	}

@@ -280,6 +280,7 @@ func RunShardedSeed(cfg ShardedConfig, seed int64) SeedResult {
 
 	sr.Events = g.Processed()
 	sr.KernelDigest = g.Digest()
+	sr.Metrics = g.MergedMetrics()
 	if cfg.Trace {
 		sr.CellTraces = g.CellTracers()
 	}

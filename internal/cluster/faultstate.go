@@ -1,0 +1,130 @@
+package cluster
+
+import (
+	"math/rand"
+
+	"eslurm/internal/simnet"
+)
+
+// linkKey identifies a directed link for per-link degradation.
+type linkKey struct{ from, to NodeID }
+
+// partition is one active network partition: messages between a member
+// and a non-member fail in both directions until the partition heals.
+type partition struct {
+	member map[NodeID]bool
+}
+
+// faultState is the adversarial half of the wire model that is not
+// fail-stop: gray nodes, degraded links, active partitions, and the loss
+// and duplication coins. The single-engine Network holds one; a
+// ShardedCluster holds one replica per cell, flipped identically on every
+// cell at the same virtual instant. Fail-stop flags stay with their owners
+// (Node.failed, cellRep.failed), which index them differently.
+type faultState struct {
+	gray       map[NodeID]float64
+	degrade    map[linkKey]float64
+	partitions []*partition
+
+	lossRng *rand.Rand // derived lazily, only when LossProb > 0
+	dupRng  *rand.Rand // derived lazily, only when DupProb > 0
+}
+
+// setGray marks a node gray (alive but slowed by factor > 1); a factor
+// <= 1 clears the mark.
+func (f *faultState) setGray(id NodeID, factor float64) {
+	if factor <= 1 {
+		delete(f.gray, id)
+		return
+	}
+	if f.gray == nil {
+		f.gray = make(map[NodeID]float64)
+	}
+	f.gray[id] = factor
+}
+
+// grayFactor returns the node's slowdown factor (1 when healthy).
+func (f *faultState) grayFactor(id NodeID) float64 {
+	if g, ok := f.gray[id]; ok {
+		return g
+	}
+	return 1
+}
+
+// setDegrade multiplies the directed link's transfer time by factor
+// (> 1); a factor <= 1 restores the link.
+func (f *faultState) setDegrade(from, to NodeID, factor float64) {
+	k := linkKey{from, to}
+	if factor <= 1 {
+		delete(f.degrade, k)
+		return
+	}
+	if f.degrade == nil {
+		f.degrade = make(map[linkKey]float64)
+	}
+	f.degrade[k] = factor
+}
+
+// sever activates p; heal(p) deactivates it. Partitions compose: a link
+// is severed if any active partition separates its endpoints.
+func (f *faultState) sever(p *partition) { f.partitions = append(f.partitions, p) }
+
+func (f *faultState) heal(p *partition) {
+	for i, q := range f.partitions {
+		if q == p {
+			f.partitions = append(f.partitions[:i], f.partitions[i+1:]...)
+			return
+		}
+	}
+}
+
+// severed reports whether an active partition separates the two nodes.
+func (f *faultState) severed(from, to NodeID) bool {
+	for _, p := range f.partitions {
+		if p.member[from] != p.member[to] {
+			return true
+		}
+	}
+	return false
+}
+
+// pathFactor returns the multiplier gray endpoints and link degradation
+// impose on the from→to transfer. It is never below 1.
+func (f *faultState) pathFactor(from, to NodeID) float64 {
+	pf := 1.0
+	if g := f.grayFactor(from); g > pf {
+		pf = g
+	}
+	if g := f.grayFactor(to); g > pf {
+		pf = g
+	}
+	if d, ok := f.degrade[linkKey{from, to}]; ok {
+		pf *= d
+	}
+	return pf
+}
+
+// lost draws the in-transit loss coin from e's "cluster/network/loss"
+// stream; a disabled coin (prob <= 0) draws nothing and derives nothing,
+// so enabling loss never perturbs a configuration that has it off.
+func (f *faultState) lost(e *simnet.Engine, prob float64) bool {
+	if prob <= 0 {
+		return false
+	}
+	if f.lossRng == nil {
+		f.lossRng = e.Rand("cluster/network/loss")
+	}
+	return f.lossRng.Float64() < prob
+}
+
+// duplicated draws the duplication coin from e's "cluster/network/dup"
+// stream, under the same disabled-draws-nothing rule as lost.
+func (f *faultState) duplicated(e *simnet.Engine, prob float64) bool {
+	if prob <= 0 {
+		return false
+	}
+	if f.dupRng == nil {
+		f.dupRng = e.Rand("cluster/network/dup")
+	}
+	return f.dupRng.Float64() < prob
+}

@@ -100,15 +100,6 @@ func (c NetConfig) withDefaults() NetConfig {
 	return c
 }
 
-// linkKey identifies a directed link for per-link degradation.
-type linkKey struct{ from, to NodeID }
-
-// partition is one active network partition: messages between a member
-// and a non-member fail in both directions until the partition heals.
-type partition struct {
-	member map[NodeID]bool
-}
-
 // Network delivers messages between nodes of one cluster with a
 // latency+bandwidth cost model and an adversarial fault model layered on
 // top of fail-stop semantics:
@@ -129,13 +120,7 @@ type Network struct {
 	cluster *Cluster
 	cfg     NetConfig
 	rng     *rand.Rand
-
-	lossRng *rand.Rand // derived lazily, only when LossProb > 0
-	dupRng  *rand.Rand // derived lazily, only when DupProb > 0
-
-	gray       map[NodeID]float64
-	degrade    map[linkKey]float64
-	partitions []*partition
+	faults  faultState
 
 	deliverObs func(from, to NodeID, size int)
 }
@@ -156,43 +141,21 @@ func (n *Network) OnDeliver(fn func(from, to NodeID, size int)) { n.deliverObs =
 // SetGray marks a node as a gray failure: alive, but every connect and
 // transfer involving it is multiplied by factor (> 1). A factor <= 1
 // clears the mark.
-func (n *Network) SetGray(id NodeID, factor float64) {
-	if factor <= 1 {
-		delete(n.gray, id)
-		return
-	}
-	if n.gray == nil {
-		n.gray = make(map[NodeID]float64)
-	}
-	n.gray[id] = factor
-}
+func (n *Network) SetGray(id NodeID, factor float64) { n.faults.setGray(id, factor) }
 
 // ClearGray removes a node's gray-failure mark.
-func (n *Network) ClearGray(id NodeID) { delete(n.gray, id) }
+func (n *Network) ClearGray(id NodeID) { n.faults.setGray(id, 1) }
 
 // GrayFactor returns the node's slowdown factor (1 when healthy).
-func (n *Network) GrayFactor(id NodeID) float64 {
-	if f, ok := n.gray[id]; ok {
-		return f
-	}
-	return 1
-}
+func (n *Network) GrayFactor(id NodeID) float64 { return n.faults.grayFactor(id) }
 
 // GrayCount returns the number of currently gray nodes.
-func (n *Network) GrayCount() int { return len(n.gray) }
+func (n *Network) GrayCount() int { return len(n.faults.gray) }
 
 // SetLinkDegrade multiplies the directed link's transfer time by factor
 // (> 1). A factor <= 1 restores the link.
 func (n *Network) SetLinkDegrade(from, to NodeID, factor float64) {
-	k := linkKey{from, to}
-	if factor <= 1 {
-		delete(n.degrade, k)
-		return
-	}
-	if n.degrade == nil {
-		n.degrade = make(map[linkKey]float64)
-	}
-	n.degrade[k] = factor
+	n.faults.setDegrade(from, to, factor)
 }
 
 // Partition severs the member set from the rest of the cluster starting
@@ -206,36 +169,20 @@ func (n *Network) Partition(members []NodeID, heal time.Duration) {
 	for _, id := range members {
 		p.member[id] = true
 	}
-	n.partitions = append(n.partitions, p)
+	n.faults.sever(p)
 	if heal > 0 {
-		n.cluster.Engine.After(heal, func() { n.healOne(p) })
-	}
-}
-
-func (n *Network) healOne(p *partition) {
-	for i, q := range n.partitions {
-		if q == p {
-			n.partitions = append(n.partitions[:i], n.partitions[i+1:]...)
-			return
-		}
+		n.cluster.Engine.After(heal, func() { n.faults.heal(p) })
 	}
 }
 
 // HealAll removes every active partition.
-func (n *Network) HealAll() { n.partitions = nil }
+func (n *Network) HealAll() { n.faults.partitions = nil }
 
 // PartitionCount returns the number of active partitions.
-func (n *Network) PartitionCount() int { return len(n.partitions) }
+func (n *Network) PartitionCount() int { return len(n.faults.partitions) }
 
 // Severed reports whether an active partition separates the two nodes.
-func (n *Network) Severed(from, to NodeID) bool {
-	for _, p := range n.partitions {
-		if p.member[from] != p.member[to] {
-			return true
-		}
-	}
-	return false
-}
+func (n *Network) Severed(from, to NodeID) bool { return n.faults.severed(from, to) }
 
 // TransferTime returns the modelled one-way delivery time for a healthy
 // message of size bytes, excluding jitter, connection setup and any
@@ -243,22 +190,6 @@ func (n *Network) Severed(from, to NodeID) bool {
 func (n *Network) TransferTime(size int) time.Duration {
 	ser := time.Duration(float64(size) / n.cfg.BandwidthBps * float64(time.Second))
 	return n.cfg.Latency + ser
-}
-
-// pathFactor returns the multiplier gray endpoints and link degradation
-// impose on the from→to transfer.
-func (n *Network) pathFactor(from, to NodeID) float64 {
-	f := 1.0
-	if g := n.GrayFactor(from); g > f {
-		f = g
-	}
-	if g := n.GrayFactor(to); g > f {
-		f = g
-	}
-	if d, ok := n.degrade[linkKey{from, to}]; ok {
-		f *= d
-	}
-	return f
 }
 
 // scale multiplies a duration by a factor, avoiding the float round trip
@@ -270,32 +201,14 @@ func scale(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// lost draws the in-transit loss coin (only when loss is enabled).
-func (n *Network) lost() bool {
-	if n.cfg.LossProb <= 0 {
-		return false
-	}
-	if n.lossRng == nil {
-		n.lossRng = n.cluster.Engine.Rand("cluster/network/loss")
-	}
-	return n.lossRng.Float64() < n.cfg.LossProb
-}
+func (n *Network) lost() bool { return n.faults.lost(n.cluster.Engine, n.cfg.LossProb) }
 
-// duplicated draws the duplication coin (only when duplication is enabled).
-func (n *Network) duplicated() bool {
-	if n.cfg.DupProb <= 0 {
-		return false
-	}
-	if n.dupRng == nil {
-		n.dupRng = n.cluster.Engine.Rand("cluster/network/dup")
-	}
-	return n.dupRng.Float64() < n.cfg.DupProb
-}
+func (n *Network) duplicated() bool { return n.faults.duplicated(n.cluster.Engine, n.cfg.DupProb) }
 
 // unreachable reports whether a message from→to cannot be delivered right
 // now: the destination is dead or a partition separates the endpoints.
 func (n *Network) unreachable(from, to NodeID) bool {
-	return n.cluster.Node(to).failed || n.Severed(from, to)
+	return n.cluster.Node(to).failed || n.faults.severed(from, to)
 }
 
 // Send models one message from -> to carrying size bytes.
@@ -311,69 +224,87 @@ func (n *Network) unreachable(from, to NodeID) bool {
 func (n *Network) Send(from, to NodeID, size int, onDelivered func(), onFailed func()) {
 	e := n.cluster.Engine
 	src := n.cluster.Node(from)
-	dst := n.cluster.Node(to)
-
 	src.Meter.CountMessage(true, size)
 	src.Meter.OpenSocket()
 
-	fail := func(after time.Duration) {
-		e.After(after, func() {
-			src.Meter.CloseSocket()
-			if onFailed != nil {
-				onFailed()
-			}
-		})
-	}
-
+	f := &flight{n: n, from: from, to: to, size: size, onDelivered: onDelivered, onFailed: onFailed}
 	if n.unreachable(from, to) || n.lost() {
-		fail(n.cfg.ConnectTimeout)
+		e.After(n.cfg.ConnectTimeout, f.timeout)
 		return
 	}
 
-	factor := n.pathFactor(from, to)
-	d := scale(n.cfg.ConnectCost, factor) + scale(n.TransferTime(size), factor)
+	factor := n.faults.pathFactor(from, to)
+	f.d = scale(n.cfg.ConnectCost, factor) + scale(n.TransferTime(size), factor)
 	if n.cfg.Jitter > 0 {
-		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
+		f.d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
 	}
-	e.After(d, func() {
-		// The destination may have failed — or been partitioned away —
-		// while the message was in flight.
-		if n.unreachable(from, to) {
-			// Remaining time until the sender's timeout expires.
-			fail(n.cfg.ConnectTimeout - d)
-			return
-		}
-		dst.Meter.CountMessage(false, size)
-		dst.Meter.OpenSocket()
-		src.Meter.CloseSocket()
-		// The receiving daemon holds its accept socket briefly while
-		// processing.
-		e.After(n.cfg.Latency, func() { dst.Meter.CloseSocket() })
-		if n.deliverObs != nil {
-			n.deliverObs(from, to, size)
-		}
-		if onDelivered != nil {
-			onDelivered()
-		}
-		if n.duplicated() {
-			// Retransmission after a lost ack: the same payload lands a
-			// second time one latency later. No socket churn — the
-			// duplicate rides the same accept — but the receiver's message
-			// counter and callback both fire again.
-			e.After(n.cfg.Latency, func() {
-				if n.unreachable(from, to) {
-					return
-				}
-				dst.Meter.CountMessage(false, size)
-				if n.deliverObs != nil {
-					n.deliverObs(from, to, size)
-				}
-				if onDelivered != nil {
-					onDelivered()
-				}
-			})
-		}
-	})
+	e.After(f.d, f.land)
+}
+
+// flight is one message of Send on the wire. Its methods are the events
+// of the message's life, so a message allocates one small object however
+// many events it takes.
+type flight struct {
+	n                     *Network
+	from, to              NodeID
+	size                  int
+	d                     time.Duration // modelled delivery time
+	onDelivered, onFailed func()
+}
+
+// timeout fires when the sender's connect timeout expires on a message
+// that never arrived.
+func (f *flight) timeout() {
+	f.n.cluster.Node(f.from).Meter.CloseSocket()
+	if f.onFailed != nil {
+		f.onFailed()
+	}
+}
+
+// land fires at the delivery instant.
+func (f *flight) land() {
+	n, e := f.n, f.n.cluster.Engine
+	// The destination may have failed — or been partitioned away —
+	// while the message was in flight.
+	if n.unreachable(f.from, f.to) {
+		// Remaining time until the sender's timeout expires.
+		e.After(n.cfg.ConnectTimeout-f.d, f.timeout)
+		return
+	}
+	dst := n.cluster.Node(f.to)
+	dst.Meter.CountMessage(false, f.size)
+	dst.Meter.OpenSocket()
+	n.cluster.Node(f.from).Meter.CloseSocket()
+	// The receiving daemon holds its accept socket briefly while
+	// processing.
+	e.After(n.cfg.Latency, dst.Meter.CloseSocket)
+	if n.deliverObs != nil {
+		n.deliverObs(f.from, f.to, f.size)
+	}
+	if f.onDelivered != nil {
+		f.onDelivered()
+	}
+	if n.duplicated() {
+		// Retransmission after a lost ack: the same payload lands a
+		// second time one latency later. No socket churn — the
+		// duplicate rides the same accept — but the receiver's message
+		// counter and callback both fire again.
+		e.After(n.cfg.Latency, f.landAgain)
+	}
+}
+
+func (f *flight) landAgain() {
+	n := f.n
+	if n.unreachable(f.from, f.to) {
+		return
+	}
+	n.cluster.Node(f.to).Meter.CountMessage(false, f.size)
+	if n.deliverObs != nil {
+		n.deliverObs(f.from, f.to, f.size)
+	}
+	if f.onDelivered != nil {
+		f.onDelivered()
+	}
 }
 
 // SendPersistent models traffic over an already-established long-lived
@@ -399,7 +330,7 @@ func (n *Network) SendPersistent(from, to NodeID, size int, onDelivered func(), 
 		fail(n.cfg.ConnectTimeout)
 		return
 	}
-	d := scale(n.TransferTime(size), n.pathFactor(from, to))
+	d := scale(n.TransferTime(size), n.faults.pathFactor(from, to))
 	if n.cfg.Jitter > 0 {
 		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
 	}

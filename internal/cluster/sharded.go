@@ -60,17 +60,12 @@ type ShardNode struct {
 }
 
 // cellRep is one cell's replica of the fault-control state plus its
-// network RNG streams. Owned by the cell: only that cell's events (or
+// network jitter stream. Owned by the cell: only that cell's events (or
 // the idle coordinator) read or write it.
 type cellRep struct {
-	failed     []bool
-	gray       map[NodeID]float64
-	degrade    map[linkKey]float64
-	partitions []*partition
-
-	rng     *rand.Rand
-	lossRng *rand.Rand
-	dupRng  *rand.Rand
+	failed []bool
+	faultState
+	rng *rand.Rand
 }
 
 // ShardConfig sizes a sharded cluster.
@@ -262,77 +257,15 @@ func (sc *ShardedCluster) SchedulePartition(members []NodeID, at, heal time.Dura
 		// Each cell owns its replica partition object: heal mutates the
 		// holding cell's slice only.
 		p := &partition{member: member}
-		sc.g.Cell(c).Schedule(at, func() { rep.partitions = append(rep.partitions, p) })
+		sc.g.Cell(c).Schedule(at, func() { rep.sever(p) })
 		if heal > 0 {
 			sc.g.Cell(c).Schedule(at+heal, func() { rep.heal(p) })
 		}
 	}
 }
 
-func (r *cellRep) setGray(id NodeID, factor float64) {
-	if factor <= 1 {
-		delete(r.gray, id)
-		return
-	}
-	if r.gray == nil {
-		r.gray = make(map[NodeID]float64)
-	}
-	r.gray[id] = factor
-}
-
-func (r *cellRep) setDegrade(from, to NodeID, factor float64) {
-	k := linkKey{from, to}
-	if factor <= 1 {
-		delete(r.degrade, k)
-		return
-	}
-	if r.degrade == nil {
-		r.degrade = make(map[linkKey]float64)
-	}
-	r.degrade[k] = factor
-}
-
-func (r *cellRep) heal(p *partition) {
-	for i, q := range r.partitions {
-		if q == p {
-			r.partitions = append(r.partitions[:i], r.partitions[i+1:]...)
-			return
-		}
-	}
-}
-
-func (r *cellRep) severed(from, to NodeID) bool {
-	for _, p := range r.partitions {
-		if p.member[from] != p.member[to] {
-			return true
-		}
-	}
-	return false
-}
-
 func (r *cellRep) unreachable(from, to NodeID) bool {
 	return r.failed[to] || r.severed(from, to)
-}
-
-func (r *cellRep) grayFactor(id NodeID) float64 {
-	if f, ok := r.gray[id]; ok {
-		return f
-	}
-	return 1
-}
-
-func (r *cellRep) pathFactor(from, to NodeID) float64 {
-	f := 1.0
-	if g := r.grayFactor(from); g > f {
-		f = g
-	}
-	if g := r.grayFactor(to); g > f {
-		f = g
-	}
-	if d, ok := r.degrade[linkKey{from, to}]; ok {
-		f *= d
-	}
-	return f
 }
 
 // GrayFactor returns a node's slowdown factor (1 when healthy);
@@ -351,30 +284,6 @@ func (sc *ShardedCluster) GrayFactorOn(viewer, id NodeID) float64 {
 func (sc *ShardedCluster) TransferTime(size int) time.Duration {
 	ser := time.Duration(float64(size) / sc.cfg.BandwidthBps * float64(time.Second))
 	return sc.cfg.Latency + ser
-}
-
-// lost draws the in-transit loss coin on the sending cell's stream.
-func (sc *ShardedCluster) lost(cell int) bool {
-	if sc.cfg.LossProb <= 0 {
-		return false
-	}
-	rep := sc.reps[cell]
-	if rep.lossRng == nil {
-		rep.lossRng = sc.g.Cell(cell).Rand("cluster/network/loss")
-	}
-	return rep.lossRng.Float64() < sc.cfg.LossProb
-}
-
-// duplicated draws the duplication coin on the sending cell's stream.
-func (sc *ShardedCluster) duplicated(cell int) bool {
-	if sc.cfg.DupProb <= 0 {
-		return false
-	}
-	rep := sc.reps[cell]
-	if rep.dupRng == nil {
-		rep.dupRng = sc.g.Cell(cell).Rand("cluster/network/dup")
-	}
-	return rep.dupRng.Float64() < sc.cfg.DupProb
 }
 
 // Send models one message from -> to carrying size bytes, invoked from
@@ -411,7 +320,7 @@ func (sc *ShardedCluster) send(from, to NodeID, size int, connect bool, onArrive
 		src.Meter.OpenSocket()
 	}
 
-	if rep.unreachable(from, to) || sc.lost(srcCell) {
+	if rep.unreachable(from, to) || rep.lost(e, sc.cfg.LossProb) {
 		e.After(sc.cfg.ConnectTimeout, func() {
 			if connect {
 				src.Meter.CloseSocket()
@@ -431,10 +340,9 @@ func (sc *ShardedCluster) send(from, to NodeID, size int, connect bool, onArrive
 	if sc.cfg.Jitter > 0 {
 		d += time.Duration(rep.rng.Int63n(int64(sc.cfg.Jitter) + 1))
 	}
-	dup := sc.duplicated(srcCell)
+	dup := rep.duplicated(e, sc.cfg.DupProb)
 
-	now := e.Now()
-	timeoutAt := now + sc.cfg.ConnectTimeout
+	timeoutAt := e.Now() + sc.cfg.ConnectTimeout
 	if connect {
 		// The sender computed d, so it closes its connect socket at the
 		// delivery instant without waiting for the ack.
@@ -451,11 +359,11 @@ func (sc *ShardedCluster) send(from, to NodeID, size int, connect bool, onArrive
 				}
 				// Nack: the sender learns at its timeout, or as soon as
 				// the nack can travel back, whichever is later.
-				failAt := de.Now() + L
-				if timeoutAt > failAt {
-					failAt = timeoutAt
+				wait := timeoutAt - de.Now() - L
+				if wait < 0 {
+					wait = 0
 				}
-				sc.g.Send(dstCell, srcCell, failAt, func() {
+				sc.g.SendAfter(dstCell, srcCell, wait, func() {
 					if onFailed != nil {
 						onFailed()
 					}
@@ -471,15 +379,16 @@ func (sc *ShardedCluster) send(from, to NodeID, size int, connect bool, onArrive
 				onArrive()
 			}
 			if first && onAcked != nil {
-				sc.g.Send(dstCell, srcCell, de.Now()+L, onAcked)
+				sc.g.SendAfter(dstCell, srcCell, 0, onAcked)
 			}
 		}
 	}
-	//eslurmlint:ignore lookahead d = scale(TransferTime(size), pathFactor) with pathFactor >= 1 and TransferTime >= cfg.Latency = the group's lookahead, so now+d is bounded by a model invariant the prover's addend algebra cannot see through scale()
-	sc.g.Send(srcCell, dstCell, now+d, arrive(true))
+	// d = scale(TransferTime(size), pathFactor) + ..., with pathFactor >= 1
+	// and TransferTime >= L, so d-L is never negative: delivery is now+d.
+	sc.g.SendAfter(srcCell, dstCell, d-L, arrive(true))
 	if dup {
 		// Retransmission after a lost ack: the payload lands a second
 		// time one latency later; no second ack, no socket churn.
-		sc.g.Send(srcCell, dstCell, now+d+L, arrive(false))
+		sc.g.SendAfter(srcCell, dstCell, d, arrive(false))
 	}
 }

@@ -277,79 +277,110 @@ func (b *Broadcaster) retryDelay(next int) time.Duration {
 // is enabled, parents the delivery-chain span (comm.send) under the
 // broadcast that issued it.
 func (b *Broadcaster) send(from, to cluster.NodeID, size int, res *Result, parent obs.SpanID, cb func(ok bool)) {
-	e := b.engine()
-	in := b.inst()
-	lim := b.limiter(from)
-	in.outstanding.Add(1)
-	tr := e.Tracer()
-	span := tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
-	lim.acquire(func() {
-		attempts := 0
-		resolved := false
-		chainStart := e.Now()
-		settle := func(ok bool) {
-			resolved = true
-			in.outstanding.Add(-1)
-			tr.SetAttrInt(span, "attempts", attempts)
-			if !ok {
-				tr.SetAttr(span, "ok", "false")
-			}
-			tr.End(span)
-			lim.release()
-			cb(ok)
-		}
-		var attempt func()
-		attempt = func() {
-			attempts++
-			res.Messages++
-			in.messages.Inc()
-			if attempts > 1 {
-				res.Retries++
-				in.retries.Inc()
-				tr.Instant("comm.retry", span, obs.Int("attempt", attempts))
-			}
-			b.Cluster.Node(from).Meter.ChargeCPU(b.SendOverhead)
-			e.After(b.SendOverhead, func() {
-				b.Cluster.Net.Send(from, to, size,
-					func() { // delivered (possibly again: dedup)
-						if resolved {
-							return
-						}
-						settle(true)
-					},
-					func() { // attempt failed
-						if resolved {
-							return
-						}
-						if attempts < b.maxAttempts() && !b.pastDeadline(chainStart) {
-							if d := b.retryDelay(attempts + 1); d > 0 {
-								// Re-check the deadline when the backoff
-								// timer fires: a Deadline expiring
-								// mid-backoff must resolve the chain
-								// (exactly once, via the resolved guard)
-								// rather than launch an attempt past the
-								// documented budget.
-								e.After(d, func() {
-									if resolved {
-										return
-									}
-									if b.pastDeadline(chainStart) {
-										settle(false)
-										return
-									}
-									attempt()
-								})
-							} else {
-								attempt()
-							}
-							return
-						}
-						settle(false)
-					})
-			})
-		}
-		attempt()
-	})
+	c := &chain{b: b, lim: b.limiter(from), from: from, to: to, size: size, res: res, cb: cb}
+	b.inst().outstanding.Add(1)
+	// The attributes are formatted strings: only a recording tracer pays
+	// for them.
+	if tr := b.engine().Tracer(); tr != nil {
+		c.span = tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
+	}
+	c.lim.acquire(c.begin)
+}
+
+// chain is one delivery chain: a message and its retries, holding one of
+// the sender's connection slots from dispatch to resolution. All of a
+// chain's state lives in this one object and the callbacks it hands to
+// the engine and the network are its own methods, so the per-message
+// path allocates this object and a few method values, nothing larger: the
+// soaks send millions of messages and their wall time follows the
+// garbage they make.
+type chain struct {
+	b        *Broadcaster
+	lim      *limiter
+	from, to cluster.NodeID
+	size     int
+	res      *Result
+	span     obs.SpanID
+	cb       func(ok bool)
+
+	attempts int
+	resolved bool
+	start    time.Duration // when the chain got its slot; the deadline runs from here
+}
+
+// begin runs once the sender has a free connection slot.
+func (c *chain) begin() {
+	c.start = c.b.engine().Now()
+	c.attempt()
+}
+
+func (c *chain) attempt() {
+	b, in := c.b, c.b.inst()
+	c.attempts++
+	c.res.Messages++
+	in.messages.Inc()
+	if c.attempts > 1 {
+		c.res.Retries++
+		in.retries.Inc()
+		b.engine().Tracer().Instant("comm.retry", c.span, obs.Int("attempt", c.attempts))
+	}
+	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
+	b.engine().After(b.SendOverhead, c.transmit)
+}
+
+func (c *chain) transmit() {
+	c.b.Cluster.Net.Send(c.from, c.to, c.size, c.delivered, c.failed)
+}
+
+// delivered may fire twice for one attempt (NetConfig.DupProb) and
+// after the chain has already resolved; only the first resolution counts.
+func (c *chain) delivered() {
+	if !c.resolved {
+		c.settle(true)
+	}
+}
+
+func (c *chain) failed() {
+	if c.resolved {
+		return
+	}
+	b := c.b
+	if c.attempts >= b.maxAttempts() || b.pastDeadline(c.start) {
+		c.settle(false)
+		return
+	}
+	if d := b.retryDelay(c.attempts + 1); d > 0 {
+		b.engine().After(d, c.afterBackoff)
+		return
+	}
+	c.attempt()
+}
+
+// afterBackoff re-checks the deadline when the backoff timer fires: a
+// Deadline expiring mid-backoff must resolve the chain (exactly once, via
+// the resolved guard) rather than launch an attempt past the documented
+// budget.
+func (c *chain) afterBackoff() {
+	switch {
+	case c.resolved:
+	case c.b.pastDeadline(c.start):
+		c.settle(false)
+	default:
+		c.attempt()
+	}
+}
+
+func (c *chain) settle(ok bool) {
+	c.resolved = true
+	c.b.inst().outstanding.Add(-1)
+	tr := c.b.engine().Tracer()
+	tr.SetAttrInt(c.span, "attempts", c.attempts)
+	if !ok {
+		tr.SetAttr(c.span, "ok", "false")
+	}
+	tr.End(c.span)
+	c.lim.release()
+	c.cb(ok)
 }
 
 // pastDeadline reports whether a delivery chain begun at start has

@@ -309,3 +309,20 @@ func TestBinomialLogDepthLatency(t *testing.T) {
 		t.Errorf("binomial (%v) not ~10x faster than ring (%v)", bin.DeliveredElapsed, ring.DeliveredElapsed)
 	}
 }
+
+// A delivered message is the unit the soaks and the scale experiments
+// repeat millions of times, and what it allocates sets how often the
+// collector runs — which is what made their wall time swing from run to
+// run. With tracing off one message costs its chain, its flight and their
+// method values; the span attributes must cost nothing.
+func TestSendAllocationBudget(t *testing.T) {
+	e := simnet.NewEngine(21)
+	c := cluster.New(e, cluster.Config{Computes: 2, Satellites: 0})
+	b := NewBroadcaster(c)
+	from, to := c.Computes()[0], c.Computes()[1]
+	cb := func(bool) {}
+	const budget = 9 // measured 8: chain, flight, six method values
+	if got := testing.AllocsPerRun(200, func() { b.Send(from, to, 128, cb); e.Run() }); got > budget {
+		t.Fatalf("one delivered message allocates %.0f objects, budget %d", got, budget)
+	}
+}

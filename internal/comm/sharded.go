@@ -320,8 +320,7 @@ func (b *ShardBroadcaster) notifyResolve(t *shardTracker, sender, id cluster.Nod
 		t.resolve(id, ok, msgs, retries)
 		return
 	}
-	at := b.C.Engine(sender).Now() + b.C.Config().Latency
-	b.C.Group().Send(senderCell, originCell, at, func() {
+	b.C.Group().SendAfter(senderCell, originCell, 0, func() {
 		t.resolve(id, ok, msgs, retries)
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"eslurm/internal/core"
 	"eslurm/internal/fptree"
 	"eslurm/internal/predict"
-	"eslurm/internal/simnet"
 	"eslurm/internal/topo"
 )
 
@@ -21,7 +20,7 @@ import (
 // AblationTreeWidth sweeps the FP-Tree fan-out w (Eq. 1's width and the
 // relay tree's branching factor): narrow trees are deep (more hops, more
 // interior nodes exposed to failures), wide trees serialize at each relay.
-func AblationTreeWidth(nodes int, widths []int) *Table {
+func AblationTreeWidth(env *Env, nodes int, widths []int) *Table {
 	if len(widths) == 0 {
 		widths = []int{4, 8, 16, 32, 64, 128}
 	}
@@ -32,7 +31,7 @@ func AblationTreeWidth(nodes int, widths []int) *Table {
 	}
 	for _, w := range widths {
 		run := func(failures bool) time.Duration {
-			e := simnet.NewEngine(31)
+			e := env.NewEngine(31)
 			c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
 			if failures {
 				failSpread(c, nodes/50)
@@ -64,7 +63,7 @@ func treeDepth(n, w int) int {
 // AblationReallocLimit sweeps the reallocation-trail threshold of
 // Section III-C: 0 means the master takes over immediately on satellite
 // failure, large values keep retrying satellites.
-func AblationReallocLimit(nodes int, limits []int) *Table {
+func AblationReallocLimit(env *Env, nodes int, limits []int) *Table {
 	if len(limits) == 0 {
 		limits = []int{0, 1, 2, 4}
 	}
@@ -74,7 +73,7 @@ func AblationReallocLimit(nodes int, limits []int) *Table {
 		Columns: []string{"limit", "broadcast completes in", "reallocations", "master takeovers"},
 	}
 	for _, lim := range limits {
-		e := simnet.NewEngine(37)
+		e := env.NewEngine(37)
 		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 4})
 		cfg := core.DefaultConfig()
 		cfg.ReallocLimit = lim
@@ -103,7 +102,7 @@ func AblationReallocLimit(nodes int, limits []int) *Table {
 // cluster: tree edge-locality cost for random order, topology-aware
 // order, and topology-aware + FP fine-tuning (which must keep the
 // locality while still putting predicted-failed nodes on leaves).
-func AblationTopology(nodes int, failedFrac float64) *Table {
+func AblationTopology(env *Env, nodes int, failedFrac float64) *Table {
 	tp := topo.Default()
 	list := make([]cluster.NodeID, nodes)
 	for i := range list {
@@ -120,7 +119,7 @@ func AblationTopology(nodes int, failedFrac float64) *Table {
 	pred := func(id cluster.NodeID) bool { return predicted[id] }
 
 	shuffle := append([]cluster.NodeID(nil), list...)
-	rng := simnet.NewEngine(41).Rand("ablation/topo")
+	rng := env.NewEngine(41).Rand("ablation/topo")
 	rng.Shuffle(len(shuffle), func(i, j int) { shuffle[i], shuffle[j] = shuffle[j], shuffle[i] })
 
 	const width = 32

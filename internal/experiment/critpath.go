@@ -5,17 +5,17 @@ package experiment
 // `benchrunner -exp fig7f -critpath out.txt` emits the per-structure
 // table the paper's bottleneck argument rests on.
 //
-// Every engine an experiment constructs becomes one critpath source,
-// labeled by experiment ID, collection index, and seed — a pure function
-// of the registry order and the (serial) run, hence byte-stable. For
-// shard-aware experiments (fig7f, fig10) each occupation probe builds
-// its own cell group, so the flat engine list concatenates cells from
-// many groups; per-engine sources keep the report well-defined there:
-// a span whose parent ran on another cell surfaces as its own root,
-// still named, so per-kind attribution and structure grouping survive.
-// The fully stitched cross-cell DAG is exercised by
-// `chaossoak -shards -critpath`, which runs exactly one group per seed
-// and flattens it with critpath.FromCells.
+// Every engine an experiment obtains from its Env becomes one critpath
+// source, labeled by experiment ID, index across the run, and seed — a
+// pure function of the registry order and each driver's creation order,
+// hence byte-stable at any -parallel. For the sharded drivers (fig7f,
+// fig10) each occupation probe builds its own cell group, so the flat
+// engine list concatenates cells from many groups; per-engine sources
+// keep the report well-defined there: a span whose parent ran on another
+// cell surfaces as its own root, still named, so per-kind attribution and
+// structure grouping survive. The fully stitched cross-cell DAG is
+// exercised by `chaossoak -shards -critpath`, which runs exactly one
+// group per seed and flattens it with critpath.FromCells.
 
 import (
 	"fmt"
@@ -24,11 +24,24 @@ import (
 	"eslurm/internal/simnet"
 )
 
-// A TracedEngine pairs an engine with the experiment that built it, in
-// collection order across the whole benchrunner invocation.
+// A TracedEngine pairs an engine with the experiment that built it.
 type TracedEngine struct {
 	Exp string
 	E   *simnet.Engine
+}
+
+// ObservedEngines flattens RunObserved results into one engine list:
+// results in the order given (registry order), each experiment's engines
+// in creation order. An engine's index in the list is its pid in the
+// Chrome trace and its number in every label.
+func ObservedEngines(results []Result) []TracedEngine {
+	var all []TracedEngine
+	for _, r := range results {
+		for _, e := range r.Engines {
+			all = append(all, TracedEngine{Exp: r.Spec.ID, E: e})
+		}
+	}
+	return all
 }
 
 // CritpathSources converts traced engines into critpath sources, one per
@@ -52,7 +65,7 @@ func CritpathSources(engines []TracedEngine) []critpath.Source {
 }
 
 // CritpathReport analyzes traced engines into one attribution report.
-// Same flags, same registry order → byte-identical report.
+// Same flags → byte-identical report.
 func CritpathReport(engines []TracedEngine, topK int) *critpath.Report {
 	return critpath.Analyze(CritpathSources(engines), critpath.Options{TopK: topK})
 }

@@ -107,7 +107,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig7fShape(t *testing.T) {
-	tb := Fig7f(512, []int{32, 512})
+	tb := Fig7f(new(Env), 512, []int{32, 512})
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 RMs", len(tb.Rows))
 	}
@@ -133,7 +133,7 @@ func TestFig7fShape(t *testing.T) {
 }
 
 func TestFig8aShape(t *testing.T) {
-	tb := Fig8a(1024)
+	tb := Fig8a(new(Env), 1024)
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -149,7 +149,7 @@ func TestFig8aShape(t *testing.T) {
 }
 
 func TestFig8bShape(t *testing.T) {
-	tb := Fig8b(512, []float64{0, 0.3})
+	tb := Fig8b(new(Env), 512, []float64{0, 0.3})
 	byName := map[string][]string{}
 	for _, r := range tb.Rows {
 		byName[r[0]] = r
@@ -175,7 +175,7 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestPlacementShape(t *testing.T) {
-	tb := Placement(512, 1)
+	tb := Placement(new(Env), 512, 1)
 	vals := map[string]string{}
 	for _, r := range tb.Rows {
 		vals[r[0]] = r[1]
@@ -194,7 +194,7 @@ func TestPlacementShape(t *testing.T) {
 }
 
 func TestFig11aShape(t *testing.T) {
-	tb := Fig11a(2048, []int{1, 8, 32})
+	tb := Fig11a(new(Env), 2048, []int{1, 8, 32})
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -211,7 +211,7 @@ func TestQuickSuiteSmoke(t *testing.T) {
 		t.Skip("quick suite still takes tens of seconds")
 	}
 	// The smallest representative run of the estimator + sched drivers.
-	tabs := Fig10([]int{256}, 800)
+	tabs := Fig10(new(Env), []int{256}, 800)
 	if len(tabs) != 3 {
 		t.Fatalf("fig10 tables = %d", len(tabs))
 	}
@@ -251,7 +251,7 @@ func TestTable8Trend(t *testing.T) {
 }
 
 func TestAblationDrivers(t *testing.T) {
-	w := AblationTreeWidth(256, []int{4, 32})
+	w := AblationTreeWidth(new(Env), 256, []int{4, 32})
 	if len(w.Rows) != 2 {
 		t.Fatalf("width rows = %d", len(w.Rows))
 	}
@@ -260,7 +260,7 @@ func TestAblationDrivers(t *testing.T) {
 		t.Errorf("depth not decreasing with width: %v vs %v", w.Rows[0][1], w.Rows[1][1])
 	}
 
-	r := AblationReallocLimit(128, []int{0, 2})
+	r := AblationReallocLimit(new(Env), 128, []int{0, 2})
 	if len(r.Rows) != 2 {
 		t.Fatalf("realloc rows = %d", len(r.Rows))
 	}
@@ -272,7 +272,7 @@ func TestAblationDrivers(t *testing.T) {
 		t.Errorf("limit=2 row wrong: %v", r.Rows[1])
 	}
 
-	tp := AblationTopology(1024, 0.02)
+	tp := AblationTopology(new(Env), 1024, 0.02)
 	if len(tp.Rows) != 3 {
 		t.Fatalf("topo rows = %d", len(tp.Rows))
 	}

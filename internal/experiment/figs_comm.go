@@ -11,7 +11,6 @@ import (
 	"eslurm/internal/monitor"
 	"eslurm/internal/predict"
 	"eslurm/internal/rm"
-	"eslurm/internal/simnet"
 )
 
 // failSpread fails `count` compute nodes spread uniformly across the
@@ -37,7 +36,7 @@ func failSpread(c *cluster.Cluster, count int) map[cluster.NodeID]bool {
 // Fig7f reproduces the job-occupation-time experiment: parallel jobs of
 // different sizes with a fixed 10 s runtime loaded through each of the six
 // RMs; occupation spans allocation, spawn, the run itself, and reclaim.
-func Fig7f(clusterNodes int, sizes []int) *Table {
+func Fig7f(env *Env, clusterNodes int, sizes []int) *Table {
 	if len(sizes) == 0 {
 		sizes = []int{64, 256, 1024, 2048, 4096}
 	}
@@ -65,7 +64,7 @@ func Fig7f(clusterNodes int, sizes []int) *Table {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, fmtDur(OccupationTime(m.new, clusterNodes, size)))
+			row = append(row, fmtDur(OccupationTime(env, m.new, clusterNodes, size)))
 		}
 		t.AddRow(row...)
 	}
@@ -84,8 +83,8 @@ func sizesHeader(sizes []int) []string {
 // OccupationTime measures one job's occupation (submit → resources fully
 // released) of the given size on an otherwise idle cluster under the given
 // RM: allocation+spawn (load), the fixed 10 s run, and reclaim (term).
-func OccupationTime(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int) time.Duration {
-	load, term := OccupationProbe(mk, clusterNodes, jobNodes, 0)
+func OccupationTime(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int) time.Duration {
+	load, term := OccupationProbe(env, mk, clusterNodes, jobNodes, 0)
 	return load + 10*time.Second + term
 }
 
@@ -93,8 +92,8 @@ func OccupationTime(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes in
 // one job of the given size, with failedFrac of the cluster's nodes down
 // (the production failure background). The scheduling drivers call it per
 // job size to build their sched.Overhead lookups.
-func OccupationProbe(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64) (load, term time.Duration) {
-	e := simnet.NewEngine(42)
+func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64) (load, term time.Duration) {
+	e := env.NewEngine(42)
 	satellites := 1
 	if clusterNodes >= 1024 {
 		satellites = 2 + clusterNodes/5120 // paper: ~1 satellite per 5K slaves
@@ -126,7 +125,7 @@ func OccupationProbe(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes i
 // loading (message 1) and job termination (message 2) messages on a 4K
 // cluster with a production-like 2% failure mix: Slurm's forwarding tree,
 // ESlurm without FP-Tree (null predictor), and full ESlurm.
-func Fig8a(nodes int) *Table {
+func Fig8a(env *Env, nodes int) *Table {
 	t := &Table{
 		ID:      "fig8a",
 		Title:   fmt.Sprintf("Average broadcast time, %d nodes, 2%% failed", nodes),
@@ -139,7 +138,7 @@ func Fig8a(nodes int) *Table {
 		run  func(size int) time.Duration
 	}
 	slurmTree := func(size int) time.Duration {
-		e := simnet.NewEngine(7)
+		e := env.NewEngine(7)
 		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
 		failSpread(c, nodes/50)
 		b := comm.NewBroadcaster(c)
@@ -150,7 +149,7 @@ func Fig8a(nodes int) *Table {
 	}
 	eslurm := func(fp bool) func(size int) time.Duration {
 		return func(size int) time.Duration {
-			e := simnet.NewEngine(7)
+			e := env.NewEngine(7)
 			sats := 2 + nodes/5120
 			c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: sats})
 			failed := failSpread(c, nodes/50)
@@ -188,7 +187,7 @@ func Fig8a(nodes int) *Table {
 // Fig8b reproduces the communication-structure comparison under failures:
 // broadcast time of ring, star, shared-memory, plain tree and FP-Tree
 // structures at increasing failure ratios.
-func Fig8b(nodes int, ratios []float64) *Table {
+func Fig8b(env *Env, nodes int, ratios []float64) *Table {
 	if len(ratios) == 0 {
 		ratios = []float64{0, 0.05, 0.10, 0.20, 0.30}
 	}
@@ -203,7 +202,7 @@ func Fig8b(nodes int, ratios []float64) *Table {
 	}
 
 	run := func(s comm.Structure, ratio float64, predicted bool) time.Duration {
-		e := simnet.NewEngine(11)
+		e := env.NewEngine(11)
 		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
 		failed := failSpread(c, int(float64(nodes)*ratio))
 		if fp, ok := s.(comm.FPTree); ok && predicted {
@@ -238,7 +237,7 @@ func Fig8b(nodes int, ratios []float64) *Table {
 // Fig11a reproduces the satellite-count sweep: heartbeat-message broadcast
 // time on the full-scale NG-Tianhe (20K+ nodes) for different numbers of
 // satellite nodes.
-func Fig11a(nodes int, satCounts []int) *Table {
+func Fig11a(env *Env, nodes int, satCounts []int) *Table {
 	if len(satCounts) == 0 {
 		satCounts = []int{5, 10, 20, 30, 40, 50, 60}
 	}
@@ -248,7 +247,7 @@ func Fig11a(nodes int, satCounts []int) *Table {
 		Columns: []string{"satellites", "broadcast time"},
 	}
 	for _, m := range satCounts {
-		e := simnet.NewEngine(13)
+		e := env.NewEngine(13)
 		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: m})
 		// Production failure background: ~1% down.
 		failSpread(c, nodes/100)
@@ -270,11 +269,11 @@ func Fig11a(nodes int, satCounts []int) *Table {
 // replacement event, an alert-driven predictor fed by the monitoring
 // subsystem, and the fraction of actually-failed nodes that FP-Tree placed
 // at leaves (paper: 81.7%).
-func Placement(nodes int, days int) *Table {
+func Placement(env *Env, nodes int, days int) *Table {
 	if days <= 0 {
 		days = 2
 	}
-	e := simnet.NewEngine(17)
+	e := env.NewEngine(17)
 	sats := 2
 	c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: sats})
 	sub := monitor.New(c, monitor.Config{DetectionProb: 0.85, FalseAlertsPerNodeDay: 0.05})

@@ -7,15 +7,14 @@ import (
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/rm"
-	"eslurm/internal/simnet"
 )
 
 // resourceRun drives one RM on a fresh cluster for `span` of virtual time
 // under a light production-like job flow (a job every ~100 s, lognormal
 // sizes, short runtimes) and returns the master meter plus the cluster for
 // satellite inspection.
-func resourceRun(mk func(c *cluster.Cluster) rm.RM, nodes, satellites int, span time.Duration, seed int64) (*cluster.ResourceMeter, *cluster.Cluster, rm.RM) {
-	e := simnet.NewEngine(seed)
+func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites int, span time.Duration, seed int64) (*cluster.ResourceMeter, *cluster.Cluster, rm.RM) {
+	e := env.NewEngine(seed)
 	c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: satellites})
 	r := mk(c)
 	r.Start()
@@ -57,7 +56,7 @@ func resourceRun(mk func(c *cluster.Cluster) rm.RM, nodes, satellites int, span 
 // RMs managing the same cluster for `span` virtual time under the same job
 // flow. The paper runs 24 h at 4,096 nodes; span is a knob so the default
 // benchrunner invocation stays fast.
-func Fig7(nodes int, span time.Duration) *Table {
+func Fig7(env *Env, nodes int, span time.Duration) *Table {
 	if span == 0 {
 		span = 2 * time.Hour
 	}
@@ -81,7 +80,7 @@ func Fig7(nodes int, span time.Duration) *Table {
 		{"ESlurm", 2, func(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }},
 	}
 	for i, m := range mks {
-		meter, _, _ := resourceRun(m.new, nodes, m.satellites, span, int64(100+i))
+		meter, _, _ := resourceRun(env, m.new, nodes, m.satellites, span, int64(100+i))
 		util := meter.CPUTime().Seconds() / span.Seconds()
 		t.AddRow(m.name, fmtDur(meter.CPUTime()), fmtPct(util),
 			fmtBytes(meter.VMem()), fmtBytes(meter.RSS()),
@@ -94,7 +93,7 @@ func Fig7(nodes int, span time.Duration) *Table {
 // Fig9 reproduces the full-scale Tianhe-2A comparison (16,384 nodes):
 // Slurm vs ESlurm (two satellite nodes) master usage, plus the two
 // satellites' own usage (Fig. 9d–f).
-func Fig9(nodes int, span time.Duration) []*Table {
+func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 	if span == 0 {
 		span = 2 * time.Hour
 	}
@@ -105,10 +104,10 @@ func Fig9(nodes int, span time.Duration) []*Table {
 			"avg sockets", "peak sockets"},
 	}
 
-	slurmMeter, _, _ := resourceRun(func(c *cluster.Cluster) rm.RM {
+	slurmMeter, _, _ := resourceRun(env, func(c *cluster.Cluster) rm.RM {
 		return rm.NewCentralized(c, rm.SlurmProfile())
 	}, nodes, 0, span, 200)
-	esMeter, esCluster, _ := resourceRun(func(c *cluster.Cluster) rm.RM {
+	esMeter, esCluster, _ := resourceRun(env, func(c *cluster.Cluster) rm.RM {
 		return rm.NewESlurm(c)
 	}, nodes, 2, span, 201)
 
@@ -141,7 +140,7 @@ func Fig9(nodes int, span time.Duration) []*Table {
 // (average satellite operational data). The paper runs each setup for ten
 // days; span is a knob and task counts are extrapolated to 10 days in the
 // output.
-func Tables5and6(nodes int, satCounts []int, span time.Duration) []*Table {
+func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Table {
 	if len(satCounts) == 0 {
 		satCounts = []int{10, 20, 30, 40, 50}
 	}
@@ -175,7 +174,7 @@ func Tables5and6(nodes int, satCounts []int, span time.Duration) []*Table {
 	results := make([]outcome, len(satCounts))
 	for i, sc := range satCounts {
 		var es *rm.ESlurm
-		meter, c, r := resourceRun(func(c *cluster.Cluster) rm.RM {
+		meter, c, r := resourceRun(env, func(c *cluster.Cluster) rm.RM {
 			e := rm.NewESlurm(c)
 			es = e
 			return e

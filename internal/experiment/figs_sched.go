@@ -15,7 +15,7 @@ import (
 
 // overheadLookup builds a sched.Overhead from a handful of occupation
 // probes, interpolating linearly between probed sizes.
-func overheadLookup(mk func(c *cluster.Cluster) rm.RM, clusterNodes int, failedFrac float64) sched.Overhead {
+func overheadLookup(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes int, failedFrac float64) sched.Overhead {
 	var sizes []int
 	for _, s := range []int{16, 64, 256, 1024, 4096, 16384} {
 		if s < clusterNodes {
@@ -26,7 +26,7 @@ func overheadLookup(mk func(c *cluster.Cluster) rm.RM, clusterNodes int, failedF
 	loads := make([]time.Duration, len(sizes))
 	terms := make([]time.Duration, len(sizes))
 	for i, s := range sizes {
-		loads[i], terms[i] = OccupationProbe(mk, clusterNodes, s, failedFrac)
+		loads[i], terms[i] = OccupationProbe(env, mk, clusterNodes, s, failedFrac)
 	}
 	return func(n int) (time.Duration, time.Duration) {
 		if n <= sizes[0] {
@@ -65,7 +65,7 @@ func responsePenalty(name string, nodes int) time.Duration {
 // Table VII: system utilization, average waiting time and average bounded
 // slowdown for the RMs deployable at each scale, replaying a synthetic
 // one-week-like trace (jobsPerScale jobs) under EASY backfill.
-func Fig10(scales []int, jobsPerScale int) []*Table {
+func Fig10(env *Env, scales []int, jobsPerScale int) []*Table {
 	if len(scales) == 0 {
 		scales = []int{1024, 4096, 16384, 20480}
 	}
@@ -110,7 +110,7 @@ func Fig10(scales []int, jobsPerScale int) []*Table {
 				sRow = append(sRow, "-")
 				continue
 			}
-			res := runFig10Cell(ct.name, ct.mk, scale, jobsPerScale)
+			res := runFig10Cell(env, ct.name, ct.mk, scale, jobsPerScale)
 			uRow = append(uRow, fmtPct(res.Utilization))
 			wRow = append(wRow, fmtDur(res.AvgWait))
 			sRow = append(sRow, fmt.Sprintf("%.1f", res.AvgBoundedSlowdown))
@@ -162,16 +162,16 @@ func scaleTrace(scale, jobs int) []trace.Job {
 	return trace.Generate(mk(calibrated)).Jobs
 }
 
-func runFig10Cell(name string, mk func(c *cluster.Cluster) rm.RM, scale, jobs int) sched.Result {
+func runFig10Cell(env *Env, name string, mk func(c *cluster.Cluster) rm.RM, scale, jobs int) sched.Result {
 	penalty := responsePenalty(name, scale)
-	base := overheadLookup(mk, scale, 0.01)
-	cfg := fig10SchedConfig(name, scale, withPenalty(base, penalty))
+	base := overheadLookup(env, mk, scale, 0.01)
+	cfg := fig10SchedConfig(env, name, scale, withPenalty(base, penalty))
 	return sched.Run(scaleTrace(scale, jobs), cfg)
 }
 
 // fig10SchedConfig builds the per-cell scheduler config shared by the
 // single-engine and sharded Fig. 10 drivers.
-func fig10SchedConfig(name string, scale int, overhead sched.Overhead) sched.Config {
+func fig10SchedConfig(env *Env, name string, scale int, overhead sched.Overhead) sched.Config {
 	cfg := sched.Config{
 		Nodes:       scale,
 		Policy:      sched.Backfill,
@@ -179,6 +179,7 @@ func fig10SchedConfig(name string, scale int, overhead sched.Overhead) sched.Con
 		KillAtLimit: true,
 		UtilWindow:  7 * 24 * time.Hour,
 		Seed:        int64(scale),
+		OnEngine:    env.Adopt,
 	}
 	if name == "ESlurm" {
 		cfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})}
@@ -196,7 +197,7 @@ func fig10SchedConfig(name string, scale int, overhead sched.Overhead) sched.Con
 // scale: full ESlurm vs ESlurm without the runtime-estimation framework
 // (user walltimes) vs ESlurm without FP-Tree (plain-tree relays under the
 // production failure background), plus the Slurm reference.
-func Ablation(scale, jobs int) *Table {
+func Ablation(env *Env, scale, jobs int) *Table {
 	if scale == 0 {
 		scale = 20480
 	}
@@ -219,6 +220,7 @@ func Ablation(scale, jobs int) *Table {
 		cfg := sched.Config{
 			Nodes: scale, Policy: sched.Backfill, Overhead: overhead,
 			KillAtLimit: true, UtilWindow: 7 * 24 * time.Hour, Seed: int64(scale),
+			OnEngine: env.Adopt,
 		}
 		if framework {
 			cfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})}
@@ -231,13 +233,13 @@ func Ablation(scale, jobs int) *Table {
 		return sched.Run(jobsList, cfg)
 	}
 
-	esOverhead := overheadLookup(esMk, scale, 0.01)
+	esOverhead := overheadLookup(env, esMk, scale, 0.01)
 	// Without FP-Tree: prediction disabled, so the satellite relays pay
 	// timeouts on failed interior nodes.
-	noFPOverhead := overheadLookup(func(c *cluster.Cluster) rm.RM {
+	noFPOverhead := overheadLookup(env, func(c *cluster.Cluster) rm.RM {
 		return rm.NewESlurm(c)
 	}, scale, 0.01)
-	slurmOverhead := overheadLookup(slurmMk, scale, 0.01)
+	slurmOverhead := overheadLookup(env, slurmMk, scale, 0.01)
 
 	addRow := func(name string, r sched.Result) {
 		t.AddRow(name, fmtPct(r.Utilization), fmtDur(r.AvgWait), fmt.Sprintf("%.1f", r.AvgBoundedSlowdown))
@@ -253,7 +255,7 @@ func Ablation(scale, jobs int) *Table {
 // OccupationProbeLookup builds a sched.Overhead for a named RM at a given
 // cluster scale, probed under a 1% failure background — the hook the
 // eslurmctl CLI uses to couple the communication model to the scheduler.
-func OccupationProbeLookup(rmName string, clusterNodes int) sched.Overhead {
+func OccupationProbeLookup(env *Env, rmName string, clusterNodes int) sched.Overhead {
 	var mk func(c *cluster.Cluster) rm.RM
 	switch rmName {
 	case "eslurm":
@@ -273,7 +275,7 @@ func OccupationProbeLookup(rmName string, clusterNodes int) sched.Overhead {
 	default:
 		return nil
 	}
-	return overheadLookup(mk, clusterNodes, 0.01)
+	return overheadLookup(env, mk, clusterNodes, 0.01)
 }
 
 func withPenalty(base sched.Overhead, p time.Duration) sched.Overhead {

@@ -9,7 +9,6 @@ import (
 	"eslurm/internal/faults"
 	"eslurm/internal/monitor"
 	"eslurm/internal/predict"
-	"eslurm/internal/simnet"
 	"eslurm/internal/topo"
 )
 
@@ -19,7 +18,7 @@ import (
 // triggers cascading parent adoptions. The FP-Tree with the alert-driven
 // predictor absorbs the same outage by pinning the whole rack to leaf
 // positions.
-func RackOutage(nodes int) *Table {
+func RackOutage(env *Env, nodes int) *Table {
 	tp := topo.Default()
 	t := &Table{
 		ID:      "rack-outage",
@@ -28,7 +27,7 @@ func RackOutage(nodes int) *Table {
 	}
 
 	run := func(s comm.Structure, outage bool) time.Duration {
-		e := simnet.NewEngine(53)
+		e := env.NewEngine(53)
 		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
 		sub := monitor.New(c, monitor.Config{DetectionProb: 1.0})
 		pred := predict.NewAlertDriven(e, sub, time.Hour)

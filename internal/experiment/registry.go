@@ -31,8 +31,8 @@ type Params struct {
 	Fig10Jobs     int
 	AblationScale int
 	AblationJobs  int
-	// Shards selects the execution kernel for shard-aware experiments
-	// (see ShardAware): 0 runs the legacy single-engine path; N >= 1 runs
+	// Shards selects the execution kernel for the experiments that have a
+	// sharded driver (fig7f, fig10): 0 runs the legacy single-engine path; N >= 1 runs
 	// the sharded kernel on N worker goroutines. Results are invariant
 	// across N >= 1 but are a separate pinned contract from N == 0.
 	Shards int
@@ -75,56 +75,57 @@ type Spec struct {
 	ID string
 	// Artifact names the paper table/figure reproduced.
 	Artifact string
-	// Run executes the experiment at the given scale.
-	Run func(p Params) []*Table
+	// Run executes the experiment at the given scale, obtaining every
+	// engine it simulates on from env.
+	Run func(env *Env, p Params) []*Table
 }
 
 // Registry lists every experiment in evaluation order.
 func Registry() []Spec {
 	return []Spec{
-		{"table1", "Table I", func(p Params) []*Table { return []*Table{Table1()} }},
-		{"fig5", "Fig. 5a-c", func(p Params) []*Table { return Fig5(p.Fig5Jobs) }},
-		{"fig7", "Fig. 7a-e", func(p Params) []*Table { return []*Table{Fig7(p.Fig7Nodes, p.Fig7Span)} }},
-		{"fig7f", "Fig. 7f", func(p Params) []*Table {
+		{"table1", "Table I", func(env *Env, p Params) []*Table { return []*Table{Table1()} }},
+		{"fig5", "Fig. 5a-c", func(env *Env, p Params) []*Table { return Fig5(p.Fig5Jobs) }},
+		{"fig7", "Fig. 7a-e", func(env *Env, p Params) []*Table { return []*Table{Fig7(env, p.Fig7Nodes, p.Fig7Span)} }},
+		{"fig7f", "Fig. 7f", func(env *Env, p Params) []*Table {
 			if p.Shards > 0 {
-				return []*Table{Fig7fSharded(p.Fig7fNodes, nil, p.Shards)}
+				return []*Table{Fig7fSharded(env, p.Fig7fNodes, nil, p.Shards)}
 			}
-			return []*Table{Fig7f(p.Fig7fNodes, nil)}
+			return []*Table{Fig7f(env, p.Fig7fNodes, nil)}
 		}},
-		{"fig8a", "Fig. 8a", func(p Params) []*Table { return []*Table{Fig8a(p.Fig8Nodes)} }},
-		{"fig8b", "Fig. 8b", func(p Params) []*Table { return []*Table{Fig8b(p.Fig8Nodes, nil)} }},
-		{"placement", "§VII-A placement stats", func(p Params) []*Table {
-			return []*Table{Placement(p.PlaceNodes, p.PlaceDays)}
+		{"fig8a", "Fig. 8a", func(env *Env, p Params) []*Table { return []*Table{Fig8a(env, p.Fig8Nodes)} }},
+		{"fig8b", "Fig. 8b", func(env *Env, p Params) []*Table { return []*Table{Fig8b(env, p.Fig8Nodes, nil)} }},
+		{"placement", "§VII-A placement stats", func(env *Env, p Params) []*Table {
+			return []*Table{Placement(env, p.PlaceNodes, p.PlaceDays)}
 		}},
-		{"fig9", "Fig. 9a-f", func(p Params) []*Table { return Fig9(p.Fig9Nodes, p.Fig9Span) }},
-		{"table5", "Tables V-VI", func(p Params) []*Table {
-			return Tables5and6(p.T56Nodes, p.T56Sats, p.T56Span)
+		{"fig9", "Fig. 9a-f", func(env *Env, p Params) []*Table { return Fig9(env, p.Fig9Nodes, p.Fig9Span) }},
+		{"table5", "Tables V-VI", func(env *Env, p Params) []*Table {
+			return Tables5and6(env, p.T56Nodes, p.T56Sats, p.T56Span)
 		}},
-		{"fig11a", "Fig. 11a", func(p Params) []*Table {
-			return []*Table{Fig11a(p.Fig11aNodes, nil)}
+		{"fig11a", "Fig. 11a", func(env *Env, p Params) []*Table {
+			return []*Table{Fig11a(env, p.Fig11aNodes, nil)}
 		}},
-		{"fig10", "Fig. 10a-c", func(p Params) []*Table {
+		{"fig10", "Fig. 10a-c", func(env *Env, p Params) []*Table {
 			if p.Shards > 0 {
-				return Fig10Sharded(p.Fig10Scales, p.Fig10Jobs, p.Shards)
+				return Fig10Sharded(env, p.Fig10Scales, p.Fig10Jobs, p.Shards)
 			}
-			return Fig10(p.Fig10Scales, p.Fig10Jobs)
+			return Fig10(env, p.Fig10Scales, p.Fig10Jobs)
 		}},
-		{"ablation", "§VII-D contributions", func(p Params) []*Table {
-			return []*Table{Ablation(p.AblationScale, p.AblationJobs)}
+		{"ablation", "§VII-D contributions", func(env *Env, p Params) []*Table {
+			return []*Table{Ablation(env, p.AblationScale, p.AblationJobs)}
 		}},
-		{"table8", "Table VIII", func(p Params) []*Table { return []*Table{Table8(p.Table8Jobs)} }},
-		{"fig11b", "Fig. 11b", func(p Params) []*Table { return []*Table{Fig11b(p.Fig11bJobs)} }},
-		{"ablation-width", "design sweep (not in paper)", func(p Params) []*Table {
-			return []*Table{AblationTreeWidth(p.Fig8Nodes, nil)}
+		{"table8", "Table VIII", func(env *Env, p Params) []*Table { return []*Table{Table8(p.Table8Jobs)} }},
+		{"fig11b", "Fig. 11b", func(env *Env, p Params) []*Table { return []*Table{Fig11b(p.Fig11bJobs)} }},
+		{"ablation-width", "design sweep (not in paper)", func(env *Env, p Params) []*Table {
+			return []*Table{AblationTreeWidth(env, p.Fig8Nodes, nil)}
 		}},
-		{"ablation-realloc", "design sweep (not in paper)", func(p Params) []*Table {
-			return []*Table{AblationReallocLimit(p.Fig8Nodes, nil)}
+		{"ablation-realloc", "design sweep (not in paper)", func(env *Env, p Params) []*Table {
+			return []*Table{AblationReallocLimit(env, p.Fig8Nodes, nil)}
 		}},
-		{"ablation-topo", "§IV-E composition (not in paper)", func(p Params) []*Table {
-			return []*Table{AblationTopology(p.Fig8Nodes, 0.02)}
+		{"ablation-topo", "§IV-E composition (not in paper)", func(env *Env, p Params) []*Table {
+			return []*Table{AblationTopology(env, p.Fig8Nodes, 0.02)}
 		}},
-		{"rack-outage", "correlated-failure stress (not in paper)", func(p Params) []*Table {
-			return []*Table{RackOutage(p.Fig8Nodes)}
+		{"rack-outage", "correlated-failure stress (not in paper)", func(env *Env, p Params) []*Table {
+			return []*Table{RackOutage(env, p.Fig8Nodes)}
 		}},
 	}
 }

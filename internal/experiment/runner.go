@@ -24,8 +24,15 @@ type Result struct {
 	// Wall is host elapsed time for the Spec.Run call (not virtual time).
 	Wall time.Duration
 	// Events is the number of simulation events executed across every
-	// engine the experiment created (see simnet.CountEvents).
+	// engine the experiment obtained from its Env.
 	Events uint64
+	// Sharded reports whether the experiment ran on the sharded kernel
+	// (its Env saw a shard group).
+	Sharded bool
+	// Engines is the Env's engine list in creation order. RunObserved
+	// fills it; RunConcurrent leaves it nil so a suite run holds no
+	// finished simulation in memory.
+	Engines []*simnet.Engine
 }
 
 // EventsPerSec returns the experiment's simulation throughput in events
@@ -45,6 +52,20 @@ func (r Result) EventsPerSec() float64 {
 // specs. Output built solely from emit order is therefore byte-identical
 // for every parallel setting: the determinism contract across the pool.
 func RunConcurrent(specs []Spec, p Params, parallel int, emit func(Result)) []Result {
+	return run(specs, p, parallel, false, false, emit)
+}
+
+// RunObserved is RunConcurrent for the observability flags: each Result
+// keeps its engines (Result.Engines), and with spans set every engine
+// records spans from virtual time zero. Recording is passive, so tables
+// and event counts match RunConcurrent's, and because each experiment's
+// engine list is in creation order, output built from results in specs
+// order is byte-identical for every parallel setting too.
+func RunObserved(specs []Spec, p Params, parallel int, spans bool, emit func(Result)) []Result {
+	return run(specs, p, parallel, true, spans, emit)
+}
+
+func run(specs []Spec, p Params, parallel int, keep, spans bool, emit func(Result)) []Result {
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -69,7 +90,8 @@ func RunConcurrent(specs []Spec, p Params, parallel int, emit func(Result)) []Re
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i] = runOne(specs[i], p)
+				//eslurmlint:ignore engineown hands a finished experiment's engines back to the caller: the worker never touches them again, and close(done[i]) orders this write before the caller's read
+				results[i] = runOne(specs[i], p, keep, spans)
 				close(done[i])
 			}
 		}()
@@ -84,14 +106,18 @@ func RunConcurrent(specs []Spec, p Params, parallel int, emit func(Result)) []Re
 	return results
 }
 
-// runOne executes a single spec, timing it and accounting the events its
-// engines processed.
-func runOne(s Spec, p Params) Result {
+// runOne executes a single spec on a fresh Env, timing it and accounting
+// the events its engines processed.
+func runOne(s Spec, p Params, keep, spans bool) Result {
+	env := &Env{spans: spans}
 	//eslurmlint:ignore walltime benchmark harness measures host elapsed time, not simulated time
 	start := time.Now()
-	var tables []*Table
-	events := simnet.CountEvents(func() { tables = s.Run(p) })
+	tables := s.Run(env, p)
 	//eslurmlint:ignore walltime benchmark harness measures host elapsed time, not simulated time
 	wall := time.Since(start)
-	return Result{Spec: s, Tables: tables, Wall: wall, Events: events}
+	r := Result{Spec: s, Tables: tables, Wall: wall, Events: env.Events(), Sharded: env.sharded}
+	if keep {
+		r.Engines = env.engines
+	}
+	return r
 }

@@ -130,3 +130,81 @@ func TestRunConcurrentStats(t *testing.T) {
 		t.Error("EventsPerSec not derived")
 	}
 }
+
+// TestEnvAccountsEveryExperiment is the accounting contract of the Env,
+// over the whole registry on both kernels: Result.Events is the sum of
+// Processed() over the engines the experiment obtained, every experiment
+// that simulates obtained some, and only the sharded drivers report
+// Sharded.
+func TestEnvAccountsEveryExperiment(t *testing.T) {
+	engineFree := map[string]bool{"table1": true, "fig5": true, "table8": true, "fig11b": true}
+	for _, shards := range []int{0, 2} {
+		p := runnerParams()
+		p.Fig11bJobs, p.Table8Jobs = 200, 200 // engine-free; only their zero matters here
+		p.Shards = shards
+		for _, r := range RunObserved(Registry(), p, 4, false, nil) {
+			id := r.Spec.ID
+			var sum uint64
+			for _, e := range r.Engines {
+				sum += e.Processed()
+			}
+			if r.Events != sum {
+				t.Errorf("shards=%d %s: Events = %d, engines processed %d", shards, id, r.Events, sum)
+			}
+			if engineFree[id] != (len(r.Engines) == 0) {
+				t.Errorf("shards=%d %s: obtained %d engines", shards, id, len(r.Engines))
+			}
+			// ablation-topo draws from an engine's RNG and runs no event.
+			if !engineFree[id] && id != "ablation-topo" && r.Events == 0 {
+				t.Errorf("shards=%d %s: simulated experiment counted no events", shards, id)
+			}
+			if want := shards > 0 && (id == "fig7f" || id == "fig10"); r.Sharded != want {
+				t.Errorf("shards=%d %s: Sharded = %v, want %v", shards, id, r.Sharded, want)
+			}
+		}
+	}
+}
+
+// TestRunConcurrentDropsEngines: the plain runner counts the same events
+// as the observing one and keeps no finished simulation alive.
+func TestRunConcurrentDropsEngines(t *testing.T) {
+	var specs []Spec
+	for _, id := range []string{"fig8a", "fig8b", "rack-outage"} {
+		s, _ := Lookup(id)
+		specs = append(specs, s)
+	}
+	p := runnerParams()
+	observed := RunObserved(specs, p, 2, false, nil)
+	for i, r := range RunConcurrent(specs, p, 2, nil) {
+		if r.Engines != nil {
+			t.Errorf("%s: RunConcurrent retained %d engines", r.Spec.ID, len(r.Engines))
+		}
+		if r.Events == 0 || r.Events != observed[i].Events {
+			t.Errorf("%s: RunConcurrent counted %d events, RunObserved %d", r.Spec.ID, r.Events, observed[i].Events)
+		}
+	}
+}
+
+// TestEnvArmsSpansAtCreation: with spans asked for, every engine — built
+// by a driver, adopted from sched.Run, or a shard-group cell — has its
+// tracer before its first event; without, none is armed.
+func TestEnvArmsSpansAtCreation(t *testing.T) {
+	spec, _ := Lookup("fig10") // probes (cells under -shards) plus sched.Run engines
+	for _, shards := range []int{0, 2} {
+		p := runnerParams()
+		p.Shards = shards
+		for _, spans := range []bool{false, true} {
+			r := RunObserved([]Spec{spec}, p, 1, spans, nil)[0]
+			recorded := 0
+			for _, e := range r.Engines {
+				if (e.Tracer() != nil) != spans {
+					t.Fatalf("shards=%d spans=%v: engine seed %d has tracer %v", shards, spans, e.Seed(), e.Tracer() != nil)
+				}
+				recorded += e.Tracer().Len()
+			}
+			if spans && recorded == 0 {
+				t.Errorf("shards=%d: tracing armed but no span recorded", shards)
+			}
+		}
+	}
+}

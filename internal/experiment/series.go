@@ -8,7 +8,6 @@ import (
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/rm"
-	"eslurm/internal/simnet"
 	"eslurm/internal/stats"
 )
 
@@ -16,8 +15,8 @@ import (
 // master meter every interval, and returns the four figure lines of
 // Fig. 7a–e / Fig. 9a–c: cumulative CPU seconds, virtual memory (MB),
 // resident memory (MB), concurrent sockets.
-func resourceSeries(mk func(c *cluster.Cluster) rm.RM, name string, nodes, satellites int, span, interval time.Duration, seed int64) []*stats.Series {
-	e := simnet.NewEngine(seed)
+func resourceSeries(env *Env, mk func(c *cluster.Cluster) rm.RM, name string, nodes, satellites int, span, interval time.Duration, seed int64) []*stats.Series {
+	e := env.NewEngine(seed)
 	c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: satellites})
 	r := mk(c)
 	r.Start()
@@ -71,6 +70,7 @@ func WriteFigureSeries(dir string, p Params) error {
 		return err
 	}
 	interval := time.Minute
+	env := new(Env) // nothing reads the engines back; the CSVs are the output
 
 	fig7 := []seriesContender{
 		{"sge", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SGEProfile()) }},
@@ -80,11 +80,11 @@ func WriteFigureSeries(dir string, p Params) error {
 		{"slurm", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }},
 		{"eslurm", 2, func(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }},
 	}
-	if err := writeSeriesSet(dir, "fig7", fig7, p.Fig7Nodes, p.Fig7Span, interval); err != nil {
+	if err := writeSeriesSet(env, dir, "fig7", fig7, p.Fig7Nodes, p.Fig7Span, interval); err != nil {
 		return err
 	}
 	fig9 := []seriesContender{fig7[4], fig7[5]} // Slurm vs ESlurm
-	return writeSeriesSet(dir, "fig9", fig9, p.Fig9Nodes, p.Fig9Span, interval)
+	return writeSeriesSet(env, dir, "fig9", fig9, p.Fig9Nodes, p.Fig9Span, interval)
 }
 
 // seriesContender names one RM line of a figure.
@@ -94,14 +94,14 @@ type seriesContender struct {
 	mk   func(c *cluster.Cluster) rm.RM
 }
 
-func writeSeriesSet(dir, prefix string, cs []seriesContender, nodes int, span, interval time.Duration) error {
+func writeSeriesSet(env *Env, dir, prefix string, cs []seriesContender, nodes int, span, interval time.Duration) error {
 	if span == 0 {
 		span = time.Hour
 	}
 	// metric index -> per-RM series
 	byMetric := make([][]*stats.Series, 4)
 	for i, c := range cs {
-		ss := resourceSeries(c.mk, c.name, nodes, c.sats, span, interval, int64(500+i))
+		ss := resourceSeries(env, c.mk, c.name, nodes, c.sats, span, interval, int64(500+i))
 		for m := 0; m < 4; m++ {
 			byMetric[m] = append(byMetric[m], ss[m])
 		}

@@ -43,10 +43,11 @@ func shardLayout(computes, satellites int) (cells int, cellOf func(cluster.NodeI
 	}
 }
 
-// newShardedCluster builds the probe cluster for a sharded experiment.
-func newShardedCluster(clusterNodes, satellites, workers int, seed int64) *cluster.ShardedCluster {
+// newShardedCluster builds the probe cluster for a sharded experiment and
+// hands its cells to env.
+func newShardedCluster(env *Env, clusterNodes, satellites, workers int, seed int64) *cluster.ShardedCluster {
 	cells, cellOf := shardLayout(clusterNodes, satellites)
-	return cluster.NewSharded(cluster.ShardConfig{
+	sc := cluster.NewSharded(cluster.ShardConfig{
 		Computes:   clusterNodes,
 		Satellites: satellites,
 		Cells:      cells,
@@ -54,6 +55,8 @@ func newShardedCluster(clusterNodes, satellites, workers int, seed int64) *clust
 		Workers:    workers,
 		Seed:       seed,
 	})
+	env.AdoptGroup(sc.Group())
+	return sc
 }
 
 // probeSatellites mirrors the satellite sizing rule of OccupationProbe.
@@ -69,8 +72,8 @@ func probeSatellites(clusterNodes int) int {
 // job of the given size, with failedFrac of the job's nodes down,
 // executing the simulation across rack cells on `workers` goroutines.
 // The result is independent of workers.
-func ShardedOccupationProbe(rmName string, clusterNodes, jobNodes int, failedFrac float64, workers int) (load, term time.Duration) {
-	sc := newShardedCluster(clusterNodes, probeSatellites(clusterNodes), workers, 42)
+func ShardedOccupationProbe(env *Env, rmName string, clusterNodes, jobNodes int, failedFrac float64, workers int) (load, term time.Duration) {
+	sc := newShardedCluster(env, clusterNodes, probeSatellites(clusterNodes), workers, 42)
 	g := sc.Group()
 	r := rm.NewShardedByName(rmName, sc)
 	r.Start()
@@ -105,8 +108,8 @@ func ShardedOccupationProbe(rmName string, clusterNodes, jobNodes int, failedFra
 }
 
 // ShardedOccupationTime is the sharded twin of OccupationTime.
-func ShardedOccupationTime(rmName string, clusterNodes, jobNodes, workers int) time.Duration {
-	load, term := ShardedOccupationProbe(rmName, clusterNodes, jobNodes, 0, workers)
+func ShardedOccupationTime(env *Env, rmName string, clusterNodes, jobNodes, workers int) time.Duration {
+	load, term := ShardedOccupationProbe(env, rmName, clusterNodes, jobNodes, 0, workers)
 	return load + 10*time.Second + term
 }
 
@@ -117,7 +120,7 @@ func fig7fRMNames() []string {
 
 // Fig7fSharded is the sharded twin of Fig7f, running each occupation
 // probe across rack cells on `workers` goroutines.
-func Fig7fSharded(clusterNodes int, sizes []int, workers int) *Table {
+func Fig7fSharded(env *Env, clusterNodes int, sizes []int, workers int) *Table {
 	if len(sizes) == 0 {
 		sizes = []int{64, 256, 1024, 2048, 4096}
 	}
@@ -133,7 +136,7 @@ func Fig7fSharded(clusterNodes int, sizes []int, workers int) *Table {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, fmtDur(ShardedOccupationTime(name, clusterNodes, size, workers)))
+			row = append(row, fmtDur(ShardedOccupationTime(env, name, clusterNodes, size, workers)))
 		}
 		t.AddRow(row...)
 	}
@@ -142,7 +145,7 @@ func Fig7fSharded(clusterNodes int, sizes []int, workers int) *Table {
 }
 
 // shardedOverheadLookup is the sharded twin of overheadLookup.
-func shardedOverheadLookup(rmName string, clusterNodes int, failedFrac float64, workers int) sched.Overhead {
+func shardedOverheadLookup(env *Env, rmName string, clusterNodes int, failedFrac float64, workers int) sched.Overhead {
 	var sizes []int
 	for _, s := range []int{16, 64, 256, 1024, 4096, 16384} {
 		if s < clusterNodes {
@@ -153,7 +156,7 @@ func shardedOverheadLookup(rmName string, clusterNodes int, failedFrac float64, 
 	loads := make([]time.Duration, len(sizes))
 	terms := make([]time.Duration, len(sizes))
 	for i, s := range sizes {
-		loads[i], terms[i] = ShardedOccupationProbe(rmName, clusterNodes, s, failedFrac, workers)
+		loads[i], terms[i] = ShardedOccupationProbe(env, rmName, clusterNodes, s, failedFrac, workers)
 	}
 	return func(n int) (time.Duration, time.Duration) {
 		if n <= sizes[0] {
@@ -176,7 +179,7 @@ func shardedOverheadLookup(rmName string, clusterNodes int, failedFrac float64, 
 
 // Fig10Sharded is the sharded twin of Fig10: identical scheduler replay,
 // with the per-RM communication overheads probed on the sharded kernel.
-func Fig10Sharded(scales []int, jobsPerScale, workers int) []*Table {
+func Fig10Sharded(env *Env, scales []int, jobsPerScale, workers int) []*Table {
 	if len(scales) == 0 {
 		scales = []int{1024, 4096, 16384, 20480}
 	}
@@ -210,7 +213,7 @@ func Fig10Sharded(scales []int, jobsPerScale, workers int) []*Table {
 				uRow, wRow, sRow = append(uRow, "-"), append(wRow, "-"), append(sRow, "-")
 				continue
 			}
-			res := runFig10CellSharded(ct.name, scale, jobsPerScale, workers)
+			res := runFig10CellSharded(env, ct.name, scale, jobsPerScale, workers)
 			uRow = append(uRow, fmtPct(res.Utilization))
 			wRow = append(wRow, fmtDur(res.AvgWait))
 			sRow = append(sRow, fmt.Sprintf("%.1f", res.AvgBoundedSlowdown))
@@ -225,17 +228,10 @@ func Fig10Sharded(scales []int, jobsPerScale, workers int) []*Table {
 }
 
 // runFig10CellSharded mirrors runFig10Cell with sharded probes. The
-// scheduler replay itself (sched.Run) is engine-free and shared.
-func runFig10CellSharded(name string, scale, jobs, workers int) sched.Result {
+// scheduler replay itself (sched.Run) is shared.
+func runFig10CellSharded(env *Env, name string, scale, jobs, workers int) sched.Result {
 	penalty := responsePenalty(name, scale)
-	base := shardedOverheadLookup(name, scale, 0.01, workers)
-	cfg := fig10SchedConfig(name, scale, withPenalty(base, penalty))
+	base := shardedOverheadLookup(env, name, scale, 0.01, workers)
+	cfg := fig10SchedConfig(env, name, scale, withPenalty(base, penalty))
 	return sched.Run(scaleTrace(scale, jobs), cfg)
-}
-
-// ShardAware reports whether an experiment honors Params.Shards (runs on
-// the sharded kernel when shards > 0). The remaining experiments always
-// run single-engine regardless of the flag.
-func ShardAware(id string) bool {
-	return id == "fig7f" || id == "fig10"
 }

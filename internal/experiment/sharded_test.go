@@ -15,7 +15,7 @@ import (
 // instrumented twin of ShardedOccupationProbe.
 func shardProbeRun(t *testing.T, rmName string, computes, jobNodes, workers int) (uint64, string, time.Duration, time.Duration) {
 	t.Helper()
-	sc := newShardedCluster(computes, probeSatellites(computes), workers, 42)
+	sc := newShardedCluster(new(Env), computes, probeSatellites(computes), workers, 42)
 	g := sc.Group()
 	g.EnableDigest()
 	r := rm.NewShardedByName(rmName, sc)
@@ -85,9 +85,9 @@ func TestShardSweepPinned(t *testing.T) {
 // the failures actually cost something.
 func TestShardProbeFailureBackground(t *testing.T) {
 	run := func(w int) (time.Duration, time.Duration) {
-		return ShardedOccupationProbe("Slurm", 600, 64, 0.05, w)
+		return ShardedOccupationProbe(new(Env), "Slurm", 600, 64, 0.05, w)
 	}
-	healthyLoad, _ := ShardedOccupationProbe("Slurm", 600, 64, 0, 1)
+	healthyLoad, _ := ShardedOccupationProbe(new(Env), "Slurm", 600, 64, 0, 1)
 	refL, refT := run(1)
 	if refL <= healthyLoad {
 		t.Errorf("load with failures %v <= healthy load %v; retries not charged", refL, healthyLoad)
@@ -114,7 +114,7 @@ func TestShardLayoutEdges(t *testing.T) {
 		t.Errorf("513-compute layout: %d cells, want 3 (rack boundary spill)", cells)
 	}
 	// A single-node shard must still run: 1 compute, more workers than cells.
-	load, term := ShardedOccupationProbe("Slurm", 1, 1, 0, 8)
+	load, term := ShardedOccupationProbe(new(Env), "Slurm", 1, 1, 0, 8)
 	if load <= 0 || term <= 0 {
 		t.Errorf("single-node probe load=%v term=%v, want > 0", load, term)
 	}
@@ -125,7 +125,7 @@ func TestShardLayoutEdges(t *testing.T) {
 func TestFig7fShardedTable(t *testing.T) {
 	render := func(w int) string {
 		var sb strings.Builder
-		Fig7fSharded(600, []int{16, 64}, w).Fprint(&sb)
+		Fig7fSharded(new(Env), 600, []int{16, 64}, w).Fprint(&sb)
 		return sb.String()
 	}
 	a, b := render(1), render(4)

@@ -1,7 +1,7 @@
 package lint
 
 // flow.go is the shared plumbing for the flow-sensitive analyzers
-// (spanleak, timerleak, drainpath, lookahead) built on internal/lint/cfg:
+// (spanleak, timerleak, drainpath) built on internal/lint/cfg:
 // body discovery, parent maps for use classification, and the generic
 // open/closed path scan whose witness traces become the "path:" block in
 // finding messages. Everything here is deterministic: bodies are

@@ -80,7 +80,7 @@ func Analyzers() []*Analyzer {
 		EvallocAnalyzer, GosimAnalyzer, TaintAnalyzer, FloatsumAnalyzer,
 		RandlabelAnalyzer, EngineownAnalyzer, GlobalmutAnalyzer,
 		StaleignoreAnalyzer, PkgdocAnalyzer,
-		SpanleakAnalyzer, TimerleakAnalyzer, DrainpathAnalyzer, LookaheadAnalyzer,
+		SpanleakAnalyzer, TimerleakAnalyzer, DrainpathAnalyzer,
 	}
 }
 

@@ -108,6 +108,9 @@ func (t *Tracer) SetAttr(id SpanID, key, value string) {
 
 // SetAttrInt annotates a span with an integer value.
 func (t *Tracer) SetAttrInt(id SpanID, key string, v int) {
+	if t == nil || id == 0 {
+		return // before formatting: a disabled tracer costs nothing
+	}
 	t.SetAttr(id, key, fmtInt(v))
 }
 

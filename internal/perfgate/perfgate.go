@@ -8,8 +8,10 @@
 //
 // Timing comparisons are only meaningful between like machines: when the
 // baseline and the fresh run disagree on num_cpu, GOOS, or GOARCH, the
-// gate demotes every timing check to a note and judges only the
-// allocation counts, which the Go allocator makes deterministic.
+// gate demotes every timing check to a note and judges only what is
+// machine-independent: the allocation counts, which the Go allocator
+// makes deterministic, and each experiment's event count, which the
+// simulator does.
 package perfgate
 
 import (
@@ -56,7 +58,8 @@ type Microbench struct {
 // Tolerance sets how much slower the fresh run may be before a timing
 // counts as a regression, as a fraction of the baseline (0.25 = 25%
 // slower allowed). Allocation counts get no tolerance: they are
-// deterministic per op, so any increase is a real code change.
+// deterministic per op, so any increase is a real code change. Event
+// counts get none either, in both directions.
 type Tolerance struct {
 	// Suite bounds the whole-suite events/sec drop.
 	Suite float64
@@ -193,8 +196,8 @@ func Compare(base, fresh *Record, tol Tolerance) *Report {
 
 	if timings {
 		compareSuite(r, base, fresh, tol)
-		compareExperiments(r, base, fresh, tol)
 	}
+	compareExperiments(r, base, fresh, tol, timings)
 	compareKernel(r, base, fresh, tol, timings)
 	return r
 }
@@ -211,7 +214,7 @@ func compareSuite(r *Report, base, fresh *Record, tol Tolerance) {
 	}
 }
 
-func compareExperiments(r *Report, base, fresh *Record, tol Tolerance) {
+func compareExperiments(r *Report, base, fresh *Record, tol Tolerance, timings bool) {
 	freshByID := make(map[string]Experiment, len(fresh.Experiments))
 	for _, e := range fresh.Experiments {
 		freshByID[e.ID] = e
@@ -223,6 +226,17 @@ func compareExperiments(r *Report, base, fresh *Record, tol Tolerance) {
 			continue
 		}
 		delete(freshByID, be.ID)
+		if base.Preset == fresh.Preset && be.Shards == fe.Shards && be.Events != fe.Events {
+			// The simulator is deterministic: same preset, same kernel, same
+			// events, on any machine. A differing count is a changed model or
+			// an engine the runner no longer accounts.
+			r.failf("experiment %s executed %d events, baseline %d (same preset and shards: event counts get zero tolerance)",
+				be.ID, fe.Events, be.Events)
+			continue
+		}
+		if !timings {
+			continue
+		}
 		if be.Events == 0 && fe.Events == 0 {
 			// Not kernel-driven: there is no throughput, so wall time is
 			// the only number that can show a slowdown.

@@ -187,6 +187,47 @@ func TestShardMismatchSkipsExperiment(t *testing.T) {
 	}
 }
 
+// TestEventCountsHaveZeroTolerance: an experiment's event count is a
+// function of (preset, shards) alone, so when both agree any difference
+// fails — one event, in either direction, on any machine — and when
+// either differs the counts are not comparable and nothing fires.
+func TestEventCountsHaveZeroTolerance(t *testing.T) {
+	base := baseRecord()
+	for _, delta := range []int{+1, -1} {
+		fresh := clone(base)
+		fresh.Experiments[0].Events = uint64(int(base.Experiments[0].Events) + delta)
+		rep := Compare(base, fresh, Tolerance{})
+		if rep.Regressions() != 1 || !strings.Contains(rep.String(), "experiment fig7f executed") {
+			t.Fatalf("delta %+d: want one fig7f event-count failure:\n%s", delta, rep)
+		}
+		fresh.NumCPU = 4 // timings demoted; the count still gates
+		if rep := Compare(base, fresh, Tolerance{}); rep.Regressions() != 1 {
+			t.Fatalf("delta %+d on another machine: want the event-count failure to survive:\n%s", delta, rep)
+		}
+	}
+
+	dropped := clone(base) // an engine the runner stopped accounting
+	dropped.Experiments[1].Events, dropped.Experiments[1].EventsPerSec = 0, 0
+	if rep := Compare(base, dropped, Tolerance{}); rep.Regressions() != 1 || !strings.Contains(rep.String(), "experiment fig10 executed 0 events") {
+		t.Fatalf("want one fig10 event-count failure:\n%s", rep)
+	}
+
+	otherKernel := clone(base)
+	otherKernel.Experiments[0].Shards = 2
+	otherKernel.Experiments[0].Events *= 2
+	if rep := Compare(base, otherKernel, Tolerance{}); rep.Regressions() != 0 {
+		t.Fatalf("event counts across shard settings must not be compared:\n%s", rep)
+	}
+
+	otherPreset := clone(base)
+	otherPreset.Preset = "paper"
+	otherPreset.Experiments[0].Events *= 10
+	otherPreset.Experiments[0].EventsPerSec = base.Experiments[0].EventsPerSec
+	if rep := Compare(base, otherPreset, Tolerance{}); rep.Regressions() != 0 {
+		t.Fatalf("event counts across presets must not be compared:\n%s", rep)
+	}
+}
+
 func TestZeroTolerancesFallBackToDefaults(t *testing.T) {
 	base := baseRecord()
 	fresh := clone(base)

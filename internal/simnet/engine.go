@@ -8,9 +8,8 @@
 // The kernel is intentionally small: an event heap ordered by (time, seq),
 // cancellable events, periodic timers, and labelled deterministic RNG
 // streams. It is single-threaded by design; parallelism belongs across
-// independent simulations, never inside one (see CountEvents and the
-// experiment package's worker pool for the sanctioned cross-simulation
-// form).
+// independent simulations, never inside one (see the experiment package's
+// worker pool for the sanctioned cross-simulation form).
 //
 // # Hot-path data structures
 //
@@ -136,9 +135,7 @@ type Engine struct {
 // NewEngine returns an engine at virtual time zero. The seed roots every RNG
 // stream derived via Rand, making whole simulations reproducible.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{seed: seed}
-	recordEngine(e)
-	return e
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.

@@ -64,25 +64,3 @@ func TestTracingDoesNotPerturbEventTrace(t *testing.T) {
 		t.Fatal("enabling tracing changed the event trace")
 	}
 }
-
-func TestCollectEnginesOnCreate(t *testing.T) {
-	var seen []int64
-	engines := CollectEngines(func(e *Engine) {
-		seen = append(seen, e.Seed())
-		e.EnableTracing()
-	}, func() {
-		NewEngine(7).Run()
-		NewEngine(8).Run()
-	})
-	if len(engines) != 2 || engines[0].Seed() != 7 || engines[1].Seed() != 8 {
-		t.Fatalf("collected %d engines", len(engines))
-	}
-	if len(seen) != 2 {
-		t.Fatalf("onCreate fired %d times", len(seen))
-	}
-	for _, e := range engines {
-		if e.Tracer() == nil {
-			t.Fatal("onCreate could not enable tracing")
-		}
-	}
-}

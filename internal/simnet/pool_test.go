@@ -304,37 +304,3 @@ func TestRandMemoized(t *testing.T) {
 		t.Error("repeated label restarted the stream instead of continuing it")
 	}
 }
-
-// TestCountEvents checks goroutine-scoped engine accounting, including
-// nesting and non-attribution of other goroutines' engines.
-func TestCountEvents(t *testing.T) {
-	run := func(n int) {
-		e := NewEngine(7)
-		for i := 0; i < n; i++ {
-			e.Schedule(time.Duration(i)*time.Millisecond, func() {})
-		}
-		e.Run()
-	}
-	var inner uint64
-	outer := CountEvents(func() {
-		run(5)
-		inner = CountEvents(func() { run(3) })
-	})
-	if inner != 3 {
-		t.Errorf("inner CountEvents = %d, want 3", inner)
-	}
-	if outer != 8 {
-		t.Errorf("outer CountEvents = %d, want 8 (nested engines count toward the outer scope)", outer)
-	}
-
-	// An engine created on a different goroutine is not attributed.
-	done := make(chan struct{})
-	got := CountEvents(func() {
-		go func() { run(100); close(done) }()
-		<-done
-		run(2)
-	})
-	if got != 2 {
-		t.Errorf("CountEvents attributed another goroutine's engines: got %d, want 2", got)
-	}
-}

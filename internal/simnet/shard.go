@@ -28,12 +28,12 @@ import (
 //
 // # The conservative window
 //
-// Let L be the lookahead: the minimum cross-cell link latency (the model
-// must guarantee every cross-cell effect scheduled at virtual time t lands
-// at t+L or later — Send enforces it). With T the earliest pending event
-// across all cells, every cell can run its events in [T, T+L) with no
-// input from any other cell: a cross-cell event emitted inside the window
-// is timestamped ≥ T+L, past the window's end. Cells therefore execute the
+// Let L be the lookahead: the minimum cross-cell link latency. A model can
+// schedule a cross-cell effect only through SendAfter, which delivers at
+// the sender's now + L or later by construction. With T the earliest
+// pending event across all cells, every cell can run its events in
+// [T, T+L) with no input from any other cell: a cross-cell event emitted
+// inside the window is timestamped ≥ T+L, past the window's end. Cells therefore execute the
 // window concurrently with no synchronization, then meet at a barrier
 // where buffered cross-cell events are sorted by (time, src cell, src seq)
 // and scheduled onto their destination engines in that order. Destination
@@ -145,9 +145,6 @@ func NewShardGroup(seed int64, cells int, lookahead time.Duration, workers int) 
 		digests:   make([]uint64, cells),
 	}
 	for i := range g.cells {
-		// Cells are constructed on the caller's goroutine so the
-		// goroutine-scoped engine accounting (CountEvents/CollectEngines)
-		// attributes every cell to the experiment that built the group.
 		g.cells[i] = NewEngine(deriveSeed(seed, "shard/cell/"+strconv.Itoa(i)))
 	}
 	return g
@@ -179,24 +176,27 @@ func (g *ShardGroup) Processed() uint64 {
 	return n
 }
 
-// Send schedules fn on cell dst at absolute virtual time at, from cell
-// src. Cross-cell sends must respect the lookahead: at must be at least
-// the source cell's current time plus the group lookahead, or the
-// conservative window protocol would deliver into a window already
-// executing — the panic is the contract's teeth. Same-cell sends are
-// allowed any time ≥ now and are scheduled directly.
+// SendAfter schedules fn on cell dst at the source cell's current time
+// plus the group lookahead plus extra — for same-cell and cross-cell
+// sends alike, so a model's timing never depends on where the partition
+// boundary falls. A caller cannot name an absolute delivery time: the
+// lookahead is added here, which makes the conservative window's
+// invariant (no cross-cell effect lands inside a window already
+// executing) hold by construction. The one misuse left is a negative
+// extra, and it panics.
 //
 // Delivery order is deterministic: buffered cross-cell events are merged
-// at each window barrier sorted by (at, src cell, per-source sequence),
+// at each window barrier sorted by (time, src cell, per-source sequence),
 // and scheduled onto the destination engine in that order.
-func (g *ShardGroup) Send(src, dst int, at time.Duration, fn func()) {
+func (g *ShardGroup) SendAfter(src, dst int, extra time.Duration, fn func()) {
+	if extra < 0 {
+		panic("simnet: SendAfter with a negative extra delay would deliver inside the lookahead window")
+	}
 	e := g.cells[src]
+	at := e.now + g.lookahead + extra
 	if dst == src {
 		e.Schedule(at, fn)
 		return
-	}
-	if at < e.now+g.lookahead {
-		panic("simnet: cross-shard send inside the lookahead window")
 	}
 	g.seqs[src]++
 	g.out[src] = append(g.out[src], crossEvent{at: at, src: src, seq: g.seqs[src], dst: dst, fn: fn})

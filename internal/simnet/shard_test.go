@@ -8,7 +8,7 @@ import (
 // shardTraffic drives a synthetic relay model on a ShardGroup: every cell
 // seeds a few initial events, and each event draws from the cell's
 // labelled RNG stream, bumps a per-cell counter, and relays work to the
-// next cell at now+lookahead+jitter for a fixed number of hops. The model
+// next cell jitter past the lookahead for a fixed number of hops. The model
 // exercises same-cell scheduling, cross-cell sends, and RNG draws; its
 // digest is the reference the worker-sweep pins.
 func shardTraffic(g *ShardGroup, hops int) *[]uint64 {
@@ -25,8 +25,7 @@ func shardTraffic(g *ShardGroup, hops int) *[]uint64 {
 		}
 		next := (cell + 1) % g.Cells()
 		jitter := time.Duration(e.Rand("traffic/cross").Intn(200)) * time.Microsecond
-		at := e.Now() + g.Lookahead() + jitter
-		g.Send(cell, next, at, func() { relay(next, hop+1) })
+		g.SendAfter(cell, next, jitter, func() { relay(next, hop+1) })
 	}
 	for c := 0; c < g.Cells(); c++ {
 		c := c
@@ -112,7 +111,7 @@ func TestShardGroupAllCrossTraffic(t *testing.T) {
 			if dst == cell {
 				dst = (dst + 1) % 4
 			}
-			g.Send(cell, dst, g.Cell(cell).Now()+g.Lookahead(), func() { ping(dst, n+1) })
+			g.SendAfter(cell, dst, 0, func() { ping(dst, n+1) })
 		}
 		for c := 0; c < 4; c++ {
 			c := c
@@ -139,7 +138,7 @@ func TestShardGroupDeadline(t *testing.T) {
 	g.Cell(0).Schedule(time.Millisecond+1, func() { afterDeadline = true })
 	// A cross send whose delivery lands past the first deadline.
 	g.Cell(0).Schedule(990*time.Microsecond, func() {
-		g.Send(0, 1, g.Cell(0).Now()+g.Lookahead(), func() { crossed = true })
+		g.SendAfter(0, 1, 0, func() { crossed = true })
 	})
 	g.RunUntil(time.Millisecond)
 	if !atDeadline {
@@ -165,24 +164,48 @@ func TestShardGroupDeadline(t *testing.T) {
 func TestShardGroupIdleWiring(t *testing.T) {
 	g := NewShardGroup(3, 3, time.Millisecond, 2)
 	var hits int
-	g.Send(0, 2, 5*time.Millisecond, func() { hits++ })
-	g.Send(1, 2, 5*time.Millisecond, func() { hits++ })
+	g.SendAfter(0, 2, 4*time.Millisecond, func() { hits++ })
+	g.SendAfter(1, 2, 4*time.Millisecond, func() { hits++ })
 	g.RunUntil(10 * time.Millisecond)
 	if hits != 2 {
 		t.Fatalf("idle-wired cross events: %d hits, want 2", hits)
 	}
 }
 
-// TestShardGroupLookaheadViolation pins the contract's teeth: a
-// cross-cell send inside the lookahead window panics.
-func TestShardGroupLookaheadViolation(t *testing.T) {
-	g := NewShardGroup(1, 2, time.Millisecond, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-shard send inside the lookahead window did not panic")
+// TestShardGroupSendAfterLanding pins the delivery instant: now + lookahead
+// + extra on the sending cell's clock, whether or not the destination is
+// the sending cell.
+func TestShardGroupSendAfterLanding(t *testing.T) {
+	const L, extra = time.Millisecond, 250 * time.Microsecond
+	for _, dst := range []int{0, 1} {
+		g := NewShardGroup(1, 2, L, 1)
+		sentAt := 3 * time.Millisecond
+		var landed time.Duration
+		g.Cell(0).Schedule(sentAt, func() {
+			g.SendAfter(0, dst, extra, func() { landed = g.Cell(dst).Now() })
+		})
+		g.RunUntil(10 * time.Millisecond)
+		if want := sentAt + L + extra; landed != want {
+			t.Errorf("dst cell %d: landed at %v, want %v", dst, landed, want)
 		}
-	}()
-	g.Send(0, 1, 999*time.Microsecond, func() {})
+	}
+}
+
+// TestShardGroupNegativeExtra pins the contract's teeth: the one way left
+// to aim inside the lookahead window, a negative extra, panics — same-cell
+// and cross-cell alike.
+func TestShardGroupNegativeExtra(t *testing.T) {
+	for _, dst := range []int{0, 1} {
+		func() {
+			g := NewShardGroup(1, 2, time.Millisecond, 1)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("dst cell %d: SendAfter with a negative extra did not panic", dst)
+				}
+			}()
+			g.SendAfter(0, dst, -time.Microsecond, func() {})
+		}()
+	}
 }
 
 // TestShardGroupConstructorPanics pins the constructor contract.
