@@ -17,7 +17,7 @@
 //	benchrunner -all -parallel 4      # ...on exactly 4 workers
 //	benchrunner -all -json            # ...and write BENCH_quick.json
 //	benchrunner -all -jsonout f.json  # ...perf record to f.json (CI gate)
-//	benchrunner -exp fig7f -shards 4  # sharded kernel on 4 window workers
+//	benchrunner -exp fig7f -shards 4  # rack-partitioned clusters on 4 workers
 //	benchrunner -exp fig8b -trace t.json   # Chrome trace of every engine
 //	benchrunner -exp fig8b -metrics        # dump each engine's registry
 //	benchrunner -exp fig7f -critpath cp.txt  # critical-path attribution
@@ -31,6 +31,12 @@
 // output is assembled from the results in registry order, each
 // experiment's engines in creation order, so it is byte-identical at any
 // -parallel.
+// -shards N (N >= 1) partitions every cluster an experiment builds through
+// experiment.Env.NewCluster — the occupation probes behind fig7f, fig10 and
+// the ablation — into a control cell plus one cell per compute rack, run
+// on N workers; tables are identical for every N >= 1. A selection in
+// which no experiment builds such a cluster exits 2 naming the
+// experiments, rather than run one-cell and say nothing.
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
 package main
@@ -73,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metrics  = fs.Bool("metrics", false, "dump each engine's metrics registry to stdout")
 		critPath = fs.String("critpath", "", "write the deterministic critical-path report of every engine to this file")
 		spans    = fs.Bool("spans", false, "print the span and metric taxonomy tables (the generated half of OBSERVABILITY.md) and exit")
-		shards   = fs.Int("shards", 0, "run the experiments that have a sharded driver (fig7f, fig10) on the sharded kernel with N window workers (0 = legacy single-engine path)")
+		shards   = fs.Int("shards", 0, "partition the clusters built through Env.NewCluster (fig7f, fig10, ablation) by rack and run their cells on N workers (0 = one cell)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -147,6 +153,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	suiteWall := time.Since(suiteStart)
 	fmt.Fprintf(stderr, "-- suite done in %s\n", suiteWall.Round(time.Millisecond))
+	partitioned, ids := false, make([]string, len(results))
+	for i, r := range results {
+		partitioned = partitioned || r.Sharded
+		ids[i] = r.Spec.ID
+	}
+	if *shards > 0 && !partitioned {
+		fmt.Fprintf(stderr, "benchrunner: -shards %d partitioned nothing: none of %s builds a cluster through Env.NewCluster, so every table above is the one-cell run\n",
+			*shards, strings.Join(ids, ", "))
+		return 2
+	}
 	if err := writeObserved(stdout, stderr, experiment.ObservedEngines(results), *trace, *critPath, *metrics); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -233,8 +249,8 @@ func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, trac
 type perfRecord struct {
 	Preset string `json:"preset"`
 	// Parallel is the experiment worker-pool size; Shards is the -shards
-	// setting: the window worker count for the experiments that have a
-	// sharded driver, 0 for the legacy kernel.
+	// setting: the worker count for the experiments that partition their
+	// clusters, 0 for one cell.
 	Parallel     int          `json:"parallel"`
 	Shards       int          `json:"shards"`
 	GoVersion    string       `json:"go_version"`
@@ -253,9 +269,9 @@ type expRecord struct {
 	Artifact string  `json:"artifact"`
 	WallMS   float64 `json:"wall_ms"`
 	Events   uint64  `json:"events"`
-	// Shards is the shard worker count this experiment actually ran with:
-	// the -shards setting when it built a shard group, 0 when it ran the
-	// single-engine path.
+	// Shards is the worker count this experiment actually ran with: the
+	// -shards setting when it built a partitioned cluster, 0 when every
+	// cluster it built was one cell.
 	Shards       int     `json:"shards"`
 	EventsPerSec float64 `json:"events_per_sec"`
 }

@@ -17,30 +17,30 @@
 //	chaossoak -trace soak.json        # Chrome/Perfetto trace, one pid per seed
 //	chaossoak -metrics                # dump each seed's metrics registry
 //	chaossoak -critpath cp.txt        # critical-path attribution per seed
-//	chaossoak -shards 4               # sharded kernel soak on 4 workers
+//	chaossoak -shards 4               # rack-partitioned cluster on 4 workers
 //	chaossoak -reconcile              # chaos campaign under the reconciler
 //	chaossoak -reconcile -spec s.json # custom spec schedule for the soak
 //
-// With -shards N (N >= 1) the soak runs on the shard-parallel kernel
-// (chaos.ShardedSoak): one cluster partitioned by rack across engine
-// cells, executed on N worker goroutines. The report is byte-identical
-// for ANY N — only wall-clock changes. -trace writes one trace process
-// per seed × cell and -metrics dumps each seed's registry merged across
-// its cells; both are byte-identical for any N too.
+// -shards N (N >= 1) partitions each seed's cluster — the control plane
+// on one engine cell, every compute rack on its own — and executes the
+// cells on N worker goroutines. It is the same soak (chaos.RunSeed: the
+// same master, satellite pool, campaign and invariants); the report is
+// byte-identical for ANY N >= 1 — only wall-clock changes — and differs
+// from -shards 0 by what partitioning may change (DESIGN.md §4). -trace
+// writes one trace process per seed × cell and -metrics dumps each seed's
+// registry merged across its cells; both are byte-identical for any N too.
 //
 // -critpath arms span recording and writes the deterministic
 // critical-path report (internal/obs/critpath): per root-span kind, the
 // top-K slowest broadcasts with their hop chains, per-kind time
-// attribution, and retry/rebuild share. It works on both the
-// single-engine and -shards soaks — on the sharded kernel the per-cell
+// attribution, and retry/rebuild share. Under -shards the per-cell
 // recordings are stitched across cells and the report is byte-identical
 // at ANY worker count. Diff two reports with `critdiff a.txt b.txt`.
 //
 // A flag the selected soak cannot honour is an error (exit 2), never
 // silently dropped: -reconcile records no spans and keeps no registry
-// (-critpath, -trace, -metrics), only the single-engine soak has a
-// monitoring layer to hide fail-stops from (-silent), and -target/-spec
-// mean nothing without -reconcile.
+// (-critpath, -trace, -metrics) and fixes its silent fraction (-silent),
+// and -target/-spec mean nothing without -reconcile.
 //
 // With -reconcile the soak overlays the full fault campaign on a
 // reconciler driving a timed spec schedule (chaos.ReconcileSoak) and
@@ -68,10 +68,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// The three soaks, named as the refusal message names them.
+// The two soaks, named as the refusal message names them.
 const (
-	modeSingle    = "the single-engine soak"
-	modeSharded   = "-shards"
+	modeSoak      = "the plain soak"
 	modeReconcile = "-reconcile"
 )
 
@@ -84,12 +83,7 @@ var unsupported = map[string]map[string]string{
 		"metrics":  "the reconcile soak keeps no per-seed registry",
 		"silent":   "the reconcile soak draws its campaign with a fixed silent fraction",
 	},
-	modeSharded: {
-		"silent": "the sharded soak has no monitoring layer to hide fail-stops from",
-		"target": "it is a -reconcile setting",
-		"spec":   "it is a -reconcile setting",
-	},
-	modeSingle: {
+	modeSoak: {
 		"target": "it is a -reconcile setting",
 		"spec":   "it is a -reconcile setting",
 	},
@@ -111,11 +105,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bound := fs.Duration("bound", cfg.Bound, "per-broadcast resolution bound")
 	loss := fs.Float64("loss", cfg.LossProb, "message loss probability")
 	dup := fs.Float64("dup", cfg.DupProb, "message duplication probability")
-	silent := fs.Float64("silent", cfg.SilentFraction, "fraction of fail-stops hidden from monitoring (single-engine soak only)")
+	silent := fs.Float64("silent", cfg.SilentFraction, "fraction of fail-stops hidden from monitoring")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of every seed to this file")
 	critPath := fs.String("critpath", "", "write the deterministic critical-path report of every seed to this file")
 	metrics := fs.Bool("metrics", false, "dump each seed's metrics registry after the report")
-	shards := fs.Int("shards", 0, "run the sharded kernel soak on N workers (0 = single-engine soak)")
+	shards := fs.Int("shards", 0, "partition each seed's cluster by rack and run its cells on N workers (0 = one cell); with -reconcile, fan seeds out over N workers")
 	reconcileMode := fs.Bool("reconcile", false, "overlay the campaign on a reconciler and assert convergence (chaos.ReconcileSoak)")
 	target := fs.Int("target", 0, "reconcile mode: initial in-service satellite target (0 = default)")
 	specPath := fs.String("spec", "", "reconcile mode: spec/schedule JSON replacing the built-in schedule")
@@ -127,12 +121,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mode := modeSingle
-	switch {
-	case *reconcileMode:
+	mode := modeSoak
+	if *reconcileMode {
 		mode = modeReconcile
-	case *shards > 0:
-		mode = modeSharded
 	}
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -199,23 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, rep.String())
 		violations = rep.Violations()
 
-	case modeSharded:
-		rep := chaos.ShardedSoak(chaos.ShardedConfig{
-			Seeds:      *seeds,
-			BaseSeed:   *base,
-			Computes:   *nodes,
-			Satellites: *sats,
-			Workers:    *shards,
-			Span:       *span,
-			Broadcasts: *bcasts,
-			Bound:      *bound,
-			LossProb:   *loss,
-			DupProb:    *dup,
-			Trace:      *tracePath != "" || *critPath != "",
-		})
-		fmt.Fprint(stdout, rep.String())
-		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()
-
 	default:
 		cfg.Seeds = *seeds
 		cfg.BaseSeed = *base
@@ -228,6 +202,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.DupProb = *dup
 		cfg.SilentFraction = *silent
 		cfg.Trace = *tracePath != "" || *critPath != ""
+		cfg.Workers = *shards
 		rep := chaos.Soak(cfg)
 		fmt.Fprint(stdout, rep.String())
 		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()
@@ -260,26 +235,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // traceProcesses lays the seeds out as Chrome trace processes so Perfetto
-// shows the soak side by side: one process per seed (pid = seed) for the
-// single-engine soak, one per seed × cell (pid = seed·cells + cell) for
-// the sharded one. Same flags → byte-identical file.
+// shows the soak side by side: one process per seed × cell (pid =
+// seed·cells + cell; on one cell that is one process per seed, pid =
+// seed). Same flags → byte-identical file.
 func traceProcesses(seeds []chaos.SeedResult) []obs.Process {
 	var procs []obs.Process
 	for _, s := range seeds {
-		if s.CellTraces == nil {
-			procs = append(procs, obs.Process{
-				PID:  int(s.Seed),
-				Name: fmt.Sprintf("chaossoak seed %d", s.Seed),
-				T:    s.Trace,
-			})
-			continue
-		}
 		for c, t := range s.CellTraces {
-			procs = append(procs, obs.Process{
-				PID:  int(s.Seed)*len(s.CellTraces) + c,
-				Name: fmt.Sprintf("chaossoak seed %d cell %d", s.Seed, c),
-				T:    t,
-			})
+			name := fmt.Sprintf("chaossoak seed %d", s.Seed)
+			if len(s.CellTraces) > 1 {
+				name += fmt.Sprintf(" cell %d", c)
+			}
+			procs = append(procs, obs.Process{PID: int(s.Seed)*len(s.CellTraces) + c, Name: name, T: t})
 		}
 	}
 	return procs

@@ -40,8 +40,8 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 
 		{name: "shards trace", args: []string{"-shards", "2", "-trace", "FILE"}, writes: true, wantOut: []string{"trace: 1 seeds"}},
 		{name: "shards critpath", args: []string{"-shards", "2", "-critpath", "FILE"}, writes: true, wantOut: []string{"critpath: 1 seed(s)"}},
-		{name: "shards metrics", args: []string{"-shards", "2", "-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages"}},
-		{name: "shards silent", args: []string{"-shards", "2", "-silent", "0.5"}, refused: "-silent"},
+		{name: "shards metrics", args: []string{"-shards", "2", "-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages", "master.subtasks", "simnet.windows"}},
+		{name: "shards silent", args: []string{"-shards", "2", "-silent", "0.5"}, wantOut: []string{"silent=0.50", "reallocs=", "takeovers="}},
 		{name: "shards target", args: []string{"-shards", "2", "-target", "3"}, refused: "-target"},
 		{name: "shards spec", args: []string{"-shards", "2", "-spec", spec}, refused: "-spec"},
 

@@ -2,9 +2,10 @@
 // it runs the full ESlurm stack (cluster + satellite pool + master) under
 // a randomized adversarial fault campaign (faults.ChaosSpec) across many
 // seeds, and checks end-to-end invariants after every broadcast and after
-// teardown. Because the whole stack is driven by one simnet engine, a
-// failing seed is perfectly replayable: the report is byte-identical for
-// the same configuration, which a digest-pinned test enforces.
+// teardown. Because every cell of the stack is a deterministic simnet
+// engine, a failing seed is perfectly replayable: the report is
+// byte-identical for the same configuration — at any worker count — which
+// digest-pinned tests enforce.
 //
 // The invariants (ISSUE 3):
 //
@@ -32,6 +33,7 @@ import (
 	"eslurm/internal/monitor"
 	"eslurm/internal/obs"
 	"eslurm/internal/simnet"
+	"eslurm/internal/topo"
 )
 
 // Config parameterizes a soak. The zero value is runnable: Soak applies
@@ -68,11 +70,16 @@ type Config struct {
 	// backoff policy (4 attempts, 50ms base, ×2, 2s cap, 30s deadline,
 	// 0.5 jitter) so the adversarial retry path is exercised.
 	Retry *comm.RetryPolicy
-	// Trace enables simulated-time span recording on each seed's engine;
-	// the tracer and metrics registry come back on the SeedResult. Tracing
+	// Trace enables simulated-time span recording on each seed's cells;
+	// the tracers and metrics registry come back on the SeedResult. Tracing
 	// is passive recording — it does not change any seed's event trace,
 	// report, or digest.
 	Trace bool
+	// Workers partitions each seed's cluster (topo.Partition): 0 keeps it
+	// on one cell; N >= 1 gives the control plane a cell and every compute
+	// rack its own, executed on N workers. The report is identical for
+	// every N >= 1.
+	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -137,19 +144,15 @@ type SeedResult struct {
 	Reallocations    int
 	Takeovers        int
 	DrainedFallbacks int
-	// KernelDigest is the shard kernel's per-cell event-trace digest
-	// (sharded soak only; 0 on single-engine seeds).
-	KernelDigest uint64
-	Violations   []string
-	// Trace is the seed engine's span recording (nil unless Config.Trace);
-	// Metrics is its registry (a sharded seed's is merged across cells).
-	// Neither contributes to Report.String or Digest — the report stays
-	// byte-stable with tracing on or off.
-	Trace   *obs.Tracer
-	Metrics *obs.Registry
-	// CellTraces holds the per-cell span recordings of a sharded seed in
-	// cell order (nil unless ShardedConfig.Trace). Flatten with
-	// critpath.FromCells; like Trace, it never touches the report bytes.
+	Violations       []string
+	// CellTraces holds the seed's span recordings, one per cell in cell
+	// order (nil unless Config.Trace; flatten with critpath.FromCells), and
+	// Trace is the control cell's — the whole recording on one cell.
+	// Metrics is the seed's registry, merged across cells. None of them
+	// contributes to Report.String or Digest — the report stays byte-stable
+	// with tracing on or off.
+	Trace      *obs.Tracer
+	Metrics    *obs.Registry
 	CellTraces []*obs.Tracer
 }
 
@@ -227,14 +230,16 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 	}
 
 	e := simnet.NewEngine(seed)
-	if cfg.Trace {
-		e.EnableTracing()
-	}
-	c := cluster.New(e, cluster.Config{
+	c := cluster.New(e, topo.Default().Partition(cluster.Config{
 		Computes:   cfg.Computes,
 		Satellites: cfg.Satellites,
 		Net:        cluster.NetConfig{LossProb: cfg.LossProb, DupProb: cfg.DupProb},
-	})
+	}, cfg.Workers))
+	if cfg.Trace {
+		c.Group().EnableTracing()
+		sr.CellTraces = c.Group().CellTracers()
+		sr.Trace = sr.CellTraces[0]
+	}
 	mon := monitor.New(c, monitor.Config{})
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
 	m.B.RecordResolved = true
@@ -243,7 +248,8 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 
 	// Invariant 2: a delivery must never land on a node that is down at
 	// the resolution instant. OnResolve fires once per (broadcast,
-	// target) chain, duplicates already deduplicated.
+	// target) chain, duplicates already deduplicated, on the cell of the
+	// broadcast's origin — the control cell, whose view Failed reads.
 	m.B.OnResolve = func(to cluster.NodeID, ok bool) {
 		if ok && c.Node(to).Failed() {
 			violate("seed %d: delivered to down node %d at %v", seed, to, e.Now())
@@ -280,17 +286,16 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 		})
 	}
 
-	e.RunUntil(cfg.Span)
+	c.RunUntil(cfg.Span)
 	m.Stop()
-	e.Run() // drain everything: retries, watchdogs, heals, recoveries
+	c.Run() // drain everything: retries, watchdogs, heals, recoveries
 
 	st := m.Stats()
 	sr.Reallocations = st.Reallocations
 	sr.Takeovers = st.MasterTakeovers
 	sr.DrainedFallbacks = st.PoolDrainedFallbacks
-	sr.Events = e.Processed()
-	sr.Trace = e.Tracer()
-	sr.Metrics = e.Metrics()
+	sr.Events = c.Group().Processed()
+	sr.Metrics = c.Group().MergedMetrics()
 
 	// Invariant 4 (no stalls): every driven broadcast resolved by drain.
 	if sr.Broadcasts != cfg.Broadcasts {

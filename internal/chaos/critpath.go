@@ -4,9 +4,9 @@ package chaos
 // into critpath sources, so the chaossoak CLI and the determinism tests
 // aggregate identically. Grouping is per-seed-label under one campaign
 // group; the derived report is a pure function of the recordings, hence
-// byte-identical for the same seed at any worker count (the sharded
-// per-cell recordings are worker-invariant, and critpath.FromCells
-// flattens them in fixed cell order).
+// byte-identical for the same seed at any worker count (the per-cell
+// recordings are worker-invariant, and critpath.FromCells flattens them in
+// fixed cell order — the identity on one cell).
 
 import (
 	"fmt"
@@ -15,26 +15,9 @@ import (
 )
 
 // CritpathReport analyzes the soak's traced seeds (Config.Trace must
-// have been set) into one critical-path report.
-func (r *Report) CritpathReport(topK int) *critpath.Report {
-	var srcs []critpath.Source
-	for _, s := range r.Seeds {
-		if s.Trace == nil {
-			continue
-		}
-		srcs = append(srcs, critpath.Source{
-			Label: fmt.Sprintf("seed %d", s.Seed),
-			Group: "chaossoak",
-			Spans: s.Trace.Spans(),
-		})
-	}
-	return critpath.Analyze(srcs, critpath.Options{TopK: topK})
-}
-
-// CritpathReport analyzes the sharded soak's traced seeds
-// (ShardedConfig.Trace must have been set), flattening each seed's
+// have been set) into one critical-path report, flattening each seed's
 // per-cell recordings into one DAG first.
-func (r *ShardedReport) CritpathReport(topK int) *critpath.Report {
+func (r *Report) CritpathReport(topK int) *critpath.Report {
 	var srcs []critpath.Source
 	for _, s := range r.Seeds {
 		if s.CellTraces == nil {
@@ -42,7 +25,7 @@ func (r *ShardedReport) CritpathReport(topK int) *critpath.Report {
 		}
 		srcs = append(srcs, critpath.Source{
 			Label: fmt.Sprintf("seed %d", s.Seed),
-			Group: "sharded chaossoak",
+			Group: "chaossoak",
 			Spans: critpath.FromCells(s.CellTraces),
 		})
 	}

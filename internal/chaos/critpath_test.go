@@ -5,54 +5,53 @@ import (
 	"testing"
 )
 
-// shardedCritpath runs the pinned sharded soak config with tracing on
-// and returns its critical-path report text.
-func shardedCritpath(t *testing.T, workers int) string {
+// partitionedCritpath runs the pinned partitioned soak config with tracing
+// on and returns its critical-path report text.
+func partitionedCritpath(t *testing.T, workers int) string {
 	t.Helper()
-	cfg := shardSoakConfig(workers)
+	cfg := partSoakConfig(workers)
 	cfg.Trace = true
-	rep := ShardedSoak(cfg)
+	rep := Soak(cfg)
 	if rep.Violations() > 0 {
 		t.Fatalf("soak violated invariants:\n%s", rep.String())
 	}
 	return rep.CritpathReport(5).String()
 }
 
-// TestShardedCritpathWorkerInvariant is the tentpole acceptance pin: the
+// TestPartitionedCritpathWorkerInvariant is the tentpole acceptance pin: the
 // same-seed critical-path report is byte-identical across reruns and
 // across worker counts, and its digest is pinned — any change to span
 // emission, the DAG stitch, or the attribution walk moves it and must be
 // deliberate.
-func TestShardedCritpathWorkerInvariant(t *testing.T) {
-	ref := shardedCritpath(t, 1)
-	if again := shardedCritpath(t, 1); again != ref {
+func TestPartitionedCritpathWorkerInvariant(t *testing.T) {
+	ref := partitionedCritpath(t, 1)
+	if again := partitionedCritpath(t, 1); again != ref {
 		t.Fatal("same-seed rerun produced different critpath report bytes")
 	}
 	for _, w := range []int{2, 4} {
-		if got := shardedCritpath(t, w); got != ref {
+		if got := partitionedCritpath(t, w); got != ref {
 			t.Errorf("workers=%d critpath report differs from workers=1:\n%s\nvs\n%s", w, got, ref)
 		}
 	}
-	const want = "digest=a61521752763573e"
+	const want = "digest=a0826999e835e824"
 	if !strings.Contains(ref, want) {
 		tail := ref
 		if i := strings.LastIndex(tail, "digest="); i >= 0 {
 			tail = tail[i:]
 		}
-		t.Errorf("sharded critpath report digest moved off its pin: got %s want %s", strings.TrimSpace(tail), want)
+		t.Errorf("partitioned critpath report digest moved off its pin: got %s want %s", strings.TrimSpace(tail), want)
 	}
 }
 
-// TestShardedSoakDigestUnchangedByTracing proves span recording on the
-// sharded kernel is passive: the pinned soak digest is identical with
+// TestPartitionedSoakDigestUnchangedByTracing proves span recording
+// across cells is passive: the pinned soak digest is identical with
 // per-cell tracing armed.
-func TestShardedSoakDigestUnchangedByTracing(t *testing.T) {
-	cfg := shardSoakConfig(2)
+func TestPartitionedSoakDigestUnchangedByTracing(t *testing.T) {
+	cfg := partSoakConfig(2)
 	cfg.Trace = true
-	rep := ShardedSoak(cfg)
-	const want = "0a2bd16728914b2c"
-	if got := rep.Digest(); got != want {
-		t.Errorf("tracing moved the sharded soak digest: %s != pinned %s", got, want)
+	rep := Soak(cfg)
+	if got := rep.Digest(); got != partSoakDigest {
+		t.Errorf("tracing moved the partitioned soak digest: %s != pinned %s", got, partSoakDigest)
 	}
 	for _, s := range rep.Seeds {
 		if len(s.CellTraces) == 0 {
@@ -68,9 +67,9 @@ func TestShardedSoakDigestUnchangedByTracing(t *testing.T) {
 	}
 }
 
-// TestSingleEngineCritpathDeterminism: the legacy soak's critical-path
+// TestOneCellCritpathDeterminism: the one-cell soak's critical-path
 // report is byte-identical across reruns of the same seed.
-func TestSingleEngineCritpathDeterminism(t *testing.T) {
+func TestOneCellCritpathDeterminism(t *testing.T) {
 	run := func() string {
 		cfg := pinCfg()
 		cfg.Seeds = 1

@@ -15,13 +15,12 @@ type partition struct {
 	member map[NodeID]bool
 }
 
-// faultState is the adversarial half of the wire model that is not
-// fail-stop: gray nodes, degraded links, active partitions, and the loss
-// and duplication coins. The single-engine Network holds one; a
-// ShardedCluster holds one replica per cell, flipped identically on every
-// cell at the same virtual instant. Fail-stop flags stay with their owners
-// (Node.failed, cellRep.failed), which index them differently.
+// faultState is everything the wire consults about faults: fail-stop
+// flags, gray nodes, degraded links, active partitions, and the loss and
+// duplication coins. The Network holds one replica per cell, flipped
+// identically on every cell at the same virtual instant (see cellView).
 type faultState struct {
+	failed     []bool // by NodeID
 	gray       map[NodeID]float64
 	degrade    map[linkKey]float64
 	partitions []*partition
@@ -86,6 +85,12 @@ func (f *faultState) severed(from, to NodeID) bool {
 		}
 	}
 	return false
+}
+
+// unreachable reports whether a message from→to cannot be delivered right
+// now: the destination is dead or a partition separates the endpoints.
+func (f *faultState) unreachable(from, to NodeID) bool {
+	return f.failed[to] || f.severed(from, to)
 }
 
 // pathFactor returns the multiplier gray endpoints and link degradation

@@ -3,6 +3,8 @@ package cluster
 import (
 	"math/rand"
 	"time"
+
+	"eslurm/internal/simnet"
 )
 
 // Disabled is the sentinel for NetConfig duration fields whose zero value
@@ -114,48 +116,115 @@ func (c NetConfig) withDefaults() NetConfig {
 //     to and from it are inflated by its factor;
 //   - a degraded link (SetLinkDegrade) multiplies that link's transfer time.
 //
-// All randomness is drawn from named simnet streams, so any configuration
-// is bit-deterministic per seed, and disabled features draw nothing.
+// All randomness is drawn from named simnet streams of the sender's cell,
+// so any configuration is bit-deterministic per seed, and disabled
+// features draw nothing.
+//
+// The Network is the one link between cells (DESIGN.md §4): a message's
+// two halves — the receiver's on the destination's cell, the sender's on
+// the source's — run at the same virtual instant, each deciding from its
+// own cell's cellView, and whether the two cells differ is a fact only
+// send looks at.
 type Network struct {
 	cluster *Cluster
 	cfg     NetConfig
-	rng     *rand.Rand
-	faults  faultState
+	views   []*cellView // by cell
+}
 
-	deliverObs func(from, to NodeID, size int)
+// cellView is one cell's private replica of the fault state plus its
+// jitter stream. Only that cell's events read or write it while the group
+// runs; every replica is flipped by the same change at the same virtual
+// instant (flip, flipAt), so all of them agree whenever a message consults
+// one.
+type cellView struct {
+	faultState
+	cell int
+	e    *simnet.Engine
+	rng  *rand.Rand
 }
 
 func newNetwork(c *Cluster, cfg NetConfig) *Network {
-	return &Network{cluster: c, cfg: cfg.withDefaults(), rng: c.Engine.Rand("cluster/network")}
+	n := &Network{cluster: c, cfg: cfg, views: make([]*cellView, c.group.Cells())}
+	for i := range n.views {
+		e := c.group.Cell(i)
+		n.views[i] = &cellView{cell: i, e: e, rng: e.Rand("cluster/network")}
+		n.views[i].failed = make([]bool, len(c.nodes))
+	}
+	for _, node := range c.nodes {
+		node.view, node.control = n.views[node.Cell], n.views[0]
+	}
+	return n
 }
+
+// view returns the replica of id's home cell.
+func (n *Network) view(id NodeID) *cellView { return n.cluster.nodes[id].view }
 
 // Config returns the effective network configuration.
 func (n *Network) Config() NetConfig { return n.cfg }
 
-// OnDeliver registers an observer invoked at the virtual instant of every
-// successful delivery (duplicates included), before the receiver's
-// callback runs. One observer at a time; nil clears. The observer must
-// not schedule events, so registering one never perturbs the event trace.
-func (n *Network) OnDeliver(fn func(from, to NodeID, size int)) { n.deliverObs = fn }
+// flip applies one fault-state change to every cell's replica now. On a
+// multi-cell cluster that is sound only while the group is idle — every
+// cell stands at the same instant and all cross-cell mail is merged — so
+// from inside an event it panics: a change that must land mid-run is
+// pre-scheduled from an idle point instead.
+func (n *Network) flip(change func(v *cellView)) {
+	n.idleOnly()
+	for _, v := range n.views {
+		change(v)
+	}
+}
+
+// flipAt pre-schedules change on every cell at virtual time at. Scheduled
+// from an idle point the events get the same place in every cell's order
+// relative to any message half at the same instant, which is what keeps
+// the two halves of a message agreeing (DESIGN.md §4).
+func (n *Network) flipAt(at time.Duration, change func(v *cellView)) {
+	n.idleOnly()
+	for _, v := range n.views {
+		v.e.Schedule(at, func() { change(v) })
+	}
+}
+
+func (n *Network) idleOnly() {
+	if len(n.views) > 1 && !n.cluster.group.Idle() {
+		panic("cluster: fault state changed from inside an event on a multi-cell cluster; pre-schedule it from an idle point with Cluster.ScheduleFailure, Network.ScheduleGray or Network.SchedulePartition")
+	}
+}
 
 // SetGray marks a node as a gray failure: alive, but every connect and
 // transfer involving it is multiplied by factor (> 1). A factor <= 1
 // clears the mark.
-func (n *Network) SetGray(id NodeID, factor float64) { n.faults.setGray(id, factor) }
+func (n *Network) SetGray(id NodeID, factor float64) {
+	n.flip(func(v *cellView) { v.setGray(id, factor) })
+}
 
 // ClearGray removes a node's gray-failure mark.
-func (n *Network) ClearGray(id NodeID) { n.faults.setGray(id, 1) }
+func (n *Network) ClearGray(id NodeID) { n.SetGray(id, 1) }
 
-// GrayFactor returns the node's slowdown factor (1 when healthy).
-func (n *Network) GrayFactor(id NodeID) float64 { return n.faults.grayFactor(id) }
+// ScheduleGray marks a node gray at virtual time at; if clearAfter is
+// positive the mark clears that much later.
+func (n *Network) ScheduleGray(id NodeID, factor float64, at, clearAfter time.Duration) {
+	n.flipAt(at, func(v *cellView) { v.setGray(id, factor) })
+	if clearAfter > 0 {
+		n.flipAt(at+clearAfter, func(v *cellView) { v.setGray(id, 1) })
+	}
+}
+
+// GrayFactor returns the node's slowdown factor (1 when healthy), as the
+// control cell sees it.
+func (n *Network) GrayFactor(id NodeID) float64 { return n.views[0].grayFactor(id) }
+
+// GrayFactorOn returns id's slowdown factor as viewer's home cell sees it
+// — the read for code executing on that cell.
+func (n *Network) GrayFactorOn(viewer, id NodeID) float64 { return n.view(viewer).grayFactor(id) }
 
 // GrayCount returns the number of currently gray nodes.
-func (n *Network) GrayCount() int { return len(n.faults.gray) }
+func (n *Network) GrayCount() int { return len(n.views[0].gray) }
 
 // SetLinkDegrade multiplies the directed link's transfer time by factor
 // (> 1). A factor <= 1 restores the link.
 func (n *Network) SetLinkDegrade(from, to NodeID, factor float64) {
-	n.faults.setDegrade(from, to, factor)
+	n.flip(func(v *cellView) { v.setDegrade(from, to, factor) })
 }
 
 // Partition severs the member set from the rest of the cluster starting
@@ -165,24 +234,44 @@ func (n *Network) SetLinkDegrade(from, to NodeID, factor float64) {
 // until HealAll. Partitions compose: a link is severed if any active
 // partition separates its endpoints.
 func (n *Network) Partition(members []NodeID, heal time.Duration) {
-	p := &partition{member: make(map[NodeID]bool, len(members))}
+	member := memberSet(members)
+	n.flip(func(v *cellView) { v.severFor(member, heal) })
+}
+
+// SchedulePartition severs the member set at virtual time at, healing
+// after heal if it is positive.
+func (n *Network) SchedulePartition(members []NodeID, at, heal time.Duration) {
+	member := memberSet(members)
+	n.flipAt(at, func(v *cellView) { v.severFor(member, heal) })
+}
+
+func memberSet(members []NodeID) map[NodeID]bool {
+	member := make(map[NodeID]bool, len(members))
 	for _, id := range members {
-		p.member[id] = true
+		member[id] = true
 	}
-	n.faults.sever(p)
+	return member
+}
+
+// severFor activates a partition on this replica and, if heal is positive,
+// arms its heal on this cell's engine. Each replica owns its partition
+// object; the member set is shared read-only.
+func (v *cellView) severFor(member map[NodeID]bool, heal time.Duration) {
+	p := &partition{member: member}
+	v.sever(p)
 	if heal > 0 {
-		n.cluster.Engine.After(heal, func() { n.faults.heal(p) })
+		v.e.After(heal, func() { v.heal(p) })
 	}
 }
 
 // HealAll removes every active partition.
-func (n *Network) HealAll() { n.faults.partitions = nil }
+func (n *Network) HealAll() { n.flip(func(v *cellView) { v.partitions = nil }) }
 
 // PartitionCount returns the number of active partitions.
-func (n *Network) PartitionCount() int { return len(n.faults.partitions) }
+func (n *Network) PartitionCount() int { return len(n.views[0].partitions) }
 
 // Severed reports whether an active partition separates the two nodes.
-func (n *Network) Severed(from, to NodeID) bool { return n.faults.severed(from, to) }
+func (n *Network) Severed(from, to NodeID) bool { return n.views[0].severed(from, to) }
 
 // TransferTime returns the modelled one-way delivery time for a healthy
 // message of size bytes, excluding jitter, connection setup and any
@@ -201,166 +290,200 @@ func scale(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-func (n *Network) lost() bool { return n.faults.lost(n.cluster.Engine, n.cfg.LossProb) }
-
-func (n *Network) duplicated() bool { return n.faults.duplicated(n.cluster.Engine, n.cfg.DupProb) }
-
-// unreachable reports whether a message from→to cannot be delivered right
-// now: the destination is dead or a partition separates the endpoints.
-func (n *Network) unreachable(from, to NodeID) bool {
-	return n.cluster.Node(to).failed || n.faults.severed(from, to)
-}
-
-// Send models one message from -> to carrying size bytes.
+// Send models one message from -> to carrying size bytes, called from an
+// event on from's home cell (or while the group is idle).
 //
-// If the destination is reachable at delivery time, onDelivered fires at
-// the delivery instant (twice under duplication — receivers dedup). If
-// the destination is failed or partitioned away (at send or delivery
-// time), or the message is lost in transit, onFailed fires after the
-// connect timeout — the sender blocks for the timeout, exactly the
-// behaviour that makes failed interior tree nodes expensive (Section IV).
-// Either callback may be nil. Sockets and message counters on both meters
-// are maintained here so every RM model accounts traffic uniformly.
+// If the destination is reachable at delivery time, onDelivered fires on
+// the destination's cell at the delivery instant (twice under duplication
+// — receivers dedup). If the destination is failed or partitioned away (at
+// send or delivery time), or the message is lost in transit, onFailed
+// fires on the sender's cell after the connect timeout — the sender blocks
+// for the timeout, exactly the behaviour that makes failed interior tree
+// nodes expensive (Section IV). Either callback may be nil. Sockets and
+// message counters on both meters are maintained here so every RM model
+// accounts traffic uniformly.
 func (n *Network) Send(from, to NodeID, size int, onDelivered func(), onFailed func()) {
-	e := n.cluster.Engine
-	src := n.cluster.Node(from)
-	src.Meter.CountMessage(true, size)
-	src.Meter.OpenSocket()
-
-	f := &flight{n: n, from: from, to: to, size: size, onDelivered: onDelivered, onFailed: onFailed}
-	if n.unreachable(from, to) || n.lost() {
-		e.After(n.cfg.ConnectTimeout, f.timeout)
-		return
-	}
-
-	factor := n.faults.pathFactor(from, to)
-	f.d = scale(n.cfg.ConnectCost, factor) + scale(n.TransferTime(size), factor)
-	if n.cfg.Jitter > 0 {
-		f.d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
-	}
-	e.After(f.d, f.land)
+	n.send(from, to, size, true, onDelivered, nil, onFailed)
 }
 
-// flight is one message of Send on the wire. Its methods are the events
-// of the message's life, so a message allocates one small object however
-// many events it takes.
-type flight struct {
-	n                     *Network
-	from, to              NodeID
-	size                  int
-	d                     time.Duration // modelled delivery time
-	onDelivered, onFailed func()
-}
-
-// timeout fires when the sender's connect timeout expires on a message
-// that never arrived.
-func (f *flight) timeout() {
-	f.n.cluster.Node(f.from).Meter.CloseSocket()
-	if f.onFailed != nil {
-		f.onFailed()
-	}
-}
-
-// land fires at the delivery instant.
-func (f *flight) land() {
-	n, e := f.n, f.n.cluster.Engine
-	// The destination may have failed — or been partitioned away —
-	// while the message was in flight.
-	if n.unreachable(f.from, f.to) {
-		// Remaining time until the sender's timeout expires.
-		e.After(n.cfg.ConnectTimeout-f.d, f.timeout)
-		return
-	}
-	dst := n.cluster.Node(f.to)
-	dst.Meter.CountMessage(false, f.size)
-	dst.Meter.OpenSocket()
-	n.cluster.Node(f.from).Meter.CloseSocket()
-	// The receiving daemon holds its accept socket briefly while
-	// processing.
-	e.After(n.cfg.Latency, dst.Meter.CloseSocket)
-	if n.deliverObs != nil {
-		n.deliverObs(f.from, f.to, f.size)
-	}
-	if f.onDelivered != nil {
-		f.onDelivered()
-	}
-	if n.duplicated() {
-		// Retransmission after a lost ack: the same payload lands a
-		// second time one latency later. No socket churn — the
-		// duplicate rides the same accept — but the receiver's message
-		// counter and callback both fire again.
-		e.After(n.cfg.Latency, f.landAgain)
-	}
-}
-
-func (f *flight) landAgain() {
-	n := f.n
-	if n.unreachable(f.from, f.to) {
-		return
-	}
-	n.cluster.Node(f.to).Meter.CountMessage(false, f.size)
-	if n.deliverObs != nil {
-		n.deliverObs(f.from, f.to, f.size)
-	}
-	if f.onDelivered != nil {
-		f.onDelivered()
-	}
+// Transmit is Send for a sender that acts on the outcome: onArrive is
+// Send's onDelivered, and onSent fires once on the sender's cell at the
+// first delivery's instant — the acknowledgement is not modelled as
+// traffic, the sender simply knows. A relay forwards from onArrive; a
+// retry chain resolves from onSent or onFailed.
+func (n *Network) Transmit(from, to NodeID, size int, onArrive, onSent, onFailed func()) {
+	n.send(from, to, size, true, onArrive, onSent, onFailed)
 }
 
 // SendPersistent models traffic over an already-established long-lived
 // connection (e.g. SGE's persistent execd channels): no connect cost and no
 // per-message socket churn — the caller is responsible for having opened
-// the socket once. The adversarial model (loss, duplication, partitions,
-// gray slowdown) applies exactly as in Send.
+// the socket once. Everything else is exactly Send.
 func (n *Network) SendPersistent(from, to NodeID, size int, onDelivered func(), onFailed func()) {
-	e := n.cluster.Engine
-	src := n.cluster.Node(from)
-	dst := n.cluster.Node(to)
-	src.Meter.CountMessage(true, size)
+	n.send(from, to, size, false, onDelivered, nil, onFailed)
+}
 
-	fail := func(after time.Duration) {
-		e.After(after, func() {
-			if onFailed != nil {
-				onFailed()
-			}
-		})
+func (n *Network) send(from, to NodeID, size int, connect bool, onArrive, onSent, onFailed func()) {
+	src, dst := n.cluster.nodes[from], n.cluster.nodes[to]
+	v := src.view
+	src.Meter.CountMessage(true, size)
+	if connect {
+		src.Meter.OpenSocket()
 	}
 
-	if n.unreachable(from, to) || n.lost() {
-		fail(n.cfg.ConnectTimeout)
+	f := &flight{n: n, src: src, dst: dst, size: int32(size), connect: connect, onArrive: onArrive, onSent: onSent, onFailed: onFailed}
+	if v.unreachable(from, to) || v.lost(v.e, n.cfg.LossProb) {
+		v.e.After(n.cfg.ConnectTimeout, f.timeout)
 		return
 	}
-	d := scale(n.TransferTime(size), n.faults.pathFactor(from, to))
-	if n.cfg.Jitter > 0 {
-		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
+
+	factor := v.pathFactor(from, to)
+	f.d = scale(n.TransferTime(size), factor)
+	if connect {
+		f.d += scale(n.cfg.ConnectCost, factor)
 	}
-	e.After(d, func() {
-		if n.unreachable(from, to) {
-			if onFailed != nil {
-				onFailed()
-			}
-			return
+	if n.cfg.Jitter > 0 {
+		f.d += time.Duration(v.rng.Int63n(int64(n.cfg.Jitter) + 1))
+	}
+	if dst.Cell != src.Cell {
+		n.after(v, dst.Cell, f.d, f.arrive)
+		// A sender with no socket to release, nobody to tell and no coin to
+		// draw has no half to run (persistent-channel heartbeats).
+		if connect || onSent != nil || onFailed != nil || n.cfg.DupProb > 0 {
+			v.e.After(f.d, f.sent)
 		}
-		dst.Meter.CountMessage(false, size)
-		if n.deliverObs != nil {
-			n.deliverObs(from, to, size)
-		}
-		if onDelivered != nil {
-			onDelivered()
-		}
-		if n.duplicated() {
-			e.After(n.cfg.Latency, func() {
-				if n.unreachable(from, to) {
-					return
-				}
-				dst.Meter.CountMessage(false, size)
-				if n.deliverObs != nil {
-					n.deliverObs(from, to, size)
-				}
-				if onDelivered != nil {
-					onDelivered()
-				}
-			})
-		}
-	})
+		return
+	}
+	v.e.After(f.d, f.land)
+}
+
+// after schedules fn on cell dst at d past v's now. Across cells d must be
+// at least one Latency — the group's lookahead — which every delivery time
+// is: pathFactor >= 1 and TransferTime >= Latency.
+func (n *Network) after(v *cellView, dst int, d time.Duration, fn func()) {
+	if dst == v.cell {
+		v.e.After(d, fn)
+		return
+	}
+	n.cluster.group.SendAfter(v.cell, dst, d-n.cfg.Latency, fn)
+}
+
+// flight is one message on the wire. Its methods are the events of the
+// message's life, so a message allocates one small object however many
+// events it takes — 64 bytes, which is why size is an int32 next to the
+// bool.
+type flight struct {
+	n                          *Network
+	src, dst                   *Node
+	size                       int32
+	connect                    bool
+	d                          time.Duration // modelled delivery time
+	onArrive, onSent, onFailed func()
+}
+
+// unreachable asks v, the replica of the cell the caller runs on.
+func (f *flight) unreachable(v *cellView) bool { return v.unreachable(f.src.ID, f.dst.ID) }
+
+// timeout fires on the sender's cell when its connect timeout expires on
+// a message that never arrived.
+func (f *flight) timeout() {
+	if f.connect {
+		f.src.Meter.CloseSocket()
+	}
+	if f.onFailed != nil {
+		f.onFailed()
+	}
+}
+
+// land is both halves in one event, for a message that stays on its cell.
+// The sender's half runs between the receiver's bookkeeping and its
+// callback: the order every one-cell trace was recorded in.
+func (f *flight) land() {
+	v := f.dst.view
+	if f.unreachable(v) {
+		f.undelivered(v)
+		return
+	}
+	f.receive(v, true)
+	f.release()
+	if f.onArrive != nil {
+		f.onArrive()
+	}
+	f.maybeDuplicate(v)
+}
+
+// arrive is the receiver's half, on the destination's cell. A destination
+// that failed — or was partitioned away — while the message was in flight
+// receives nothing; the sender's half reaches the same verdict from its
+// own replica.
+func (f *flight) arrive() {
+	v := f.dst.view
+	if f.unreachable(v) {
+		return
+	}
+	f.receive(v, true)
+	if f.onArrive != nil {
+		f.onArrive()
+	}
+}
+
+// sent is the sender's half, on the source's cell at the delivery instant.
+func (f *flight) sent() {
+	v := f.src.view
+	if f.unreachable(v) {
+		f.undelivered(v)
+		return
+	}
+	f.release()
+	f.maybeDuplicate(v)
+}
+
+// undelivered holds the sender — and its socket — for what remains of its
+// connect timeout.
+func (f *flight) undelivered(v *cellView) {
+	v.e.After(f.n.cfg.ConnectTimeout-f.d, f.timeout)
+}
+
+// receive is the destination's bookkeeping for one landing. Only the
+// first landing of a connection opens a socket: the receiving daemon holds
+// its accept socket one latency while processing, and a duplicate rides
+// the same accept.
+func (f *flight) receive(v *cellView, first bool) {
+	m := &f.dst.Meter
+	m.CountMessage(false, int(f.size))
+	if first && f.connect {
+		m.OpenSocket()
+		v.e.After(f.n.cfg.Latency, m.CloseSocket)
+	}
+}
+
+// release closes the sender's connect socket and tells it the message
+// landed.
+func (f *flight) release() {
+	if f.connect {
+		f.src.Meter.CloseSocket()
+	}
+	if f.onSent != nil {
+		f.onSent()
+	}
+}
+
+// maybeDuplicate draws the duplication coin on the sender's cell: a
+// retransmission after a lost ack lands the same payload a second time one
+// latency later, with no second acknowledgement.
+func (f *flight) maybeDuplicate(v *cellView) {
+	if v.duplicated(v.e, f.n.cfg.DupProb) {
+		f.n.after(v, f.dst.Cell, f.n.cfg.Latency, f.arriveAgain)
+	}
+}
+
+func (f *flight) arriveAgain() {
+	v := f.dst.view
+	if f.unreachable(v) {
+		return
+	}
+	f.receive(v, false)
+	if f.onArrive != nil {
+		f.onArrive()
+	}
 }

@@ -66,25 +66,24 @@ func TestLossLooksLikeDeadPeer(t *testing.T) {
 	}
 }
 
-// TestDupDeliversTwice: with DupProb=1 the payload lands twice — both the
-// observer and the delivery callback fire twice, which is exactly why
-// receivers (the comm layer's resolved guard) must be idempotent.
+// TestDupDeliversTwice: with DupProb=1 the payload lands twice — the
+// delivery callback fires twice, which is exactly why receivers (the comm
+// layer's arrived guard) must be idempotent — while the sender is told
+// once.
 func TestDupDeliversTwice(t *testing.T) {
 	c := newNetCluster(t, 2, NetConfig{DupProb: 1})
 	a, b := c.Computes()[0], c.Computes()[1]
 	arrivals, acks := 0, 0
-	c.Net.OnDeliver(func(from, to NodeID, size int) {
-		if from == a && to == b {
-			arrivals++
-		}
-	})
-	c.Net.Send(a, b, 100, func() { acks++ }, func() { t.Error("send failed") })
+	c.Net.Transmit(a, b, 100, func() { arrivals++ }, func() { acks++ }, func() { t.Error("send failed") })
 	c.Engine.Run()
 	if arrivals != 2 {
-		t.Errorf("receiver saw %d arrivals, want 2", arrivals)
+		t.Errorf("receiver saw %d arrivals, want 2 (receivers dedup)", arrivals)
 	}
-	if acks != 2 {
-		t.Errorf("delivery callback fired %d times, want 2 (receivers dedup)", acks)
+	if acks != 1 {
+		t.Errorf("sender told %d times, want 1", acks)
+	}
+	if in, _ := c.Node(b).Meter.Messages(); in != 2 {
+		t.Errorf("receiver counted %d messages, want 2", in)
 	}
 }
 
@@ -247,9 +246,8 @@ func TestDisabledFeaturesDrawNoRandomness(t *testing.T) {
 		e := simnet.NewEngine(17)
 		c := New(e, Config{Computes: 8, Satellites: 1, Net: net})
 		var at []time.Duration
-		c.Net.OnDeliver(func(from, to NodeID, size int) { at = append(at, e.Now()) })
 		for _, id := range c.Computes() {
-			c.Net.Send(c.Satellites()[0], id, 1000, func() {}, func() {})
+			c.Net.Send(c.Satellites()[0], id, 1000, func() { at = append(at, e.Now()) }, func() {})
 		}
 		e.Run()
 		return at

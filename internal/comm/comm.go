@@ -14,10 +14,13 @@
 // adopts the failed child's subtree.
 //
 // Determinism: all delivery, retry and adoption logic runs as events on
-// the broadcaster's engine, with backoff jitter drawn from labeled RNG
-// streams — same seed, same delivery schedule. The comm.* spans and
-// counters recorded through the obs layer are passive observations and
-// never alter that schedule.
+// the engine of the cell that owns the state it touches — a delivery
+// chain, its connection slot and its backoff jitter on the sender's cell,
+// relay forwarding on the receiver's, the Result on the origin's — with
+// jitter drawn from that cell's labeled RNG streams: same seed, same
+// delivery schedule, at any worker count. The comm.* spans and counters
+// recorded through the obs layer are passive observations and never alter
+// that schedule.
 package comm
 
 import (
@@ -139,9 +142,18 @@ type Broadcaster struct {
 	// span: the master sets it immediately before handing a sub-list to
 	// a Structure (which builds its tracker synchronously), and the
 	// tracker consumes and clears it. Zero — the default — makes
-	// broadcast spans roots.
+	// broadcast spans roots. The parent lives on the tracer of the
+	// origin's cell, where the caller is executing.
 	SpanParent obs.SpanID
 
+	cells []cellState // by cell
+}
+
+// cellState is the broadcaster's state on one cell: the connection slots
+// and retry stream of the senders homed there, and that cell's registry
+// handles. Only events of that cell touch it while the group runs.
+type cellState struct {
+	e        *simnet.Engine
 	limiters map[cluster.NodeID]*limiter
 	retryRng *rand.Rand
 	in       *instruments
@@ -175,10 +187,10 @@ func broadcastElapsedBounds() []int64 {
 	}
 }
 
-func (b *Broadcaster) inst() *instruments {
-	if b.in == nil {
-		m := b.engine().Metrics()
-		b.in = &instruments{
+func (st *cellState) inst() *instruments {
+	if st.in == nil {
+		m := st.e.Metrics()
+		st.in = &instruments{
 			delivered:   m.Counter("comm.delivered"),
 			unreachable: m.Counter("comm.unreachable"),
 			messages:    m.Counter("comm.messages"),
@@ -187,23 +199,46 @@ func (b *Broadcaster) inst() *instruments {
 			elapsed:     m.Histogram("comm.broadcast_elapsed_ns", broadcastElapsedBounds()),
 		}
 	}
-	return b.in
+	return st.in
 }
 
 // NewBroadcaster returns a Broadcaster with the paper's defaults.
 func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
-	return &Broadcaster{
+	b := &Broadcaster{
 		Cluster:          c,
 		Retries:          3,
 		SendOverhead:     30 * time.Microsecond,
 		RelayOverhead:    200 * time.Microsecond,
 		MaxConcurrent:    128,
 		PerNodeListBytes: 16,
-		limiters:         make(map[cluster.NodeID]*limiter),
+		cells:            make([]cellState, c.Group().Cells()),
 	}
+	for i := range b.cells {
+		b.cells[i] = cellState{e: c.Group().Cell(i), limiters: make(map[cluster.NodeID]*limiter)}
+	}
+	return b
 }
 
-func (b *Broadcaster) engine() *simnet.Engine { return b.Cluster.Engine }
+// on returns the broadcaster's state on id's home cell.
+func (b *Broadcaster) on(id cluster.NodeID) *cellState { return &b.cells[b.Cluster.Node(id).Cell] }
+
+// spanRef locates a span across cells: the tracer that recorded it (cell)
+// and its id there. The zero id means "no parent".
+type spanRef struct {
+	cell int
+	id   obs.SpanID
+}
+
+// under returns the parent id and attributes for a span recorded on cell
+// under parent: a same-cell parent links directly; a remote one rides the
+// "xparent" attribute (obs.CellRef), which critpath.FromCells resolves
+// when it flattens the per-cell recordings into one DAG.
+func (p spanRef) under(cell int, attrs []obs.Attr) (obs.SpanID, []obs.Attr) {
+	if p.id != 0 && p.cell != cell {
+		return 0, append([]obs.Attr{obs.String("xparent", obs.CellRef(p.cell, p.id))}, attrs...)
+	}
+	return p.id, attrs
+}
 
 // limiter serializes access to a sender's connection slots.
 type limiter struct {
@@ -212,11 +247,11 @@ type limiter struct {
 	queue []func()
 }
 
-func (b *Broadcaster) limiter(id cluster.NodeID) *limiter {
-	l, ok := b.limiters[id]
+func (st *cellState) limiter(id cluster.NodeID, max int) *limiter {
+	l, ok := st.limiters[id]
 	if !ok {
-		l = &limiter{max: b.MaxConcurrent}
-		b.limiters[id] = l
+		l = &limiter{max: max}
+		st.limiters[id] = l
 	}
 	return l
 }
@@ -251,38 +286,50 @@ func (b *Broadcaster) maxAttempts() int {
 	return b.Retries
 }
 
-// retryDelay returns how long to wait before attempt number next (jitter
-// included). The fixed-count legacy policy retries immediately.
-func (b *Broadcaster) retryDelay(next int) time.Duration {
+// retryDelay returns how long a sender on st's cell waits before attempt
+// number next (jitter included). The fixed-count legacy policy retries
+// immediately.
+func (b *Broadcaster) retryDelay(st *cellState, next int) time.Duration {
 	p := b.Retry
 	if p == nil {
 		return 0
 	}
 	d := p.backoff(next)
 	if p.JitterFrac > 0 && d > 0 {
-		if b.retryRng == nil {
-			b.retryRng = b.engine().Rand("comm/retry")
+		if st.retryRng == nil {
+			st.retryRng = st.e.Rand("comm/retry")
 		}
 		if span := int64(float64(d) * p.JitterFrac); span > 0 {
-			d += time.Duration(b.retryRng.Int63n(span))
+			d += time.Duration(st.retryRng.Int63n(span))
 		}
 	}
 	return d
 }
 
+// tally counts the link messages one broadcast sent from one cell. A
+// chain adds to its sender's cell's tally when an attempt begins; the
+// origin sums the cells when the broadcast finishes. That read is ordered
+// after every write: an attempt begins at least one link latency before
+// its outcome can reach another cell, hence in an earlier window.
+type tally struct{ messages, retries int }
+
 // send delivers one message with retries, occupying a connection slot of
-// the sender from dispatch until resolution. cb receives true on delivery,
-// exactly once: duplicated deliveries (NetConfig.DupProb) are deduplicated
-// here, so Delivered never double-counts a target. parent, when tracing
-// is enabled, parents the delivery-chain span (comm.send) under the
-// broadcast that issued it.
-func (b *Broadcaster) send(from, to cluster.NodeID, size int, res *Result, parent obs.SpanID, cb func(ok bool)) {
-	c := &chain{b: b, lim: b.limiter(from), from: from, to: to, size: size, res: res, cb: cb}
-	b.inst().outstanding.Add(1)
+// the sender from dispatch until resolution, all on the sender's cell.
+// onArrive (may be nil) runs on the receiver's cell when the payload first
+// lands: duplicated deliveries (NetConfig.DupProb) are deduplicated here,
+// so a relay forwards once. cb runs on the sender's cell with true on
+// delivery, exactly once. tl (may be nil) is the broadcast's tally for the
+// sender's cell. parent, when tracing is enabled, parents the
+// delivery-chain span (comm.send) under the broadcast that issued it.
+func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent spanRef, onArrive func(), cb func(ok bool)) {
+	st := b.on(from)
+	c := &chain{b: b, st: st, lim: st.limiter(from, b.MaxConcurrent), from: from, to: to, size: size, tl: tl, onArrive: onArrive, cb: cb}
+	st.inst().outstanding.Add(1)
 	// The attributes are formatted strings: only a recording tracer pays
 	// for them.
-	if tr := b.engine().Tracer(); tr != nil {
-		c.span = tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
+	if tr := st.e.Tracer(); tr != nil {
+		p, attrs := parent.under(b.Cluster.Node(from).Cell, []obs.Attr{obs.Int("from", int(from)), obs.Int("to", int(to))})
+		c.span = tr.Start("comm.send", p, attrs...)
 	}
 	c.lim.acquire(c.begin)
 }
@@ -296,44 +343,62 @@ func (b *Broadcaster) send(from, to cluster.NodeID, size int, res *Result, paren
 // garbage they make.
 type chain struct {
 	b        *Broadcaster
+	st       *cellState // the sender's cell
 	lim      *limiter
 	from, to cluster.NodeID
 	size     int
-	res      *Result
+	tl       *tally
 	span     obs.SpanID
+	onArrive func()
 	cb       func(ok bool)
-
-	attempts int
-	resolved bool
 	start    time.Duration // when the chain got its slot; the deadline runs from here
+
+	attempts int32
+	resolved bool
+	arrived  bool // the receiver's cell's only word in the chain
 }
 
 // begin runs once the sender has a free connection slot.
 func (c *chain) begin() {
-	c.start = c.b.engine().Now()
+	c.start = c.st.e.Now()
 	c.attempt()
 }
 
 func (c *chain) attempt() {
-	b, in := c.b, c.b.inst()
+	b, in := c.b, c.st.inst()
 	c.attempts++
-	c.res.Messages++
 	in.messages.Inc()
+	if c.tl != nil {
+		c.tl.messages++
+	}
 	if c.attempts > 1 {
-		c.res.Retries++
 		in.retries.Inc()
-		b.engine().Tracer().Instant("comm.retry", c.span, obs.Int("attempt", c.attempts))
+		if c.tl != nil {
+			c.tl.retries++
+		}
+		c.st.e.Tracer().Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
 	}
 	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
-	b.engine().After(b.SendOverhead, c.transmit)
+	c.st.e.After(b.SendOverhead, c.transmit)
 }
 
 func (c *chain) transmit() {
-	c.b.Cluster.Net.Send(c.from, c.to, c.size, c.delivered, c.failed)
+	var arrive func() // a method value is an allocation; most chains have no relay behind them
+	if c.onArrive != nil {
+		arrive = c.arrive
+	}
+	c.b.Cluster.Net.Transmit(c.from, c.to, c.size, arrive, c.delivered, c.failed)
 }
 
-// delivered may fire twice for one attempt (NetConfig.DupProb) and
-// after the chain has already resolved; only the first resolution counts.
+// arrive runs on the receiver's cell at every landing of the payload; only
+// the first counts.
+func (c *chain) arrive() {
+	if !c.arrived {
+		c.arrived = true
+		c.onArrive()
+	}
+}
+
 func (c *chain) delivered() {
 	if !c.resolved {
 		c.settle(true)
@@ -345,12 +410,12 @@ func (c *chain) failed() {
 		return
 	}
 	b := c.b
-	if c.attempts >= b.maxAttempts() || b.pastDeadline(c.start) {
+	if int(c.attempts) >= b.maxAttempts() || c.pastDeadline() {
 		c.settle(false)
 		return
 	}
-	if d := b.retryDelay(c.attempts + 1); d > 0 {
-		b.engine().After(d, c.afterBackoff)
+	if d := b.retryDelay(c.st, int(c.attempts)+1); d > 0 {
+		c.st.e.After(d, c.afterBackoff)
 		return
 	}
 	c.attempt()
@@ -363,7 +428,7 @@ func (c *chain) failed() {
 func (c *chain) afterBackoff() {
 	switch {
 	case c.resolved:
-	case c.b.pastDeadline(c.start):
+	case c.pastDeadline():
 		c.settle(false)
 	default:
 		c.attempt()
@@ -372,9 +437,9 @@ func (c *chain) afterBackoff() {
 
 func (c *chain) settle(ok bool) {
 	c.resolved = true
-	c.b.inst().outstanding.Add(-1)
-	tr := c.b.engine().Tracer()
-	tr.SetAttrInt(c.span, "attempts", c.attempts)
+	c.st.inst().outstanding.Add(-1)
+	tr := c.st.e.Tracer()
+	tr.SetAttrInt(c.span, "attempts", int(c.attempts))
 	if !ok {
 		tr.SetAttr(c.span, "ok", "false")
 	}
@@ -383,83 +448,142 @@ func (c *chain) settle(ok bool) {
 	c.cb(ok)
 }
 
-// pastDeadline reports whether a delivery chain begun at start has
-// exhausted the policy's per-chain deadline.
-func (b *Broadcaster) pastDeadline(start time.Duration) bool {
-	return b.Retry != nil && b.Retry.Deadline > 0 && b.engine().Now()-start >= b.Retry.Deadline
+// pastDeadline reports whether the chain has exhausted the policy's
+// per-chain deadline.
+func (c *chain) pastDeadline() bool {
+	r := c.b.Retry
+	return r != nil && r.Deadline > 0 && c.st.e.Now()-c.start >= r.Deadline
 }
 
 // OutstandingSends returns the number of delivery chains currently in
 // flight (holding or queued for a connection slot) across all senders.
 // Zero means the communication layer is fully drained — a teardown
-// invariant the chaos harness checks. The count lives in the registry
-// gauge comm.outstanding_sends; this accessor is the back-compat view.
-func (b *Broadcaster) OutstandingSends() int { return int(b.inst().outstanding.Value()) }
+// invariant the chaos harness checks. The count lives in each cell's
+// registry gauge comm.outstanding_sends; this accessor sums them, so call
+// it while the group is idle.
+func (b *Broadcaster) OutstandingSends() int {
+	n := 0
+	for i := range b.cells {
+		if in := b.cells[i].in; in != nil { // a cell that never sent has none
+			n += int(in.outstanding.Value())
+		}
+	}
+	return n
+}
 
-// relayDelay returns the relay processing cost at a node: RelayOverhead,
-// inflated by the node's gray-failure factor when it is degraded.
+// relayDelay returns the relay processing cost at a node, as seen from
+// its own cell: RelayOverhead, inflated by the node's gray-failure factor
+// when it is degraded.
 func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
-	g := b.Cluster.Net.GrayFactor(id)
+	g := b.Cluster.Net.GrayFactorOn(id, id)
 	if g <= 1 {
 		return b.RelayOverhead
 	}
 	return time.Duration(float64(b.RelayOverhead) * g)
 }
 
-// Send delivers one point-to-point message with the broadcaster's retry
-// policy, outside of any broadcast. cb receives true on delivery, false
-// once all attempts are exhausted. Used by the master daemon for
-// master↔satellite task hand-offs and heartbeats. The delivery-chain
-// span, if tracing is on, is parented under the consumed SpanParent.
-func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
-	var scratch Result
-	parent := b.SpanParent
-	b.SpanParent = 0
-	b.send(from, to, size, &scratch, parent, cb)
+// relay charges id's relay cost and runs forward on id's cell once it has
+// been paid.
+func (b *Broadcaster) relay(id cluster.NodeID, forward func()) {
+	d := b.relayDelay(id)
+	b.Cluster.Node(id).Meter.ChargeCPU(d)
+	b.Cluster.EngineOf(id).After(d, forward)
 }
 
-// tracker counts outstanding deliveries and finalizes the Result. It
-// also owns the broadcast's root span (comm.broadcast) and feeds the
-// registry's delivery counters and latency histogram.
+// handoff runs fn on to's cell: now when from shares it — the order every
+// one-cell trace was recorded in — else one link latency later, over the
+// group's cross-cell mail. With the wire (cluster.Network.send) it is the
+// only place that asks whether two nodes share a cell.
+func (b *Broadcaster) handoff(from, to cluster.NodeID, fn func()) {
+	src, dst := b.Cluster.Node(from).Cell, b.Cluster.Node(to).Cell
+	if src == dst {
+		fn()
+		return
+	}
+	b.Cluster.Group().SendAfter(src, dst, 0, fn)
+}
+
+// Send delivers one point-to-point message with the broadcaster's retry
+// policy, outside of any broadcast. cb runs on from's cell with true on
+// delivery, false once all attempts are exhausted. Used by the master
+// daemon for master↔satellite task hand-offs and heartbeats. The
+// delivery-chain span, if tracing is on, is parented under the consumed
+// SpanParent.
+func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
+	parent := spanRef{b.Cluster.Node(from).Cell, b.SpanParent}
+	b.SpanParent = 0
+	b.send(from, to, size, nil, parent, nil, cb)
+}
+
+// tracker counts outstanding deliveries and finalizes the Result, on the
+// origin's cell. It also owns the broadcast's root span (comm.broadcast)
+// and feeds the registry's delivery counters and latency histogram.
 type tracker struct {
 	b       *Broadcaster
-	engine  *simnet.Engine
+	origin  cluster.NodeID
+	st      *cellState // the origin's cell
+	span    spanRef
 	start   time.Duration
 	pending int
+	tallies []tally // by cell
 	res     Result
 	done    func(Result)
-	span    obs.SpanID
 }
 
-func newTracker(b *Broadcaster, structure string, pending int, done func(Result)) *tracker {
-	e := b.engine()
-	t := &tracker{b: b, engine: e, start: e.Now(), pending: pending, done: done}
-	parent := b.SpanParent
+func newTracker(b *Broadcaster, origin cluster.NodeID, structure string, pending int, done func(Result)) *tracker {
+	st := b.on(origin)
+	t := &tracker{b: b, origin: origin, st: st, start: st.e.Now(), pending: pending, tallies: make([]tally, len(b.cells)), done: done}
+	t.span = spanRef{b.Cluster.Node(origin).Cell, st.e.Tracer().Start("comm.broadcast", b.SpanParent,
+		obs.String("structure", structure), obs.Int("targets", pending))}
 	b.SpanParent = 0
-	t.span = e.Tracer().Start("comm.broadcast", parent,
-		obs.String("structure", structure), obs.Int("targets", pending))
 	if pending == 0 {
 		t.finish()
 	}
 	return t
 }
 
-func (t *tracker) resolve(res *Result, id cluster.NodeID, ok bool) {
+// send runs one of the broadcast's delivery chains (see Broadcaster.send).
+func (t *tracker) send(from, to cluster.NodeID, size int, onArrive func(), cb func(ok bool)) {
+	t.b.send(from, to, size, &t.tallies[t.b.Cluster.Node(from).Cell], t.span, onArrive, cb)
+}
+
+// adopted records a comm.adopt instant on from's cell: from takes over the
+// children of a relay it could not reach.
+func (t *tracker) adopted(from, failed cluster.NodeID, children int) {
+	if tr := t.b.Cluster.EngineOf(from).Tracer(); tr != nil {
+		p, attrs := t.span.under(t.b.Cluster.Node(from).Cell, []obs.Attr{obs.Int("failed", int(failed)), obs.Int("children", children)})
+		tr.Instant("comm.adopt", p, attrs...)
+	}
+}
+
+// resolve reports one target's outcome, reached now on sender's cell, to
+// the tracker.
+func (t *tracker) resolve(sender, id cluster.NodeID, ok bool) {
+	if t.b.Cluster.Node(sender).Cell == t.span.cell {
+		t.settle(id, ok, t.st.e.Now())
+		return
+	}
+	at := t.b.Cluster.EngineOf(sender).Now()
+	t.b.handoff(sender, t.origin, func() { t.settle(id, ok, at) })
+}
+
+// settle books one target's outcome, reached at virtual time at.
+func (t *tracker) settle(id cluster.NodeID, ok bool, at time.Duration) {
 	if t.b.OnResolve != nil {
 		t.b.OnResolve(id, ok)
 	}
 	if ok {
-		res.Delivered++
-		t.b.inst().delivered.Inc()
+		t.res.Delivered++
+		t.st.inst().delivered.Inc()
 		if t.b.RecordResolved {
-			res.Resolved = append(res.Resolved, id)
+			t.res.Resolved = append(t.res.Resolved, id)
 		}
-		if d := t.engine.Now() - t.start; d > res.DeliveredElapsed {
-			res.DeliveredElapsed = d
+		if d := at - t.start; d > t.res.DeliveredElapsed {
+			t.res.DeliveredElapsed = d
 		}
 	} else {
-		res.Unreachable = append(res.Unreachable, id)
-		t.b.inst().unreachable.Inc()
+		t.res.Unreachable = append(t.res.Unreachable, id)
+		t.st.inst().unreachable.Inc()
 	}
 	t.pending--
 	if t.pending == 0 {
@@ -467,15 +591,17 @@ func (t *tracker) resolve(res *Result, id cluster.NodeID, ok bool) {
 	}
 }
 
-func (t *tracker) add(n int) { t.pending += n }
-
 func (t *tracker) finish() {
-	t.res.Elapsed = t.engine.Now() - t.start
-	t.b.inst().elapsed.Observe(int64(t.res.Elapsed))
-	if tr := t.engine.Tracer(); tr != nil {
-		tr.SetAttrInt(t.span, "delivered", t.res.Delivered)
-		tr.SetAttrInt(t.span, "unreachable", len(t.res.Unreachable))
-		tr.End(t.span)
+	for _, tl := range t.tallies {
+		t.res.Messages += tl.messages
+		t.res.Retries += tl.retries
+	}
+	t.res.Elapsed = t.st.e.Now() - t.start
+	t.st.inst().elapsed.Observe(int64(t.res.Elapsed))
+	if tr := t.st.e.Tracer(); tr != nil {
+		tr.SetAttrInt(t.span.id, "delivered", t.res.Delivered)
+		tr.SetAttrInt(t.span.id, "unreachable", len(t.res.Unreachable))
+		tr.End(t.span.id)
 	}
 	if t.done != nil {
 		t.done(t.res)
@@ -487,8 +613,9 @@ type Structure interface {
 	// Name identifies the structure in experiment output.
 	Name() string
 	// Broadcast delivers size payload bytes from origin to targets and
-	// invokes done exactly once with the outcome. The targets slice is not
-	// retained.
+	// invokes done exactly once with the outcome, on origin's cell. It is
+	// called from an event on that cell (or while the group is idle). The
+	// targets slice is not retained.
 	Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result))
 }
 
@@ -505,10 +632,10 @@ func (Star) Name() string { return "star" }
 
 // Broadcast implements Structure.
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "star", len(targets), done)
+	t := newTracker(b, origin, "star", len(targets), done)
 	for _, id := range targets {
 		id := id
-		b.send(origin, id, size, &t.res, t.span, func(ok bool) { t.resolve(&t.res, id, ok) })
+		t.send(origin, id, size, nil, func(ok bool) { t.resolve(origin, id, ok) })
 	}
 }
 
@@ -524,7 +651,7 @@ func (Ring) Name() string { return "ring" }
 
 // Broadcast implements Structure.
 func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "ring", len(targets), done)
+	t := newTracker(b, origin, "ring", len(targets), done)
 	ids := append([]cluster.NodeID(nil), targets...)
 	var hop func(from cluster.NodeID, idx int)
 	hop = func(from cluster.NodeID, idx int) {
@@ -534,17 +661,15 @@ func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.N
 		to := ids[idx]
 		// The relay message carries the remaining list.
 		sz := size + (len(ids)-idx)*b.PerNodeListBytes
-		b.send(from, to, sz, &t.res, t.span, func(ok bool) {
-			t.resolve(&t.res, to, ok)
-			if ok {
-				d := b.relayDelay(to)
-				b.Cluster.Node(to).Meter.ChargeCPU(d)
-				b.engine().After(d, func() { hop(to, idx+1) })
-			} else {
-				// Skip the dead node: the same sender tries its successor.
-				hop(from, idx+1)
-			}
-		})
+		t.send(from, to, sz,
+			func() { b.relay(to, func() { hop(to, idx+1) }) },
+			func(ok bool) {
+				t.resolve(from, to, ok)
+				if !ok {
+					// Skip the dead node: the same sender tries its successor.
+					hop(from, idx+1)
+				}
+			})
 	}
 	hop(origin, 0)
 }
@@ -567,42 +692,43 @@ type SharedMem struct {
 // Name returns "sharedmem".
 func (SharedMem) Name() string { return "sharedmem" }
 
-// Broadcast implements Structure.
+// Broadcast implements Structure. The service is the model: its queue, the
+// fetch outcomes and the liveness it observes all live on the origin's
+// cell; only a fetcher's message counter is told on its own.
 func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	st := s.ServiceTime
 	if st == 0 {
 		st = 1200 * time.Microsecond
 	}
-	e := b.engine()
-	t := newTracker(b, "sharedmem", len(targets), done)
+	e := b.Cluster.EngineOf(origin)
+	t := newTracker(b, origin, "sharedmem", len(targets), done)
+	msgs := &t.tallies[t.span.cell]
 	// Publish: one write into the shared segment.
 	b.Cluster.Node(origin).Meter.ChargeCPU(b.SendOverhead)
 	timeout := b.Cluster.Net.Config().ConnectTimeout
 	queue := time.Duration(0)
 	for _, id := range targets {
 		id := id
-		if b.Cluster.Node(id).Failed() {
+		if b.Cluster.FailedOn(origin, id) {
 			// A failed node never issues its fetch; the service notices
 			// the missing ack after its timeout when collecting results.
-			e.After(timeout, func() {
-				t.resolve(&t.res, id, false)
-			})
+			e.After(timeout, func() { t.settle(id, false, e.Now()) })
 			continue
 		}
 		queue += st
 		delay := queue + b.Cluster.Net.TransferTime(size)
-		t.res.Messages++
-		b.inst().messages.Inc()
+		msgs.messages++
+		t.st.inst().messages.Inc()
 		e.After(delay, func() {
 			// The node may have failed while queued behind earlier fetches
 			// (a mid-broadcast failure): its fetch never happens and the
 			// service notices the missing ack after its timeout.
-			if b.Cluster.Node(id).Failed() {
-				e.After(timeout, func() { t.resolve(&t.res, id, false) })
+			if b.Cluster.FailedOn(origin, id) {
+				e.After(timeout, func() { t.settle(id, false, e.Now()) })
 				return
 			}
-			b.Cluster.Node(id).Meter.CountMessage(false, size)
-			t.resolve(&t.res, id, true)
+			b.handoff(origin, id, func() { b.Cluster.Node(id).Meter.CountMessage(false, size) })
+			t.settle(id, true, e.Now())
 		})
 	}
 }
@@ -630,55 +756,50 @@ func (k KTree) width() int {
 
 // Broadcast implements Structure.
 func (k KTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	span := b.engine().Tracer().Start("fptree.build", b.SpanParent,
+	trc := b.Cluster.EngineOf(origin).Tracer()
+	span := trc.Start("fptree.build", b.SpanParent,
 		obs.Int("targets", len(targets)), obs.Int("width", k.width()))
 	tr := fptree.Build(append([]cluster.NodeID(nil), targets...), k.width())
-	b.engine().Tracer().End(span)
+	trc.End(span)
 	broadcastTree(b, "tree", origin, tr, size, done)
 }
 
-// broadcastTree relays a payload down a materialized tree with parent-
-// adoption fault tolerance.
-func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	e := b.engine()
-	t := newTracker(b, structure, tr.Size(), done)
-
-	var dispatch func(from cluster.NodeID, n *fptree.Node[cluster.NodeID])
-	subtreeSize := func(n *fptree.Node[cluster.NodeID]) int {
-		// Count nodes in the subtree for message sizing.
-		c := 1
-		var rec func(m *fptree.Node[cluster.NodeID])
-		rec = func(m *fptree.Node[cluster.NodeID]) {
-			for _, ch := range m.Children {
-				c++
-				rec(ch)
-			}
-		}
-		rec(n)
-		return c
+// subtreeCount returns the node count of a subtree (message sizing).
+func subtreeCount(n *fptree.Node[cluster.NodeID]) int {
+	c := 1
+	for _, ch := range n.Children {
+		c += subtreeCount(ch)
 	}
+	return c
+}
+
+// broadcastTree relays a payload down a materialized tree with parent-
+// adoption fault tolerance. The tree is built once on the origin's cell
+// and only read afterwards.
+func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
+	t := newTracker(b, origin, structure, tr.Size(), done)
+	var dispatch func(from cluster.NodeID, n *fptree.Node[cluster.NodeID])
 	dispatch = func(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
-		sz := size + subtreeSize(n)*b.PerNodeListBytes
-		b.send(from, n.Value, sz, &t.res, t.span, func(ok bool) {
-			t.resolve(&t.res, n.Value, ok)
-			if ok {
-				if len(n.Children) == 0 {
-					return
-				}
-				d := b.relayDelay(n.Value)
-				b.Cluster.Node(n.Value).Meter.ChargeCPU(d)
-				e.After(d, func() {
+		sz := size + subtreeCount(n)*b.PerNodeListBytes
+		var forward func()
+		if len(n.Children) > 0 {
+			forward = func() {
+				b.relay(n.Value, func() {
 					for _, ch := range n.Children {
 						dispatch(n.Value, ch)
 					}
 				})
+			}
+		}
+		t.send(from, n.Value, sz, forward, func(ok bool) {
+			t.resolve(from, n.Value, ok)
+			if ok {
 				return
 			}
 			// Fault tolerance: the parent adopts the failed child's
 			// children and contacts them directly.
 			if len(n.Children) > 0 {
-				e.Tracer().Instant("comm.adopt", t.span,
-					obs.Int("failed", int(n.Value)), obs.Int("children", len(n.Children)))
+				t.adopted(from, n.Value, len(n.Children))
 			}
 			for _, ch := range n.Children {
 				dispatch(from, ch)
@@ -687,10 +808,6 @@ func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *
 	}
 	for _, r := range tr.Roots {
 		dispatch(origin, r)
-	}
-	if len(tr.Roots) == 0 {
-		// Empty target list: tracker already finished.
-		_ = t
 	}
 }
 
@@ -757,7 +874,7 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 	if pred == nil {
 		pred = predict.Null{}
 	}
-	trc := b.engine().Tracer()
+	trc := b.Cluster.EngineOf(origin).Tracer()
 	span := trc.Start("fptree.plan", b.SpanParent,
 		obs.Int("targets", len(targets)), obs.Int("width", f.width()))
 	list := f.Plan(targets)
@@ -770,7 +887,7 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 		f.Stats.NodesTotal += len(list)
 		slots := fptree.LeafSlots(len(list), f.width())
 		for i, id := range list {
-			if b.Cluster.Node(id).Failed() {
+			if b.Cluster.FailedOn(origin, id) {
 				f.Stats.FailedEncountered++
 				if slots[i] && pred.Predicted(id) {
 					f.Stats.FailedAtLeaves++
@@ -797,7 +914,7 @@ func (Binomial) Name() string { return "binomial" }
 
 // Broadcast implements Structure.
 func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "binomial", len(targets), done)
+	t := newTracker(b, origin, "binomial", len(targets), done)
 	ids := append([]cluster.NodeID(nil), targets...)
 
 	// relay(holder, lo, hi): holder (origin for the root call, otherwise
@@ -811,25 +928,21 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 			return
 		}
 		head := ids[lo]
+		mid := lo + 1 + (hi-lo-1)/2
 		sz := size + (hi-lo)*b.PerNodeListBytes
-		b.send(holder, head, sz, &t.res, t.span, func(ok bool) {
-			t.resolve(&t.res, head, ok)
-			mid := lo + 1 + (hi-lo-1)/2
-			if ok {
-				d := b.relayDelay(head)
-				b.Cluster.Node(head).Meter.ChargeCPU(d)
-				b.engine().After(d, func() { relay(head, mid, hi) })
+		t.send(holder, head, sz,
+			func() { b.relay(head, func() { relay(head, mid, hi) }) },
+			func(ok bool) {
+				t.resolve(holder, head, ok)
+				if !ok {
+					// Fault tolerance: the holder keeps both halves.
+					if hi-lo > 1 {
+						t.adopted(holder, head, hi-lo-1)
+					}
+					relay(holder, mid, hi)
+				}
 				relay(holder, lo+1, mid)
-				return
-			}
-			// Fault tolerance: the holder keeps both halves.
-			if hi-lo > 1 {
-				b.engine().Tracer().Instant("comm.adopt", t.span,
-					obs.Int("failed", int(head)), obs.Int("children", hi-lo-1))
-			}
-			relay(holder, mid, hi)
-			relay(holder, lo+1, mid)
-		})
+			})
 	}
 	relay(origin, 0, len(ids))
 }

@@ -54,10 +54,22 @@ func (g GatherTree) ackBytes() int {
 	return g.AckBytesPerNode
 }
 
-// subReply is one subtree's merged acknowledgement.
+// subReply is one subtree's merged acknowledgement: who was reached, who
+// was not, and when the payload last landed in the subtree. It travels up
+// with the aggregate message, so each level's copy is only ever touched
+// on the cell of the node currently holding it.
 type subReply struct {
-	ok  []cluster.NodeID
-	bad []cluster.NodeID
+	ok   []cluster.NodeID
+	bad  []cluster.NodeID
+	last time.Duration // virtual time of the subtree's last delivery
+}
+
+func (r *subReply) merge(sub subReply) {
+	r.ok = append(r.ok, sub.ok...)
+	r.bad = append(r.bad, sub.bad...)
+	if sub.last > r.last {
+		r.last = sub.last
+	}
 }
 
 // Broadcast implements Structure: done fires when the origin holds the
@@ -70,144 +82,121 @@ func (g GatherTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []c
 	})
 }
 
-// BroadcastGather runs the broadcast+gather and reports the GatherResult.
+// BroadcastGather runs the broadcast+gather and reports the GatherResult
+// on origin's cell. OnResolve fires where each link resolves: on the
+// cell of the node that sent the payload.
 func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(GatherResult)) {
-	e := b.engine()
+	st := b.on(origin)
+	e := st.e
 	start := e.Now()
 	pred := g.Predictor
 	if pred == nil {
 		pred = predict.Null{}
 	}
 	trc := e.Tracer()
-	span := trc.Start("comm.broadcast", b.SpanParent,
-		obs.String("structure", "gathertree"), obs.Int("targets", len(targets)))
+	span := spanRef{b.Cluster.Node(origin).Cell, trc.Start("comm.broadcast", b.SpanParent,
+		obs.String("structure", "gathertree"), obs.Int("targets", len(targets)))}
 	b.SpanParent = 0
-	planSpan := trc.Start("fptree.plan", span, obs.Int("targets", len(targets)), obs.Int("width", g.width()))
+	planSpan := trc.Start("fptree.plan", span.id, obs.Int("targets", len(targets)), obs.Int("width", g.width()))
 	list := fptree.Rearrange(targets, func(id cluster.NodeID) bool { return pred.Predicted(id) }, g.width())
 	trc.End(planSpan)
-	buildSpan := trc.Start("fptree.build", span, obs.Int("targets", len(list)))
+	buildSpan := trc.Start("fptree.build", span.id, obs.Int("targets", len(list)))
 	tr := fptree.Build(list, g.width())
 	trc.End(buildSpan)
 
 	res := GatherResult{}
-	var lastDelivery time.Duration
+	tallies := make([]tally, len(b.cells))
+	send := func(from, to cluster.NodeID, size int, onArrive func(), cb func(ok bool)) {
+		b.send(from, to, size, &tallies[b.Cluster.Node(from).Cell], span, onArrive, cb)
+	}
 
-	subtreeSize := func(n *fptree.Node[cluster.NodeID]) int {
-		c := 1
-		var rec func(m *fptree.Node[cluster.NodeID])
-		rec = func(m *fptree.Node[cluster.NodeID]) {
-			for _, ch := range m.Children {
-				c++
-				rec(ch)
-			}
+	// collect visits every child from `from` and invokes then, on from's
+	// cell, once all their replies are merged into into.
+	var visit func(from cluster.NodeID, n *fptree.Node[cluster.NodeID], reply func(subReply))
+	collect := func(from cluster.NodeID, children []*fptree.Node[cluster.NodeID], into *subReply, then func()) {
+		pending := len(children)
+		if pending == 0 {
+			then()
+			return
 		}
-		rec(n)
-		return c
+		for _, ch := range children {
+			visit(from, ch, func(r subReply) {
+				into.merge(r)
+				pending--
+				if pending == 0 {
+					then()
+				}
+			})
+		}
 	}
 
 	// visit delivers the payload to n's subtree from `from` and invokes
-	// reply exactly once with the subtree's merged acknowledgement.
-	var visit func(from cluster.NodeID, n *fptree.Node[cluster.NodeID], reply func(subReply))
+	// reply exactly once, on from's cell, with the subtree's merged
+	// acknowledgement.
 	visit = func(from cluster.NodeID, n *fptree.Node[cluster.NodeID], reply func(subReply)) {
-		sz := size + subtreeSize(n)*b.PerNodeListBytes
-		b.send(from, n.Value, sz, &res.Result, span, func(delivered bool) {
-			if !delivered {
-				// Adoption: `from` contacts the dead child's children
-				// directly and merges their replies itself.
+		sz := size + subtreeCount(n)*b.PerNodeListBytes
+		send(from, n.Value, sz,
+			func() { // the payload is at n: relay down, merge, aggregate up
+				merged := &subReply{ok: []cluster.NodeID{n.Value}, last: b.Cluster.EngineOf(n.Value).Now()}
+				b.Cluster.EngineOf(n.Value).After(b.relayDelay(n.Value), func() {
+					collect(n.Value, n.Children, merged, func() {
+						// The aggregate travels up as one real message sized by the
+						// subtree's node count. A lost aggregate (parent died) is
+						// degraded to local bookkeeping so the gather still
+						// terminates.
+						aggSz := (len(merged.ok) + len(merged.bad)) * g.ackBytes()
+						send(n.Value, from, aggSz,
+							func() { reply(*merged) },
+							func(ok bool) {
+								if !ok {
+									b.handoff(n.Value, from, func() { reply(*merged) })
+								}
+							})
+					})
+				})
+			},
+			func(delivered bool) {
 				if b.OnResolve != nil {
-					b.OnResolve(n.Value, false)
+					b.OnResolve(n.Value, delivered)
 				}
-				merged := subReply{bad: []cluster.NodeID{n.Value}}
-				pending := len(n.Children)
-				if pending == 0 {
-					reply(merged)
-					return
-				}
-				for _, ch := range n.Children {
-					visit(from, ch, func(r subReply) {
-						merged.ok = append(merged.ok, r.ok...)
-						merged.bad = append(merged.bad, r.bad...)
-						pending--
-						if pending == 0 {
-							reply(merged)
-						}
-					})
-				}
-				return
-			}
-			if d := e.Now() - start; d > lastDelivery {
-				lastDelivery = d
-			}
-			if b.OnResolve != nil {
-				b.OnResolve(n.Value, true)
-			}
-			merged := subReply{ok: []cluster.NodeID{n.Value}}
-			finish := func() {
-				// The aggregate travels up as one real message sized by the
-				// subtree's node count. A lost aggregate (parent died) is
-				// degraded to local bookkeeping so the gather still
-				// terminates.
-				aggSz := (len(merged.ok) + len(merged.bad)) * g.ackBytes()
-				b.send(n.Value, from, aggSz, &res.Result, span, func(bool) { reply(merged) })
-			}
-			if len(n.Children) == 0 {
-				e.After(b.relayDelay(n.Value), finish)
-				return
-			}
-			e.After(b.relayDelay(n.Value), func() {
-				pending := len(n.Children)
-				for _, ch := range n.Children {
-					visit(n.Value, ch, func(r subReply) {
-						merged.ok = append(merged.ok, r.ok...)
-						merged.bad = append(merged.bad, r.bad...)
-						pending--
-						if pending == 0 {
-							finish()
-						}
-					})
+				if !delivered {
+					// Adoption: `from` contacts the dead child's children
+					// directly and merges their replies itself.
+					merged := &subReply{bad: []cluster.NodeID{n.Value}}
+					collect(from, n.Children, merged, func() { reply(*merged) })
 				}
 			})
-		})
 	}
 
-	// seal finalizes the registry instruments and the root span once the
-	// origin holds the complete aggregate (or the target list was empty).
-	seal := func() {
-		in := b.inst()
+	// seal finalizes the Result, the registry instruments and the root span
+	// once the origin holds the complete aggregate (or the target list was
+	// empty).
+	seal := func(all subReply) {
+		res.Delivered = len(all.ok)
+		if b.RecordResolved {
+			res.Resolved = all.ok
+		}
+		res.Unreachable = all.bad
+		for _, tl := range tallies {
+			res.Messages += tl.messages
+			res.Retries += tl.retries
+		}
+		res.Elapsed = e.Now() - start
+		res.AggregatedAt = res.Elapsed
+		if all.last > start {
+			res.DeliveredElapsed = all.last - start
+		}
+		in := st.inst()
 		in.delivered.Add(int64(res.Delivered))
 		in.unreachable.Add(int64(len(res.Unreachable)))
 		in.elapsed.Observe(int64(res.Elapsed))
-		trc.SetAttrInt(span, "delivered", res.Delivered)
-		trc.SetAttrInt(span, "unreachable", len(res.Unreachable))
-		trc.End(span)
-	}
-
-	pending := len(tr.Roots)
-	if pending == 0 {
-		res.Elapsed = 0
-		seal()
+		trc.SetAttrInt(span.id, "delivered", res.Delivered)
+		trc.SetAttrInt(span.id, "unreachable", len(res.Unreachable))
+		trc.End(span.id)
 		if done != nil {
 			done(res)
 		}
-		return
 	}
-	for _, r := range tr.Roots {
-		visit(origin, r, func(sr subReply) {
-			res.Delivered += len(sr.ok)
-			if b.RecordResolved {
-				res.Resolved = append(res.Resolved, sr.ok...)
-			}
-			res.Unreachable = append(res.Unreachable, sr.bad...)
-			pending--
-			if pending == 0 {
-				res.Elapsed = e.Now() - start
-				res.AggregatedAt = res.Elapsed
-				res.DeliveredElapsed = lastDelivery
-				seal()
-				if done != nil {
-					done(res)
-				}
-			}
-		})
-	}
+	all := &subReply{}
+	collect(origin, tr.Roots, all, func() { seal(*all) })
 }

@@ -9,6 +9,7 @@ import (
 	"eslurm/internal/predict"
 	"eslurm/internal/satellite"
 	"eslurm/internal/simnet"
+	"eslurm/internal/topo"
 )
 
 func newMaster(seed int64, computes, satellites int) (*simnet.Engine, *cluster.Cluster, *Master) {
@@ -374,5 +375,52 @@ func TestShutdownSatellite(t *testing.T) {
 	// Unknown node errors.
 	if err := m.ShutdownSatellite(c.Computes()[0], nil); err == nil {
 		t.Error("shutdown of a compute node accepted")
+	}
+}
+
+// TestPartitionedMasterReallocates: on a multi-cell cluster the master is
+// the same master — it splits a broadcast into satellite sub-tasks, and a
+// satellite killed mid-run has its task reallocated — with identical
+// results at 1 and 4 workers.
+func TestPartitionedMasterReallocates(t *testing.T) {
+	type outcome struct {
+		res       comm.Result
+		stats     Stats
+		processed uint64
+	}
+	run := func(workers int) outcome {
+		c := cluster.New(simnet.NewEngine(7), topo.Default().Partition(
+			cluster.Config{Computes: 700, Satellites: 3}, workers))
+		if cells := c.Group().Cells(); cells != 3 {
+			t.Fatalf("700 computes partitioned into %d cells, want 3", cells)
+		}
+		m := NewMaster(c, DefaultConfig(), nil)
+		m.Start()
+		c.RunUntil(time.Second)
+		// The first satellite dies while its FP-Tree relay is in progress.
+		dead := c.Satellites()[0]
+		c.ScheduleFailure(dead, c.Engine.Now()+3*time.Millisecond, 0)
+		var o outcome
+		m.Broadcast(c.Computes(), 512, func(r comm.Result) { o.res = r })
+		c.RunUntil(10 * time.Minute)
+		m.Stop()
+		if st := m.Pool.Get(dead).State(); st != satellite.Fault && st != satellite.Down {
+			t.Errorf("workers=%d: dead satellite state = %v", workers, st)
+		}
+		o.stats, o.processed = m.Stats(), c.Group().Processed()
+		return o
+	}
+	ref := run(1)
+	if ref.res.Delivered != 700 {
+		t.Errorf("delivered %d/700 after the satellite died", ref.res.Delivered)
+	}
+	if ref.stats.SubTasks == 0 || ref.stats.Reallocations == 0 {
+		t.Errorf("stats = %+v, want SubTasks > 0 and Reallocations > 0", ref.stats)
+	}
+	got := run(4)
+	if got.stats != ref.stats || got.processed != ref.processed ||
+		got.res.Delivered != ref.res.Delivered || got.res.Messages != ref.res.Messages ||
+		got.res.Elapsed != ref.res.Elapsed || got.res.DeliveredElapsed != ref.res.DeliveredElapsed {
+		t.Errorf("workers=4: %+v, workers=1: %+v", got, ref)
 	}
 }

@@ -8,14 +8,14 @@ package experiment
 // Every engine an experiment obtains from its Env becomes one critpath
 // source, labeled by experiment ID, index across the run, and seed — a
 // pure function of the registry order and each driver's creation order,
-// hence byte-stable at any -parallel. For the sharded drivers (fig7f,
-// fig10) each occupation probe builds its own cell group, so the flat
-// engine list concatenates cells from many groups; per-engine sources
-// keep the report well-defined there: a span whose parent ran on another
-// cell surfaces as its own root, still named, so per-kind attribution and
-// structure grouping survive. The fully stitched cross-cell DAG is
-// exercised by `chaossoak -shards -critpath`, which runs exactly one
-// group per seed and flattens it with critpath.FromCells.
+// hence byte-stable at any -parallel. Under -shards each occupation probe
+// builds its own multi-cell cluster, so the flat engine list concatenates
+// cells from many groups; per-engine sources keep the report well-defined
+// there: a span whose parent ran on another cell surfaces as its own
+// root, still named, so per-kind attribution and structure grouping
+// survive. The fully stitched cross-cell DAG is exercised by `chaossoak
+// -shards -critpath`, which runs exactly one cluster per seed and flattens
+// it with critpath.FromCells.
 
 import (
 	"fmt"

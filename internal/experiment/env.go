@@ -1,6 +1,10 @@
 package experiment
 
-import "eslurm/internal/simnet"
+import (
+	"eslurm/internal/cluster"
+	"eslurm/internal/simnet"
+	"eslurm/internal/topo"
+)
 
 // Env is the one place an experiment obtains engines: every driver takes
 // one and builds its simulations through it, so the runner that handed
@@ -12,7 +16,8 @@ import "eslurm/internal/simnet"
 // goroutine. The zero value is ready to use.
 type Env struct {
 	spans   bool // arm span recording on every engine as it is obtained
-	sharded bool
+	shards  int  // Params.Shards: how NewCluster partitions
+	sharded bool // NewCluster built a cluster of more than one cell
 	engines []*simnet.Engine
 }
 
@@ -33,13 +38,19 @@ func (env *Env) Adopt(e *simnet.Engine) {
 	env.engines = append(env.engines, e)
 }
 
-// AdoptGroup takes in every cell of a shard group, in cell order, and
-// records that the experiment ran on the sharded kernel.
-func (env *Env) AdoptGroup(g *simnet.ShardGroup) {
-	env.sharded = true
+// NewCluster builds a cluster on a fresh engine rooted at seed,
+// partitioned as Params.Shards asks (topo.Partition: 0 is one cell), and
+// takes in every cell, in cell order. It is what makes an experiment
+// answer to -shards; a driver that builds its cluster with cluster.New
+// runs on one cell whatever the flag says.
+func (env *Env) NewCluster(seed int64, cfg cluster.Config) *cluster.Cluster {
+	c := cluster.New(simnet.NewEngine(seed), topo.Default().Partition(cfg, env.shards))
+	g := c.Group()
 	for i := 0; i < g.Cells(); i++ {
 		env.Adopt(g.Cell(i))
 	}
+	env.sharded = env.sharded || g.Cells() > 1
+	return c
 }
 
 // Events sums the events executed across the Env's engines.

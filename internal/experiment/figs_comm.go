@@ -93,15 +93,14 @@ func OccupationTime(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, j
 // (the production failure background). The scheduling drivers call it per
 // job size to build their sched.Overhead lookups.
 func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64) (load, term time.Duration) {
-	e := env.NewEngine(42)
 	satellites := 1
 	if clusterNodes >= 1024 {
 		satellites = 2 + clusterNodes/5120 // paper: ~1 satellite per 5K slaves
 	}
-	c := cluster.New(e, cluster.Config{Computes: clusterNodes, Satellites: satellites})
+	c := env.NewCluster(42, cluster.Config{Computes: clusterNodes, Satellites: satellites})
 	r := mk(c)
 	r.Start()
-	e.RunUntil(2 * time.Second)
+	c.RunUntil(2 * time.Second)
 	if failedFrac > 0 {
 		// Fail nodes outside the probed job (a failed allocation would be
 		// replaced by the scheduler); the broadcast still traverses them
@@ -111,12 +110,12 @@ func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, 
 		failSpread(c, int(float64(jobNodes)*failedFrac))
 	}
 	nodes := c.Computes()[:jobNodes]
-	start := e.Now()
+	start := c.Engine.Now()
 	r.LoadJob(nodes, func(d time.Duration) { load = d })
-	e.RunUntil(start + 30*time.Minute)
-	termStart := e.Now()
+	c.RunUntil(start + 30*time.Minute)
+	termStart := c.Engine.Now()
 	r.TerminateJob(nodes, func(d time.Duration) { term = d })
-	e.RunUntil(termStart + 30*time.Minute)
+	c.RunUntil(termStart + 30*time.Minute)
 	r.Stop()
 	return load, term
 }

@@ -163,19 +163,10 @@ func scaleTrace(scale, jobs int) []trace.Job {
 }
 
 func runFig10Cell(env *Env, name string, mk func(c *cluster.Cluster) rm.RM, scale, jobs int) sched.Result {
-	penalty := responsePenalty(name, scale)
-	base := overheadLookup(env, mk, scale, 0.01)
-	cfg := fig10SchedConfig(env, name, scale, withPenalty(base, penalty))
-	return sched.Run(scaleTrace(scale, jobs), cfg)
-}
-
-// fig10SchedConfig builds the per-cell scheduler config shared by the
-// single-engine and sharded Fig. 10 drivers.
-func fig10SchedConfig(env *Env, name string, scale int, overhead sched.Overhead) sched.Config {
 	cfg := sched.Config{
 		Nodes:       scale,
 		Policy:      sched.Backfill,
-		Overhead:    overhead,
+		Overhead:    withPenalty(overheadLookup(env, mk, scale, 0.01), responsePenalty(name, scale)),
 		KillAtLimit: true,
 		UtilWindow:  7 * 24 * time.Hour,
 		Seed:        int64(scale),
@@ -190,7 +181,7 @@ func fig10SchedConfig(env *Env, name string, scale int, overhead sched.Overhead)
 		cfg.CrashMTBF = time.Duration(float64(42*time.Hour) * 20480.0 / float64(scale))
 		cfg.CrashDowntime = 90 * time.Minute
 	}
-	return cfg
+	return sched.Run(scaleTrace(scale, jobs), cfg)
 }
 
 // Ablation reproduces the §VII-D contribution analysis at full NG-Tianhe

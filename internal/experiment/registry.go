@@ -31,10 +31,12 @@ type Params struct {
 	Fig10Jobs     int
 	AblationScale int
 	AblationJobs  int
-	// Shards selects the execution kernel for the experiments that have a
-	// sharded driver (fig7f, fig10): 0 runs the legacy single-engine path; N >= 1 runs
-	// the sharded kernel on N worker goroutines. Results are invariant
-	// across N >= 1 but are a separate pinned contract from N == 0.
+	// Shards partitions the clusters built through Env.NewCluster (the
+	// occupation probes behind fig7f, fig10 and the ablation): 0 keeps each
+	// on one cell; N >= 1 gives the control plane a cell and every compute
+	// rack its own, executed on N workers. The code path is the same either
+	// way; results are identical across N >= 1 and differ from N == 0 only
+	// by what partitioning may change (DESIGN.md §4).
 	Shards int
 }
 
@@ -86,12 +88,7 @@ func Registry() []Spec {
 		{"table1", "Table I", func(env *Env, p Params) []*Table { return []*Table{Table1()} }},
 		{"fig5", "Fig. 5a-c", func(env *Env, p Params) []*Table { return Fig5(p.Fig5Jobs) }},
 		{"fig7", "Fig. 7a-e", func(env *Env, p Params) []*Table { return []*Table{Fig7(env, p.Fig7Nodes, p.Fig7Span)} }},
-		{"fig7f", "Fig. 7f", func(env *Env, p Params) []*Table {
-			if p.Shards > 0 {
-				return []*Table{Fig7fSharded(env, p.Fig7fNodes, nil, p.Shards)}
-			}
-			return []*Table{Fig7f(env, p.Fig7fNodes, nil)}
-		}},
+		{"fig7f", "Fig. 7f", func(env *Env, p Params) []*Table { return []*Table{Fig7f(env, p.Fig7fNodes, nil)} }},
 		{"fig8a", "Fig. 8a", func(env *Env, p Params) []*Table { return []*Table{Fig8a(env, p.Fig8Nodes)} }},
 		{"fig8b", "Fig. 8b", func(env *Env, p Params) []*Table { return []*Table{Fig8b(env, p.Fig8Nodes, nil)} }},
 		{"placement", "§VII-A placement stats", func(env *Env, p Params) []*Table {
@@ -104,12 +101,7 @@ func Registry() []Spec {
 		{"fig11a", "Fig. 11a", func(env *Env, p Params) []*Table {
 			return []*Table{Fig11a(env, p.Fig11aNodes, nil)}
 		}},
-		{"fig10", "Fig. 10a-c", func(env *Env, p Params) []*Table {
-			if p.Shards > 0 {
-				return Fig10Sharded(env, p.Fig10Scales, p.Fig10Jobs, p.Shards)
-			}
-			return Fig10(env, p.Fig10Scales, p.Fig10Jobs)
-		}},
+		{"fig10", "Fig. 10a-c", func(env *Env, p Params) []*Table { return Fig10(env, p.Fig10Scales, p.Fig10Jobs) }},
 		{"ablation", "§VII-D contributions", func(env *Env, p Params) []*Table {
 			return []*Table{Ablation(env, p.AblationScale, p.AblationJobs)}
 		}},

@@ -134,8 +134,9 @@ func TestRunConcurrentStats(t *testing.T) {
 // TestEnvAccountsEveryExperiment is the accounting contract of the Env,
 // over the whole registry on both kernels: Result.Events is the sum of
 // Processed() over the engines the experiment obtained, every experiment
-// that simulates obtained some, and only the sharded drivers report
-// Sharded.
+// that simulates obtained some, and exactly the experiments that build
+// their clusters through Env.NewCluster (the occupation probes) report
+// Sharded under -shards.
 func TestEnvAccountsEveryExperiment(t *testing.T) {
 	engineFree := map[string]bool{"table1": true, "fig5": true, "table8": true, "fig11b": true}
 	for _, shards := range []int{0, 2} {
@@ -158,7 +159,7 @@ func TestEnvAccountsEveryExperiment(t *testing.T) {
 			if !engineFree[id] && id != "ablation-topo" && r.Events == 0 {
 				t.Errorf("shards=%d %s: simulated experiment counted no events", shards, id)
 			}
-			if want := shards > 0 && (id == "fig7f" || id == "fig10"); r.Sharded != want {
+			if want := shards > 0 && (id == "fig7f" || id == "fig10" || id == "ablation"); r.Sharded != want {
 				t.Errorf("shards=%d %s: Sharded = %v, want %v", shards, id, r.Sharded, want)
 			}
 		}
@@ -186,7 +187,7 @@ func TestRunConcurrentDropsEngines(t *testing.T) {
 }
 
 // TestEnvArmsSpansAtCreation: with spans asked for, every engine — built
-// by a driver, adopted from sched.Run, or a shard-group cell — has its
+// by a driver, adopted from sched.Run, or a cell of a partitioned cluster — has its
 // tracer before its first event; without, none is armed.
 func TestEnvArmsSpansAtCreation(t *testing.T) {
 	spec, _ := Lookup("fig10") // probes (cells under -shards) plus sched.Run engines

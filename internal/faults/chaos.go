@@ -33,11 +33,7 @@ func (cp *Campaign) Flap(node cluster.NodeID, at time.Duration, cycles int, down
 // failure mode fail-stop detection cannot catch, and what the FP-Tree's
 // predicted-failed leaf demotion is for.
 func (cp *Campaign) GrayDegrade(node cluster.NodeID, at, dur time.Duration, factor float64) {
-	e := cp.Cluster.Engine
-	e.Schedule(at, func() { cp.Cluster.Net.SetGray(node, factor) })
-	if dur > 0 {
-		e.Schedule(at+dur, func() { cp.Cluster.Net.ClearGray(node) })
-	}
+	cp.Cluster.Net.ScheduleGray(node, factor, at, dur)
 	cp.Events = append(cp.Events, Event{
 		Node: node, At: at, Down: dur, Silent: true, RackID: -1, Kind: KindGray,
 	})
@@ -56,7 +52,7 @@ func (cp *Campaign) Partition(members []cluster.NodeID, at, dur time.Duration) {
 }
 
 func (cp *Campaign) partition(members []cluster.NodeID, at, dur time.Duration, rack int) {
-	cp.Cluster.Engine.Schedule(at, func() { cp.Cluster.Net.Partition(members, dur) })
+	cp.Cluster.Net.SchedulePartition(members, at, dur)
 	for _, id := range members {
 		cp.Events = append(cp.Events, Event{
 			Node: id, At: at, Down: dur, Silent: true, RackID: rack, Kind: KindPartition,

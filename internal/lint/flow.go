@@ -93,7 +93,7 @@ func insideFuncLit(parents map[ast.Node]ast.Node, n ast.Node) bool {
 
 // recvTypeName returns the name of fn's (pointer-stripped) receiver
 // named type, or "" for non-methods — the structural matching idiom the
-// taint and evalloc passes use, so testdata fakes and wrappers match.
+// taint pass uses, so testdata fakes and wrappers match.
 func recvTypeName(fn *types.Func) string {
 	if fn == nil {
 		return ""

@@ -181,12 +181,6 @@ func TestErrdrop(t *testing.T) {
 	runCase(t, "errdrop_good", ErrdropAnalyzer)
 }
 
-func TestEvalloc(t *testing.T) {
-	runCase(t, "evalloc_bad", EvallocAnalyzer)
-	runCase(t, "evalloc_good", EvallocAnalyzer)
-	runCase(t, "evalloc_suppressed", EvallocAnalyzer)
-}
-
 func TestGosim(t *testing.T) {
 	runCase(t, "gosim_bad", GosimAnalyzer)
 	runCase(t, "gosim_good", GosimAnalyzer)
@@ -289,8 +283,8 @@ func TestFindingString(t *testing.T) {
 	if got, want := f.String(), "a/b.go:7: [detrand] msg"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
-	if fmt.Sprint(len(Analyzers())) != "16" {
-		t.Fatalf("expected 16 analyzers, got %d", len(Analyzers()))
+	if fmt.Sprint(len(Analyzers())) != "15" {
+		t.Fatalf("expected 15 analyzers, got %d", len(Analyzers()))
 	}
 }
 

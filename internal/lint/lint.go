@@ -77,7 +77,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer, ErrdropAnalyzer,
-		EvallocAnalyzer, GosimAnalyzer, TaintAnalyzer, FloatsumAnalyzer,
+		GosimAnalyzer, TaintAnalyzer, FloatsumAnalyzer,
 		RandlabelAnalyzer, EngineownAnalyzer, GlobalmutAnalyzer,
 		StaleignoreAnalyzer, PkgdocAnalyzer,
 		SpanleakAnalyzer, TimerleakAnalyzer, DrainpathAnalyzer,

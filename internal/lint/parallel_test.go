@@ -31,7 +31,7 @@ func loadTestdata(t *testing.T, names ...string) []*Package {
 // ordering bug anywhere in the parallel pipeline shows up as a diff.
 func mixedCasePkgs(t *testing.T) []*Package {
 	return loadTestdata(t,
-		"walltime_bad", "detrand_bad", "maporder_bad", "evalloc_bad",
+		"walltime_bad", "detrand_bad", "maporder_bad",
 		"taint_bad", "taint_suppressed", "floatsum_bad",
 		"randlabel_a", "randlabel_b", "staleignore_bad", "staleignore_good",
 	)

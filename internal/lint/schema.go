@@ -17,7 +17,7 @@ import (
 // bumping the count here fails TestSchemaVersionTracksAnalyzers — that
 // is the point: a schema bump must be a conscious act in the same change
 // that alters what the tool emits.
-const SchemaVersion = "3.16"
+const SchemaVersion = "3.15"
 
 // schemaConsistent reports whether v's analyzer-count component matches
 // the live registry; split out so the guard test exercises the exact

@@ -24,7 +24,7 @@ import (
 //
 // Sinks (where nondeterminism becomes irreversible):
 //   - simnet scheduling: Schedule/After/Every/RunUntil/Rand methods on a
-//     type named Engine (matched structurally, like evalloc, so testdata
+//     type named Engine (matched structurally, so testdata
 //     fakes and engine wrappers are covered) — a tainted time perturbs
 //     the event heap and therefore the trace digest; a tainted Rand label
 //     selects a nondeterministic stream
@@ -689,4 +689,19 @@ func (st *taintState) emit(c *taintChain, sp *sinkPath, at token.Position) {
 
 func shortPos(pos token.Position) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+}
+
+// children returns a node's immediate AST children.
+func children(n ast.Node) []ast.Node {
+	var out []ast.Node
+	ast.Inspect(n, func(c ast.Node) bool {
+		if c == n {
+			return true
+		}
+		if c != nil {
+			out = append(out, c)
+		}
+		return false
+	})
+	return out
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -61,6 +62,11 @@ type ShardGroup struct {
 	digesting bool
 
 	inWindow bool // true while a window is executing
+
+	// in counts the kernel's own work into cell 0's registry (see
+	// shardInstruments); built on the first run, so a group that is only
+	// ever driven through its single cell's engine registers nothing.
+	in *shardInstruments
 
 	// merged is the reusable barrier scratch buffer mergeCross gathers
 	// cross events into before sorting. Windows fire millions of times per
@@ -123,6 +129,19 @@ type shardCmd struct {
 // RNG streams are functions of (root seed, cell, label) alone —
 // placement-independent and stable as the model grows.
 func NewShardGroup(seed int64, cells int, lookahead time.Duration, workers int) *ShardGroup {
+	return newShardGroup(seed, NewEngine(deriveSeed(seed, "shard/cell/0")), cells, lookahead, workers)
+}
+
+// GroupAround builds a group whose cell 0 is the engine e, unchanged: its
+// seed, streams and schedule are what they were, so a model built on a
+// one-cell group around e runs exactly as it does on e alone. Further
+// cells derive their seeds from e's seed and their index, as in
+// NewShardGroup.
+func GroupAround(e *Engine, cells int, lookahead time.Duration, workers int) *ShardGroup {
+	return newShardGroup(e.seed, e, cells, lookahead, workers)
+}
+
+func newShardGroup(seed int64, cell0 *Engine, cells int, lookahead time.Duration, workers int) *ShardGroup {
 	if cells <= 0 {
 		panic("simnet: ShardGroup needs at least one cell")
 	}
@@ -144,7 +163,8 @@ func NewShardGroup(seed int64, cells int, lookahead time.Duration, workers int) 
 		seqs:      make([]uint64, cells),
 		digests:   make([]uint64, cells),
 	}
-	for i := range g.cells {
+	g.cells[0] = cell0
+	for i := 1; i < cells; i++ {
 		g.cells[i] = NewEngine(deriveSeed(seed, "shard/cell/"+strconv.Itoa(i)))
 	}
 	return g
@@ -274,6 +294,28 @@ func (g *ShardGroup) MergedMetrics() *obs.Registry {
 // deadline. It is the sharded counterpart of Engine.RunUntil and may be
 // called repeatedly to drive a simulation in phases.
 func (g *ShardGroup) RunUntil(deadline time.Duration) {
+	g.run(deadline)
+	for _, c := range g.cells {
+		if c.now < deadline {
+			c.now = deadline
+		}
+	}
+}
+
+// Run executes windows until no cell has an event left — the sharded
+// counterpart of Engine.Run. Cell clocks stay where their windows left
+// them.
+func (g *ShardGroup) Run() { g.run(math.MaxInt64) }
+
+// Idle reports whether no window is executing: the caller is the
+// coordinating goroutine between runs, the only place from which state
+// on more than one cell may be touched or scheduled.
+func (g *ShardGroup) Idle() bool { return !g.inWindow }
+
+func (g *ShardGroup) run(deadline time.Duration) {
+	if g.in == nil {
+		g.in = newShardInstruments(g.cells[0].Metrics())
+	}
 	// Cross-cell events emitted between runs (model wiring done while the
 	// group is idle) are merged before the first window.
 	g.mergeCross()
@@ -299,10 +341,26 @@ func (g *ShardGroup) RunUntil(deadline time.Duration) {
 		g.runWindow(end, clock)
 		g.mergeCross()
 	}
-	for _, c := range g.cells {
-		if c.now < deadline {
-			c.now = deadline
-		}
+}
+
+// shardInstruments are the kernel's own counters: how many windows ran,
+// how many of them had work on two or more cells (the only ones a second
+// worker can help with), how many events crossed a cell boundary, and the
+// spread of busy cells per window. All four are functions of the cells'
+// event streams, so they are identical at every worker count; they live
+// in cell 0's registry, touched only by the coordinator between windows,
+// and reach MergedMetrics with the rest of that cell's instruments.
+type shardInstruments struct {
+	windows, multiBusy, cross *obs.Counter
+	busyCells                 *obs.Histogram
+}
+
+func newShardInstruments(m *obs.Registry) *shardInstruments {
+	return &shardInstruments{
+		windows:   m.Counter("simnet.windows"),
+		multiBusy: m.Counter("simnet.windows_multi_busy"),
+		cross:     m.Counter("simnet.cross_events"),
+		busyCells: m.Histogram("simnet.window_busy_cells", []int64{1, 2, 4, 8, 16, 32}),
 	}
 }
 
@@ -366,16 +424,17 @@ func (g *ShardGroup) stopWorkers() {
 func (g *ShardGroup) runWindow(end, clock time.Duration) {
 	g.inWindow = true
 	defer func() { g.inWindow = false }()
-	if g.workers > 1 {
-		busy := 0
-		for _, c := range g.cells {
-			if at, ok := c.peekNext(); ok && at < end {
-				if busy++; busy > 1 {
-					break
-				}
-			}
+	busy := 0
+	for _, c := range g.cells {
+		if at, ok := c.peekNext(); ok && at < end {
+			busy++
 		}
-		if busy > 1 {
+	}
+	g.in.windows.Inc()
+	g.in.busyCells.Observe(int64(busy))
+	if busy > 1 {
+		g.in.multiBusy.Inc()
+		if g.workers > 1 {
 			for w := range g.pool.cmds {
 				g.pool.cmds[w] <- shardCmd{cells: g.pool.stripes[w], end: end, clock: clock}
 			}
@@ -418,6 +477,7 @@ func (g *ShardGroup) mergeCross() {
 	if len(all) == 0 {
 		return
 	}
+	g.in.cross.Add(int64(len(all)))
 	sortCross(all)
 	for i := range all {
 		g.cells[all[i].dst].Schedule(all[i].at, all[i].fn)

@@ -117,3 +117,30 @@ func (t Topology) PlanFPTree(list []cluster.NodeID, predicted func(cluster.NodeI
 	swaps := fptree.FineTune(ordered, predicted, width)
 	return ordered, swaps
 }
+
+// Partition returns cfg partitioned for a -shards setting: 0 leaves the
+// cluster on one cell; N >= 1 homes the control plane (master and
+// satellites) on cell 0 and every compute rack on a cell of its own,
+// executed on N workers. The layout is a function of the cluster's shape
+// alone — N never moves a node between cells — which is what makes results
+// identical at every N >= 1.
+func (t Topology) Partition(cfg cluster.Config, shards int) cluster.Config {
+	if shards < 1 {
+		return cfg
+	}
+	per := t.NodesPerRack()
+	racks := (cfg.Computes + per - 1) / per
+	if racks < 1 {
+		racks = 1
+	}
+	firstCompute := 1 + cfg.Satellites
+	cfg.Cells = 1 + racks
+	cfg.CellOf = func(id cluster.NodeID, role cluster.Role) int {
+		if role != cluster.RoleCompute {
+			return 0
+		}
+		return 1 + t.Rack(cluster.NodeID(int(id)-firstCompute))
+	}
+	cfg.Workers = shards
+	return cfg
+}
