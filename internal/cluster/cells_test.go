@@ -30,10 +30,10 @@ func TestCrossCellSendDelivers(t *testing.T) {
 	c := twoCell(1, NetConfig{Jitter: Disabled})
 	comp := c.Computes()[0]
 	var arrived, sent time.Duration
-	c.Net.Transmit(c.Master().ID, comp, 1000,
-		func() { arrived = c.EngineOf(comp).Now() },
-		func() { sent = c.Engine.Now() },
-		nil)
+	c.Net.Transmit(c.Master().ID, comp, 1000, outcome{
+		arrived: func() { arrived = c.EngineOf(comp).Now() },
+		sent:    func() { sent = c.Engine.Now() },
+	})
 	c.RunUntil(time.Second)
 
 	cfg := c.Net.Config()
@@ -150,9 +150,10 @@ func TestCrossCellPartitionsCompose(t *testing.T) {
 	var out [4]string
 	send := func(slot int, to NodeID, at time.Duration) {
 		c.Engine.Schedule(at, func() {
-			c.Net.Transmit(c.Master().ID, to, 100, nil,
-				func() { out[slot] = "sent" },
-				func() { out[slot] = "fail" })
+			c.Net.Transmit(c.Master().ID, to, 100, outcome{
+				sent:   func() { out[slot] = "sent" },
+				failed: func() { out[slot] = "fail" },
+			})
 		})
 	}
 	send(0, comps[1], 2*time.Millisecond)   // inside both: fails
@@ -258,11 +259,12 @@ func TestWorkerInvariance(t *testing.T) {
 			c.Engine.Schedule(at, func() {
 				for _, id := range comps {
 					id := id
-					c.Net.Transmit(master, id, 512,
+					c.Net.Transmit(master, id, 512, outcome{
 						// The receiver answers over the same substrate.
-						func() { c.Net.Send(id, master, 64, nil, nil) },
-						func() { sent++ },
-						func() { failed++ })
+						arrived: func() { c.Net.Send(id, master, 64, nil, nil) },
+						sent:    func() { sent++ },
+						failed:  func() { failed++ },
+					})
 				}
 			})
 		}

@@ -91,6 +91,10 @@ func (m *ResourceMeter) CloseSocket() {
 	}
 }
 
+// HandleEvent implements simnet.Handler: the one event a meter schedules
+// for itself is the close of an accept socket the wire opened on it.
+func (m *ResourceMeter) HandleEvent(int32) { m.CloseSocket() }
+
 // Sockets returns the current number of concurrent connections.
 func (m *ResourceMeter) Sockets() int { return m.sockets }
 

@@ -290,29 +290,56 @@ func scale(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// Send models one message from -> to carrying size bytes, called from an
-// event on from's home cell (or while the group is idle).
-//
-// If the destination is reachable at delivery time, onDelivered fires on
-// the destination's cell at the delivery instant (twice under duplication
-// — receivers dedup). If the destination is failed or partitioned away (at
-// send or delivery time), or the message is lost in transit, onFailed
-// fires on the sender's cell after the connect timeout — the sender blocks
-// for the timeout, exactly the behaviour that makes failed interior tree
-// nodes expensive (Section IV). Either callback may be nil. Sockets and
-// message counters on both meters are maintained here so every RM model
-// accounts traffic uniformly.
-func (n *Network) Send(from, to NodeID, size int, onDelivered func(), onFailed func()) {
-	n.send(from, to, size, true, onDelivered, nil, onFailed)
+// Outcome is what a sender learns about one message. A component that is
+// already an object — a delivery chain — implements it and hands itself to
+// Transmit, so the wire holds one interface value where it held three
+// callbacks.
+type Outcome interface {
+	// Arrived runs on the destination's cell at the delivery instant, and
+	// again for a duplicated delivery (NetConfig.DupProb): receivers dedup.
+	Arrived()
+	// Sent runs once on the sender's cell at the first delivery's instant —
+	// the acknowledgement is not modelled as traffic, the sender simply
+	// knows.
+	Sent()
+	// Failed runs on the sender's cell after the connect timeout when the
+	// destination is failed or partitioned away (at send or delivery time)
+	// or the message is lost in transit — the sender blocks for the
+	// timeout, exactly the behaviour that makes failed interior tree nodes
+	// expensive (Section IV).
+	Failed()
 }
 
-// Transmit is Send for a sender that acts on the outcome: onArrive is
-// Send's onDelivered, and onSent fires once on the sender's cell at the
-// first delivery's instant — the acknowledgement is not modelled as
-// traffic, the sender simply knows. A relay forwards from onArrive; a
-// retry chain resolves from onSent or onFailed.
-func (n *Network) Transmit(from, to NodeID, size int, onArrive, onSent, onFailed func()) {
-	n.send(from, to, size, true, onArrive, onSent, onFailed)
+// Transmit models one message from -> to carrying size bytes, called from
+// an event on from's home cell (or while the group is idle), and reports
+// to out. A relay forwards from Arrived; a retry chain resolves from Sent
+// or Failed. Sockets and message counters on both meters are maintained
+// here so every RM model accounts traffic uniformly.
+func (n *Network) Transmit(from, to NodeID, size int, out Outcome) {
+	n.send(from, to, size, true, out, true)
+}
+
+// callbacks adapts Send's two optional funcs to Outcome.
+type callbacks struct{ onDelivered, onFailed func() }
+
+func (c *callbacks) Arrived() {
+	if c.onDelivered != nil {
+		c.onDelivered()
+	}
+}
+
+func (c *callbacks) Sent() {}
+
+func (c *callbacks) Failed() {
+	if c.onFailed != nil {
+		c.onFailed()
+	}
+}
+
+// Send is Transmit for a caller with plain callbacks: onDelivered is
+// Outcome.Arrived, onFailed is Outcome.Failed, and either may be nil.
+func (n *Network) Send(from, to NodeID, size int, onDelivered func(), onFailed func()) {
+	n.send(from, to, size, true, &callbacks{onDelivered, onFailed}, onFailed != nil)
 }
 
 // SendPersistent models traffic over an already-established long-lived
@@ -320,10 +347,14 @@ func (n *Network) Transmit(from, to NodeID, size int, onArrive, onSent, onFailed
 // per-message socket churn — the caller is responsible for having opened
 // the socket once. Everything else is exactly Send.
 func (n *Network) SendPersistent(from, to NodeID, size int, onDelivered func(), onFailed func()) {
-	n.send(from, to, size, false, onDelivered, nil, onFailed)
+	n.send(from, to, size, false, &callbacks{onDelivered, onFailed}, onFailed != nil)
 }
 
-func (n *Network) send(from, to NodeID, size int, connect bool, onArrive, onSent, onFailed func()) {
+// send is the single wire. listens says whether the sender acts on Sent or
+// Failed; a sender that does not, with no socket to release and no coin to
+// draw, has no half to run on a cross-cell message (persistent-channel
+// heartbeats).
+func (n *Network) send(from, to NodeID, size int, connect bool, out Outcome, listens bool) {
 	src, dst := n.cluster.nodes[from], n.cluster.nodes[to]
 	v := src.view
 	src.Meter.CountMessage(true, size)
@@ -331,9 +362,9 @@ func (n *Network) send(from, to NodeID, size int, connect bool, onArrive, onSent
 		src.Meter.OpenSocket()
 	}
 
-	f := &flight{n: n, src: src, dst: dst, size: int32(size), connect: connect, onArrive: onArrive, onSent: onSent, onFailed: onFailed}
+	f := &flight{n: n, src: src, dst: dst, size: int32(size), connect: connect, out: out}
 	if v.unreachable(from, to) || v.lost(v.e, n.cfg.LossProb) {
-		v.e.After(n.cfg.ConnectTimeout, f.timeout)
+		v.e.AfterTo(n.cfg.ConnectTimeout, f, flightTimeout)
 		return
 	}
 
@@ -346,39 +377,63 @@ func (n *Network) send(from, to NodeID, size int, connect bool, onArrive, onSent
 		f.d += time.Duration(v.rng.Int63n(int64(n.cfg.Jitter) + 1))
 	}
 	if dst.Cell != src.Cell {
-		n.after(v, dst.Cell, f.d, f.arrive)
-		// A sender with no socket to release, nobody to tell and no coin to
-		// draw has no half to run (persistent-channel heartbeats).
-		if connect || onSent != nil || onFailed != nil || n.cfg.DupProb > 0 {
-			v.e.After(f.d, f.sent)
+		n.after(v, dst.Cell, f.d, f, flightArrive)
+		if connect || listens || n.cfg.DupProb > 0 {
+			v.e.AfterTo(f.d, f, flightSent)
 		}
 		return
 	}
-	v.e.After(f.d, f.land)
+	v.e.AfterTo(f.d, f, flightLand)
 }
 
-// after schedules fn on cell dst at d past v's now. Across cells d must be
-// at least one Latency — the group's lookahead — which every delivery time
-// is: pathFactor >= 1 and TransferTime >= Latency.
-func (n *Network) after(v *cellView, dst int, d time.Duration, fn func()) {
+// after delivers kind to f on cell dst at d past v's now. Across cells d
+// must be at least one Latency — the group's lookahead — which every
+// delivery time is: pathFactor >= 1 and TransferTime >= Latency.
+func (n *Network) after(v *cellView, dst int, d time.Duration, f *flight, kind int32) {
 	if dst == v.cell {
-		v.e.After(d, fn)
+		v.e.AfterTo(d, f, kind)
 		return
 	}
-	n.cluster.group.SendAfter(v.cell, dst, d-n.cfg.Latency, fn)
+	n.cluster.group.SendAfterTo(v.cell, dst, d-n.cfg.Latency, f, kind)
 }
 
-// flight is one message on the wire. Its methods are the events of the
-// message's life, so a message allocates one small object however many
-// events it takes — 64 bytes, which is why size is an int32 next to the
-// bool.
+// flight is one message on the wire, one allocated per attempt and owned
+// by the Network. It is the handler of every event of the message's life
+// (the kinds below), so a message allocates this one small object however
+// many events it takes. Once launched it is only read — the destination's
+// cell and the sender's may both be running one of its halves.
 type flight struct {
-	n                          *Network
-	src, dst                   *Node
-	size                       int32
-	connect                    bool
-	d                          time.Duration // modelled delivery time
-	onArrive, onSent, onFailed func()
+	n        *Network
+	src, dst *Node
+	size     int32
+	connect  bool
+	d        time.Duration // modelled delivery time
+	out      Outcome
+}
+
+// The events of a flight.
+const (
+	flightLand        int32 = iota // both halves in one event: the message stays on its cell
+	flightArrive                   // the receiver's half, on the destination's cell
+	flightSent                     // the sender's half, on the source's cell
+	flightTimeout                  // the sender's connect timeout expired
+	flightArriveAgain              // a duplicate's landing
+)
+
+// HandleEvent implements simnet.Handler.
+func (f *flight) HandleEvent(kind int32) {
+	switch kind {
+	case flightLand:
+		f.land()
+	case flightArrive:
+		f.arrive(true)
+	case flightSent:
+		f.sent()
+	case flightTimeout:
+		f.timeout()
+	case flightArriveAgain:
+		f.arrive(false)
+	}
 }
 
 // unreachable asks v, the replica of the cell the caller runs on.
@@ -390,9 +445,7 @@ func (f *flight) timeout() {
 	if f.connect {
 		f.src.Meter.CloseSocket()
 	}
-	if f.onFailed != nil {
-		f.onFailed()
-	}
+	f.out.Failed()
 }
 
 // land is both halves in one event, for a message that stays on its cell.
@@ -406,25 +459,21 @@ func (f *flight) land() {
 	}
 	f.receive(v, true)
 	f.release()
-	if f.onArrive != nil {
-		f.onArrive()
-	}
+	f.out.Arrived()
 	f.maybeDuplicate(v)
 }
 
-// arrive is the receiver's half, on the destination's cell. A destination
-// that failed — or was partitioned away — while the message was in flight
-// receives nothing; the sender's half reaches the same verdict from its
-// own replica.
-func (f *flight) arrive() {
+// arrive is the receiver's half, on the destination's cell; first is false
+// for a duplicate. A destination that failed — or was partitioned away —
+// while the message was in flight receives nothing; the sender's half
+// reaches the same verdict from its own replica.
+func (f *flight) arrive(first bool) {
 	v := f.dst.view
 	if f.unreachable(v) {
 		return
 	}
-	f.receive(v, true)
-	if f.onArrive != nil {
-		f.onArrive()
-	}
+	f.receive(v, first)
+	f.out.Arrived()
 }
 
 // sent is the sender's half, on the source's cell at the delivery instant.
@@ -441,19 +490,19 @@ func (f *flight) sent() {
 // undelivered holds the sender — and its socket — for what remains of its
 // connect timeout.
 func (f *flight) undelivered(v *cellView) {
-	v.e.After(f.n.cfg.ConnectTimeout-f.d, f.timeout)
+	v.e.AfterTo(f.n.cfg.ConnectTimeout-f.d, f, flightTimeout)
 }
 
 // receive is the destination's bookkeeping for one landing. Only the
 // first landing of a connection opens a socket: the receiving daemon holds
-// its accept socket one latency while processing, and a duplicate rides
-// the same accept.
+// its accept socket one latency while processing — the meter is the
+// handler of that close — and a duplicate rides the same accept.
 func (f *flight) receive(v *cellView, first bool) {
 	m := &f.dst.Meter
 	m.CountMessage(false, int(f.size))
 	if first && f.connect {
 		m.OpenSocket()
-		v.e.After(f.n.cfg.Latency, m.CloseSocket)
+		v.e.AfterTo(f.n.cfg.Latency, m, 0)
 	}
 }
 
@@ -463,9 +512,7 @@ func (f *flight) release() {
 	if f.connect {
 		f.src.Meter.CloseSocket()
 	}
-	if f.onSent != nil {
-		f.onSent()
-	}
+	f.out.Sent()
 }
 
 // maybeDuplicate draws the duplication coin on the sender's cell: a
@@ -473,17 +520,6 @@ func (f *flight) release() {
 // latency later, with no second acknowledgement.
 func (f *flight) maybeDuplicate(v *cellView) {
 	if v.duplicated(v.e, f.n.cfg.DupProb) {
-		f.n.after(v, f.dst.Cell, f.n.cfg.Latency, f.arriveAgain)
-	}
-}
-
-func (f *flight) arriveAgain() {
-	v := f.dst.view
-	if f.unreachable(v) {
-		return
-	}
-	f.receive(v, false)
-	if f.onArrive != nil {
-		f.onArrive()
+		f.n.after(v, f.dst.Cell, f.n.cfg.Latency, f, flightArriveAgain)
 	}
 }

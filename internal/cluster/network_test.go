@@ -7,6 +7,19 @@ import (
 	"eslurm/internal/simnet"
 )
 
+// outcome is an Outcome made of three optional callbacks.
+type outcome struct{ arrived, sent, failed func() }
+
+func (o outcome) Arrived() { call(o.arrived) }
+func (o outcome) Sent()    { call(o.sent) }
+func (o outcome) Failed()  { call(o.failed) }
+
+func call(fn func()) {
+	if fn != nil {
+		fn()
+	}
+}
+
 func newNetCluster(t *testing.T, computes int, net NetConfig) *Cluster {
 	t.Helper()
 	e := simnet.NewEngine(13)
@@ -74,7 +87,7 @@ func TestDupDeliversTwice(t *testing.T) {
 	c := newNetCluster(t, 2, NetConfig{DupProb: 1})
 	a, b := c.Computes()[0], c.Computes()[1]
 	arrivals, acks := 0, 0
-	c.Net.Transmit(a, b, 100, func() { arrivals++ }, func() { acks++ }, func() { t.Error("send failed") })
+	c.Net.Transmit(a, b, 100, outcome{func() { arrivals++ }, func() { acks++ }, func() { t.Error("send failed") }})
 	c.Engine.Run()
 	if arrivals != 2 {
 		t.Errorf("receiver saw %d arrivals, want 2 (receivers dedup)", arrivals)
@@ -260,5 +273,42 @@ func TestDisabledFeaturesDrawNoRandomness(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d at %v vs %v: zero-probability config changed the trace", i, a[i], b[i])
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// tallyOutcome is an Outcome that allocates nothing.
+type tallyOutcome struct{ arrived, sent, failed int }
+
+func (o *tallyOutcome) Arrived() { o.arrived++ }
+func (o *tallyOutcome) Sent()    { o.sent++ }
+func (o *tallyOutcome) Failed()  { o.failed++ }
+
+// TestAllocsTransmit is the wire's allocation budget: a delivered message
+// is one flight. Its three events — the landing, the sender's word, the
+// receiver's accept-socket close — are handled by the flight and the meter
+// themselves.
+func TestAllocsTransmit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c := newNetCluster(t, 2, NetConfig{})
+	a, b := c.Computes()[0], c.Computes()[1]
+	out := &tallyOutcome{}
+	send := func() {
+		c.Net.Transmit(a, b, 512, out)
+		c.Engine.Run()
+	}
+	send()
+	if n := testing.AllocsPerRun(1000, send); n > 1 {
+		t.Errorf("one delivered Transmit: %v allocs, want at most 1 (the flight)", n)
+	}
+	if out.arrived != 1002 || out.sent != 1002 || out.failed != 0 {
+		t.Errorf("outcome %+v, want 1002 arrivals and acknowledgements", *out)
+	}
+	if s := c.Node(b).Meter.Sockets(); s != 0 {
+		t.Errorf("receiver holds %d sockets after the drain: the meter's close event did not run", s)
 	}
 }

@@ -118,6 +118,48 @@ func TestGrayRelayDelayFromItsOwnReplica(t *testing.T) {
 	}
 }
 
+// TestRetryOverlapsFirstAttemptsArrival: a cross-cell destination gray
+// enough that its delivery time passes ConnectTimeout dies while the
+// message is in flight. At the delivery instant the sender's half finds it
+// unreachable with no timeout left to wait, so the retry launches in the
+// very window in which the destination's cell runs the first attempt's
+// arrive half: the two attempts must not share a wire record. Run it
+// under -race.
+func TestRetryOverlapsFirstAttemptsArrival(t *testing.T) {
+	for _, s := range []Structure{Star{}, KTree{Width: 4}} {
+		c := threeCells(16, 2, 17, cluster.NetConfig{Jitter: cluster.Disabled})
+		comps := c.Computes()
+		slow := comps[0] // a first-layer relay of the tree, on a compute cell
+		c.Net.ScheduleGray(slow, 3000, time.Millisecond, 0)
+		c.ScheduleFailure(slow, 500*time.Millisecond, 0)
+		b := NewBroadcaster(c)
+		var res Result
+		got := false
+		c.Engine.Schedule(10*time.Millisecond, func() {
+			if d := c.Net.TransferTime(1024) + c.Net.Config().ConnectCost; time.Duration(3000*float64(d)) < c.Net.Config().ConnectTimeout {
+				t.Errorf("test setup: a %v delivery slowed 3000x does not reach the connect timeout", d)
+			}
+			s.Broadcast(b, c.Master().ID, comps, 1024, func(r Result) { res, got = r, true })
+		})
+		c.RunUntil(10 * time.Minute)
+		if !got {
+			t.Fatalf("%s: broadcast never finished", s.Name())
+		}
+		if res.Delivered+len(res.Unreachable) != len(comps) {
+			t.Errorf("%s: delivered %d + unreachable %d != %d targets", s.Name(), res.Delivered, len(res.Unreachable), len(comps))
+		}
+		if len(res.Unreachable) != 1 || res.Unreachable[0] != slow {
+			t.Errorf("%s: unreachable = %v, want [%d]", s.Name(), res.Unreachable, slow)
+		}
+		if res.Retries != b.Retries-1 {
+			t.Errorf("%s: %d retries, want %d against the one dead node", s.Name(), res.Retries, b.Retries-1)
+		}
+		if n := b.OutstandingSends(); n != 0 {
+			t.Errorf("%s: outstanding sends = %d after drain, want 0", s.Name(), n)
+		}
+	}
+}
+
 // TestBroadcastWorkerInvariance pins digest, Result, metrics and span
 // equality across worker counts under an adversarial network with a retry
 // policy, for a relay structure and for the gather.

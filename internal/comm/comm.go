@@ -154,7 +154,7 @@ type Broadcaster struct {
 // handles. Only events of that cell touch it while the group runs.
 type cellState struct {
 	e        *simnet.Engine
-	limiters map[cluster.NodeID]*limiter
+	limiters []*limiter // by sender NodeID (dense cluster indices), filled on a sender's first send
 	retryRng *rand.Rand
 	in       *instruments
 }
@@ -214,7 +214,7 @@ func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
 		cells:            make([]cellState, c.Group().Cells()),
 	}
 	for i := range b.cells {
-		b.cells[i] = cellState{e: c.Group().Cell(i), limiters: make(map[cluster.NodeID]*limiter)}
+		b.cells[i] = cellState{e: c.Group().Cell(i), limiters: make([]*limiter, c.Size())}
 	}
 	return b
 }
@@ -240,39 +240,49 @@ func (p spanRef) under(cell int, attrs []obs.Attr) (obs.SpanID, []obs.Attr) {
 	return p.id, attrs
 }
 
-// limiter serializes access to a sender's connection slots.
+// limiter serializes access to a sender's connection slots: chains past
+// the limit wait in queue[head:], in dispatch order.
 type limiter struct {
 	max   int
 	inUse int
-	queue []func()
+	queue []*chain
+	head  int
 }
 
 func (st *cellState) limiter(id cluster.NodeID, max int) *limiter {
-	l, ok := st.limiters[id]
-	if !ok {
+	l := st.limiters[id]
+	if l == nil {
 		l = &limiter{max: max}
 		st.limiters[id] = l
 	}
 	return l
 }
 
-func (l *limiter) acquire(fn func()) {
+func (l *limiter) acquire(c *chain) {
 	if l.inUse < l.max {
 		l.inUse++
-		fn()
+		c.begin()
 		return
 	}
-	l.queue = append(l.queue, fn)
+	l.queue = append(l.queue, c)
 }
 
+// release hands the slot to the longest-waiting chain, or frees it. The
+// popped slot is cleared and a drained queue rewinds to the front of its
+// array, so the queue never keeps a finished chain — and the broadcast
+// behind it — reachable, and a sender's next burst reuses the array.
 func (l *limiter) release() {
-	if len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue = l.queue[1:]
-		next()
+	if l.head == len(l.queue) {
+		l.inUse--
 		return
 	}
-	l.inUse--
+	next := l.queue[l.head]
+	l.queue[l.head] = nil
+	l.head++
+	if l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+	}
+	next.begin()
 }
 
 // maxAttempts returns the attempt budget of the active retry policy.
@@ -313,17 +323,45 @@ func (b *Broadcaster) retryDelay(st *cellState, next int) time.Duration {
 // its outcome can reach another cell, hence in an earlier window.
 type tally struct{ messages, retries int }
 
+// sink is where a delivery chain reports: what is behind the receiver and
+// who wants the outcome. A broadcast has one sink shared by all its chains
+// (treeCast, or the tracker itself for Star), so a target costs no
+// closure; funcSink and resultFunc adapt callers that think in callbacks.
+type sink interface {
+	// landed runs on the receiver's cell when the payload first lands.
+	landed(c *chain)
+	// settled runs on the sender's cell exactly once, with true on delivery.
+	settled(c *chain, ok bool)
+}
+
+// funcSink is a sink made of two callbacks.
+type funcSink struct {
+	onArrive func()
+	cb       func(ok bool)
+}
+
+func (h *funcSink) landed(*chain) { h.onArrive() }
+
+func (h *funcSink) settled(_ *chain, ok bool) { h.cb(ok) }
+
+// resultFunc is the sink of a point-to-point message with nothing behind
+// the receiver. A func value is pointer-shaped: the conversion to sink
+// allocates nothing.
+type resultFunc func(ok bool)
+
+func (resultFunc) landed(*chain) {}
+
+func (f resultFunc) settled(_ *chain, ok bool) { f(ok) }
+
 // send delivers one message with retries, occupying a connection slot of
-// the sender from dispatch until resolution, all on the sender's cell.
-// onArrive (may be nil) runs on the receiver's cell when the payload first
-// lands: duplicated deliveries (NetConfig.DupProb) are deduplicated here,
-// so a relay forwards once. cb runs on the sender's cell with true on
-// delivery, exactly once. tl (may be nil) is the broadcast's tally for the
+// the sender from dispatch until resolution, all on the sender's cell, and
+// reports to h; node is the tree position a treeCast keeps on its chains
+// (nil for everyone else). tl (may be nil) is the broadcast's tally for the
 // sender's cell. parent, when tracing is enabled, parents the
 // delivery-chain span (comm.send) under the broadcast that issued it.
-func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent spanRef, onArrive func(), cb func(ok bool)) {
+func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent spanRef, h sink, node *fptree.Node[cluster.NodeID]) {
 	st := b.on(from)
-	c := &chain{b: b, st: st, lim: st.limiter(from, b.MaxConcurrent), from: from, to: to, size: size, tl: tl, onArrive: onArrive, cb: cb}
+	c := &chain{b: b, st: st, lim: st.limiter(from, b.MaxConcurrent), from: from, to: to, size: int32(size), tl: tl, sink: h, node: node}
 	st.inst().outstanding.Add(1)
 	// The attributes are formatted strings: only a recording tracer pays
 	// for them.
@@ -331,31 +369,47 @@ func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent 
 		p, attrs := parent.under(b.Cluster.Node(from).Cell, []obs.Attr{obs.Int("from", int(from)), obs.Int("to", int(to))})
 		c.span = tr.Start("comm.send", p, attrs...)
 	}
-	c.lim.acquire(c.begin)
+	c.lim.acquire(c)
 }
 
 // chain is one delivery chain: a message and its retries, holding one of
-// the sender's connection slots from dispatch to resolution. All of a
-// chain's state lives in this one object and the callbacks it hands to
-// the engine and the network are its own methods, so the per-message
-// path allocates this object and a few method values, nothing larger: the
-// soaks send millions of messages and their wall time follows the
-// garbage they make.
+// the sender's connection slots from dispatch to resolution. It is the
+// only object a message allocates in this package: the engine schedules
+// the chain itself (simnet.Handler, the kinds below), the wire reports to
+// the chain itself (cluster.Outcome), the limiter queues it, and what
+// happens next is the sink it shares with its broadcast. The soaks send
+// millions of messages and their wall time follows the garbage they make,
+// which is also why the fields are packed into 96 bytes.
 type chain struct {
 	b        *Broadcaster
 	st       *cellState // the sender's cell
 	lim      *limiter
 	from, to cluster.NodeID
-	size     int
 	tl       *tally
-	span     obs.SpanID
-	onArrive func()
-	cb       func(ok bool)
+	sink     sink
+	node     *fptree.Node[cluster.NodeID]
 	start    time.Duration // when the chain got its slot; the deadline runs from here
-
+	span     obs.SpanID
 	attempts int32
+	size     int32
 	resolved bool
 	arrived  bool // the receiver's cell's only word in the chain
+}
+
+// The events of a chain.
+const (
+	chainTransmit     int32 = iota // SendOverhead paid: put the message on the wire
+	chainAfterBackoff              // the retry backoff ran out
+)
+
+// HandleEvent implements simnet.Handler.
+func (c *chain) HandleEvent(kind int32) {
+	switch kind {
+	case chainTransmit:
+		c.b.Cluster.Net.Transmit(c.from, c.to, int(c.size), c)
+	case chainAfterBackoff:
+		c.afterBackoff()
+	}
 }
 
 // begin runs once the sender has a free connection slot.
@@ -379,33 +433,28 @@ func (c *chain) attempt() {
 		c.st.e.Tracer().Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
 	}
 	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
-	c.st.e.After(b.SendOverhead, c.transmit)
+	c.st.e.AfterTo(b.SendOverhead, c, chainTransmit)
 }
 
-func (c *chain) transmit() {
-	var arrive func() // a method value is an allocation; most chains have no relay behind them
-	if c.onArrive != nil {
-		arrive = c.arrive
-	}
-	c.b.Cluster.Net.Transmit(c.from, c.to, c.size, arrive, c.delivered, c.failed)
-}
-
-// arrive runs on the receiver's cell at every landing of the payload; only
-// the first counts.
-func (c *chain) arrive() {
+// Arrived implements cluster.Outcome. It runs on the receiver's cell at
+// every landing of the payload; only the first counts, so a relay
+// forwards once under duplication (NetConfig.DupProb).
+func (c *chain) Arrived() {
 	if !c.arrived {
 		c.arrived = true
-		c.onArrive()
+		c.sink.landed(c)
 	}
 }
 
-func (c *chain) delivered() {
+// Sent implements cluster.Outcome.
+func (c *chain) Sent() {
 	if !c.resolved {
 		c.settle(true)
 	}
 }
 
-func (c *chain) failed() {
+// Failed implements cluster.Outcome: one attempt timed out.
+func (c *chain) Failed() {
 	if c.resolved {
 		return
 	}
@@ -415,7 +464,7 @@ func (c *chain) failed() {
 		return
 	}
 	if d := b.retryDelay(c.st, int(c.attempts)+1); d > 0 {
-		c.st.e.After(d, c.afterBackoff)
+		c.st.e.AfterTo(d, c, chainAfterBackoff)
 		return
 	}
 	c.attempt()
@@ -445,7 +494,7 @@ func (c *chain) settle(ok bool) {
 	}
 	tr.End(c.span)
 	c.lim.release()
-	c.cb(ok)
+	c.sink.settled(c, ok)
 }
 
 // pastDeadline reports whether the chain has exhausted the policy's
@@ -512,7 +561,7 @@ func (b *Broadcaster) handoff(from, to cluster.NodeID, fn func()) {
 func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
 	parent := spanRef{b.Cluster.Node(from).Cell, b.SpanParent}
 	b.SpanParent = 0
-	b.send(from, to, size, nil, parent, nil, cb)
+	b.send(from, to, size, nil, parent, resultFunc(cb), nil)
 }
 
 // tracker counts outstanding deliveries and finalizes the Result, on the
@@ -543,9 +592,15 @@ func newTracker(b *Broadcaster, origin cluster.NodeID, structure string, pending
 }
 
 // send runs one of the broadcast's delivery chains (see Broadcaster.send).
-func (t *tracker) send(from, to cluster.NodeID, size int, onArrive func(), cb func(ok bool)) {
-	t.b.send(from, to, size, &t.tallies[t.b.Cluster.Node(from).Cell], t.span, onArrive, cb)
+func (t *tracker) send(from, to cluster.NodeID, size int, h sink, node *fptree.Node[cluster.NodeID]) {
+	t.b.send(from, to, size, &t.tallies[t.b.Cluster.Node(from).Cell], t.span, h, node)
 }
+
+// landed and settled make the tracker the sink of a direct delivery with
+// nothing behind the receiver (Star): the chain's outcome is the target's.
+func (t *tracker) landed(*chain) {}
+
+func (t *tracker) settled(c *chain, ok bool) { t.resolve(c.from, c.to, ok) }
 
 // adopted records a comm.adopt instant on from's cell: from takes over the
 // children of a relay it could not reach.
@@ -634,8 +689,7 @@ func (Star) Name() string { return "star" }
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	t := newTracker(b, origin, "star", len(targets), done)
 	for _, id := range targets {
-		id := id
-		t.send(origin, id, size, nil, func(ok bool) { t.resolve(origin, id, ok) })
+		t.send(origin, id, size, t, nil)
 	}
 }
 
@@ -661,15 +715,15 @@ func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.N
 		to := ids[idx]
 		// The relay message carries the remaining list.
 		sz := size + (len(ids)-idx)*b.PerNodeListBytes
-		t.send(from, to, sz,
-			func() { b.relay(to, func() { hop(to, idx+1) }) },
-			func(ok bool) {
+		t.send(from, to, sz, &funcSink{
+			onArrive: func() { b.relay(to, func() { hop(to, idx+1) }) },
+			cb: func(ok bool) {
 				t.resolve(from, to, ok)
 				if !ok {
 					// Skip the dead node: the same sender tries its successor.
 					hop(from, idx+1)
 				}
-			})
+			}}, nil)
 	}
 	hop(origin, 0)
 }
@@ -777,37 +831,52 @@ func subtreeCount(n *fptree.Node[cluster.NodeID]) int {
 // adoption fault tolerance. The tree is built once on the origin's cell
 // and only read afterwards.
 func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	t := newTracker(b, origin, structure, tr.Size(), done)
-	var dispatch func(from cluster.NodeID, n *fptree.Node[cluster.NodeID])
-	dispatch = func(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
-		sz := size + subtreeCount(n)*b.PerNodeListBytes
-		var forward func()
-		if len(n.Children) > 0 {
-			forward = func() {
-				b.relay(n.Value, func() {
-					for _, ch := range n.Children {
-						dispatch(n.Value, ch)
-					}
-				})
-			}
-		}
-		t.send(from, n.Value, sz, forward, func(ok bool) {
-			t.resolve(from, n.Value, ok)
-			if ok {
-				return
-			}
-			// Fault tolerance: the parent adopts the failed child's
-			// children and contacts them directly.
-			if len(n.Children) > 0 {
-				t.adopted(from, n.Value, len(n.Children))
-			}
-			for _, ch := range n.Children {
-				dispatch(from, ch)
-			}
-		})
-	}
+	tc := &treeCast{t: newTracker(b, origin, structure, tr.Size(), done), size: size}
 	for _, r := range tr.Roots {
-		dispatch(origin, r)
+		tc.dispatch(origin, r)
+	}
+}
+
+// treeCast is one tree broadcast: the sink every one of its chains shares.
+// A chain carries its own tree position (chain.node), so a target costs
+// the chain and nothing else.
+type treeCast struct {
+	t    *tracker
+	size int
+}
+
+// dispatch sends n's subtree its payload from from.
+func (tc *treeCast) dispatch(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
+	sz := tc.size + subtreeCount(n)*tc.t.b.PerNodeListBytes
+	tc.t.send(from, n.Value, sz, tc, n)
+}
+
+// landed makes an interior node relay to its children.
+func (tc *treeCast) landed(c *chain) {
+	n := c.node
+	if len(n.Children) == 0 {
+		return
+	}
+	tc.t.b.relay(n.Value, func() {
+		for _, ch := range n.Children {
+			tc.dispatch(n.Value, ch)
+		}
+	})
+}
+
+func (tc *treeCast) settled(c *chain, ok bool) {
+	from, n := c.from, c.node
+	tc.t.resolve(from, n.Value, ok)
+	if ok {
+		return
+	}
+	// Fault tolerance: the parent adopts the failed child's children and
+	// contacts them directly.
+	if len(n.Children) > 0 {
+		tc.t.adopted(from, n.Value, len(n.Children))
+	}
+	for _, ch := range n.Children {
+		tc.dispatch(from, ch)
 	}
 }
 
@@ -930,9 +999,9 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 		head := ids[lo]
 		mid := lo + 1 + (hi-lo-1)/2
 		sz := size + (hi-lo)*b.PerNodeListBytes
-		t.send(holder, head, sz,
-			func() { b.relay(head, func() { relay(head, mid, hi) }) },
-			func(ok bool) {
+		t.send(holder, head, sz, &funcSink{
+			onArrive: func() { b.relay(head, func() { relay(head, mid, hi) }) },
+			cb: func(ok bool) {
 				t.resolve(holder, head, ok)
 				if !ok {
 					// Fault tolerance: the holder keeps both halves.
@@ -942,7 +1011,7 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 					relay(holder, mid, hi)
 				}
 				relay(holder, lo+1, mid)
-			})
+			}}, nil)
 	}
 	relay(origin, 0, len(ids))
 }

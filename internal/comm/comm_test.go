@@ -3,6 +3,7 @@ package comm
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/predict"
@@ -313,16 +314,96 @@ func TestBinomialLogDepthLatency(t *testing.T) {
 // A delivered message is the unit the soaks and the scale experiments
 // repeat millions of times, and what it allocates sets how often the
 // collector runs — which is what made their wall time swing from run to
-// run. With tracing off one message costs its chain, its flight and their
-// method values; the span attributes must cost nothing.
+// run. With tracing off one message costs its chain and its flight; the
+// events, the wire's callbacks, the limiter's queue and the span attributes
+// must cost nothing.
 func TestSendAllocationBudget(t *testing.T) {
 	e := simnet.NewEngine(21)
 	c := cluster.New(e, cluster.Config{Computes: 2, Satellites: 0})
 	b := NewBroadcaster(c)
 	from, to := c.Computes()[0], c.Computes()[1]
 	cb := func(bool) {}
-	const budget = 9 // measured 8: chain, flight, six method values
+	const budget = 2 // chain, flight
 	if got := testing.AllocsPerRun(200, func() { b.Send(from, to, 128, cb); e.Run() }); got > budget {
 		t.Fatalf("one delivered message allocates %.0f objects, budget %d", got, budget)
+	}
+	// Bytes follow the allocator's size classes: one more word puts a chain
+	// in the 112-byte class.
+	if sz := unsafe.Sizeof(chain{}); sz > 96 {
+		t.Errorf("chain is %d bytes, want at most 96", sz)
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestAllocsPerTarget budgets a whole broadcast on 1024 healthy nodes per
+// target: a Star target is its chain and its flight; a tree target adds
+// its tree node and its share of the children slices, the interior relays'
+// forward closures and, for the FP-Tree, the rearranged list. A closure or
+// method value per message, anywhere between the structure and the
+// kernel, shows here as a whole extra object per target.
+func TestAllocsPerTarget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const targets = 1024
+	for _, tc := range []struct {
+		s      Structure
+		budget float64 // objects per target
+	}{
+		{Star{}, 2.1},
+		{KTree{}, 3.2},
+		{FPTree{}, 3.2},
+	} {
+		e := simnet.NewEngine(22)
+		c := cluster.New(e, cluster.Config{Computes: targets, Satellites: 1})
+		b := NewBroadcaster(c)
+		delivered := 0
+		done := func(r Result) { delivered = r.Delivered }
+		run := func() {
+			tc.s.Broadcast(b, c.Satellites()[0], c.Computes(), 512, done)
+			e.Run()
+		}
+		run() // the origin's limiter, its queue, the event pool
+		got := testing.AllocsPerRun(10, run) / targets
+		if delivered != targets {
+			t.Fatalf("%s: delivered %d/%d", tc.s.Name(), delivered, targets)
+		}
+		if got > tc.budget {
+			t.Errorf("%s: %.2f objects per target, budget %.1f", tc.s.Name(), got, tc.budget)
+		}
+		t.Logf("%s: %.3f objects per target", tc.s.Name(), got)
+	}
+}
+
+// TestLimiterQueueReleasesChains: once a Star far wider than the origin's
+// connection limit has drained, the origin's queue holds no chain — a
+// popped slot that kept its pointer would pin every chain, and through
+// its sink the whole broadcast, until the array happened to be
+// reallocated.
+func TestLimiterQueueReleasesChains(t *testing.T) {
+	const targets = 4096
+	e := simnet.NewEngine(23)
+	c := cluster.New(e, cluster.Config{Computes: targets, Satellites: 1})
+	b := NewBroadcaster(c)
+	origin := c.Satellites()[0]
+	delivered := 0
+	Star{}.Broadcast(b, origin, c.Computes(), 512, func(r Result) { delivered = r.Delivered })
+	l := b.on(origin).limiters[origin]
+	if queued := len(l.queue) - l.head; queued != targets-b.MaxConcurrent {
+		t.Fatalf("%d chains queued behind %d slots, want %d", queued, b.MaxConcurrent, targets-b.MaxConcurrent)
+	}
+	e.Run()
+	if delivered != targets {
+		t.Fatalf("delivered %d/%d", delivered, targets)
+	}
+	if len(l.queue) != 0 || l.head != 0 || l.inUse != 0 {
+		t.Errorf("drained limiter: %d queued from head %d, %d slots in use; want 0, 0, 0", len(l.queue), l.head, l.inUse)
+	}
+	for i, ch := range l.queue[:cap(l.queue)] {
+		if ch != nil {
+			t.Fatalf("queue slot %d of %d still holds a chain after the drain", i, cap(l.queue))
+		}
 	}
 }

@@ -107,7 +107,7 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 	res := GatherResult{}
 	tallies := make([]tally, len(b.cells))
 	send := func(from, to cluster.NodeID, size int, onArrive func(), cb func(ok bool)) {
-		b.send(from, to, size, &tallies[b.Cluster.Node(from).Cell], span, onArrive, cb)
+		b.send(from, to, size, &tallies[b.Cluster.Node(from).Cell], span, &funcSink{onArrive, cb}, nil)
 	}
 
 	// collect visits every child from `from` and invokes then, on from's

@@ -49,6 +49,7 @@ var TaintAnalyzer = &Analyzer{
 // heap (or, for Rand, stream selection).
 var taintSchedulers = map[string]bool{
 	"Schedule": true, "After": true, "Every": true, "RunUntil": true, "Rand": true,
+	"ScheduleTo": true, "AfterTo": true, // the Handler forms of Schedule and After
 }
 
 // taintChain records one witness path from a source to the value under

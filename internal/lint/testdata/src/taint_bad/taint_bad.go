@@ -70,3 +70,17 @@ func RunNoisy(e *Engine) {
 func StreamFromEnv(e *Engine) int {
 	return e.Rand(os.Getenv("ESLURM_STREAM")) // want "from os.Getenv (taint_bad.go:71) reaches Engine.Rand (taint_bad.go:71)"
 }
+
+// AfterTo mimics the handler form of After (declared down here so the
+// line numbers pinned above stay put).
+func (e *Engine) AfterTo(d time.Duration, h interface{ HandleEvent(int32) }, kind int32) {}
+
+type sleeper struct{}
+
+func (sleeper) HandleEvent(int32) {}
+
+// HandlerWall reaches the heap through the handler form: a sink like
+// After, whatever the payload's shape.
+func HandlerWall(e *Engine) {
+	e.AfterTo(wallDelay(), sleeper{}, 0) // want "from time.Now (taint_bad.go:27) reaches Engine.AfterTo (taint_bad.go:85) via taint_bad.wallDelay (taint_bad.go:85)"
+}

@@ -53,3 +53,16 @@ func ScheduleSorted(e *Engine, m map[int]bool) {
 func LogWall() {
 	fmt.Println(time.Now())
 }
+
+// AfterTo mimics the handler form of After.
+func (e *Engine) AfterTo(d time.Duration, h interface{ HandleEvent(int32) }, kind int32) {}
+
+type sleeper struct{}
+
+func (sleeper) HandleEvent(int32) {}
+
+// HandlerSeeded schedules a handler with a seeded delay: the handler form
+// is a sink only for tainted arguments.
+func HandlerSeeded(e *Engine, rng *rand.Rand) {
+	e.AfterTo(seededDelay(rng), sleeper{}, 0)
+}

@@ -43,3 +43,22 @@ func DropOnExhaustedLoop(e *Engine, n int) {
 		}
 	}
 }
+
+// AfterTo mimics the handler form of After.
+func (e *Engine) AfterTo(d int64, h interface{ HandleEvent(int32) }, kind int32) Event {
+	return Event{}
+}
+
+type waiter struct{}
+
+func (waiter) HandleEvent(int32) {}
+
+// DropHandlerTimer binds a handler-form timer and forgets it on one arm:
+// the payload's shape does not change who must cancel it.
+func DropHandlerTimer(e *Engine, retry bool) {
+	ev := e.AfterTo(10, waiter{}, 0) // want "Engine.AfterTo handle \"ev\" may leave timerleak_bad.DropHandlerTimer still armed on path: AfterTo (timerleak_bad.go:59) -> `retry`=true"
+	if retry {
+		return
+	}
+	ev.Cancel()
+}

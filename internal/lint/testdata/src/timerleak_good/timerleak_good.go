@@ -96,3 +96,24 @@ func Rebind(e *Engine) {
 	ev = e.After(20, func() {})
 	ev.Cancel()
 }
+
+// AfterTo mimics the handler form of After.
+func (e *Engine) AfterTo(d int64, h interface{ HandleEvent(int32) }, kind int32) Event {
+	return Event{}
+}
+
+type waiter struct{}
+
+func (waiter) HandleEvent(int32) {}
+
+// HandlerForms discards one handler-form handle and settles the other on
+// every path.
+func HandlerForms(e *Engine, early bool) {
+	e.AfterTo(10, waiter{}, 0)
+	ev := e.AfterTo(10, waiter{}, 0)
+	if early {
+		ev.Cancel()
+		return
+	}
+	ev.Cancel()
+}

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// TimerleakAnalyzer tracks Engine.After / Engine.Every handles bound to
-// a local variable (matched structurally on a receiver type named
+// TimerleakAnalyzer tracks Engine.After / Engine.AfterTo / Engine.Every
+// handles bound to a local variable (matched structurally on a receiver type named
 // Engine): on every path out of the function the handle must be
 // cancelled (Event.Cancel / Ticker.Stop), rebound, or escape to an
 // owner (stored to a field, captured by a closure, returned, passed
@@ -21,7 +21,7 @@ import (
 // consume the handle.
 var TimerleakAnalyzer = &Analyzer{
 	Name: "timerleak",
-	Doc:  "require bound Engine.After/Every handles to be cancelled, rebound, or escape on all paths",
+	Doc:  "require bound Engine.After/AfterTo/Every handles to be cancelled, rebound, or escape on all paths",
 	Run:  runTimerleak,
 }
 
@@ -30,7 +30,7 @@ type timerOrigin struct {
 	assign *ast.AssignStmt
 	call   *ast.CallExpr
 	v      *types.Var
-	method string // "After" or "Every"
+	method string // "After", "AfterTo" or "Every"
 }
 
 func runTimerleak(p *Package) []Finding {
@@ -69,6 +69,9 @@ func timerleakBody(fb funcBody) []Finding {
 	return out
 }
 
+// timerMethods are the Engine methods whose handle timerleak tracks.
+var timerMethods = map[string]bool{"After": true, "AfterTo": true, "Every": true}
+
 // timerOrigins finds handle bindings in the body's own statements.
 func timerOrigins(fb funcBody) []timerOrigin {
 	var out []timerOrigin
@@ -88,7 +91,7 @@ func timerOrigins(fb funcBody) []timerOrigin {
 		if fn == nil || recvTypeName(fn) != "Engine" {
 			return true
 		}
-		if fn.Name() != "After" && fn.Name() != "Every" {
+		if !timerMethods[fn.Name()] {
 			return true
 		}
 		id, ok := as.Lhs[0].(*ast.Ident)

@@ -18,10 +18,16 @@
 // from the slice (one cache line covers a whole sibling group) and nothing
 // passes through an interface, so Push/Pop never box. Fired and cancelled
 // events are returned to a free list and reused, so steady-state
-// scheduling does not allocate; the Event handles callers hold are
-// generation-stamped, so a handle retained past its event's death can
-// never cancel or observe the slot's next occupant. When more than half
-// the heap is cancelled events awaiting their pop (Ticker-heavy
+// scheduling does not allocate inside the kernel, and not in the caller
+// either when it schedules a Handler (ScheduleTo, AfterTo,
+// ShardGroup.SendAfterTo): the event stores the handler's interface value
+// and a kind, so a component that is already a heap object — a message in
+// flight, a delivery chain — is its own callback and names which of its
+// events this is with the kind, where a func() would have to be a freshly
+// allocated closure or method value per event. The Event handles callers
+// hold are generation-stamped, so a handle retained past its event's
+// death can never cancel or observe the slot's next occupant. When more
+// than half the heap is cancelled events awaiting their pop (Ticker-heavy
 // workloads), the heap is compacted in place. Neither change is
 // observable in the (time, seq) execution order: cancelled events never
 // fire and the heap order is a total order, so every heap shape pops the
@@ -37,16 +43,33 @@ import (
 	"eslurm/internal/obs"
 )
 
+// Handler is a component that receives the events it scheduled for
+// itself. kind is whatever the component passed when scheduling and is
+// opaque to the kernel: one object can stand for several events of its life
+// (a message's landing, its timeout) without allocating a callback for
+// each.
+type Handler interface {
+	HandleEvent(kind int32)
+}
+
+// funcHandler adapts a plain func() to Handler. A func value is
+// pointer-shaped, so the conversion to the interface allocates nothing and
+// Schedule/After/Every cost what they did when the event stored the func.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(int32) { f() }
+
 // event is the pooled kernel object behind an Event handle. It is reused
 // across many scheduled callbacks; gen counts the reuses so stale handles
 // can be told apart from live ones.
 type event struct {
 	at       time.Duration
 	seq      uint64
-	gen      uint64 // bumped each time the object is taken from the pool
-	fn       func()
+	gen      uint64  // bumped each time the object is taken from the pool
+	h        Handler // with kind, the event's whole payload
 	e        *Engine
 	index    int // position in heap; -1 once popped or collected
+	kind     int32
 	canceled bool
 }
 
@@ -244,7 +267,7 @@ func (e *Engine) compact() {
 // is so dead handles keep answering Canceled truthfully until the object
 // is reused (newEvent resets it).
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.index = -1
 	e.free = append(e.free, ev)
 }
@@ -270,27 +293,38 @@ func (e *Engine) newEvent() *event {
 	return ev
 }
 
-// Schedule runs fn at absolute virtual time t. Scheduling in the past (t <
-// Now) panics: it would silently reorder causality.
-func (e *Engine) Schedule(t time.Duration, fn func()) Event {
+// ScheduleTo delivers kind to h at absolute virtual time t. Scheduling in
+// the past (t < Now) panics: it would silently reorder causality.
+func (e *Engine) ScheduleTo(t time.Duration, h Handler, kind int32) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
 	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.at, ev.seq, ev.h, ev.kind = t, e.seq, h, kind
 	e.events = append(e.events, heapEntry{t, e.seq, ev})
 	e.siftUp(len(e.events) - 1)
 	return Event{ev: ev, gen: ev.gen, at: t}
 }
 
-// After runs fn d after the current virtual time. Negative d is clamped to
-// zero so callers may subtract without guarding.
-func (e *Engine) After(d time.Duration, fn func()) Event {
+// AfterTo delivers kind to h d after the current virtual time. Negative d
+// is clamped to zero so callers may subtract without guarding.
+func (e *Engine) AfterTo(d time.Duration, h Handler, kind int32) Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.Schedule(e.now+d, fn)
+	return e.ScheduleTo(e.now+d, h, kind)
+}
+
+// Schedule runs fn at absolute virtual time t: ScheduleTo for a caller
+// whose callback is not an object of its own.
+func (e *Engine) Schedule(t time.Duration, fn func()) Event {
+	return e.ScheduleTo(t, funcHandler(fn), 0)
+}
+
+// After runs fn d after the current virtual time, clamped like AfterTo.
+func (e *Engine) After(d time.Duration, fn func()) Event {
+	return e.AfterTo(d, funcHandler(fn), 0)
 }
 
 // Ticker is a handle to a periodic task registered with Every.
@@ -343,11 +377,11 @@ func (e *Engine) Step() bool {
 		if e.observer != nil {
 			e.observer(ev.at, ev.seq)
 		}
-		fn := ev.fn
-		ev.fn = nil
-		fn()
-		// Recycle only after fn returns: user code may run inside fn while
-		// the handle is still the live in-flight event.
+		h, kind := ev.h, ev.kind
+		ev.h = nil
+		h.HandleEvent(kind)
+		// Recycle only after the handler returns: user code may run inside
+		// it while the handle is still the live in-flight event.
 		e.recycle(ev)
 		return true
 	}

@@ -1,8 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -99,11 +100,11 @@ type shardDone struct{}
 
 // crossEvent is one buffered cross-cell event awaiting the barrier merge.
 type crossEvent struct {
-	at  time.Duration
-	src int
-	seq uint64
-	dst int
-	fn  func()
+	at       time.Duration
+	seq      uint64
+	h        Handler
+	src, dst int32
+	kind     int32
 }
 
 // shardCmd is one window assignment handed to a worker goroutine: the
@@ -196,8 +197,8 @@ func (g *ShardGroup) Processed() uint64 {
 	return n
 }
 
-// SendAfter schedules fn on cell dst at the source cell's current time
-// plus the group lookahead plus extra — for same-cell and cross-cell
+// SendAfterTo delivers kind to h on cell dst at the source cell's current
+// time plus the group lookahead plus extra — for same-cell and cross-cell
 // sends alike, so a model's timing never depends on where the partition
 // boundary falls. A caller cannot name an absolute delivery time: the
 // lookahead is added here, which makes the conservative window's
@@ -208,18 +209,23 @@ func (g *ShardGroup) Processed() uint64 {
 // Delivery order is deterministic: buffered cross-cell events are merged
 // at each window barrier sorted by (time, src cell, per-source sequence),
 // and scheduled onto the destination engine in that order.
-func (g *ShardGroup) SendAfter(src, dst int, extra time.Duration, fn func()) {
+func (g *ShardGroup) SendAfterTo(src, dst int, extra time.Duration, h Handler, kind int32) {
 	if extra < 0 {
 		panic("simnet: SendAfter with a negative extra delay would deliver inside the lookahead window")
 	}
 	e := g.cells[src]
 	at := e.now + g.lookahead + extra
 	if dst == src {
-		e.Schedule(at, fn)
+		e.ScheduleTo(at, h, kind)
 		return
 	}
 	g.seqs[src]++
-	g.out[src] = append(g.out[src], crossEvent{at: at, src: src, seq: g.seqs[src], dst: dst, fn: fn})
+	g.out[src] = append(g.out[src], crossEvent{at: at, seq: g.seqs[src], h: h, src: int32(src), dst: int32(dst), kind: kind})
+}
+
+// SendAfter is SendAfterTo for a plain func().
+func (g *ShardGroup) SendAfter(src, dst int, extra time.Duration, fn func()) {
+	g.SendAfterTo(src, dst, extra, funcHandler(fn), 0)
 }
 
 // EnableDigest arms per-cell (at, seq) execution-trace digests (FNV-1a).
@@ -480,27 +486,26 @@ func (g *ShardGroup) mergeCross() {
 	g.in.cross.Add(int64(len(all)))
 	sortCross(all)
 	for i := range all {
-		g.cells[all[i].dst].Schedule(all[i].at, all[i].fn)
-		all[i].fn = nil // release the closure; the scratch buffer outlives the window
+		g.cells[all[i].dst].ScheduleTo(all[i].at, all[i].h, all[i].kind)
+		all[i].h = nil // release the handler; the scratch buffer outlives the window
 	}
 }
 
 // sortCross sorts by (at, src, seq). The key is a total order — seq is
 // unique per src — so any comparison sort yields the same permutation;
-// sort.Slice keeps broadcast-burst barriers (thousands of cross events in
-// one window) out of quadratic territory.
-func sortCross(a []crossEvent) {
-	sort.Slice(a, func(i, j int) bool { return crossBefore(&a[i], &a[j]) })
-}
+// slices.SortFunc keeps broadcast-burst barriers (thousands of cross events
+// in one window) out of quadratic territory and, unlike sort.Slice, builds
+// no swapper or closure per barrier.
+func sortCross(a []crossEvent) { slices.SortFunc(a, compareCross) }
 
-func crossBefore(x, y *crossEvent) bool {
-	if x.at != y.at {
-		return x.at < y.at
+func compareCross(x, y crossEvent) int {
+	if c := cmp.Compare(x.at, y.at); c != 0 {
+		return c
 	}
-	if x.src != y.src {
-		return x.src < y.src
+	if c := cmp.Compare(x.src, y.src); c != 0 {
+		return c
 	}
-	return x.seq < y.seq
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // runWindow executes this engine's events with at < end, then advances
