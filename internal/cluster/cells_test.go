@@ -235,7 +235,7 @@ func TestMidRunMutationPanics(t *testing.T) {
 func TestWorkerInvariance(t *testing.T) {
 	run := func(workers int) (uint64, uint64) {
 		c := New(simnet.NewEngine(11), Config{
-			Computes:   12,
+			Computes:   192,
 			Satellites: 2,
 			Net:        NetConfig{LossProb: 0.1, DupProb: 0.1},
 			Cells:      4,
@@ -276,6 +276,11 @@ func TestWorkerInvariance(t *testing.T) {
 			if s := c.Node(id).Meter.Sockets(); s != 0 {
 				t.Errorf("node %d holds %d sockets after the drain", id, s)
 			}
+		}
+		// The storm must be large enough to reach the worker pool, or the
+		// sweep compares the inline path with itself.
+		if n := c.Engine.Metrics().Counter("simnet.windows_dispatched").Value(); n == 0 {
+			t.Fatalf("workers=%d: no window was dispatched", workers)
 		}
 		return c.Group().Digest(), c.Group().Processed()
 	}

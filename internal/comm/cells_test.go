@@ -166,7 +166,7 @@ func TestRetryOverlapsFirstAttemptsArrival(t *testing.T) {
 func TestBroadcastWorkerInvariance(t *testing.T) {
 	for _, s := range []Structure{KTree{Width: 4}, GatherTree{Width: 4}, Ring{}} {
 		run := func(workers int) (uint64, Result, string, string) {
-			c := threeCells(24, workers, 13, cluster.NetConfig{LossProb: 0.05, DupProb: 0.05})
+			c := threeCells(600, workers, 13, cluster.NetConfig{LossProb: 0.05, DupProb: 0.05})
 			c.Group().EnableDigest()
 			c.Group().EnableTracing()
 			comps := c.Computes()
@@ -187,6 +187,12 @@ func TestBroadcastWorkerInvariance(t *testing.T) {
 				if err := tr.WriteText(&spans); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// A ring has one message in flight, so no window of its run can
+			// qualify; the relay structures must reach the worker pool, or
+			// the sweep compares the inline path with itself.
+			if _, sequential := s.(Ring); !sequential && c.Engine.Metrics().Counter("simnet.windows_dispatched").Value() == 0 {
+				t.Fatalf("%s workers=%d: no window was dispatched", s.Name(), workers)
 			}
 			return c.Group().Digest(), res, metrics.String(), spans.String()
 		}

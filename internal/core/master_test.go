@@ -408,6 +408,9 @@ func TestPartitionedMasterReallocates(t *testing.T) {
 			t.Errorf("workers=%d: dead satellite state = %v", workers, st)
 		}
 		o.stats, o.processed = m.Stats(), c.Group().Processed()
+		if n := c.Engine.Metrics().Counter("simnet.windows_dispatched").Value(); n == 0 {
+			t.Fatalf("workers=%d: no window was dispatched", workers)
+		}
 		return o
 	}
 	ref := run(1)

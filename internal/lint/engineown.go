@@ -46,35 +46,33 @@ import (
 // ownership contract.
 //
 // The one sanctioned crossing is the shard kernel itself: package
-// simnet's ShardGroup hands whole cells to window workers over its
-// shardCmd channels and joins them over shardDone tokens, under the
+// simnet's ShardGroup is the receiver of its go'd window workers, which
+// claim whole cells of a published window under the
 // conservative-lookahead barrier that makes the handoff race-free (cells
-// never run concurrently with the merge). Escapes whose escaping value's
-// static type is simnet's ShardGroup, shardCmd, or shardDone (or a
-// container of one) are therefore exempt — a typed exemption, not a
-// package waiver: a raw Engine crossing a goroutine or channel in simnet
-// still fires.
+// never run concurrently with the merge). Nothing engine-owned travels
+// over the kernel's channels — they carry empty tokens — so the
+// exemption is exactly one type: an escape whose escaping value's static
+// type is simnet's ShardGroup (or a container of one) is exempt. A typed
+// exemption, not a package waiver: a raw Engine, or a struct of them,
+// crossing a goroutine or channel in simnet still fires.
 var EngineownAnalyzer = &Analyzer{
 	Name:      "engineown",
-	Doc:       "track engine-owned values (the engine, derived RNG/metrics/tracer state, engine-holding structs) across functions and flag escapes to goroutines, channels, or package-level variables; simnet's ShardGroup/shardCmd/shardDone barrier handoff is the one typed exemption",
+	Doc:       "track engine-owned values (the engine, derived RNG/metrics/tracer state, engine-holding structs) across functions and flag escapes to goroutines, channels, or package-level variables; simnet's ShardGroup, the receiver of its go'd window workers, is the one typed exemption",
 	RunModule: runEngineown,
 }
 
-// sanctionedShardType reports whether t is (a container of) one of the
-// shard kernel's sanctioned barrier-handoff types: ShardGroup, shardCmd,
-// or shardDone declared in a package named simnet. These cross goroutines by
-// design — the window protocol guarantees the receiving worker has
-// exclusive access until the barrier — so escapes of exactly these types
-// are not findings. Matching is structural (package name + type name),
-// like the Engine type itself, so the lint testdata can model it.
+// sanctionedShardType reports whether t is (a container of) the shard
+// kernel's one sanctioned crossing type: ShardGroup declared in a package
+// named simnet. It crosses goroutines by design — the window protocol
+// guarantees a worker exclusive access to each cell it claims until the
+// barrier — so escapes of exactly this type are not findings. Matching is
+// structural (package name + type name), like the Engine type itself, so
+// the lint testdata can model it.
 func sanctionedShardType(t types.Type) bool {
 	switch u := t.(type) {
 	case *types.Named:
 		obj := u.Obj()
-		if obj.Pkg() == nil || obj.Pkg().Name() != "simnet" {
-			return false
-		}
-		return obj.Name() == "ShardGroup" || obj.Name() == "shardCmd" || obj.Name() == "shardDone"
+		return obj.Pkg() != nil && obj.Pkg().Name() == "simnet" && obj.Name() == "ShardGroup"
 	case *types.Pointer:
 		return sanctionedShardType(u.Elem())
 	case *types.Slice:

@@ -25,6 +25,19 @@ func (g *ShardGroup) BadFanOut(ch chan []*Engine) {
 	ch <- g.cells // want "escapes to a channel send"
 }
 
+// shardCmd is a window assignment that carries its cells. The exemption
+// names ShardGroup alone, so sending one is a finding like any other
+// engine-holding struct on a channel.
+type shardCmd struct {
+	cells []*Engine
+	end   time.Duration
+}
+
+// BadAssign ships cells to a worker inside a command.
+func (g *ShardGroup) BadAssign(cmds chan shardCmd, end time.Duration) {
+	cmds <- shardCmd{cells: g.cells, end: end} // want "escapes to a channel send"
+}
+
 // BadSpawn hands one raw cell to a goroutine.
 func (g *ShardGroup) BadSpawn() {
 	c := g.cells[0]

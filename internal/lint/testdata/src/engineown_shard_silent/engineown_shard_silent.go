@@ -1,14 +1,17 @@
 //eslurmlint:testpath eslurm/internal/simnet
 
 // Package simnet (test double) models the shard kernel's sanctioned
-// barrier handoff: window workers receive whole cells over shardCmd
-// channels, join over shardDone tokens, and the ShardGroup receiver
-// itself is go'd. Every escape in this file is of a sanctioned type
-// (ShardGroup, shardCmd, shardDone, or a container of one), so
-// engineown must report nothing.
+// barrier handoff: the ShardGroup receiver itself is go'd, the
+// coordinator publishes a window in a pool that holds no engine, and
+// workers claim cells through an atomic cursor, woken and joined over
+// channels of empty tokens. The only engine-owned value that crosses a
+// goroutine is the ShardGroup, so engineown must report nothing.
 package simnet
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Engine mimics the kernel surface; engineown matches it by name.
 type Engine struct {
@@ -17,60 +20,58 @@ type Engine struct {
 
 func (e *Engine) Step() bool { return false }
 
-// ShardGroup and shardCmd mirror the real kernel's handoff types.
+// ShardGroup mirrors the real kernel's one sanctioned type.
 type ShardGroup struct {
 	cells   []*Engine
 	workers int
+	pool    *shardPool
 }
 
-type shardCmd struct {
-	cells []*Engine
-	end   time.Duration
-}
-
-type shardDone struct{}
-
-// shardPool mirrors the real kernel's persistent pool: engine-holding
-// struct whose channels are all of sanctioned types.
+// shardPool mirrors the real kernel's pool: the published window, the
+// claim cursor and the token channels — no engine anywhere in it.
 type shardPool struct {
-	cmds    []chan shardCmd
-	done    chan shardDone
-	stripes [][]*Engine
+	end  time.Duration
+	next atomic.Int32
+	wake chan struct{}
+	done chan struct{}
 }
 
-// runWindow fans the cells out to workers and waits at the barrier —
-// the sanctioned crossing the exemption exists for.
+// runWindow wakes the workers, claims cells beside them and waits at the
+// barrier — the sanctioned crossing the exemption exists for.
 func (g *ShardGroup) runWindow(end time.Duration) {
-	p := &shardPool{
-		cmds: make([]chan shardCmd, g.workers),
-		done: make(chan shardDone, g.workers),
+	if g.pool == nil {
+		g.startWorkers()
 	}
-	cmds, done := p.cmds, p.done
-	for w := 0; w < g.workers; w++ {
-		for i := w; i < len(g.cells); i += g.workers {
-			p.stripes = append(p.stripes, nil)
-		}
-		cmds[w] = make(chan shardCmd, 1)
-		go g.worker(cmds[w], done)
+	p := g.pool
+	p.end = end
+	p.next.Store(0)
+	for w := 1; w < g.workers; w++ {
+		p.wake <- struct{}{}
 	}
-	for w := 0; w < g.workers; w++ {
-		var mine []*Engine
-		for i := w; i < len(g.cells); i += g.workers {
-			mine = append(mine, g.cells[i])
-		}
-		cmds[w] <- shardCmd{cells: mine, end: end}
-	}
-	for w := 0; w < g.workers; w++ {
-		<-done
+	g.claimCells(p)
+	for w := 1; w < g.workers; w++ {
+		<-p.done
 	}
 }
 
-func (g *ShardGroup) worker(cmds chan shardCmd, done chan<- shardDone) {
-	for cmd := range cmds {
-		for _, c := range cmd.cells {
-			for c.Step() {
-			}
+func (g *ShardGroup) startWorkers() {
+	p := &shardPool{wake: make(chan struct{}, g.workers-1), done: make(chan struct{}, g.workers-1)}
+	for w := 1; w < g.workers; w++ {
+		go g.worker(p)
+	}
+	g.pool = p
+}
+
+func (g *ShardGroup) claimCells(p *shardPool) {
+	for i := int(p.next.Add(1)) - 1; i < len(g.cells); i = int(p.next.Add(1)) - 1 {
+		for g.cells[i].Step() {
 		}
-		done <- shardDone{}
+	}
+}
+
+func (g *ShardGroup) worker(p *shardPool) {
+	for range p.wake {
+		g.claimCells(p)
+		p.done <- struct{}{}
 	}
 }

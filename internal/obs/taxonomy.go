@@ -100,7 +100,9 @@ func MetricTaxonomy() []MetricInfo {
 		{"sched.submitted", "counter", "sched", "jobs submitted"},
 		{"simnet.cross_events", "counter", "simnet", "events merged onto another cell at a window barrier"},
 		{"simnet.window_busy_cells", "histogram", "simnet", "cells with work per conservative window"},
+		{"simnet.window_events", "histogram", "simnet", "events executed per conservative window"},
 		{"simnet.windows", "counter", "simnet", "conservative windows a shard group executed"},
+		{"simnet.windows_dispatched", "counter", "simnet", "multi-busy windows that inherited enough work to go to the worker pool (counted at every worker count)"},
 		{"simnet.windows_multi_busy", "counter", "simnet", "windows with work on two or more cells (the ones a second worker can help)"},
 	}
 	sort.Slice(m, func(i, j int) bool { return m[i].Name < m[j].Name })

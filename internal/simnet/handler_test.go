@@ -193,7 +193,7 @@ func TestHandlerEventSemantics(t *testing.T) {
 }
 
 // TestShardGroupSendAfterTo: the handler form crosses cells like the func
-// form, in the (time, src, seq) merge order.
+// form, in the (time, src cell, send order) merge order.
 func TestShardGroupSendAfterTo(t *testing.T) {
 	g := NewShardGroup(1, 2, time.Millisecond, 2)
 	var here, there kinds // what cell 0 and cell 1 were handed

@@ -1,10 +1,9 @@
 package simnet
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"eslurm/internal/obs"
@@ -13,7 +12,7 @@ import (
 // Shard-parallel execution: one logical simulation partitioned across a
 // fixed set of engine cells, each cell's event loop runnable on its own
 // goroutine inside a conservative lookahead window, with cross-cell events
-// merged through a deterministic (time, source cell, sequence) order.
+// merged at the window barrier in (source cell, send order).
 //
 // # Cells versus workers
 //
@@ -21,9 +20,9 @@ import (
 // (racks, in the cluster layer) chosen by the model's topology, never by
 // the machine. Each cell owns one Engine and everything scheduled on it.
 // The *worker count* — the -shards knob — only decides how many goroutines
-// execute cells inside a window; it is invisible to the model. That split
-// is what makes the shard-count invariance contract cheap to honor: the
-// per-cell event streams and the cross-cell merge order depend only on
+// may execute cells inside a window; it is invisible to the model. That
+// split is what makes the shard-count invariance contract cheap to honor:
+// the per-cell event streams and the cross-cell merge order depend only on
 // (seed, topology, lookahead), so the same seed produces byte-identical
 // trace digests and metrics at ANY worker count, including the serial
 // workers=1 run that executes the very same windowed protocol inline.
@@ -35,13 +34,29 @@ import (
 // the sender's now + L or later by construction. With T the earliest
 // pending event across all cells, every cell can run its events in
 // [T, T+L) with no input from any other cell: a cross-cell event emitted
-// inside the window is timestamped ≥ T+L, past the window's end. Cells therefore execute the
-// window concurrently with no synchronization, then meet at a barrier
-// where buffered cross-cell events are sorted by (time, src cell, src seq)
-// and scheduled onto their destination engines in that order. Destination
-// sequence numbers are assigned during that deterministic sweep, so the
-// merged (at, seq) execution streams are reproducible regardless of which
+// inside the window is timestamped ≥ T+L, past the window's end. Cells
+// therefore execute the window with no synchronization, then meet at a
+// barrier where the buffered cross-cell events are scheduled onto their
+// destination engines source cell by source cell, each source's in send
+// order. Nothing is sorted: a destination's heap orders by (at, seq) and
+// assigns seq in insertion order, so events with different times run in
+// time order whatever order they were inserted in, and events with equal
+// times run in the order inserted — source cell, then send order. The
+// merged execution streams are therefore reproducible regardless of which
 // goroutine ran which cell when.
+//
+// # What a window costs
+//
+// Most windows of a communication-sparse model hold a handful of events,
+// and handing those to another goroutine costs more than running them. A
+// window goes to the worker pool only when it has work on two or more
+// cells and inherits enough of it (dispatchMinWork); every other window
+// runs inline on the coordinator, as all of them do at workers=1. A
+// dispatched window is self-scheduled: the coordinator publishes its
+// bounds, wakes the workers and joins them in claiming cells one at a
+// time through an atomic cursor, so a heavy cell never shares a fixed
+// stripe with another and the coordinator never parks while a cell is
+// left to run.
 type ShardGroup struct {
 	seed      int64
 	lookahead time.Duration
@@ -51,10 +66,8 @@ type ShardGroup struct {
 	// Cross-cell mail. out[src] is appended only by the goroutine
 	// executing cell src during a window (or by the coordinating
 	// goroutine between runs), and drained by the coordinator at each
-	// barrier; seqs[src] is the per-source-cell send sequence that breaks
-	// (time, src) ties.
-	out  [][]crossEvent
-	seqs []uint64
+	// barrier.
+	out [][]crossEvent
 
 	// Per-cell FNV-1a digests over the (at, seq) execution streams,
 	// maintained by per-cell observers when digesting is enabled. Written
@@ -69,54 +82,47 @@ type ShardGroup struct {
 	// ever driven through its single cell's engine registers nothing.
 	in *shardInstruments
 
-	// merged is the reusable barrier scratch buffer mergeCross gathers
-	// cross events into before sorting. Windows fire millions of times per
-	// run, so reusing the slice keeps the barrier allocation-free once the
-	// buffer has grown to the largest batch seen.
-	merged []crossEvent
-
-	// pool is the persistent window-worker pool, alive for the duration of
-	// one RunUntil call (nil while idle and in workers==1 mode). Spawning
-	// workers once per run instead of once per window matters: windows are
-	// short (one lookahead of virtual time), and models run millions of
-	// them.
+	// pool is the window-worker pool: started by the first window a run
+	// dispatches, joined when that run returns, nil otherwise — a run in
+	// which no window qualifies starts no goroutine.
 	pool *shardPool
 }
 
-// shardPool is the per-RunUntil worker state: one command channel per
-// worker, the static cell→worker stripes, and the barrier channel.
-type shardPool struct {
-	cmds    []chan shardCmd
-	done    chan shardDone
-	stripes [][]*Engine
-}
+// dispatchMinWork is the least work a window must inherit — cross events
+// merged at the barrier that opened it plus events the window before it
+// executed — to be handed to the worker pool. Both terms are functions of
+// the event streams alone, so the same windows qualify at every worker
+// count. The previous window's count predicts a burst under way; the
+// merged count catches a burst's first window, the one after a one-event
+// tick that fanned out to a thousand nodes.
+//
+// Measured on fig7f at 1,024 nodes (18 clusters of 3 cells, 446,158
+// windows, 11,245,330 events; simnet.window_events): 439,899 windows run
+// at most 32 events, 5,380 run more than 512, and 879 fall in between. The
+// load is bimodal, so the choice of threshold between the modes hardly
+// matters (4,706 windows qualify at 64, 4,526 at 128, 4,448 at 512), and
+// what a hand-off costs — wake a parked goroutine, join it: tens of µs,
+// some hundred events' worth — lies between the modes too.
+const dispatchMinWork = 128
 
-// shardDone is the barrier completion token a worker sends after each
-// window (and once on exit). A dedicated type, not a bare int, so the
-// engineown exemption for the barrier handoff stays typed: only the
-// sanctioned shardCmd/shardDone channels may cross the coordinator ↔
-// worker boundary.
-type shardDone struct{}
+// shardPool is what the coordinator shares with its window workers for
+// one run. It writes end and clock and resets next before each wake; the
+// wake send and the done receive order those writes, and everything a
+// worker wrote to the cells it claimed, against the other side.
+type shardPool struct {
+	end   time.Duration // events with at < end execute
+	clock time.Duration // cell clocks advance to clock afterwards
+	next  atomic.Int32  // the next unclaimed cell
+	wake  chan struct{} // one token per worker woken for the window
+	done  chan struct{} // one token back per wake, and one on exit
+}
 
 // crossEvent is one buffered cross-cell event awaiting the barrier merge.
 type crossEvent struct {
-	at       time.Duration
-	seq      uint64
-	h        Handler
-	src, dst int32
-	kind     int32
-}
-
-// shardCmd is one window assignment handed to a worker goroutine: the
-// cells it executes this window and the half-open window bounds. This
-// channel payload carries engine-owned state across goroutines by design;
-// together with shardDone it forms the sanctioned barrier handoff, and
-// the engineown analyzer exempts exactly these types (see
-// internal/lint/engineown.go).
-type shardCmd struct {
-	cells []*Engine
-	end   time.Duration // events with at < end execute
-	clock time.Duration // cell clocks advance to clock afterwards
+	at   time.Duration
+	h    Handler
+	dst  int32
+	kind int32
 }
 
 // NewShardGroup builds a group of `cells` engines sharing one root seed,
@@ -161,7 +167,6 @@ func newShardGroup(seed int64, cell0 *Engine, cells int, lookahead time.Duration
 		cells:     make([]*Engine, cells),
 		workers:   workers,
 		out:       make([][]crossEvent, cells),
-		seqs:      make([]uint64, cells),
 		digests:   make([]uint64, cells),
 	}
 	g.cells[0] = cell0
@@ -206,9 +211,9 @@ func (g *ShardGroup) Processed() uint64 {
 // executing) hold by construction. The one misuse left is a negative
 // extra, and it panics.
 //
-// Delivery order is deterministic: buffered cross-cell events are merged
-// at each window barrier sorted by (time, src cell, per-source sequence),
-// and scheduled onto the destination engine in that order.
+// Delivery order is deterministic: a destination runs the events merged
+// at a window barrier by time, then source cell, then the order in which
+// that source sent them.
 func (g *ShardGroup) SendAfterTo(src, dst int, extra time.Duration, h Handler, kind int32) {
 	if extra < 0 {
 		panic("simnet: SendAfter with a negative extra delay would deliver inside the lookahead window")
@@ -219,8 +224,7 @@ func (g *ShardGroup) SendAfterTo(src, dst int, extra time.Duration, h Handler, k
 		e.ScheduleTo(at, h, kind)
 		return
 	}
-	g.seqs[src]++
-	g.out[src] = append(g.out[src], crossEvent{at: at, seq: g.seqs[src], h: h, src: int32(src), dst: int32(dst), kind: kind})
+	g.out[src] = append(g.out[src], crossEvent{at: at, h: h, dst: int32(dst), kind: kind})
 }
 
 // SendAfter is SendAfterTo for a plain func().
@@ -322,13 +326,11 @@ func (g *ShardGroup) run(deadline time.Duration) {
 	if g.in == nil {
 		g.in = newShardInstruments(g.cells[0].Metrics())
 	}
+	defer g.stopWorkers()
 	// Cross-cell events emitted between runs (model wiring done while the
 	// group is idle) are merged before the first window.
-	g.mergeCross()
-	if g.workers > 1 {
-		g.startWorkers()
-		defer g.stopWorkers()
-	}
+	work := g.mergeCross()
+	ran := g.Processed()
 	for {
 		t, ok := g.earliest()
 		if !ok || t > deadline {
@@ -344,29 +346,36 @@ func (g *ShardGroup) run(deadline time.Duration) {
 			end = deadline + 1
 			clock = deadline
 		}
-		g.runWindow(end, clock)
-		g.mergeCross()
+		g.runWindow(end, clock, work)
+		n := g.Processed()
+		g.in.windowEvents.Observe(int64(n - ran))
+		work = int(n-ran) + g.mergeCross()
+		ran = n
 	}
 }
 
 // shardInstruments are the kernel's own counters: how many windows ran,
 // how many of them had work on two or more cells (the only ones a second
-// worker can help with), how many events crossed a cell boundary, and the
-// spread of busy cells per window. All four are functions of the cells'
-// event streams, so they are identical at every worker count; they live
-// in cell 0's registry, touched only by the coordinator between windows,
-// and reach MergedMetrics with the rest of that cell's instruments.
+// worker can help with), how many of those met the dispatch predicate,
+// how many events crossed a cell boundary, and the spread of busy cells
+// and of executed events per window. All six are functions of the cells'
+// event streams, so they are identical at every worker count — one
+// included, where a "dispatched" window runs inline like the rest; they
+// live in cell 0's registry, touched only by the coordinator between
+// windows, and reach MergedMetrics with that cell's other instruments.
 type shardInstruments struct {
-	windows, multiBusy, cross *obs.Counter
-	busyCells                 *obs.Histogram
+	windows, multiBusy, dispatched, cross *obs.Counter
+	busyCells, windowEvents               *obs.Histogram
 }
 
 func newShardInstruments(m *obs.Registry) *shardInstruments {
 	return &shardInstruments{
-		windows:   m.Counter("simnet.windows"),
-		multiBusy: m.Counter("simnet.windows_multi_busy"),
-		cross:     m.Counter("simnet.cross_events"),
-		busyCells: m.Histogram("simnet.window_busy_cells", []int64{1, 2, 4, 8, 16, 32}),
+		windows:      m.Counter("simnet.windows"),
+		multiBusy:    m.Counter("simnet.windows_multi_busy"),
+		dispatched:   m.Counter("simnet.windows_dispatched"),
+		cross:        m.Counter("simnet.cross_events"),
+		busyCells:    m.Histogram("simnet.window_busy_cells", []int64{1, 2, 4, 8, 16, 32}),
+		windowEvents: m.Histogram("simnet.window_events", []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}),
 	}
 }
 
@@ -382,52 +391,14 @@ func (g *ShardGroup) earliest() (time.Duration, bool) {
 	return t, found
 }
 
-// startWorkers spawns the persistent window workers for one RunUntil
-// call, with static cell→worker striping (cell i runs on worker
-// i%workers). The assignment is irrelevant to the result (cells are
-// independent within a window) but keeping it static makes scheduling
-// overhead stable.
-func (g *ShardGroup) startWorkers() {
-	p := &shardPool{
-		cmds:    make([]chan shardCmd, g.workers),
-		done:    make(chan shardDone, g.workers),
-		stripes: make([][]*Engine, g.workers),
-	}
-	for w := 0; w < g.workers; w++ {
-		for i := w; i < len(g.cells); i += g.workers {
-			p.stripes[w] = append(p.stripes[w], g.cells[i])
-		}
-		p.cmds[w] = make(chan shardCmd, 1)
-		//eslurmlint:ignore gosim window workers run cells whose schedules are causally independent until the barrier; the merge order is fixed by (time, src cell, seq), so interleaving never reaches simulated state
-		go g.worker(p.cmds[w], p.done)
-	}
-	g.pool = p
-}
-
-// stopWorkers closes the command channels and joins the workers.
-func (g *ShardGroup) stopWorkers() {
-	for _, ch := range g.pool.cmds {
-		close(ch)
-	}
-	for range g.pool.cmds {
-		<-g.pool.done
-	}
-	g.pool = nil
-}
-
 // runWindow executes one conservative window on every cell: events with
-// at < end run, clocks advance to clock. With one worker the cells run
-// inline on the calling goroutine — the identical protocol, minus the
-// goroutines — which is both the fast path on small models and the
-// serial reference the multi-worker runs must match byte for byte.
-//
-// In multi-worker mode, windows where at most one cell actually has
-// events also run inline: the per-cell calls are identical either way,
-// so only wall-clock changes, and most windows in communication-sparse
-// phases are single-cell. The coordinator may touch cells directly here
-// because the previous window's barrier receive happens-before this, and
-// the next command send happens-after.
-func (g *ShardGroup) runWindow(end, clock time.Duration) {
+// at < end run, clocks advance to clock. work is what the window inherits
+// (see dispatchMinWork). A window that cannot repay a hand-off — and every
+// window when workers is 1 — runs its cells inline on the calling
+// goroutine; the per-cell calls are identical either way, so only
+// wall-clock changes, and the inline protocol is the serial reference the
+// multi-worker runs must match byte for byte.
+func (g *ShardGroup) runWindow(end, clock time.Duration, work int) {
 	g.inWindow = true
 	defer func() { g.inWindow = false }()
 	busy := 0
@@ -440,14 +411,12 @@ func (g *ShardGroup) runWindow(end, clock time.Duration) {
 	g.in.busyCells.Observe(int64(busy))
 	if busy > 1 {
 		g.in.multiBusy.Inc()
-		if g.workers > 1 {
-			for w := range g.pool.cmds {
-				g.pool.cmds[w] <- shardCmd{cells: g.pool.stripes[w], end: end, clock: clock}
+		if work >= dispatchMinWork {
+			g.in.dispatched.Inc()
+			if g.workers > 1 {
+				g.dispatch(end, clock, min(g.workers, busy)-1)
+				return
 			}
-			for range g.pool.cmds {
-				<-g.pool.done
-			}
-			return
 		}
 	}
 	for _, c := range g.cells {
@@ -455,57 +424,87 @@ func (g *ShardGroup) runWindow(end, clock time.Duration) {
 	}
 }
 
-// worker executes window assignments until its command channel closes,
-// signalling the barrier after each. The channel receive/send pair is
-// the barrier handoff: everything the worker wrote (cell state, out
-// buffers, digests) happens-before the coordinator's barrier reads.
-func (g *ShardGroup) worker(cmds chan shardCmd, done chan<- shardDone) {
-	for cmd := range cmds {
-		for _, c := range cmd.cells {
-			c.runWindow(cmd.end, cmd.clock)
-		}
-		done <- shardDone{}
+// dispatch runs one window on the pool, starting it on first use: publish
+// the bounds, wake `helpers` workers, claim cells alongside them, and wait
+// for each woken worker's token. Before the first send and after the last
+// receive the coordinator has the pool and the cells to itself.
+func (g *ShardGroup) dispatch(end, clock time.Duration, helpers int) {
+	if g.pool == nil {
+		g.startWorkers()
 	}
-	done <- shardDone{}
+	p := g.pool
+	p.end, p.clock = end, clock
+	p.next.Store(0)
+	for w := 0; w < helpers; w++ {
+		p.wake <- struct{}{}
+	}
+	g.claimCells(p)
+	for w := 0; w < helpers; w++ {
+		<-p.done
+	}
 }
 
-// mergeCross drains the per-source cross-event buffers, sorts them by
-// (time, src cell, src seq), and schedules them onto their destination
-// engines in that order — the deterministic merge that assigns
-// destination sequence numbers identically at every worker count.
-func (g *ShardGroup) mergeCross() {
-	all := g.merged[:0]
-	for src := range g.out {
-		all = append(all, g.out[src]...)
-		g.out[src] = g.out[src][:0]
+// startWorkers spawns the workers−1 goroutines that help the coordinator —
+// itself worker 0 — for the rest of the run.
+func (g *ShardGroup) startWorkers() {
+	p := &shardPool{wake: make(chan struct{}, g.workers-1), done: make(chan struct{}, g.workers-1)}
+	for w := 1; w < g.workers; w++ {
+		//eslurmlint:ignore gosim window workers run cells whose schedules are causally independent until the barrier; the coordinator alone merges, in (src cell, send order), after every woken worker has answered, so interleaving never reaches simulated state
+		go g.worker(p)
 	}
-	g.merged = all[:0]
-	if len(all) == 0 {
+	g.pool = p
+}
+
+// claimCells runs the published window on every cell the caller can claim;
+// cells are independent within a window, so who claims which is irrelevant.
+func (g *ShardGroup) claimCells(p *shardPool) {
+	for i := int(p.next.Add(1)) - 1; i < len(g.cells); i = int(p.next.Add(1)) - 1 {
+		g.cells[i].runWindow(p.end, p.clock)
+	}
+}
+
+// worker claims cells of each window it is woken for until the wake
+// channel closes, answering every token with one of its own. The
+// receive/send pair is the barrier handoff: everything the worker wrote
+// (cell state, out buffers, digests) happens-before the coordinator's
+// barrier reads.
+func (g *ShardGroup) worker(p *shardPool) {
+	for range p.wake {
+		g.claimCells(p)
+		p.done <- struct{}{}
+	}
+	p.done <- struct{}{}
+}
+
+// stopWorkers joins the pool, if the run started one.
+func (g *ShardGroup) stopWorkers() {
+	if g.pool == nil {
 		return
 	}
-	g.in.cross.Add(int64(len(all)))
-	sortCross(all)
-	for i := range all {
-		g.cells[all[i].dst].ScheduleTo(all[i].at, all[i].h, all[i].kind)
-		all[i].h = nil // release the handler; the scratch buffer outlives the window
+	close(g.pool.wake)
+	for w := 1; w < g.workers; w++ {
+		<-g.pool.done
 	}
+	g.pool = nil
 }
 
-// sortCross sorts by (at, src, seq). The key is a total order — seq is
-// unique per src — so any comparison sort yields the same permutation;
-// slices.SortFunc keeps broadcast-burst barriers (thousands of cross events
-// in one window) out of quadratic territory and, unlike sort.Slice, builds
-// no swapper or closure per barrier.
-func sortCross(a []crossEvent) { slices.SortFunc(a, compareCross) }
-
-func compareCross(x, y crossEvent) int {
-	if c := cmp.Compare(x.at, y.at); c != 0 {
-		return c
+// mergeCross drains the per-source cross-event buffers onto their
+// destination engines, source cell by source cell, each in send order,
+// and returns how many events it moved. The destinations execute them by
+// (at, src cell, send order) with no sort here: see "The conservative
+// window" above.
+func (g *ShardGroup) mergeCross() int {
+	n := 0
+	for src, out := range g.out {
+		for i := range out {
+			g.cells[out[i].dst].ScheduleTo(out[i].at, out[i].h, out[i].kind)
+			out[i].h = nil // release the handler; the buffer outlives the window
+		}
+		n += len(out)
+		g.out[src] = out[:0]
 	}
-	if c := cmp.Compare(x.src, y.src); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.seq, y.seq)
+	g.in.cross.Add(int64(n))
+	return n
 }
 
 // runWindow executes this engine's events with at < end, then advances

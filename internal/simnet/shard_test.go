@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -83,8 +86,19 @@ func TestShardGroupWorkerSweep(t *testing.T) {
 // TestShardGroupDigestPinned pins the digest constant itself so an
 // accidental protocol change (merge order, window bounds, seed
 // derivation) fails loudly rather than silently shifting all runs.
+//
+// The digest hashes (at, seq), and seq is a label: the position at which
+// an event was inserted into its cell's heap. It was re-pinned once (from
+// 0xecfba5eaff115726) when the barrier stopped sorting its batch by time
+// before inserting it: a batch is now inserted source by source, so an
+// event that is sent early but lands late gets a smaller label than it
+// used to. The executed order did not move — the heap runs by time first
+// and labels only break ties between equal times, where the insertion
+// order (source cell, then send order) is what the sort produced too —
+// which TestShardGroupMergeOrder states directly and the digests that hash
+// what ran rather than its labels (chaos, critpath, the tables) confirm.
 func TestShardGroupDigestPinned(t *testing.T) {
-	const wantDigest = uint64(0xecfba5eaff115726)
+	const wantDigest = uint64(0xa2f00a1b66e73b5f)
 	const wantProcessed = uint64(312)
 	d, p, _ := runShardTraffic(t, 4, 2)
 	if d != wantDigest || p != wantProcessed {
@@ -236,5 +250,171 @@ func TestShardGroupCellSeeds(t *testing.T) {
 	}
 	if a.Cell(0).Seed() == a.Cell(1).Seed() {
 		t.Error("adjacent cells share a seed")
+	}
+}
+
+// kernelCounter reads one of the group's own counters from cell 0.
+func kernelCounter(g *ShardGroup, name string) int64 {
+	return g.Cell(0).Metrics().Counter(name).Value()
+}
+
+// TestShardGroupMergeOrder states the barrier's order contract directly:
+// of the events three source cells send to one destination in one window,
+// the destination runs the earlier first, equal times by source cell, and
+// one source's equal times in the order sent — although each source sends
+// its latest event first and the barrier sorts nothing. The sending window
+// follows a busy one, so with more than one worker the sources run on the
+// pool.
+func TestShardGroupMergeOrder(t *testing.T) {
+	const L = 100 * time.Microsecond
+	extras := []time.Duration{3 * L, 2 * L, 2 * L, L, L} // decreasing, with ties
+	var want []string
+	for _, at := range []time.Duration{L, 2 * L, 3 * L} {
+		for src := 1; src <= 3; src++ {
+			for i, x := range extras {
+				if x == at {
+					want = append(want, fmt.Sprintf("%v/%d/%d", at, src, i))
+				}
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		g := NewShardGroup(5, 4, L, workers)
+		var got []string
+		for src := 1; src <= 3; src++ {
+			src := src
+			for k := 0; k < dispatchMinWork/2; k++ {
+				g.Cell(src).Schedule(time.Microsecond, func() {})
+			}
+			g.Cell(src).Schedule(time.Microsecond+L, func() {
+				for i, x := range extras {
+					tag := fmt.Sprintf("%v/%d/%d", x, src, i)
+					g.SendAfter(src, 0, x-L, func() { got = append(got, tag) })
+				}
+			})
+		}
+		g.Run()
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("workers=%d: destination ran\n%v, want\n%v", workers, got, want)
+		}
+		if d := kernelCounter(g, "simnet.windows_dispatched"); d != 1 {
+			t.Errorf("workers=%d: %d windows dispatched, want the sending window alone", workers, d)
+		}
+	}
+}
+
+// TestShardGroupDenseWorkerSweep keeps the multi-worker path in the suite
+// now that sparse windows run inline: a program in which every window has
+// several times dispatchMinWork events on every cell must dispatch nearly
+// all of its windows, and produce the same digest, event count and merged
+// metrics at every worker count.
+func TestShardGroupDenseWorkerSweep(t *testing.T) {
+	const cells, hops, L = 8, 20, 150 * time.Microsecond
+	run := func(workers int) (uint64, uint64, string, *ShardGroup) {
+		g := NewShardGroup(11, cells, L, workers)
+		g.EnableDigest()
+		hits := make([]*int64, cells)
+		var hop func(cell, n int)
+		hop = func(cell, n int) {
+			e := g.Cell(cell)
+			e.Metrics().Counter("dense.hops").Inc()
+			d := time.Duration(e.Rand("dense/local").Intn(40)+1) * time.Microsecond
+			e.After(d, func() { *hits[cell]++ })
+			if n < hops {
+				next := (cell + 1 + n%3) % cells
+				g.SendAfter(cell, next, 0, func() { hop(next, n+1) })
+			}
+		}
+		for c := 0; c < cells; c++ {
+			c := c
+			hits[c] = new(int64)
+			for k := 0; k < 2*dispatchMinWork; k++ {
+				g.Cell(c).Schedule(time.Duration(k%50+1)*time.Microsecond, func() { hop(c, 0) })
+			}
+		}
+		g.Run()
+		var sb strings.Builder
+		if err := g.MergedMetrics().WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return g.Digest(), g.Processed(), sb.String(), g
+	}
+	refDigest, refProcessed, refMetrics, g := run(1)
+	windows, dispatched := kernelCounter(g, "simnet.windows"), kernelCounter(g, "simnet.windows_dispatched")
+	if dispatched < hops || dispatched < windows-2 {
+		t.Fatalf("%d of %d windows dispatched: the program is not dense", dispatched, windows)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		d, p, m, _ := run(workers)
+		if d != refDigest || p != refProcessed {
+			t.Errorf("workers=%d: digest %#x processed %d, want %#x / %d", workers, d, p, refDigest, refProcessed)
+		}
+		if m != refMetrics {
+			t.Errorf("workers=%d: merged metrics differ from workers=1:\n%s\nwant\n%s", workers, m, refMetrics)
+		}
+	}
+}
+
+// liveGoroutines counts goroutines after yielding to those that have
+// answered a join but not yet returned: a worker's exit token precedes its
+// exit, so the count can trail a join by an instant.
+func liveGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m < n {
+			n, i = m, 0
+		}
+	}
+	return n
+}
+
+// TestShardGroupSparseRunStartsNoWorker pins the pool's lifetime: it
+// starts at a run's first dispatched window, so a run in which no window
+// qualifies — whatever its worker count — runs on the calling goroutine
+// alone, and a run that did dispatch leaves no goroutine behind.
+func TestShardGroupSparseRunStartsNoWorker(t *testing.T) {
+	before := liveGoroutines()
+	g := NewShardGroup(9, 2, time.Millisecond, 4)
+	var seen [2]int // most goroutines any event of the cell saw
+	look := func(cell int) { seen[cell] = max(seen[cell], runtime.NumGoroutine()) }
+	var ping func(cell, n int)
+	ping = func(cell, n int) {
+		look(cell)
+		g.Cell(cell).After(10*time.Microsecond, func() {})
+		if n < 200 {
+			g.SendAfter(cell, 1-cell, 0, func() { ping(1-cell, n+1) })
+		}
+	}
+	g.Cell(0).Schedule(time.Microsecond, func() { ping(0, 0) })
+	g.Cell(1).Schedule(time.Microsecond, func() { ping(1, 0) })
+	g.RunUntil(time.Second)
+	if d := kernelCounter(g, "simnet.windows_dispatched"); d != 0 {
+		t.Fatalf("sparse program dispatched %d windows", d)
+	}
+	if kernelCounter(g, "simnet.windows_multi_busy") == 0 {
+		t.Fatal("sparse program never had two busy cells: the test would pass on any predicate")
+	}
+	if after := liveGoroutines(); max(seen[0], seen[1]) != before || after != before {
+		t.Errorf("goroutines: %d before, %v during, %d after a run that dispatched nothing", before, seen, after)
+	}
+
+	// A dense phase on the same group starts the pool and joins it.
+	for c := 0; c < 2; c++ {
+		c := c
+		for k := 0; k < 2*dispatchMinWork; k++ {
+			g.Cell(c).After(time.Millisecond, func() {})
+			g.Cell(c).After(2*time.Millisecond, func() { look(c) })
+		}
+	}
+	g.RunUntil(2 * time.Second)
+	if d := kernelCounter(g, "simnet.windows_dispatched"); d != 1 {
+		t.Fatalf("dense phase dispatched %d windows, want 1", d)
+	}
+	if got := max(seen[0], seen[1]); got != before+1 {
+		t.Errorf("dense phase saw %d goroutines, want %d (one helper beside the coordinator)", got, before+1)
+	}
+	if after := liveGoroutines(); after != before {
+		t.Errorf("goroutines: %d before, %d after the pool was joined", before, after)
 	}
 }
