@@ -21,6 +21,7 @@
 //	benchrunner -exp fig8b -trace t.json   # Chrome trace of every engine
 //	benchrunner -exp fig8b -metrics        # dump each engine's registry
 //	benchrunner -exp fig7f -critpath cp.txt  # critical-path attribution
+//	benchrunner -exp table8 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -critpath arms span recording on every engine and writes the
 // deterministic critical-path report (internal/obs/critpath) for the
@@ -39,6 +40,10 @@
 // experiments, rather than run one-cell and say nothing.
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
+// -cpuprofile and -memprofile write pprof files covering the experiments
+// alone (not flag parsing, not the -json microbench): host-time questions
+// ("where does table8 spend its CPU") that the simulated-time trace cannot
+// answer. Read them with `go tool pprof`.
 package main
 
 import (
@@ -48,6 +53,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		critPath = fs.String("critpath", "", "write the deterministic critical-path report of every engine to this file")
 		spans    = fs.Bool("spans", false, "print the span and metric taxonomy tables (the generated half of OBSERVABILITY.md) and exit")
 		shards   = fs.Int("shards", 0, "partition the clusters built through Env.NewCluster (fig7f, fig10, ablation) by rack and run their cells on N workers (0 = one cell)")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof allocation profile, taken when the experiments finish, to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -144,6 +152,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stderr, "-- %d experiment(s), %s preset, %d worker(s)\n", len(specs), preset, *parallel)
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	suiteStart := time.Now()
 	var results []experiment.Result
 	if spans := *trace != "" || *critPath != ""; spans || *metrics {
@@ -152,6 +165,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		results = experiment.RunConcurrent(specs, params, *parallel, emit)
 	}
 	suiteWall := time.Since(suiteStart)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	fmt.Fprintf(stderr, "-- suite done in %s\n", suiteWall.Round(time.Millisecond))
 	partitioned, ids := false, make([]string, len(results))
 	for i, r := range results {
@@ -180,6 +197,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-- wrote %s\n", path)
 	}
 	return 0
+}
+
+// startProfiles starts the CPU profile and returns the function that stops
+// it and writes the allocation profile; an empty path skips that profile.
+// Both files are created up front, so a bad path fails before the run.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				cpu.Close()
+			}
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == nil {
+			return nil
+		}
+		runtime.GC() // the allocs profile is as of the last completed collection
+		if err := pprof.Lookup("allocs").WriteTo(mem, 0); err != nil {
+			mem.Close()
+			return err
+		}
+		return mem.Close()
+	}, nil
 }
 
 // lookupAll resolves a comma-separated -exp value into specs in registry

@@ -109,3 +109,36 @@ func TestShardsHonouredOrRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty pprof
+// file and the tables are the plain run's; a path that cannot be created
+// fails before any experiment runs.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var plain, out, errs bytes.Buffer
+	if code := run([]string{"-exp", "fig8b"}, &plain, &errs); code != 0 {
+		t.Fatalf("plain run: exit %d\n%s", code, errs.String())
+	}
+	if code := run([]string{"-exp", "fig8b", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errs); code != 0 {
+		t.Fatalf("profiled run: exit %d\n%s", code, errs.String())
+	}
+	if !bytes.Equal(out.Bytes(), plain.Bytes()) {
+		t.Errorf("profiled run's tables differ from the plain run's")
+	}
+	for _, path := range []string{cpu, mem} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+
+	out.Reset()
+	errs.Reset()
+	bad := filepath.Join(dir, "no-such-dir", "cpu.pprof")
+	if code := run([]string{"-exp", "fig8b", "-cpuprofile", bad}, &out, &errs); code != 1 {
+		t.Errorf("unwritable -cpuprofile: exit %d, want 1", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("unwritable -cpuprofile still ran the experiment:\n%s", out.String())
+	}
+}

@@ -418,4 +418,13 @@ func TestFrameworkObsCounters(t *testing.T) {
 	if maxiter == 0 || maxiter > gens*int64(f.Config().K) {
 		t.Errorf("estimate.svr_maxiter = %d over %d generations of %d fits", maxiter, gens, f.Config().K)
 	}
+	// Every window job goes to exactly one cluster fit, and the same
+	// duplication leaves fewer distinct rows than rows.
+	rows, distinct := reg.Counter("estimate.svr_rows").Value(), reg.Counter("estimate.svr_distinct_rows").Value()
+	if rows < gens*int64(f.Config().MinTrain) || rows > gens*int64(f.Config().InterestWindow) {
+		t.Errorf("estimate.svr_rows = %d over %d generations of %d..%d window jobs", rows, gens, f.Config().MinTrain, f.Config().InterestWindow)
+	}
+	if distinct <= 0 || distinct >= rows {
+		t.Errorf("estimate.svr_distinct_rows = %d of %d rows, want fewer (duplicated rows) but some", distinct, rows)
+	}
 }

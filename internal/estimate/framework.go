@@ -114,6 +114,9 @@ type model struct {
 	// unconverged counts the per-cluster SVR fits of this generation that
 	// stopped at MaxIter rather than Tol.
 	unconverged int
+	// svrRows and svrDistinct total the training rows handed to those fits
+	// and the bit-distinct rows among them, fit by fit.
+	svrRows, svrDistinct int
 }
 
 // query is the model's answer for one job: its cluster and the raw
@@ -276,7 +279,8 @@ type Framework struct {
 
 	// Registry instruments; nil until SetObs is called. obs instruments
 	// no-op on nil receivers, so unbound frameworks pay nothing.
-	cPredictions, cModelUsed, cGenerations, cSVRMaxIter *obs.Counter
+	cPredictions, cModelUsed, cGenerations *obs.Counter
+	cSVRMaxIter, cSVRRows, cSVRDistinct    *obs.Counter
 }
 
 // NewFramework returns an empty framework; models appear as jobs complete.
@@ -290,13 +294,15 @@ func (f *Framework) Config() FrameworkConfig { return f.cfg }
 
 // SetObs binds the framework to a metrics registry (typically the driving
 // engine's — the framework itself is engine-free). It registers counters
-// estimate.predictions, estimate.model_used, estimate.generations, and
-// estimate.svr_maxiter.
+// estimate.predictions, estimate.model_used, estimate.generations,
+// estimate.svr_maxiter, estimate.svr_rows and estimate.svr_distinct_rows.
 func (f *Framework) SetObs(m *obs.Registry) {
 	f.cPredictions = m.Counter("estimate.predictions")
 	f.cModelUsed = m.Counter("estimate.model_used")
 	f.cGenerations = m.Counter("estimate.generations")
 	f.cSVRMaxIter = m.Counter("estimate.svr_maxiter")
+	f.cSVRRows = m.Counter("estimate.svr_rows")
+	f.cSVRDistinct = m.Counter("estimate.svr_distinct_rows")
 }
 
 // frameworkName is the framework's row label in the Fig. 11b comparison.
@@ -311,6 +317,8 @@ func (f *Framework) adopt() {
 	f.Generations++
 	f.cGenerations.Inc()
 	f.cSVRMaxIter.Add(int64(f.gen.m.unconverged))
+	f.cSVRRows.Add(int64(f.gen.m.svrRows))
+	f.cSVRDistinct.Add(int64(f.gen.m.svrDistinct))
 }
 
 // Predict runs the real-time estimation module for a newly submitted job.
@@ -519,6 +527,8 @@ func (g *generator) generate() {
 		if !m.svrs[c].Converged() {
 			m.unconverged++
 		}
+		m.svrRows += len(cx)
+		m.svrDistinct += m.svrs[c].DistinctRows()
 	}
 	for i := range window {
 		c := assign[i]

@@ -83,13 +83,15 @@ func (t *RegressionTree) build(x [][]float64, y []float64, idx []int, depth int,
 	}
 
 	bestFeat, bestThresh, bestScore := -1, 0.0, math.Inf(1)
-	vals := make([]float64, 0, len(idx))
+	// vals is the feature's column over this node in idx order, sorted the
+	// same values in ascending order; both are reused across features.
+	vals := make([]float64, len(idx))
+	sorted := make([]float64, len(idx))
 	for _, feat := range features {
-		vals = vals[:0]
-		for _, j := range idx {
-			vals = append(vals, x[j][feat])
+		for i, j := range idx {
+			vals[i] = x[j][feat]
 		}
-		sorted := append([]float64(nil), vals...)
+		copy(sorted, vals)
 		sort.Float64s(sorted)
 		// Candidate thresholds: midpoints of consecutive distinct values.
 		for k := 0; k+1 < len(sorted); k++ {
@@ -97,12 +99,12 @@ func (t *RegressionTree) build(x [][]float64, y []float64, idx []int, depth int,
 				continue
 			}
 			thresh := (sorted[k] + sorted[k+1]) / 2
-			// Weighted variance of the two sides.
+			// Weighted variance of the two sides, read from the node's own
+			// contiguous copies (vals, sub) in idx order.
 			var ln, rn int
 			var lsum, lsq, rsum, rsq float64
-			for _, j := range idx {
-				v := y[j]
-				if x[j][feat] <= thresh {
+			for i, v := range sub {
+				if vals[i] <= thresh {
 					ln++
 					lsum += v
 					lsq += v * v

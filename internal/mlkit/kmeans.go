@@ -20,6 +20,15 @@ type KMeans struct {
 // Lloyd iterations (at most maxIter; 0 means 100). Fewer samples than k
 // yields one cluster per distinct sample position.
 func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans {
+	return kmeansFit(samples, groupRows(samples), k, maxIter, rng)
+}
+
+// kmeansFit is KMeansFit on pre-grouped samples. A sample's distance to a
+// centroid depends on its row alone, so every distance is measured once per
+// distinct row; every sum (centroid sums, Inertia) still runs over the
+// samples in order, so the model is the one a per-sample loop fits, bit for
+// bit.
+func kmeansFit(samples [][]float64, groups rowGroups, k int, maxIter int, rng *rand.Rand) *KMeans {
 	if len(samples) == 0 || k <= 0 {
 		return &KMeans{}
 	}
@@ -30,19 +39,15 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 		maxIter = 100
 	}
 
-	centroids := seedPlusPlus(samples, k, rng)
-	assign := make([]int, len(samples))
+	km := &KMeans{Centroids: seedPlusPlus(samples, groups, k, rng)}
+	centroids := km.Centroids
+	// assign[g] is the cluster of every sample of class g.
+	assign := make([]int, groups.distinct())
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
-		for i, s := range samples {
-			best, bestD := 0, math.Inf(1)
-			for c, cen := range centroids {
-				if d := SqDist(s, cen); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
+		for g, i := range groups.rep {
+			if best := km.Nearest(samples[i]); assign[g] != best {
+				assign[g] = best
 				changed = true
 			}
 		}
@@ -57,7 +62,7 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 			sums[c] = make([]float64, dim)
 		}
 		for i, s := range samples {
-			c := assign[i]
+			c := assign[groups.of[i]]
 			counts[c]++
 			for j, v := range s {
 				sums[c][j] += v
@@ -68,8 +73,8 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 				// Empty cluster: reseed from the sample farthest from its
 				// centroid to keep k clusters alive.
 				far, farD := 0, -1.0
-				for i, s := range samples {
-					if d := SqDist(s, centroids[assign[i]]); d > farD {
+				for g, i := range groups.rep {
+					if d := SqDist(samples[i], centroids[assign[g]]); d > farD {
 						far, farD = i, d
 					}
 				}
@@ -83,38 +88,45 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 		}
 	}
 
-	km := &KMeans{Centroids: centroids, Sizes: make([]int, k)}
-	for i, s := range samples {
-		c := km.Nearest(s)
-		assign[i] = c
-		km.Sizes[c]++
-		km.Inertia += SqDist(s, centroids[c])
+	km.Sizes = make([]int, k)
+	dist := make([]float64, groups.distinct())
+	for g, i := range groups.rep {
+		assign[g] = km.Nearest(samples[i])
+		dist[g] = SqDist(samples[i], centroids[assign[g]])
+	}
+	for _, g := range groups.of {
+		km.Sizes[assign[g]]++
+		km.Inertia += dist[g]
 	}
 	return km
 }
 
-// seedPlusPlus picks k initial centroids with D² weighting. d2[i] is the
-// running minimum squared distance from sample i to the centroids chosen so
-// far; each round folds in only the newest centroid, so seeding costs
-// O(k·n) distance evaluations. min is exact in floating point, so d2 — and
-// with it every draw — equals an all-centroids recompute bit for bit.
-func seedPlusPlus(samples [][]float64, k int, rng *rand.Rand) [][]float64 {
+// seedPlusPlus picks k initial centroids with D² weighting. d2[g] is the
+// running minimum squared distance from the samples of class g to the
+// centroids chosen so far; each round folds in only the newest centroid, so
+// seeding costs O(k·u) distance evaluations for u distinct rows. min is
+// exact in floating point, and the roulette total and walk run over the
+// samples in order, so every draw equals an all-centroids, all-samples
+// recompute bit for bit.
+func seedPlusPlus(samples [][]float64, groups rowGroups, k int, rng *rand.Rand) [][]float64 {
 	centroids := make([][]float64, 0, k)
 	first := samples[rng.Intn(len(samples))]
 	centroids = append(centroids, append([]float64(nil), first...))
 
-	d2 := make([]float64, len(samples))
-	for i := range d2 {
-		d2[i] = math.Inf(1)
+	d2 := make([]float64, groups.distinct())
+	for g := range d2 {
+		d2[g] = math.Inf(1)
 	}
 	for len(centroids) < k {
 		newest := centroids[len(centroids)-1]
-		total := 0.0
-		for i, s := range samples {
-			if d := SqDist(s, newest); d < d2[i] {
-				d2[i] = d
+		for g, i := range groups.rep {
+			if d := SqDist(samples[i], newest); d < d2[g] {
+				d2[g] = d
 			}
-			total += d2[i]
+		}
+		total := 0.0
+		for _, g := range groups.of {
+			total += d2[g]
 		}
 		if total == 0 {
 			// All remaining samples coincide with centroids; duplicate one.
@@ -126,7 +138,8 @@ func seedPlusPlus(samples [][]float64, k int, rng *rand.Rand) [][]float64 {
 		// any weight: rounding in the running subtraction can leave r > 0
 		// past the final sample, and the draw then belongs to that one.
 		idx := 0
-		for i, d := range d2 {
+		for i, g := range groups.of {
+			d := d2[g]
 			if d > 0 {
 				idx = i
 			}
@@ -155,11 +168,17 @@ func (k *KMeans) Nearest(x []float64) int {
 	return best
 }
 
-// Assign returns the cluster index of every sample.
+// Assign returns the cluster index of every sample, measuring each distinct
+// row once.
 func (k *KMeans) Assign(samples [][]float64) []int {
+	groups := groupRows(samples)
+	near := make([]int, groups.distinct())
+	for g, i := range groups.rep {
+		near[g] = k.Nearest(samples[i])
+	}
 	out := make([]int, len(samples))
-	for i, s := range samples {
-		out[i] = k.Nearest(s)
+	for i, g := range groups.of {
+		out[i] = near[g]
 	}
 	return out
 }
@@ -179,8 +198,9 @@ func ChooseKElbow(samples [][]float64, kMin, kMax, maxIter int, rng *rand.Rand) 
 		return kMin
 	}
 	inertias := make([]float64, kMax-kMin+1)
+	groups := groupRows(samples)
 	for k := kMin; k <= kMax; k++ {
-		inertias[k-kMin] = KMeansFit(samples, k, maxIter, rng).Inertia
+		inertias[k-kMin] = kmeansFit(samples, groups, k, maxIter, rng).Inertia
 	}
 	// Distance from the chord.
 	x1, y1 := float64(kMin), inertias[0]

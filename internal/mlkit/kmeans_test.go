@@ -1,6 +1,7 @@
 package mlkit
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,6 +50,63 @@ func rouletteBrute(d2 []float64, r float64) int {
 	return 0
 }
 
+// kmeansFitBrute is the reference fit: brute-force seeding, then Lloyd
+// iterations that measure every sample — copies included — against every
+// centroid, as KMeansFit did before it grouped rows.
+func kmeansFitBrute(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans {
+	if k > len(samples) {
+		k = len(samples)
+	}
+	km := &KMeans{Centroids: seedPlusPlusBrute(samples, k, rng), Sizes: make([]int, k)}
+	centroids := km.Centroids
+	assign := make([]int, len(samples))
+	for iter := 0; iter < maxIter; iter++ {
+		changed := false
+		for i, s := range samples {
+			if best := km.Nearest(s); assign[i] != best {
+				assign[i] = best
+				changed = true
+			}
+		}
+		if !changed && iter > 0 {
+			break
+		}
+		sums := make([][]float64, k)
+		counts := make([]int, k)
+		for c := range sums {
+			sums[c] = make([]float64, len(samples[0]))
+		}
+		for i, s := range samples {
+			counts[assign[i]]++
+			for j, v := range s {
+				sums[assign[i]][j] += v
+			}
+		}
+		for c := range centroids {
+			if counts[c] == 0 {
+				far, farD := 0, -1.0
+				for i, s := range samples {
+					if d := SqDist(s, centroids[assign[i]]); d > farD {
+						far, farD = i, d
+					}
+				}
+				centroids[c] = append([]float64(nil), samples[far]...)
+				continue
+			}
+			for j := range sums[c] {
+				sums[c][j] /= float64(counts[c])
+			}
+			centroids[c] = sums[c]
+		}
+	}
+	for _, s := range samples {
+		c := km.Nearest(s)
+		km.Sizes[c]++
+		km.Inertia += SqDist(s, centroids[c])
+	}
+	return km
+}
+
 // countingSource counts the draws taken from the wrapped source.
 type countingSource struct {
 	src   rand.Source
@@ -58,10 +116,29 @@ type countingSource struct {
 func (c *countingSource) Int63() int64 { c.draws++; return c.src.Int63() }
 func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
 
-// TestSeedPlusPlusMatchesBruteForce checks the running-minimum seeding
-// against the all-centroids recompute: same centroids bit for bit and the
-// same number of RNG draws, on spread-out data, on data with duplicated
-// samples (the total == 0 branch) and with k above the distinct-point count.
+// requireSameCentroids compares two centroid lists with == on every
+// component.
+func requireSameCentroids(t *testing.T, what string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d centroids, brute force %d", what, len(got), len(want))
+	}
+	for c := range want {
+		for j := range want[c] {
+			if got[c][j] != want[c][j] {
+				t.Fatalf("%s: centroid %d = %v, brute force %v", what, c, got[c], want[c])
+			}
+		}
+	}
+}
+
+// TestSeedPlusPlusMatchesBruteForce checks the distinct-row, running-minimum
+// seeding against the all-samples, all-centroids recompute, and the Lloyd
+// loop on top of it against the per-sample loop: same centroids, sizes and
+// inertia bit for bit and the same number of RNG draws, on spread-out data,
+// on data with duplicated samples (the total == 0 branch), with k above the
+// distinct-point count (the empty-cluster reseed), and with Assign held to a
+// per-sample Nearest.
 func TestSeedPlusPlusMatchesBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		gen := rand.New(rand.NewSource(1000 + seed))
@@ -82,26 +159,41 @@ func TestSeedPlusPlusMatchesBruteForce(t *testing.T) {
 		}
 		samples := make([][]float64, n)
 		for i := range samples {
-			samples[i] = points[i%distinct]
+			// Copies are equal in bits, not in identity.
+			samples[i] = append([]float64(nil), points[gen.Intn(distinct)]...)
 		}
 		if k > n {
 			k = n
 		}
+		what := fmt.Sprintf("seed %d (n=%d k=%d distinct=%d)", seed, n, k, distinct)
 
 		got, want := &countingSource{src: rand.NewSource(seed)}, &countingSource{src: rand.NewSource(seed)}
-		gc := seedPlusPlus(samples, k, rand.New(got))
+		gc := seedPlusPlus(samples, groupRows(samples), k, rand.New(got))
 		wc := seedPlusPlusBrute(samples, k, rand.New(want))
 		if got.draws != want.draws {
-			t.Errorf("seed %d (n=%d k=%d distinct=%d): %d RNG draws, brute force %d", seed, n, k, distinct, got.draws, want.draws)
+			t.Errorf("%s: seeding took %d RNG draws, brute force %d", what, got.draws, want.draws)
 		}
-		if len(gc) != len(wc) {
-			t.Fatalf("seed %d: %d centroids, brute force %d", seed, len(gc), len(wc))
+		requireSameCentroids(t, what+" seeding", gc, wc)
+
+		got, want = &countingSource{src: rand.NewSource(seed)}, &countingSource{src: rand.NewSource(seed)}
+		gm := KMeansFit(samples, k, 30, rand.New(got))
+		wm := kmeansFitBrute(samples, k, 30, rand.New(want))
+		if got.draws != want.draws {
+			t.Errorf("%s: fit took %d RNG draws, brute force %d", what, got.draws, want.draws)
 		}
-		for c := range wc {
-			for j := range wc[c] {
-				if gc[c][j] != wc[c][j] {
-					t.Fatalf("seed %d (n=%d k=%d distinct=%d): centroid %d = %v, brute force %v", seed, n, k, distinct, c, gc[c], wc[c])
-				}
+		requireSameCentroids(t, what+" fit", gm.Centroids, wm.Centroids)
+		if gm.Inertia != wm.Inertia {
+			t.Errorf("%s: inertia %v, brute force %v", what, gm.Inertia, wm.Inertia)
+		}
+		assign := gm.Assign(samples)
+		for c := range wm.Sizes {
+			if gm.Sizes[c] != wm.Sizes[c] {
+				t.Fatalf("%s: sizes %v, brute force %v", what, gm.Sizes, wm.Sizes)
+			}
+		}
+		for i, s := range samples {
+			if assign[i] != gm.Nearest(s) {
+				t.Fatalf("%s: Assign put sample %d in cluster %d, Nearest says %d", what, i, assign[i], gm.Nearest(s))
 			}
 		}
 	}
@@ -156,7 +248,7 @@ func TestSeedPlusPlusRouletteRoundingFallsBackToLastWeighted(t *testing.T) {
 		t.Fatalf("fixture no longer leaves a positive remainder (r = %v); pick another generator seed", r)
 	}
 
-	cs := seedPlusPlus(samples, 2, rand.New(src))
+	cs := seedPlusPlus(samples, groupRows(samples), 2, rand.New(src))
 	if want := samples[len(samples)-2][0]; cs[1][0] != want {
 		t.Errorf("second centroid = %v, want the last weighted sample %v", cs[1][0], want)
 	}

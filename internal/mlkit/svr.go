@@ -4,7 +4,10 @@ import (
 	"math"
 )
 
-// Kernel maps two feature vectors to a similarity value.
+// Kernel maps two feature vectors to a similarity value. Eval must be a pure
+// function of its arguments' bits and symmetric in them — Eval(a, b) and
+// Eval(b, a) the same bits — which SVRFit relies on to build one Gram row
+// per distinct training row.
 type Kernel interface {
 	Eval(a, b []float64) float64
 }
@@ -69,19 +72,40 @@ func (c SVRConfig) withDefaults(p int) SVRConfig {
 // folded into the kernel (K' = K + 1), which removes the equality
 // constraint Σβ = 0 and admits a closed-form per-coordinate update with
 // soft thresholding at ε.
+//
+// The model keeps its own copy of the distinct training rows that carry a
+// coefficient and no reference to the caller's matrix.
 type SVR struct {
-	cfg  SVRConfig
-	x    [][]float64
+	cfg SVRConfig
+	// beta[i] is sample i's dual coefficient.
 	beta []float64
-	// support indexes the non-zero coefficients.
-	support []int
+	// distinct is the number of bit-distinct training rows.
+	distinct int
+	// svRows holds each distinct row with at least one non-zero coefficient.
+	svRows [][]float64
+	// support lists the non-zero coefficients in sample order.
+	support []supportTerm
 	iters   int
 	// converged records that the last sweep moved no coefficient by Tol or
 	// more; false means the fit stopped at MaxIter.
 	converged bool
 }
 
+// supportTerm is one non-zero coefficient and the svRows index of its row.
+type supportTerm struct {
+	row  int
+	beta float64
+}
+
 // SVRFit trains an SVR on row-major samples x with targets y.
+//
+// Bit-identical rows have bit-identical kernel rows, so the solver keeps one
+// Gram row and one entry of f = K'β per distinct row (u×u, not n×n): copies
+// of a row would receive the same addends in the same order and stay equal
+// for the whole fit. The sweep itself still visits all n coordinates in
+// index order, each with its own y[i] and β[i], so β, the sweep count and
+// the stopping reason are those of the sample-indexed solver exactly
+// (svrFitIndexed in the tests).
 func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 	n := len(x)
 	if n == 0 {
@@ -91,29 +115,33 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 		panic("mlkit: SVRFit requires len(x) == len(y)")
 	}
 	cfg = cfg.withDefaults(len(x[0]))
-	m := &SVR{cfg: cfg, x: x, beta: make([]float64, n)}
+	groups := groupRows(x)
+	u := groups.distinct()
+	m := &SVR{cfg: cfg, beta: make([]float64, n), distinct: u}
 
-	// Precompute the augmented kernel matrix K' = K + 1 (bias folding).
-	km := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := cfg.Kernel.Eval(x[i], x[j]) + 1
-			km[i*n+j] = v
-			km[j*n+i] = v
+	// Precompute the augmented kernel matrix K' = K + 1 (bias folding) over
+	// the distinct rows.
+	km := make([]float64, u*u)
+	for g, i := range groups.rep {
+		for h := g; h < u; h++ {
+			v := cfg.Kernel.Eval(x[i], x[groups.rep[h]]) + 1
+			km[g*u+h] = v
+			km[h*u+g] = v
 		}
 	}
 
-	// f[i] = Σ_j β_j K'_ij, maintained incrementally.
-	f := make([]float64, n)
+	// f[g] = Σ_j β_j K'_gj for any sample of class g, maintained
+	// incrementally.
+	f := make([]float64, u)
 	for sweep := 0; sweep < cfg.MaxIter; sweep++ {
 		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			kii := km[i*n+i]
+		for i, g := range groups.of {
+			kii := km[g*u+g]
 			if kii <= 0 {
 				continue
 			}
 			// Residual excluding i's own contribution.
-			r := y[i] - (f[i] - m.beta[i]*kii)
+			r := y[i] - (f[g] - m.beta[i]*kii)
 			// Soft-threshold at epsilon, then box-clip.
 			var nb float64
 			switch {
@@ -136,10 +164,10 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 			m.beta[i] = nb
 			// Ranging over the row slice, with f cut to the same length,
 			// lets the compiler drop both per-element bounds checks.
-			row := km[i*n : i*n+n]
+			row := km[g*u : g*u+u]
 			fr := f[:len(row)]
-			for j, kij := range row {
-				fr[j] += d * kij
+			for h, kgh := range row {
+				fr[h] += d * kgh
 			}
 			if ad := math.Abs(d); ad > maxDelta {
 				maxDelta = ad
@@ -152,22 +180,42 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 		}
 	}
 
+	// svOf[g] is class g's index in svRows, or -1 while it has none.
+	svOf := make([]int, u)
+	for g := range svOf {
+		svOf[g] = -1
+	}
 	for i, b := range m.beta {
-		if b != 0 {
-			m.support = append(m.support, i)
+		if b == 0 {
+			continue
 		}
+		g := groups.of[i]
+		if svOf[g] < 0 {
+			svOf[g] = len(m.svRows)
+			m.svRows = append(m.svRows, append([]float64(nil), x[i]...))
+		}
+		m.support = append(m.support, supportTerm{svOf[g], b})
 	}
 	return m
 }
 
-// Predict evaluates the fitted model at q.
+// Predict evaluates the fitted model at q: the kernel once per distinct
+// support row, then the terms β_i·(k+1) summed in sample order.
 func (m *SVR) Predict(q []float64) float64 {
+	ks := make([]float64, len(m.svRows))
+	for r, row := range m.svRows {
+		ks[r] = m.cfg.Kernel.Eval(row, q) + 1
+	}
 	s := 0.0
-	for _, i := range m.support {
-		s += m.beta[i] * (m.cfg.Kernel.Eval(m.x[i], q) + 1)
+	for _, t := range m.support {
+		s += t.beta * ks[t.row]
 	}
 	return s
 }
+
+// DistinctRows returns the number of bit-distinct rows the model was
+// trained on — the side of the kernel matrix the fit actually built.
+func (m *SVR) DistinctRows() int { return m.distinct }
 
 // SupportVectors returns the number of samples with non-zero dual
 // coefficients.

@@ -1,14 +1,15 @@
 package mlkit
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// svrFitIndexed is the reference coordinate-descent solver: SVRFit's loop
-// with the kernel row addressed as km[i*n+j]. It returns β, the sweep count
-// and whether the fit stopped on Tol.
+// svrFitIndexed is the reference coordinate-descent solver: one Gram row and
+// one f entry per sample (n×n), the kernel row addressed as km[i*n+j]. It
+// returns β, the sweep count and whether the fit stopped on Tol.
 func svrFitIndexed(x [][]float64, y []float64, cfg SVRConfig) ([]float64, int, bool) {
 	n := len(x)
 	cfg = cfg.withDefaults(len(x[0]))
@@ -63,6 +64,56 @@ func svrFitIndexed(x [][]float64, y []float64, cfg SVRConfig) ([]float64, int, b
 	return beta, iters, false
 }
 
+// svrPredictIndexed is the reference prediction: one kernel evaluation per
+// non-zero coefficient, summed in sample order.
+func svrPredictIndexed(x [][]float64, beta []float64, k Kernel, q []float64) float64 {
+	s := 0.0
+	for i, b := range beta {
+		if b != 0 {
+			s += b * (k.Eval(x[i], q) + 1)
+		}
+	}
+	return s
+}
+
+// requireSVRMatchesIndexed holds SVRFit to the sample-indexed solver with ==
+// on every β, on the sweep count and stopping reason, on the support set and
+// on predictions at the training rows and at 50 fresh query points. It
+// returns whether the reference converged.
+func requireSVRMatchesIndexed(t *testing.T, name string, xs [][]float64, ys []float64, cfg SVRConfig) bool {
+	t.Helper()
+	m := SVRFit(xs, ys, cfg)
+	beta, iters, converged := svrFitIndexed(xs, ys, cfg)
+	if m.Iterations() != iters || m.Converged() != converged {
+		t.Errorf("%s: stopped after %d sweeps (converged %v), reference %d (%v)",
+			name, m.Iterations(), m.Converged(), iters, converged)
+	}
+	support := 0
+	for i := range beta {
+		if m.beta[i] != beta[i] {
+			t.Fatalf("%s: beta[%d] = %v, reference %v", name, i, m.beta[i], beta[i])
+		}
+		if beta[i] != 0 {
+			support++
+		}
+	}
+	if m.SupportVectors() != support {
+		t.Errorf("%s: %d support vectors, reference %d", name, m.SupportVectors(), support)
+	}
+	if want := groupRows(xs).distinct(); m.DistinctRows() != want {
+		t.Errorf("%s: DistinctRows = %d, want %d", name, m.DistinctRows(), want)
+	}
+	kernel := cfg.withDefaults(len(xs[0])).Kernel
+	rng := rand.New(rand.NewSource(int64(len(xs))))
+	queries := append(duplicatedRows(rng, 50, len(xs[0]), 0), xs...)
+	for _, q := range queries {
+		if got, want := m.Predict(q), svrPredictIndexed(xs, beta, kernel, q); got != want {
+			t.Fatalf("%s: Predict(%v) = %v, reference %v", name, q, got, want)
+		}
+	}
+	return converged
+}
+
 // duplicateRowData repeats each feature row with two slightly different
 // targets — the shape of an interest window where one (user, app, size) ran
 // for different times. No β puts both copies inside the ε-tube, so each
@@ -79,9 +130,12 @@ func duplicateRowData() (xs [][]float64, ys []float64) {
 	return xs, ys
 }
 
-// TestSVRFitMatchesIndexedReference pins the bounds-check-free row sweep to
-// the indexed loop it replaced: same operations in the same order, so β and
-// the sweep count agree exactly, not within a tolerance.
+// TestSVRFitMatchesIndexedReference pins the distinct-row solver to the
+// sample-indexed loop it replaced: same operations on the same values in the
+// same order, so β, the sweep count and every prediction agree exactly, not
+// within a tolerance — on fixed fixtures and on seeded inputs with none, half
+// and nine tenths of the rows duplicated, under both kernels, for fits that
+// converge and fits that run out of sweeps.
 func TestSVRFitMatchesIndexedReference(t *testing.T) {
 	lx, ly := linearData()
 	sx, sy := sinData()
@@ -99,19 +153,57 @@ func TestSVRFitMatchesIndexedReference(t *testing.T) {
 		{"duplicate-rows", dx, dy, SVRConfig{C: 10, Epsilon: 0.01, MaxIter: 1500, Kernel: RBFKernel{Gamma: 0.25}}, false},
 	}
 	for _, tc := range cases {
-		m := SVRFit(tc.xs, tc.ys, tc.cfg)
-		beta, iters, converged := svrFitIndexed(tc.xs, tc.ys, tc.cfg)
-		if m.Iterations() != iters || m.Converged() != converged {
-			t.Errorf("%s: stopped after %d sweeps (converged %v), reference %d (%v)",
-				tc.name, m.Iterations(), m.Converged(), iters, converged)
-		}
-		if converged != tc.wantConverged {
+		if converged := requireSVRMatchesIndexed(t, tc.name, tc.xs, tc.ys, tc.cfg); converged != tc.wantConverged {
 			t.Errorf("%s: reference converged = %v, fixture is meant to cover %v", tc.name, converged, tc.wantConverged)
 		}
-		for i := range beta {
-			if m.beta[i] != beta[i] {
-				t.Fatalf("%s: beta[%d] = %v, reference %v", tc.name, i, m.beta[i], beta[i])
-			}
+	}
+
+	// stopped[kernel][converged] counts the seeded fits by how they ended.
+	var stopped [2][2]int
+	for seed := int64(1); seed <= 48; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		share := []float64{0, 0.5, 0.9}[seed%3]
+		xs := duplicatedRows(rng, 10+rng.Intn(80), 1+rng.Intn(4), share)
+		ys := make([]float64, len(xs))
+		for i, x := range xs {
+			// Copies of a row get different targets, as reruns of one job do.
+			ys[i] = math.Sin(x[0]) + 0.05*rng.NormFloat64()
 		}
+		cfg := SVRConfig{C: 5, Epsilon: 0.1, MaxIter: 40 + 400*int(seed%2)}
+		kernel := int(seed / 3 % 2)
+		if kernel == 1 {
+			cfg.Kernel = LinearKernel{}
+		}
+		name := fmt.Sprintf("seed %d (n=%d, dup %.0f%%, kernel %T)", seed, len(xs), share*100, cfg.Kernel)
+		if requireSVRMatchesIndexed(t, name, xs, ys, cfg) {
+			stopped[kernel][1]++
+		} else {
+			stopped[kernel][0]++
+		}
+	}
+	for k, byEnd := range stopped {
+		if byEnd[0] == 0 || byEnd[1] == 0 {
+			t.Errorf("kernel %d: %d fits stopped at MaxIter and %d on Tol; the seeds are meant to cover both", k, byEnd[0], byEnd[1])
+		}
+	}
+}
+
+// TestSVRKeepsNoReferenceToTrainingRows overwrites the caller's matrix after
+// the fit: the model predicts from its own copy of the support rows.
+func TestSVRKeepsNoReferenceToTrainingRows(t *testing.T) {
+	xs, ys := duplicateRowData()
+	m := SVRFit(xs, ys, SVRConfig{})
+	q := []float64{0.3, 0.6, 0.9}
+	before := m.Predict(q)
+	for _, row := range xs {
+		for j := range row {
+			row[j] = math.NaN()
+		}
+	}
+	if after := m.Predict(q); after != before {
+		t.Errorf("Predict changed from %v to %v when the training matrix was overwritten", before, after)
+	}
+	if m.DistinctRows() != len(xs)/2 {
+		t.Errorf("DistinctRows = %d, want %d", m.DistinctRows(), len(xs)/2)
 	}
 }

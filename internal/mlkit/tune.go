@@ -14,18 +14,20 @@ type Regressor interface {
 type FitFunc func(xs [][]float64, ys []float64) Regressor
 
 // CrossValidate estimates a model's mean absolute error by k-fold
-// cross-validation with a deterministic shuffle. Folds smaller than one
-// sample are skipped; k is clamped to len(xs).
+// cross-validation with a deterministic shuffle. k is clamped to
+// [2, len(xs)], so every fold has a test and a training sample. With fewer
+// than two samples no fold exists: the model was never evaluated and the
+// error is +Inf, which loses every comparison, rather than a perfect 0.
 func CrossValidate(xs [][]float64, ys []float64, k int, fit FitFunc, rng *rand.Rand) float64 {
 	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if k > n {
-		k = n
+	if n < 2 {
+		return math.Inf(1)
 	}
 	if k < 2 {
 		k = 2
+	}
+	if k > n {
+		k = n
 	}
 	perm := rng.Perm(n)
 
@@ -42,17 +44,11 @@ func CrossValidate(xs [][]float64, ys []float64, k int, fit FitFunc, rng *rand.R
 				trY = append(trY, ys[p])
 			}
 		}
-		if len(teX) == 0 || len(trX) == 0 {
-			continue
-		}
 		m := fit(trX, trY)
 		for i, x := range teX {
 			totalErr += math.Abs(m.Predict(x) - teY[i])
 			count++
 		}
-	}
-	if count == 0 {
-		return 0
 	}
 	return totalErr / float64(count)
 }

@@ -37,15 +37,36 @@ func (c constModel) Predict([]float64) float64 { return float64(c) }
 
 func TestCrossValidateEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	if CrossValidate(nil, nil, 3, nil, rng) != 0 {
-		t.Error("empty CV must be 0")
+	mean := func(tx [][]float64, ty []float64) Regressor { return constModel(Mean(ty)) }
+	if err := CrossValidate(nil, nil, 3, mean, rng); !math.IsInf(err, 1) {
+		t.Errorf("empty CV = %v, want +Inf (nothing was evaluated)", err)
 	}
-	// One sample: k clamps, folds with empty train skipped.
-	err := CrossValidate([][]float64{{1}}, []float64{5}, 5, func(tx [][]float64, ty []float64) Regressor {
+	// Two samples, k far above n and k below 2: both clamp to leave-one-out,
+	// each fold predicting one target from the other.
+	for _, k := range []int{50, 0} {
+		if err := CrossValidate([][]float64{{1}, {2}}, []float64{5, 8}, k, mean, rng); err != 3 {
+			t.Errorf("two-sample CV with k=%d = %v, want 3", k, err)
+		}
+	}
+}
+
+// TestCrossValidateOneSampleIsNotAPerfectScore: one sample leaves no fold
+// with both a training and a test row, so no model is ever fit. The error
+// used to come back as 0 — the best possible score — and GridSearchSVR
+// crowned the first grid point with it.
+func TestCrossValidateOneSampleIsNotAPerfectScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	xs, ys := [][]float64{{1}}, []float64{5}
+	fits := 0
+	err := CrossValidate(xs, ys, 5, func(tx [][]float64, ty []float64) Regressor {
+		fits++
 		return constModel(Mean(ty))
 	}, rng)
-	if math.IsNaN(err) {
-		t.Error("degenerate CV produced NaN")
+	if fits != 0 || !math.IsInf(err, 1) {
+		t.Errorf("one-sample CV = %v after %d fits, want +Inf after none", err, fits)
+	}
+	if _, best := GridSearchSVR(xs, ys, SVRGrid{}, rng); !math.IsInf(best, 1) {
+		t.Errorf("one-sample grid search reports MAE %v for a grid it never evaluated", best)
 	}
 }
 

@@ -73,7 +73,9 @@ func MetricTaxonomy() []MetricInfo {
 		{"estimate.generations", "counter", "estimate", "estimation-model regenerations"},
 		{"estimate.model_used", "counter", "estimate", "predictions served by a fitted model (vs. the user estimate)"},
 		{"estimate.predictions", "counter", "estimate", "walltime predictions requested"},
+		{"estimate.svr_distinct_rows", "counter", "estimate", "bit-distinct rows among estimate.svr_rows, fit by fit: the side of the kernel matrices actually built"},
 		{"estimate.svr_maxiter", "counter", "estimate", "per-cluster SVR fits that stopped at MaxIter instead of Tol"},
+		{"estimate.svr_rows", "counter", "estimate", "training rows handed to the per-cluster SVR fits (one per interest-window job per generation)"},
 		{"master.broadcasts", "counter", "core", "broadcasts initiated by the master"},
 		{"master.heartbeat_sweeps", "counter", "core", "heartbeat sweeps over the satellite pool"},
 		{"master.pool_drained_fallbacks", "counter", "core", "takeovers forced by a fully drained pool"},
