@@ -17,7 +17,7 @@
 //	benchrunner -all -parallel 4      # ...on exactly 4 workers
 //	benchrunner -all -json            # ...and write BENCH_quick.json
 //	benchrunner -all -jsonout f.json  # ...perf record to f.json (CI gate)
-//	benchrunner -exp fig7f -shards 4  # rack-partitioned clusters on 4 workers
+//	benchrunner -exp fig7f -cells     # rack-partitioned clusters
 //	benchrunner -exp fig8b -trace t.json   # Chrome trace of every engine
 //	benchrunner -exp fig8b -metrics        # dump each engine's registry
 //	benchrunner -exp fig7f -critpath cp.txt  # critical-path attribution
@@ -32,12 +32,11 @@
 // output is assembled from the results in registry order, each
 // experiment's engines in creation order, so it is byte-identical at any
 // -parallel.
-// -shards N (N >= 1) partitions every cluster an experiment builds through
-// experiment.Env.NewCluster — the occupation probes behind fig7f, fig10 and
-// the ablation — into a control cell plus one cell per compute rack, run
-// on N workers; tables are identical for every N >= 1. A selection in
-// which no experiment builds such a cluster exits 2 naming the
-// experiments, rather than run one-cell and say nothing.
+// -cells partitions every cluster an experiment builds (they all come from
+// experiment.Env.NewCluster) into a control cell plus one cell per compute
+// rack. A selection in which no experiment builds a cluster (table1,
+// fig5, table8, fig11b, ablation-topo) exits 2 naming the experiments,
+// rather than run and say nothing.
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
 // -cpuprofile and -memprofile write pprof files covering the experiments
@@ -85,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metrics  = fs.Bool("metrics", false, "dump each engine's metrics registry to stdout")
 		critPath = fs.String("critpath", "", "write the deterministic critical-path report of every engine to this file")
 		spans    = fs.Bool("spans", false, "print the span and metric taxonomy tables (the generated half of OBSERVABILITY.md) and exit")
-		shards   = fs.Int("shards", 0, "partition the clusters built through Env.NewCluster (fig7f, fig10, ablation) by rack and run their cells on N workers (0 = one cell)")
+		cells    = fs.Bool("cells", false, "partition every cluster an experiment builds into a control cell plus one cell per rack")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof allocation profile, taken when the experiments finish, to this file")
 	)
@@ -115,7 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		params = experiment.PaperParams()
 		preset = "paper"
 	}
-	params.Shards = *shards
+	if *cells {
+		params.Shards = 1
+	}
 
 	if *csvDir != "" {
 		fmt.Fprintf(stderr, "-- writing figure time series to %s\n", *csvDir)
@@ -175,9 +176,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		partitioned = partitioned || r.Sharded
 		ids[i] = r.Spec.ID
 	}
-	if *shards > 0 && !partitioned {
-		fmt.Fprintf(stderr, "benchrunner: -shards %d partitioned nothing: none of %s builds a cluster through Env.NewCluster, so every table above is the one-cell run\n",
-			*shards, strings.Join(ids, ", "))
+	if *cells && !partitioned {
+		fmt.Fprintf(stderr, "benchrunner: -cells partitioned nothing: none of %s builds a cluster, so no table above comes from a partitioned run\n",
+			strings.Join(ids, ", "))
 		return 2
 	}
 	if err := writeObserved(stdout, stderr, experiment.ObservedEngines(results), *trace, *critPath, *metrics); err != nil {
@@ -190,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if path == "" {
 			path = "BENCH_" + preset + ".json"
 		}
-		if err := writePerfRecord(stderr, path, preset, *parallel, *shards, suiteWall, results); err != nil {
+		if err := writePerfRecord(stderr, path, preset, *parallel, params.Shards, suiteWall, results); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -307,9 +308,8 @@ func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, trac
 // "Performance" section of DESIGN.md).
 type perfRecord struct {
 	Preset string `json:"preset"`
-	// Parallel is the experiment worker-pool size; Shards is the -shards
-	// setting: the worker count for the experiments that partition their
-	// clusters, 0 for one cell.
+	// Parallel is the experiment worker-pool size; Shards is
+	// experiment.Params.Shards: 1 under -cells, 0 for one cell.
 	Parallel     int          `json:"parallel"`
 	Shards       int          `json:"shards"`
 	GoVersion    string       `json:"go_version"`
@@ -328,9 +328,8 @@ type expRecord struct {
 	Artifact string  `json:"artifact"`
 	WallMS   float64 `json:"wall_ms"`
 	Events   uint64  `json:"events"`
-	// Shards is the worker count this experiment actually ran with: the
-	// -shards setting when it built a partitioned cluster, 0 when every
-	// cluster it built was one cell.
+	// Shards is the run's Shards when this experiment built a partitioned
+	// cluster, 0 when every cluster it built was one cell.
 	Shards       int     `json:"shards"`
 	EventsPerSec float64 `json:"events_per_sec"`
 }

@@ -84,27 +84,29 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestShardsHonouredOrRefused: -shards either partitions some cluster of
+// TestShardsHonouredOrRefused: -cells either partitions some cluster of
 // the selection or the run exits 2 naming the experiments — never accepted
-// and ignored. The honoured side (fig7f, fig10, ablation report Sharded)
-// is pinned by experiment.TestEnvAccountsEveryExperiment.
+// and ignored. Every experiment that builds a cluster honours it (pinned by
+// experiment.TestEnvAccountsEveryExperiment); only those that build none
+// are refused.
 func TestShardsHonouredOrRefused(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
 		code    int
 		refused []string // every ID the refusal must name
 	}{
-		{args: []string{"-exp", "fig8b", "-shards", "2"}, code: 2, refused: []string{"fig8b"}},
-		{args: []string{"-exp", "fig8b,rack-outage", "-shards", "1"}, code: 2, refused: []string{"fig8b", "rack-outage"}},
-		{args: []string{"-exp", "fig8b", "-shards", "0"}, code: 0},
+		{args: []string{"-exp", "fig8b,rack-outage", "-cells"}, code: 0},
+		{args: []string{"-exp", "table1,ablation-topo", "-cells"}, code: 2, refused: []string{"table1", "ablation-topo"}},
+		{args: []string{"-exp", "table1,fig8b", "-cells"}, code: 0},
+		{args: []string{"-exp", "table1"}, code: 0},
 	} {
 		var out, errs bytes.Buffer
 		if code := run(tc.args, &out, &errs); code != tc.code {
 			t.Errorf("%v: exit %d, want %d\n%s", tc.args, code, tc.code, errs.String())
 		}
 		for _, id := range tc.refused {
-			if !strings.Contains(errs.String(), "-shards") || !strings.Contains(errs.String(), id) {
-				t.Errorf("%v: stderr does not refuse -shards naming %s: %q", tc.args, id, errs.String())
+			if !strings.Contains(errs.String(), "-cells") || !strings.Contains(errs.String(), id) {
+				t.Errorf("%v: stderr does not refuse -cells naming %s: %q", tc.args, id, errs.String())
 			}
 		}
 	}

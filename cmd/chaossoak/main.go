@@ -17,38 +17,37 @@
 //	chaossoak -trace soak.json        # Chrome/Perfetto trace, one pid per seed
 //	chaossoak -metrics                # dump each seed's metrics registry
 //	chaossoak -critpath cp.txt        # critical-path attribution per seed
-//	chaossoak -shards 4               # rack-partitioned cluster on 4 workers
+//	chaossoak -cells                  # rack-partitioned cluster
 //	chaossoak -reconcile              # chaos campaign under the reconciler
 //	chaossoak -reconcile -spec s.json # custom spec schedule for the soak
 //
-// -shards N (N >= 1) partitions each seed's cluster — the control plane
-// on one engine cell, every compute rack on its own — and executes the
-// cells on N worker goroutines. It is the same soak (chaos.RunSeed: the
-// same master, satellite pool, campaign and invariants); the report is
-// byte-identical for ANY N >= 1 — only wall-clock changes — and differs
-// from -shards 0 by what partitioning may change (DESIGN.md §4). -trace
-// writes one trace process per seed × cell and -metrics dumps each seed's
-// registry merged across its cells; both are byte-identical for any N too.
+// -cells partitions each seed's cluster — the control plane on one engine
+// cell, every compute rack on its own. It is the same soak (chaos.RunSeed:
+// the same master, satellite pool, campaign and invariants); the report
+// differs from the one-cell run by what partitioning may change
+// (DESIGN.md §4). -trace writes one trace process per seed × cell and
+// -metrics dumps each seed's registry merged across its cells.
 //
 // -critpath arms span recording and writes the deterministic
 // critical-path report (internal/obs/critpath): per root-span kind, the
 // top-K slowest broadcasts with their hop chains, per-kind time
-// attribution, and retry/rebuild share. Under -shards the per-cell
-// recordings are stitched across cells and the report is byte-identical
-// at ANY worker count. Diff two reports with `critdiff a.txt b.txt`.
+// attribution, and retry/rebuild share. Under -cells the per-cell
+// recordings are stitched across cells. Diff two reports with
+// `critdiff a.txt b.txt`.
 //
 // A flag the selected soak cannot honour is an error (exit 2), never
 // silently dropped: -reconcile records no spans and keeps no registry
-// (-critpath, -trace, -metrics) and fixes its silent fraction (-silent),
-// and -target/-spec mean nothing without -reconcile.
+// (-critpath, -trace, -metrics), fixes its silent fraction (-silent) and
+// runs on one cell (-cells), and -target/-spec mean nothing without
+// -reconcile.
 //
 // With -reconcile the soak overlays the full fault campaign on a
 // reconciler driving a timed spec schedule (chaos.ReconcileSoak) and
 // additionally asserts the convergence contract: after the last fault
 // heals, every seed reaches spec within the round budget, with no task
 // dropped during graceful drains. -spec replaces the built-in schedule
-// with a JSON spec/schedule file; -shards N fans independent seeds out
-// over N workers — the report is byte-identical for any N.
+// with a JSON spec/schedule file. Independent seeds fan out over
+// GOMAXPROCS workers; the report is byte-identical for any worker count.
 package main
 
 import (
@@ -56,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"eslurm/internal/chaos"
@@ -82,6 +82,7 @@ var unsupported = map[string]map[string]string{
 		"trace":    "the reconcile soak records no spans",
 		"metrics":  "the reconcile soak keeps no per-seed registry",
 		"silent":   "the reconcile soak draws its campaign with a fixed silent fraction",
+		"cells":    "the reconcile soak runs each seed on one cell",
 	},
 	modeSoak: {
 		"target": "it is a -reconcile setting",
@@ -109,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of every seed to this file")
 	critPath := fs.String("critpath", "", "write the deterministic critical-path report of every seed to this file")
 	metrics := fs.Bool("metrics", false, "dump each seed's metrics registry after the report")
-	shards := fs.Int("shards", 0, "partition each seed's cluster by rack and run its cells on N workers (0 = one cell); with -reconcile, fan seeds out over N workers")
+	cells := fs.Bool("cells", false, "partition each seed's cluster into a control cell plus one cell per rack")
 	reconcileMode := fs.Bool("reconcile", false, "overlay the campaign on a reconciler and assert convergence (chaos.ReconcileSoak)")
 	target := fs.Int("target", 0, "reconcile mode: initial in-service satellite target (0 = default)")
 	specPath := fs.String("spec", "", "reconcile mode: spec/schedule JSON replacing the built-in schedule")
@@ -145,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The reconcile soak has its own calibrated defaults (more
 		// satellites, a shorter span); only flags the user actually set
 		// override them.
-		rcfg := chaos.ReconcileConfig{Target: *target, Workers: *shards}
+		rcfg := chaos.ReconcileConfig{Target: *target, Workers: runtime.GOMAXPROCS(0)}
 		if set["seeds"] {
 			rcfg.Seeds = *seeds
 		}
@@ -202,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.DupProb = *dup
 		cfg.SilentFraction = *silent
 		cfg.Trace = *tracePath != "" || *critPath != ""
-		cfg.Workers = *shards
+		cfg.Cells = *cells
 		rep := chaos.Soak(cfg)
 		fmt.Fprint(stdout, rep.String())
 		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()

@@ -27,8 +27,10 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		// means the run must succeed and honour everything it was given.
 		refused string
 		// writes says the path given as FILE must exist, non-empty,
-		// afterwards; stdout must contain every string in wantOut.
+		// afterwards, holding every string in inFile; stdout must contain
+		// every string in wantOut.
 		writes  bool
+		inFile  []string
 		wantOut []string
 	}{
 		{name: "single trace", args: []string{"-trace", "FILE"}, writes: true, wantOut: []string{"trace: 1 seeds"}},
@@ -38,12 +40,13 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		{name: "single target", args: []string{"-target", "3"}, refused: "-target"},
 		{name: "single spec", args: []string{"-spec", spec}, refused: "-spec"},
 
-		{name: "shards trace", args: []string{"-shards", "2", "-trace", "FILE"}, writes: true, wantOut: []string{"trace: 1 seeds"}},
-		{name: "shards critpath", args: []string{"-shards", "2", "-critpath", "FILE"}, writes: true, wantOut: []string{"critpath: 1 seed(s)"}},
-		{name: "shards metrics", args: []string{"-shards", "2", "-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages", "master.subtasks", "simnet.windows"}},
-		{name: "shards silent", args: []string{"-shards", "2", "-silent", "0.5"}, wantOut: []string{"silent=0.50", "reallocs=", "takeovers="}},
-		{name: "shards target", args: []string{"-shards", "2", "-target", "3"}, refused: "-target"},
-		{name: "shards spec", args: []string{"-shards", "2", "-spec", spec}, refused: "-spec"},
+		// The sharded soak: -cells partitions each seed's cluster by rack.
+		{name: "shards trace", args: []string{"-cells", "-trace", "FILE"}, writes: true, inFile: []string{"chaossoak seed 1 cell 1"}, wantOut: []string{"trace: 1 seeds"}},
+		{name: "shards critpath", args: []string{"-cells", "-critpath", "FILE"}, writes: true, wantOut: []string{"critpath: 1 seed(s)"}},
+		{name: "shards metrics", args: []string{"-cells", "-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages", "master.subtasks", "simnet.windows"}},
+		{name: "shards silent", args: []string{"-cells", "-silent", "0.5"}, wantOut: []string{"silent=0.50", "reallocs=", "takeovers="}},
+		{name: "shards target", args: []string{"-cells", "-target", "3"}, refused: "-target"},
+		{name: "shards spec", args: []string{"-cells", "-spec", spec}, refused: "-spec"},
 
 		{name: "reconcile trace", args: []string{"-reconcile", "-trace", "FILE"}, refused: "-trace"},
 		{name: "reconcile critpath", args: []string{"-reconcile", "-critpath", "FILE"}, refused: "-critpath"},
@@ -51,7 +54,7 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		{name: "reconcile silent", args: []string{"-reconcile", "-silent", "0.5"}, refused: "-silent"},
 		{name: "reconcile target", args: []string{"-reconcile", "-target", "3"}, wantOut: []string{"target=3"}},
 		{name: "reconcile spec", args: []string{"-reconcile", "-spec", spec}, wantOut: []string{"reconcile soak"}},
-		{name: "reconcile shards", args: []string{"-reconcile", "-shards", "2"}, wantOut: []string{"reconcile soak"}},
+		{name: "reconcile shards", args: []string{"-reconcile", "-cells"}, refused: "-cells"},
 		{name: "two refusals both named", args: []string{"-reconcile", "-trace", "FILE", "-metrics"}, refused: "-metrics"},
 	}
 	for _, tc := range cases {
@@ -90,39 +93,16 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 				}
 			}
 			if tc.writes {
-				if st, err := os.Stat(file); err != nil || st.Size() == 0 {
+				data, err := os.ReadFile(file)
+				if err != nil || len(data) == 0 {
 					t.Errorf("nothing written to %s (err %v)", file, err)
+				}
+				for _, want := range tc.inFile {
+					if !strings.Contains(string(data), want) {
+						t.Errorf("%s lacks %q", file, want)
+					}
 				}
 			}
 		})
-	}
-}
-
-// TestShardedObservabilityIsWorkerInvariant: what -shards newly honours
-// is byte-identical at any worker count, like the report itself.
-func TestShardedObservabilityIsWorkerInvariant(t *testing.T) {
-	soak := func(workers string) (stdout, trace string) {
-		file := filepath.Join(t.TempDir(), "trace.json")
-		var out, errs bytes.Buffer
-		args := append(append([]string(nil), tiny...), "-shards", workers, "-metrics", "-trace", file)
-		if code := run(args, &out, &errs); code != 0 {
-			t.Fatalf("-shards %s: exit %d\n%s", workers, code, errs.String())
-		}
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.ReplaceAll(out.String(), file, "FILE"), string(data)
-	}
-	out1, tr1 := soak("1")
-	out3, tr3 := soak("3")
-	if out1 != out3 {
-		t.Errorf("stdout differs between -shards 1 and -shards 3:\n%s\n---\n%s", out1, out3)
-	}
-	if tr1 != tr3 {
-		t.Errorf("-trace file differs between -shards 1 and -shards 3")
-	}
-	if !strings.Contains(tr1, "chaossoak seed 1 cell 1") {
-		t.Errorf("-trace file has no per-cell process")
 	}
 }

@@ -179,7 +179,7 @@ func TestExperimentDeterminism(t *testing.T) {
 
 // TestOneCellOracle: a single engine is a one-cell group. The same stack
 // built through the partitioning fields with Cells=1 and driven through
-// the group's windowed protocol on 4 requested workers executes the same
+// the group's windowed protocol executes the same
 // (time, seq) event stream and yields the same numbers as cluster.New on
 // a bare engine driven directly — for the Fig. 8a measurement (a master
 // broadcast over a 2%-failed cluster) and for one chaos-soak seed's stack
@@ -192,7 +192,7 @@ func TestOneCellOracle(t *testing.T) {
 			c.Group().EnableDigest()
 			return c, e.RunUntil, e.Run
 		}
-		cfg.Cells, cfg.Workers = 1, 4
+		cfg.Cells = 1
 		cfg.CellOf = func(cluster.NodeID, cluster.Role) int { return 0 }
 		c := cluster.New(e, cfg)
 		c.Group().EnableDigest()

@@ -4,8 +4,8 @@
 // seeds, and checks end-to-end invariants after every broadcast and after
 // teardown. Because every cell of the stack is a deterministic simnet
 // engine, a failing seed is perfectly replayable: the report is
-// byte-identical for the same configuration — at any worker count — which
-// digest-pinned tests enforce.
+// byte-identical for the same configuration, which digest-pinned tests
+// enforce.
 //
 // The invariants (ISSUE 3):
 //
@@ -75,11 +75,10 @@ type Config struct {
 	// is passive recording — it does not change any seed's event trace,
 	// report, or digest.
 	Trace bool
-	// Workers partitions each seed's cluster (topo.Partition): 0 keeps it
-	// on one cell; N >= 1 gives the control plane a cell and every compute
-	// rack its own, executed on N workers. The report is identical for
-	// every N >= 1.
-	Workers int
+	// Cells partitions each seed's cluster by rack (topo.Partition): the
+	// control plane gets a cell and every compute rack its own. False keeps
+	// the cluster on one cell.
+	Cells bool
 }
 
 func (c Config) withDefaults() Config {
@@ -230,11 +229,15 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 	}
 
 	e := simnet.NewEngine(seed)
-	c := cluster.New(e, topo.Default().Partition(cluster.Config{
+	ccfg := cluster.Config{
 		Computes:   cfg.Computes,
 		Satellites: cfg.Satellites,
 		Net:        cluster.NetConfig{LossProb: cfg.LossProb, DupProb: cfg.DupProb},
-	}, cfg.Workers))
+	}
+	if cfg.Cells {
+		ccfg = topo.Default().Partition(ccfg)
+	}
+	c := cluster.New(e, ccfg)
 	if cfg.Trace {
 		c.Group().EnableTracing()
 		sr.CellTraces = c.Group().CellTracers()

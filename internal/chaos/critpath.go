@@ -4,9 +4,8 @@ package chaos
 // into critpath sources, so the chaossoak CLI and the determinism tests
 // aggregate identically. Grouping is per-seed-label under one campaign
 // group; the derived report is a pure function of the recordings, hence
-// byte-identical for the same seed at any worker count (the per-cell
-// recordings are worker-invariant, and critpath.FromCells flattens them in
-// fixed cell order — the identity on one cell).
+// byte-identical for the same seed (critpath.FromCells flattens the
+// per-cell recordings in fixed cell order — the identity on one cell).
 
 import (
 	"fmt"

@@ -11,7 +11,7 @@ import (
 // partSoakConfig is the fixed configuration the partitioned determinism
 // tests pin: big enough to cross rack cells and exercise every fault
 // type, small enough for -race CI.
-func partSoakConfig(workers int) Config {
+func partSoakConfig() Config {
 	return Config{
 		Seeds:      2,
 		Computes:   1100, // control cell + 3 rack cells, the last one partial
@@ -20,7 +20,7 @@ func partSoakConfig(workers int) Config {
 		Broadcasts: 6,
 		LossProb:   0.01,
 		DupProb:    0.01,
-		Workers:    workers,
+		Cells:      true,
 	}
 }
 
@@ -36,48 +36,28 @@ func metricsText(t *testing.T, rep *Report) string {
 	return sb.String()
 }
 
-// TestPartitionedSoakWorkerSweep runs the same soak at 1, 2, 4 and 8
-// workers and requires byte-identical reports and merged metrics — the
-// kernel's own window counters included. 8 workers exceeds the 4-cell
-// layout, covering the clamp.
-func TestPartitionedSoakWorkerSweep(t *testing.T) {
-	ref := Soak(partSoakConfig(1))
-	if ref.Violations() > 0 {
-		t.Fatalf("reference soak violated invariants:\n%s", ref.String())
-	}
-	refS, refM := ref.String(), metricsText(t, ref)
-	if !strings.Contains(refM, "simnet.windows_multi_busy") {
-		t.Errorf("merged metrics carry no kernel window counters:\n%s", refM)
-	}
-	for _, w := range []int{2, 4, 8} {
-		rep := Soak(partSoakConfig(w))
-		if s := rep.String(); s != refS {
-			t.Errorf("workers=%d report differs from single-worker run:\n%s\nvs\n%s", w, s, refS)
-		}
-		if m := metricsText(t, rep); m != refM {
-			t.Errorf("workers=%d merged metrics differ from single-worker run", w)
-		}
-	}
-}
-
 // TestPartitionedSoakDigestPinned pins the partitioned soak contract: any
 // change to the kernel, wire model, campaign generator, broadcaster or
-// master changes this digest and must be made deliberately.
+// master changes this digest and must be made deliberately. The merged
+// registry carries the kernel's own window counters.
 func TestPartitionedSoakDigestPinned(t *testing.T) {
-	rep := Soak(partSoakConfig(2))
+	rep := Soak(partSoakConfig())
 	if got := rep.Digest(); got != partSoakDigest {
 		t.Errorf("partitioned soak digest %s, want %s\n%s", got, partSoakDigest, rep.String())
+	}
+	if m := metricsText(t, rep); !strings.Contains(m, "simnet.windows_multi_busy") {
+		t.Errorf("merged metrics carry no kernel window counters:\n%s", m)
 	}
 }
 
 const partSoakDigest = "1b53ca70ba2cf6ee"
 
-// TestPartitionedSoakRunsTheMaster: -shards runs the same soak as one
+// TestPartitionedSoakRunsTheMaster: -cells runs the same soak as one
 // cell — core.Master, the satellite pool, takeover and reallocation — so
 // over a campaign that kills satellites the master must have split tasks
 // across satellites and moved at least one to another.
 func TestPartitionedSoakRunsTheMaster(t *testing.T) {
-	cfg := partSoakConfig(2)
+	cfg := partSoakConfig()
 	cfg.Seeds = 4
 	cfg.Spec = faults.ChaosSpec{Bursts: 1, Grays: 1, Partitions: 1, SatelliteKills: 3}
 	rep := Soak(cfg)
@@ -97,21 +77,15 @@ func TestPartitionedSoakRunsTheMaster(t *testing.T) {
 }
 
 // TestPartitionedSoakAdversarial cranks loss/dup and the campaign and
-// checks the invariants still hold (and results remain worker-invariant).
+// checks the invariants still hold.
 func TestPartitionedSoakAdversarial(t *testing.T) {
-	mk := func(workers int) Config {
-		return Config{
-			Seeds: 1, BaseSeed: 7, Computes: 600, Satellites: 2,
-			Span: 2 * time.Minute, Broadcasts: 6, Workers: workers,
-			Spec:     faults.ChaosSpec{Bursts: 4, Flaps: 4, Grays: 6, Partitions: 2, SatelliteKills: 2},
-			LossProb: 0.05, DupProb: 0.05,
-		}
-	}
-	ref := Soak(mk(1))
-	if ref.Violations() > 0 {
-		t.Fatalf("adversarial soak violated invariants:\n%s", ref.String())
-	}
-	if got := Soak(mk(4)).String(); got != ref.String() {
-		t.Errorf("workers=4 adversarial report differs:\n%s\nvs\n%s", got, ref.String())
+	rep := Soak(Config{
+		Seeds: 1, BaseSeed: 7, Computes: 600, Satellites: 2,
+		Span: 2 * time.Minute, Broadcasts: 6, Cells: true,
+		Spec:     faults.ChaosSpec{Bursts: 4, Flaps: 4, Grays: 6, Partitions: 2, SatelliteKills: 2},
+		LossProb: 0.05, DupProb: 0.05,
+	})
+	if rep.Violations() > 0 {
+		t.Fatalf("adversarial soak violated invariants:\n%s", rep.String())
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // twoCell builds a 2-cell cluster: master+satellite on cell 0, computes
 // on cell 1, jitter disabled for exact-time assertions.
-func twoCell(workers int, net NetConfig) *Cluster {
+func twoCell(net NetConfig) *Cluster {
 	return New(simnet.NewEngine(7), Config{
 		Computes:   4,
 		Satellites: 1,
@@ -22,12 +22,11 @@ func twoCell(workers int, net NetConfig) *Cluster {
 			}
 			return 0
 		},
-		Workers: workers,
 	})
 }
 
 func TestCrossCellSendDelivers(t *testing.T) {
-	c := twoCell(1, NetConfig{Jitter: Disabled})
+	c := twoCell(NetConfig{Jitter: Disabled})
 	comp := c.Computes()[0]
 	var arrived, sent time.Duration
 	c.Net.Transmit(c.Master().ID, comp, 1000, outcome{
@@ -61,7 +60,7 @@ func TestCrossCellSendDelivers(t *testing.T) {
 }
 
 func TestCrossCellSendFailStop(t *testing.T) {
-	c := twoCell(2, NetConfig{Jitter: Disabled})
+	c := twoCell(NetConfig{Jitter: Disabled})
 	comp := c.Computes()[1]
 	c.ScheduleFailure(comp, time.Millisecond, 0)
 	var failedAt time.Duration
@@ -142,7 +141,7 @@ func TestInFlightDeathTimesOutAtConnectTimeout(t *testing.T) {
 // TestCrossCellPartitionsCompose: partitions sever, compose and heal the
 // same on every replica.
 func TestCrossCellPartitionsCompose(t *testing.T) {
-	c := twoCell(2, NetConfig{Jitter: Disabled})
+	c := twoCell(NetConfig{Jitter: Disabled})
 	comps := c.Computes()
 	// All computes cut off for 100ms; the first one additionally for 300ms.
 	c.Net.SchedulePartition(comps, time.Millisecond, 100*time.Millisecond)
@@ -172,7 +171,7 @@ func TestCrossCellPartitionsCompose(t *testing.T) {
 // TestGrayFactorFromTheViewersReplica: every cell answers gray queries
 // from its own replica, and all replicas agree once the flip has run.
 func TestGrayFactorFromTheViewersReplica(t *testing.T) {
-	c := twoCell(2, NetConfig{})
+	c := twoCell(NetConfig{})
 	comp := c.Computes()[2]
 	c.Net.ScheduleGray(comp, 4, time.Millisecond, 10*time.Millisecond)
 	var during, after float64
@@ -191,7 +190,7 @@ func TestGrayFactorFromTheViewersReplica(t *testing.T) {
 // TestMidRunMutationPanics: replicas may only be flipped by events
 // pre-scheduled from an idle point; an immediate mutation from inside an
 // event on a multi-cell cluster would reach the other cells' replicas at
-// whatever instant their goroutines happen to stand at.
+// whatever instant their clocks happen to stand at inside the window.
 func TestMidRunMutationPanics(t *testing.T) {
 	for name, mutate := range map[string]func(c *Cluster){
 		"Fail":            func(c *Cluster) { c.Fail(c.Computes()[0]) },
@@ -199,7 +198,7 @@ func TestMidRunMutationPanics(t *testing.T) {
 		"Partition":       func(c *Cluster) { c.Net.Partition(c.Computes()[:2], 0) },
 		"ScheduleFailure": func(c *Cluster) { c.ScheduleFailure(c.Computes()[0], time.Second, 0) },
 	} {
-		c := twoCell(1, NetConfig{})
+		c := twoCell(NetConfig{})
 		c.Engine.Schedule(time.Millisecond, func() { mutate(c) })
 		msg := func() (msg string) {
 			defer func() { msg, _ = recover().(string) }()
@@ -214,7 +213,7 @@ func TestMidRunMutationPanics(t *testing.T) {
 	}
 	// The same calls are fine while the group is idle, and from inside an
 	// event on one cell.
-	c := twoCell(1, NetConfig{})
+	c := twoCell(NetConfig{})
 	c.RunUntil(time.Millisecond)
 	c.Fail(c.Computes()[0])
 	if !c.FailedOn(c.Computes()[1], c.Computes()[0]) {
@@ -228,12 +227,12 @@ func TestMidRunMutationPanics(t *testing.T) {
 	}
 }
 
-// TestWorkerInvariance runs an adversarial traffic storm (loss,
-// duplication, jitter, faults, gray nodes, partitions) at several worker
-// counts — 8 exceeds the 4 cells, covering the clamp — and pins digest
-// equality: the cluster-layer shard-invariance check.
-func TestWorkerInvariance(t *testing.T) {
-	run := func(workers int) (uint64, uint64) {
+// TestStormAcrossCells runs an adversarial traffic storm (loss,
+// duplication, jitter, faults, gray nodes, partitions) over four cells:
+// both outcomes occur, every socket drains, and a rerun executes the same
+// event stream.
+func TestStormAcrossCells(t *testing.T) {
+	run := func() (uint64, uint64) {
 		c := New(simnet.NewEngine(11), Config{
 			Computes:   192,
 			Satellites: 2,
@@ -245,7 +244,6 @@ func TestWorkerInvariance(t *testing.T) {
 				}
 				return 1 + int(id)%3
 			},
-			Workers: workers,
 		})
 		c.Group().EnableDigest()
 		comps := c.Computes()
@@ -277,18 +275,11 @@ func TestWorkerInvariance(t *testing.T) {
 				t.Errorf("node %d holds %d sockets after the drain", id, s)
 			}
 		}
-		// The storm must be large enough to reach the worker pool, or the
-		// sweep compares the inline path with itself.
-		if n := c.Engine.Metrics().Counter("simnet.windows_dispatched").Value(); n == 0 {
-			t.Fatalf("workers=%d: no window was dispatched", workers)
-		}
 		return c.Group().Digest(), c.Group().Processed()
 	}
-	refD, refP := run(1)
-	for _, w := range []int{2, 4, 8} {
-		if d, p := run(w); d != refD || p != refP {
-			t.Errorf("workers=%d: digest/processed %#x/%d, want %#x/%d", w, d, p, refD, refP)
-		}
+	refD, refP := run()
+	if d, p := run(); d != refD || p != refP {
+		t.Errorf("rerun digest/processed %#x/%d, want %#x/%d", d, p, refD, refP)
 	}
 }
 
@@ -297,7 +288,7 @@ func TestWorkerInvariance(t *testing.T) {
 // as running its engine directly.
 func TestOneCellGroupMatchesTheBareEngine(t *testing.T) {
 	run := func(windowed bool) (uint64, uint64) {
-		c := New(simnet.NewEngine(5), Config{Computes: 16, Satellites: 1, Net: NetConfig{LossProb: 0.1, DupProb: 0.1}, Cells: 1, Workers: 4})
+		c := New(simnet.NewEngine(5), Config{Computes: 16, Satellites: 1, Net: NetConfig{LossProb: 0.1, DupProb: 0.1}, Cells: 1})
 		c.Group().EnableDigest()
 		c.ScheduleFailure(c.Computes()[2], 300*time.Microsecond, time.Second)
 		for _, id := range c.Computes() {

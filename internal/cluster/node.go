@@ -10,7 +10,7 @@
 // Determinism: all state changes (failures, recoveries, meter charges)
 // happen inside events on the owning cell's simnet engine, and network
 // jitter draws from that engine's labeled RNG streams — same seed, same
-// trace, at any worker count.
+// trace.
 package cluster
 
 import (
@@ -91,14 +91,10 @@ type Config struct {
 	// Cells is the number of engine cells the cluster is partitioned over
 	// (below 1 means one), and CellOf maps each node to its home cell in
 	// [0, Cells); nil homes everything on cell 0. The mapping must depend
-	// only on the model (IDs, roles, topology), never on Workers. With more
-	// than one cell the effective link Latency must be positive: it is the
-	// group's lookahead.
+	// only on the model (IDs, roles, topology). With more than one cell the
+	// effective link Latency must be positive: it is the group's lookahead.
 	Cells  int
 	CellOf func(id NodeID, role Role) int
-	// Workers is how many goroutines execute the cells (clamped to
-	// [1, Cells]); it never changes a result, only wall-clock.
-	Workers int
 }
 
 // New builds a cluster with one master node (ID 0), Config.Satellites
@@ -119,7 +115,7 @@ func New(e *simnet.Engine, cfg Config) *Cluster {
 		}
 		look = time.Hour // nothing crosses a boundary, so the window width is free
 	}
-	c := &Cluster{Engine: e, group: simnet.GroupAround(e, cells, look, cfg.Workers)}
+	c := &Cluster{Engine: e, group: simnet.GroupAround(e, cells, look)}
 	add := func(role Role) {
 		n := &Node{ID: NodeID(len(c.nodes)), Role: role}
 		if cfg.CellOf != nil {

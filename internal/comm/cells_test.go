@@ -12,7 +12,7 @@ import (
 // threeCells builds a 3-cell cluster: control plane on cell 0, computes
 // striped across cells 1 and 2, so every tree has parent→child links both
 // inside a cell and across cells.
-func threeCells(computes, workers int, seed int64, net cluster.NetConfig) *cluster.Cluster {
+func threeCells(computes int, seed int64, net cluster.NetConfig) *cluster.Cluster {
 	return cluster.New(simnet.NewEngine(seed), cluster.Config{
 		Computes:   computes,
 		Satellites: 2,
@@ -24,7 +24,6 @@ func threeCells(computes, workers int, seed int64, net cluster.NetConfig) *clust
 			}
 			return 1 + int(id)%2
 		},
-		Workers: workers,
 	})
 }
 
@@ -37,7 +36,7 @@ func everyStructure() []Structure {
 // leaves no chain or socket behind.
 func TestEveryStructureAcrossCells(t *testing.T) {
 	for _, s := range everyStructure() {
-		c := threeCells(30, 2, 5, cluster.NetConfig{})
+		c := threeCells(30, 5, cluster.NetConfig{})
 		comps := c.Computes()
 		c.ScheduleFailure(comps[0], time.Millisecond, 0) // first relay of every ordered structure
 		b := NewBroadcaster(c)
@@ -76,7 +75,7 @@ func TestEveryStructureAcrossCells(t *testing.T) {
 // still forwards once — each target receives the payload from its parent
 // exactly twice (original + duplicate), never more.
 func TestDuplicatesDedupAtTheReceiver(t *testing.T) {
-	c := threeCells(40, 2, 9, cluster.NetConfig{DupProb: 1})
+	c := threeCells(40, 9, cluster.NetConfig{DupProb: 1})
 	comps := c.Computes()
 	b := NewBroadcaster(c)
 	var res Result
@@ -96,7 +95,7 @@ func TestDuplicatesDedupAtTheReceiver(t *testing.T) {
 // its inflated relay cost, read from its own cell's replica.
 func TestGrayRelayDelayFromItsOwnReplica(t *testing.T) {
 	elapsed := func(gray bool) time.Duration {
-		c := threeCells(12, 2, 3, cluster.NetConfig{Jitter: cluster.Disabled})
+		c := threeCells(12, 3, cluster.NetConfig{Jitter: cluster.Disabled})
 		comps := c.Computes()
 		if gray {
 			c.Net.ScheduleGray(comps[0], 50, time.Millisecond, 0)
@@ -123,11 +122,10 @@ func TestGrayRelayDelayFromItsOwnReplica(t *testing.T) {
 // message is in flight. At the delivery instant the sender's half finds it
 // unreachable with no timeout left to wait, so the retry launches in the
 // very window in which the destination's cell runs the first attempt's
-// arrive half: the two attempts must not share a wire record. Run it
-// under -race.
+// arrive half: the two attempts must not share a wire record.
 func TestRetryOverlapsFirstAttemptsArrival(t *testing.T) {
 	for _, s := range []Structure{Star{}, KTree{Width: 4}} {
-		c := threeCells(16, 2, 17, cluster.NetConfig{Jitter: cluster.Disabled})
+		c := threeCells(16, 17, cluster.NetConfig{Jitter: cluster.Disabled})
 		comps := c.Computes()
 		slow := comps[0] // a first-layer relay of the tree, on a compute cell
 		c.Net.ScheduleGray(slow, 3000, time.Millisecond, 0)
@@ -160,13 +158,14 @@ func TestRetryOverlapsFirstAttemptsArrival(t *testing.T) {
 	}
 }
 
-// TestBroadcastWorkerInvariance pins digest, Result, metrics and span
-// equality across worker counts under an adversarial network with a retry
-// policy, for a relay structure and for the gather.
-func TestBroadcastWorkerInvariance(t *testing.T) {
+// TestBroadcastAcrossCellsWithRetries: under an adversarial network with a
+// retry policy, a relay structure, the gather and a ring deliver across
+// cells, retry, record spans whose parent ran on another cell, and rerun
+// to the same digest, Result, metrics and spans.
+func TestBroadcastAcrossCellsWithRetries(t *testing.T) {
 	for _, s := range []Structure{KTree{Width: 4}, GatherTree{Width: 4}, Ring{}} {
-		run := func(workers int) (uint64, Result, string, string) {
-			c := threeCells(600, workers, 13, cluster.NetConfig{LossProb: 0.05, DupProb: 0.05})
+		run := func() (uint64, Result, string, string) {
+			c := threeCells(600, 13, cluster.NetConfig{LossProb: 0.05, DupProb: 0.05})
 			c.Group().EnableDigest()
 			c.Group().EnableTracing()
 			comps := c.Computes()
@@ -188,37 +187,20 @@ func TestBroadcastWorkerInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// A ring has one message in flight, so no window of its run can
-			// qualify; the relay structures must reach the worker pool, or
-			// the sweep compares the inline path with itself.
-			if _, sequential := s.(Ring); !sequential && c.Engine.Metrics().Counter("simnet.windows_dispatched").Value() == 0 {
-				t.Fatalf("%s workers=%d: no window was dispatched", s.Name(), workers)
-			}
 			return c.Group().Digest(), res, metrics.String(), spans.String()
 		}
-		refD, refR, refM, refS := run(1)
+		refD, refR, refM, refS := run()
 		if refR.Delivered == 0 || refR.Retries == 0 {
-			t.Fatalf("%s: reference run delivered %d with %d retries", s.Name(), refR.Delivered, refR.Retries)
+			t.Fatalf("%s: delivered %d with %d retries", s.Name(), refR.Delivered, refR.Retries)
 		}
 		if !strings.Contains(refS, "xparent=c0.") {
 			t.Errorf("%s: no span recorded a cross-cell parent", s.Name())
 		}
-		for _, w := range []int{2, 3, 8} {
-			d, r, m, sp := run(w)
-			if d != refD {
-				t.Errorf("%s workers=%d digest %#x, want %#x", s.Name(), w, d, refD)
-			}
-			if r.Delivered != refR.Delivered || r.Messages != refR.Messages ||
-				r.Retries != refR.Retries || r.Elapsed != refR.Elapsed ||
-				r.DeliveredElapsed != refR.DeliveredElapsed {
-				t.Errorf("%s workers=%d result %+v, want %+v", s.Name(), w, r, refR)
-			}
-			if m != refM {
-				t.Errorf("%s workers=%d merged metrics differ from reference", s.Name(), w)
-			}
-			if sp != refS {
-				t.Errorf("%s workers=%d span recordings differ from reference", s.Name(), w)
-			}
+		d, r, m, sp := run()
+		if d != refD || r.Delivered != refR.Delivered || r.Messages != refR.Messages ||
+			r.Retries != refR.Retries || r.Elapsed != refR.Elapsed ||
+			r.DeliveredElapsed != refR.DeliveredElapsed || m != refM || sp != refS {
+			t.Errorf("%s: rerun diverged: digest %#x vs %#x, result %+v vs %+v", s.Name(), d, refD, r, refR)
 		}
 	}
 }

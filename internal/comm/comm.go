@@ -18,7 +18,7 @@
 // chain, its connection slot and its backoff jitter on the sender's cell,
 // relay forwarding on the receiver's, the Result on the origin's — with
 // jitter drawn from that cell's labeled RNG streams: same seed, same
-// delivery schedule, at any worker count. The comm.* spans and counters
+// delivery schedule. The comm.* spans and counters
 // recorded through the obs layer are passive observations and never alter
 // that schedule.
 package comm

@@ -31,8 +31,7 @@ func AblationTreeWidth(env *Env, nodes int, widths []int) *Table {
 	}
 	for _, w := range widths {
 		run := func(failures bool) time.Duration {
-			e := env.NewEngine(31)
-			c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
+			c := env.NewCluster(31, cluster.Config{Computes: nodes, Satellites: 1})
 			if failures {
 				failSpread(c, nodes/50)
 			}
@@ -40,7 +39,7 @@ func AblationTreeWidth(env *Env, nodes int, widths []int) *Table {
 			var res comm.Result
 			s := comm.FPTree{Width: w, Predictor: predict.Oracle{Cluster: c}}
 			s.Broadcast(b, c.Satellites()[0], c.Computes(), 4096, func(r comm.Result) { res = r })
-			e.Run()
+			c.Run()
 			return res.DeliveredElapsed
 		}
 		depth := treeDepth(nodes, w)
@@ -73,20 +72,19 @@ func AblationReallocLimit(env *Env, nodes int, limits []int) *Table {
 		Columns: []string{"limit", "broadcast completes in", "reallocations", "master takeovers"},
 	}
 	for _, lim := range limits {
-		e := env.NewEngine(37)
-		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 4})
+		c := env.NewCluster(37, cluster.Config{Computes: nodes, Satellites: 4})
 		cfg := core.DefaultConfig()
 		cfg.ReallocLimit = lim
 		m := core.NewMaster(c, cfg, nil)
 		m.Start()
-		e.RunUntil(time.Second)
+		c.RunUntil(time.Second)
 		// Kill two satellites; the round-robin hands their tasks onward.
 		c.Fail(c.Satellites()[0])
 		c.Fail(c.Satellites()[1])
 		var res comm.Result
-		start := e.Now()
+		start := c.Engine.Now()
 		m.Broadcast(c.Computes(), 2048, func(r comm.Result) { res = r })
-		e.RunUntil(start + 10*time.Minute)
+		c.RunUntil(start + 10*time.Minute)
 		st := m.Stats()
 		m.Stop()
 		t.AddRow(fmt.Sprintf("%d", lim),

@@ -16,7 +16,7 @@ import (
 // goroutine. The zero value is ready to use.
 type Env struct {
 	spans   bool // arm span recording on every engine as it is obtained
-	shards  int  // Params.Shards: how NewCluster partitions
+	cells   bool // Params.Shards != 0: NewCluster partitions by rack
 	sharded bool // NewCluster built a cluster of more than one cell
 	engines []*simnet.Engine
 }
@@ -38,13 +38,16 @@ func (env *Env) Adopt(e *simnet.Engine) {
 	env.engines = append(env.engines, e)
 }
 
-// NewCluster builds a cluster on a fresh engine rooted at seed,
-// partitioned as Params.Shards asks (topo.Partition: 0 is one cell), and
-// takes in every cell, in cell order. It is what makes an experiment
-// answer to -shards; a driver that builds its cluster with cluster.New
-// runs on one cell whatever the flag says.
+// NewCluster builds a cluster on a fresh engine rooted at seed — one cell,
+// or under Params.Shards a control cell plus one cell per rack
+// (topo.Partition) — and takes in every cell, in cell order. It is the
+// only way an experiment builds a cluster, so every one answers to -cells.
+// Drive it with the cluster's Run/RunUntil, which run every cell.
 func (env *Env) NewCluster(seed int64, cfg cluster.Config) *cluster.Cluster {
-	c := cluster.New(simnet.NewEngine(seed), topo.Default().Partition(cfg, env.shards))
+	if env.cells {
+		cfg = topo.Default().Partition(cfg)
+	}
+	c := cluster.New(simnet.NewEngine(seed), cfg)
 	g := c.Group()
 	for i := 0; i < g.Cells(); i++ {
 		env.Adopt(g.Cell(i))

@@ -137,20 +137,18 @@ func Fig8a(env *Env, nodes int) *Table {
 		run  func(size int) time.Duration
 	}
 	slurmTree := func(size int) time.Duration {
-		e := env.NewEngine(7)
-		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
+		c := env.NewCluster(7, cluster.Config{Computes: nodes, Satellites: 1})
 		failSpread(c, nodes/50)
 		b := comm.NewBroadcaster(c)
 		var res comm.Result
 		comm.KTree{Width: 50}.Broadcast(b, c.Master().ID, c.Computes(), size, func(r comm.Result) { res = r })
-		e.Run()
+		c.Run()
 		return res.DeliveredElapsed
 	}
 	eslurm := func(fp bool) func(size int) time.Duration {
 		return func(size int) time.Duration {
-			e := env.NewEngine(7)
 			sats := 2 + nodes/5120
-			c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: sats})
+			c := env.NewCluster(7, cluster.Config{Computes: nodes, Satellites: sats})
 			failed := failSpread(c, nodes/50)
 			cfg := core.DefaultConfig()
 			var p predict.Predictor = predict.Null{}
@@ -163,10 +161,10 @@ func Fig8a(env *Env, nodes int) *Table {
 			}
 			m := core.NewMaster(c, cfg, p)
 			m.Start()
-			e.RunUntil(2 * time.Second)
+			c.RunUntil(2 * time.Second)
 			var res comm.Result
 			m.Broadcast(c.Computes(), size, func(r comm.Result) { res = r })
-			e.RunUntil(e.Now() + 10*time.Minute)
+			c.RunUntil(c.Engine.Now() + 10*time.Minute)
 			m.Stop()
 			return res.DeliveredElapsed
 		}
@@ -201,8 +199,7 @@ func Fig8b(env *Env, nodes int, ratios []float64) *Table {
 	}
 
 	run := func(s comm.Structure, ratio float64, predicted bool) time.Duration {
-		e := env.NewEngine(11)
-		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
+		c := env.NewCluster(11, cluster.Config{Computes: nodes, Satellites: 1})
 		failed := failSpread(c, int(float64(nodes)*ratio))
 		if fp, ok := s.(comm.FPTree); ok && predicted {
 			st := predict.Static{}
@@ -215,7 +212,7 @@ func Fig8b(env *Env, nodes int, ratios []float64) *Table {
 		b := comm.NewBroadcaster(c)
 		var res comm.Result
 		s.Broadcast(b, c.Satellites()[0], c.Computes(), 4096, func(r comm.Result) { res = r })
-		e.Run()
+		c.Run()
 		return res.DeliveredElapsed
 	}
 
@@ -246,16 +243,15 @@ func Fig11a(env *Env, nodes int, satCounts []int) *Table {
 		Columns: []string{"satellites", "broadcast time"},
 	}
 	for _, m := range satCounts {
-		e := env.NewEngine(13)
-		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: m})
+		c := env.NewCluster(13, cluster.Config{Computes: nodes, Satellites: m})
 		// Production failure background: ~1% down.
 		failSpread(c, nodes/100)
 		master := core.NewMaster(c, core.DefaultConfig(), predict.Oracle{Cluster: c})
 		master.Start()
-		e.RunUntil(2 * time.Second)
+		c.RunUntil(2 * time.Second)
 		var res comm.Result
 		master.Broadcast(c.Computes(), master.Config().HeartbeatMsgBytes, func(r comm.Result) { res = r })
-		e.RunUntil(e.Now() + 10*time.Minute)
+		c.RunUntil(c.Engine.Now() + 10*time.Minute)
 		master.Stop()
 		t.AddRow(fmt.Sprintf("%d", m), fmtDur(res.DeliveredElapsed))
 	}
@@ -272,11 +268,10 @@ func Placement(env *Env, nodes int, days int) *Table {
 	if days <= 0 {
 		days = 2
 	}
-	e := env.NewEngine(17)
 	sats := 2
-	c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: sats})
+	c := env.NewCluster(17, cluster.Config{Computes: nodes, Satellites: sats})
 	sub := monitor.New(c, monitor.Config{DetectionProb: 0.85, FalseAlertsPerNodeDay: 0.05})
-	pred := predict.NewAlertDriven(e, sub, 45*time.Minute)
+	pred := predict.NewAlertDriven(c.Engine, sub, 45*time.Minute)
 
 	cfg := core.DefaultConfig()
 	cfg.HeartbeatInterval = 5 * time.Minute
@@ -298,11 +293,11 @@ func Placement(env *Env, nodes int, days int) *Table {
 	campaign.Background(4, horizon, 2*time.Hour, 5*time.Hour)
 	campaign.Burst(horizon/2, nodes/33, 6*time.Hour)
 
-	e.RunUntil(horizon)
+	c.RunUntil(horizon)
 	m.Stop()
 	// Drain in-flight broadcasts; the monitor's background noise process
 	// never terminates, so a full Run() would spin forever.
-	e.RunUntil(horizon + 30*time.Minute)
+	c.RunUntil(horizon + 30*time.Minute)
 
 	t := &Table{
 		ID:      "placement",

@@ -14,8 +14,8 @@ import (
 // sizes, short runtimes) and returns the master meter plus the cluster for
 // satellite inspection.
 func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites int, span time.Duration, seed int64) (*cluster.ResourceMeter, *cluster.Cluster, rm.RM) {
-	e := env.NewEngine(seed)
-	c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: satellites})
+	c := env.NewCluster(seed, cluster.Config{Computes: nodes, Satellites: satellites})
+	e := c.Engine
 	r := mk(c)
 	r.Start()
 
@@ -45,10 +45,10 @@ func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites 
 	}
 	submit()
 
-	e.RunUntil(span)
+	c.RunUntil(span)
 	r.Stop()
 	// Drain remaining activity so meters settle.
-	e.RunUntil(span + 30*time.Minute)
+	c.RunUntil(span + 30*time.Minute)
 	return r.Meter(), c, r
 }
 

@@ -27,10 +27,9 @@ func RackOutage(env *Env, nodes int) *Table {
 	}
 
 	run := func(s comm.Structure, outage bool) time.Duration {
-		e := env.NewEngine(53)
-		c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 1})
+		c := env.NewCluster(53, cluster.Config{Computes: nodes, Satellites: 1})
 		sub := monitor.New(c, monitor.Config{DetectionProb: 1.0})
-		pred := predict.NewAlertDriven(e, sub, time.Hour)
+		pred := predict.NewAlertDriven(c.Engine, sub, time.Hour)
 		if fp, ok := s.(comm.FPTree); ok {
 			fp.Predictor = pred
 			s = fp
@@ -41,11 +40,11 @@ func RackOutage(env *Env, nodes int) *Table {
 		}
 		// Broadcast one hour in: the rack is down, alerts have landed.
 		var res comm.Result
-		e.Schedule(time.Hour, func() {
+		c.Engine.Schedule(time.Hour, func() {
 			b := comm.NewBroadcaster(c)
 			s.Broadcast(b, c.Satellites()[0], c.Computes(), 4096, func(r comm.Result) { res = r })
 		})
-		e.RunUntil(3 * time.Hour)
+		c.RunUntil(3 * time.Hour)
 		return res.DeliveredElapsed
 	}
 

@@ -31,12 +31,10 @@ type Params struct {
 	Fig10Jobs     int
 	AblationScale int
 	AblationJobs  int
-	// Shards partitions the clusters built through Env.NewCluster (the
-	// occupation probes behind fig7f, fig10 and the ablation): 0 keeps each
-	// on one cell; N >= 1 gives the control plane a cell and every compute
-	// rack its own, executed on N workers. The code path is the same either
-	// way; results are identical across N >= 1 and differ from N == 0 only
-	// by what partitioning may change (DESIGN.md §4).
+	// Shards partitions every cluster an experiment builds (Env.NewCluster):
+	// 0 = one cell, any other value = rack cells — the control plane on one
+	// cell and every compute rack on its own. Rack cells differ from one
+	// cell only by what partitioning may change (DESIGN.md §4).
 	Shards int
 }
 

@@ -27,7 +27,7 @@ type Result struct {
 	// engine the experiment obtained from its Env.
 	Events uint64
 	// Sharded reports whether the experiment built a cluster of more than
-	// one cell (Env.NewCluster under Params.Shards >= 1).
+	// one cell (Env.NewCluster under Params.Shards).
 	Sharded bool
 	// Engines is the Env's engine list in creation order. RunObserved
 	// fills it; RunConcurrent leaves it nil so a suite run holds no
@@ -109,7 +109,7 @@ func run(specs []Spec, p Params, parallel int, keep, spans bool, emit func(Resul
 // runOne executes a single spec on a fresh Env, timing it and accounting
 // the events its engines processed.
 func runOne(s Spec, p Params, keep, spans bool) Result {
-	env := &Env{spans: spans, shards: p.Shards}
+	env := &Env{spans: spans, cells: p.Shards != 0}
 	//eslurmlint:ignore walltime benchmark harness measures host elapsed time, not simulated time
 	start := time.Now()
 	tables := s.Run(env, p)

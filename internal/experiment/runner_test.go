@@ -134,12 +134,12 @@ func TestRunConcurrentStats(t *testing.T) {
 // TestEnvAccountsEveryExperiment is the accounting contract of the Env,
 // over the whole registry on both kernels: Result.Events is the sum of
 // Processed() over the engines the experiment obtained, every experiment
-// that simulates obtained some, and exactly the experiments that build
-// their clusters through Env.NewCluster (the occupation probes) report
-// Sharded under -shards.
+// that simulates obtained some, and under Params.Shards every experiment
+// that builds a cluster — all of them through Env.NewCluster — reports
+// Sharded.
 func TestEnvAccountsEveryExperiment(t *testing.T) {
 	engineFree := map[string]bool{"table1": true, "fig5": true, "table8": true, "fig11b": true}
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{0, 1} {
 		p := runnerParams()
 		p.Fig11bJobs, p.Table8Jobs = 200, 200 // engine-free; only their zero matters here
 		p.Shards = shards
@@ -159,7 +159,7 @@ func TestEnvAccountsEveryExperiment(t *testing.T) {
 			if !engineFree[id] && id != "ablation-topo" && r.Events == 0 {
 				t.Errorf("shards=%d %s: simulated experiment counted no events", shards, id)
 			}
-			if want := shards > 0 && (id == "fig7f" || id == "fig10" || id == "ablation"); r.Sharded != want {
+			if want := shards != 0 && !engineFree[id] && id != "ablation-topo"; r.Sharded != want {
 				t.Errorf("shards=%d %s: Sharded = %v, want %v", shards, id, r.Sharded, want)
 			}
 		}
@@ -190,8 +190,8 @@ func TestRunConcurrentDropsEngines(t *testing.T) {
 // by a driver, adopted from sched.Run, or a cell of a partitioned cluster — has its
 // tracer before its first event; without, none is armed.
 func TestEnvArmsSpansAtCreation(t *testing.T) {
-	spec, _ := Lookup("fig10") // probes (cells under -shards) plus sched.Run engines
-	for _, shards := range []int{0, 2} {
+	spec, _ := Lookup("fig10") // probes (cells under Shards) plus sched.Run engines
+	for _, shards := range []int{0, 1} {
 		p := runnerParams()
 		p.Shards = shards
 		for _, spans := range []bool{false, true} {

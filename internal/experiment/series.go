@@ -16,8 +16,8 @@ import (
 // Fig. 7a–e / Fig. 9a–c: cumulative CPU seconds, virtual memory (MB),
 // resident memory (MB), concurrent sockets.
 func resourceSeries(env *Env, mk func(c *cluster.Cluster) rm.RM, name string, nodes, satellites int, span, interval time.Duration, seed int64) []*stats.Series {
-	e := env.NewEngine(seed)
-	c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: satellites})
+	c := env.NewCluster(seed, cluster.Config{Computes: nodes, Satellites: satellites})
+	e := c.Engine
 	r := mk(c)
 	r.Start()
 	sampler := cluster.NewSampler(e, r.Meter(), interval)
@@ -43,7 +43,7 @@ func resourceSeries(env *Env, mk func(c *cluster.Cluster) rm.RM, name string, no
 		})
 	}
 	submit()
-	e.RunUntil(span)
+	c.RunUntil(span)
 	sampler.Stop()
 	r.Stop()
 

@@ -9,16 +9,15 @@ import (
 	"strings"
 )
 
-// EngineownAnalyzer is the engine-ownership escape analysis behind the
-// sharded-kernel plan. The kernel's determinism contract is per-engine and
-// single-threaded: every piece of mutable simulation state — the event
-// heap, pooled events, memoized RNG streams, the metrics registry, the
-// tracer, and every subsystem struct holding a *simnet.Engine — is owned
-// by exactly one Engine and therefore by exactly one goroutine. A sharded
-// kernel partitions engines across goroutines, so any engine-owned value
-// that today leaks to another goroutine (captured in a go-spawned closure,
-// sent over a channel, or parked in a package-level variable) becomes a
-// cross-shard data race tomorrow.
+// EngineownAnalyzer is the engine-ownership escape analysis. The kernel's
+// determinism contract is per-engine and single-threaded: every piece of
+// mutable simulation state — the event heap, pooled events, memoized RNG
+// streams, the metrics registry, the tracer, and every subsystem struct
+// holding a *simnet.Engine — is owned by exactly one Engine and therefore
+// by exactly one goroutine. Any engine-owned value that leaks to another
+// goroutine (captured in a go-spawned closure, sent over a channel, or
+// parked in a package-level variable) is a data race waiting for a second
+// simulation to run beside the first.
 //
 // Like taint, the pass is summary-based and interprocedural: ownership
 // enters at any expression whose type is engine-bound (the structural
@@ -44,47 +43,10 @@ import (
 // forwarding through fmt.Sprintf or json.Marshal would flag harmless
 // copies. This is the precision/soundness trade documented in DESIGN.md's
 // ownership contract.
-//
-// The one sanctioned crossing is the shard kernel itself: package
-// simnet's ShardGroup is the receiver of its go'd window workers, which
-// claim whole cells of a published window under the
-// conservative-lookahead barrier that makes the handoff race-free (cells
-// never run concurrently with the merge). Nothing engine-owned travels
-// over the kernel's channels — they carry empty tokens — so the
-// exemption is exactly one type: an escape whose escaping value's static
-// type is simnet's ShardGroup (or a container of one) is exempt. A typed
-// exemption, not a package waiver: a raw Engine, or a struct of them,
-// crossing a goroutine or channel in simnet still fires.
 var EngineownAnalyzer = &Analyzer{
 	Name:      "engineown",
-	Doc:       "track engine-owned values (the engine, derived RNG/metrics/tracer state, engine-holding structs) across functions and flag escapes to goroutines, channels, or package-level variables; simnet's ShardGroup, the receiver of its go'd window workers, is the one typed exemption",
+	Doc:       "track engine-owned values (the engine, derived RNG/metrics/tracer state, engine-holding structs) across functions and flag escapes to goroutines, channels, or package-level variables",
 	RunModule: runEngineown,
-}
-
-// sanctionedShardType reports whether t is (a container of) the shard
-// kernel's one sanctioned crossing type: ShardGroup declared in a package
-// named simnet. It crosses goroutines by design — the window protocol
-// guarantees a worker exclusive access to each cell it claims until the
-// barrier — so escapes of exactly this type are not findings. Matching is
-// structural (package name + type name), like the Engine type itself, so
-// the lint testdata can model it.
-func sanctionedShardType(t types.Type) bool {
-	switch u := t.(type) {
-	case *types.Named:
-		obj := u.Obj()
-		return obj.Pkg() != nil && obj.Pkg().Name() == "simnet" && obj.Name() == "ShardGroup"
-	case *types.Pointer:
-		return sanctionedShardType(u.Elem())
-	case *types.Slice:
-		return sanctionedShardType(u.Elem())
-	case *types.Array:
-		return sanctionedShardType(u.Elem())
-	case *types.Chan:
-		return sanctionedShardType(u.Elem())
-	case *types.Map:
-		return sanctionedShardType(u.Elem())
-	}
-	return false
 }
 
 // ownChain is the ownership witness: where the value's engine affinity
@@ -750,9 +712,6 @@ func (st *ownState) checkEscapes(n ast.Node) bool {
 // recorded at the original site — classify as goroutine/channel/global by
 // the kind text).
 func (st *ownState) escapeValue(e ast.Expr, kind, recKind string, escPos token.Position, hops []taintHop) {
-	if t := st.of.pkg.Info.TypeOf(e); t != nil && sanctionedShardType(t) {
-		return
-	}
 	f := st.exprOwn(e)
 	if f.empty() {
 		return

@@ -225,8 +225,6 @@ func TestEngineown(t *testing.T) {
 	runCase(t, "engineown_bad", EngineownAnalyzer)
 	runCase(t, "engineown_good", EngineownAnalyzer)
 	runCase(t, "engineown_suppressed", EngineownAnalyzer)
-	runCase(t, "engineown_shard_silent", EngineownAnalyzer)
-	runCase(t, "engineown_shard_fire", EngineownAnalyzer)
 }
 
 // TestReconcileLoopPattern pins the reconciler's control-loop idiom

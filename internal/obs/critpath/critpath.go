@@ -19,8 +19,8 @@
 // recording always yields byte-identical report text and digest. For
 // sharded runs, FromCells flattens per-cell tracers in fixed cell order
 // and resolves the cross-cell "xparent" hand-off attributes, so the
-// merged DAG (and hence the report) is invariant under the worker count,
-// exactly like the kernel digest it rides on.
+// merged DAG (and hence the report) is as reproducible as the kernel
+// digest it rides on.
 package critpath
 
 import (
@@ -57,7 +57,7 @@ type Options struct {
 // resolving cross-cell "xparent" attributes (see obs.CellRef). Unresolvable
 // references leave the span a root — Analyze then counts it normally.
 // Cell order is the model's fixed partition, so for a deterministic
-// sharded run the merged slice is byte-identical at any worker count.
+// sharded run the merged slice is byte-identical on every run.
 // Nil tracers contribute nothing.
 func FromCells(cells []*obs.Tracer) []obs.Span {
 	offs := make([]int, len(cells))

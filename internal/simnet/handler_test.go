@@ -195,7 +195,7 @@ func TestHandlerEventSemantics(t *testing.T) {
 // TestShardGroupSendAfterTo: the handler form crosses cells like the func
 // form, in the (time, src cell, send order) merge order.
 func TestShardGroupSendAfterTo(t *testing.T) {
-	g := NewShardGroup(1, 2, time.Millisecond, 2)
+	g := NewShardGroup(1, 2, time.Millisecond)
 	var here, there kinds // what cell 0 and cell 1 were handed
 	g.SendAfterTo(0, 1, time.Millisecond, &there, 2)
 	g.SendAfterTo(0, 1, 0, &there, 1)
@@ -242,7 +242,7 @@ func TestAllocsScheduleFire(t *testing.T) {
 		t.Errorf("func-form schedule+fire: %v allocs/op, want 0", n)
 	}
 
-	g := NewShardGroup(1, 2, time.Millisecond, 1)
+	g := NewShardGroup(1, 2, time.Millisecond)
 	window := func() {
 		for i := 0; i < 64; i++ {
 			g.SendAfterTo(0, 1, time.Duration(64-i)*time.Microsecond, h, 0)

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +12,7 @@ import (
 // labelled RNG stream, bumps a per-cell counter, and relays work to the
 // next cell jitter past the lookahead for a fixed number of hops. The model
 // exercises same-cell scheduling, cross-cell sends, and RNG draws; its
-// digest is the reference the worker-sweep pins.
+// digest is what TestShardGroupDigestPinned pins.
 func shardTraffic(g *ShardGroup, hops int) *[]uint64 {
 	counts := make([]uint64, g.Cells())
 	var relay func(cell, hop int)
@@ -40,12 +39,9 @@ func shardTraffic(g *ShardGroup, hops int) *[]uint64 {
 	return &counts
 }
 
-func runShardTraffic(t *testing.T, cells, workers int) (uint64, uint64, []uint64) {
+func runShardTraffic(t *testing.T, cells int) (uint64, uint64, []uint64) {
 	t.Helper()
-	g := NewShardGroup(42, cells, 150*time.Microsecond, workers)
-	if w := g.Workers(); w > cells {
-		t.Fatalf("workers not clamped: got %d for %d cells", w, cells)
-	}
+	g := NewShardGroup(42, cells, 150*time.Microsecond)
 	g.EnableDigest()
 	counts := shardTraffic(g, 12)
 	g.RunUntil(50 * time.Millisecond)
@@ -55,32 +51,6 @@ func runShardTraffic(t *testing.T, cells, workers int) (uint64, uint64, []uint64
 		}
 	}
 	return g.Digest(), g.Processed(), *counts
-}
-
-// TestShardGroupWorkerSweep pins the shard-invariance contract: the same
-// seed and cell count produce byte-identical digests, event counts, and
-// model state at every worker count, including serial workers=1.
-func TestShardGroupWorkerSweep(t *testing.T) {
-	for _, cells := range []int{1, 3, 8} {
-		refDigest, refProcessed, refCounts := runShardTraffic(t, cells, 1)
-		if refProcessed == 0 {
-			t.Fatalf("cells=%d: no events processed", cells)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			d, p, counts := runShardTraffic(t, cells, workers)
-			if d != refDigest {
-				t.Errorf("cells=%d workers=%d: digest %#x, want %#x", cells, workers, d, refDigest)
-			}
-			if p != refProcessed {
-				t.Errorf("cells=%d workers=%d: processed %d, want %d", cells, workers, p, refProcessed)
-			}
-			for c := range counts {
-				if counts[c] != refCounts[c] {
-					t.Errorf("cells=%d workers=%d: cell %d count %d, want %d", cells, workers, c, counts[c], refCounts[c])
-				}
-			}
-		}
-	}
 }
 
 // TestShardGroupDigestPinned pins the digest constant itself so an
@@ -100,21 +70,18 @@ func TestShardGroupWorkerSweep(t *testing.T) {
 func TestShardGroupDigestPinned(t *testing.T) {
 	const wantDigest = uint64(0xa2f00a1b66e73b5f)
 	const wantProcessed = uint64(312)
-	d, p, _ := runShardTraffic(t, 4, 2)
+	d, p, _ := runShardTraffic(t, 4)
 	if d != wantDigest || p != wantProcessed {
 		t.Fatalf("digest %#x processed %d, want %#x / %d", d, p, wantDigest, wantProcessed)
-	}
-	d2, _, _ := runShardTraffic(t, 4, 7)
-	if d != d2 {
-		t.Fatalf("digest not worker-invariant: %#x vs %#x", d, d2)
 	}
 }
 
 // TestShardGroupAllCrossTraffic runs a model whose every event is a
-// cross-cell send — the regime where the merge order does all the work.
+// cross-cell send — the regime where the merge order does all the work —
+// and requires every hop to land and a rerun to execute the same stream.
 func TestShardGroupAllCrossTraffic(t *testing.T) {
-	run := func(workers int) uint64 {
-		g := NewShardGroup(7, 4, time.Millisecond, workers)
+	run := func() (uint64, uint64) {
+		g := NewShardGroup(7, 4, time.Millisecond)
 		g.EnableDigest()
 		var ping func(cell, n int)
 		ping = func(cell, n int) {
@@ -132,13 +99,14 @@ func TestShardGroupAllCrossTraffic(t *testing.T) {
 			g.Cell(c).Schedule(time.Microsecond, func() { ping(c, 0) })
 		}
 		g.RunUntil(time.Second)
-		return g.Digest()
+		return g.Digest(), g.Processed()
 	}
-	ref := run(1)
-	for _, w := range []int{2, 4} {
-		if d := run(w); d != ref {
-			t.Errorf("workers=%d digest %#x, want %#x", w, d, ref)
-		}
+	d, p := run()
+	if p != 4*41 {
+		t.Errorf("processed %d events, want %d (4 chains of 41 hops)", p, 4*41)
+	}
+	if d2, _ := run(); d2 != d {
+		t.Errorf("rerun digest %#x, want %#x", d2, d)
 	}
 }
 
@@ -146,7 +114,7 @@ func TestShardGroupAllCrossTraffic(t *testing.T) {
 // event exactly at the deadline executes, clocks land on the deadline,
 // and a later RunUntil picks up cross events emitted near the edge.
 func TestShardGroupDeadline(t *testing.T) {
-	g := NewShardGroup(1, 2, 100*time.Microsecond, 1)
+	g := NewShardGroup(1, 2, 100*time.Microsecond)
 	var atDeadline, afterDeadline, crossed bool
 	g.Cell(0).Schedule(time.Millisecond, func() { atDeadline = true })
 	g.Cell(0).Schedule(time.Millisecond+1, func() { afterDeadline = true })
@@ -176,7 +144,7 @@ func TestShardGroupDeadline(t *testing.T) {
 // TestShardGroupIdleWiring checks cross sends issued while the group is
 // idle (model wiring between runs) are merged before the next window.
 func TestShardGroupIdleWiring(t *testing.T) {
-	g := NewShardGroup(3, 3, time.Millisecond, 2)
+	g := NewShardGroup(3, 3, time.Millisecond)
 	var hits int
 	g.SendAfter(0, 2, 4*time.Millisecond, func() { hits++ })
 	g.SendAfter(1, 2, 4*time.Millisecond, func() { hits++ })
@@ -192,7 +160,7 @@ func TestShardGroupIdleWiring(t *testing.T) {
 func TestShardGroupSendAfterLanding(t *testing.T) {
 	const L, extra = time.Millisecond, 250 * time.Microsecond
 	for _, dst := range []int{0, 1} {
-		g := NewShardGroup(1, 2, L, 1)
+		g := NewShardGroup(1, 2, L)
 		sentAt := 3 * time.Millisecond
 		var landed time.Duration
 		g.Cell(0).Schedule(sentAt, func() {
@@ -211,7 +179,7 @@ func TestShardGroupSendAfterLanding(t *testing.T) {
 func TestShardGroupNegativeExtra(t *testing.T) {
 	for _, dst := range []int{0, 1} {
 		func() {
-			g := NewShardGroup(1, 2, time.Millisecond, 1)
+			g := NewShardGroup(1, 2, time.Millisecond)
 			defer func() {
 				if recover() == nil {
 					t.Errorf("dst cell %d: SendAfter with a negative extra did not panic", dst)
@@ -232,17 +200,17 @@ func TestShardGroupConstructorPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero cells", func() { NewShardGroup(1, 0, time.Millisecond, 1) })
-	mustPanic("zero lookahead", func() { NewShardGroup(1, 2, 0, 1) })
-	mustPanic("negative lookahead", func() { NewShardGroup(1, 2, -time.Second, 1) })
+	mustPanic("zero cells", func() { NewShardGroup(1, 0, time.Millisecond) })
+	mustPanic("zero lookahead", func() { NewShardGroup(1, 2, 0) })
+	mustPanic("negative lookahead", func() { NewShardGroup(1, 2, -time.Second) })
 }
 
 // TestShardGroupCellSeeds checks per-cell RNG streams are functions of
 // (root seed, cell, label) alone: distinct across cells, reproducible
 // across constructions.
 func TestShardGroupCellSeeds(t *testing.T) {
-	a := NewShardGroup(99, 4, time.Millisecond, 1)
-	b := NewShardGroup(99, 4, time.Millisecond, 4)
+	a := NewShardGroup(99, 4, time.Millisecond)
+	b := NewShardGroup(99, 4, time.Millisecond)
 	for i := 0; i < 4; i++ {
 		if x, y := a.Cell(i).Rand("s").Uint64(), b.Cell(i).Rand("s").Uint64(); x != y {
 			t.Errorf("cell %d stream differs across constructions: %d vs %d", i, x, y)
@@ -253,18 +221,11 @@ func TestShardGroupCellSeeds(t *testing.T) {
 	}
 }
 
-// kernelCounter reads one of the group's own counters from cell 0.
-func kernelCounter(g *ShardGroup, name string) int64 {
-	return g.Cell(0).Metrics().Counter(name).Value()
-}
-
 // TestShardGroupMergeOrder states the barrier's order contract directly:
 // of the events three source cells send to one destination in one window,
 // the destination runs the earlier first, equal times by source cell, and
 // one source's equal times in the order sent — although each source sends
-// its latest event first and the barrier sorts nothing. The sending window
-// follows a busy one, so with more than one worker the sources run on the
-// pool.
+// its latest event first and the barrier sorts nothing.
 func TestShardGroupMergeOrder(t *testing.T) {
 	const L = 100 * time.Microsecond
 	extras := []time.Duration{3 * L, 2 * L, 2 * L, L, L} // decreasing, with ties
@@ -278,143 +239,19 @@ func TestShardGroupMergeOrder(t *testing.T) {
 			}
 		}
 	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		g := NewShardGroup(5, 4, L, workers)
-		var got []string
-		for src := 1; src <= 3; src++ {
-			src := src
-			for k := 0; k < dispatchMinWork/2; k++ {
-				g.Cell(src).Schedule(time.Microsecond, func() {})
+	g := NewShardGroup(5, 4, L)
+	var got []string
+	for src := 1; src <= 3; src++ {
+		src := src
+		g.Cell(src).Schedule(time.Microsecond, func() {
+			for i, x := range extras {
+				tag := fmt.Sprintf("%v/%d/%d", x, src, i)
+				g.SendAfter(src, 0, x-L, func() { got = append(got, tag) })
 			}
-			g.Cell(src).Schedule(time.Microsecond+L, func() {
-				for i, x := range extras {
-					tag := fmt.Sprintf("%v/%d/%d", x, src, i)
-					g.SendAfter(src, 0, x-L, func() { got = append(got, tag) })
-				}
-			})
-		}
-		g.Run()
-		if strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Errorf("workers=%d: destination ran\n%v, want\n%v", workers, got, want)
-		}
-		if d := kernelCounter(g, "simnet.windows_dispatched"); d != 1 {
-			t.Errorf("workers=%d: %d windows dispatched, want the sending window alone", workers, d)
-		}
+		})
 	}
-}
-
-// TestShardGroupDenseWorkerSweep keeps the multi-worker path in the suite
-// now that sparse windows run inline: a program in which every window has
-// several times dispatchMinWork events on every cell must dispatch nearly
-// all of its windows, and produce the same digest, event count and merged
-// metrics at every worker count.
-func TestShardGroupDenseWorkerSweep(t *testing.T) {
-	const cells, hops, L = 8, 20, 150 * time.Microsecond
-	run := func(workers int) (uint64, uint64, string, *ShardGroup) {
-		g := NewShardGroup(11, cells, L, workers)
-		g.EnableDigest()
-		hits := make([]*int64, cells)
-		var hop func(cell, n int)
-		hop = func(cell, n int) {
-			e := g.Cell(cell)
-			e.Metrics().Counter("dense.hops").Inc()
-			d := time.Duration(e.Rand("dense/local").Intn(40)+1) * time.Microsecond
-			e.After(d, func() { *hits[cell]++ })
-			if n < hops {
-				next := (cell + 1 + n%3) % cells
-				g.SendAfter(cell, next, 0, func() { hop(next, n+1) })
-			}
-		}
-		for c := 0; c < cells; c++ {
-			c := c
-			hits[c] = new(int64)
-			for k := 0; k < 2*dispatchMinWork; k++ {
-				g.Cell(c).Schedule(time.Duration(k%50+1)*time.Microsecond, func() { hop(c, 0) })
-			}
-		}
-		g.Run()
-		var sb strings.Builder
-		if err := g.MergedMetrics().WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return g.Digest(), g.Processed(), sb.String(), g
-	}
-	refDigest, refProcessed, refMetrics, g := run(1)
-	windows, dispatched := kernelCounter(g, "simnet.windows"), kernelCounter(g, "simnet.windows_dispatched")
-	if dispatched < hops || dispatched < windows-2 {
-		t.Fatalf("%d of %d windows dispatched: the program is not dense", dispatched, windows)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		d, p, m, _ := run(workers)
-		if d != refDigest || p != refProcessed {
-			t.Errorf("workers=%d: digest %#x processed %d, want %#x / %d", workers, d, p, refDigest, refProcessed)
-		}
-		if m != refMetrics {
-			t.Errorf("workers=%d: merged metrics differ from workers=1:\n%s\nwant\n%s", workers, m, refMetrics)
-		}
-	}
-}
-
-// liveGoroutines counts goroutines after yielding to those that have
-// answered a join but not yet returned: a worker's exit token precedes its
-// exit, so the count can trail a join by an instant.
-func liveGoroutines() int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 1000; i++ {
-		runtime.Gosched()
-		if m := runtime.NumGoroutine(); m < n {
-			n, i = m, 0
-		}
-	}
-	return n
-}
-
-// TestShardGroupSparseRunStartsNoWorker pins the pool's lifetime: it
-// starts at a run's first dispatched window, so a run in which no window
-// qualifies — whatever its worker count — runs on the calling goroutine
-// alone, and a run that did dispatch leaves no goroutine behind.
-func TestShardGroupSparseRunStartsNoWorker(t *testing.T) {
-	before := liveGoroutines()
-	g := NewShardGroup(9, 2, time.Millisecond, 4)
-	var seen [2]int // most goroutines any event of the cell saw
-	look := func(cell int) { seen[cell] = max(seen[cell], runtime.NumGoroutine()) }
-	var ping func(cell, n int)
-	ping = func(cell, n int) {
-		look(cell)
-		g.Cell(cell).After(10*time.Microsecond, func() {})
-		if n < 200 {
-			g.SendAfter(cell, 1-cell, 0, func() { ping(1-cell, n+1) })
-		}
-	}
-	g.Cell(0).Schedule(time.Microsecond, func() { ping(0, 0) })
-	g.Cell(1).Schedule(time.Microsecond, func() { ping(1, 0) })
-	g.RunUntil(time.Second)
-	if d := kernelCounter(g, "simnet.windows_dispatched"); d != 0 {
-		t.Fatalf("sparse program dispatched %d windows", d)
-	}
-	if kernelCounter(g, "simnet.windows_multi_busy") == 0 {
-		t.Fatal("sparse program never had two busy cells: the test would pass on any predicate")
-	}
-	if after := liveGoroutines(); max(seen[0], seen[1]) != before || after != before {
-		t.Errorf("goroutines: %d before, %v during, %d after a run that dispatched nothing", before, seen, after)
-	}
-
-	// A dense phase on the same group starts the pool and joins it.
-	for c := 0; c < 2; c++ {
-		c := c
-		for k := 0; k < 2*dispatchMinWork; k++ {
-			g.Cell(c).After(time.Millisecond, func() {})
-			g.Cell(c).After(2*time.Millisecond, func() { look(c) })
-		}
-	}
-	g.RunUntil(2 * time.Second)
-	if d := kernelCounter(g, "simnet.windows_dispatched"); d != 1 {
-		t.Fatalf("dense phase dispatched %d windows, want 1", d)
-	}
-	if got := max(seen[0], seen[1]); got != before+1 {
-		t.Errorf("dense phase saw %d goroutines, want %d (one helper beside the coordinator)", got, before+1)
-	}
-	if after := liveGoroutines(); after != before {
-		t.Errorf("goroutines: %d before, %d after the pool was joined", before, after)
+	g.Run()
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("destination ran\n%v, want\n%v", got, want)
 	}
 }
