@@ -411,12 +411,15 @@ func TestFrameworkObsCounters(t *testing.T) {
 	if n := reg.Counter("estimate.predictions").Value(); n != int64(len(jobs)) {
 		t.Errorf("estimate.predictions = %d, want %d", n, len(jobs))
 	}
-	// Duplicated feature rows with different runtimes keep some cluster
-	// fits from converging on this trace; at most one per cluster per
-	// generation can be counted.
-	maxiter := reg.Counter("estimate.svr_maxiter").Value()
-	if maxiter == 0 || maxiter > gens*int64(f.Config().K) {
-		t.Errorf("estimate.svr_maxiter = %d over %d generations of %d fits", maxiter, gens, f.Config().K)
+	// Duplicated feature rows with different runtimes are solved one class
+	// block at a time, so at most 5% of the cluster fits may run out of
+	// sweeps; every generation fits at least once.
+	fits := gens * int64(f.Config().K)
+	if maxiter := reg.Counter("estimate.svr_maxiter").Value(); maxiter*20 > fits {
+		t.Errorf("estimate.svr_maxiter = %d of %d fits (%d generations of %d), want <= 5%%", maxiter, fits, gens, f.Config().K)
+	}
+	if sweeps := reg.Counter("estimate.svr_sweeps").Value(); sweeps < gens || sweeps > fits*1500 {
+		t.Errorf("estimate.svr_sweeps = %d over %d fits of at most 1500 sweeps", sweeps, fits)
 	}
 	// Every window job goes to exactly one cluster fit, and the same
 	// duplication leaves fewer distinct rows than rows.

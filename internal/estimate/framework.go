@@ -112,8 +112,8 @@ type model struct {
 	// was trained on; every record seeds its AEA from them.
 	window []windowPred
 	// unconverged counts the per-cluster SVR fits of this generation that
-	// stopped at MaxIter rather than Tol.
-	unconverged int
+	// stopped at MaxIter rather than Tol, and sweeps totals their sweeps.
+	unconverged, sweeps int
 	// svrRows and svrDistinct total the training rows handed to those fits
 	// and the bit-distinct rows among them, fit by fit.
 	svrRows, svrDistinct int
@@ -280,7 +280,8 @@ type Framework struct {
 	// Registry instruments; nil until SetObs is called. obs instruments
 	// no-op on nil receivers, so unbound frameworks pay nothing.
 	cPredictions, cModelUsed, cGenerations *obs.Counter
-	cSVRMaxIter, cSVRRows, cSVRDistinct    *obs.Counter
+	cSVRMaxIter, cSVRSweeps                *obs.Counter
+	cSVRRows, cSVRDistinct                 *obs.Counter
 }
 
 // NewFramework returns an empty framework; models appear as jobs complete.
@@ -295,12 +296,14 @@ func (f *Framework) Config() FrameworkConfig { return f.cfg }
 // SetObs binds the framework to a metrics registry (typically the driving
 // engine's — the framework itself is engine-free). It registers counters
 // estimate.predictions, estimate.model_used, estimate.generations,
-// estimate.svr_maxiter, estimate.svr_rows and estimate.svr_distinct_rows.
+// estimate.svr_maxiter, estimate.svr_sweeps, estimate.svr_rows and
+// estimate.svr_distinct_rows.
 func (f *Framework) SetObs(m *obs.Registry) {
 	f.cPredictions = m.Counter("estimate.predictions")
 	f.cModelUsed = m.Counter("estimate.model_used")
 	f.cGenerations = m.Counter("estimate.generations")
 	f.cSVRMaxIter = m.Counter("estimate.svr_maxiter")
+	f.cSVRSweeps = m.Counter("estimate.svr_sweeps")
 	f.cSVRRows = m.Counter("estimate.svr_rows")
 	f.cSVRDistinct = m.Counter("estimate.svr_distinct_rows")
 }
@@ -317,6 +320,7 @@ func (f *Framework) adopt() {
 	f.Generations++
 	f.cGenerations.Inc()
 	f.cSVRMaxIter.Add(int64(f.gen.m.unconverged))
+	f.cSVRSweeps.Add(int64(f.gen.m.sweeps))
 	f.cSVRRows.Add(int64(f.gen.m.svrRows))
 	f.cSVRDistinct.Add(int64(f.gen.m.svrDistinct))
 }
@@ -527,6 +531,7 @@ func (g *generator) generate() {
 		if !m.svrs[c].Converged() {
 			m.unconverged++
 		}
+		m.sweeps += m.svrs[c].Iterations()
 		m.svrRows += len(cx)
 		m.svrDistinct += m.svrs[c].DistinctRows()
 	}

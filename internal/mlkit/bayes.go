@@ -37,40 +37,44 @@ func BayesianRidgeFit(x [][]float64, y []float64, maxIter int) *BayesianRidge {
 	gram := Gram(xd)
 	xty := MulTVec(xd, y)
 
-	var w []float64
+	// (alpha, lambda) drive the evidence iteration; m.Weights and
+	// (m.Alpha, m.Lambda) are replaced together, only by a solve that
+	// succeeded, so the returned pair is always the one that produced the
+	// weights.
+	alpha, lambda := m.Alpha, m.Lambda
 	for it := 0; it < maxIter; it++ {
 		m.iters = it + 1
 		// Posterior mean: (λI + αXᵀX)⁻¹ αXᵀy.
 		a := NewMatrix(p, p)
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
-				a.Set(i, j, m.Alpha*gram.At(i, j))
+				a.Set(i, j, alpha*gram.At(i, j))
 			}
-			a.Add(i, i, m.Lambda)
+			a.Add(i, i, lambda)
 		}
 		b := make([]float64, p)
 		for j := range b {
-			b[j] = m.Alpha * xty[j]
+			b[j] = alpha * xty[j]
 		}
-		var err error
-		w, err = Solve(a, b)
+		w, err := Solve(a, b)
 		if err != nil {
 			// Degenerate design: heavier regularization and retry next
 			// iteration.
-			m.Lambda *= 10
+			lambda *= 10
 			continue
 		}
+		m.Weights, m.Alpha, m.Lambda = w, alpha, lambda
 		// Effective degrees of freedom γ = p − λ·trace(A⁻¹).
 		inv, err := Inverse(a)
 		if err != nil {
-			m.Lambda *= 10
+			lambda *= 10
 			continue
 		}
 		trace := 0.0
 		for i := 0; i < p; i++ {
 			trace += inv.At(i, i)
 		}
-		gamma := float64(p) - m.Lambda*trace
+		gamma := float64(p) - lambda*trace
 		if gamma < 1e-9 {
 			gamma = 1e-9
 		}
@@ -85,16 +89,14 @@ func BayesianRidgeFit(x [][]float64, y []float64, maxIter int) *BayesianRidge {
 		newLambda := gamma / math.Max(wss, 1e-12)
 		newAlpha := (float64(n) - gamma) / math.Max(rss, 1e-12)
 		if newAlpha <= 0 {
-			newAlpha = m.Alpha
+			newAlpha = alpha
 		}
-		if math.Abs(newLambda-m.Lambda) < 1e-6*m.Lambda &&
-			math.Abs(newAlpha-m.Alpha) < 1e-6*m.Alpha {
-			m.Lambda, m.Alpha = newLambda, newAlpha
+		if math.Abs(newLambda-lambda) < 1e-6*lambda &&
+			math.Abs(newAlpha-alpha) < 1e-6*alpha {
 			break
 		}
-		m.Lambda, m.Alpha = newLambda, newAlpha
+		lambda, alpha = newLambda, newAlpha
 	}
-	m.Weights = w
 	return m
 }
 

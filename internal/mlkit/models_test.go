@@ -310,6 +310,56 @@ func TestBayesianRidgeShrinksOnPureNoise(t *testing.T) {
 	}
 }
 
+// TestBayesianRidgeSolvesNormalEquations holds the returned weights to the
+// hyperparameters returned with them: (αXᵀX + λI)w = αXᵀy, X with the
+// intercept column, to 1e-9 of each row's magnitude — whether the evidence
+// iteration converged or ran out of updates, on well-posed and collinear
+// designs.
+func TestBayesianRidgeSolvesNormalEquations(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, p := 5+rng.Intn(60), 1+rng.Intn(4)
+		xs := make([][]float64, n)
+		ys := make([]float64, n)
+		for i := range xs {
+			xs[i] = make([]float64, p)
+			for j := range xs[i] {
+				xs[i][j] = rng.NormFloat64()
+			}
+			if seed%3 == 0 {
+				xs[i][p-1] = xs[i][0] // collinear: XᵀX is singular
+			}
+			ys[i] = 2*xs[i][0] - 1 + rng.NormFloat64()
+		}
+		for _, maxIter := range []int{1, 2, 3, 0} {
+			m := BayesianRidgeFit(xs, ys, maxIter)
+			w := m.Weights
+			if len(w) != p+1 {
+				t.Fatalf("seed %d, maxIter %d: %d weights, want %d", seed, maxIter, len(w), p+1)
+			}
+			row := func(i int) []float64 { return append(append([]float64(nil), xs[i]...), 1) }
+			for r := 0; r <= p; r++ {
+				lhs, scale := m.Lambda*w[r], math.Abs(m.Lambda*w[r])
+				rhs := 0.0
+				for i := range xs {
+					xi := row(i)
+					for c := 0; c <= p; c++ {
+						v := m.Alpha * xi[r] * xi[c] * w[c]
+						lhs += v
+						scale += math.Abs(v)
+					}
+					rhs += m.Alpha * xi[r] * ys[i]
+				}
+				scale += math.Abs(rhs)
+				if math.Abs(lhs-rhs) > 1e-9*scale {
+					t.Errorf("seed %d, maxIter %d, row %d: (αXᵀX+λI)w = %v, αXᵀy = %v at α = %v, λ = %v",
+						seed, maxIter, r, lhs, rhs, m.Alpha, m.Lambda)
+				}
+			}
+		}
+	}
+}
+
 func TestBayesianRidgeEmpty(t *testing.T) {
 	m := BayesianRidgeFit(nil, nil, 0)
 	if m.Predict([]float64{1}) != 0 {

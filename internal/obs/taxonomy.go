@@ -76,6 +76,7 @@ func MetricTaxonomy() []MetricInfo {
 		{"estimate.svr_distinct_rows", "counter", "estimate", "bit-distinct rows among estimate.svr_rows, fit by fit: the side of the kernel matrices actually built"},
 		{"estimate.svr_maxiter", "counter", "estimate", "per-cluster SVR fits that stopped at MaxIter instead of Tol"},
 		{"estimate.svr_rows", "counter", "estimate", "training rows handed to the per-cluster SVR fits (one per interest-window job per generation)"},
+		{"estimate.svr_sweeps", "counter", "estimate", "sweeps run by the per-cluster SVR fits: the solver's machine-independent work count"},
 		{"master.broadcasts", "counter", "core", "broadcasts initiated by the master"},
 		{"master.heartbeat_sweeps", "counter", "core", "heartbeat sweeps over the satellite pool"},
 		{"master.pool_drained_fallbacks", "counter", "core", "takeovers forced by a fully drained pool"},
