@@ -17,6 +17,10 @@
 //  4. every broadcast resolves within Config.Bound — no stalls;
 //  5. after teardown the master's resource meters return to their
 //     post-start baseline and no delivery chain is left outstanding.
+//
+// The drained teardown also holds the stack's lifecycle promises: no
+// ticker outlives the components' Stop, no graceful drain is left
+// pending, and, on a traced seed, every recorded span has ended.
 package chaos
 
 import (
@@ -28,11 +32,8 @@ import (
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/comm"
-	"eslurm/internal/core"
 	"eslurm/internal/faults"
-	"eslurm/internal/monitor"
 	"eslurm/internal/obs"
-	"eslurm/internal/simnet"
 	"eslurm/internal/topo"
 )
 
@@ -111,13 +112,7 @@ func (c Config) withDefaults() Config {
 		c.Spec.Horizon = c.Span
 	}
 	if c.Retry == nil {
-		c.Retry = &comm.RetryPolicy{
-			MaxAttempts: 4,
-			Backoff:     50 * time.Millisecond,
-			MaxBackoff:  2 * time.Second,
-			JitterFrac:  0.5,
-			Deadline:    30 * time.Second,
-		}
+		c.Retry = soakRetry()
 	}
 	return c
 }
@@ -221,14 +216,6 @@ func Soak(cfg Config) *Report {
 // broadcasts, drains, and checks every invariant.
 func RunSeed(cfg Config, seed int64) SeedResult {
 	cfg = cfg.withDefaults()
-	sr := SeedResult{Seed: seed}
-	violate := func(format string, args ...interface{}) {
-		if len(sr.Violations) < 64 {
-			sr.Violations = append(sr.Violations, fmt.Sprintf(format, args...))
-		}
-	}
-
-	e := simnet.NewEngine(seed)
 	ccfg := cluster.Config{
 		Computes:   cfg.Computes,
 		Satellites: cfg.Satellites,
@@ -237,86 +224,25 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 	if cfg.Cells {
 		ccfg = topo.Default().Partition(ccfg)
 	}
-	c := cluster.New(e, ccfg)
+	r := newSeedRun(seed, ccfg, cfg.Trace, cfg.Retry, 0)
+	sr := SeedResult{Seed: seed, CampaignEvents: r.campaign(cfg.Spec, cfg.SilentFraction)}
 	if cfg.Trace {
-		c.Group().EnableTracing()
-		sr.CellTraces = c.Group().CellTracers()
+		sr.CellTraces = r.c.Group().CellTracers()
 		sr.Trace = sr.CellTraces[0]
 	}
-	mon := monitor.New(c, monitor.Config{})
-	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	m.B.RecordResolved = true
-	m.B.Retry = cfg.Retry
-	mon.ObservePool(m.Pool)
+	r.drive(cfg.Broadcasts, cfg.Span, cfg.Bound)
 
-	// Invariant 2: a delivery must never land on a node that is down at
-	// the resolution instant. OnResolve fires once per (broadcast,
-	// target) chain, duplicates already deduplicated, on the cell of the
-	// broadcast's origin — the control cell, whose view Failed reads.
-	m.B.OnResolve = func(to cluster.NodeID, ok bool) {
-		if ok && c.Node(to).Failed() {
-			violate("seed %d: delivered to down node %d at %v", seed, to, e.Now())
-		}
-	}
+	r.c.RunUntil(cfg.Span)
+	r.teardown(cfg.Broadcasts, r.m.Stop)
 
-	m.Start()
-
-	// Meters baseline (invariant 5) — taken after Start's synchronous
-	// base charges, before any event runs.
-	mm := m.Meter()
-	baseVMem, baseRSS, baseSockets := mm.VMem(), mm.RSS(), mm.Sockets()
-
-	cp := faults.New(c, mon, cfg.SilentFraction)
-	cp.Generate(cfg.Spec)
-	sr.CampaignEvents = len(cp.Events)
-
-	targets := c.Computes()
-	for i := 0; i < cfg.Broadcasts; i++ {
-		i := i
-		at := cfg.Span * time.Duration(i+1) / time.Duration(cfg.Broadcasts+1)
-		e.Schedule(at, func() {
-			start := e.Now()
-			m.Broadcast(targets, 4096, func(r comm.Result) {
-				sr.Broadcasts++
-				sr.Delivered += r.Delivered
-				sr.Unreachable += len(r.Unreachable)
-				sr.Retries += r.Retries
-				checkPartition(seed, i, targets, r, violate)
-				if d := e.Now() - start; d > cfg.Bound {
-					violate("seed %d: broadcast %d resolved in %v > bound %v", seed, i, d, cfg.Bound)
-				}
-			})
-		})
-	}
-
-	c.RunUntil(cfg.Span)
-	m.Stop()
-	c.Run() // drain everything: retries, watchdogs, heals, recoveries
-
-	st := m.Stats()
+	st := r.m.Stats()
 	sr.Reallocations = st.Reallocations
 	sr.Takeovers = st.MasterTakeovers
 	sr.DrainedFallbacks = st.PoolDrainedFallbacks
-	sr.Events = c.Group().Processed()
-	sr.Metrics = c.Group().MergedMetrics()
-
-	// Invariant 4 (no stalls): every driven broadcast resolved by drain.
-	if sr.Broadcasts != cfg.Broadcasts {
-		violate("seed %d: stalled: %d/%d broadcasts resolved after drain", seed, sr.Broadcasts, cfg.Broadcasts)
-	}
-	// Invariant 5: teardown returns the master to its post-start baseline.
-	if n := m.B.OutstandingSends(); n != 0 {
-		violate("seed %d: %d delivery chains still outstanding after drain", seed, n)
-	}
-	if v := mm.VMem(); v != baseVMem {
-		violate("seed %d: master vmem %d != baseline %d after teardown", seed, v, baseVMem)
-	}
-	if v := mm.RSS(); v != baseRSS {
-		violate("seed %d: master rss %d != baseline %d after teardown", seed, v, baseRSS)
-	}
-	if v := mm.Sockets(); v != baseSockets {
-		violate("seed %d: master sockets %d != baseline %d after teardown", seed, v, baseSockets)
-	}
+	sr.Events = r.c.Group().Processed()
+	sr.Metrics = r.c.Group().MergedMetrics()
+	sr.Broadcasts, sr.Delivered, sr.Unreachable, sr.Retries = r.broadcasts, r.delivered, r.unreachable, r.retries
+	sr.Violations = r.violations
 	return sr
 }
 

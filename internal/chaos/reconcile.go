@@ -14,17 +14,14 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"eslurm/internal/cluster"
-	"eslurm/internal/comm"
-	"eslurm/internal/core"
 	"eslurm/internal/faults"
-	"eslurm/internal/monitor"
 	"eslurm/internal/reconcile"
-	"eslurm/internal/simnet"
 )
 
 // ReconcileConfig parameterizes a reconcile soak. The zero value is
@@ -266,100 +263,56 @@ func ReconcileSoak(cfg ReconcileConfig) *ReconcileReport {
 // campaign + broadcasts, then drives past the last heal and asserts the
 // convergence contract.
 func RunReconcileSeed(cfg ReconcileConfig, seed int64) ReconcileSeedResult {
-	cfg = cfg.withDefaults()
-	sr := ReconcileSeedResult{Seed: seed}
-	violate := func(format string, args ...interface{}) {
-		if len(sr.Violations) < 64 {
-			sr.Violations = append(sr.Violations, fmt.Sprintf(format, args...))
-		}
-	}
+	return runReconcileSeed(cfg, seed, false)
+}
 
-	e := simnet.NewEngine(seed)
-	c := cluster.New(e, cluster.Config{
+// runReconcileSeed is RunReconcileSeed with span recording optionally
+// armed, so a test can hold the reconciler's asynchronous spans to the
+// teardown's open-span check.
+func runReconcileSeed(cfg ReconcileConfig, seed int64, trace bool) ReconcileSeedResult {
+	cfg = cfg.withDefaults()
+	r := newSeedRun(seed, cluster.Config{
 		Computes:   cfg.Computes,
 		Satellites: cfg.Satellites,
 		Net:        cluster.NetConfig{LossProb: cfg.LossProb, DupProb: cfg.DupProb},
-	})
-	mon := monitor.New(c, monitor.Config{})
-	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	m.B.RecordResolved = true
-	m.B.Retry = &comm.RetryPolicy{
-		MaxAttempts: 4,
-		Backoff:     50 * time.Millisecond,
-		MaxBackoff:  2 * time.Second,
-		JitterFrac:  0.5,
-		Deadline:    30 * time.Second,
-	}
-	m.Pool.FaultTimeout = cfg.FaultTimeout
-	mon.ObservePool(m.Pool)
+	}, trace, soakRetry(), cfg.FaultTimeout)
 
-	// Invariant 2: no delivery lands on a down node.
-	m.B.OnResolve = func(to cluster.NodeID, ok bool) {
-		if ok && c.Node(to).Failed() {
-			violate("seed %d: delivered to down node %d at %v", seed, to, e.Now())
-		}
-	}
-
-	m.Start()
-
-	mm := m.Meter()
-	baseVMem, baseRSS, baseSockets := mm.VMem(), mm.RSS(), mm.Sockets()
-
-	rec := reconcile.New(m, cfg.Initial, reconcile.Config{
+	rec := reconcile.New(r.m, cfg.Initial, reconcile.Config{
 		Interval:      cfg.Interval,
 		DrainDeadline: cfg.DrainDeadline,
 	})
 	rec.Start()
 	rec.ScheduleMutations(cfg.Mutations)
 
-	cp := faults.New(c, mon, 0)
-	cp.Generate(cfg.Spec)
-	sr.CampaignEvents = len(cp.Events)
-
-	targets := c.Computes()
-	for i := 0; i < cfg.Broadcasts; i++ {
-		i := i
-		at := cfg.Span * time.Duration(i+1) / time.Duration(cfg.Broadcasts+1)
-		e.Schedule(at, func() {
-			start := e.Now()
-			m.Broadcast(targets, 4096, func(r comm.Result) {
-				sr.Broadcasts++
-				sr.Delivered += r.Delivered
-				sr.Unreachable += len(r.Unreachable)
-				sr.Retries += r.Retries
-				checkPartition(seed, i, targets, r, violate)
-				if d := e.Now() - start; d > cfg.Bound {
-					violate("seed %d: broadcast %d resolved in %v > bound %v", seed, i, d, cfg.Bound)
-				}
-			})
-		})
-	}
+	sr := ReconcileSeedResult{Seed: seed, CampaignEvents: r.campaign(cfg.Spec, 0)}
+	r.drive(cfg.Broadcasts, cfg.Span, cfg.Bound)
 
 	// Drive the adversarial span, then past the last possible heal (flap
 	// cycles can stretch to a few MaxDown past the horizon).
-	e.RunUntil(cfg.Span)
+	r.c.RunUntil(cfg.Span)
 	healBy := cfg.Span + 4*cfg.Spec.MaxDown + time.Minute
-	e.RunUntil(healBy)
+	r.c.RunUntil(healBy)
 
 	// Convergence contract: from the first round after the last heal, the
 	// reconciler must reach spec within RoundBudget rounds.
 	roundsAtHeal := rec.Rounds()
 	for i := 0; i < cfg.RoundBudget && !rec.Converged(); i++ {
-		e.RunUntil(e.Now() + cfg.Interval)
+		r.c.RunUntil(r.e.Now() + cfg.Interval)
 	}
 	st := rec.Status()
 	sr.Converged = st.Converged
 	sr.RoundsAfterHeal = st.Rounds - roundsAtHeal
 	if !st.Converged {
-		violate("seed %d: not converged %d rounds after last heal (spec %+v)",
+		r.violate("seed %d: not converged %d rounds after last heal (spec %+v)",
 			seed, sr.RoundsAfterHeal, rec.Spec())
 	}
 
-	rec.Stop()
-	m.Stop()
-	e.Run() // drain retries, watchdogs, pending drains, recoveries
+	// No stalls at teardown: every driven broadcast resolved — with the
+	// exact-partition check, this is the "no task dropped during drain"
+	// guarantee.
+	r.teardown(cfg.Broadcasts, rec.Stop, r.m.Stop)
 
-	ms := m.Stats()
+	ms := r.m.Stats()
 	sr.Reallocations = ms.Reallocations
 	sr.MasterTakeovers = ms.MasterTakeovers
 	st = rec.Status()
@@ -370,24 +323,9 @@ func RunReconcileSeed(cfg ReconcileConfig, seed int64) ReconcileSeedResult {
 	sr.RollingTakeovers = st.Takeovers
 	sr.BreakerOpens = st.BreakerOpens
 	sr.SpecUpdates = st.SpecUpdates
-	sr.Events = e.Processed()
-
-	// No stalls: every driven broadcast resolved — with the exact-partition
-	// check above, this is the "no task dropped during drain" guarantee.
-	if sr.Broadcasts != cfg.Broadcasts {
-		violate("seed %d: stalled: %d/%d broadcasts resolved after drain", seed, sr.Broadcasts, cfg.Broadcasts)
-	}
-	if n := m.B.OutstandingSends(); n != 0 {
-		violate("seed %d: %d delivery chains still outstanding after drain", seed, n)
-	}
-	if v := mm.VMem(); v != baseVMem {
-		violate("seed %d: master vmem %d != baseline %d after teardown", seed, v, baseVMem)
-	}
-	if v := mm.RSS(); v != baseRSS {
-		violate("seed %d: master rss %d != baseline %d after teardown", seed, v, baseRSS)
-	}
-	if v := mm.Sockets(); v != baseSockets {
-		violate("seed %d: master sockets %d != baseline %d after teardown", seed, v, baseSockets)
-	}
+	sr.Events = r.c.Group().Processed()
+	sr.Broadcasts, sr.Delivered, sr.Unreachable, sr.Retries = r.broadcasts, r.delivered, r.unreachable, r.retries
+	// A copy, so nothing of the engine-owned run crosses the worker pool.
+	sr.Violations = slices.Clone(r.violations)
 	return sr
 }

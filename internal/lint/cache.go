@@ -16,7 +16,7 @@ import (
 // cacheSchema is folded into every cache key. It is derived from the
 // shared SchemaVersion const, so a schema bump — a payload layout
 // change (the generation component; v2 widened the payload from raw
-// findings to the full pkgResult unit, v3 added the flow-sensitive
+// findings to the full pkgResult unit, v7 removed the flow-sensitive
 // passes) or a registered analyzer (the count component) — invalidates
 // every prior entry and stale results can never be replayed.
 const cacheSchema = "eslurmlint-cache-v" + SchemaVersion

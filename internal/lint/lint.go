@@ -80,7 +80,6 @@ func Analyzers() []*Analyzer {
 		GosimAnalyzer, TaintAnalyzer, FloatsumAnalyzer,
 		RandlabelAnalyzer, EngineownAnalyzer, GlobalmutAnalyzer,
 		StaleignoreAnalyzer, PkgdocAnalyzer,
-		SpanleakAnalyzer, TimerleakAnalyzer, DrainpathAnalyzer,
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 //
 // The format is <payload-generation>.<analyzer-count>: the generation
 // bumps when the cached pkgResult layout or key derivation changes or an
-// analyzer starts matching more (6: engineown loses its ShardGroup
-// exemption, so a ShardGroup crossing a goroutine or channel now fires),
+// analyzer starts or stops matching (7: spanleak, timerleak and drainpath
+// are removed, so entries that carry their findings must not replay),
 // the count must equal len(Analyzers()). Registering a new analyzer without
 // bumping the count here fails TestSchemaVersionTracksAnalyzers — that
 // is the point: a schema bump must be a conscious act in the same change
 // that alters what the tool emits.
-const SchemaVersion = "6.15"
+const SchemaVersion = "7.12"
 
 // schemaConsistent reports whether v's analyzer-count component matches
 // the live registry; split out so the guard test exercises the exact

@@ -288,3 +288,67 @@ TreeWidth=30
 		t.Fatal("unknown cordoned host must error")
 	}
 }
+
+// TestDrainSpansEnd drives a traced reconciler through every way a drain
+// can end — clean, forced by the deadline, refused because another drain
+// holds the satellite — and checks that every reconcile.round and
+// reconcile.drain span has ended after teardown. No soak seed forces a
+// drain, so this is the forced path's only coverage.
+func TestDrainSpansEnd(t *testing.T) {
+	e, _, m := harness(t, 5, 4)
+	e.EnableTracing()
+	rec := New(m, Spec{Satellites: 4}, Config{Interval: 20 * time.Second, DrainDeadline: 10 * time.Second})
+	rec.Start()
+
+	// Clean: scaling 4 → 3 drains idle satellite 4.
+	rec.SetSpec(Spec{Satellites: 3})
+	e.RunUntil(e.Now() + time.Minute)
+
+	// Forced: satellite 3 holds a task that never resolves, so scaling
+	// 3 → 2 drains it into the deadline.
+	m.Pool.Apply(m.Pool.Get(3), satellite.EvBTAssigned)
+	rec.SetSpec(Spec{Satellites: 2})
+	e.RunUntil(e.Now() + time.Minute)
+
+	// Refused: an operator drain already pends on busy satellite 2 when
+	// the spec cordons it, so every reconciler drain of it is refused.
+	m.Pool.Apply(m.Pool.Get(2), satellite.EvBTAssigned)
+	if err := m.Pool.Drain(2, time.Hour, nil); err != nil {
+		t.Fatal(err)
+	}
+	rec.SetSpec(Spec{Satellites: 1, Cordoned: []cluster.NodeID{2}})
+	e.RunUntil(e.Now() + time.Minute)
+
+	rec.Stop()
+	m.Stop()
+	e.Run()
+
+	if st := rec.Status(); st.Drains < 3 || st.DrainsForced != 1 {
+		t.Fatalf("Drains = %d, DrainsForced = %d; want ≥ 3 drains, exactly 1 forced", st.Drains, st.DrainsForced)
+	}
+	ends := map[string]int{}
+	rounds := 0
+	for id, sp := range e.Tracer().Spans() {
+		if sp.Name != "reconcile.round" && sp.Name != "reconcile.drain" {
+			continue
+		}
+		if !sp.Ended {
+			t.Errorf("span %s#%d opened at %v never ended", sp.Name, id+1, sp.Start)
+		}
+		if sp.Name == "reconcile.round" {
+			rounds++
+			continue
+		}
+		for _, a := range sp.Attrs {
+			switch a.Key {
+			case "clean":
+				ends["clean="+a.Value]++
+			case "error":
+				ends["refused"]++
+			}
+		}
+	}
+	if rounds == 0 || ends["clean=true"] == 0 || ends["clean=false"] != 1 || ends["refused"] == 0 {
+		t.Fatalf("rounds=%d drain ends=%v; want rounds plus clean, one forced and refused drains", rounds, ends)
+	}
+}

@@ -247,3 +247,56 @@ func TestPoolReinstate(t *testing.T) {
 		t.Fatal("Reinstate of unknown ID must refuse")
 	}
 }
+
+// TestDeadlineAndDemotionSameInstant lands the drain deadline and an
+// external SHUTDOWN at the same virtual instant, in both event orders:
+// whichever runs first settles the drain, the other finds nothing left
+// to settle, and done runs exactly once with one demotion.
+func TestDeadlineAndDemotionSameInstant(t *testing.T) {
+	for _, shutdownFirst := range []bool{true, false} {
+		e, p := newTestPool(t, 2)
+		s := p.Get(1)
+		p.Apply(s, EvBTAssigned)
+		downs := 0
+		p.OnChange = func(_ *Satellite, _, to State, _ Health) {
+			if to == Down {
+				downs++
+			}
+		}
+		const at = 30 * time.Second
+		shutdown := func() { p.Apply(s, EvShutdown) }
+		// Same-instant events run in scheduling order.
+		if shutdownFirst {
+			e.Schedule(at, shutdown)
+		}
+		var clean []bool
+		if err := p.Drain(1, at, func(c bool) { clean = append(clean, c) }); err != nil {
+			t.Fatal(err)
+		}
+		if !shutdownFirst {
+			e.Schedule(at, shutdown)
+		}
+		e.Run()
+		if len(clean) != 1 || clean[0] {
+			t.Fatalf("shutdownFirst=%t: done calls = %v, want one unclean completion", shutdownFirst, clean)
+		}
+		if downs != 1 {
+			t.Fatalf("shutdownFirst=%t: %d transitions to DOWN, want 1", shutdownFirst, downs)
+		}
+		if p.DrainingCount() != 0 {
+			t.Fatalf("shutdownFirst=%t: drain record leaked", shutdownFirst)
+		}
+	}
+}
+
+// TestDrainSettlesOnce drives settle twice directly: the first call hands
+// its verdict to done, the second is a no-op.
+func TestDrainSettlesOnce(t *testing.T) {
+	var clean []bool
+	d := &drainRec{done: func(c bool) { clean = append(clean, c) }}
+	d.settle(true)
+	d.settle(false)
+	if len(clean) != 1 || !clean[0] {
+		t.Fatalf("done calls = %v, want exactly one clean completion", clean)
+	}
+}

@@ -383,10 +383,22 @@ func (p *Pool) Health() Health {
 // Drained reports whether every satellite is FAULT or DOWN.
 func (p *Pool) Drained() bool { return p.Health().Drained() }
 
-// drainRec is one pending graceful drain.
+// drainRec is one graceful drain.
 type drainRec struct {
 	timer simnet.Event
 	done  func(clean bool)
+}
+
+// settle completes the drain: it cancels the deadline and hands clean to
+// done, clearing done first, so a drain settles exactly once however many
+// completion paths reach it.
+func (d *drainRec) settle(clean bool) {
+	d.timer.Cancel()
+	done := d.done
+	d.done = nil
+	if done != nil {
+		done(clean)
+	}
 }
 
 // Cordon marks a satellite unschedulable without touching its state.
@@ -464,20 +476,14 @@ func (p *Pool) Drain(id cluster.NodeID, deadline time.Duration, done func(clean 
 		return fmt.Errorf("satellite: drain: satellite %d already draining", id)
 	}
 	s.cordoned = true
-	if s.state == Down {
-		if done != nil {
-			done(true)
-		}
-		return nil
-	}
-	if s.state != Busy {
-		p.Apply(s, EvShutdown)
-		if done != nil {
-			done(true)
-		}
-		return nil
-	}
 	d := &drainRec{done: done}
+	if s.state != Busy {
+		if s.state != Down {
+			p.Apply(s, EvShutdown)
+		}
+		d.settle(true)
+		return nil
+	}
 	if p.drains == nil {
 		p.drains = map[cluster.NodeID]*drainRec{}
 	}
@@ -490,9 +496,7 @@ func (p *Pool) Drain(id cluster.NodeID, deadline time.Duration, done func(clean 
 		if s.state != Down {
 			p.Apply(s, EvShutdown)
 		}
-		if d.done != nil {
-			d.done(false)
-		}
+		d.settle(false)
 	})
 	return nil
 }
@@ -508,13 +512,10 @@ func (p *Pool) drainCheck(s *Satellite, to State) {
 	}
 	delete(p.drains, s.ID)
 	d.timer.Cancel()
-	clean := to == Running
 	if to != Down {
 		p.Apply(s, EvShutdown)
 	}
-	if d.done != nil {
-		d.done(clean)
-	}
+	d.settle(to == Running)
 }
 
 // notify fires the OnChange observer for a completed state change and

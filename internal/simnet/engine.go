@@ -149,6 +149,7 @@ type Engine struct {
 	seed      int64
 	rands     map[string]*rand.Rand
 	processed uint64
+	tickers   int // Every tickers not yet stopped
 	stopped   bool
 	observer  func(at time.Duration, seq uint64)
 	tracer    *obs.Tracer   // nil unless EnableTracing was called
@@ -329,17 +330,27 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 
 // Ticker is a handle to a periodic task registered with Every.
 type Ticker struct {
+	e       *Engine
 	stopped bool
 	current Event
 }
 
 // Stop halts the periodic task. The in-flight occurrence (if any) is
 // cancelled too; generation checking makes the cancel inert when the
-// occurrence has already fired, so stopping twice is safe.
+// occurrence has already fired, so stopping twice is safe. The first
+// Stop takes the ticker off the engine's LiveTickers count.
 func (t *Ticker) Stop() {
-	t.stopped = true
+	if !t.stopped {
+		t.stopped = true
+		t.e.tickers--
+	}
 	t.current.Cancel()
 }
+
+// LiveTickers returns how many Every tickers have not been stopped. A
+// live ticker re-arms forever, so Run cannot return while one exists:
+// a teardown that means to drain the engine checks this is zero first.
+func (e *Engine) LiveTickers() int { return e.tickers }
 
 // Every runs fn every period, the first invocation after one period. A
 // non-positive period panics.
@@ -347,7 +358,8 @@ func (e *Engine) Every(period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("simnet: Every requires a positive period")
 	}
-	t := &Ticker{}
+	t := &Ticker{e: e}
+	e.tickers++
 	var tick func()
 	tick = func() {
 		if t.stopped {

@@ -157,6 +157,28 @@ func TestEveryStopInsideCallback(t *testing.T) {
 	}
 }
 
+// TestLiveTickers: Every adds one to the live count and only the first
+// Stop of a ticker takes it off, wherever the Stop runs.
+func TestLiveTickers(t *testing.T) {
+	e := NewEngine(1)
+	a := e.Every(time.Second, func() {})
+	var b *Ticker
+	b = e.Every(time.Second, func() { b.Stop() })
+	if n := e.LiveTickers(); n != 2 {
+		t.Fatalf("LiveTickers = %d after two Every, want 2", n)
+	}
+	e.RunUntil(3 * time.Second)
+	if n := e.LiveTickers(); n != 1 {
+		t.Fatalf("LiveTickers = %d after a self-stop, want 1", n)
+	}
+	a.Stop()
+	a.Stop()
+	b.Stop()
+	if n := e.LiveTickers(); n != 0 {
+		t.Fatalf("LiveTickers = %d after repeated Stops, want 0", n)
+	}
+}
+
 func TestEveryNonPositivePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
