@@ -15,8 +15,7 @@
 //	benchrunner -exp fig10 -paper     # run at the paper's full scale
 //	benchrunner -all                  # run every experiment
 //	benchrunner -all -parallel 4      # ...on exactly 4 workers
-//	benchrunner -all -json            # ...and write BENCH_quick.json
-//	benchrunner -all -jsonout f.json  # ...perf record to f.json (CI gate)
+//	benchrunner -all -json BENCH_quick.json  # ...and write the perf record
 //	benchrunner -exp fig7f -cells     # rack-partitioned clusters
 //	benchrunner -exp fig8b -trace t.json   # Chrome trace of every engine
 //	benchrunner -exp fig8b -metrics        # dump each engine's registry
@@ -39,8 +38,12 @@
 // rather than run and say nothing.
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
+// -json writes the perf record: each experiment's event count, exact for
+// a preset and -cells on any machine and at any -parallel, so a fresh
+// record is compared with the committed BENCH_quick.json byte for byte.
+// Wall-clock is bench/'s to measure, not the record's.
 // -cpuprofile and -memprofile write pprof files covering the experiments
-// alone (not flag parsing, not the -json microbench): host-time questions
+// alone (not flag parsing, not the -json record): host-time questions
 // ("where does table8 spend its CPU") that the simulated-time trace cannot
 // answer. Read them with `go tool pprof`.
 package main
@@ -54,12 +57,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
 	"eslurm/internal/experiment"
 	"eslurm/internal/obs"
-	"eslurm/internal/simnet/benchkit"
 )
 
 func main() {
@@ -78,8 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list available experiments")
 		csvDir   = fs.String("csv", "", "also write the Fig. 7/9 time-series CSVs into this directory")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker-pool size (tables always print in registry order)")
-		jsonOut  = fs.Bool("json", false, "write a BENCH_<preset>.json perf record (suite stats + kernel microbench)")
-		jsonPath = fs.String("jsonout", "", "write the perf record to this path instead of BENCH_<preset>.json (implies -json); lets CI produce a fresh record without clobbering the committed baseline")
+		jsonPath = fs.String("json", "", "write the perf record (per-experiment event counts) to this file")
 		trace    = fs.String("trace", "", "write a Chrome trace_event JSON of every engine to this file")
 		metrics  = fs.Bool("metrics", false, "dump each engine's metrics registry to stdout")
 		critPath = fs.String("critpath", "", "write the deterministic critical-path report of every engine to this file")
@@ -186,16 +186,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *jsonOut || *jsonPath != "" {
-		path := *jsonPath
-		if path == "" {
-			path = "BENCH_" + preset + ".json"
-		}
-		if err := writePerfRecord(stderr, path, preset, *parallel, params.Shards, suiteWall, results); err != nil {
+	if *jsonPath != "" {
+		if err := writePerfRecord(*jsonPath, preset, params.Shards, results); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "-- wrote %s\n", path)
+		fmt.Fprintf(stderr, "-- wrote %s\n", *jsonPath)
 	}
 	return 0
 }
@@ -302,72 +298,30 @@ func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, trac
 	return nil
 }
 
-// A perfRecord is the benchmark trajectory the repo commits per preset:
-// regenerate with `go run ./cmd/benchrunner -all -json [-paper]` and
-// compare against the committed BENCH_<preset>.json (see the
-// "Performance" section of DESIGN.md).
+// A perfRecord is the perf record the repo commits for the quick preset
+// (BENCH_quick.json): regenerate it with `go run ./cmd/benchrunner -all
+// -json BENCH_quick.json`. It holds only what the preset and -cells fix —
+// no host, no wall-clock — so two runs on any machines at any -parallel
+// write the same bytes, and CI compares a fresh record with diff.
 type perfRecord struct {
 	Preset string `json:"preset"`
-	// Parallel is the experiment worker-pool size; Shards is
-	// experiment.Params.Shards: 1 under -cells, 0 for one cell.
-	Parallel     int          `json:"parallel"`
-	Shards       int          `json:"shards"`
-	GoVersion    string       `json:"go_version"`
-	GOOS         string       `json:"goos"`
-	GOARCH       string       `json:"goarch"`
-	NumCPU       int          `json:"num_cpu"`
-	SuiteWallMS  float64      `json:"suite_wall_ms"`
-	TotalEvents  uint64       `json:"total_events"`
-	EventsPerSec float64      `json:"events_per_sec"`
-	Experiments  []expRecord  `json:"experiments"`
-	Kernel       []benchEntry `json:"kernel_microbench"`
+	// Shards is experiment.Params.Shards: 1 under -cells, 0 for one cell.
+	Shards      int         `json:"shards"`
+	TotalEvents uint64      `json:"total_events"`
+	Experiments []expRecord `json:"experiments"`
 }
 
 type expRecord struct {
-	ID       string  `json:"id"`
-	Artifact string  `json:"artifact"`
-	WallMS   float64 `json:"wall_ms"`
-	Events   uint64  `json:"events"`
+	ID       string `json:"id"`
+	Artifact string `json:"artifact"`
+	Events   uint64 `json:"events"`
 	// Shards is the run's Shards when this experiment built a partitioned
 	// cluster, 0 when every cluster it built was one cell.
-	Shards       int     `json:"shards"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Shards int `json:"shards"`
 }
 
-type benchEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Seed* record the same benchmark measured on the pre-optimization
-	// kernel (commit 1aa33b8: container/heap + per-event allocation +
-	// unmemoized Rand) on the reference machine, so the record carries
-	// the seed-vs-optimized trajectory.
-	SeedNsPerOp     float64 `json:"seed_ns_per_op"`
-	SeedAllocsPerOp int64   `json:"seed_allocs_per_op"`
-	SeedBytesPerOp  int64   `json:"seed_bytes_per_op"`
-}
-
-// seedKernelBaseline is the reference measurement of the pre-optimization
-// kernel (Intel Xeon 2.10GHz, go1.24, linux/amd64, -benchtime=2s):
-// ns/op, allocs/op, B/op.
-var seedKernelBaseline = map[string][3]float64{
-	"EngineStep":           {218.8, 1, 48},
-	"EngineScheduleCancel": {124.1, 2, 96},
-	"EngineRand":           {12543, 4, 5448},
-}
-
-func writePerfRecord(stderr io.Writer, path, preset string, parallel, shards int, suiteWall time.Duration, results []experiment.Result) error {
-	rec := perfRecord{
-		Preset:      preset,
-		Parallel:    parallel,
-		Shards:      shards,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		SuiteWallMS: float64(suiteWall.Microseconds()) / 1e3,
-	}
+func writePerfRecord(path, preset string, shards int, results []experiment.Result) error {
+	rec := perfRecord{Preset: preset, Shards: shards}
 	for _, r := range results {
 		rec.TotalEvents += r.Events
 		expShards := 0
@@ -375,36 +329,10 @@ func writePerfRecord(stderr io.Writer, path, preset string, parallel, shards int
 			expShards = shards
 		}
 		rec.Experiments = append(rec.Experiments, expRecord{
-			ID:           r.Spec.ID,
-			Artifact:     r.Spec.Artifact,
-			WallMS:       float64(r.Wall.Microseconds()) / 1e3,
-			Events:       r.Events,
-			Shards:       expShards,
-			EventsPerSec: r.EventsPerSec(),
-		})
-	}
-	if suiteWall > 0 {
-		rec.EventsPerSec = float64(rec.TotalEvents) / suiteWall.Seconds()
-	}
-	fmt.Fprintln(stderr, "-- running kernel microbenchmarks")
-	for _, kb := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"EngineStep", benchkit.Step},
-		{"EngineScheduleCancel", benchkit.ScheduleCancel},
-		{"EngineRand", benchkit.Rand},
-	} {
-		br := testing.Benchmark(kb.fn)
-		seed := seedKernelBaseline[kb.name]
-		rec.Kernel = append(rec.Kernel, benchEntry{
-			Name:            kb.name,
-			NsPerOp:         float64(br.T.Nanoseconds()) / float64(br.N),
-			AllocsPerOp:     br.AllocsPerOp(),
-			BytesPerOp:      br.AllocedBytesPerOp(),
-			SeedNsPerOp:     seed[0],
-			SeedAllocsPerOp: int64(seed[1]),
-			SeedBytesPerOp:  int64(seed[2]),
+			ID:       r.Spec.ID,
+			Artifact: r.Spec.Artifact,
+			Events:   r.Events,
+			Shards:   expShards,
 		})
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -71,6 +73,72 @@ func TestObservedRunsAreParallelInvariant(t *testing.T) {
 	}
 	if plain.Len() == 0 || !bytes.HasPrefix(out1, plain.Bytes()) {
 		t.Errorf("observed run's tables differ from the plain run's")
+	}
+}
+
+// TestPerfRecordIsExact: the -json perf record holds only what the preset
+// and -cells fix, so it is byte-identical at any -parallel and carries no
+// host or timing key — which is what lets CI compare a fresh record with
+// the committed BENCH_quick.json by diff.
+func TestPerfRecordIsExact(t *testing.T) {
+	dir := t.TempDir()
+	record := func(parallel string) []byte {
+		path := filepath.Join(dir, "bench-"+parallel+".json")
+		var out, errs bytes.Buffer
+		args := []string{"-exp", "fig8a,fig8b,ablation-width,rack-outage", "-parallel", parallel, "-json", path}
+		if code := run(args, &out, &errs); code != 0 {
+			t.Fatalf("benchrunner %v: exit %d\n%s", args, code, errs.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	one, three := record("1"), record("3")
+	if !bytes.Equal(one, three) {
+		t.Fatalf("perf record differs between -parallel 1 and -parallel 3:\n%s\n%s", one, three)
+	}
+
+	var rec struct {
+		Preset      string
+		TotalEvents uint64 `json:"total_events"`
+		Experiments []map[string]any
+	}
+	var top map[string]any
+	if err := json.Unmarshal(one, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(one, &rec); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]any) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, ",")
+	}
+	if got, want := keys(top), "experiments,preset,shards,total_events"; got != want {
+		t.Errorf("record keys %s, want %s", got, want)
+	}
+	if rec.Preset != "quick" || len(rec.Experiments) != 4 {
+		t.Fatalf("record has preset %q and %d experiments, want quick and 4", rec.Preset, len(rec.Experiments))
+	}
+	var sum uint64
+	for _, e := range rec.Experiments {
+		if got, want := keys(e), "artifact,events,id,shards"; got != want {
+			t.Errorf("experiment %v keys %s, want %s", e["id"], got, want)
+		}
+		n, _ := e["events"].(float64)
+		if n <= 0 {
+			t.Errorf("experiment %v recorded %v events", e["id"], e["events"])
+		}
+		sum += uint64(n)
+	}
+	if sum != rec.TotalEvents {
+		t.Errorf("total_events %d, experiments sum to %d", rec.TotalEvents, sum)
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 	"eslurm/internal/simnet"
 )
 
-// Result is one experiment's tables plus the harness-side performance
-// stats benchrunner reports and records in BENCH_<preset>.json.
+// Result is one experiment's tables plus the harness-side stats
+// benchrunner reports on stderr; its -json perf record keeps only the
+// exact ones, Events and Sharded.
 type Result struct {
 	Spec   Spec
 	Tables []*Table

@@ -150,7 +150,6 @@ type Engine struct {
 	rands     map[string]*rand.Rand
 	processed uint64
 	tickers   int // Every tickers not yet stopped
-	stopped   bool
 	observer  func(at time.Duration, seq uint64)
 	tracer    *obs.Tracer   // nil unless EnableTracing was called
 	metrics   *obs.Registry // lazily built by Metrics
@@ -400,18 +399,16 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the heap is empty or Stop is called.
+// Run executes events until the heap is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with time ≤ deadline, then advances the clock to
 // the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		// Collect cancelled events at the root so the deadline peek sees
 		// the next event that will actually fire.
 		for len(e.events) > 0 && e.events[0].ev.canceled {
@@ -430,9 +427,6 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 		e.now = deadline
 	}
 }
-
-// Stop makes Run/RunUntil return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Observe registers fn to be invoked just before each event executes,
 // with the event's virtual time and sequence number. The (at, seq) stream

@@ -188,26 +188,6 @@ func TestEveryNonPositivePanics(t *testing.T) {
 	NewEngine(1).Every(0, func() {})
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func() {
-			n++
-			if n == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if n != 3 {
-		t.Fatalf("events after Stop: n = %d", n)
-	}
-	if e.Pending() == 0 {
-		t.Error("Stop drained the heap")
-	}
-}
-
 func TestRandDeterministic(t *testing.T) {
 	a := NewEngine(42).Rand("net")
 	b := NewEngine(42).Rand("net")

@@ -217,8 +217,9 @@ func (c *counter) HandleEvent(int32) { c.n++ }
 
 // TestAllocsScheduleFire is the kernel's allocation budget: on a warm
 // engine a schedule→fire round trip allocates nothing in either form —
-// given, for the func form, a func the caller already has — and a warm
-// barrier merges cross-cell events without allocating.
+// given, for the func form, a func the caller already has — nor does a
+// schedule→cancel→fire round trip or a repeated Rand lookup of one label,
+// and a warm barrier merges cross-cell events without allocating.
 func TestAllocsScheduleFire(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -240,6 +241,18 @@ func TestAllocsScheduleFire(t *testing.T) {
 		e.Step()
 	}); n != 0 {
 		t.Errorf("func-form schedule+fire: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		doomed := e.AfterTo(time.Millisecond, h, 1)
+		e.AfterTo(time.Second, h, 2)
+		doomed.Cancel()
+		e.Step()
+	}); n != 0 {
+		t.Errorf("schedule+cancel+fire: %v allocs/op, want 0", n)
+	}
+	// AllocsPerRun's warm-up call creates the stream; the runs look it up.
+	if n := testing.AllocsPerRun(1000, func() { e.Rand("alloc/label") }); n != 0 {
+		t.Errorf("repeated Rand lookup: %v allocs/op, want 0", n)
 	}
 
 	g := NewShardGroup(1, 2, time.Millisecond)

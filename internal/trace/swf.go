@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -65,6 +66,10 @@ func swfUserID(user string) int {
 	return h % 100000
 }
 
+// maxSWFSeconds bounds every SWF time field, so that twice it (a missing
+// estimate defaults to twice the runtime) is still a time.Duration.
+const maxSWFSeconds = math.MaxInt64 / int64(2*time.Second)
+
 // ParseSWF reads a Standard Workload Format trace. coresPerNode converts
 // processor requests to node counts (0 defaults to 24). Job names are
 // synthesized from the SWF application/user fields so the estimation
@@ -95,14 +100,21 @@ func ParseSWF(r io.Reader, coresPerNode int) (*Trace, error) {
 			}
 			return v, nil
 		}
+		secs := func(i int) (int64, error) {
+			v, err := get(i)
+			if err == nil && (v > maxSWFSeconds || v < -maxSWFSeconds) {
+				err = fmt.Errorf("swf line %d field %d: %d s is out of range", lineNo, i, v)
+			}
+			return v, err
+		}
 		if _, err := get(1); err != nil { // job number, validated only
 			return nil, err
 		}
-		submit, err := get(2)
+		submit, err := secs(2)
 		if err != nil {
 			return nil, err
 		}
-		runSec, err := get(4)
+		runSec, err := secs(4)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +127,7 @@ func ParseSWF(r io.Reader, coresPerNode int) (*Trace, error) {
 				reqProcs = used
 			}
 		}
-		reqTime, err := get(9)
+		reqTime, err := secs(9)
 		if err != nil {
 			return nil, err
 		}
@@ -132,9 +144,9 @@ func ParseSWF(r io.Reader, coresPerNode int) (*Trace, error) {
 		if runSec <= 0 || reqProcs <= 0 {
 			continue // cancelled or malformed jobs, as archive traces contain
 		}
-		nodes := int((reqProcs + int64(coresPerNode) - 1) / int64(coresPerNode))
-		if nodes < 1 {
-			nodes = 1
+		nodes := int(reqProcs / int64(coresPerNode))
+		if reqProcs%int64(coresPerNode) != 0 {
+			nodes++
 		}
 		est := time.Duration(reqTime) * time.Second
 		if reqTime <= 0 {

@@ -85,6 +85,7 @@ func TestParseSWFErrors(t *testing.T) {
 		"1 0 -1",                         // too few fields
 		"x 0 -1 10 1 -1 -1 1 10 -1 -1 1", // non-numeric
 		"1 100 -1 10 1 -1 -1 1 10 -1 -1 1\n2 50 -1 10 1 -1 -1 1 10 -1 -1 1", // disorder
+		"1 0 -1 9223372036854775807 1 -1 -1 1 10 -1 -1 1",                   // runtime overflows a Duration
 	}
 	for _, c := range cases {
 		if _, err := ParseSWF(strings.NewReader(c), 24); err == nil {
