@@ -21,16 +21,9 @@
 //	-sarif       emit findings as SARIF 2.1.0 on stdout and exit 0 even
 //	             when findings exist — code scanning renders them as
 //	             alerts, and the plain-mode CI step stays the hard gate
-//	-ownership   dump the inferred engine-affinity map (engine-bound
-//	             types, bearer functions, escapes, mutable globals) per
-//	             internal/ package as deterministic JSON and exit 0 —
-//	             the sharded-kernel work list
 //	-only A,B    run only the named analyzers (default: all); unknown
 //	             names are usage errors. Suppressions naming analyzers
 //	             that did not run are never judged stale.
-//	-j N         analysis worker count (default: GOMAXPROCS)
-//	-cache DIR   reuse per-package results from DIR, keyed by a content
-//	             hash of each package's module-local dependency closure
 package main
 
 import (
@@ -54,12 +47,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the analyzer table (markdown) and exit")
 	sarif := fs.Bool("sarif", false, "emit SARIF 2.1.0 on stdout; findings do not fail the run")
-	ownership := fs.Bool("ownership", false, "dump the engine-affinity map as JSON; findings do not fail the run")
-	workers := fs.Int("j", 0, "analysis worker count (0 = GOMAXPROCS)")
-	cacheDir := fs.String("cache", "", "per-package result cache directory (empty = no cache)")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: eslurmlint [-list] [-sarif] [-ownership] [-only a,b] [-j N] [-cache dir] [packages]")
+		fmt.Fprintln(stderr, "usage: eslurmlint [-list] [-sarif] [-only a,b] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -122,24 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *ownership {
-		if err := lint.WriteOwnership(stdout, pkgs, cwd); err != nil {
-			fmt.Fprintln(stderr, "eslurmlint:", err)
-			return 2
-		}
-		return 0
-	}
-
-	opts := lint.RunOptions{Workers: *workers, Lookup: loader.Loaded}
-	if *cacheDir != "" {
-		cache, err := lint.NewCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "eslurmlint:", err)
-			return 2
-		}
-		opts.Cache = cache
-	}
-	findings := lint.RunParallel(pkgs, analyzers, opts)
+	findings := lint.Run(pkgs, analyzers)
 
 	if *sarif {
 		if err := lint.WriteSARIF(stdout, findings, analyzers, cwd); err != nil {

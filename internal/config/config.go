@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -225,7 +226,7 @@ func (c *Config) setScalar(key, value string) error {
 		return parseInt(value, &c.EstimatorK)
 	case "estimatoralpha":
 		f, err := strconv.ParseFloat(value, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("bad float %q", value)
 		}
 		c.EstimatorAlpha = f
@@ -245,14 +246,18 @@ func parseInt(v string, dst *int) error {
 }
 
 // parseDuration accepts Go durations ("15m") and Slurm-style bare minutes
-// ("15").
+// ("15"). Negative durations, and bare minutes past time.Duration's
+// range, are refused.
 func parseDuration(v string, dst *time.Duration) error {
 	if n, err := strconv.Atoi(v); err == nil {
+		if n < 0 || int64(n) > math.MaxInt64/int64(time.Minute) {
+			return fmt.Errorf("bad duration %q", v)
+		}
 		*dst = time.Duration(n) * time.Minute
 		return nil
 	}
 	d, err := time.ParseDuration(v)
-	if err != nil {
+	if err != nil || d < 0 {
 		return fmt.Errorf("bad duration %q", v)
 	}
 	*dst = d

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"eslurm/internal/cluster"
+	"eslurm/internal/rm"
 )
 
 // parseDur converts the table-formatted duration strings back to a
@@ -287,5 +290,42 @@ func TestAblationDrivers(t *testing.T) {
 	}
 	if composed > aware*13/10 {
 		t.Errorf("fine-tuned cost %d destroys locality (aware %d)", composed, aware)
+	}
+}
+
+// silentRM answers LoadJob only when answerLoad is set and never answers
+// TerminateJob: the probe must fail loudly on whichever answer is missing.
+type silentRM struct{ answerLoad bool }
+
+func (silentRM) Name() string { return "Silent" }
+func (silentRM) Start()       {}
+func (silentRM) Stop()        {}
+func (s silentRM) LoadJob(_ []cluster.NodeID, done func(time.Duration)) {
+	if s.answerLoad {
+		done(time.Second)
+	}
+}
+func (silentRM) TerminateJob([]cluster.NodeID, func(time.Duration)) {}
+func (silentRM) Meter() *cluster.ResourceMeter                      { return nil }
+
+// TestOccupationProbeFailsLoudly: a callback that never fires within the
+// probe's horizon panics with the RM name and both sizes instead of
+// reporting a zero latency.
+func TestOccupationProbeFailsLoudly(t *testing.T) {
+	for _, tc := range []struct {
+		rm   silentRM
+		want string
+	}{
+		{silentRM{}, "Silent never answered LoadJob within 30m (64-node cluster, 16-node job)"},
+		{silentRM{answerLoad: true}, "Silent never answered TerminateJob within 30m (64-node cluster, 16-node job)"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("panic = %q, want it to contain %q", msg, tc.want)
+				}
+			}()
+			OccupationProbe(new(Env), func(*cluster.Cluster) rm.RM { return tc.rm }, 64, 16, 0)
+		}()
 	}
 }

@@ -33,6 +33,39 @@ func failSpread(c *cluster.Cluster, count int) map[cluster.NodeID]bool {
 	return failed
 }
 
+// namedRM is one roster entry: the RM's table name and its constructor.
+type namedRM struct {
+	name string
+	new  func(c *cluster.Cluster) rm.RM
+}
+
+// rmRoster returns the paper's six RMs in table order: the five
+// centralized profiles, then ESlurm built by eslurm, so each driver keeps
+// its own choice of ESlurm's failure predictor.
+func rmRoster(eslurm func(c *cluster.Cluster) rm.RM) []namedRM {
+	var out []namedRM
+	for _, prof := range []rm.Profile{
+		rm.SGEProfile(), rm.TorqueProfile(), rm.OpenPBSProfile(), rm.LSFProfile(), rm.SlurmProfile(),
+	} {
+		out = append(out, namedRM{prof.Name, centralized(prof)})
+	}
+	return append(out, namedRM{"ESlurm", eslurm})
+}
+
+// centralized builds the centralized RM with the given profile.
+func centralized(prof rm.Profile) func(c *cluster.Cluster) rm.RM {
+	return func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, prof) }
+}
+
+// plainESlurm is ESlurm with no failure predictor.
+func plainESlurm(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }
+
+// oracleESlurm is ESlurm whose predictor knows the cluster's true
+// failures, as the scheduling drivers run it.
+func oracleESlurm(c *cluster.Cluster) rm.RM {
+	return rm.NewESlurmWithPredictor(c, predict.Oracle{Cluster: c})
+}
+
 // Fig7f reproduces the job-occupation-time experiment: parallel jobs of
 // different sizes with a fixed 10 s runtime loaded through each of the six
 // RMs; occupation spans allocation, spawn, the run itself, and reclaim.
@@ -45,19 +78,7 @@ func Fig7f(env *Env, clusterNodes int, sizes []int) *Table {
 		Title:   fmt.Sprintf("Job occupation time vs job size (%d-node cluster, 10s jobs)", clusterNodes),
 		Columns: append([]string{"RM"}, sizesHeader(sizes)...),
 	}
-	type mk struct {
-		name string
-		new  func(c *cluster.Cluster) rm.RM
-	}
-	mks := []mk{
-		{"SGE", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SGEProfile()) }},
-		{"Torque", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.TorqueProfile()) }},
-		{"OpenPBS", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.OpenPBSProfile()) }},
-		{"LSF", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.LSFProfile()) }},
-		{"Slurm", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }},
-		{"ESlurm", func(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }},
-	}
-	for _, m := range mks {
+	for _, m := range rmRoster(plainESlurm) {
 		row := []string{m.name}
 		for _, size := range sizes {
 			if size > clusterNodes {
@@ -91,7 +112,9 @@ func OccupationTime(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, j
 // OccupationProbe measures the RM's job load and termination latencies for
 // one job of the given size, with failedFrac of the cluster's nodes down
 // (the production failure background). The scheduling drivers call it per
-// job size to build their sched.Overhead lookups.
+// job size to build their sched.Overhead lookups. Each answer must arrive
+// within its 30 min horizon; a callback that never fires panics, naming
+// the RM and the sizes, rather than reporting a zero latency.
 func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64) (load, term time.Duration) {
 	satellites := 1
 	if clusterNodes >= 1024 {
@@ -110,12 +133,19 @@ func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, 
 		failSpread(c, int(float64(jobNodes)*failedFrac))
 	}
 	nodes := c.Computes()[:jobNodes]
+	var loaded, termed bool
 	start := c.Engine.Now()
-	r.LoadJob(nodes, func(d time.Duration) { load = d })
+	r.LoadJob(nodes, func(d time.Duration) { load, loaded = d, true })
 	c.RunUntil(start + 30*time.Minute)
+	if !loaded {
+		panic(fmt.Sprintf("experiment: %s never answered LoadJob within 30m (%d-node cluster, %d-node job)", r.Name(), clusterNodes, jobNodes))
+	}
 	termStart := c.Engine.Now()
-	r.TerminateJob(nodes, func(d time.Duration) { term = d })
+	r.TerminateJob(nodes, func(d time.Duration) { term, termed = d, true })
 	c.RunUntil(termStart + 30*time.Minute)
+	if !termed {
+		panic(fmt.Sprintf("experiment: %s never answered TerminateJob within 30m (%d-node cluster, %d-node job)", r.Name(), clusterNodes, jobNodes))
+	}
 	r.Stop()
 	return load, term
 }

@@ -66,21 +66,12 @@ func Fig7(env *Env, nodes int, span time.Duration) *Table {
 		Columns: []string{"RM", "CPU time", "CPU util", "vmem", "rss",
 			"avg sockets", "peak sockets"},
 	}
-	type mk struct {
-		name       string
-		satellites int
-		new        func(c *cluster.Cluster) rm.RM
-	}
-	mks := []mk{
-		{"SGE", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SGEProfile()) }},
-		{"Torque", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.TorqueProfile()) }},
-		{"OpenPBS", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.OpenPBSProfile()) }},
-		{"LSF", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.LSFProfile()) }},
-		{"Slurm", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }},
-		{"ESlurm", 2, func(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }},
-	}
-	for i, m := range mks {
-		meter, _, _ := resourceRun(env, m.new, nodes, m.satellites, span, int64(100+i))
+	for i, m := range rmRoster(plainESlurm) {
+		satellites := 0
+		if m.name == "ESlurm" {
+			satellites = 2
+		}
+		meter, _, _ := resourceRun(env, m.new, nodes, satellites, span, int64(100+i))
 		util := meter.CPUTime().Seconds() / span.Seconds()
 		t.AddRow(m.name, fmtDur(meter.CPUTime()), fmtPct(util),
 			fmtBytes(meter.VMem()), fmtBytes(meter.RSS()),
@@ -104,12 +95,8 @@ func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 			"avg sockets", "peak sockets"},
 	}
 
-	slurmMeter, _, _ := resourceRun(env, func(c *cluster.Cluster) rm.RM {
-		return rm.NewCentralized(c, rm.SlurmProfile())
-	}, nodes, 0, span, 200)
-	esMeter, esCluster, _ := resourceRun(env, func(c *cluster.Cluster) rm.RM {
-		return rm.NewESlurm(c)
-	}, nodes, 2, span, 201)
+	slurmMeter, _, _ := resourceRun(env, centralized(rm.SlurmProfile()), nodes, 0, span, 200)
+	esMeter, esCluster, _ := resourceRun(env, plainESlurm, nodes, 2, span, 201)
 
 	for _, row := range []struct {
 		name string

@@ -3,11 +3,11 @@ package experiment
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/estimate"
-	"eslurm/internal/predict"
 	"eslurm/internal/rm"
 	"eslurm/internal/sched"
 	"eslurm/internal/trace"
@@ -82,35 +82,22 @@ func Fig10(env *Env, scales []int, jobsPerScale int) []*Table {
 	}
 	util.Columns, wait.Columns, slow.Columns = cols, cols, cols
 
-	contenders := []struct {
-		name     string
-		mk       func(c *cluster.Cluster) rm.RM
-		maxScale int
-	}{
-		{"SGE", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SGEProfile()) }, 1024},
-		{"Torque", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.TorqueProfile()) }, 1024},
-		{"OpenPBS", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.OpenPBSProfile()) }, 4096},
-		{"LSF", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.LSFProfile()) }, 4096},
-		{"Slurm", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }, 1 << 30},
-		{"ESlurm", func(c *cluster.Cluster) rm.RM {
-			return rm.NewESlurmWithPredictor(c, predict.Oracle{Cluster: c})
-		}, 1 << 30},
-	}
+	// Table VII: SGE and Torque cannot scale past 1,024 nodes; OpenPBS
+	// and LSF stop at 4,096. Slurm and ESlurm run at every scale.
+	maxScale := map[string]int{"SGE": 1024, "Torque": 1024, "OpenPBS": 4096, "LSF": 4096}
 
-	for _, ct := range contenders {
+	for _, ct := range rmRoster(oracleESlurm) {
 		uRow := []string{ct.name}
 		wRow := []string{ct.name}
 		sRow := []string{ct.name}
 		for _, scale := range scales {
-			if scale > ct.maxScale {
-				// Table VII: SGE and Torque cannot scale past 1,024 nodes;
-				// OpenPBS and LSF stop at 4,096.
+			if limit, capped := maxScale[ct.name]; capped && scale > limit {
 				uRow = append(uRow, "-")
 				wRow = append(wRow, "-")
 				sRow = append(sRow, "-")
 				continue
 			}
-			res := runFig10Cell(env, ct.name, ct.mk, scale, jobsPerScale)
+			res := runFig10Cell(env, ct.name, ct.new, scale, jobsPerScale)
 			uRow = append(uRow, fmtPct(res.Utilization))
 			wRow = append(wRow, fmtDur(res.AvgWait))
 			sRow = append(sRow, fmt.Sprintf("%.1f", res.AvgBoundedSlowdown))
@@ -202,12 +189,7 @@ func Ablation(env *Env, scale, jobs int) *Table {
 	}
 	jobsList := scaleTrace(scale, jobs)
 
-	esMk := func(c *cluster.Cluster) rm.RM {
-		return rm.NewESlurmWithPredictor(c, predict.Oracle{Cluster: c})
-	}
-	slurmMk := func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }
-
-	run := func(name string, overhead sched.Overhead, framework bool, crash bool) sched.Result {
+	run := func(overhead sched.Overhead, framework bool, crash bool) sched.Result {
 		cfg := sched.Config{
 			Nodes: scale, Policy: sched.Backfill, Overhead: overhead,
 			KillAtLimit: true, UtilWindow: 7 * 24 * time.Hour, Seed: int64(scale),
@@ -220,25 +202,22 @@ func Ablation(env *Env, scale, jobs int) *Table {
 			cfg.CrashMTBF = 42 * time.Hour
 			cfg.CrashDowntime = 90 * time.Minute
 		}
-		_ = name
 		return sched.Run(jobsList, cfg)
 	}
 
-	esOverhead := overheadLookup(env, esMk, scale, 0.01)
+	esOverhead := overheadLookup(env, oracleESlurm, scale, 0.01)
 	// Without FP-Tree: prediction disabled, so the satellite relays pay
 	// timeouts on failed interior nodes.
-	noFPOverhead := overheadLookup(env, func(c *cluster.Cluster) rm.RM {
-		return rm.NewESlurm(c)
-	}, scale, 0.01)
-	slurmOverhead := overheadLookup(env, slurmMk, scale, 0.01)
+	noFPOverhead := overheadLookup(env, plainESlurm, scale, 0.01)
+	slurmOverhead := overheadLookup(env, centralized(rm.SlurmProfile()), scale, 0.01)
 
 	addRow := func(name string, r sched.Result) {
 		t.AddRow(name, fmtPct(r.Utilization), fmtDur(r.AvgWait), fmt.Sprintf("%.1f", r.AvgBoundedSlowdown))
 	}
-	addRow("ESlurm (full)", run("full", withPenalty(esOverhead, responsePenalty("ESlurm", scale)), true, false))
-	addRow("ESlurm w/o estimator", run("noest", withPenalty(esOverhead, responsePenalty("ESlurm", scale)), false, false))
-	addRow("ESlurm w/o FP-Tree", run("nofp", withPenalty(noFPOverhead, responsePenalty("ESlurm", scale)), true, false))
-	addRow("Slurm", run("slurm", withPenalty(slurmOverhead, responsePenalty("Slurm", scale)), false, true))
+	addRow("ESlurm (full)", run(withPenalty(esOverhead, responsePenalty("ESlurm", scale)), true, false))
+	addRow("ESlurm w/o estimator", run(withPenalty(esOverhead, responsePenalty("ESlurm", scale)), false, false))
+	addRow("ESlurm w/o FP-Tree", run(withPenalty(noFPOverhead, responsePenalty("ESlurm", scale)), true, false))
+	addRow("Slurm", run(withPenalty(slurmOverhead, responsePenalty("Slurm", scale)), false, true))
 	t.Note = "paper: estimator contributes 8.7 utilization points, FP-Tree 6.2, vs a 47.2-point total gap to Slurm"
 	return t
 }
@@ -247,26 +226,12 @@ func Ablation(env *Env, scale, jobs int) *Table {
 // cluster scale, probed under a 1% failure background — the hook the
 // eslurmctl CLI uses to couple the communication model to the scheduler.
 func OccupationProbeLookup(env *Env, rmName string, clusterNodes int) sched.Overhead {
-	var mk func(c *cluster.Cluster) rm.RM
-	switch rmName {
-	case "eslurm":
-		mk = func(c *cluster.Cluster) rm.RM {
-			return rm.NewESlurmWithPredictor(c, predict.Oracle{Cluster: c})
+	for _, m := range rmRoster(oracleESlurm) {
+		if strings.ToLower(m.name) == rmName {
+			return overheadLookup(env, m.new, clusterNodes, 0.01)
 		}
-	case "slurm":
-		mk = func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }
-	case "lsf":
-		mk = func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.LSFProfile()) }
-	case "sge":
-		mk = func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SGEProfile()) }
-	case "torque":
-		mk = func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.TorqueProfile()) }
-	case "openpbs":
-		mk = func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.OpenPBSProfile()) }
-	default:
-		return nil
 	}
-	return overheadLookup(env, mk, clusterNodes, 0.01)
+	return nil
 }
 
 func withPenalty(base sched.Overhead, p time.Duration) sched.Overhead {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"eslurm/internal/cluster"
@@ -72,13 +73,13 @@ func WriteFigureSeries(dir string, p Params) error {
 	interval := time.Minute
 	env := new(Env) // nothing reads the engines back; the CSVs are the output
 
-	fig7 := []seriesContender{
-		{"sge", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SGEProfile()) }},
-		{"torque", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.TorqueProfile()) }},
-		{"openpbs", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.OpenPBSProfile()) }},
-		{"lsf", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.LSFProfile()) }},
-		{"slurm", 0, func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }},
-		{"eslurm", 2, func(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }},
+	var fig7 []seriesContender
+	for _, m := range rmRoster(plainESlurm) {
+		sats := 0
+		if m.name == "ESlurm" {
+			sats = 2
+		}
+		fig7 = append(fig7, seriesContender{strings.ToLower(m.name), sats, m.new})
 	}
 	if err := writeSeriesSet(env, dir, "fig7", fig7, p.Fig7Nodes, p.Fig7Span, interval); err != nil {
 		return err

@@ -110,40 +110,22 @@ type ownFunc struct {
 }
 
 // ownWorld holds the module-wide analysis state: per-function summaries
-// and the engine-bound type set. The ownership report (-ownership) reuses
-// it, so the analyzer and the report can never disagree.
+// and the engine-bound type set.
 type ownWorld struct {
 	funcs   map[*types.Func]*ownFunc
 	ordered []*ownFunc
-	// bound memoizes engine affinity per named type; boundVia records the
-	// field that established it, as a human-readable witness.
-	bound    map[*types.Named]bool
-	boundVia map[*types.Named]string
-}
-
-// escapeRecord is one raw (pre-suppression) escape, kept structured so
-// the -ownership report can classify it without re-parsing messages.
-type escapeRecord struct {
-	pkg     *Package
-	pos     token.Position
-	kind    string // "goroutine", "channel", "global"
-	finding Finding
+	// bound memoizes engine affinity per named type.
+	bound map[*types.Named]bool
 }
 
 func runEngineown(pkgs []*Package) []Finding {
-	ow := newOwnWorld(pkgs)
-	var out []Finding
-	for _, rec := range ow.escapes(pkgs) {
-		out = append(out, rec.finding)
-	}
-	return out
+	return newOwnWorld(pkgs).escapes(pkgs)
 }
 
 func newOwnWorld(pkgs []*Package) *ownWorld {
 	ow := &ownWorld{
-		funcs:    make(map[*types.Func]*ownFunc),
-		bound:    make(map[*types.Named]bool),
-		boundVia: make(map[*types.Named]string),
+		funcs: make(map[*types.Func]*ownFunc),
+		bound: make(map[*types.Named]bool),
 	}
 	ow.computeBound(pkgs)
 	for _, p := range pkgs {
@@ -198,18 +180,18 @@ func newOwnWorld(pkgs []*Package) *ownWorld {
 // escapes runs the findings pass with summaries final, deduplicated and
 // restricted to internal/ packages (cmd binaries run on host goroutines
 // by design; the ownership contract binds the simulation packages).
-func (ow *ownWorld) escapes(pkgs []*Package) []escapeRecord {
-	var out []escapeRecord
+func (ow *ownWorld) escapes(pkgs []*Package) []Finding {
+	var out []Finding
 	seen := make(map[string]bool)
 	for _, of := range ow.ordered {
 		if !underInternal(of.pkg.ImportPath) {
 			continue
 		}
-		for _, rec := range ow.analyze(of, true) {
-			key := rec.finding.Pos.Filename + fmt.Sprint(rec.finding.Pos.Line, rec.finding.Pos.Column) + rec.finding.Message
+		for _, f := range ow.analyze(of, true) {
+			key := f.Pos.Filename + fmt.Sprint(f.Pos.Line, f.Pos.Column) + f.Message
 			if !seen[key] {
 				seen[key] = true
-				out = append(out, rec)
+				out = append(out, f)
 			}
 		}
 	}
@@ -237,8 +219,8 @@ func (ow *ownWorld) escapes(pkgs []*Package) []escapeRecord {
 						}
 						if desc := ow.boundDesc(v.Type(), p); desc != "" {
 							pos := p.Fset.Position(name.Pos())
-							out = append(out, escapeRecord{p, pos, "global", Finding{pos, "engineown",
-								"package-level var " + name.Name + " holds " + desc + ": module-global engine state is shared by every engine in the process and becomes cross-shard state under the sharded kernel — construct engines per run and thread them explicitly, or suppress with a reason"}})
+							out = append(out, Finding{pos, "engineown",
+								"package-level var " + name.Name + " holds " + desc + ": module-global engine state is shared by every engine in the process and becomes cross-shard state under the sharded kernel — construct engines per run and thread them explicitly, or suppress with a reason"})
 						}
 					}
 				}
@@ -246,7 +228,7 @@ func (ow *ownWorld) escapes(pkgs []*Package) []escapeRecord {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].finding, out[j].finding
+		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -288,7 +270,6 @@ func (ow *ownWorld) namedBound(n *types.Named, visiting map[*types.Named]bool) b
 	}
 	if n.Obj().Name() == "Engine" {
 		ow.bound[n] = true
-		ow.boundVia[n] = "the Engine type itself"
 		return true
 	}
 	visiting[n] = true
@@ -302,7 +283,6 @@ func (ow *ownWorld) namedBound(n *types.Named, visiting map[*types.Named]bool) b
 		f := st.Field(i)
 		if inner := ow.boundElem(f.Type(), visiting); inner != nil {
 			ow.bound[n] = true
-			ow.boundVia[n] = "field " + f.Name() + " (" + types.TypeString(f.Type(), shortQualifier) + ")"
 			return true
 		}
 	}
@@ -332,11 +312,6 @@ func (ow *ownWorld) boundElem(t types.Type, visiting map[*types.Named]bool) *typ
 		return ow.boundElem(u.Elem(), visiting)
 	}
 	return nil
-}
-
-// typeBound reports whether a value of type t carries engine affinity.
-func (ow *ownWorld) typeBound(t types.Type) bool {
-	return ow.boundElem(t, make(map[*types.Named]bool)) != nil
 }
 
 // boundDesc renders the bound-type description for messages, or "".
@@ -369,8 +344,8 @@ func ownSummarySignature(of *ownFunc) string {
 
 // analyze runs the intra-function ownership dataflow for of: propagate
 // flows through locals to a fixpoint, fold returns into the summary, then
-// walk for escapes (emitting records when report is set).
-func (ow *ownWorld) analyze(of *ownFunc, report bool) []escapeRecord {
+// walk for escapes (emitting findings when report is set).
+func (ow *ownWorld) analyze(of *ownFunc, report bool) []Finding {
 	st := &ownState{ow: ow, of: of, vars: make(map[*types.Var]ownFlow)}
 	for changed := true; changed; {
 		changed = false
@@ -381,16 +356,16 @@ func (ow *ownWorld) analyze(of *ownFunc, report bool) []escapeRecord {
 	ow.collectOwnReturns(of, st)
 	st.report = report
 	ast.Inspect(of.decl.Body, st.checkEscapes)
-	return st.records
+	return st.findings
 }
 
 type ownState struct {
-	ow      *ownWorld
-	of      *ownFunc
-	vars    map[*types.Var]ownFlow
-	changed *bool
-	report  bool
-	records []escapeRecord
+	ow       *ownWorld
+	of       *ownFunc
+	vars     map[*types.Var]ownFlow
+	changed  *bool
+	report   bool
+	findings []Finding
 }
 
 func (st *ownState) setVar(v *types.Var, f ownFlow) {
@@ -655,7 +630,7 @@ func (st *ownState) checkEscapes(n ast.Node) bool {
 		st.goEscape(s)
 	case *ast.SendStmt:
 		pos := p.Fset.Position(s.Pos())
-		st.escapeValue(s.Value, "a channel send", "channel", pos, nil)
+		st.escapeValue(s.Value, "a channel send", pos, nil)
 	case *ast.AssignStmt:
 		for i, lhs := range s.Lhs {
 			gv := st.globalTarget(lhs)
@@ -673,7 +648,7 @@ func (st *ownState) checkEscapes(n ast.Node) bool {
 				continue
 			}
 			pos := p.Fset.Position(s.Pos())
-			st.escapeValue(rhs, "a store into package-level var "+gv.Name(), "global", pos, nil)
+			st.escapeValue(rhs, "a store into package-level var "+gv.Name(), pos, nil)
 		}
 	case *ast.CallExpr:
 		pos := p.Fset.Position(s.Pos())
@@ -683,7 +658,7 @@ func (st *ownState) checkEscapes(n ast.Node) bool {
 		if sel, ok := s.Fun.(*ast.SelectorExpr); ok && !isPkgSelector(p, sel) {
 			if gv := st.globalTarget(sel.X); gv != nil {
 				for _, a := range s.Args {
-					st.escapeValue(a, "a call on package-level var "+gv.Name(), "global", pos, nil)
+					st.escapeValue(a, "a call on package-level var "+gv.Name(), pos, nil)
 				}
 			}
 		}
@@ -700,25 +675,22 @@ func (st *ownState) checkEscapes(n ast.Node) bool {
 			if ep == nil {
 				continue
 			}
-			st.escapeValue(a, ep.kind, "", ep.pos, ep.prepend(callee.name, pos).hops)
+			st.escapeValue(a, ep.kind, ep.pos, ep.prepend(callee.name, pos).hops)
 		}
 	}
 	return true
 }
 
-// escapeValue reports (or summarizes) one value meeting one escape. kind
-// is the human description, recKind the machine class for the ownership
-// report ("" means: reuse an interprocedural path whose class was already
-// recorded at the original site — classify as goroutine/channel/global by
-// the kind text).
-func (st *ownState) escapeValue(e ast.Expr, kind, recKind string, escPos token.Position, hops []taintHop) {
+// escapeValue reports (or summarizes) one value meeting one escape; kind
+// is the human description of the escape.
+func (st *ownState) escapeValue(e ast.Expr, kind string, escPos token.Position, hops []taintHop) {
 	f := st.exprOwn(e)
 	if f.empty() {
 		return
 	}
 	at := st.of.pkg.Fset.Position(e.Pos())
 	if f.chain != nil && st.report {
-		st.emit(f.chain, kind, recKind, escPos, hops, at)
+		st.emit(f.chain, kind, escPos, hops, at)
 	}
 	if f.params != 0 {
 		for i := 0; i < 64; i++ {
@@ -736,7 +708,7 @@ func (st *ownState) goEscape(g *ast.GoStmt) {
 	p := st.of.pkg
 	pos := p.Fset.Position(g.Pos())
 	for _, a := range g.Call.Args {
-		st.escapeValue(a, "a goroutine (argument to the go'd call)", "goroutine", pos, nil)
+		st.escapeValue(a, "a goroutine (argument to the go'd call)", pos, nil)
 	}
 	switch fun := g.Call.Fun.(type) {
 	case *ast.FuncLit:
@@ -754,18 +726,18 @@ func (st *ownState) goEscape(g *ast.GoStmt) {
 			if v.Pos() >= fun.Pos() && v.Pos() < fun.End() {
 				return true // declared inside the literal
 			}
-			st.escapeValue(id, "a goroutine (captured by the go'd closure)", "goroutine", pos, nil)
+			st.escapeValue(id, "a goroutine (captured by the go'd closure)", pos, nil)
 			return true
 		})
 	case *ast.SelectorExpr:
 		if !isPkgSelector(p, fun) {
-			st.escapeValue(fun.X, "a goroutine (receiver of the go'd method call)", "goroutine", pos, nil)
+			st.escapeValue(fun.X, "a goroutine (receiver of the go'd method call)", pos, nil)
 		}
 	}
 }
 
-// emit renders the full owner → hops → escape chain into one record.
-func (st *ownState) emit(c *ownChain, kind, recKind string, escPos token.Position, extraHops []taintHop, at token.Position) {
+// emit renders the full owner → hops → escape chain into one finding.
+func (st *ownState) emit(c *ownChain, kind string, escPos token.Position, extraHops []taintHop, at token.Position) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine-owned %s (%s) escapes to %s (%s)",
 		c.rootDesc, shortPos(c.rootPos), kind, shortPos(escPos))
@@ -778,18 +750,7 @@ func (st *ownState) emit(c *ownChain, kind, recKind string, escPos token.Positio
 		fmt.Fprintf(&b, " via %s", strings.Join(parts, " -> "))
 	}
 	b.WriteString("; the sharded kernel requires all state reachable from an Engine to stay owned by exactly one goroutine — keep the value engine-local, or suppress with a reason")
-	if recKind == "" {
-		switch {
-		case strings.Contains(kind, "goroutine"):
-			recKind = "goroutine"
-		case strings.Contains(kind, "channel"):
-			recKind = "channel"
-		default:
-			recKind = "global"
-		}
-	}
-	st.records = append(st.records, escapeRecord{st.of.pkg, at, recKind,
-		Finding{at, "engineown", b.String()}})
+	st.findings = append(st.findings, Finding{at, "engineown", b.String()})
 }
 
 // globalTarget resolves an assignment target to the package-level var it

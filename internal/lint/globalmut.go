@@ -31,8 +31,8 @@ import (
 // internal/lint and internal/testutil are exempt: linter tables and test
 // scaffolding are never linked into a simulation binary, so they cannot
 // become shard-shared state. Every remaining finding must be fixed or
-// carry a reasoned suppression — the suppression inventory IS the audit
-// the sharding PR will consume (see eslurmlint -ownership).
+// carry a reasoned suppression, and DESIGN.md's suppression ledger lists
+// each one.
 var GlobalmutAnalyzer = &Analyzer{
 	Name:      "globalmut",
 	Doc:       "flag mutable package-level state (non-const vars of pointer/map/slice/struct/chan type, or written vars of any type) in internal/ simulation packages",
@@ -60,42 +60,9 @@ type globalWrite struct {
 	kind string
 }
 
-// globalmutRecord is one audited package-level var, kept structured so
-// the -ownership report can list it without re-parsing messages.
-type globalmutRecord struct {
-	pkg     *Package
-	name    string
-	typ     string
-	pos     token.Position
-	mutable string       // mutable type class, "" for written immutables
-	write   *globalWrite // nil when no write was observed
-}
-
-func (r *globalmutRecord) finding() Finding {
-	msg := "package-level var " + r.name + " (" + r.typ + ") is mutable shared state"
-	switch {
-	case r.write != nil:
-		msg += ": written via " + r.write.kind + " at " + shortPos(r.write.pos)
-	default:
-		msg += ": no writes observed, but " + r.mutable + " state can be aliased and mutated by any future caller"
-	}
-	msg += "; under the sharded kernel every package-level mutable becomes cross-shard shared state — make it a constant, derive it per call, or thread it through the engine/config and suppress with a reason if it must stay"
-	return Finding{r.pos, "globalmut", msg}
-}
-
 func runGlobalmut(pkgs []*Package) []Finding {
-	var out []Finding
-	for _, r := range collectGlobalmut(pkgs) {
-		out = append(out, r.finding())
-	}
-	return out
-}
-
-// collectGlobalmut runs the audit and returns the structured records, in
-// deterministic package/file/declaration order.
-func collectGlobalmut(pkgs []*Package) []*globalmutRecord {
 	writes := collectGlobalWrites(pkgs)
-	var out []*globalmutRecord
+	var out []Finding
 	for _, p := range pkgs {
 		if !globalmutScoped(p.ImportPath) {
 			continue
@@ -124,14 +91,14 @@ func collectGlobalmut(pkgs []*Package) []*globalmutRecord {
 						if mutable == "" && w == nil {
 							continue
 						}
-						out = append(out, &globalmutRecord{
-							pkg:     p,
-							name:    name.Name,
-							typ:     types.TypeString(v.Type(), shortQualifier),
-							pos:     p.Fset.Position(name.Pos()),
-							mutable: mutable,
-							write:   w,
-						})
+						msg := "package-level var " + name.Name + " (" + types.TypeString(v.Type(), shortQualifier) + ") is mutable shared state"
+						if w != nil {
+							msg += ": written via " + w.kind + " at " + shortPos(w.pos)
+						} else {
+							msg += ": no writes observed, but " + mutable + " state can be aliased and mutated by any future caller"
+						}
+						msg += "; under the sharded kernel every package-level mutable becomes cross-shard shared state — make it a constant, derive it per call, or thread it through the engine/config and suppress with a reason if it must stay"
+						out = append(out, Finding{p.Fset.Position(name.Pos()), "globalmut", msg})
 					}
 				}
 			}

@@ -9,7 +9,6 @@ package lint
 // different import path to exercise path-scoped rules.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -100,32 +99,16 @@ func parseWants(t *testing.T, dir string) []want {
 // want comments.
 func runCase(t *testing.T, name string, analyzers ...*Analyzer) {
 	t.Helper()
-	runModuleCase(t, []string{name}, analyzers...)
-}
-
-// runModuleCase is runCase over several testdata packages loaded
-// together, for module-level rules (taint chains across packages,
-// randlabel's cross-package collisions) whose evidence no single package
-// holds. Want comments are collected from every named directory.
-func runModuleCase(t *testing.T, names []string, analyzers ...*Analyzer) {
-	t.Helper()
-	l := testLoader(t)
-	var pkgs []*Package
-	var wants []want
-	for _, n := range names {
-		dir := filepath.Join("testdata", "src", n)
-		p, err := l.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
-		}
-		if tp, ok := testPathOverride(p); ok {
-			p.ImportPath = tp
-		}
-		pkgs = append(pkgs, p)
-		wants = append(wants, parseWants(t, dir)...)
+	dir := filepath.Join("testdata", "src", name)
+	p, err := testLoader(t).LoadDir(dir)
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
 	}
-	name := strings.Join(names, "+")
-	got := Run(pkgs, analyzers)
+	if tp, ok := testPathOverride(p); ok {
+		p.ImportPath = tp
+	}
+	wants := parseWants(t, dir)
+	got := Run([]*Package{p}, analyzers)
 
 	matched := make([]bool, len(got))
 	for _, w := range wants {
@@ -176,9 +159,13 @@ func TestMaporder(t *testing.T) {
 	runCase(t, "maporder_good", MaporderAnalyzer)
 }
 
-func TestErrdrop(t *testing.T) {
-	runCase(t, "errdrop_bad", ErrdropAnalyzer)
-	runCase(t, "errdrop_good", ErrdropAnalyzer)
+// TestFloatsum pins maporder's float-accumulation effect: every
+// floatsum_bad reduction fires maporder, and floatsum_good (ordered
+// collections, integer sums, the sorted-keys fix, max) stays silent.
+func TestFloatsum(t *testing.T) {
+	runCase(t, "floatsum_bad", MaporderAnalyzer)
+	runCase(t, "floatsum_good", MaporderAnalyzer)
+	runCase(t, "floatsum_suppressed", MaporderAnalyzer)
 }
 
 func TestGosim(t *testing.T) {
@@ -195,28 +182,6 @@ func TestTaint(t *testing.T) {
 	runCase(t, "taint_bad", TaintAnalyzer)
 	runCase(t, "taint_good", TaintAnalyzer)
 	runCase(t, "taint_suppressed", TaintAnalyzer)
-}
-
-func TestFloatsum(t *testing.T) {
-	runCase(t, "floatsum_bad", FloatsumAnalyzer)
-	runCase(t, "floatsum_good", FloatsumAnalyzer)
-	runCase(t, "floatsum_suppressed", FloatsumAnalyzer)
-}
-
-// TestRandlabel exercises the module-level rule: the collision only
-// exists when both packages are loaded together.
-func TestRandlabel(t *testing.T) {
-	runModuleCase(t, []string{"randlabel_a", "randlabel_b"}, RandlabelAnalyzer)
-	runModuleCase(t, []string{"randlabel_sup_a", "randlabel_sup_b"}, RandlabelAnalyzer)
-}
-
-// TestStaleignore runs with walltime enabled so the directives under
-// judgment target an analyzer that actually ran.
-func TestPkgdoc(t *testing.T) {
-	runCase(t, "pkgdoc_bad", PkgdocAnalyzer)
-	runCase(t, "pkgdoc_nodoc", PkgdocAnalyzer)
-	runCase(t, "pkgdoc_good", PkgdocAnalyzer)
-	runCase(t, "pkgdoc_suppressed", PkgdocAnalyzer)
 }
 
 // TestEngineown pins the ownership escape analysis, including (in
@@ -246,6 +211,8 @@ func TestGlobalmut(t *testing.T) {
 	runCase(t, "globalmut_suppressed", GlobalmutAnalyzer)
 }
 
+// TestStaleignore runs with walltime enabled so the directives under
+// judgment target an analyzer that actually ran.
 func TestStaleignore(t *testing.T) {
 	runCase(t, "staleignore_bad", WalltimeAnalyzer, StaleignoreAnalyzer)
 	runCase(t, "staleignore_good", WalltimeAnalyzer, StaleignoreAnalyzer)
@@ -281,7 +248,7 @@ func TestFindingString(t *testing.T) {
 	if got, want := f.String(), "a/b.go:7: [detrand] msg"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
-	if fmt.Sprint(len(Analyzers())) != "12" {
-		t.Fatalf("expected 12 analyzers, got %d", len(Analyzers()))
+	if len(Analyzers()) != 8 {
+		t.Fatalf("expected 8 analyzers, got %d", len(Analyzers()))
 	}
 }

@@ -7,9 +7,8 @@
 // RNG call, or order-sensitive map iteration silently corrupts every
 // downstream table. The analyzers here (run `eslurmlint -list` for the
 // current set — the README table is drift-gated against it) turn that
-// contract — and the kernel hot path's allocation budget and the
-// documentation contract (pkgdoc) — into a merge gate; see each
-// analyzer's Doc for the precise rule.
+// contract into a merge gate; see each analyzer's Doc for the precise
+// rule.
 //
 // The driver is built from the standard library only (go/ast, go/token,
 // go/types, go/importer) — no external module dependencies — so the lint
@@ -20,8 +19,8 @@
 //	//eslurmlint:ignore <analyzer> <reason>
 //
 // on the offending line or the line directly above it. The reason is
-// mandatory: a suppression must explain why the site is deterministic (or
-// why the dropped error is safe) so reviewers can audit the exceptions.
+// mandatory: a suppression must explain why the site is deterministic so
+// reviewers can audit the exceptions.
 package lint
 
 import (
@@ -62,10 +61,9 @@ type Package struct {
 
 // Analyzer is one named determinism rule. Exactly one of Run and
 // RunModule is set (or neither, for pipeline-implemented analyzers like
-// staleignore): Run sees one package at a time and may be cached and
-// parallelized per package; RunModule sees every loaded package at once,
-// for rules whose evidence spans packages (taint chains, randlabel's
-// cross-package stream collisions).
+// staleignore): Run sees one package at a time; RunModule sees every
+// loaded package at once, for rules whose evidence spans packages (taint
+// chains, engine ownership, module-wide writes to globals).
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -76,10 +74,9 @@ type Analyzer struct {
 // Analyzers returns the full eslurmlint rule set in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer, ErrdropAnalyzer,
-		GosimAnalyzer, TaintAnalyzer, FloatsumAnalyzer,
-		RandlabelAnalyzer, EngineownAnalyzer, GlobalmutAnalyzer,
-		StaleignoreAnalyzer, PkgdocAnalyzer,
+		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer, GosimAnalyzer,
+		TaintAnalyzer, EngineownAnalyzer, GlobalmutAnalyzer,
+		StaleignoreAnalyzer,
 	}
 }
 
@@ -95,125 +92,42 @@ func AnalyzerNames() []string {
 // Run executes the analyzers over the packages, applies
 // //eslurmlint:ignore suppressions, and returns the surviving findings
 // sorted by position. Malformed suppression comments are themselves
-// reported as findings of the pseudo-analyzer "suppress". Run is the
-// serial reference pipeline; the CLI drives RunParallel, which must
-// produce byte-identical output.
+// reported as findings of the pseudo-analyzer "suppress". After every
+// analyzer has run and suppression filtering has marked which directives
+// were load-bearing, the staleignore pass reports the rest.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	raw := make([]*pkgResult, len(pkgs))
-	for i, p := range pkgs {
-		raw[i] = runPerPackage(p, analyzers)
-	}
-	return assemble(pkgs, analyzers, raw)
-}
-
-// pkgResult is the complete per-package unit of work: the single-package
-// analyzer findings that survived this package's own suppressions, any
-// malformed-directive findings, and the state of every directive —
-// including whether it was load-bearing. Carrying the used flags in the
-// unit (and therefore in the result cache's payload) is what keeps
-// staleignore correct on warm-cache runs: a replayed package must replay
-// which directives it consumed, not just which findings survived.
-type pkgResult struct {
-	findings   []Finding
-	malformed  []Finding
-	directives []directiveState
-}
-
-// directiveState is the serializable form of one suppression directive.
-type directiveState struct {
-	key  suppression
-	pos  token.Position
-	used bool
-}
-
-// knownAnalyzers is the directive-validation set: every registered
-// analyzer plus any extra analyzers enabled for this invocation. A
-// directive may name any registered analyzer without being "malformed",
-// even when the invocation enables a subset.
-func knownAnalyzers(analyzers []*Analyzer) map[string]bool {
-	known := make(map[string]bool, len(analyzers))
+	// A directive may name any registered analyzer without being
+	// malformed, even when this invocation enables a subset.
+	known := make(map[string]bool)
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	return known
-}
-
-// runPerPackage executes the single-package analyzers over one package
-// and applies the package's own suppressions. This is the unit of work
-// the parallel driver distributes and the result cache stores.
-func runPerPackage(p *Package, analyzers []*Analyzer) *pkgResult {
-	sups, malformed := collectSuppressions(p, knownAnalyzers(analyzers))
-	res := &pkgResult{malformed: malformed}
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		for _, f := range a.Run(p) {
-			if !sups.covers(f) {
-				res.findings = append(res.findings, f)
-			}
-		}
-	}
-	res.directives = flattenSuppressions(sups)
-	return res
-}
-
-// flattenSuppressions renders a suppressionSet as a sorted slice, so
-// per-package results (and cache payloads) are deterministic.
-func flattenSuppressions(sups suppressionSet) []directiveState {
-	out := make([]directiveState, 0, len(sups))
-	for k, e := range sups {
-		out = append(out, directiveState{key: k, pos: e.pos, used: e.used})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
-		if a.file != b.file {
-			return a.file < b.file
-		}
-		if a.line != b.line {
-			return a.line < b.line
-		}
-		return a.analyzer < b.analyzer
-	})
-	return out
-}
-
-// assemble completes the pipeline after per-package analysis: it rebuilds
-// the module-wide suppression set from the per-package directive states
-// (used flags included — they may have come from the cache), runs the
-// module-wide analyzers live, filters them against the set, runs the
-// staleignore pass over directives that silenced nothing anywhere, and
-// sorts. Module analyzers always run live: their evidence spans packages,
-// so a per-package cache key cannot witness them.
-func assemble(pkgs []*Package, analyzers []*Analyzer, raw []*pkgResult) []Finding {
 	enabled := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
+		known[a.Name] = true
 		enabled[a.Name] = true
 	}
 
 	sups := make(suppressionSet)
-	var out []Finding
-	for _, res := range raw {
-		for _, d := range res.directives {
-			if e := sups[d.key]; e != nil {
-				e.used = e.used || d.used
-			} else {
-				sups[d.key] = &supEntry{pos: d.pos, used: d.used}
+	var out, raw []Finding
+	for _, p := range pkgs {
+		ps, malformed := collectSuppressions(p, known)
+		for k, e := range ps {
+			sups[k] = e
+		}
+		out = append(out, malformed...)
+		for _, a := range analyzers {
+			if a.Run != nil {
+				raw = append(raw, a.Run(p)...)
 			}
 		}
-		out = append(out, res.malformed...)
-		out = append(out, res.findings...)
 	}
-	var pending []Finding
 	for _, a := range analyzers {
 		if a.RunModule != nil {
-			pending = append(pending, a.RunModule(pkgs)...)
+			raw = append(raw, a.RunModule(pkgs)...)
 		}
 	}
-	for _, f := range pending {
+	for _, f := range raw {
 		if !sups.covers(f) {
 			out = append(out, f)
 		}
@@ -228,13 +142,20 @@ func assemble(pkgs []*Package, analyzers []*Analyzer, raw []*pkgResult) []Findin
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
+		a, b := out[i].Pos, out[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		return out[i].Analyzer < out[j].Analyzer
+		if out[i].Analyzer != out[j].Analyzer {
+			return out[i].Analyzer < out[j].Analyzer
+		}
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
+		return out[i].Message < out[j].Message
 	})
 	return out
 }

@@ -10,16 +10,20 @@ import (
 
 // MaporderAnalyzer flags `for range` over a map whose body has
 // order-sensitive side effects: appending to a slice, sending on a
-// channel, or calling into the event-carrying packages (simnet, sched,
-// comm). Go randomizes map iteration order per run, so any of these leaks
-// nondeterminism straight into event sequencing or result tables.
+// channel, calling into the event-carrying packages (simnet, sched,
+// comm), or accumulating floats (x += v, x -= v, x *= v, x = x + v).
+// Go randomizes map iteration order per run, so any of these leaks
+// nondeterminism straight into event sequencing or result tables; float
+// addition is not associative, so even a sum of deterministic inputs
+// changes its low-order bits with the order. Integer sums stay silent:
+// they really are commutative.
 //
 // The sorted-keys idiom stays silent: a loop that only appends to slices
 // which are then passed to a sort/slices call later in the same block is
 // the sanctioned way to get a deterministic order out of a map.
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration with order-sensitive side effects (append/send/simnet/sched/comm) without sorting",
+	Doc:  "flag map iteration with order-sensitive side effects (append/send/float accumulation/simnet/sched/comm) without sorting",
 	Run:  runMaporder,
 }
 
@@ -132,6 +136,11 @@ func collectEffects(p *Package, body *ast.BlockStmt) []mapEffect {
 		switch x := n.(type) {
 		case *ast.SendStmt:
 			effects = append(effects, mapEffect{x.Pos(), "sends on a channel", ""})
+		case *ast.AssignStmt:
+			if acc := floatAccum(p, x); acc != "" {
+				effects = append(effects, mapEffect{x.Pos(),
+					"accumulates floats into " + acc + " (FP addition is not associative, so the result's bits change with the order)", ""})
+			}
 		case *ast.CallExpr:
 			if isBuiltinAppend(p, x) {
 				target := appendTarget[x]
@@ -208,4 +217,33 @@ func mentionsIdent(e ast.Expr, name string) bool {
 		return true
 	})
 	return found
+}
+
+// floatAccum names the float-typed target of an order-sensitive reduction
+// (x += v, x -= v, x *= v, or the expanded x = x + v / x = v * x), else "".
+func floatAccum(p *Package, as *ast.AssignStmt) string {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return ""
+	}
+	lhs := as.Lhs[0]
+	t := p.Info.TypeOf(lhs)
+	if t == nil {
+		return ""
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return ""
+	}
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
+		return types.ExprString(lhs)
+	case token.ASSIGN:
+		bin, ok := as.Rhs[0].(*ast.BinaryExpr)
+		if ok && (bin.Op == token.ADD || bin.Op == token.SUB || bin.Op == token.MUL) {
+			l := types.ExprString(lhs)
+			if types.ExprString(bin.X) == l || types.ExprString(bin.Y) == l {
+				return l
+			}
+		}
+	}
+	return ""
 }

@@ -174,7 +174,14 @@ func Live() time.Time {
 			t.Fatal(err)
 		}
 	}
-	_, p := loadTemp(t, root, "sim")
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.LoadDir(filepath.Join(root, "sim"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tp, ok := testPathOverride(p); ok {
 		p.ImportPath = tp
 	}

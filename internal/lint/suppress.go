@@ -11,7 +11,7 @@ import (
 // the offending line or stand alone above it). One directive may name
 // several analyzers separated by commas:
 //
-//	//eslurmlint:ignore maporder,floatsum aggregation is order-independent
+//	//eslurmlint:ignore walltime,taint host-side progress timestamp, never reaches the engine
 //
 // Each named analyzer becomes its own suppression entry; the staleignore
 // analyzer judges every entry independently, so a half-stale directive is

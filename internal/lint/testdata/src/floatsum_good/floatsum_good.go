@@ -2,7 +2,7 @@
 
 // Package floatsum_good holds the compliant reductions: ordered
 // collections, associative integer sums, the sorted-keys fix, and
-// non-accumulating float writes. None may fire.
+// non-accumulating float writes. None may fire maporder.
 package floatsum_good
 
 import "sort"

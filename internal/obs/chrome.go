@@ -67,7 +67,7 @@ func WriteChrome(w io.Writer, procs ...Process) error {
 }
 
 // chromeWriter accumulates the first write error so call sites stay
-// linear (the errdrop discipline without a check per Fprintf).
+// linear: no write error is dropped, yet no Fprintf needs its own check.
 type chromeWriter struct {
 	w   io.Writer
 	err error

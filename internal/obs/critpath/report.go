@@ -414,6 +414,9 @@ func parsePath(line string) (Path, error) {
 }
 
 func parseChain(s string) ([]Hop, error) {
+	if s == "" {
+		return nil, nil // an empty chain writes as "chain="
+	}
 	var chain []Hop
 	for _, hop := range strings.Split(s, "->") {
 		i := strings.IndexByte(hop, '[')
