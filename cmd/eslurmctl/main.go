@@ -204,6 +204,7 @@ func main() {
 		rec.Stop()
 	}
 	r.Stop()
+	// Drain: the meter and the demo broadcast printed below accrue through it.
 	e.RunUntil(span + 30*time.Minute)
 
 	m := r.Meter()

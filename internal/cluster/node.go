@@ -157,6 +157,17 @@ func (c *Cluster) RunUntil(deadline time.Duration) {
 	c.group.RunUntil(deadline)
 }
 
+// RunUntilDone executes events with time ≤ deadline until done reports
+// true and returns whether it did; the clocks stay near the answer rather
+// than moving to the deadline. One cell checks done before every event,
+// several at every window barrier.
+func (c *Cluster) RunUntilDone(deadline time.Duration, done func() bool) bool {
+	if c.group.Cells() == 1 {
+		return c.Engine.RunUntilDone(deadline, done)
+	}
+	return c.group.RunUntilDone(deadline, done)
+}
+
 // Run executes events until no cell has one left.
 func (c *Cluster) Run() {
 	if c.group.Cells() == 1 {

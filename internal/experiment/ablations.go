@@ -82,9 +82,10 @@ func AblationReallocLimit(env *Env, nodes int, limits []int) *Table {
 		c.Fail(c.Satellites()[0])
 		c.Fail(c.Satellites()[1])
 		var res comm.Result
+		got := false
 		start := c.Engine.Now()
-		m.Broadcast(c.Computes(), 2048, func(r comm.Result) { res = r })
-		c.RunUntil(start + 10*time.Minute)
+		m.Broadcast(c.Computes(), 2048, func(r comm.Result) { res, got = r, true })
+		c.RunUntilDone(start+10*time.Minute, func() bool { return got })
 		st := m.Stats()
 		m.Stop()
 		t.AddRow(fmt.Sprintf("%d", lim),

@@ -112,9 +112,10 @@ func OccupationTime(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, j
 // OccupationProbe measures the RM's job load and termination latencies for
 // one job of the given size, with failedFrac of the cluster's nodes down
 // (the production failure background). The scheduling drivers call it per
-// job size to build their sched.Overhead lookups. Each answer must arrive
-// within its 30 min horizon; a callback that never fires panics, naming
-// the RM and the sizes, rather than reporting a zero latency.
+// job size to build their sched.Overhead lookups. It runs the cluster only
+// until each answer arrives, with the paper's 10 s job between them; 30 min
+// per answer is a guard, and a callback that has not fired by then panics,
+// naming the RM and the sizes, rather than reporting a zero latency.
 func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64) (load, term time.Duration) {
 	satellites := 1
 	if clusterNodes >= 1024 {
@@ -136,14 +137,13 @@ func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, 
 	var loaded, termed bool
 	start := c.Engine.Now()
 	r.LoadJob(nodes, func(d time.Duration) { load, loaded = d, true })
-	c.RunUntil(start + 30*time.Minute)
-	if !loaded {
+	if !c.RunUntilDone(start+30*time.Minute, func() bool { return loaded }) {
 		panic(fmt.Sprintf("experiment: %s never answered LoadJob within 30m (%d-node cluster, %d-node job)", r.Name(), clusterNodes, jobNodes))
 	}
+	c.RunUntil(start + load + 10*time.Second)
 	termStart := c.Engine.Now()
 	r.TerminateJob(nodes, func(d time.Duration) { term, termed = d, true })
-	c.RunUntil(termStart + 30*time.Minute)
-	if !termed {
+	if !c.RunUntilDone(termStart+30*time.Minute, func() bool { return termed }) {
 		panic(fmt.Sprintf("experiment: %s never answered TerminateJob within 30m (%d-node cluster, %d-node job)", r.Name(), clusterNodes, jobNodes))
 	}
 	r.Stop()
@@ -193,8 +193,9 @@ func Fig8a(env *Env, nodes int) *Table {
 			m.Start()
 			c.RunUntil(2 * time.Second)
 			var res comm.Result
-			m.Broadcast(c.Computes(), size, func(r comm.Result) { res = r })
-			c.RunUntil(c.Engine.Now() + 10*time.Minute)
+			got := false
+			m.Broadcast(c.Computes(), size, func(r comm.Result) { res, got = r, true })
+			c.RunUntilDone(c.Engine.Now()+10*time.Minute, func() bool { return got })
 			m.Stop()
 			return res.DeliveredElapsed
 		}
@@ -280,8 +281,9 @@ func Fig11a(env *Env, nodes int, satCounts []int) *Table {
 		master.Start()
 		c.RunUntil(2 * time.Second)
 		var res comm.Result
-		master.Broadcast(c.Computes(), master.Config().HeartbeatMsgBytes, func(r comm.Result) { res = r })
-		c.RunUntil(c.Engine.Now() + 10*time.Minute)
+		got := false
+		master.Broadcast(c.Computes(), master.Config().HeartbeatMsgBytes, func(r comm.Result) { res, got = r, true })
+		c.RunUntilDone(c.Engine.Now()+10*time.Minute, func() bool { return got })
 		master.Stop()
 		t.AddRow(fmt.Sprintf("%d", m), fmtDur(res.DeliveredElapsed))
 	}
@@ -325,8 +327,9 @@ func Placement(env *Env, nodes int, days int) *Table {
 
 	c.RunUntil(horizon)
 	m.Stop()
-	// Drain in-flight broadcasts; the monitor's background noise process
-	// never terminates, so a full Run() would spin forever.
+	// Drain in-flight broadcasts, whose placement stats still accrue; the
+	// monitor's background noise process never terminates, so a full Run()
+	// would spin forever.
 	c.RunUntil(horizon + 30*time.Minute)
 
 	t := &Table{

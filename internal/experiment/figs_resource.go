@@ -47,7 +47,7 @@ func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites 
 
 	c.RunUntil(span)
 	r.Stop()
-	// Drain remaining activity so meters settle.
+	// Drain remaining activity: the meters the tables print accrue through it.
 	c.RunUntil(span + 30*time.Minute)
 	return r.Meter(), c, r
 }

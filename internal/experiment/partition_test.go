@@ -34,7 +34,9 @@ func nearOneCell(one, part time.Duration) bool {
 
 // partProbeRun executes the occupation-probe sequence on a rack-partitioned
 // cluster with digesting enabled and returns the trace digest, the probe
-// results and the RM. It is the instrumented twin of OccupationProbe.
+// results and the RM. It is the instrumented twin of OccupationProbe, but
+// runs each phase to its 30 min horizon rather than to the answer, so the
+// pinned digest also covers the idle heartbeats that follow it.
 func partProbeRun(t *testing.T, mk func(*cluster.Cluster) rm.RM, computes, jobNodes int) (uint64, time.Duration, time.Duration, rm.RM) {
 	t.Helper()
 	env := &Env{cells: true}

@@ -48,7 +48,7 @@ var TaintAnalyzer = &Analyzer{
 // taintSchedulers are the Engine methods whose arguments feed the event
 // heap (or, for Rand, stream selection).
 var taintSchedulers = map[string]bool{
-	"Schedule": true, "After": true, "Every": true, "RunUntil": true, "Rand": true,
+	"Schedule": true, "After": true, "Every": true, "RunUntil": true, "RunUntilDone": true, "Rand": true,
 	"ScheduleTo": true, "AfterTo": true, // the Handler forms of Schedule and After
 }
 

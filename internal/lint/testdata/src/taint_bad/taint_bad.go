@@ -84,3 +84,11 @@ func (sleeper) HandleEvent(int32) {}
 func HandlerWall(e *Engine) {
 	e.AfterTo(wallDelay(), sleeper{}, 0) // want "from time.Now (taint_bad.go:27) reaches Engine.AfterTo (taint_bad.go:85) via taint_bad.wallDelay (taint_bad.go:85)"
 }
+
+// RunUntilDone mimics the run-to-answer driver; its deadline is a sink
+// like RunUntil's.
+func (e *Engine) RunUntilDone(deadline time.Duration, done func() bool) bool { return true }
+
+func RunNoisyUntilDone(e *Engine) bool {
+	return e.RunUntilDone(time.Duration(rand.Int63()), func() bool { return true }) // want "from rand.Int63 (taint_bad.go:93) reaches Engine.RunUntilDone (taint_bad.go:93)"
+}

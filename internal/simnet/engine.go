@@ -428,6 +428,21 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 	}
 }
 
+// RunUntilDone executes events with time ≤ deadline until done reports
+// true, checking it before every event, so it stops on the event after
+// which done first holds. The clock stays at that event: it is not moved
+// to the deadline. It reports whether done held; false means the deadline
+// (or an empty heap) came first.
+func (e *Engine) RunUntilDone(deadline time.Duration, done func() bool) bool {
+	for !done() {
+		if at, ok := e.peekNext(); !ok || at > deadline {
+			return false
+		}
+		e.Step()
+	}
+	return true
+}
+
 // Observe registers fn to be invoked just before each event executes,
 // with the event's virtual time and sequence number. The (at, seq) stream
 // is the engine's complete execution trace, so hashing it gives a cheap

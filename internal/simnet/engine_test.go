@@ -121,6 +121,29 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
+func TestRunUntilDone(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	for _, s := range []int{1, 2, 3} {
+		e.Schedule(time.Duration(s)*time.Second, func() { fired = append(fired, s) })
+	}
+	if !e.RunUntilDone(time.Hour, func() bool { return true }) || len(fired) != 0 {
+		t.Fatalf("done already true: fired %v, want nothing run", fired)
+	}
+	if !e.RunUntilDone(time.Hour, func() bool { return len(fired) == 2 }) {
+		t.Fatal("RunUntilDone = false, want true once the 2s event ran")
+	}
+	if len(fired) != 2 || e.Now() != 2*time.Second || e.Pending() != 1 {
+		t.Fatalf("fired %v, Now %v, Pending %d; want [1 2], 2s, 1", fired, e.Now(), e.Pending())
+	}
+	if e.RunUntilDone(2500*time.Millisecond, func() bool { return false }) {
+		t.Fatal("RunUntilDone = true at the deadline, want false")
+	}
+	if e.Now() != 2*time.Second || e.Pending() != 1 {
+		t.Errorf("after the deadline: Now %v, Pending %d; want the clock left at 2s and the 3s event pending", e.Now(), e.Pending())
+	}
+}
+
 func TestEvery(t *testing.T) {
 	e := NewEngine(1)
 	count := 0

@@ -240,7 +240,7 @@ func (g *ShardGroup) MergedMetrics() *obs.Registry {
 // deadline. It is the sharded counterpart of Engine.RunUntil and may be
 // called repeatedly to drive a simulation in phases.
 func (g *ShardGroup) RunUntil(deadline time.Duration) {
-	g.run(deadline)
+	g.runDone(deadline, nil)
 	for _, c := range g.cells {
 		if c.now < deadline {
 			c.now = deadline
@@ -251,14 +251,25 @@ func (g *ShardGroup) RunUntil(deadline time.Duration) {
 // Run executes windows until no cell has an event left — the sharded
 // counterpart of Engine.Run. Cell clocks stay where their windows left
 // them.
-func (g *ShardGroup) Run() { g.run(math.MaxInt64) }
+func (g *ShardGroup) Run() { g.runDone(math.MaxInt64, nil) }
+
+// RunUntilDone executes windows with events ≤ deadline until done reports
+// true, checking it at every window barrier — the sharded counterpart of
+// Engine.RunUntilDone. The clocks stay at the barrier where done first
+// held, within one lookahead of the event that made it true; they are not
+// moved to the deadline. It reports whether done held.
+func (g *ShardGroup) RunUntilDone(deadline time.Duration, done func() bool) bool {
+	return g.runDone(deadline, done)
+}
 
 // Idle reports whether no window is executing: the caller stands between
 // runs, the only place from which state on more than one cell may be
 // touched or scheduled.
 func (g *ShardGroup) Idle() bool { return !g.inWindow }
 
-func (g *ShardGroup) run(deadline time.Duration) {
+// runDone runs windows until no event ≤ deadline is left or a non-nil
+// done reports true at a barrier, and returns whether it did.
+func (g *ShardGroup) runDone(deadline time.Duration, done func() bool) bool {
 	if g.in == nil {
 		g.in = newShardInstruments(g.cells[0].Metrics())
 	}
@@ -266,10 +277,10 @@ func (g *ShardGroup) run(deadline time.Duration) {
 	// group is idle) are merged before the first window.
 	g.mergeCross()
 	ran := g.Processed()
-	for {
+	for done == nil || !done() {
 		t, ok := g.earliest()
 		if !ok || t > deadline {
-			break
+			return false
 		}
 		end := t + g.lookahead
 		clock := end
@@ -287,6 +298,7 @@ func (g *ShardGroup) run(deadline time.Duration) {
 		g.mergeCross()
 		ran = n
 	}
+	return true
 }
 
 // shardInstruments are the kernel's own counters: how many windows ran,

@@ -141,6 +141,31 @@ func TestShardGroupDeadline(t *testing.T) {
 	}
 }
 
+// TestShardGroupRunUntilDone: the group checks done at window barriers, so
+// it stops at the first barrier after the answer — within one lookahead of
+// the answering event, with later events still pending.
+func TestShardGroupRunUntilDone(t *testing.T) {
+	const L = 100 * time.Microsecond
+	g := NewShardGroup(1, 2, L)
+	answered, later := false, false
+	g.Cell(0).Schedule(time.Millisecond, func() {
+		g.SendAfter(0, 1, 0, func() { answered = true })
+	})
+	g.Cell(0).Schedule(5*time.Millisecond, func() { later = true })
+	if !g.RunUntilDone(time.Hour, func() bool { return answered }) {
+		t.Fatal("RunUntilDone = false, want true once the cross event ran")
+	}
+	if at, now := time.Millisecond+L, g.Cell(1).Now(); now < at || now > at+L {
+		t.Errorf("cell 1 clock %v, want within one lookahead of the answer at %v", now, at)
+	}
+	if later {
+		t.Error("an event past the answering window ran")
+	}
+	if NewShardGroup(1, 2, L).RunUntilDone(time.Hour, func() bool { return false }) {
+		t.Error("RunUntilDone on an empty group = true, want false")
+	}
+}
+
 // TestShardGroupIdleWiring checks cross sends issued while the group is
 // idle (model wiring between runs) are merged before the next window.
 func TestShardGroupIdleWiring(t *testing.T) {
