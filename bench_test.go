@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"eslurm/internal/alloc"
 	"eslurm/internal/cluster"
 	"eslurm/internal/comm"
 	"eslurm/internal/controller"
@@ -18,7 +17,6 @@ import (
 	"eslurm/internal/estimate"
 	"eslurm/internal/rm"
 	"eslurm/internal/simnet"
-	"eslurm/internal/topo"
 	"eslurm/internal/trace"
 )
 
@@ -109,8 +107,7 @@ func BenchmarkController_FullStackHour(b *testing.B) {
 		e := simnet.NewEngine(int64(i))
 		c := cluster.New(e, cluster.Config{Computes: 512, Satellites: 2})
 		m := core.NewMaster(c, core.DefaultConfig(), nil)
-		a := alloc.NewTopoAware(c.Computes(), topo.Default())
-		ctl, err := controller.New(c, m, a, controller.Config{KillAtLimit: true})
+		ctl, err := controller.New(c, m, controller.Config{KillAtLimit: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,14 +10,14 @@ import (
 	"strings"
 	"time"
 
-	"eslurm/internal/alloc"
 	"eslurm/internal/cluster"
 	"eslurm/internal/config"
 	"eslurm/internal/controller"
 	"eslurm/internal/core"
+	"eslurm/internal/estimate"
 	"eslurm/internal/hostlist"
+	"eslurm/internal/sched"
 	"eslurm/internal/simnet"
-	"eslurm/internal/topo"
 	"eslurm/internal/trace"
 )
 
@@ -53,16 +53,15 @@ func main() {
 		Satellites: len(cfg.SatelliteNodes),
 	})
 	master := core.NewMaster(c, cfg.CoreConfig(), nil)
-	allocator := alloc.NewTopoAware(c.Computes(), topo.Default())
 	parts, err := controller.PartitionsFromConfig(cfg, c)
 	if err != nil {
 		panic(err)
 	}
-	ctl, err := controller.New(c, master, allocator, controller.Config{
-		UseEstimator: true,
-		Estimator:    cfg.FrameworkConfig(),
-		KillAtLimit:  true,
-		Partitions:   parts,
+	fw := estimate.NewFramework(cfg.FrameworkConfig())
+	ctl, err := controller.New(c, master, controller.Config{
+		Predictor:   sched.FrameworkWalltimes{F: fw},
+		KillAtLimit: true,
+		Partitions:  parts,
 	})
 	if err != nil {
 		panic(err)
@@ -104,7 +103,7 @@ func main() {
 		m.Submitted, m.Completed, m.TimedOut, m.Rejected)
 	fmt.Printf("avg queue wait %v; avg spawn broadcast %v across %d launches\n",
 		m.AvgWait().Round(time.Second), m.AvgSpawn().Round(time.Microsecond), m.SpawnReps)
-	fmt.Printf("estimator: %d model generations trained during the replay\n", ctl.Framework.Generations)
+	fmt.Printf("estimator: %d model generations trained during the replay\n", fw.Generations)
 	st := master.Stats()
 	fmt.Printf("master: %d broadcasts via %d satellite sub-tasks, %d reallocations, %d takeovers\n",
 		st.Broadcasts, st.SubTasks, st.Reallocations, st.MasterTakeovers)

@@ -1,11 +1,9 @@
 // Package alloc implements node selection for job placement: given a free
-// set, pick the concrete nodes a job runs on. Three policies are
-// provided — first-fit (Slurm's default linear select), contiguous
-// (block-seeking, minimizing fragmentation), and topology-aware
-// (minimizing racks spanned, which keeps MPI traffic rack-local and job
-// launch broadcasts shallow).
+// set, pick the concrete nodes a job runs on. Placement is topology-aware:
+// it minimizes the racks a job spans, which keeps MPI traffic rack-local
+// and job launch broadcasts shallow.
 //
-// Determinism: every policy is a pure function of the free list's order —
+// Determinism: placement is a pure function of the free list's order —
 // no RNG, no map iteration, no clocks — so the same cluster state always
 // yields the same placement, which the same-seed ⇒ same-trace contract
 // requires of anything the scheduler calls.
@@ -19,165 +17,42 @@ import (
 	"eslurm/internal/topo"
 )
 
-// Allocator hands out and reclaims compute nodes.
-type Allocator interface {
-	// Alloc reserves n nodes, returning them, or ok=false leaving state
-	// unchanged when fewer than n are free.
-	Alloc(n int) (nodes []cluster.NodeID, ok bool)
-	// Free returns nodes to the pool. Freeing an unallocated node panics:
-	// it is always a scheduler bug.
-	Free(nodes []cluster.NodeID)
-	// FreeCount reports currently available nodes.
-	FreeCount() int
-}
-
-// pool is the shared bookkeeping: a sorted free list with O(1) membership.
-type pool struct {
+// TopoAware packs jobs into as few racks as possible: racks are filled
+// best-fit (fullest rack that still fits first), splitting across racks
+// only when no single rack suffices.
+type TopoAware struct {
+	tp     topo.Topology
 	free   []cluster.NodeID // sorted
 	inUse  map[cluster.NodeID]bool
 	member map[cluster.NodeID]bool
 }
 
-func newPool(nodes []cluster.NodeID) *pool {
-	p := &pool{
+// NewTopoAware builds a topology-aware allocator over the node set.
+func NewTopoAware(nodes []cluster.NodeID, tp topo.Topology) *TopoAware {
+	a := &TopoAware{
+		tp:     tp,
 		inUse:  make(map[cluster.NodeID]bool, len(nodes)),
 		member: make(map[cluster.NodeID]bool, len(nodes)),
 	}
-	p.free = append(p.free, nodes...)
-	sort.Slice(p.free, func(i, j int) bool { return p.free[i] < p.free[j] })
-	for _, id := range p.free {
-		p.member[id] = true
+	a.free = append(a.free, nodes...)
+	sort.Slice(a.free, func(i, j int) bool { return a.free[i] < a.free[j] })
+	for _, id := range a.free {
+		a.member[id] = true
 	}
-	return p
+	return a
 }
 
-func (p *pool) freeCount() int { return len(p.free) }
-
-// take removes the given nodes (which must all be free) from the free
-// list.
-func (p *pool) take(nodes []cluster.NodeID) {
-	taken := make(map[cluster.NodeID]bool, len(nodes))
-	for _, id := range nodes {
-		taken[id] = true
-		p.inUse[id] = true
-	}
-	out := p.free[:0]
-	for _, id := range p.free {
-		if !taken[id] {
-			out = append(out, id)
-		}
-	}
-	p.free = out
-}
-
-func (p *pool) give(nodes []cluster.NodeID) {
-	for _, id := range nodes {
-		if !p.member[id] {
-			panic(fmt.Sprintf("alloc: freeing foreign node %d", id))
-		}
-		if !p.inUse[id] {
-			panic(fmt.Sprintf("alloc: double free of node %d", id))
-		}
-		delete(p.inUse, id)
-		p.free = append(p.free, id)
-	}
-	sort.Slice(p.free, func(i, j int) bool { return p.free[i] < p.free[j] })
-}
-
-// FirstFit hands out the lowest-numbered free nodes (Slurm's
-// select/linear behaviour).
-type FirstFit struct{ p *pool }
-
-// NewFirstFit builds a first-fit allocator over the node set.
-func NewFirstFit(nodes []cluster.NodeID) *FirstFit {
-	return &FirstFit{p: newPool(nodes)}
-}
-
-// Alloc implements Allocator.
-func (a *FirstFit) Alloc(n int) ([]cluster.NodeID, bool) {
-	if n <= 0 || n > len(a.p.free) {
-		return nil, false
-	}
-	out := append([]cluster.NodeID(nil), a.p.free[:n]...)
-	a.p.take(out)
-	return out, true
-}
-
-// Free implements Allocator.
-func (a *FirstFit) Free(nodes []cluster.NodeID) { a.p.give(nodes) }
-
-// FreeCount implements Allocator.
-func (a *FirstFit) FreeCount() int { return a.p.freeCount() }
-
-// Contiguous prefers an exact contiguous ID block (best-fit: the smallest
-// run that holds the job), falling back to first-fit when no single run is
-// large enough. Contiguous blocks keep fragmentation down and make relay
-// trees ID-local.
-type Contiguous struct{ p *pool }
-
-// NewContiguous builds a contiguous allocator over the node set.
-func NewContiguous(nodes []cluster.NodeID) *Contiguous {
-	return &Contiguous{p: newPool(nodes)}
-}
-
-// Alloc implements Allocator.
-func (a *Contiguous) Alloc(n int) ([]cluster.NodeID, bool) {
-	if n <= 0 || n > len(a.p.free) {
-		return nil, false
-	}
-	// Scan runs in the sorted free list; pick the smallest run >= n.
-	bestStart, bestLen := -1, 1<<62
-	i := 0
-	for i < len(a.p.free) {
-		j := i
-		for j+1 < len(a.p.free) && a.p.free[j+1] == a.p.free[j]+1 {
-			j++
-		}
-		runLen := j - i + 1
-		if runLen >= n && runLen < bestLen {
-			bestStart, bestLen = i, runLen
-		}
-		i = j + 1
-	}
-	var out []cluster.NodeID
-	if bestStart >= 0 {
-		out = append(out, a.p.free[bestStart:bestStart+n]...)
-	} else {
-		out = append(out, a.p.free[:n]...)
-	}
-	a.p.take(out)
-	return out, true
-}
-
-// Free implements Allocator.
-func (a *Contiguous) Free(nodes []cluster.NodeID) { a.p.give(nodes) }
-
-// FreeCount implements Allocator.
-func (a *Contiguous) FreeCount() int { return a.p.freeCount() }
-
-// TopoAware packs jobs into as few racks as possible: racks are filled
-// best-fit (fullest rack that still fits first), splitting across racks
-// only when no single rack suffices.
-type TopoAware struct {
-	p  *pool
-	tp topo.Topology
-}
-
-// NewTopoAware builds a topology-aware allocator.
-func NewTopoAware(nodes []cluster.NodeID, tp topo.Topology) *TopoAware {
-	return &TopoAware{p: newPool(nodes), tp: tp}
-}
-
-// Alloc implements Allocator.
+// Alloc reserves n nodes, returning them, or ok=false leaving state
+// unchanged when fewer than n are free.
 func (a *TopoAware) Alloc(n int) ([]cluster.NodeID, bool) {
-	if n <= 0 || n > len(a.p.free) {
+	if n <= 0 || n > len(a.free) {
 		return nil, false
 	}
 	// Bucket the free list per rack (free list is sorted, racks are ID
 	// ranges, so buckets stay sorted).
 	byRack := map[int][]cluster.NodeID{}
 	var racks []int
-	for _, id := range a.p.free {
+	for _, id := range a.free {
 		r := a.tp.Rack(id)
 		if len(byRack[r]) == 0 {
 			racks = append(racks, r)
@@ -212,15 +87,45 @@ func (a *TopoAware) Alloc(n int) ([]cluster.NodeID, bool) {
 			}
 		}
 	}
-	a.p.take(out)
+	a.take(out)
 	return out, true
 }
 
-// Free implements Allocator.
-func (a *TopoAware) Free(nodes []cluster.NodeID) { a.p.give(nodes) }
+// take removes the given nodes (which must all be free) from the free
+// list.
+func (a *TopoAware) take(nodes []cluster.NodeID) {
+	taken := make(map[cluster.NodeID]bool, len(nodes))
+	for _, id := range nodes {
+		taken[id] = true
+		a.inUse[id] = true
+	}
+	out := a.free[:0]
+	for _, id := range a.free {
+		if !taken[id] {
+			out = append(out, id)
+		}
+	}
+	a.free = out
+}
 
-// FreeCount implements Allocator.
-func (a *TopoAware) FreeCount() int { return a.p.freeCount() }
+// Free returns nodes to the pool. Freeing an unallocated node panics: it
+// is always a scheduler bug.
+func (a *TopoAware) Free(nodes []cluster.NodeID) {
+	for _, id := range nodes {
+		if !a.member[id] {
+			panic(fmt.Sprintf("alloc: freeing foreign node %d", id))
+		}
+		if !a.inUse[id] {
+			panic(fmt.Sprintf("alloc: double free of node %d", id))
+		}
+		delete(a.inUse, id)
+		a.free = append(a.free, id)
+	}
+	sort.Slice(a.free, func(i, j int) bool { return a.free[i] < a.free[j] })
+}
+
+// FreeCount reports currently available nodes.
+func (a *TopoAware) FreeCount() int { return len(a.free) }
 
 // RacksSpanned counts the distinct racks of an allocation — the locality
 // metric topology-aware placement minimizes.

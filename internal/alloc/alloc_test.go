@@ -17,67 +17,58 @@ func ids(n int) []cluster.NodeID {
 	return out
 }
 
-func allocators(n int) map[string]Allocator {
-	return map[string]Allocator{
-		"firstfit":   NewFirstFit(ids(n)),
-		"contiguous": NewContiguous(ids(n)),
-		"topoaware":  NewTopoAware(ids(n), topo.Default()),
-	}
-}
+func newAlloc(n int) *TopoAware { return NewTopoAware(ids(n), topo.Default()) }
 
 func TestAllocFreeRoundTrip(t *testing.T) {
-	for name, a := range allocators(100) {
-		got, ok := a.Alloc(10)
-		if !ok || len(got) != 10 {
-			t.Fatalf("%s: Alloc(10) = %v, %v", name, got, ok)
-		}
-		if a.FreeCount() != 90 {
-			t.Fatalf("%s: FreeCount = %d", name, a.FreeCount())
-		}
-		a.Free(got)
-		if a.FreeCount() != 100 {
-			t.Fatalf("%s: FreeCount after free = %d", name, a.FreeCount())
-		}
+	a := newAlloc(100)
+	got, ok := a.Alloc(10)
+	if !ok || len(got) != 10 {
+		t.Fatalf("Alloc(10) = %v, %v", got, ok)
+	}
+	if a.FreeCount() != 90 {
+		t.Fatalf("FreeCount = %d", a.FreeCount())
+	}
+	a.Free(got)
+	if a.FreeCount() != 100 {
+		t.Fatalf("FreeCount after free = %d", a.FreeCount())
 	}
 }
 
 func TestAllocRefusesOversized(t *testing.T) {
-	for name, a := range allocators(10) {
-		if _, ok := a.Alloc(11); ok {
-			t.Errorf("%s: oversized alloc succeeded", name)
-		}
-		if a.FreeCount() != 10 {
-			t.Errorf("%s: failed alloc leaked state", name)
-		}
-		if _, ok := a.Alloc(0); ok {
-			t.Errorf("%s: zero alloc succeeded", name)
-		}
+	a := newAlloc(10)
+	if _, ok := a.Alloc(11); ok {
+		t.Error("oversized alloc succeeded")
+	}
+	if a.FreeCount() != 10 {
+		t.Error("failed alloc leaked state")
+	}
+	if _, ok := a.Alloc(0); ok {
+		t.Error("zero alloc succeeded")
 	}
 }
 
 func TestNoDoubleAllocation(t *testing.T) {
-	for name, a := range allocators(64) {
-		seen := map[cluster.NodeID]bool{}
-		for i := 0; i < 8; i++ {
-			got, ok := a.Alloc(8)
-			if !ok {
-				t.Fatalf("%s: alloc %d failed", name, i)
-			}
-			for _, id := range got {
-				if seen[id] {
-					t.Fatalf("%s: node %d allocated twice", name, id)
-				}
-				seen[id] = true
-			}
+	a := newAlloc(64)
+	seen := map[cluster.NodeID]bool{}
+	for i := 0; i < 8; i++ {
+		got, ok := a.Alloc(8)
+		if !ok {
+			t.Fatalf("alloc %d failed", i)
 		}
-		if _, ok := a.Alloc(1); ok {
-			t.Fatalf("%s: allocated from an empty pool", name)
+		for _, id := range got {
+			if seen[id] {
+				t.Fatalf("node %d allocated twice", id)
+			}
+			seen[id] = true
 		}
+	}
+	if _, ok := a.Alloc(1); ok {
+		t.Fatal("allocated from an empty pool")
 	}
 }
 
 func TestDoubleFreePanics(t *testing.T) {
-	a := NewFirstFit(ids(10))
+	a := newAlloc(10)
 	got, _ := a.Alloc(2)
 	a.Free(got)
 	defer func() {
@@ -89,7 +80,7 @@ func TestDoubleFreePanics(t *testing.T) {
 }
 
 func TestForeignFreePanics(t *testing.T) {
-	a := NewFirstFit(ids(10))
+	a := newAlloc(10)
 	defer func() {
 		if recover() == nil {
 			t.Error("foreign free did not panic")
@@ -98,81 +89,19 @@ func TestForeignFreePanics(t *testing.T) {
 	a.Free([]cluster.NodeID{999})
 }
 
-func TestFirstFitTakesLowest(t *testing.T) {
-	a := NewFirstFit(ids(10))
-	got, _ := a.Alloc(3)
-	for i, id := range got {
-		if id != cluster.NodeID(i) {
-			t.Fatalf("first-fit gave %v", got)
-		}
-	}
-}
-
-func TestContiguousPrefersSmallestRun(t *testing.T) {
-	a := NewContiguous(ids(100))
-	// Create holes: allocate everything, then free a 5-run and a 20-run.
-	all, _ := a.Alloc(100)
-	_ = all
-	a.Free([]cluster.NodeID{10, 11, 12, 13, 14})
-	a.Free([]cluster.NodeID{50, 51, 52, 53, 54, 55, 56, 57, 58, 59,
-		60, 61, 62, 63, 64, 65, 66, 67, 68, 69})
-	got, ok := a.Alloc(4)
-	if !ok {
-		t.Fatal("alloc failed")
-	}
-	// Best fit: the 5-run, not the 20-run.
-	for _, id := range got {
-		if id < 10 || id > 14 {
-			t.Fatalf("best-fit picked %v, want within [10,14]", got)
-		}
-	}
-}
-
-func TestContiguousFallsBackWhenFragmented(t *testing.T) {
-	a := NewContiguous(ids(16))
-	all, _ := a.Alloc(16)
-	_ = all
-	// Free every other node: no run longer than 1.
-	var scattered []cluster.NodeID
-	for i := 0; i < 16; i += 2 {
-		scattered = append(scattered, cluster.NodeID(i))
-	}
-	a.Free(scattered)
-	got, ok := a.Alloc(4)
-	if !ok || len(got) != 4 {
-		t.Fatalf("fragmented alloc failed: %v %v", got, ok)
-	}
-}
-
 func TestTopoAwareMinimizesRacks(t *testing.T) {
 	tp := topo.Default() // 512 per rack
-	n := 2048            // 4 racks
-	ta := NewTopoAware(ids(n), tp)
-	ff := NewFirstFit(ids(n))
-
-	// Fragment both pools the same way: allocate 300 from each rack
-	// region via explicit takes.
-	frag := func(a Allocator) {
-		// Allocate 4 x 300 so each rack keeps 212 free.
-		for i := 0; i < 4; i++ {
-			if _, ok := a.Alloc(300); !ok {
-				t.Fatal("fragmentation alloc failed")
-			}
+	ta := NewTopoAware(ids(2048), tp)
+	// Allocate 4 x 300 so every rack keeps 212 free.
+	for i := 0; i < 4; i++ {
+		if _, ok := ta.Alloc(300); !ok {
+			t.Fatal("fragmentation alloc failed")
 		}
 	}
-	frag(ta)
-	frag(ff)
-
-	// First-fit's free list is now scattered across racks; a 200-node job
-	// fits in one rack under topology-aware placement.
-	gotTA, _ := ta.Alloc(200)
-	gotFF, _ := ff.Alloc(200)
-	if RacksSpanned(tp, gotTA) != 1 {
-		t.Errorf("topo-aware spanned %d racks, want 1", RacksSpanned(tp, gotTA))
-	}
-	if RacksSpanned(tp, gotFF) < RacksSpanned(tp, gotTA) {
-		t.Errorf("first-fit (%d racks) beat topo-aware (%d)",
-			RacksSpanned(tp, gotFF), RacksSpanned(tp, gotTA))
+	// A 200-node job fits in one rack's remainder.
+	got, _ := ta.Alloc(200)
+	if RacksSpanned(tp, got) != 1 {
+		t.Errorf("topo-aware spanned %d racks, want 1", RacksSpanned(tp, got))
 	}
 }
 
@@ -194,41 +123,40 @@ func TestTopoAwareSpillsAcrossFewestRacks(t *testing.T) {
 func TestPropertyAllocatorInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		for _, a := range allocators(256) {
-			live := map[cluster.NodeID]bool{}
-			var held [][]cluster.NodeID
-			free := 256
-			for op := 0; op < 100; op++ {
-				if rng.Float64() < 0.6 || len(held) == 0 {
-					n := 1 + rng.Intn(60)
-					got, ok := a.Alloc(n)
-					if ok != (n <= free) {
-						return false
-					}
-					if !ok {
-						continue
-					}
-					for _, id := range got {
-						if live[id] {
-							return false
-						}
-						live[id] = true
-					}
-					held = append(held, got)
-					free -= n
-				} else {
-					i := rng.Intn(len(held))
-					batch := held[i]
-					held = append(held[:i], held[i+1:]...)
-					a.Free(batch)
-					for _, id := range batch {
-						delete(live, id)
-					}
-					free += len(batch)
-				}
-				if a.FreeCount() != free {
+		a := newAlloc(256)
+		live := map[cluster.NodeID]bool{}
+		var held [][]cluster.NodeID
+		free := 256
+		for op := 0; op < 100; op++ {
+			if rng.Float64() < 0.6 || len(held) == 0 {
+				n := 1 + rng.Intn(60)
+				got, ok := a.Alloc(n)
+				if ok != (n <= free) {
 					return false
 				}
+				if !ok {
+					continue
+				}
+				for _, id := range got {
+					if live[id] {
+						return false
+					}
+					live[id] = true
+				}
+				held = append(held, got)
+				free -= n
+			} else {
+				i := rng.Intn(len(held))
+				batch := held[i]
+				held = append(held[:i], held[i+1:]...)
+				a.Free(batch)
+				for _, id := range batch {
+					delete(live, id)
+				}
+				free += len(batch)
+			}
+			if a.FreeCount() != free {
+				return false
 			}
 		}
 		return true

@@ -4,61 +4,52 @@
 //
 //   - jobs: the job table, lifecycle state machine and multifactor
 //     priority,
-//   - alloc: concrete node selection (topology-aware by default),
-//   - estimate: the runtime-estimation framework steering walltimes,
+//   - alloc: topology-aware node selection,
+//   - sched: the EASY-backfill planner (sched.Plan), the kill rule and the
+//     walltime predictors, the estimation framework among them,
 //   - core: the satellite-relayed master for launch/termination
 //     broadcasts,
 //
 // — into an event-driven scheduling loop with priority ordering and EASY
 // backfill. Jobs submitted through Submit flow PENDING → CONFIGURING →
-// RUNNING → COMPLETING → COMPLETED (or TIMEOUT at their applied walltime),
+// RUNNING → COMPLETING → COMPLETED (or TIMEOUT at their kill limit),
 // with every launch and termination carried by real satellite broadcasts
 // on the simulated cluster.
 //
 // Determinism: the daemon is driven entirely by events on one simnet
-// engine and breaks priority ties by job ID, so a given trace and seed
-// replay to the identical schedule.
+// engine, schedules partitions in configuration order and breaks
+// priority ties by job ID, so a given trace and seed replay to the
+// identical schedule.
 package controller
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"eslurm/internal/alloc"
 	"eslurm/internal/cluster"
 	"eslurm/internal/comm"
 	"eslurm/internal/core"
-	"eslurm/internal/estimate"
 	"eslurm/internal/jobs"
+	"eslurm/internal/sched"
 	"eslurm/internal/simnet"
 	"eslurm/internal/trace"
 )
 
+// schedInterval is the periodic scheduling-pass cadence; event-driven
+// passes also run on every submission and completion.
+const schedInterval = 30 * time.Second
+
 // Config parameterizes the controller.
 type Config struct {
-	// SchedInterval is the periodic scheduling-pass cadence (event-driven
-	// passes also run on submissions and completions).
-	SchedInterval time.Duration
-	// Priority weights the pending queue.
-	Priority jobs.PriorityConfig
-	// UseEstimator enables the runtime-estimation framework for walltime
-	// planning; otherwise user estimates rule.
-	UseEstimator bool
-	// Estimator configures the framework when enabled.
-	Estimator estimate.FrameworkConfig
-	// KillAtLimit enforces the applied walltime.
+	// Predictor supplies the walltime each job is planned with and hears
+	// every finished job; nil means sched.UserWalltimes. Pass
+	// sched.FrameworkWalltimes to plan with the estimation framework.
+	Predictor sched.WalltimePredictor
+	// KillAtLimit kills a job at sched.KillLimit of its planned walltime.
 	KillAtLimit bool
 	// Partitions carves the cluster into named scheduling domains; empty
 	// means one default "batch" partition over every compute node.
 	Partitions []Partition
-}
-
-func (c Config) withDefaults() Config {
-	if c.SchedInterval == 0 {
-		c.SchedInterval = 30 * time.Second
-	}
-	return c
 }
 
 // JobSpec describes one submission.
@@ -119,41 +110,31 @@ type Controller struct {
 	Cluster  *cluster.Cluster
 	Master   *core.Master
 	Registry *jobs.Registry
-	// Allocator is the default partition's allocator (kept for
-	// single-partition callers; partition-routed jobs use their own).
-	Allocator alloc.Allocator
-	Framework *estimate.Framework
 
 	cfg         Config
 	metrics     Metrics
 	pending     map[jobs.ID]*pendingInfo
-	running     map[jobs.ID]*runningInfo
-	partitions  map[string]*partitionState
-	defaultPart string
+	partitions  []*partitionState // in configuration order
+	defaultPart *partitionState
 	ticker      *simnet.Ticker
 }
 
-// New assembles a controller over a cluster with the given master and
-// fallback allocator (used by the implicit default partition when
-// cfg.Partitions is empty). If cfg.UseEstimator is set a fresh framework
-// is created.
-func New(c *cluster.Cluster, m *core.Master, a alloc.Allocator, cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults()
+// New assembles a controller over a cluster with the given master. Each
+// partition gets a topology-aware allocator over its nodes.
+func New(c *cluster.Cluster, m *core.Master, cfg Config) (*Controller, error) {
+	if cfg.Predictor == nil {
+		cfg.Predictor = sched.UserWalltimes{}
+	}
 	ctl := &Controller{
 		Engine:   c.Engine,
 		Cluster:  c,
 		Master:   m,
-		Registry: jobs.NewRegistry(cfg.Priority, 0),
+		Registry: jobs.NewRegistry(),
 		cfg:      cfg,
 		pending:  make(map[jobs.ID]*pendingInfo),
-		running:  make(map[jobs.ID]*runningInfo),
 	}
-	if err := ctl.buildPartitions(cfg.Partitions, a); err != nil {
+	if err := ctl.buildPartitions(cfg.Partitions); err != nil {
 		return nil, err
-	}
-	ctl.Allocator = ctl.partitions[ctl.defaultPart].allocator
-	if cfg.UseEstimator {
-		ctl.Framework = estimate.NewFramework(cfg.Estimator)
 	}
 	return ctl, nil
 }
@@ -161,7 +142,7 @@ func New(c *cluster.Cluster, m *core.Master, a alloc.Allocator, cfg Config) (*Co
 // Start boots the master daemon and the periodic scheduling pass.
 func (ctl *Controller) Start() {
 	ctl.Master.Start()
-	ctl.ticker = ctl.Engine.Every(ctl.cfg.SchedInterval, ctl.schedule)
+	ctl.ticker = ctl.Engine.Every(schedInterval, ctl.schedule)
 }
 
 // Stop halts periodic activity.
@@ -179,7 +160,13 @@ func (ctl *Controller) Metrics() Metrics { return ctl.metrics }
 func (ctl *Controller) QueueDepth() int { return len(ctl.pending) }
 
 // RunningCount returns the number of running jobs.
-func (ctl *Controller) RunningCount() int { return len(ctl.running) }
+func (ctl *Controller) RunningCount() int {
+	n := 0
+	for _, ps := range ctl.partitions {
+		n += len(ps.running)
+	}
+	return n
+}
 
 // Submit enqueues a job. Invalid requests (oversized, unknown partition,
 // beyond the partition's MaxTime) are rejected immediately, as a real RM
@@ -198,14 +185,10 @@ func (ctl *Controller) Submit(spec JobSpec) (jobs.ID, error) {
 	j := ctl.Registry.Submit(spec.Name, spec.User, ps.def.Name, spec.Nodes, spec.Cores, spec.UserEstimate, now)
 	ctl.metrics.Submitted++
 
-	// Walltime planning: the estimation framework's real-time module when
-	// enabled (model estimate behind the AEA gate), else the user request.
 	wall := spec.UserEstimate
-	if ctl.Framework != nil {
-		tj := specToTraceJob(spec, now)
-		if p := ctl.Framework.Predict(&tj); p.Used > 0 {
-			wall = p.Used
-		}
+	tj := specToTraceJob(spec, now)
+	if p := ctl.cfg.Predictor.Walltime(&tj); p > 0 {
+		wall = p
 	}
 	if wall <= 0 {
 		wall = 24 * time.Hour
@@ -225,8 +208,8 @@ func specToTraceJob(spec JobSpec, now time.Duration) trace.Job {
 	}
 }
 
-// schedule runs one priority + EASY-backfill pass per partition:
-// partitions are independent scheduling domains.
+// schedule runs one priority + EASY-backfill pass per partition, in
+// configuration order: partitions are independent scheduling domains.
 func (ctl *Controller) schedule() {
 	now := ctl.Engine.Now()
 	order := ctl.Registry.Pending(now)
@@ -238,143 +221,76 @@ func (ctl *Controller) schedule() {
 	}
 }
 
+// schedulePartition hands the partition's queue, in priority order, to
+// sched.Plan and starts what it picks.
 func (ctl *Controller) schedulePartition(ps *partitionState, order []*jobs.Job, now time.Duration) {
-	// Start in priority order while resources last.
-	idx := 0
-	for ; idx < len(order); idx++ {
-		info := ctl.pending[order[idx].ID]
-		if info == nil || info.part != ps {
-			continue
+	var queue []*pendingInfo
+	var reqs []sched.Request
+	for _, j := range order {
+		if info := ctl.pending[j.ID]; info != nil && info.part == ps {
+			queue = append(queue, info)
+			reqs = append(reqs, sched.Request{Nodes: info.spec.Nodes, Span: info.walltime})
 		}
-		if info.spec.Nodes > ps.allocator.FreeCount() {
-			break
-		}
-		ctl.start(info)
 	}
-	if idx >= len(order) {
+	if len(queue) == 0 {
 		return
 	}
-	// EASY backfill behind the blocked head.
-	head := ctl.pending[order[idx].ID]
-	if head == nil || head.part != ps {
-		return
+	rels := make([]sched.Release, len(ps.running))
+	for i, r := range ps.running {
+		rels[i] = sched.Release{End: r.limitEnd, Nodes: len(r.nodes)}
 	}
-	shadow, extra := ctl.reservation(ps, head.spec.Nodes)
-	for _, j := range order[idx+1:] {
-		info := ctl.pending[j.ID]
-		if info == nil || info.part != ps || info.spec.Nodes > ps.allocator.FreeCount() {
-			continue
-		}
-		endsBy := now + info.walltime
-		if endsBy <= shadow || info.spec.Nodes <= extra {
-			ctl.start(info)
-			if info.spec.Nodes <= extra {
-				extra -= info.spec.Nodes
-			}
-		}
+	for _, i := range sched.Plan(sched.Backfill, now, ps.allocator.FreeCount(), rels, reqs) {
+		ctl.start(queue[i])
 	}
 }
 
-// reservation computes the head job's shadow time and the spare nodes at
-// that time within one partition.
-func (ctl *Controller) reservation(ps *partitionState, n int) (time.Duration, int) {
-	avail := ps.allocator.FreeCount()
-	if n <= avail {
-		return ctl.Engine.Now(), avail - n
+// transition applies one lifecycle step. An illegal step is a controller
+// bug.
+func (ctl *Controller) transition(j *jobs.Job, to jobs.State) {
+	if err := ctl.Registry.Transition(j, to, ctl.Engine.Now()); err != nil {
+		panic(err)
 	}
-	// Collect running jobs by walltime end. The job ID breaks end-time
-	// ties: without it, equal-end jobs keep random map order and the
-	// (shadow, extra) result varies between identically seeded runs.
-	type rel struct {
-		end   time.Duration
-		nodes int
-		id    jobs.ID
-	}
-	var rels []rel
-	for r := range ps.running {
-		rels = append(rels, rel{r.limitEnd, len(r.nodes), r.job.ID})
-	}
-	sort.Slice(rels, func(i, j int) bool {
-		if rels[i].end != rels[j].end {
-			return rels[i].end < rels[j].end
-		}
-		return rels[i].id < rels[j].id
-	})
-	for _, r := range rels {
-		avail += r.nodes
-		if avail >= n {
-			return r.end, avail - n
-		}
-	}
-	return ctl.Engine.Now() + 365*24*time.Hour, 0
 }
 
 // start allocates nodes and drives the job through its lifecycle.
 func (ctl *Controller) start(info *pendingInfo) {
-	ps := info.part
+	ps, j := info.part, info.job
 	nodes, ok := ps.allocator.Alloc(info.spec.Nodes)
 	if !ok {
-		return
+		panic(fmt.Sprintf("controller: plan started job %d on %d nodes, %d free", j.ID, info.spec.Nodes, ps.allocator.FreeCount()))
 	}
-	now := ctl.Engine.Now()
-	j := info.job
 	delete(ctl.pending, j.ID)
-	ctl.Registry.Transition(j, jobs.Configuring, now)
+	ctl.transition(j, jobs.Configuring)
 	ctl.metrics.Started++
-	ctl.metrics.WaitSum += now - j.SubmitAt
+	ctl.metrics.WaitSum += ctl.Engine.Now() - j.SubmitAt
 
-	run := &runningInfo{job: j, nodes: nodes, limitEnd: now + info.walltime}
-	ctl.running[j.ID] = run
-	ps.running[run] = struct{}{}
+	run := &runningInfo{job: j, nodes: nodes, limitEnd: ctl.Engine.Now() + info.walltime}
+	ps.running = append(ps.running, run)
 
 	ctl.Master.LoadJob(nodes, func(r comm.Result) {
-		spawnAt := ctl.Engine.Now()
 		ctl.metrics.SpawnSum += r.DeliveredElapsed
 		ctl.metrics.SpawnReps++
-		ctl.Registry.Transition(j, jobs.Running, spawnAt)
+		ctl.transition(j, jobs.Running)
 
-		// Kill policy (matches internal/sched): the planned walltime
-		// steers scheduling, but a job is never killed before its own
-		// request; the model estimate is enforced only when the user gave
-		// no estimate.
-		limit := info.walltime
-		if info.spec.UserEstimate > limit {
-			limit = info.spec.UserEstimate
-		}
-		runtime := info.spec.Runtime
-		timedOut := false
-		if ctl.cfg.KillAtLimit && limit < runtime {
-			runtime = limit
-			timedOut = true
+		runtime, end := info.spec.Runtime, jobs.Completed
+		if limit := sched.KillLimit(info.walltime, info.spec.UserEstimate); ctl.cfg.KillAtLimit && limit < runtime {
+			runtime, end = limit, jobs.Timeout
 		}
 		ctl.Engine.After(runtime, func() {
-			endState := jobs.Completed
-			if timedOut {
-				endState = jobs.Timeout
-			}
-			ctl.Registry.Transition(j, jobs.Completing, ctl.Engine.Now())
+			ctl.transition(j, jobs.Completing)
 			ctl.Master.TerminateJob(nodes, func(comm.Result) {
-				done := ctl.Engine.Now()
-				if endState == jobs.Completed {
-					// Completing -> Completed; Timeout is reached from
-					// Running in the lifecycle, so map it to Failed-ish
-					// bookkeeping via Completing -> Completed with the
-					// metric recorded separately.
-					ctl.Registry.Transition(j, jobs.Completed, done)
-					ctl.metrics.Completed++
-				} else {
-					ctl.Registry.Transition(j, jobs.Failed, done)
+				ctl.transition(j, end)
+				if end == jobs.Timeout {
 					ctl.metrics.TimedOut++
+				} else {
+					ctl.metrics.Completed++
 				}
-				delete(ctl.running, j.ID)
-				delete(ps.running, run)
+				ps.remove(run)
 				ps.allocator.Free(nodes)
-				// Feed the record module with the observed outcome.
-				if ctl.Framework != nil {
-					tj := specToTraceJob(info.spec, j.SubmitAt)
-					tj.Runtime = runtime
-					ctl.Framework.Complete(&tj)
-				}
+				// Feed the predictor with the observed outcome.
+				tj := specToTraceJob(info.spec, j.SubmitAt)
+				tj.Runtime = runtime
+				ctl.cfg.Predictor.JobDone(&tj)
 				ctl.schedule()
 			})
 		})

@@ -1,16 +1,16 @@
 package controller
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
-	"eslurm/internal/alloc"
 	"eslurm/internal/cluster"
 	"eslurm/internal/core"
 	"eslurm/internal/estimate"
 	"eslurm/internal/jobs"
+	"eslurm/internal/sched"
 	"eslurm/internal/simnet"
-	"eslurm/internal/topo"
 	"eslurm/internal/trace"
 )
 
@@ -18,8 +18,7 @@ func newController(seed int64, computes int, cfg Config) (*simnet.Engine, *clust
 	e := simnet.NewEngine(seed)
 	c := cluster.New(e, cluster.Config{Computes: computes, Satellites: 2})
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	a := alloc.NewTopoAware(c.Computes(), topo.Default())
-	ctl, err := New(c, m, a, cfg)
+	ctl, err := New(c, m, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -52,7 +51,7 @@ func TestSingleJobLifecycle(t *testing.T) {
 	if ctl.RunningCount() != 0 || ctl.QueueDepth() != 0 {
 		t.Error("controller state not drained")
 	}
-	if ctl.Allocator.FreeCount() != 64 {
+	if ctl.defaultPart.allocator.FreeCount() != 64 {
 		t.Error("nodes leaked")
 	}
 }
@@ -74,13 +73,13 @@ func TestWalltimeKill(t *testing.T) {
 		UserEstimate: 10 * time.Minute, Runtime: time.Hour})
 	e.RunUntil(2 * time.Hour)
 	j := ctl.Registry.Get(id)
-	if j.State() != jobs.Failed {
+	if j.State() != jobs.Timeout {
 		t.Fatalf("killed job state = %v", j.State())
 	}
 	if ctl.Metrics().TimedOut != 1 {
 		t.Error("timeout not counted")
 	}
-	if ctl.Allocator.FreeCount() != 32 {
+	if ctl.defaultPart.allocator.FreeCount() != 32 {
 		t.Error("killed job leaked nodes")
 	}
 }
@@ -142,11 +141,8 @@ func TestPriorityOrderDrivesStarts(t *testing.T) {
 }
 
 func TestEstimatorIntegration(t *testing.T) {
-	e, _, ctl := newController(7, 256, Config{
-		UseEstimator: true,
-		Estimator:    estimate.FrameworkConfig{MinTrain: 40, RefreshEvery: time.Hour},
-		KillAtLimit:  true,
-	})
+	fw := estimate.NewFramework(estimate.FrameworkConfig{MinTrain: 40, RefreshEvery: time.Hour})
+	e, _, ctl := newController(7, 256, Config{Predictor: sched.FrameworkWalltimes{F: fw}, KillAtLimit: true})
 	// Feed a steady stream of identical jobs; after the framework trains,
 	// its walltimes take over from the (inflated) user estimates.
 	rng := e.Rand("test/jobs")
@@ -162,7 +158,7 @@ func TestEstimatorIntegration(t *testing.T) {
 		submit(time.Second + time.Duration(i)*4*time.Minute)
 	}
 	e.RunUntil(20 * time.Hour)
-	if ctl.Framework.Generations == 0 {
+	if fw.Generations == 0 {
 		t.Fatal("framework never trained")
 	}
 	m := ctl.Metrics()
@@ -176,7 +172,7 @@ func TestEstimatorIntegration(t *testing.T) {
 }
 
 func TestTraceReplayThroughController(t *testing.T) {
-	e, _, ctl := newController(8, 512, Config{KillAtLimit: true, SchedInterval: 5 * time.Minute})
+	e, _, ctl := newController(8, 512, Config{KillAtLimit: true})
 	tr := trace.Generate(trace.Tianhe2AConfig(400))
 	for i := range tr.Jobs {
 		j := tr.Jobs[i]
@@ -193,7 +189,103 @@ func TestTraceReplayThroughController(t *testing.T) {
 	if m.Completed+m.TimedOut < m.Submitted*9/10 {
 		t.Fatalf("only %d/%d jobs finished", m.Completed+m.TimedOut, m.Submitted)
 	}
-	if ctl.Allocator.FreeCount() != 512 {
+	if ctl.defaultPart.allocator.FreeCount() != 512 {
 		t.Error("nodes leaked after replay")
+	}
+}
+
+// timedSpec is one submission of a replay.
+type timedSpec struct {
+	at   time.Duration
+	spec JobSpec
+}
+
+// replay submits specs to a fresh controller over computes nodes and
+// returns the cluster's event digest and the final metrics.
+func replay(seed int64, computes int, parts func(*cluster.Cluster) []Partition, specs []timedSpec) (uint64, Metrics) {
+	e := simnet.NewEngine(seed)
+	c := cluster.New(e, cluster.Config{Computes: computes, Satellites: 2})
+	c.Group().EnableDigest()
+	m := core.NewMaster(c, core.DefaultConfig(), nil)
+	cfg := Config{KillAtLimit: true}
+	if parts != nil {
+		cfg.Partitions = parts(c)
+	}
+	ctl, err := New(c, m, cfg)
+	if err != nil {
+		panic(err)
+	}
+	ctl.Start()
+	end := time.Duration(0)
+	for _, s := range specs {
+		s := s
+		e.Schedule(s.at, func() { ctl.Submit(s.spec) })
+		if s.at > end {
+			end = s.at
+		}
+	}
+	e.RunUntil(end + 4*24*time.Hour)
+	ctl.Stop()
+	e.RunUntil(e.Now() + time.Hour)
+	return c.Group().Digest(), ctl.Metrics()
+}
+
+// contendedTrace is 300 Tianhe-2A jobs of at most 64 nodes submitted
+// within six simulated hours: on 128 nodes most of them queue.
+func contendedTrace() []timedSpec {
+	gen := trace.Tianhe2AConfig(300)
+	gen.Days = 1
+	gen.MaxNodes = 64
+	var out []timedSpec
+	for _, j := range trace.Generate(gen).Jobs {
+		out = append(out, timedSpec{time.Second + j.Submit/4, JobSpec{Name: j.Name, User: j.User,
+			Nodes: j.Nodes, Cores: j.Cores, UserEstimate: j.UserEstimate, Runtime: j.Runtime}})
+	}
+	return out
+}
+
+// TestReplayPinned pins the event digest and metrics of one contended
+// single-partition replay: planner, allocator and lifecycle changes that
+// claim "same schedule" answer to it.
+func TestReplayPinned(t *testing.T) {
+	const (
+		wantDigest  = 0xd223f6558e20aef0
+		wantMetrics = "{Submitted:300 Started:300 Completed:262 TimedOut:38 Rejected:0 WaitSum:608h14m3.76613558s SpawnSum:931.66838ms SpawnReps:300}"
+	)
+	digest, m := replay(7, 128, nil, contendedTrace())
+	if got := fmt.Sprintf("%+v", m); digest != wantDigest || got != wantMetrics {
+		t.Errorf("replay digest %016x metrics %s, want %016x %s", digest, got, uint64(wantDigest), wantMetrics)
+	}
+}
+
+// TestMultiPartitionReplayDeterministic: partitions are scheduled in
+// configuration order, so launches issued in one pass broadcast in the
+// same order on every run. Each round provokes such a pass: partition a's
+// job completes and charges its user's fair share, which in the same pass
+// lets a's queued job start and demotes that user's head job in b below a
+// 4-node job that fits b's free nodes.
+func TestMultiPartitionReplayDeterministic(t *testing.T) {
+	halves := func(c *cluster.Cluster) []Partition {
+		comps := c.Computes()
+		return []Partition{{Name: "a", Nodes: comps[:64], Default: true}, {Name: "b", Nodes: comps[64:]}}
+	}
+	var specs []timedSpec
+	job := func(at time.Duration, part, user string, nodes int, est, run time.Duration) {
+		specs = append(specs, timedSpec{at, JobSpec{Name: "j", User: user, Partition: part,
+			Nodes: nodes, UserEstimate: est, Runtime: run}})
+	}
+	for k := 0; k < 6; k++ {
+		t0, heavy := time.Duration(k)*24*time.Hour+time.Second, fmt.Sprint("heavy", k)
+		job(t0, "a", heavy, 64, 2*time.Hour, time.Hour)
+		job(t0, "b", "filler", 60, 10*time.Hour, 10*time.Hour)
+		job(t0+time.Minute, "b", heavy, 64, time.Hour, time.Hour)
+		job(t0+time.Minute, "b", fmt.Sprint("light", k), 4, 20*time.Hour, time.Hour)
+		job(t0+time.Minute, "a", "other", 8, time.Hour, 30*time.Minute)
+	}
+	want, wm := replay(7, 128, halves, specs)
+	for run := 1; run < 4; run++ {
+		if got, gm := replay(7, 128, halves, specs); got != want || gm != wm {
+			t.Fatalf("run %d: digest %016x metrics %+v, run 0: %016x %+v", run, got, gm, want, wm)
+		}
 	}
 }

@@ -24,8 +24,18 @@ type Partition struct {
 // partitionState is the controller's per-partition scheduling state.
 type partitionState struct {
 	def       Partition
-	allocator alloc.Allocator
-	running   map[*runningInfo]struct{}
+	allocator *alloc.TopoAware
+	running   []*runningInfo
+}
+
+// remove drops a finished job from the running list.
+func (ps *partitionState) remove(run *runningInfo) {
+	for i, r := range ps.running {
+		if r == run {
+			ps.running = append(ps.running[:i], ps.running[i+1:]...)
+			return
+		}
+	}
 }
 
 // PartitionsFromConfig maps a parsed configuration's partitions onto the
@@ -61,41 +71,40 @@ func PartitionsFromConfig(cfg *config.Config, c *cluster.Cluster) ([]Partition, 
 	return out, nil
 }
 
-// buildPartitions materializes the controller's partition table. With no
-// configured partitions, every compute node lands in one default "batch"
-// partition backed by the externally supplied allocator; otherwise each
-// partition gets its own topology-aware allocator over its node set.
-func (ctl *Controller) buildPartitions(parts []Partition, fallback alloc.Allocator) error {
-	ctl.partitions = make(map[string]*partitionState)
+// buildPartitions materializes the controller's partition table, in
+// configuration order. With no configured partitions, every compute node
+// lands in one default "batch" partition.
+func (ctl *Controller) buildPartitions(parts []Partition) error {
 	if len(parts) == 0 {
-		ctl.partitions["batch"] = &partitionState{
-			def:       Partition{Name: "batch", Nodes: ctl.Cluster.Computes(), Default: true},
-			allocator: fallback,
-			running:   make(map[*runningInfo]struct{}),
-		}
-		ctl.defaultPart = "batch"
-		return nil
+		parts = []Partition{{Name: "batch", Nodes: ctl.Cluster.Computes(), Default: true}}
 	}
 	for _, p := range parts {
-		if _, dup := ctl.partitions[p.Name]; dup {
+		if ctl.partition(p.Name) != nil {
 			return fmt.Errorf("controller: duplicate partition %q", p.Name)
 		}
 		if len(p.Nodes) == 0 {
 			return fmt.Errorf("controller: partition %q has no nodes", p.Name)
 		}
-		ctl.partitions[p.Name] = &partitionState{
-			def:       p,
-			allocator: alloc.NewTopoAware(p.Nodes, topo.Default()),
-			running:   make(map[*runningInfo]struct{}),
-		}
-		if p.Default && ctl.defaultPart == "" {
-			ctl.defaultPart = p.Name
+		ps := &partitionState{def: p, allocator: alloc.NewTopoAware(p.Nodes, topo.Default())}
+		ctl.partitions = append(ctl.partitions, ps)
+		if p.Default && ctl.defaultPart == nil {
+			ctl.defaultPart = ps
 		}
 	}
-	if ctl.defaultPart == "" {
+	if ctl.defaultPart == nil {
 		// First configured partition becomes the default, as in Slurm when
 		// none is flagged.
-		ctl.defaultPart = parts[0].Name
+		ctl.defaultPart = ctl.partitions[0]
+	}
+	return nil
+}
+
+// partition looks a partition up by name; nil if there is none.
+func (ctl *Controller) partition(name string) *partitionState {
+	for _, ps := range ctl.partitions {
+		if ps.def.Name == name {
+			return ps
+		}
 	}
 	return nil
 }
@@ -103,21 +112,20 @@ func (ctl *Controller) buildPartitions(parts []Partition, fallback alloc.Allocat
 // resolvePartition picks the job's partition and validates the request
 // against it.
 func (ctl *Controller) resolvePartition(spec *JobSpec) (*partitionState, error) {
-	name := spec.Partition
-	if name == "" {
-		name = ctl.defaultPart
+	ps := ctl.defaultPart
+	if spec.Partition != "" {
+		ps = ctl.partition(spec.Partition)
 	}
-	ps, ok := ctl.partitions[name]
-	if !ok {
-		return nil, fmt.Errorf("controller: unknown partition %q", name)
+	if ps == nil {
+		return nil, fmt.Errorf("controller: unknown partition %q", spec.Partition)
 	}
 	if spec.Nodes > len(ps.def.Nodes) {
 		return nil, fmt.Errorf("controller: job needs %d nodes, partition %q has %d",
-			spec.Nodes, name, len(ps.def.Nodes))
+			spec.Nodes, ps.def.Name, len(ps.def.Nodes))
 	}
 	if ps.def.MaxTime > 0 && spec.UserEstimate > ps.def.MaxTime {
 		return nil, fmt.Errorf("controller: requested %v exceeds partition %q MaxTime %v",
-			spec.UserEstimate, name, ps.def.MaxTime)
+			spec.UserEstimate, ps.def.Name, ps.def.MaxTime)
 	}
 	return ps, nil
 }

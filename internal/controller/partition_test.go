@@ -5,13 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"eslurm/internal/alloc"
 	"eslurm/internal/cluster"
 	"eslurm/internal/config"
 	"eslurm/internal/core"
 	"eslurm/internal/jobs"
 	"eslurm/internal/simnet"
-	"eslurm/internal/topo"
 )
 
 func twoPartitions(c *cluster.Cluster) []Partition {
@@ -26,8 +24,7 @@ func TestPartitionRouting(t *testing.T) {
 	e := simnet.NewEngine(32)
 	c := cluster.New(e, cluster.Config{Computes: 64, Satellites: 1})
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	a := alloc.NewTopoAware(c.Computes(), topo.Default())
-	ctl, err := New(c, m, a, Config{Partitions: twoPartitions(c), KillAtLimit: true})
+	ctl, err := New(c, m, Config{Partitions: twoPartitions(c), KillAtLimit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +57,7 @@ func TestPartitionRejections(t *testing.T) {
 	e := simnet.NewEngine(33)
 	c := cluster.New(e, cluster.Config{Computes: 64, Satellites: 1})
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	a := alloc.NewTopoAware(c.Computes(), topo.Default())
-	ctl, err := New(c, m, a, Config{Partitions: twoPartitions(c)})
+	ctl, err := New(c, m, Config{Partitions: twoPartitions(c)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +88,7 @@ func TestPartitionsAreIndependentDomains(t *testing.T) {
 	e := simnet.NewEngine(34)
 	c := cluster.New(e, cluster.Config{Computes: 64, Satellites: 1})
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	a := alloc.NewTopoAware(c.Computes(), topo.Default())
-	ctl, err := New(c, m, a, Config{Partitions: twoPartitions(c)})
+	ctl, err := New(c, m, Config{Partitions: twoPartitions(c)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +113,13 @@ func TestDuplicateAndEmptyPartitionsRejected(t *testing.T) {
 	e := simnet.NewEngine(35)
 	c := cluster.New(e, cluster.Config{Computes: 16, Satellites: 1})
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	a := alloc.NewTopoAware(c.Computes(), topo.Default())
 	comps := c.Computes()
-	if _, err := New(c, m, a, Config{Partitions: []Partition{
+	if _, err := New(c, m, Config{Partitions: []Partition{
 		{Name: "p", Nodes: comps[:8]}, {Name: "p", Nodes: comps[8:]},
 	}}); err == nil {
 		t.Error("duplicate partitions accepted")
 	}
-	if _, err := New(c, m, a, Config{Partitions: []Partition{{Name: "empty"}}}); err == nil {
+	if _, err := New(c, m, Config{Partitions: []Partition{{Name: "empty"}}}); err == nil {
 		t.Error("empty partition accepted")
 	}
 }

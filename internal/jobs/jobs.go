@@ -86,7 +86,7 @@ func validTransition(from, to State) bool {
 	case Running:
 		return to == Completing || to == Failed || to == Timeout || to == Cancelled
 	case Completing:
-		return to == Completed || to == Failed
+		return to == Completed || to == Failed || to == Timeout
 	}
 	return false
 }
@@ -130,29 +130,23 @@ func (e *ErrBadTransition) Error() string {
 type Registry struct {
 	nextID ID
 	live   map[ID]*Job
-	// done keeps a bounded history of terminal jobs (the "historical job
+	// done keeps the last historyCap terminal jobs (the "historical job
 	// queue" the estimation framework trains on).
-	done    []*Job
-	doneCap int
-	counts  map[State]int
-
-	prio PriorityConfig
-	fs   *Fairshare
+	done   []*Job
+	counts map[State]int
+	fs     *Fairshare
 }
 
-// NewRegistry builds an empty registry keeping up to historyCap terminal
-// jobs (0 defaults to 10,000).
-func NewRegistry(prio PriorityConfig, historyCap int) *Registry {
-	if historyCap <= 0 {
-		historyCap = 10000
-	}
+// historyCap is how many terminal jobs a registry keeps.
+const historyCap = 10000
+
+// NewRegistry builds an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
-		nextID:  1,
-		live:    make(map[ID]*Job),
-		doneCap: historyCap,
-		counts:  make(map[State]int),
-		prio:    prio.withDefaults(),
-		fs:      NewFairshare(prio.withDefaults().UsageHalfLife),
+		nextID: 1,
+		live:   make(map[ID]*Job),
+		counts: make(map[State]int),
+		fs:     NewFairshare(usageHalfLife),
 	}
 }
 
@@ -208,8 +202,8 @@ func (r *Registry) Transition(j *Job, to State, now time.Duration) error {
 	if to.Terminal() {
 		delete(r.live, j.ID)
 		r.done = append(r.done, j)
-		if len(r.done) > r.doneCap {
-			r.done = append(r.done[:0], r.done[len(r.done)-r.doneCap:]...)
+		if len(r.done) > historyCap {
+			r.done = append(r.done[:0], r.done[len(r.done)-historyCap:]...)
 		}
 	}
 	return nil
@@ -240,7 +234,7 @@ func (r *Registry) Pending(now time.Duration) []*Job {
 	var out []*Job
 	for _, j := range r.live {
 		if j.state == Pending {
-			j.priority = r.prio.Score(j, r.fs, now)
+			j.priority = score(j, r.fs, now)
 			out = append(out, j)
 		}
 	}
@@ -257,60 +251,38 @@ func (r *Registry) Pending(now time.Duration) []*Job {
 	return out
 }
 
-// PriorityConfig weights the multifactor priority, mirroring Slurm's
-// priority/multifactor plugin: age, fair-share and job-size factors.
-type PriorityConfig struct {
-	// AgeWeight scales the age factor (queue wait / MaxAge, capped at 1).
-	AgeWeight float64
-	// FairshareWeight scales the fair-share factor 2^(−usage/shares).
-	FairshareWeight float64
-	// SizeWeight scales the job-size factor (favoring large jobs, as
+// The multifactor priority, after Slurm's priority/multifactor plugin:
+// weighted age, fair-share and job-size factors.
+const (
+	// ageWeight scales the age factor (queue wait / maxAge, capped at 1).
+	ageWeight = 1000
+	// fairshareWeight scales the fair-share factor 2^(−usage/shares).
+	fairshareWeight = 2000
+	// sizeWeight scales the job-size factor (favoring large jobs, as
 	// Slurm's default does to fight large-job starvation).
-	SizeWeight float64
-	// MaxAge saturates the age factor.
-	MaxAge time.Duration
-	// MaxNodes normalizes the size factor.
-	MaxNodes int
-	// UsageHalfLife is the fair-share usage decay half-life.
-	UsageHalfLife time.Duration
-}
+	sizeWeight = 500
+	// maxAge saturates the age factor.
+	maxAge = 7 * 24 * time.Hour
+	// maxNodes normalizes the size factor.
+	maxNodes = 20480
+	// usageHalfLife is the fair-share usage decay half-life.
+	usageHalfLife = 7 * 24 * time.Hour
+)
 
-func (c PriorityConfig) withDefaults() PriorityConfig {
-	if c.AgeWeight == 0 {
-		c.AgeWeight = 1000
-	}
-	if c.FairshareWeight == 0 {
-		c.FairshareWeight = 2000
-	}
-	if c.SizeWeight == 0 {
-		c.SizeWeight = 500
-	}
-	if c.MaxAge == 0 {
-		c.MaxAge = 7 * 24 * time.Hour
-	}
-	if c.MaxNodes == 0 {
-		c.MaxNodes = 20480
-	}
-	if c.UsageHalfLife == 0 {
-		c.UsageHalfLife = 7 * 24 * time.Hour
-	}
-	return c
-}
-
-// Score computes a job's multifactor priority at time now.
-func (c PriorityConfig) Score(j *Job, fs *Fairshare, now time.Duration) float64 {
-	age := float64(now-j.SubmitAt) / float64(c.MaxAge)
+// score computes a job's multifactor priority at time now.
+func score(j *Job, fs *Fairshare, now time.Duration) float64 {
+	age := float64(now-j.SubmitAt) / float64(maxAge)
 	if age > 1 {
 		age = 1
 	}
 	if age < 0 {
 		age = 0
 	}
-	size := float64(j.Nodes) / float64(c.MaxNodes)
+	size := float64(j.Nodes) / maxNodes
 	if size > 1 {
 		size = 1
 	}
-	return c.AgeWeight*age + c.FairshareWeight*fs.Factor(j.User, now) + c.SizeWeight*size
+	return ageWeight*age + fairshareWeight*fs.Factor(j.User, now) + sizeWeight*size
 }
 
 // Fairshare tracks per-user decayed usage (node-seconds) and converts it

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func newReg() *Registry { return NewRegistry(PriorityConfig{}, 0) }
+func newReg() *Registry { return NewRegistry() }
 
 func TestLifecycleHappyPath(t *testing.T) {
 	r := newReg()
@@ -70,6 +70,21 @@ func TestRunningFailureModes(t *testing.T) {
 	}
 }
 
+// TestKilledAtLimitEndsTimeout: a job killed at its walltime limit drains
+// through COMPLETING like any other and ends TIMEOUT.
+func TestKilledAtLimitEndsTimeout(t *testing.T) {
+	r := newReg()
+	j := r.Submit("x", "u", "p", 2, 48, time.Hour, 0)
+	for i, s := range []State{Configuring, Running, Completing, Timeout} {
+		if err := r.Transition(j, s, time.Duration(i)*time.Minute); err != nil {
+			t.Fatalf("-> %v: %v", s, err)
+		}
+	}
+	if r.Counts()[Timeout] != 1 || len(r.History()) != 1 {
+		t.Errorf("counts = %v, history = %d", r.Counts(), len(r.History()))
+	}
+}
+
 func TestStateStringsAndTerminal(t *testing.T) {
 	for s := Pending; s <= Cancelled; s++ {
 		if s.String() == "" {
@@ -88,22 +103,22 @@ func TestStateStringsAndTerminal(t *testing.T) {
 }
 
 func TestHistoryEviction(t *testing.T) {
-	r := NewRegistry(PriorityConfig{}, 5)
-	for i := 0; i < 8; i++ {
+	r := newReg()
+	for i := 0; i < historyCap+3; i++ {
 		j := r.Submit("x", "u", "p", 1, 24, time.Hour, 0)
 		r.Transition(j, Cancelled, time.Minute)
 	}
-	if len(r.History()) != 5 {
-		t.Fatalf("history = %d, want cap 5", len(r.History()))
+	if len(r.History()) != historyCap {
+		t.Fatalf("history = %d, want cap %d", len(r.History()), historyCap)
 	}
 	if r.History()[0].ID != 4 {
 		t.Errorf("oldest retained = %d, want 4", r.History()[0].ID)
 	}
 	// Evicted jobs are gone, retained are findable.
-	if r.Get(1) != nil {
+	if r.Get(3) != nil {
 		t.Error("evicted job still accessible")
 	}
-	if r.Get(6) == nil {
+	if r.Get(historyCap) == nil {
 		t.Error("retained job lost")
 	}
 }
@@ -172,11 +187,10 @@ func TestFairshareDecay(t *testing.T) {
 }
 
 func TestAgeFactorSaturates(t *testing.T) {
-	cfg := PriorityConfig{}.withDefaults()
 	fs := NewFairshare(0)
 	j := &Job{Nodes: 1, SubmitAt: 0}
-	p1 := cfg.Score(j, fs, cfg.MaxAge)
-	p2 := cfg.Score(j, fs, 10*cfg.MaxAge)
+	p1 := score(j, fs, maxAge)
+	p2 := score(j, fs, 10*maxAge)
 	if p1 != p2 {
 		t.Errorf("age factor did not saturate: %v vs %v", p1, p2)
 	}

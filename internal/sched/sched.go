@@ -17,6 +17,7 @@
 package sched
 
 import (
+	"sort"
 	"time"
 
 	"eslurm/internal/estimate"
@@ -118,23 +119,91 @@ type Result struct {
 
 const slowdownTau = 10 * time.Second
 
-// runningJob tracks an executing job for the backfill planner.
-type runningJob struct {
-	nodes    int
-	limitEnd time.Duration // when its walltime limit expires
-}
-
 type queuedJob struct {
 	job trace.Job
-	// walltime is the limit the scheduler plans with (predictor output).
-	walltime time.Duration
-	// killLimit is the limit the job is actually killed at: the user's
-	// request when present. System predictions steer backfill but never
-	// kill a job early (Tsafrir et al.; the ESlurm framework's AEA gate
-	// plays the same safety role).
+	// killLimit is the limit the job is actually killed at (KillLimit).
 	killLimit time.Duration
-	enqueued  time.Duration
-	resubmit  bool
+	// span is load + planned walltime + term: how long a start now holds
+	// the nodes in the plan.
+	span     time.Duration
+	enqueued time.Duration
+	resubmit bool
+}
+
+// KillLimit is the walltime a job is killed at. The planned walltime
+// steers scheduling, but a job is never killed before its own request: a
+// model estimate is enforced only where it exceeds the request (Tsafrir
+// et al.; the framework's AEA gate plays the same safety role). A limit
+// below the runtime costs a kill and resubmission, the failure-and-
+// reschedule penalty the slack α suppresses (§V-B).
+func KillLimit(planned, requested time.Duration) time.Duration {
+	if requested > planned {
+		return requested
+	}
+	return planned
+}
+
+// Release is a running job as the planner sees it: when its walltime
+// limit ends and how many nodes come back then.
+type Release struct {
+	End   time.Duration
+	Nodes int
+}
+
+// Request is a queued job as the planner sees it: its node count and how
+// long a start now would hold them, RM overhead included.
+type Request struct {
+	Nodes int
+	Span  time.Duration
+}
+
+// Plan is one scheduling pass at now, with free idle nodes, the running
+// jobs' releases and the queue in priority order. It returns the indexes
+// of the queue entries to start now, in start order. Both policies start
+// the queue in order while its head fits. Backfill then reserves nodes for
+// the blocked head at the shadow time, the earliest planned release that
+// frees enough, and starts a later entry that fits now if it ends by the
+// shadow time or fits in the nodes the head leaves spare at it. Every
+// release at the shadow time counts toward those spare nodes, so the plan
+// does not depend on the order of running.
+func Plan(policy Policy, now time.Duration, free int, running []Release, queue []Request) []int {
+	var start []int
+	head := 0
+	for ; head < len(queue) && queue[head].Nodes <= free; head++ {
+		free -= queue[head].Nodes
+		start = append(start, head)
+	}
+	if head == len(queue) || policy == FCFS {
+		return start
+	}
+	rels := append([]Release(nil), running...)
+	for _, i := range start {
+		rels = append(rels, Release{End: now + queue[i].Span, Nodes: queue[i].Nodes})
+	}
+	sort.Slice(rels, func(i, j int) bool { return rels[i].End < rels[j].End })
+	// A head that can never fit is rejected at submit; the far shadow keeps
+	// the plan safe anyway.
+	shadow, extra := now+365*24*time.Hour, 0
+	avail := free
+	for i, r := range rels {
+		avail += r.Nodes
+		if avail >= queue[head].Nodes && (i+1 == len(rels) || rels[i+1].End > r.End) {
+			shadow, extra = r.End, avail-queue[head].Nodes
+			break
+		}
+	}
+	for i := head + 1; i < len(queue); i++ {
+		q := queue[i]
+		if q.Nodes > free || (now+q.Span > shadow && q.Nodes > extra) {
+			continue
+		}
+		start = append(start, i)
+		free -= q.Nodes
+		if q.Nodes <= extra {
+			extra -= q.Nodes
+		}
+	}
+	return start
 }
 
 // Run replays jobs (which must be sorted by Submit) through the scheduler.
@@ -244,7 +313,7 @@ type state struct {
 	in     schedInstruments
 
 	free    int
-	running []runningJob
+	running []Release
 	queue   []queuedJob
 	down    bool
 
@@ -277,21 +346,10 @@ func (s *state) submit(j trace.Job, resubmit bool) {
 		// Resubmission after a kill: the user doubles the request.
 		wt = j.UserEstimate * 2
 	}
-	// Kill policy: a job is never killed before its own requested
-	// walltime — the model estimate steers scheduling, and only becomes
-	// the enforced limit when the user supplied no request (where
-	// underestimation costs a kill + resubmission, the failure-and-
-	// reschedule penalty the slack variable α suppresses, §V-B).
-	kill := wt
-	if j.UserEstimate > kill {
-		kill = j.UserEstimate
-	}
-	if resubmit {
-		kill = j.UserEstimate * 2
-	}
+	load, term := s.cfg.Overhead(j.Nodes)
 	s.queue = append(s.queue, queuedJob{
-		job: j, walltime: wt, killLimit: kill,
-		enqueued: s.engine.Now(), resubmit: resubmit,
+		job: j, killLimit: KillLimit(wt, j.UserEstimate),
+		span: load + wt + term, enqueued: s.engine.Now(), resubmit: resubmit,
 	})
 	s.schedule()
 }
@@ -315,7 +373,7 @@ func (s *state) start(q queuedJob) {
 		obs.Int64("wait_ns", int64(now-q.enqueued)))
 
 	s.free -= q.job.Nodes
-	rj := runningJob{nodes: q.job.Nodes, limitEnd: now + load + q.walltime + term}
+	rj := Release{End: now + q.span, Nodes: q.job.Nodes}
 	s.running = append(s.running, rj)
 
 	wait := now - q.enqueued
@@ -387,71 +445,24 @@ func (s *state) start(q queuedJob) {
 
 // schedule runs one scheduling pass (FCFS or EASY backfill).
 func (s *state) schedule() {
-	if s.down {
+	if s.down || len(s.queue) == 0 {
 		return
 	}
-	// Start jobs in order while they fit.
-	for len(s.queue) > 0 && s.queue[0].job.Nodes <= s.free {
-		q := s.queue[0]
-		s.queue = s.queue[1:]
-		s.start(q)
+	reqs := make([]Request, len(s.queue))
+	for i, q := range s.queue {
+		reqs[i] = Request{Nodes: q.job.Nodes, Span: q.span}
 	}
-	if len(s.queue) == 0 || s.cfg.Policy == FCFS {
-		return
-	}
-
-	// EASY backfill: reserve for the head, let later jobs slip in if they
-	// cannot delay the reservation.
-	head := s.queue[0]
-	shadow, extra := s.reservation(head.job.Nodes)
-	now := s.engine.Now()
-	for i := 1; i < len(s.queue); {
-		q := s.queue[i]
-		if q.job.Nodes <= s.free {
-			load, term := s.cfg.Overhead(q.job.Nodes)
-			endsBy := now + load + q.walltime + term
-			if endsBy <= shadow || q.job.Nodes <= extra {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				s.start(q)
-				if q.job.Nodes <= extra {
-					extra -= q.job.Nodes
-				}
-				continue
-			}
+	picked := Plan(s.cfg.Policy, s.engine.Now(), s.free, s.running, reqs)
+	kept, next := s.queue[:0], 0
+	for i, q := range s.queue {
+		if next < len(picked) && picked[next] == i {
+			next++
+			s.start(q)
+			continue
 		}
-		i++
+		kept = append(kept, q)
 	}
-}
-
-// reservation computes the EASY shadow time for a head job needing n nodes
-// and the extra nodes that will remain free at that time.
-func (s *state) reservation(n int) (shadow time.Duration, extra int) {
-	if n <= s.free {
-		return s.engine.Now(), s.free - n
-	}
-	// Sort running jobs by limit end (insertion into a copy; running lists
-	// are short relative to trace sizes).
-	ends := make([]runningJob, len(s.running))
-	copy(ends, s.running)
-	sortRunning(ends)
-	avail := s.free
-	for _, r := range ends {
-		avail += r.nodes
-		if avail >= n {
-			return r.limitEnd, avail - n
-		}
-	}
-	// Unreachable when job sizes are validated at submit; be safe.
-	return s.engine.Now() + 365*24*time.Hour, 0
-}
-
-func sortRunning(rs []runningJob) {
-	// Insertion sort: running sets are small and nearly sorted.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].limitEnd < rs[j-1].limitEnd; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
+	s.queue = kept
 }
 
 // FrameworkWalltimes plans with the ESlurm estimation framework: the

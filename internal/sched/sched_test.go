@@ -240,3 +240,54 @@ func TestWaitDistributionMetrics(t *testing.T) {
 		t.Error("max slowdown below average")
 	}
 }
+
+func TestPlanFCFSStopsAtBlockedHead(t *testing.T) {
+	queue := []Request{{Nodes: 2, Span: time.Hour}, {Nodes: 8, Span: time.Hour}, {Nodes: 1, Span: time.Minute}}
+	got := Plan(FCFS, 0, 4, nil, queue)
+	if len(got) != 1 || got[0] != 0 {
+		t.Errorf("FCFS plan = %v, want [0]", got)
+	}
+}
+
+func TestPlanBackfill(t *testing.T) {
+	// 2 nodes idle; 6 come back at 2h. The 8-node head reserves t=2h with
+	// no spare nodes, so only a job that ends by then may jump it.
+	running := []Release{{End: 2 * time.Hour, Nodes: 6}}
+	queue := []Request{
+		{Nodes: 8, Span: time.Hour},     // head: blocked
+		{Nodes: 2, Span: 3 * time.Hour}, // would delay the head
+		{Nodes: 2, Span: time.Hour},     // ends by the shadow time
+		{Nodes: 1, Span: time.Minute},   // nothing left
+	}
+	got := Plan(Backfill, 0, 2, running, queue)
+	if len(got) != 1 || got[0] != 2 {
+		t.Errorf("backfill plan = %v, want [2]", got)
+	}
+}
+
+// TestPlanCountsEveryReleaseAtTheShadowTime: two jobs that end together
+// both free their nodes at the shadow time. The 6-node head needs only
+// one of them, so it leaves 4 spare and a long 2-node job may use them
+// now, whichever order running lists the releases in.
+func TestPlanCountsEveryReleaseAtTheShadowTime(t *testing.T) {
+	queue := []Request{{Nodes: 6, Span: time.Hour}, {Nodes: 2, Span: 10 * time.Hour}}
+	for _, running := range [][]Release{
+		{{End: time.Hour, Nodes: 4}, {End: time.Hour, Nodes: 4}},
+		{{End: time.Hour, Nodes: 6}, {End: time.Hour, Nodes: 2}},
+		{{End: time.Hour, Nodes: 2}, {End: time.Hour, Nodes: 6}},
+	} {
+		got := Plan(Backfill, 0, 2, running, queue)
+		if len(got) != 1 || got[0] != 1 {
+			t.Errorf("%v: plan = %v, want the long job on the head's spare nodes", running, got)
+		}
+	}
+}
+
+func TestKillLimitNeverBelowRequest(t *testing.T) {
+	if got := KillLimit(time.Hour, 2*time.Hour); got != 2*time.Hour {
+		t.Errorf("short prediction: kill at %v, want the 2h request", got)
+	}
+	if got := KillLimit(3*time.Hour, 2*time.Hour); got != 3*time.Hour {
+		t.Errorf("long prediction: kill at %v, want the 3h prediction", got)
+	}
+}
