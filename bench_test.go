@@ -80,16 +80,6 @@ func BenchmarkFig11b_PREPReplay(b *testing.B) {
 
 // --- additional structures and subsystems -----------------------------------
 
-func BenchmarkComm_GatherTree2K(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := simnet.NewEngine(9)
-		c := cluster.New(e, cluster.Config{Computes: 2048, Satellites: 1})
-		bc := comm.NewBroadcaster(c)
-		comm.GatherTree{}.Broadcast(bc, c.Satellites()[0], c.Computes(), 2048, nil)
-		e.Run()
-	}
-}
-
 func BenchmarkComm_Binomial2K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := simnet.NewEngine(9)

@@ -6,9 +6,6 @@ import (
 	"eslurm/internal/simnet"
 )
 
-// linkKey identifies a directed link for per-link degradation.
-type linkKey struct{ from, to NodeID }
-
 // partition is one active network partition: messages between a member
 // and a non-member fail in both directions until the partition heals.
 type partition struct {
@@ -16,13 +13,12 @@ type partition struct {
 }
 
 // faultState is everything the wire consults about faults: fail-stop
-// flags, gray nodes, degraded links, active partitions, and the loss and
-// duplication coins. The Network holds one replica per cell, flipped
-// identically on every cell at the same virtual instant (see cellView).
+// flags, gray nodes, active partitions, and the loss and duplication
+// coins. The Network holds one replica per cell, flipped identically on
+// every cell at the same virtual instant (see cellView).
 type faultState struct {
 	failed     []bool // by NodeID
 	gray       map[NodeID]float64
-	degrade    map[linkKey]float64
 	partitions []*partition
 
 	lossRng *rand.Rand // derived lazily, only when LossProb > 0
@@ -48,20 +44,6 @@ func (f *faultState) grayFactor(id NodeID) float64 {
 		return g
 	}
 	return 1
-}
-
-// setDegrade multiplies the directed link's transfer time by factor
-// (> 1); a factor <= 1 restores the link.
-func (f *faultState) setDegrade(from, to NodeID, factor float64) {
-	k := linkKey{from, to}
-	if factor <= 1 {
-		delete(f.degrade, k)
-		return
-	}
-	if f.degrade == nil {
-		f.degrade = make(map[linkKey]float64)
-	}
-	f.degrade[k] = factor
 }
 
 // sever activates p; heal(p) deactivates it. Partitions compose: a link
@@ -93,8 +75,8 @@ func (f *faultState) unreachable(from, to NodeID) bool {
 	return f.failed[to] || f.severed(from, to)
 }
 
-// pathFactor returns the multiplier gray endpoints and link degradation
-// impose on the from→to transfer. It is never below 1.
+// pathFactor returns the multiplier gray endpoints impose on the from→to
+// transfer: the larger endpoint factor, never below 1.
 func (f *faultState) pathFactor(from, to NodeID) float64 {
 	pf := 1.0
 	if g := f.grayFactor(from); g > pf {
@@ -102,9 +84,6 @@ func (f *faultState) pathFactor(from, to NodeID) float64 {
 	}
 	if g := f.grayFactor(to); g > pf {
 		pf = g
-	}
-	if d, ok := f.degrade[linkKey{from, to}]; ok {
-		pf *= d
 	}
 	return pf
 }

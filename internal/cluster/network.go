@@ -113,8 +113,7 @@ func (c NetConfig) withDefaults() NetConfig {
 //   - a lost message (LossProb) silently vanishes and the sender times out;
 //   - a duplicated message (DupProb) is delivered twice;
 //   - a gray node (SetGray) is alive but slow: connect and transfer costs
-//     to and from it are inflated by its factor;
-//   - a degraded link (SetLinkDegrade) multiplies that link's transfer time.
+//     to and from it are inflated by its factor.
 //
 // All randomness is drawn from named simnet streams of the sender's cell,
 // so any configuration is bit-deterministic per seed, and disabled
@@ -220,12 +219,6 @@ func (n *Network) GrayFactorOn(viewer, id NodeID) float64 { return n.view(viewer
 
 // GrayCount returns the number of currently gray nodes.
 func (n *Network) GrayCount() int { return len(n.views[0].gray) }
-
-// SetLinkDegrade multiplies the directed link's transfer time by factor
-// (> 1). A factor <= 1 restores the link.
-func (n *Network) SetLinkDegrade(from, to NodeID, factor float64) {
-	n.flip(func(v *cellView) { v.setDegrade(from, to, factor) })
-}
 
 // Partition severs the member set from the rest of the cluster starting
 // now: messages between a member and a non-member fail with the connect

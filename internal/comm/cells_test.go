@@ -28,7 +28,7 @@ func threeCells(computes int, seed int64, net cluster.NetConfig) *cluster.Cluste
 }
 
 func everyStructure() []Structure {
-	return []Structure{Star{}, Ring{}, SharedMem{}, KTree{Width: 4}, FPTree{Width: 4}, Binomial{}, GatherTree{Width: 4}}
+	return []Structure{Star{}, Ring{}, SharedMem{}, KTree{Width: 4}, FPTree{Width: 4}, Binomial{}}
 }
 
 // TestEveryStructureAcrossCells: each structure, unchanged, delivers to
@@ -159,11 +159,11 @@ func TestRetryOverlapsFirstAttemptsArrival(t *testing.T) {
 }
 
 // TestBroadcastAcrossCellsWithRetries: under an adversarial network with a
-// retry policy, a relay structure, the gather and a ring deliver across
+// retry policy, a relay structure and a ring deliver across
 // cells, retry, record spans whose parent ran on another cell, and rerun
 // to the same digest, Result, metrics and spans.
 func TestBroadcastAcrossCellsWithRetries(t *testing.T) {
-	for _, s := range []Structure{KTree{Width: 4}, GatherTree{Width: 4}, Ring{}} {
+	for _, s := range []Structure{KTree{Width: 4}, Ring{}} {
 		run := func() (uint64, Result, string, string) {
 			c := threeCells(600, 13, cluster.NetConfig{LossProb: 0.05, DupProb: 0.05})
 			c.Group().EnableDigest()

@@ -105,42 +105,6 @@ func TestMidBroadcastFailureAllStructures(t *testing.T) {
 	}
 }
 
-// TestMidBroadcastGatherDegradedBookkeeping kills relay parents after the
-// payload passed through them, so the children's upward aggregates hit a
-// dead parent and must degrade to local bookkeeping. If that path were
-// missing the gather would stall, and e.Run() would drain without
-// completion.
-func TestMidBroadcastGatherDegradedBookkeeping(t *testing.T) {
-	const computes = 100
-	g := GatherTree{Width: 8}
-	span := healthyElapsed(computes, g)
-	for _, frac := range []float64{0.3, 0.6, 0.9} {
-		failAt := time.Duration(float64(span) * frac)
-		e := simnet.NewEngine(3)
-		c := cluster.New(e, cluster.Config{Computes: computes, Satellites: 1})
-		targets := c.Computes()
-		// The first `width` targets are the tree's interior spine under
-		// ID-ordered lists; killing the first three guarantees dead
-		// parents with live children.
-		for _, i := range []int{0, 1, 2} {
-			c.ScheduleFailure(targets[i], failAt, 0)
-		}
-		b := NewBroadcaster(c)
-		b.RecordResolved = true
-		var res GatherResult
-		got := false
-		g.BroadcastGather(b, c.Satellites()[0], targets, 512, func(r GatherResult) { res = r; got = true })
-		e.Run()
-		if !got {
-			t.Fatalf("gather stalled with parents dying at %.0f%% of %v", frac*100, span)
-		}
-		assertPartition(t, "gathertree", targets, res.Result)
-		if res.AggregatedAt != res.Elapsed {
-			t.Errorf("AggregatedAt %v != Elapsed %v", res.AggregatedAt, res.Elapsed)
-		}
-	}
-}
-
 // TestDeliveryIdempotentUnderDuplication floods the network with
 // duplicates and checks Delivered never double-counts a target.
 func TestDeliveryIdempotentUnderDuplication(t *testing.T) {

@@ -1,8 +1,6 @@
 package estimate
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -323,52 +321,6 @@ func TestClusterStatsObservability(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("train sizes all zero")
-	}
-}
-
-func TestSaveLoadState(t *testing.T) {
-	jobs := replayTrace(1500)
-	f := NewFramework(FrameworkConfig{})
-	Evaluate(f, jobs[:1000])
-	if f.Generations == 0 {
-		t.Fatal("no model to persist behind")
-	}
-
-	var buf bytes.Buffer
-	if err := f.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh framework restored from the snapshot predicts immediately —
-	// no cold start after the restart.
-	g := NewFramework(FrameworkConfig{})
-	if err := g.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if g.HistoryLen() != f.HistoryLen() {
-		t.Fatalf("history %d vs %d", g.HistoryLen(), f.HistoryLen())
-	}
-	if g.Generations != 1 {
-		t.Fatalf("restored framework generations = %d, want immediate regeneration", g.Generations)
-	}
-	covered := 0
-	for i := 1000; i < 1100; i++ {
-		if _, ok := g.Estimate(&jobs[i]); ok {
-			covered++
-		}
-	}
-	if covered == 0 {
-		t.Error("restored framework declined everything")
-	}
-}
-
-func TestLoadStateRejectsGarbage(t *testing.T) {
-	f := NewFramework(FrameworkConfig{})
-	if err := f.LoadState(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if err := f.LoadState(strings.NewReader(`{"version":99,"history":[]}`)); err == nil {
-		t.Error("future version accepted")
 	}
 }
 

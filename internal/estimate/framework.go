@@ -442,22 +442,6 @@ func (g *generator) maybeRefresh(now time.Duration) bool {
 	return true
 }
 
-// restore replaces the historical queue with a snapshot's and, when that
-// already holds enough jobs, builds a model from it at once, clocked at the
-// last job's submission. Like maybeRefresh it reports a new generation.
-func (g *generator) restore(history []trace.Job) bool {
-	g.history = history
-	if len(history) < g.cfg.MinTrain {
-		return false
-	}
-	g.generate()
-	g.started = true
-	if len(history) > 0 {
-		g.lastGen = history[len(history)-1].Submit
-	}
-	return true
-}
-
 // generate selects the interest window, clusters it, and fits one SVR per
 // cluster.
 func (g *generator) generate() {

@@ -9,6 +9,7 @@ import (
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/rm"
+	"eslurm/internal/simnet"
 )
 
 // parseDur converts the table-formatted duration strings back to a
@@ -327,5 +328,26 @@ func TestOccupationProbeFailsLoudly(t *testing.T) {
 			}()
 			OccupationProbe(new(Env), func(*cluster.Cluster) rm.RM { return tc.rm }, 64, 16, 0)
 		}()
+	}
+}
+
+// TestRMRosterDistinctNames: the roster every driver builds its RMs from
+// holds six distinct RMs, each named in the table as it names itself.
+func TestRMRosterDistinctNames(t *testing.T) {
+	c := cluster.New(simnet.NewEngine(1), cluster.Config{Computes: 16, Satellites: 2})
+	roster := rmRoster(plainESlurm)
+	seen := map[string]bool{}
+	for _, m := range roster {
+		r := m.new(c)
+		if r.Name() != m.name {
+			t.Errorf("roster entry %q builds an RM named %q", m.name, r.Name())
+		}
+		if seen[m.name] {
+			t.Fatalf("duplicate RM name %q", m.name)
+		}
+		seen[m.name] = true
+	}
+	if len(roster) != 6 || !seen["ESlurm"] || !seen["Slurm"] || !seen["SGE"] {
+		t.Errorf("roster = %v, want the paper's six RMs", seen)
 	}
 }

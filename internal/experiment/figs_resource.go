@@ -9,19 +9,28 @@ import (
 	"eslurm/internal/rm"
 )
 
+// defaultResourceSpan is the virtual run length of the resource figures
+// when the caller passes 0.
+const defaultResourceSpan = 2 * time.Hour
+
 // resourceRun drives one RM on a fresh cluster for `span` of virtual time
 // under a light production-like job flow (a job every ~100 s, lognormal
 // sizes, short runtimes) and returns the master meter plus the cluster for
-// satellite inspection.
-func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites int, span time.Duration, seed int64) (*cluster.ResourceMeter, *cluster.Cluster, rm.RM) {
+// satellite inspection. A sample interval > 0 also snapshots the master
+// meter every interval through the drain, so the last sample is the
+// meter the tables print; 0 takes no samples.
+func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites int, span time.Duration, seed int64, sample time.Duration) (*cluster.ResourceMeter, *cluster.Cluster, []cluster.Snapshot) {
 	c := env.NewCluster(seed, cluster.Config{Computes: nodes, Satellites: satellites})
 	e := c.Engine
 	r := mk(c)
 	r.Start()
+	var sampler *cluster.Sampler
+	if sample > 0 {
+		sampler = cluster.NewSampler(e, r.Meter(), sample)
+	}
 
 	rng := e.Rand("experiment/jobs")
 	var submit func()
-	active := 0
 	submit = func() {
 		gap := time.Duration(30+rng.ExpFloat64()*70) * time.Second
 		e.After(gap, func() {
@@ -33,12 +42,9 @@ func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites 
 				size = nodes / 2
 			}
 			jobNodes := c.Computes()[:size]
-			active++
 			r.LoadJob(jobNodes, func(time.Duration) {
 				runFor := time.Duration(10+rng.ExpFloat64()*110) * time.Second
-				e.After(runFor, func() {
-					r.TerminateJob(jobNodes, func(time.Duration) { active-- })
-				})
+				e.After(runFor, func() { r.TerminateJob(jobNodes, nil) })
 			})
 			submit()
 		})
@@ -49,7 +55,43 @@ func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites 
 	r.Stop()
 	// Drain remaining activity: the meters the tables print accrue through it.
 	c.RunUntil(span + 30*time.Minute)
-	return r.Meter(), c, r
+	if sampler == nil {
+		return r.Meter(), c, nil
+	}
+	sampler.Stop()
+	return r.Meter(), c, sampler.Samples
+}
+
+// resourceContender is one RM line of a resource figure: its table name,
+// satellite count, run seed and constructor. The tables and the -csv
+// series both run from these lists, so a series is the table's own run.
+type resourceContender struct {
+	name string
+	sats int
+	seed int64
+	mk   func(c *cluster.Cluster) rm.RM
+}
+
+// fig7Contenders returns Fig. 7's six RMs in table order; ESlurm gets two
+// satellites.
+func fig7Contenders() []resourceContender {
+	var out []resourceContender
+	for i, m := range rmRoster(plainESlurm) {
+		sats := 0
+		if m.name == "ESlurm" {
+			sats = 2
+		}
+		out = append(out, resourceContender{m.name, sats, int64(100 + i), m.new})
+	}
+	return out
+}
+
+// fig9Contenders returns Fig. 9's Slurm and two-satellite ESlurm.
+func fig9Contenders() []resourceContender {
+	return []resourceContender{
+		{"Slurm", 0, 200, centralized(rm.SlurmProfile())},
+		{"ESlurm", 2, 201, plainESlurm},
+	}
 }
 
 // Fig7 reproduces the master-node resource comparison of Fig. 7a–e: six
@@ -58,7 +100,7 @@ func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites 
 // benchrunner invocation stays fast.
 func Fig7(env *Env, nodes int, span time.Duration) *Table {
 	if span == 0 {
-		span = 2 * time.Hour
+		span = defaultResourceSpan
 	}
 	t := &Table{
 		ID:    "fig7",
@@ -66,12 +108,8 @@ func Fig7(env *Env, nodes int, span time.Duration) *Table {
 		Columns: []string{"RM", "CPU time", "CPU util", "vmem", "rss",
 			"avg sockets", "peak sockets"},
 	}
-	for i, m := range rmRoster(plainESlurm) {
-		satellites := 0
-		if m.name == "ESlurm" {
-			satellites = 2
-		}
-		meter, _, _ := resourceRun(env, m.new, nodes, satellites, span, int64(100+i))
+	for _, m := range fig7Contenders() {
+		meter, _, _ := resourceRun(env, m.mk, nodes, m.sats, span, m.seed, 0)
 		util := meter.CPUTime().Seconds() / span.Seconds()
 		t.AddRow(m.name, fmtDur(meter.CPUTime()), fmtPct(util),
 			fmtBytes(meter.VMem()), fmtBytes(meter.RSS()),
@@ -86,7 +124,7 @@ func Fig7(env *Env, nodes int, span time.Duration) *Table {
 // satellites' own usage (Fig. 9d–f).
 func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 	if span == 0 {
-		span = 2 * time.Hour
+		span = defaultResourceSpan
 	}
 	master := &Table{
 		ID:    "fig9",
@@ -95,16 +133,15 @@ func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 			"avg sockets", "peak sockets"},
 	}
 
-	slurmMeter, _, _ := resourceRun(env, centralized(rm.SlurmProfile()), nodes, 0, span, 200)
-	esMeter, esCluster, _ := resourceRun(env, plainESlurm, nodes, 2, span, 201)
-
-	for _, row := range []struct {
-		name string
-		m    *cluster.ResourceMeter
-	}{{"Slurm", slurmMeter}, {"ESlurm", esMeter}} {
-		master.AddRow(row.name, fmtDur(row.m.CPUTime()), fmtBytes(row.m.VMem()),
-			fmtBytes(row.m.RSS()), fmt.Sprintf("%.1f", row.m.AvgSockets()),
-			fmt.Sprintf("%d", row.m.PeakSockets()))
+	var esCluster *cluster.Cluster
+	for _, row := range fig9Contenders() {
+		m, c, _ := resourceRun(env, row.mk, nodes, row.sats, span, row.seed, 0)
+		if row.sats > 0 {
+			esCluster = c
+		}
+		master.AddRow(row.name, fmtDur(m.CPUTime()), fmtBytes(m.VMem()),
+			fmtBytes(m.RSS()), fmt.Sprintf("%.1f", m.AvgSockets()),
+			fmt.Sprintf("%d", m.PeakSockets()))
 	}
 	master.Note = "paper: ESlurm <40% of Slurm's CPU time, >80% memory saving, >10x fewer sockets"
 
@@ -132,7 +169,7 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 		satCounts = []int{10, 20, 30, 40, 50}
 	}
 	if span == 0 {
-		span = 2 * time.Hour
+		span = defaultResourceSpan
 	}
 	cols := []string{"metric"}
 	for i := range satCounts {
@@ -161,11 +198,11 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 	results := make([]outcome, len(satCounts))
 	for i, sc := range satCounts {
 		var es *rm.ESlurm
-		meter, c, r := resourceRun(env, func(c *cluster.Cluster) rm.RM {
+		meter, c, _ := resourceRun(env, func(c *cluster.Cluster) rm.RM {
 			e := rm.NewESlurm(c)
 			es = e
 			return e
-		}, nodes, sc, span, int64(300+i))
+		}, nodes, sc, span, int64(300+i), 0)
 		o := outcome{
 			cpu: meter.CPUTime(), vmem: meter.VMem(), rss: meter.RSS(),
 			avgSock: meter.AvgSockets(),
@@ -192,7 +229,6 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 			o.satSock = sockSum / float64(n)
 		}
 		results[i] = o
-		_ = r
 	}
 
 	row := func(t *Table, name string, f func(outcome) string) {

@@ -48,33 +48,12 @@ func (cp *Campaign) Partition(members []cluster.NodeID, at, dur time.Duration) {
 	if len(members) == 0 {
 		return
 	}
-	cp.partition(members, at, dur, -1)
-}
-
-func (cp *Campaign) partition(members []cluster.NodeID, at, dur time.Duration, rack int) {
 	cp.Cluster.Net.SchedulePartition(members, at, dur)
 	for _, id := range members {
 		cp.Events = append(cp.Events, Event{
-			Node: id, At: at, Down: dur, Silent: true, RackID: rack, Kind: KindPartition,
+			Node: id, At: at, Down: dur, Silent: true, RackID: -1, Kind: KindPartition,
 		})
 	}
-}
-
-// PartitionRack severs every compute node of one rack (switch or uplink
-// loss) at `at`, healing after `dur`. It composes with topo the same way
-// RackOutage does and returns the number of nodes cut off — 0 for a
-// nonexistent rack.
-func (cp *Campaign) PartitionRack(tp topo.Topology, rackID int, at, dur time.Duration) int {
-	var members []cluster.NodeID
-	for _, id := range cp.Cluster.Computes() {
-		if tp.Rack(id) == rackID {
-			members = append(members, id)
-		}
-	}
-	if len(members) > 0 {
-		cp.partition(members, at, dur, rackID)
-	}
-	return len(members)
 }
 
 // PartitionChassis severs one chassis's compute nodes (leaf-switch loss),
@@ -86,9 +65,7 @@ func (cp *Campaign) PartitionChassis(tp topo.Topology, chassisID int, at, dur ti
 			members = append(members, id)
 		}
 	}
-	if len(members) > 0 {
-		cp.partition(members, at, dur, -1)
-	}
+	cp.Partition(members, at, dur)
 	return len(members)
 }
 

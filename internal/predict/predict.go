@@ -9,12 +9,11 @@
 // the node's state or performance).
 //
 // Determinism: predictors react only to the monitor's alert stream and
-// the engine's virtual clock (Random takes an explicit seeded Rand), so
-// the predicted set evolves identically on every same-seed replay.
+// the engine's virtual clock, so the predicted set evolves identically on
+// every same-seed replay.
 package predict
 
 import (
-	"math/rand"
 	"time"
 
 	"eslurm/internal/cluster"
@@ -62,19 +61,6 @@ func (o Oracle) Predicted(id cluster.NodeID) bool { return o.Cluster.Node(id).Fa
 
 // PredictedCount returns the live failed-node count.
 func (o Oracle) PredictedCount() int { return o.Cluster.FailedCount() }
-
-// Random predicts each node independently with probability Rate — a
-// baseline showing that uninformed prediction does not help.
-type Random struct {
-	Rate float64
-	Rng  *rand.Rand
-}
-
-// Predicted flips a coin per call.
-func (r Random) Predicted(cluster.NodeID) bool { return r.Rng.Float64() < r.Rate }
-
-// PredictedCount is unknown for a stateless coin-flip predictor.
-func (Random) PredictedCount() int { return -1 }
 
 // AlertDriven is the paper's production predictor: it subscribes to the
 // monitoring subsystem and marks a node predicted-failed from the moment

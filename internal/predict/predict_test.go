@@ -43,24 +43,6 @@ func TestOracle(t *testing.T) {
 	}
 }
 
-func TestRandomRate(t *testing.T) {
-	e := simnet.NewEngine(2)
-	p := Random{Rate: 0.3, Rng: e.Rand("rnd")}
-	hits := 0
-	for i := 0; i < 10000; i++ {
-		if p.Predicted(0) {
-			hits++
-		}
-	}
-	frac := float64(hits) / 10000
-	if frac < 0.27 || frac > 0.33 {
-		t.Errorf("random rate = %.3f, want ~0.3", frac)
-	}
-	if p.PredictedCount() != -1 {
-		t.Error("random predictor count must be -1 (unknown)")
-	}
-}
-
 func TestAlertDrivenLifecycle(t *testing.T) {
 	e := simnet.NewEngine(3)
 	c := cluster.New(e, cluster.Config{Computes: 100})

@@ -1,13 +1,13 @@
-// Package proto defines the ESlurm control-plane wire protocol: the
-// messages exchanged between the master, satellite and compute daemons
-// (task assignment with sub-nodelists, aggregated replies, job launch and
-// termination, heartbeats), with a compact binary encoding.
+// Package proto defines the two ESlurm control-plane messages whose size
+// the simulator charges from an encoding: the master→satellite task
+// assignment with its sub-nodelist, and the satellite→master aggregated
+// reply. Both have a compact binary encoding.
 //
 // The simulator transfers message *sizes*, not bytes, so the encoder's
-// main consumers are (a) the size model — core computes task and reply
-// sizes from these encodings rather than hand-picked constants — and
-// (b) the satellite aggregation logic, which merges per-node status
-// replies exactly as the production daemon would.
+// one consumer is the size model: core charges task and reply sizes
+// through TaskAssignSize and AggregateReplySize, and TestSizeHooks holds
+// those hooks to the real encodings. Job-load and heartbeat sizes are
+// core.Config constants, not encodings.
 //
 // Determinism: encoding and size computation are pure functions of their
 // inputs — byte-stable output, no clocks, no RNG — so the wire model
@@ -16,8 +16,6 @@ package proto
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 )
 
@@ -32,40 +30,6 @@ const (
 	MsgTaskAssign MsgType = iota + 1
 	// MsgAggregateReply carries a satellite's merged outcome to the master.
 	MsgAggregateReply
-	// MsgJobLaunch starts job processes on a compute node.
-	MsgJobLaunch
-	// MsgJobTerminate tears a job down on a compute node.
-	MsgJobTerminate
-	// MsgHeartbeat probes a daemon.
-	MsgHeartbeat
-	// MsgHeartbeatReply answers a probe with node status.
-	MsgHeartbeatReply
-)
-
-func (t MsgType) String() string {
-	switch t {
-	case MsgTaskAssign:
-		return "TaskAssign"
-	case MsgAggregateReply:
-		return "AggregateReply"
-	case MsgJobLaunch:
-		return "JobLaunch"
-	case MsgJobTerminate:
-		return "JobTerminate"
-	case MsgHeartbeat:
-		return "Heartbeat"
-	case MsgHeartbeatReply:
-		return "HeartbeatReply"
-	default:
-		return fmt.Sprintf("MsgType(%d)", uint8(t))
-	}
-}
-
-// Errors returned by decoding.
-var (
-	ErrTruncated  = errors.New("proto: truncated message")
-	ErrBadVersion = errors.New("proto: unsupported version")
-	ErrBadType    = errors.New("proto: unexpected message type")
 )
 
 // headerSize is version(1) + type(1) + body length(4).
@@ -74,24 +38,6 @@ const headerSize = 6
 func appendHeader(b []byte, t MsgType, bodyLen int) []byte {
 	b = append(b, Version, byte(t))
 	return binary.BigEndian.AppendUint32(b, uint32(bodyLen))
-}
-
-func checkHeader(b []byte, want MsgType) ([]byte, error) {
-	if len(b) < headerSize {
-		return nil, ErrTruncated
-	}
-	if b[0] != Version {
-		return nil, ErrBadVersion
-	}
-	if MsgType(b[1]) != want {
-		return nil, ErrBadType
-	}
-	n := binary.BigEndian.Uint32(b[2:6])
-	body := b[headerSize:]
-	if uint32(len(body)) < n {
-		return nil, ErrTruncated
-	}
-	return body[:n], nil
 }
 
 // TaskAssign is the master→satellite broadcast sub-task (Section III-B):
@@ -121,47 +67,6 @@ func (m *TaskAssign) Marshal() []byte {
 	}
 	return b
 }
-
-// Unmarshal decodes the message.
-func (m *TaskAssign) Unmarshal(b []byte) error {
-	body, err := checkHeader(b, MsgTaskAssign)
-	if err != nil {
-		return err
-	}
-	if len(body) < 12 {
-		return ErrTruncated
-	}
-	m.TaskID = binary.BigEndian.Uint64(body)
-	body = body[8:]
-	plen := binary.BigEndian.Uint32(body)
-	body = body[4:]
-	// 64-bit arithmetic: plen+4 must not wrap around uint32.
-	if uint64(len(body)) < uint64(plen)+4 {
-		return ErrTruncated
-	}
-	m.Payload = append(m.Payload[:0], body[:plen]...)
-	body = body[plen:]
-	count := binary.BigEndian.Uint32(body)
-	body = body[4:]
-	if uint64(len(body)) < uint64(count)*4 {
-		return ErrTruncated
-	}
-	m.Nodes = m.Nodes[:0]
-	for i := uint32(0); i < count; i++ {
-		m.Nodes = append(m.Nodes, binary.BigEndian.Uint32(body[i*4:]))
-	}
-	return nil
-}
-
-// NodeStatus is one node's outcome inside an aggregated reply.
-type NodeStatus uint8
-
-const (
-	// StatusOK: the node received and acknowledged the payload.
-	StatusOK NodeStatus = iota
-	// StatusUnreachable: delivery failed after all retries.
-	StatusUnreachable
-)
 
 // AggregateReply is the satellite→master merged outcome (the satellite's
 // "initial data aggregation" role): a status per node of the sub-task,
@@ -194,173 +99,10 @@ func (m *AggregateReply) Marshal() []byte {
 	return b
 }
 
-// Unmarshal decodes the message.
-func (m *AggregateReply) Unmarshal(b []byte) error {
-	body, err := checkHeader(b, MsgAggregateReply)
-	if err != nil {
-		return err
-	}
-	if len(body) < 12 {
-		return ErrTruncated
-	}
-	m.TaskID = binary.BigEndian.Uint64(body)
-	body = body[8:]
-	var errOut error
-	m.OK, body, errOut = readU32Slice(body, m.OK)
-	if errOut != nil {
-		return errOut
-	}
-	m.Unreachable, _, errOut = readU32Slice(body, m.Unreachable)
-	return errOut
-}
-
-func readU32Slice(body []byte, dst []uint32) ([]uint32, []byte, error) {
-	if len(body) < 4 {
-		return nil, nil, ErrTruncated
-	}
-	count := binary.BigEndian.Uint32(body)
-	body = body[4:]
-	if uint64(len(body)) < uint64(count)*4 {
-		return nil, nil, ErrTruncated
-	}
-	dst = dst[:0]
-	for i := uint32(0); i < count; i++ {
-		dst = append(dst, binary.BigEndian.Uint32(body[i*4:]))
-	}
-	return dst, body[count*4:], nil
-}
-
-// Merge folds another reply for the same logical broadcast into r
-// (satellites merge their relay children's partial replies before
-// answering the master).
-func (r *AggregateReply) Merge(other *AggregateReply) {
-	r.OK = append(r.OK, other.OK...)
-	r.Unreachable = append(r.Unreachable, other.Unreachable...)
-}
-
-// JobLaunch starts a job's processes on a compute node.
-type JobLaunch struct {
-	JobID     uint64
-	UserID    uint32
-	Script    string
-	TimeLimit uint32 // seconds; 0 = none
-	Nodes     []uint32
-}
-
-// Size returns the encoded size without encoding.
-func (m *JobLaunch) Size() int {
-	return headerSize + 8 + 4 + 4 + len(m.Script) + 4 + 4 + 4*len(m.Nodes)
-}
-
-// Marshal encodes the message.
-func (m *JobLaunch) Marshal() []byte {
-	b := make([]byte, 0, m.Size())
-	b = appendHeader(b, MsgJobLaunch, m.Size()-headerSize)
-	b = binary.BigEndian.AppendUint64(b, m.JobID)
-	b = binary.BigEndian.AppendUint32(b, m.UserID)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Script)))
-	b = append(b, m.Script...)
-	b = binary.BigEndian.AppendUint32(b, m.TimeLimit)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Nodes)))
-	for _, n := range m.Nodes {
-		b = binary.BigEndian.AppendUint32(b, n)
-	}
-	return b
-}
-
-// Unmarshal decodes the message.
-func (m *JobLaunch) Unmarshal(b []byte) error {
-	body, err := checkHeader(b, MsgJobLaunch)
-	if err != nil {
-		return err
-	}
-	if len(body) < 16 {
-		return ErrTruncated
-	}
-	m.JobID = binary.BigEndian.Uint64(body)
-	m.UserID = binary.BigEndian.Uint32(body[8:])
-	slen := binary.BigEndian.Uint32(body[12:])
-	body = body[16:]
-	if uint64(len(body)) < uint64(slen)+8 {
-		return ErrTruncated
-	}
-	m.Script = string(body[:slen])
-	body = body[slen:]
-	m.TimeLimit = binary.BigEndian.Uint32(body)
-	body = body[4:]
-	var errOut error
-	m.Nodes, _, errOut = readU32Slice(body, m.Nodes)
-	return errOut
-}
-
-// Heartbeat probes a daemon; Nonce is echoed back.
-type Heartbeat struct {
-	Nonce uint64
-}
-
-// Size returns the encoded size without encoding.
-func (m *Heartbeat) Size() int { return headerSize + 8 }
-
-// Marshal encodes the message.
-func (m *Heartbeat) Marshal() []byte {
-	b := make([]byte, 0, m.Size())
-	b = appendHeader(b, MsgHeartbeat, 8)
-	return binary.BigEndian.AppendUint64(b, m.Nonce)
-}
-
-// Unmarshal decodes the message.
-func (m *Heartbeat) Unmarshal(b []byte) error {
-	body, err := checkHeader(b, MsgHeartbeat)
-	if err != nil {
-		return err
-	}
-	if len(body) < 8 {
-		return ErrTruncated
-	}
-	m.Nonce = binary.BigEndian.Uint64(body)
-	return nil
-}
-
-// HeartbeatReply answers a probe with a compact load report.
-type HeartbeatReply struct {
-	Nonce     uint64
-	LoadMilli uint32 // load average x1000
-	FreeMemMB uint32
-}
-
-// Size returns the encoded size without encoding.
-func (m *HeartbeatReply) Size() int { return headerSize + 16 }
-
-// Marshal encodes the message.
-func (m *HeartbeatReply) Marshal() []byte {
-	b := make([]byte, 0, m.Size())
-	b = appendHeader(b, MsgHeartbeatReply, 16)
-	b = binary.BigEndian.AppendUint64(b, m.Nonce)
-	b = binary.BigEndian.AppendUint32(b, m.LoadMilli)
-	return binary.BigEndian.AppendUint32(b, m.FreeMemMB)
-}
-
-// Unmarshal decodes the message.
-func (m *HeartbeatReply) Unmarshal(b []byte) error {
-	body, err := checkHeader(b, MsgHeartbeatReply)
-	if err != nil {
-		return err
-	}
-	if len(body) < 16 {
-		return ErrTruncated
-	}
-	m.Nonce = binary.BigEndian.Uint64(body)
-	m.LoadMilli = binary.BigEndian.Uint32(body[8:])
-	m.FreeMemMB = binary.BigEndian.Uint32(body[12:])
-	return nil
-}
-
 // TaskAssignSize is the size-model hook used by the master daemon: the
 // encoded size of a task message carrying payloadLen bytes to nodeCount
 // nodes.
 func TaskAssignSize(nodeCount, payloadLen int) int {
-	m := TaskAssign{Payload: make([]byte, 0), Nodes: nil}
-	_ = m
 	if nodeCount < 0 || payloadLen < 0 || nodeCount > math.MaxInt32 {
 		return headerSize
 	}

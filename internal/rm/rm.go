@@ -324,16 +324,3 @@ func (e *ESlurm) TerminateJob(nodes []cluster.NodeID, done func(time.Duration)) 
 		}
 	})
 }
-
-// All returns constructors for the six RMs of the paper's comparison, in
-// the order they appear in Fig. 7.
-func All(c *cluster.Cluster) []RM {
-	return []RM{
-		NewCentralized(c, SGEProfile()),
-		NewCentralized(c, TorqueProfile()),
-		NewCentralized(c, OpenPBSProfile()),
-		NewCentralized(c, LSFProfile()),
-		NewCentralized(c, SlurmProfile()),
-		NewESlurm(c),
-	}
-}

@@ -13,20 +13,6 @@ func newCluster(seed int64, computes, satellites int) *cluster.Cluster {
 	return cluster.New(e, cluster.Config{Computes: computes, Satellites: satellites})
 }
 
-func TestAllConstructorsDistinctNames(t *testing.T) {
-	c := newCluster(1, 16, 2)
-	seen := map[string]bool{}
-	for _, r := range All(c) {
-		if seen[r.Name()] {
-			t.Fatalf("duplicate RM name %q", r.Name())
-		}
-		seen[r.Name()] = true
-	}
-	if !seen["ESlurm"] || !seen["Slurm"] || !seen["SGE"] {
-		t.Errorf("missing expected RMs: %v", seen)
-	}
-}
-
 func TestCentralizedStartChargesMemory(t *testing.T) {
 	c := newCluster(2, 100, 0)
 	r := NewCentralized(c, SlurmProfile())

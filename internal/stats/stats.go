@@ -1,12 +1,12 @@
 // Package stats provides the descriptive statistics and time-series
 // utilities the experiment harness reports with: streaming summaries
-// (mean/min/max/percentiles), fixed-bin histograms, time-weighted
-// averages for gauge-like series (concurrent sockets), and CSV export of
-// sampled series so the paper's figures can be re-plotted from raw data.
+// (mean/min/max/percentiles), time-weighted averages for gauge-like
+// series (concurrent sockets), and CSV export of sampled series so the
+// paper's figures can be re-plotted from raw data.
 //
 // Determinism: all accumulators are insertion-ordered and purely
-// arithmetic (percentiles sort copies; histograms use fixed bins), so the
-// same observation sequence always renders the same report bytes.
+// arithmetic (percentiles sort copies), so the same observation sequence
+// always renders the same report bytes.
 package stats
 
 import (
@@ -106,67 +106,6 @@ func (s *Summary) Percentile(p float64) float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g min=%.3g p50=%.3g p95=%.3g max=%.3g",
 		s.N(), s.Mean(), s.Min(), s.Percentile(50), s.Percentile(95), s.Max())
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi);
-// out-of-range values land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int
-	Underflow int
-	Overflow  int
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi). It panics on
-// a non-positive bin count or an empty range — always a caller bug.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: histogram needs n > 0 and hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.Underflow++
-	case v >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-		if i >= len(h.Bins) { // float edge
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns all counted observations including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// CDF returns the cumulative fraction of in-range observations at each
-// bin's upper edge.
-func (h *Histogram) CDF() []float64 {
-	total := 0
-	for _, b := range h.Bins {
-		total += b
-	}
-	out := make([]float64, len(h.Bins))
-	run := 0
-	for i, b := range h.Bins {
-		run += b
-		if total > 0 {
-			out[i] = float64(run) / float64(total)
-		}
-	}
-	return out
 }
 
 // TimeWeighted integrates a step-function gauge (e.g. concurrent sockets)

@@ -38,40 +38,6 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(v)
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Fatalf("under=%d over=%d", h.Underflow, h.Overflow)
-	}
-	if h.Bins[0] != 2 || h.Bins[1] != 1 || h.Bins[2] != 1 || h.Bins[4] != 1 {
-		t.Fatalf("bins = %v", h.Bins)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-	cdf := h.CDF()
-	if cdf[len(cdf)-1] != 1 {
-		t.Errorf("CDF does not end at 1: %v", cdf)
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i] < cdf[i-1] {
-			t.Fatal("CDF not monotone")
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestTimeWeighted(t *testing.T) {
 	var tw TimeWeighted
 	if tw.AvgAt(time.Second) != 0 {
@@ -128,29 +94,6 @@ func TestPropertySummaryBounds(t *testing.T) {
 		}
 		return s.Mean() >= s.Min() && s.Mean() <= s.Max() &&
 			s.Percentile(50) >= s.Min() && s.Percentile(50) <= s.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: histogram total equals the number of Adds.
-func TestPropertyHistogramConservation(t *testing.T) {
-	f := func(vals []float64) bool {
-		h := NewHistogram(-10, 10, 7)
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-		}
-		count := 0
-		for _, v := range vals {
-			if !math.IsNaN(v) {
-				count++
-			}
-		}
-		return h.Total() == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
