@@ -35,11 +35,12 @@
 // recordings are stitched across cells. Diff two reports with
 // `critdiff a.txt b.txt`.
 //
-// A flag the selected soak cannot honour is an error (exit 2), never
-// silently dropped: -reconcile records no spans and keeps no registry
-// (-critpath, -trace, -metrics), fixes its silent fraction (-silent) and
-// runs on one cell (-cells), and -target/-spec mean nothing without
-// -reconcile.
+// -loss, -dup and -silent are probabilities: a value outside [0,1] is an
+// error (exit 2). A flag the selected soak cannot honour is an error
+// (exit 2) too, never silently dropped: -reconcile records no spans and
+// keeps no registry (-critpath, -trace, -metrics), fixes its silent
+// fraction (-silent) and runs on one cell (-cells), and -target/-spec
+// mean nothing without -reconcile.
 //
 // With -reconcile the soak overlays the full fault campaign on a
 // reconciler driving a timed spec schedule (chaos.ReconcileSoak) and
@@ -120,6 +121,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "chaossoak:", err)
 		return 2
+	}
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{{"loss", *loss}, {"dup", *dup}, {"silent", *silent}} {
+		if !(p.v >= 0 && p.v <= 1) { // written so NaN fails too
+			return fail(fmt.Errorf("-%s %v is not a probability in [0,1]", p.flag, p.v))
+		}
 	}
 
 	mode := modeSoak

@@ -23,8 +23,9 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		// refused names the flag an exit-2 message must mention; empty
-		// means the run must succeed and honour everything it was given.
+		// refused is what an exit-2 message must say, naming the flag;
+		// empty means the run must succeed and honour everything it was
+		// given.
 		refused string
 		// writes says the path given as FILE must exist, non-empty,
 		// afterwards, holding every string in inFile; stdout must contain
@@ -37,25 +38,34 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		{name: "single critpath", args: []string{"-critpath", "FILE"}, writes: true, wantOut: []string{"critpath: 1 seed(s)"}},
 		{name: "single metrics", args: []string{"-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages"}},
 		{name: "single silent", args: []string{"-silent", "0.5"}, wantOut: []string{"silent=0.50"}},
-		{name: "single target", args: []string{"-target", "3"}, refused: "-target"},
-		{name: "single spec", args: []string{"-spec", spec}, refused: "-spec"},
+		{name: "single target", args: []string{"-target", "3"}, refused: "-target is not available with"},
+		{name: "single spec", args: []string{"-spec", spec}, refused: "-spec is not available with"},
 
 		// The sharded soak: -cells partitions each seed's cluster by rack.
 		{name: "shards trace", args: []string{"-cells", "-trace", "FILE"}, writes: true, inFile: []string{"chaossoak seed 1 cell 1"}, wantOut: []string{"trace: 1 seeds"}},
 		{name: "shards critpath", args: []string{"-cells", "-critpath", "FILE"}, writes: true, wantOut: []string{"critpath: 1 seed(s)"}},
 		{name: "shards metrics", args: []string{"-cells", "-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages", "master.subtasks", "simnet.windows"}},
 		{name: "shards silent", args: []string{"-cells", "-silent", "0.5"}, wantOut: []string{"silent=0.50", "reallocs=", "takeovers="}},
-		{name: "shards target", args: []string{"-cells", "-target", "3"}, refused: "-target"},
-		{name: "shards spec", args: []string{"-cells", "-spec", spec}, refused: "-spec"},
+		{name: "shards target", args: []string{"-cells", "-target", "3"}, refused: "-target is not available with"},
+		{name: "shards spec", args: []string{"-cells", "-spec", spec}, refused: "-spec is not available with"},
 
-		{name: "reconcile trace", args: []string{"-reconcile", "-trace", "FILE"}, refused: "-trace"},
-		{name: "reconcile critpath", args: []string{"-reconcile", "-critpath", "FILE"}, refused: "-critpath"},
-		{name: "reconcile metrics", args: []string{"-reconcile", "-metrics"}, refused: "-metrics"},
-		{name: "reconcile silent", args: []string{"-reconcile", "-silent", "0.5"}, refused: "-silent"},
+		{name: "reconcile trace", args: []string{"-reconcile", "-trace", "FILE"}, refused: "-trace is not available with"},
+		{name: "reconcile critpath", args: []string{"-reconcile", "-critpath", "FILE"}, refused: "-critpath is not available with"},
+		{name: "reconcile metrics", args: []string{"-reconcile", "-metrics"}, refused: "-metrics is not available with"},
+		{name: "reconcile silent", args: []string{"-reconcile", "-silent", "0.5"}, refused: "-silent is not available with"},
 		{name: "reconcile target", args: []string{"-reconcile", "-target", "3"}, wantOut: []string{"target=3"}},
 		{name: "reconcile spec", args: []string{"-reconcile", "-spec", spec}, wantOut: []string{"reconcile soak"}},
-		{name: "reconcile shards", args: []string{"-reconcile", "-cells"}, refused: "-cells"},
-		{name: "two refusals both named", args: []string{"-reconcile", "-trace", "FILE", "-metrics"}, refused: "-metrics"},
+		{name: "reconcile shards", args: []string{"-reconcile", "-cells"}, refused: "-cells is not available with"},
+		{name: "two refusals both named", args: []string{"-reconcile", "-trace", "FILE", "-metrics"}, refused: "-metrics is not available with"},
+
+		// -loss, -dup and -silent are probabilities: the network would
+		// clamp a value outside [0,1] while the header printed it raw.
+		{name: "loss above one", args: []string{"-loss", "1.5"}, refused: "-loss 1.5 is not a probability in [0,1]"},
+		{name: "dup below zero", args: []string{"-dup", "-0.2"}, refused: "-dup -0.2 is not a probability in [0,1]"},
+		{name: "silent above one", args: []string{"-silent", "3"}, refused: "-silent 3 is not a probability in [0,1]"},
+		{name: "loss NaN", args: []string{"-loss", "NaN"}, refused: "-loss NaN is not a probability in [0,1]"},
+		{name: "reconcile dup above one", args: []string{"-reconcile", "-dup", "2"}, refused: "-dup 2 is not a probability in [0,1]"},
+		{name: "probability bounds", args: []string{"-loss", "0", "-dup", "1", "-silent", "1"}, wantOut: []string{"loss=0.000 dup=1.000", "silent=1.00"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,8 +83,8 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 				if code != 2 {
 					t.Fatalf("exit %d, want 2 (stderr %q)", code, errs.String())
 				}
-				if !strings.Contains(errs.String(), tc.refused+" is not available with") {
-					t.Errorf("stderr does not refuse %s: %q", tc.refused, errs.String())
+				if !strings.Contains(errs.String(), tc.refused) {
+					t.Errorf("stderr does not say %q: %q", tc.refused, errs.String())
 				}
 				if out.Len() != 0 {
 					t.Errorf("a refused run still produced a report")

@@ -16,12 +16,12 @@ import (
 	"hash/fnv"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/faults"
 	"eslurm/internal/reconcile"
+	"eslurm/internal/workpool"
 )
 
 // ReconcileConfig parameterizes a reconcile soak. The zero value is
@@ -226,37 +226,16 @@ func (r *ReconcileReport) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// ReconcileSoak runs the full reconcile soak. Workers > 1 fans seeds out
-// over a pool of goroutines; every seed is an independent engine and
-// results are written by seed index, so the report is byte-identical for
-// any worker count.
+// ReconcileSoak runs the full reconcile soak, fanning seeds out over
+// Workers goroutines (workpool.Ordered); every seed is an independent
+// engine and results land by seed index, so the report is byte-identical
+// for any worker count.
 func ReconcileSoak(cfg ReconcileConfig) *ReconcileReport {
 	cfg = cfg.withDefaults()
-	rep := &ReconcileReport{Config: cfg, Seeds: make([]ReconcileSeedResult, cfg.Seeds)}
-	if cfg.Workers == 1 {
-		for i := 0; i < cfg.Seeds; i++ {
-			rep.Seeds[i] = RunReconcileSeed(cfg, cfg.BaseSeed+int64(i))
-		}
-		return rep
-	}
-	work := make(chan int, cfg.Seeds)
-	for i := 0; i < cfg.Seeds; i++ {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		//eslurmlint:ignore gosim worker pool over independent engines; no simulated state crosses goroutines
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				rep.Seeds[i] = RunReconcileSeed(cfg, cfg.BaseSeed+int64(i))
-			}
-		}()
-	}
-	wg.Wait()
-	return rep
+	seeds := workpool.Ordered(cfg.Seeds, cfg.Workers, func(i int) ReconcileSeedResult {
+		return RunReconcileSeed(cfg, cfg.BaseSeed+int64(i))
+	}, nil)
+	return &ReconcileReport{Config: cfg, Seeds: seeds}
 }
 
 // RunReconcileSeed soaks one seed: stack + reconciler + spec schedule +

@@ -113,7 +113,7 @@ func TestCoreConfigMapping(t *testing.T) {
 		t.Errorf("core mapping wrong: %+v", cc)
 	}
 	// Unset values keep core defaults.
-	if cc.JobLoadMsgBytes == 0 || cc.TaskTimeout == 0 {
+	if cc.TaskTimeout == 0 {
 		t.Error("defaults lost in mapping")
 	}
 }

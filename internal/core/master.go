@@ -37,6 +37,44 @@ import (
 	"eslurm/internal/simnet"
 )
 
+// Message sizes in bytes. Task and reply sizes come from their proto
+// encodings; these three are fixed.
+const (
+	jobLoadMsgBytes = 4096
+	jobTermMsgBytes = 1024
+	// HeartbeatMsgBytes sizes a heartbeat, and the heartbeat-sized probe
+	// broadcast of the satellite-count sweep.
+	HeartbeatMsgBytes = 256
+)
+
+// Resource-model coefficients (see DESIGN.md "Resource accounting"):
+// fixed calibration of the production daemons, not settings.
+const (
+	perNodeState int64 = 4 << 10  // bytes of master state per managed compute node
+	perJobState  int64 = 16 << 10 // bytes of master state per active job
+
+	// Satellite daemon memory model (Table VI, Fig. 9d–f): the satellite
+	// runs a slurmd-derived daemon with a large virtual image; its
+	// resident set grows with the largest sub-nodelist it has relayed.
+	SatelliteBaseVMem   int64 = 10 << 30
+	satelliteBaseRSS    int64 = 60 << 20
+	satellitePerNodeRSS int64 = 24 << 10
+	// satellitePerNodeProc is the satellite's per-participant processing
+	// cost when it receives a task: FP-Tree construction is Θ(n)
+	// (Section IV-D) and each relay message carries a sub-nodelist to
+	// marshal. Fewer satellites ⇒ larger sub-lists ⇒ slower relays — one
+	// side of the Fig. 11a trade-off.
+	satellitePerNodeProc = 50 * time.Microsecond
+	// masterPerTaskDispatch is the master's serialized cost to prepare
+	// and emit one satellite task (authorization, sub-list slicing,
+	// marshalling). More satellites ⇒ more tasks per broadcast — the
+	// other side of the Fig. 11a trade-off.
+	masterPerTaskDispatch = 1500 * time.Microsecond
+	// masterPerSatState is master memory per configured satellite
+	// (connection buffers + pool bookkeeping), the Table V growth.
+	masterPerSatState int64 = 3 << 20
+)
+
 // Config parameterizes the ESlurm master.
 type Config struct {
 	// TreeWidth is w in Eq. 1 and the FP-Tree fan-out.
@@ -49,44 +87,14 @@ type Config struct {
 	// TaskTimeout bounds how long the master waits for a satellite's
 	// aggregated response before treating the task as failed.
 	TaskTimeout time.Duration
-	// Message sizes in bytes.
-	JobLoadMsgBytes   int
-	JobTermMsgBytes   int
-	HeartbeatMsgBytes int
-	// ResponsePerNodeBytes sizes the aggregated satellite→master response.
-	ResponsePerNodeBytes int
 
-	// Resource-model coefficients for the master daemon (see
-	// DESIGN.md "Resource accounting"). ESlurm's hallmark is that these
-	// stay small because the master only ever talks to satellites.
+	// The master daemon's base footprint and scheduling cost. ESlurm's
+	// hallmark is that these stay small because the master only ever
+	// talks to satellites.
 	BaseVMem       int64 // daemon image + arenas
 	BaseRSS        int64
-	PerNodeState   int64         // bytes of master state per managed compute node
-	PerJobState    int64         // bytes of master state per active job
 	SchedCPUPerJob time.Duration // scheduling-pass CPU per job event
 
-	// Satellite daemon memory model (Table VI, Fig. 9d–f): the satellite
-	// runs a slurmd-derived daemon with a large virtual image; its
-	// resident set grows with the largest sub-nodelist it has relayed.
-	SatelliteBaseVMem   int64
-	SatelliteBaseRSS    int64
-	SatellitePerNodeRSS int64
-	// SatellitePerNodeProc is the satellite's per-participant processing
-	// cost when it receives a task: FP-Tree construction is Θ(n)
-	// (Section IV-D) and each relay message carries a sub-nodelist to
-	// marshal. Fewer satellites ⇒ larger sub-lists ⇒ slower relays — one
-	// side of the Fig. 11a trade-off.
-	SatellitePerNodeProc time.Duration
-	// MasterPerTaskDispatch is the master's serialized cost to prepare
-	// and emit one satellite task (authorization, sub-list slicing,
-	// marshalling). More satellites ⇒ more tasks per broadcast — the
-	// other side of the Fig. 11a trade-off.
-	MasterPerTaskDispatch time.Duration
-	// MasterPerSatState is master memory per configured satellite
-	// (connection buffers + pool bookkeeping), the Table V growth.
-	MasterPerSatState int64
-	// PerResponseCPU is master CPU per aggregated satellite response.
-	PerResponseCPU time.Duration
 	// DisableSuspectFeedback turns off the master's own unreachable-node
 	// suspect set, leaving placement purely to the plugin predictor (used
 	// by the §VII-A placement experiment to measure the monitoring
@@ -98,26 +106,13 @@ type Config struct {
 // experiments.
 func DefaultConfig() Config {
 	return Config{
-		TreeWidth:             fptree.DefaultWidth,
-		ReallocLimit:          2,
-		HeartbeatInterval:     150 * time.Second,
-		TaskTimeout:           120 * time.Second,
-		JobLoadMsgBytes:       4096,
-		JobTermMsgBytes:       1024,
-		HeartbeatMsgBytes:     256,
-		ResponsePerNodeBytes:  16,
-		BaseVMem:              1 << 30,  // <2 GB virtual (Fig. 7c)
-		BaseRSS:               40 << 20, // ~60 MB real at 4K nodes (Fig. 7d)
-		PerNodeState:          4 << 10,
-		PerJobState:           16 << 10,
-		SchedCPUPerJob:        2 * time.Millisecond,
-		SatelliteBaseVMem:     10 << 30,
-		SatelliteBaseRSS:      60 << 20,
-		SatellitePerNodeRSS:   24 << 10,
-		SatellitePerNodeProc:  50 * time.Microsecond,
-		MasterPerTaskDispatch: 1500 * time.Microsecond,
-		MasterPerSatState:     3 << 20,
-		PerResponseCPU:        500 * time.Microsecond,
+		TreeWidth:         fptree.DefaultWidth,
+		ReallocLimit:      2,
+		HeartbeatInterval: 150 * time.Second,
+		TaskTimeout:       120 * time.Second,
+		BaseVMem:          1 << 30,  // <2 GB virtual (Fig. 7c)
+		BaseRSS:           40 << 20, // ~60 MB real at 4K nodes (Fig. 7d)
+		SchedCPUPerJob:    2 * time.Millisecond,
 	}
 }
 
@@ -298,18 +293,18 @@ func (m *Master) Start() {
 	mm := m.Meter()
 	mm.AddVMem(m.cfg.BaseVMem)
 	mm.AddRSS(m.cfg.BaseRSS)
-	mm.AddVMem(int64(len(m.Cluster.Computes())) * m.cfg.PerNodeState)
-	mm.AddRSS(int64(len(m.Cluster.Computes())) * m.cfg.PerNodeState / 8)
+	mm.AddVMem(int64(len(m.Cluster.Computes())) * perNodeState)
+	mm.AddRSS(int64(len(m.Cluster.Computes())) * perNodeState / 8)
 	for _, id := range m.Cluster.Satellites() {
 		sm := &m.Cluster.Node(id).Meter
-		sm.AddVMem(m.cfg.SatelliteBaseVMem)
-		sm.AddRSS(m.cfg.SatelliteBaseRSS)
+		sm.AddVMem(SatelliteBaseVMem)
+		sm.AddRSS(satelliteBaseRSS)
 		// The master holds a long-lived control connection per satellite
 		// and per-satellite pool state (Table V's mild growth with the
 		// satellite count).
 		mm.OpenSocket()
-		mm.AddVMem(m.cfg.MasterPerSatState)
-		mm.AddRSS(m.cfg.MasterPerSatState / 4)
+		mm.AddVMem(masterPerSatState)
+		mm.AddRSS(masterPerSatState / 4)
 	}
 	m.probeSatellites()
 	m.hb = m.engine.Every(m.cfg.HeartbeatInterval, m.heartbeatSweep)
@@ -327,7 +322,7 @@ func (m *Master) Stop() {
 func (m *Master) probeSatellites() {
 	for _, s := range m.Pool.All() {
 		s := s
-		m.B.Send(m.Cluster.Master().ID, s.ID, m.cfg.HeartbeatMsgBytes, func(ok bool) {
+		m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, func(ok bool) {
 			if ok {
 				m.Pool.Apply(s, satellite.EvHBSuccess)
 			} else {
@@ -463,11 +458,11 @@ func (m *Master) Broadcast(targets []cluster.NodeID, size int, done func(comm.Re
 	}
 
 	// Task preparation is serialized at the master: authorization,
-	// sub-list slicing and marshalling cost MasterPerTaskDispatch each.
+	// sub-list slicing and marshalling cost masterPerTaskDispatch each.
 	for i, sub := range subs {
 		i, sub := i, sub
-		delay := time.Duration(i+1) * m.cfg.MasterPerTaskDispatch
-		mm.ChargeCPU(m.cfg.MasterPerTaskDispatch)
+		delay := time.Duration(i+1) * masterPerTaskDispatch
+		mm.ChargeCPU(masterPerTaskDispatch)
 		m.engine.After(delay, func() {
 			m.dispatchTask(sats[i], sub, size, 0, root, finish)
 		})
@@ -497,7 +492,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 	// The satellite's resident set high-water mark follows the largest
 	// sub-nodelist it has buffered.
 	sm := &m.Cluster.Node(sat.ID).Meter
-	if target := m.cfg.SatelliteBaseRSS + int64(len(sub))*m.cfg.SatellitePerNodeRSS; sm.RSS() < target {
+	if target := satelliteBaseRSS + int64(len(sub))*satellitePerNodeRSS; sm.RSS() < target {
 		sm.AddRSS(target - sm.RSS())
 	}
 
@@ -536,7 +531,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 		// The satellite constructs an FP-Tree over its sub-list (Θ(n),
 		// Section IV-D) and marshals per-child sub-nodelists before
 		// relaying.
-		proc := m.B.RelayOverhead + time.Duration(len(sub))*m.cfg.SatellitePerNodeProc
+		proc := m.B.RelayOverhead + time.Duration(len(sub))*satellitePerNodeProc
 		m.Cluster.Node(sat.ID).Meter.ChargeCPU(proc)
 		bStart := m.engine.Now() + proc
 		structure := comm.FPTree{Width: m.cfg.TreeWidth, Predictor: m.effectivePredictor(), Stats: m.Placement}
@@ -628,7 +623,7 @@ func (m *Master) ShutdownSatellite(id cluster.NodeID, done func(delivered bool))
 	if _, err := m.Pool.Apply(sat, satellite.EvShutdown); err != nil {
 		return err
 	}
-	m.B.Send(m.Cluster.Master().ID, id, m.cfg.HeartbeatMsgBytes, func(ok bool) {
+	m.B.Send(m.Cluster.Master().ID, id, HeartbeatMsgBytes, func(ok bool) {
 		if done != nil {
 			done(ok)
 		}
@@ -650,7 +645,7 @@ func (m *Master) DrainSatellite(id cluster.NodeID, deadline time.Duration, done 
 		return fmt.Errorf("core: node %d is not a satellite", id)
 	}
 	return m.Pool.Drain(id, deadline, func(clean bool) {
-		m.B.Send(m.Cluster.Master().ID, id, m.cfg.HeartbeatMsgBytes, func(ok bool) {
+		m.B.Send(m.Cluster.Master().ID, id, HeartbeatMsgBytes, func(ok bool) {
 			if done != nil {
 				done(clean, ok)
 			}
@@ -667,7 +662,7 @@ func (m *Master) ProbeSatellite(id cluster.NodeID) error {
 	if s == nil {
 		return fmt.Errorf("core: node %d is not a satellite", id)
 	}
-	m.B.Send(m.Cluster.Master().ID, s.ID, m.cfg.HeartbeatMsgBytes, func(ok bool) {
+	m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, func(ok bool) {
 		if ok {
 			m.Pool.Apply(s, satellite.EvHBSuccess)
 		} else {
@@ -703,7 +698,7 @@ func (m *Master) Tune(treeWidth, reallocLimit int, heartbeat time.Duration) {
 func (m *Master) heartbeatSweep() {
 	m.in.sweeps.Inc()
 	m.probeSatellites()
-	m.Broadcast(m.Cluster.Computes(), m.cfg.HeartbeatMsgBytes, nil)
+	m.Broadcast(m.Cluster.Computes(), HeartbeatMsgBytes, nil)
 }
 
 // LoadJob broadcasts the job-loading message to the job's nodes and charges
@@ -711,10 +706,10 @@ func (m *Master) heartbeatSweep() {
 func (m *Master) LoadJob(nodes []cluster.NodeID, done func(comm.Result)) {
 	mm := m.Meter()
 	mm.ChargeCPU(m.cfg.SchedCPUPerJob)
-	mm.AddVMem(m.cfg.PerJobState)
-	mm.AddRSS(m.cfg.PerJobState / 4)
+	mm.AddVMem(perJobState)
+	mm.AddRSS(perJobState / 4)
 	m.jobs++
-	m.Broadcast(nodes, m.cfg.JobLoadMsgBytes, done)
+	m.Broadcast(nodes, jobLoadMsgBytes, done)
 }
 
 // TerminateJob broadcasts the job-termination message and releases the
@@ -723,9 +718,9 @@ func (m *Master) LoadJob(nodes []cluster.NodeID, done func(comm.Result)) {
 func (m *Master) TerminateJob(nodes []cluster.NodeID, done func(comm.Result)) {
 	mm := m.Meter()
 	mm.ChargeCPU(m.cfg.SchedCPUPerJob / 2)
-	m.Broadcast(nodes, m.cfg.JobTermMsgBytes, func(r comm.Result) {
-		mm.AddVMem(-m.cfg.PerJobState)
-		mm.AddRSS(-m.cfg.PerJobState / 4)
+	m.Broadcast(nodes, jobTermMsgBytes, func(r comm.Result) {
+		mm.AddVMem(-perJobState)
+		mm.AddRSS(-perJobState / 4)
 		if m.jobs > 0 {
 			m.jobs--
 		}

@@ -338,7 +338,7 @@ func TestSatelliteMemoryModel(t *testing.T) {
 	e.RunUntil(time.Second)
 	sat := c.Satellites()[0]
 	sm := &c.Node(sat).Meter
-	if sm.VMem() < m.Config().SatelliteBaseVMem {
+	if sm.VMem() < SatelliteBaseVMem {
 		t.Error("satellite base vmem not charged")
 	}
 	base := sm.RSS()

@@ -282,7 +282,7 @@ func Fig11a(env *Env, nodes int, satCounts []int) *Table {
 		c.RunUntil(2 * time.Second)
 		var res comm.Result
 		got := false
-		master.Broadcast(c.Computes(), master.Config().HeartbeatMsgBytes, func(r comm.Result) { res, got = r, true })
+		master.Broadcast(c.Computes(), core.HeartbeatMsgBytes, func(r comm.Result) { res, got = r, true })
 		c.RunUntilDone(c.Engine.Now()+10*time.Minute, func() bool { return got })
 		master.Stop()
 		t.AddRow(fmt.Sprintf("%d", m), fmtDur(res.DeliveredElapsed))

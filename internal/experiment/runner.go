@@ -4,16 +4,15 @@ package experiment
 // contract ("parallelism belongs across independent simulations, never
 // inside one"); this runner is the sanctioned form of that parallelism:
 // each Spec.Run call is an independent simulation tree with its own
-// engines and seeds, so a worker pool can execute many of them
+// engines and seeds, so workpool.Ordered can execute many of them
 // concurrently while the emitted output stays byte-identical to a serial
 // run — results are surfaced strictly in registry order.
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"eslurm/internal/simnet"
+	"eslurm/internal/workpool"
 )
 
 // Result is one experiment's tables plus the harness-side stats
@@ -47,9 +46,9 @@ func (r Result) EventsPerSec() float64 {
 
 // RunConcurrent executes the specs against p on a pool of parallel
 // workers (parallel < 1 means GOMAXPROCS). Experiments run concurrently
-// in work-stealing order, but emit — when non-nil — is invoked exactly
-// once per spec, in specs order, from the calling goroutine, as soon as
-// the ordered prefix is complete. The returned slice is indexed like
+// in whatever order workers take them, but emit — when non-nil — is
+// invoked exactly once per spec, in specs order, from the calling
+// goroutine, as soon as the ordered prefix is complete. The returned slice is indexed like
 // specs. Output built solely from emit order is therefore byte-identical
 // for every parallel setting: the determinism contract across the pool.
 func RunConcurrent(specs []Spec, p Params, parallel int, emit func(Result)) []Result {
@@ -67,44 +66,7 @@ func RunObserved(specs []Spec, p Params, parallel int, spans bool, emit func(Res
 }
 
 func run(specs []Spec, p Params, parallel int, keep, spans bool, emit func(Result)) []Result {
-	if parallel < 1 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(specs) {
-		parallel = len(specs)
-	}
-	results := make([]Result, len(specs))
-	done := make([]chan struct{}, len(specs))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	work := make(chan int, len(specs))
-	for i := range specs {
-		work <- i
-	}
-	close(work)
-
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		//eslurmlint:ignore gosim worker pool over independent engines; no simulated state crosses goroutines
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				//eslurmlint:ignore engineown hands a finished experiment's engines back to the caller: the worker never touches them again, and close(done[i]) orders this write before the caller's read
-				results[i] = runOne(specs[i], p, keep, spans)
-				close(done[i])
-			}
-		}()
-	}
-	for i := range specs {
-		<-done[i]
-		if emit != nil {
-			emit(results[i])
-		}
-	}
-	wg.Wait()
-	return results
+	return workpool.Ordered(len(specs), parallel, func(i int) Result { return runOne(specs[i], p, keep, spans) }, emit)
 }
 
 // runOne executes a single spec on a fresh Env, timing it and accounting

@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// GlobalmutAnalyzer is the global-state audit half of the shard-safety
-// suite. Under the sharded kernel every engine's state must be owned by
-// exactly one goroutine, so every mutable package-level variable in a
-// simulation package is cross-shard shared state waiting to happen — even
-// one that is only ever read today can be aliased and written tomorrow,
-// and nothing in the type system will complain.
+// GlobalmutAnalyzer is the global-state audit. A mutable package-level
+// variable in a simulation package outlives the run: it leaks state into
+// the next run when one process runs several in sequence (the benchrunner
+// suite, a test binary), and every workpool worker shares it when runs
+// execute side by side. Even one only read today can be aliased and
+// written tomorrow, and nothing in the type system will complain.
 //
 // The rule flags package-level non-blank vars in internal/ packages whose
 // underlying type is mutable (pointer, map, slice, array, chan, or
@@ -30,7 +30,7 @@ import (
 //
 // internal/lint and internal/testutil are exempt: linter tables and test
 // scaffolding are never linked into a simulation binary, so they cannot
-// become shard-shared state. Every remaining finding must be fixed or
+// carry state between runs. Every remaining finding must be fixed or
 // carry a reasoned suppression, and DESIGN.md's suppression ledger lists
 // each one.
 var GlobalmutAnalyzer = &Analyzer{
@@ -97,7 +97,7 @@ func runGlobalmut(pkgs []*Package) []Finding {
 						} else {
 							msg += ": no writes observed, but " + mutable + " state can be aliased and mutated by any future caller"
 						}
-						msg += "; under the sharded kernel every package-level mutable becomes cross-shard shared state — make it a constant, derive it per call, or thread it through the engine/config and suppress with a reason if it must stay"
+						msg += "; it outlives the run, leaking state into the next run in the process and across workpool workers — make it a constant, derive it per call, or thread it through the engine/config and suppress with a reason if it must stay"
 						out = append(out, Finding{p.Fset.Position(name.Pos()), "globalmut", msg})
 					}
 				}
@@ -234,4 +234,13 @@ func pkgVarRoot(p *Package, e ast.Expr) *types.Var {
 		return pkgVarRoot(p, x.X)
 	}
 	return nil
+}
+
+// shortQualifier renders cross-package type names as pkgname.Type.
+func shortQualifier(other *types.Package) string { return other.Name() }
+
+// isPkgLevelVar reports whether v is declared at package scope (whose
+// parent is the universe scope).
+func isPkgLevelVar(v *types.Var) bool {
+	return v.Parent() != nil && v.Parent().Parent() == types.Universe
 }

@@ -168,13 +168,6 @@ func TestFloatsum(t *testing.T) {
 	runCase(t, "floatsum_suppressed", MaporderAnalyzer)
 }
 
-func TestGosim(t *testing.T) {
-	runCase(t, "gosim_bad", GosimAnalyzer)
-	runCase(t, "gosim_good", GosimAnalyzer)
-	runCase(t, "gosim_suppressed", GosimAnalyzer)
-	runCase(t, "gosim_cmd", GosimAnalyzer)
-}
-
 // TestTaint pins the cross-function dataflow pass, including (in
 // taint_bad) the exact source → intermediate calls → sink chains the
 // finding messages must carry.
@@ -182,24 +175,6 @@ func TestTaint(t *testing.T) {
 	runCase(t, "taint_bad", TaintAnalyzer)
 	runCase(t, "taint_good", TaintAnalyzer)
 	runCase(t, "taint_suppressed", TaintAnalyzer)
-}
-
-// TestEngineown pins the ownership escape analysis, including (in
-// engineown_bad) the owner → hops → escape chains the messages carry.
-func TestEngineown(t *testing.T) {
-	runCase(t, "engineown_bad", EngineownAnalyzer)
-	runCase(t, "engineown_good", EngineownAnalyzer)
-	runCase(t, "engineown_suppressed", EngineownAnalyzer)
-}
-
-// TestReconcileLoopPattern pins the reconciler's control-loop idiom
-// against both concurrency analyzers at once: the ticker-callback form
-// (reconcileloop_good) is silent with no package waiver, while the
-// naive goroutine port (reconcileloop_bad) fires gosim on the spawn and
-// engineown on every escape route it opens.
-func TestReconcileLoopPattern(t *testing.T) {
-	runCase(t, "reconcileloop_good", GosimAnalyzer, EngineownAnalyzer)
-	runCase(t, "reconcileloop_bad", GosimAnalyzer, EngineownAnalyzer)
 }
 
 // TestGlobalmut pins the global-state audit, including the internal/lint
@@ -248,7 +223,7 @@ func TestFindingString(t *testing.T) {
 	if got, want := f.String(), "a/b.go:7: [detrand] msg"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
-	if len(Analyzers()) != 8 {
-		t.Fatalf("expected 8 analyzers, got %d", len(Analyzers()))
+	if len(Analyzers()) != 6 {
+		t.Fatalf("expected 6 analyzers, got %d", len(Analyzers()))
 	}
 }

@@ -63,7 +63,7 @@ type Package struct {
 // RunModule is set (or neither, for pipeline-implemented analyzers like
 // staleignore): Run sees one package at a time; RunModule sees every
 // loaded package at once, for rules whose evidence spans packages (taint
-// chains, engine ownership, module-wide writes to globals).
+// chains, module-wide writes to globals).
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -74,9 +74,8 @@ type Analyzer struct {
 // Analyzers returns the full eslurmlint rule set in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer, GosimAnalyzer,
-		TaintAnalyzer, EngineownAnalyzer, GlobalmutAnalyzer,
-		StaleignoreAnalyzer,
+		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer, TaintAnalyzer,
+		GlobalmutAnalyzer, StaleignoreAnalyzer,
 	}
 }
 

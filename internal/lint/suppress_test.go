@@ -21,7 +21,7 @@ func parseOnly(t *testing.T, src string) *Package {
 }
 
 var testKnownSet = map[string]bool{
-	"walltime": true, "detrand": true, "maporder": true, "gosim": true,
+	"walltime": true, "detrand": true, "maporder": true, "globalmut": true,
 }
 
 func TestSuppressionCoversSameAndNextLine(t *testing.T) {
@@ -156,10 +156,10 @@ func TestSuppressionUsedTracking(t *testing.T) {
 
 //eslurmlint:ignore detrand used below
 //eslurmlint:ignore walltime never matches anything
-//eslurmlint:ignore gosim analyzer not enabled this run
+//eslurmlint:ignore globalmut analyzer not enabled this run
 func f() {}
 `)
-	known := map[string]bool{"detrand": true, "walltime": true, "gosim": true, "staleignore": true}
+	known := map[string]bool{"detrand": true, "walltime": true, "globalmut": true, "staleignore": true}
 	sups, _ := collectSuppressions(p, known)
 	f := Finding{Analyzer: "detrand"}
 	f.Pos.Filename = "x.go"

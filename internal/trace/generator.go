@@ -72,7 +72,7 @@ func NGTianheConfig(jobs int) GenConfig {
 // electromagnetics, combustion, nonlinear flows, bio-informatics and
 // mechanical analyses.
 //
-//eslurmlint:ignore globalmut read-only name catalogue; only ever indexed by the generator, never written or handed out, so it cannot become cross-shard state
+//eslurmlint:ignore globalmut read-only name catalogue; only ever indexed by the generator, never written or handed out, so it cannot carry state between runs or workers
 var appFamilies = []string{
 	"cfd-sim", "em-field", "engine-comb", "nonlin-flow", "bioinf-align",
 	"mech-strength", "wrf-fcst", "md-dynamics", "qcd-lattice", "seismic-inv",
