@@ -16,7 +16,6 @@
 //	benchrunner -all                  # run every experiment
 //	benchrunner -all -parallel 4      # ...on exactly 4 workers
 //	benchrunner -all -json BENCH_quick.json  # ...and write the perf record
-//	benchrunner -exp fig7f -cells     # rack-partitioned clusters
 //	benchrunner -exp fig8b -trace t.json   # Chrome trace of every engine
 //	benchrunner -exp fig8b -metrics        # dump each engine's registry
 //	benchrunner -exp fig7f -critpath cp.txt  # critical-path attribution
@@ -31,16 +30,11 @@
 // output is assembled from the results in registry order, each
 // experiment's engines in creation order, so it is byte-identical at any
 // -parallel.
-// -cells partitions every cluster an experiment builds (they all come from
-// experiment.Env.NewCluster) into a control cell plus one cell per compute
-// rack. A selection in which no experiment builds a cluster (table1,
-// fig5, table8, fig11b, ablation-topo) exits 2 naming the experiments,
-// rather than run and say nothing.
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
 // -json writes the perf record: each experiment's event count, exact for
-// a preset and -cells on any machine and at any -parallel, so a fresh
-// record is compared with the committed BENCH_quick.json byte for byte.
+// a preset on any machine and at any -parallel, so a fresh record is
+// compared with the committed BENCH_quick.json byte for byte.
 // Wall-clock is bench/'s to measure, not the record's.
 // -cpuprofile and -memprofile write pprof files covering the experiments
 // alone (not flag parsing, not the -json record): host-time questions
@@ -61,6 +55,7 @@ import (
 
 	"eslurm/internal/experiment"
 	"eslurm/internal/obs"
+	"eslurm/internal/workpool"
 )
 
 func main() {
@@ -84,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metrics  = fs.Bool("metrics", false, "dump each engine's metrics registry to stdout")
 		critPath = fs.String("critpath", "", "write the deterministic critical-path report of every engine to this file")
 		spans    = fs.Bool("spans", false, "print the span and metric taxonomy tables (the generated half of OBSERVABILITY.md) and exit")
-		cells    = fs.Bool("cells", false, "partition every cluster an experiment builds into a control cell plus one cell per rack")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof allocation profile, taken when the experiments finish, to this file")
 	)
@@ -113,9 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *paper {
 		params = experiment.PaperParams()
 		preset = "paper"
-	}
-	if *cells {
-		params.Shards = 1
 	}
 
 	if *csvDir != "" {
@@ -152,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	fmt.Fprintf(stderr, "-- %d experiment(s), %s preset, %d worker(s)\n", len(specs), preset, *parallel)
+	fmt.Fprintf(stderr, "-- %d experiment(s), %s preset, %d worker(s)\n", len(specs), preset, workpool.Workers(len(specs), *parallel))
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -171,23 +162,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stderr, "-- suite done in %s\n", suiteWall.Round(time.Millisecond))
-	partitioned, ids := false, make([]string, len(results))
-	for i, r := range results {
-		partitioned = partitioned || r.Sharded
-		ids[i] = r.Spec.ID
-	}
-	if *cells && !partitioned {
-		fmt.Fprintf(stderr, "benchrunner: -cells partitioned nothing: none of %s builds a cluster, so no table above comes from a partitioned run\n",
-			strings.Join(ids, ", "))
-		return 2
-	}
 	if err := writeObserved(stdout, stderr, experiment.ObservedEngines(results), *trace, *critPath, *metrics); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
 	if *jsonPath != "" {
-		if err := writePerfRecord(*jsonPath, preset, params.Shards, results); err != nil {
+		if err := writePerfRecord(*jsonPath, preset, results); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -300,13 +281,11 @@ func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, trac
 
 // A perfRecord is the perf record the repo commits for the quick preset
 // (BENCH_quick.json): regenerate it with `go run ./cmd/benchrunner -all
-// -json BENCH_quick.json`. It holds only what the preset and -cells fix —
-// no host, no wall-clock — so two runs on any machines at any -parallel
-// write the same bytes, and CI compares a fresh record with diff.
+// -json BENCH_quick.json`. It holds only what the preset fixes — no host,
+// no wall-clock — so two runs on any machines at any -parallel write the
+// same bytes, and CI compares a fresh record with diff.
 type perfRecord struct {
-	Preset string `json:"preset"`
-	// Shards is experiment.Params.Shards: 1 under -cells, 0 for one cell.
-	Shards      int         `json:"shards"`
+	Preset      string      `json:"preset"`
 	TotalEvents uint64      `json:"total_events"`
 	Experiments []expRecord `json:"experiments"`
 }
@@ -315,24 +294,16 @@ type expRecord struct {
 	ID       string `json:"id"`
 	Artifact string `json:"artifact"`
 	Events   uint64 `json:"events"`
-	// Shards is the run's Shards when this experiment built a partitioned
-	// cluster, 0 when every cluster it built was one cell.
-	Shards int `json:"shards"`
 }
 
-func writePerfRecord(path, preset string, shards int, results []experiment.Result) error {
-	rec := perfRecord{Preset: preset, Shards: shards}
+func writePerfRecord(path, preset string, results []experiment.Result) error {
+	rec := perfRecord{Preset: preset}
 	for _, r := range results {
 		rec.TotalEvents += r.Events
-		expShards := 0
-		if r.Sharded {
-			expShards = shards
-		}
 		rec.Experiments = append(rec.Experiments, expRecord{
 			ID:       r.Spec.ID,
 			Artifact: r.Spec.Artifact,
 			Events:   r.Events,
-			Shards:   expShards,
 		})
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

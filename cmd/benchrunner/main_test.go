@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -77,7 +79,7 @@ func TestObservedRunsAreParallelInvariant(t *testing.T) {
 }
 
 // TestPerfRecordIsExact: the -json perf record holds only what the preset
-// and -cells fix, so it is byte-identical at any -parallel and carries no
+// fixes, so it is byte-identical at any -parallel and carries no
 // host or timing key — which is what lets CI compare a fresh record with
 // the committed BENCH_quick.json by diff.
 func TestPerfRecordIsExact(t *testing.T) {
@@ -120,7 +122,7 @@ func TestPerfRecordIsExact(t *testing.T) {
 		sort.Strings(ks)
 		return strings.Join(ks, ",")
 	}
-	if got, want := keys(top), "experiments,preset,shards,total_events"; got != want {
+	if got, want := keys(top), "experiments,preset,total_events"; got != want {
 		t.Errorf("record keys %s, want %s", got, want)
 	}
 	if rec.Preset != "quick" || len(rec.Experiments) != 4 {
@@ -128,7 +130,7 @@ func TestPerfRecordIsExact(t *testing.T) {
 	}
 	var sum uint64
 	for _, e := range rec.Experiments {
-		if got, want := keys(e), "artifact,events,id,shards"; got != want {
+		if got, want := keys(e), "artifact,events,id"; got != want {
 			t.Errorf("experiment %v keys %s, want %s", e["id"], got, want)
 		}
 		n, _ := e["events"].(float64)
@@ -152,30 +154,47 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestShardsHonouredOrRefused: -cells either partitions some cluster of
-// the selection or the run exits 2 naming the experiments — never accepted
-// and ignored. Every experiment that builds a cluster honours it (pinned by
-// experiment.TestEnvAccountsEveryExperiment); only those that build none
-// are refused.
+// TestShardsHonouredOrRefused: every cluster runs on one engine, so there
+// is no partitioned run to ask for — -cells is not a flag, and asking for
+// it exits 2 before anything runs.
 func TestShardsHonouredOrRefused(t *testing.T) {
 	for _, tc := range []struct {
-		args    []string
-		code    int
-		refused []string // every ID the refusal must name
+		args []string
+		code int
 	}{
-		{args: []string{"-exp", "fig8b,rack-outage", "-cells"}, code: 0},
-		{args: []string{"-exp", "table1,ablation-topo", "-cells"}, code: 2, refused: []string{"table1", "ablation-topo"}},
-		{args: []string{"-exp", "table1,fig8b", "-cells"}, code: 0},
+		{args: []string{"-exp", "fig8b,rack-outage", "-cells"}, code: 2},
+		{args: []string{"-exp", "table1,ablation-topo", "-cells"}, code: 2},
 		{args: []string{"-exp", "table1"}, code: 0},
 	} {
 		var out, errs bytes.Buffer
 		if code := run(tc.args, &out, &errs); code != tc.code {
 			t.Errorf("%v: exit %d, want %d\n%s", tc.args, code, tc.code, errs.String())
 		}
-		for _, id := range tc.refused {
-			if !strings.Contains(errs.String(), "-cells") || !strings.Contains(errs.String(), id) {
-				t.Errorf("%v: stderr does not refuse -cells naming %s: %q", tc.args, id, errs.String())
-			}
+		if tc.code == 2 && (out.Len() != 0 || !strings.Contains(errs.String(), "flag provided but not defined: -cells")) {
+			t.Errorf("%v: ran or did not refuse -cells: stdout %d bytes, stderr %q", tc.args, out.Len(), errs.String())
+		}
+	}
+}
+
+// TestBannerNamesPoolSize: the banner states how many workers the pool
+// runs — at most one per experiment, GOMAXPROCS for -parallel below 1 —
+// not the -parallel value as given.
+func TestBannerNamesPoolSize(t *testing.T) {
+	for _, tc := range []struct {
+		parallel string
+		want     int
+	}{
+		{"-3", min(runtime.GOMAXPROCS(0), 2)},
+		{"0", min(runtime.GOMAXPROCS(0), 2)},
+		{"1", 1},
+		{"8", 2},
+	} {
+		var out, errs bytes.Buffer
+		if code := run([]string{"-exp", "table1,fig5", "-parallel", tc.parallel}, &out, &errs); code != 0 {
+			t.Fatalf("-parallel %s: exit %d\n%s", tc.parallel, code, errs.String())
+		}
+		if want := fmt.Sprintf("-- 2 experiment(s), quick preset, %d worker(s)\n", tc.want); !strings.HasPrefix(errs.String(), want) {
+			t.Errorf("-parallel %s: banner %q, want %q", tc.parallel, strings.SplitN(errs.String(), "\n", 2)[0], strings.TrimSpace(want))
 		}
 	}
 }

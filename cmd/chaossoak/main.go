@@ -17,30 +17,22 @@
 //	chaossoak -trace soak.json        # Chrome/Perfetto trace, one pid per seed
 //	chaossoak -metrics                # dump each seed's metrics registry
 //	chaossoak -critpath cp.txt        # critical-path attribution per seed
-//	chaossoak -cells                  # rack-partitioned cluster
 //	chaossoak -reconcile              # chaos campaign under the reconciler
 //	chaossoak -reconcile -spec s.json # custom spec schedule for the soak
-//
-// -cells partitions each seed's cluster — the control plane on one engine
-// cell, every compute rack on its own. It is the same soak (chaos.RunSeed:
-// the same master, satellite pool, campaign and invariants); the report
-// differs from the one-cell run by what partitioning may change
-// (DESIGN.md §4). -trace writes one trace process per seed × cell and
-// -metrics dumps each seed's registry merged across its cells.
 //
 // -critpath arms span recording and writes the deterministic
 // critical-path report (internal/obs/critpath): per root-span kind, the
 // top-K slowest broadcasts with their hop chains, per-kind time
-// attribution, and retry/rebuild share. Under -cells the per-cell
-// recordings are stitched across cells. Diff two reports with
+// attribution, and retry/rebuild share. Diff two reports with
 // `critdiff a.txt b.txt`.
 //
 // -loss, -dup and -silent are probabilities: a value outside [0,1] is an
-// error (exit 2). A flag the selected soak cannot honour is an error
-// (exit 2) too, never silently dropped: -reconcile records no spans and
-// keeps no registry (-critpath, -trace, -metrics), fixes its silent
-// fraction (-silent) and runs on one cell (-cells), and -target/-spec
-// mean nothing without -reconcile.
+// error (exit 2), and so is a -seeds, -nodes, -sats or -broadcasts below
+// 1 or a -span or -bound that is not positive, in either soak. A flag the
+// selected soak cannot honour is an error (exit 2) too, never silently
+// dropped: -reconcile records no spans and keeps no registry (-critpath,
+// -trace, -metrics) and fixes its silent fraction (-silent), and
+// -target/-spec mean nothing without -reconcile.
 //
 // With -reconcile the soak overlays the full fault campaign on a
 // reconciler driving a timed spec schedule (chaos.ReconcileSoak) and
@@ -83,7 +75,6 @@ var unsupported = map[string]map[string]string{
 		"trace":    "the reconcile soak records no spans",
 		"metrics":  "the reconcile soak keeps no per-seed registry",
 		"silent":   "the reconcile soak draws its campaign with a fixed silent fraction",
-		"cells":    "the reconcile soak runs each seed on one cell",
 	},
 	modeSoak: {
 		"target": "it is a -reconcile setting",
@@ -111,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of every seed to this file")
 	critPath := fs.String("critpath", "", "write the deterministic critical-path report of every seed to this file")
 	metrics := fs.Bool("metrics", false, "dump each seed's metrics registry after the report")
-	cells := fs.Bool("cells", false, "partition each seed's cluster into a control cell plus one cell per rack")
 	reconcileMode := fs.Bool("reconcile", false, "overlay the campaign on a reconciler and assert convergence (chaos.ReconcileSoak)")
 	target := fs.Int("target", 0, "reconcile mode: initial in-service satellite target (0 = default)")
 	specPath := fs.String("spec", "", "reconcile mode: spec/schedule JSON replacing the built-in schedule")
@@ -128,6 +118,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{{"loss", *loss}, {"dup", *dup}, {"silent", *silent}} {
 		if !(p.v >= 0 && p.v <= 1) { // written so NaN fails too
 			return fail(fmt.Errorf("-%s %v is not a probability in [0,1]", p.flag, p.v))
+		}
+	}
+	// Both soaks would quietly replace a size below one with its default.
+	for _, p := range []struct {
+		flag string
+		v    any
+		ok   bool
+	}{
+		{"seeds", *seeds, *seeds >= 1}, {"nodes", *nodes, *nodes >= 1}, {"sats", *sats, *sats >= 1},
+		{"broadcasts", *bcasts, *bcasts >= 1}, {"span", *span, *span > 0}, {"bound", *bound, *bound > 0},
+	} {
+		if !p.ok {
+			return fail(fmt.Errorf("-%s %v is not positive", p.flag, p.v))
 		}
 	}
 
@@ -212,7 +215,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.DupProb = *dup
 		cfg.SilentFraction = *silent
 		cfg.Trace = *tracePath != "" || *critPath != ""
-		cfg.Cells = *cells
 		rep := chaos.Soak(cfg)
 		fmt.Fprint(stdout, rep.String())
 		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()
@@ -245,19 +247,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // traceProcesses lays the seeds out as Chrome trace processes so Perfetto
-// shows the soak side by side: one process per seed × cell (pid =
-// seed·cells + cell; on one cell that is one process per seed, pid =
-// seed). Same flags → byte-identical file.
+// shows the soak side by side: one process per seed, pid = seed. Same
+// flags → byte-identical file.
 func traceProcesses(seeds []chaos.SeedResult) []obs.Process {
 	var procs []obs.Process
 	for _, s := range seeds {
-		for c, t := range s.CellTraces {
-			name := fmt.Sprintf("chaossoak seed %d", s.Seed)
-			if len(s.CellTraces) > 1 {
-				name += fmt.Sprintf(" cell %d", c)
-			}
-			procs = append(procs, obs.Process{PID: int(s.Seed)*len(s.CellTraces) + c, Name: name, T: t})
-		}
+		procs = append(procs, obs.Process{PID: int(s.Seed), Name: fmt.Sprintf("chaossoak seed %d", s.Seed), T: s.Trace})
 	}
 	return procs
 }

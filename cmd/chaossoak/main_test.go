@@ -41,13 +41,14 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		{name: "single target", args: []string{"-target", "3"}, refused: "-target is not available with"},
 		{name: "single spec", args: []string{"-spec", spec}, refused: "-spec is not available with"},
 
-		// The sharded soak: -cells partitions each seed's cluster by rack.
-		{name: "shards trace", args: []string{"-cells", "-trace", "FILE"}, writes: true, inFile: []string{"chaossoak seed 1 cell 1"}, wantOut: []string{"trace: 1 seeds"}},
-		{name: "shards critpath", args: []string{"-cells", "-critpath", "FILE"}, writes: true, wantOut: []string{"critpath: 1 seed(s)"}},
-		{name: "shards metrics", args: []string{"-cells", "-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages", "master.subtasks", "simnet.windows"}},
-		{name: "shards silent", args: []string{"-cells", "-silent", "0.5"}, wantOut: []string{"silent=0.50", "reallocs=", "takeovers="}},
-		{name: "shards target", args: []string{"-cells", "-target", "3"}, refused: "-target is not available with"},
-		{name: "shards spec", args: []string{"-cells", "-spec", spec}, refused: "-spec is not available with"},
+		// Every seed runs on one engine: -cells is not a flag, whatever it
+		// is combined with.
+		{name: "shards trace", args: []string{"-cells", "-trace", "FILE"}, refused: "flag provided but not defined: -cells"},
+		{name: "shards critpath", args: []string{"-cells", "-critpath", "FILE"}, refused: "flag provided but not defined: -cells"},
+		{name: "shards metrics", args: []string{"-cells", "-metrics"}, refused: "flag provided but not defined: -cells"},
+		{name: "shards silent", args: []string{"-cells", "-silent", "0.5"}, refused: "flag provided but not defined: -cells"},
+		{name: "shards target", args: []string{"-cells", "-target", "3"}, refused: "flag provided but not defined: -cells"},
+		{name: "shards spec", args: []string{"-cells", "-spec", spec}, refused: "flag provided but not defined: -cells"},
 
 		{name: "reconcile trace", args: []string{"-reconcile", "-trace", "FILE"}, refused: "-trace is not available with"},
 		{name: "reconcile critpath", args: []string{"-reconcile", "-critpath", "FILE"}, refused: "-critpath is not available with"},
@@ -55,7 +56,7 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		{name: "reconcile silent", args: []string{"-reconcile", "-silent", "0.5"}, refused: "-silent is not available with"},
 		{name: "reconcile target", args: []string{"-reconcile", "-target", "3"}, wantOut: []string{"target=3"}},
 		{name: "reconcile spec", args: []string{"-reconcile", "-spec", spec}, wantOut: []string{"reconcile soak"}},
-		{name: "reconcile shards", args: []string{"-reconcile", "-cells"}, refused: "-cells is not available with"},
+		{name: "reconcile shards", args: []string{"-reconcile", "-cells"}, refused: "flag provided but not defined: -cells"},
 		{name: "two refusals both named", args: []string{"-reconcile", "-trace", "FILE", "-metrics"}, refused: "-metrics is not available with"},
 
 		// -loss, -dup and -silent are probabilities: the network would
@@ -66,6 +67,22 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		{name: "loss NaN", args: []string{"-loss", "NaN"}, refused: "-loss NaN is not a probability in [0,1]"},
 		{name: "reconcile dup above one", args: []string{"-reconcile", "-dup", "2"}, refused: "-dup 2 is not a probability in [0,1]"},
 		{name: "probability bounds", args: []string{"-loss", "0", "-dup", "1", "-silent", "1"}, wantOut: []string{"loss=0.000 dup=1.000", "silent=1.00"}},
+
+		// Sizes below one would be replaced by the soak's defaults, in
+		// either soak, while the run looked like it honoured them.
+		{name: "seeds zero", args: []string{"-seeds", "0"}, refused: "-seeds 0 is not positive"},
+		{name: "sats negative", args: []string{"-sats", "-3"}, refused: "-sats -3 is not positive"},
+		{name: "nodes zero", args: []string{"-nodes", "0"}, refused: "-nodes 0 is not positive"},
+		{name: "broadcasts negative", args: []string{"-broadcasts", "-1"}, refused: "-broadcasts -1 is not positive"},
+		{name: "span zero", args: []string{"-span", "0s"}, refused: "-span 0s is not positive"},
+		{name: "bound negative", args: []string{"-bound", "-1m"}, refused: "-bound -1m0s is not positive"},
+		{name: "reconcile seeds zero", args: []string{"-reconcile", "-seeds", "0"}, refused: "-seeds 0 is not positive"},
+		{name: "reconcile sats negative", args: []string{"-reconcile", "-sats", "-3"}, refused: "-sats -3 is not positive"},
+		{name: "reconcile nodes zero", args: []string{"-reconcile", "-nodes", "0"}, refused: "-nodes 0 is not positive"},
+		{name: "reconcile broadcasts zero", args: []string{"-reconcile", "-broadcasts", "0"}, refused: "-broadcasts 0 is not positive"},
+		{name: "reconcile span negative", args: []string{"-reconcile", "-span", "-5s"}, refused: "-span -5s is not positive"},
+		{name: "reconcile bound zero", args: []string{"-reconcile", "-bound", "0s"}, refused: "-bound 0s is not positive"},
+		{name: "smallest sizes", args: []string{"-seeds", "1", "-sats", "1", "-nodes", "8", "-broadcasts", "1"}, wantOut: []string{"seeds=1 base=1 computes=8 satellites=1", "broadcasts=1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

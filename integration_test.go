@@ -12,12 +12,7 @@ import (
 	"time"
 
 	"eslurm/internal/cluster"
-	"eslurm/internal/comm"
-	"eslurm/internal/core"
 	"eslurm/internal/experiment"
-	"eslurm/internal/faults"
-	"eslurm/internal/monitor"
-	"eslurm/internal/predict"
 	"eslurm/internal/rm"
 	"eslurm/internal/simnet"
 )
@@ -173,87 +168,6 @@ func TestExperimentDeterminism(t *testing.T) {
 		a, b := render(), render()
 		if a != b {
 			t.Errorf("%s is nondeterministic:\n%s\n---\n%s", id, a, b)
-		}
-	}
-}
-
-// TestOneCellOracle: a single engine is a one-cell group. The same stack
-// built through the partitioning fields with Cells=1 and driven through
-// the group's windowed protocol executes the same
-// (time, seq) event stream and yields the same numbers as cluster.New on
-// a bare engine driven directly — for the Fig. 8a measurement (a master
-// broadcast over a 2%-failed cluster) and for one chaos-soak seed's stack
-// (campaign, loss, duplication, retries with backoff, monitor, master).
-func TestOneCellOracle(t *testing.T) {
-	build := func(seed int64, cfg cluster.Config, grouped bool) (*cluster.Cluster, func(time.Duration), func()) {
-		e := simnet.NewEngine(seed)
-		if !grouped {
-			c := cluster.New(e, cfg)
-			c.Group().EnableDigest()
-			return c, e.RunUntil, e.Run
-		}
-		cfg.Cells = 1
-		cfg.CellOf = func(cluster.NodeID, cluster.Role) int { return 0 }
-		c := cluster.New(e, cfg)
-		c.Group().EnableDigest()
-		return c, c.Group().RunUntil, c.Group().Run
-	}
-
-	fig8a := func(grouped bool) string {
-		const nodes = 1024
-		c, runUntil, _ := build(7, cluster.Config{Computes: nodes, Satellites: 2}, grouped)
-		comps := c.Computes()
-		st := predict.Static{}
-		for i := 0; i < nodes/50; i++ {
-			c.Fail(comps[i*50])
-			st[comps[i*50]] = true
-		}
-		m := core.NewMaster(c, core.DefaultConfig(), st)
-		m.Start()
-		runUntil(2 * time.Second)
-		var res comm.Result
-		m.Broadcast(comps, 4096, func(r comm.Result) { res = r })
-		runUntil(c.Engine.Now() + 10*time.Minute)
-		m.Stop()
-		return fmt.Sprintf("digest=%016x events=%d delivered=%d unreachable=%d messages=%d broadcast=%v resolved=%v",
-			c.Group().Digest(), c.Engine.Processed(), res.Delivered, len(res.Unreachable), res.Messages, res.DeliveredElapsed, res.Elapsed)
-	}
-
-	soakSeed := func(grouped bool) string {
-		const span = 5 * time.Minute
-		c, runUntil, run := build(3, cluster.Config{Computes: 512, Satellites: 4,
-			Net: cluster.NetConfig{LossProb: 0.02, DupProb: 0.02}}, grouped)
-		mon := monitor.New(c, monitor.Config{})
-		m := core.NewMaster(c, core.DefaultConfig(), nil)
-		m.B.Retry = &comm.RetryPolicy{MaxAttempts: 4, Backoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, JitterFrac: 0.5, Deadline: 30 * time.Second}
-		mon.ObservePool(m.Pool)
-		m.Start()
-		cp := faults.New(c, mon, 0.25)
-		cp.Generate(faults.ChaosSpec{Horizon: span, Bursts: 2, Flaps: 2, Grays: 3, Partitions: 1, SatelliteKills: 2})
-		delivered, unreachable, retries := 0, 0, 0
-		for i := 0; i < 8; i++ {
-			c.Engine.Schedule(span*time.Duration(i+1)/9, func() {
-				m.Broadcast(c.Computes(), 4096, func(r comm.Result) {
-					delivered += r.Delivered
-					unreachable += len(r.Unreachable)
-					retries += r.Retries
-				})
-			})
-		}
-		runUntil(span)
-		m.Stop()
-		run()
-		return fmt.Sprintf("digest=%016x events=%d campaign=%d delivered=%d unreachable=%d retries=%d stats=%+v",
-			c.Group().Digest(), c.Engine.Processed(), len(cp.Events), delivered, unreachable, retries, m.Stats())
-	}
-
-	for name, scenario := range map[string]func(bool) string{"fig8a": fig8a, "soak seed": soakSeed} {
-		bare, grouped := scenario(false), scenario(true)
-		if bare != grouped {
-			t.Errorf("%s: the one-cell group diverged from the bare engine:\n  bare:    %s\n  grouped: %s", name, bare, grouped)
-		}
-		if !strings.Contains(bare, "delivered=") || strings.Contains(bare, "delivered=0 ") {
-			t.Errorf("%s: scenario delivered nothing: %s", name, bare)
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // it runs the full ESlurm stack (cluster + satellite pool + master) under
 // a randomized adversarial fault campaign (faults.ChaosSpec) across many
 // seeds, and checks end-to-end invariants after every broadcast and after
-// teardown. Because every cell of the stack is a deterministic simnet
-// engine, a failing seed is perfectly replayable: the report is
+// teardown. Because the stack runs on one deterministic simnet engine, a
+// failing seed is perfectly replayable: the report is
 // byte-identical for the same configuration, which digest-pinned tests
 // enforce.
 //
@@ -34,7 +34,6 @@ import (
 	"eslurm/internal/comm"
 	"eslurm/internal/faults"
 	"eslurm/internal/obs"
-	"eslurm/internal/topo"
 )
 
 // Config parameterizes a soak. The zero value is runnable: Soak applies
@@ -71,15 +70,11 @@ type Config struct {
 	// backoff policy (4 attempts, 50ms base, ×2, 2s cap, 30s deadline,
 	// 0.5 jitter) so the adversarial retry path is exercised.
 	Retry *comm.RetryPolicy
-	// Trace enables simulated-time span recording on each seed's cells;
-	// the tracers and metrics registry come back on the SeedResult. Tracing
+	// Trace enables simulated-time span recording on each seed's engine;
+	// the tracer and metrics registry come back on the SeedResult. Tracing
 	// is passive recording — it does not change any seed's event trace,
 	// report, or digest.
 	Trace bool
-	// Cells partitions each seed's cluster by rack (topo.Partition): the
-	// control plane gets a cell and every compute rack its own. False keeps
-	// the cluster on one cell.
-	Cells bool
 }
 
 func (c Config) withDefaults() Config {
@@ -139,14 +134,13 @@ type SeedResult struct {
 	Takeovers        int
 	DrainedFallbacks int
 	Violations       []string
-	// CellTraces holds the seed's span recordings, one per cell in cell
-	// order (nil unless Config.Trace; flatten with critpath.FromCells), and
-	// Trace is the control cell's — the whole recording on one cell.
-	// Metrics is the seed's registry, merged across cells. None of them
-	// contributes to Report.String or Digest — the report stays byte-stable
-	// with tracing on or off.
-	Trace      *obs.Tracer
-	Metrics    *obs.Registry
+	// Trace is the seed's span recording (nil unless Config.Trace) and
+	// Metrics its registry. Neither contributes to Report.String or
+	// Digest — the report stays byte-stable with tracing on or off.
+	Trace   *obs.Tracer
+	Metrics *obs.Registry
+	// CellTraces is always nil. It is kept only because the benchmark
+	// module clears it by name; the benchmark's next change deletes it.
 	CellTraces []*obs.Tracer
 }
 
@@ -221,15 +215,8 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 		Satellites: cfg.Satellites,
 		Net:        cluster.NetConfig{LossProb: cfg.LossProb, DupProb: cfg.DupProb},
 	}
-	if cfg.Cells {
-		ccfg = topo.Default().Partition(ccfg)
-	}
 	r := newSeedRun(seed, ccfg, cfg.Trace, cfg.Retry, 0)
-	sr := SeedResult{Seed: seed, CampaignEvents: r.campaign(cfg.Spec, cfg.SilentFraction)}
-	if cfg.Trace {
-		sr.CellTraces = r.c.Group().CellTracers()
-		sr.Trace = sr.CellTraces[0]
-	}
+	sr := SeedResult{Seed: seed, CampaignEvents: r.campaign(cfg.Spec, cfg.SilentFraction), Trace: r.e.Tracer()}
 	r.drive(cfg.Broadcasts, cfg.Span, cfg.Bound)
 
 	r.c.RunUntil(cfg.Span)
@@ -239,8 +226,8 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 	sr.Reallocations = st.Reallocations
 	sr.Takeovers = st.MasterTakeovers
 	sr.DrainedFallbacks = st.PoolDrainedFallbacks
-	sr.Events = r.c.Group().Processed()
-	sr.Metrics = r.c.Group().MergedMetrics()
+	sr.Events = r.e.Processed()
+	sr.Metrics = r.e.Metrics()
 	sr.Broadcasts, sr.Delivered, sr.Unreachable, sr.Retries = r.broadcasts, r.delivered, r.unreachable, r.retries
 	sr.Violations = r.violations
 	return sr

@@ -4,8 +4,7 @@ package chaos
 // into critpath sources, so the chaossoak CLI and the determinism tests
 // aggregate identically. Grouping is per-seed-label under one campaign
 // group; the derived report is a pure function of the recordings, hence
-// byte-identical for the same seed (critpath.FromCells flattens the
-// per-cell recordings in fixed cell order — the identity on one cell).
+// byte-identical for the same seed.
 
 import (
 	"fmt"
@@ -14,18 +13,17 @@ import (
 )
 
 // CritpathReport analyzes the soak's traced seeds (Config.Trace must
-// have been set) into one critical-path report, flattening each seed's
-// per-cell recordings into one DAG first.
+// have been set) into one critical-path report.
 func (r *Report) CritpathReport(topK int) *critpath.Report {
 	var srcs []critpath.Source
 	for _, s := range r.Seeds {
-		if s.CellTraces == nil {
+		if s.Trace == nil {
 			continue
 		}
 		srcs = append(srcs, critpath.Source{
 			Label: fmt.Sprintf("seed %d", s.Seed),
 			Group: "chaossoak",
-			Spans: critpath.FromCells(s.CellTraces),
+			Spans: s.Trace.Spans(),
 		})
 	}
 	return critpath.Analyze(srcs, critpath.Options{TopK: topK})

@@ -302,7 +302,7 @@ func runReconcileSeed(cfg ReconcileConfig, seed int64, trace bool) ReconcileSeed
 	sr.RollingTakeovers = st.Takeovers
 	sr.BreakerOpens = st.BreakerOpens
 	sr.SpecUpdates = st.SpecUpdates
-	sr.Events = r.c.Group().Processed()
+	sr.Events = r.e.Processed()
 	sr.Broadcasts, sr.Delivered, sr.Unreachable, sr.Retries = r.broadcasts, r.delivered, r.unreachable, r.retries
 	// A copy, so nothing of the engine-owned run crosses the worker pool.
 	sr.Violations = slices.Clone(r.violations)

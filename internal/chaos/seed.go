@@ -49,13 +49,13 @@ type seedRun struct {
 }
 
 // newSeedRun builds and starts the stack on ccfg. trace arms span
-// recording on every cell; a positive faultTimeout overrides the pool's
+// recording; a positive faultTimeout overrides the pool's
 // FAULT→DOWN demotion timeout.
 func newSeedRun(seed int64, ccfg cluster.Config, trace bool, retry *comm.RetryPolicy, faultTimeout time.Duration) *seedRun {
 	e := simnet.NewEngine(seed)
 	c := cluster.New(e, ccfg)
 	if trace {
-		c.Group().EnableTracing()
+		e.EnableTracing()
 	}
 	r := &seedRun{seed: seed, e: e, c: c, mon: monitor.New(c, monitor.Config{})}
 	r.m = core.NewMaster(c, core.DefaultConfig(), nil)
@@ -68,8 +68,7 @@ func newSeedRun(seed int64, ccfg cluster.Config, trace bool, retry *comm.RetryPo
 
 	// Invariant 2: a delivery must never land on a node that is down at
 	// the resolution instant. OnResolve fires once per (broadcast,
-	// target) chain, duplicates already deduplicated, on the cell of the
-	// broadcast's origin — the control cell, whose view Failed reads.
+	// target) chain, duplicates already deduplicated.
 	r.m.B.OnResolve = func(to cluster.NodeID, ok bool) {
 		if ok && c.Node(to).Failed() {
 			r.violate("seed %d: delivered to down node %d at %v", seed, to, e.Now())
@@ -122,7 +121,7 @@ func (r *seedRun) drive(n int, span, bound time.Duration) {
 }
 
 // teardown runs stop (the components' Stop methods, in order), drains
-// every cell, and checks the teardown invariants: all want driven
+// the engine, and checks the teardown invariants: all want driven
 // broadcasts resolved (invariant 4), no delivery chain or graceful drain
 // left pending, the master's meters back at their post-start baseline
 // (invariant 5), and every recorded span ended.
@@ -135,15 +134,8 @@ func (r *seedRun) teardown(want int, stop ...func()) {
 	for _, s := range stop {
 		s()
 	}
-	g := r.c.Group()
-	leaked := false
-	for i := 0; i < g.Cells(); i++ {
-		if n := g.Cell(i).LiveTickers(); n != 0 {
-			r.violate("seed %d: %d ticker(s) still live on cell %d after Stop; the drain would never end", r.seed, n, i)
-			leaked = true
-		}
-	}
-	if leaked {
+	if n := r.e.LiveTickers(); n != 0 {
+		r.violate("seed %d: %d ticker(s) still live after Stop; the drain would never end", r.seed, n)
 		return
 	}
 	r.c.Run() // drain everything: retries, watchdogs, drains, heals, recoveries
@@ -167,18 +159,16 @@ func (r *seedRun) teardown(want int, stop ...func()) {
 	if v := mm.Sockets(); v != r.baseSockets {
 		r.violate("seed %d: master sockets %d != baseline %d after teardown", r.seed, v, r.baseSockets)
 	}
-	for i, tr := range g.CellTracers() {
-		var open []string
-		for id, sp := range tr.Spans() {
-			if !sp.Ended && !sp.Instant {
-				open = append(open, fmt.Sprintf("%s#%d@%v", sp.Name, id+1, sp.Start))
-			}
+	var open []string
+	for id, sp := range r.e.Tracer().Spans() {
+		if !sp.Ended && !sp.Instant {
+			open = append(open, fmt.Sprintf("%s#%d@%v", sp.Name, id+1, sp.Start))
 		}
-		if n := len(open); n > 0 {
-			if n > 4 {
-				open = append(open[:4], "...")
-			}
-			r.violate("seed %d: %d span(s) still open on cell %d after drain: %s", r.seed, n, i, strings.Join(open, " "))
+	}
+	if n := len(open); n > 0 {
+		if n > 4 {
+			open = append(open[:4], "...")
 		}
+		r.violate("seed %d: %d span(s) still open after drain: %s", r.seed, n, strings.Join(open, " "))
 	}
 }

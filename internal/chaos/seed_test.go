@@ -35,7 +35,7 @@ func TestTeardownNamesLiveTicker(t *testing.T) {
 	r.e.Every(time.Second, func() {})
 	r.c.RunUntil(time.Minute)
 	r.teardown(0, r.m.Stop)
-	if len(r.violations) != 1 || !strings.Contains(r.violations[0], "1 ticker(s) still live on cell 0") {
+	if len(r.violations) != 1 || !strings.Contains(r.violations[0], "1 ticker(s) still live after Stop") {
 		t.Fatalf("violations = %q, want exactly one live-ticker violation", r.violations)
 	}
 }

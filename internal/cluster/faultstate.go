@@ -14,8 +14,7 @@ type partition struct {
 
 // faultState is everything the wire consults about faults: fail-stop
 // flags, gray nodes, active partitions, and the loss and duplication
-// coins. The Network holds one replica per cell, flipped identically on
-// every cell at the same virtual instant (see cellView).
+// coins. The Network holds the one instance.
 type faultState struct {
 	failed     []bool // by NodeID
 	gray       map[NodeID]float64

@@ -296,3 +296,123 @@ func TestAllocsTransmit(t *testing.T) {
 		t.Errorf("receiver holds %d sockets after the drain: the meter's close event did not run", s)
 	}
 }
+
+// TestInFlightDeathTimesOutAtConnectTimeout: one answer to "the
+// destination died in flight" for connecting and persistent traffic alike:
+// the sender is told at its connect timeout, counted from the send, and
+// holds its connect socket until then.
+func TestInFlightDeathTimesOutAtConnectTimeout(t *testing.T) {
+	for _, persistent := range []bool{false, true} {
+		c := newNetCluster(t, 2, NetConfig{Jitter: Disabled})
+		from, to := c.Master().ID, c.Computes()[0]
+		// A 1 MiB message is ~700µs on the wire; the destination dies at 100µs.
+		c.ScheduleFailure(to, 100*time.Microsecond, 0)
+		var failedAt, midSockets = time.Duration(-1), -1
+		delivered := false
+		onFailed := func() { failedAt = c.Engine.Now() }
+		if persistent {
+			c.Net.SendPersistent(from, to, 1<<20, func() { delivered = true }, onFailed)
+		} else {
+			c.Net.Send(from, to, 1<<20, func() { delivered = true }, onFailed)
+		}
+		c.Engine.Schedule(500*time.Millisecond, func() { midSockets = c.Master().Meter.Sockets() })
+		c.RunUntil(5 * time.Second)
+		if delivered {
+			t.Errorf("persistent=%v: delivered to a node that died in flight", persistent)
+		}
+		if want := c.Net.Config().ConnectTimeout; failedAt != want {
+			t.Errorf("persistent=%v: onFailed at %v, want the connect timeout %v", persistent, failedAt, want)
+		}
+		wantMid := 1
+		if persistent {
+			wantMid = 0
+		}
+		if midSockets != wantMid {
+			t.Errorf("persistent=%v: sender sockets while waiting = %d, want %d", persistent, midSockets, wantMid)
+		}
+		if s := c.Master().Meter.Sockets(); s != 0 {
+			t.Errorf("persistent=%v: sender sockets after the timeout = %d, want 0", persistent, s)
+		}
+	}
+}
+
+// TestPartitionsComposeAndHeal: overlapping scheduled partitions sever a
+// link while either is active, and each heals on its own timer.
+func TestPartitionsComposeAndHeal(t *testing.T) {
+	c := newNetCluster(t, 4, NetConfig{Jitter: Disabled})
+	comps := c.Computes()
+	// All computes cut off for 100ms; the first one additionally for 300ms.
+	c.Net.SchedulePartition(comps, time.Millisecond, 100*time.Millisecond)
+	c.Net.SchedulePartition(comps[:1], time.Millisecond, 300*time.Millisecond)
+	var out [4]string
+	send := func(slot int, to NodeID, at time.Duration) {
+		c.Engine.Schedule(at, func() {
+			c.Net.Transmit(c.Master().ID, to, 100, outcome{
+				sent:   func() { out[slot] = "sent" },
+				failed: func() { out[slot] = "fail" },
+			})
+		})
+	}
+	send(0, comps[1], 2*time.Millisecond)   // inside both: fails
+	send(1, comps[1], 200*time.Millisecond) // first partition healed: delivers
+	send(2, comps[0], 200*time.Millisecond) // still inside the second: fails
+	send(3, comps[0], 400*time.Millisecond) // both healed: delivers
+	c.RunUntil(5 * time.Second)
+	if want := [4]string{"fail", "sent", "fail", "sent"}; out != want {
+		t.Fatalf("outcomes = %v, want %v", out, want)
+	}
+	if n := c.Net.PartitionCount(); n != 0 {
+		t.Errorf("%d partitions still active after both heals", n)
+	}
+}
+
+// TestStormDrainsAndReruns runs an adversarial traffic storm (loss,
+// duplication, jitter, faults, gray nodes, partitions, fault state changed
+// from inside events): both outcomes occur, every socket drains, and a
+// rerun executes the same event stream.
+func TestStormDrainsAndReruns(t *testing.T) {
+	run := func() (uint64, uint64) {
+		c := New(simnet.NewEngine(11), Config{
+			Computes:   192,
+			Satellites: 2,
+			Net:        NetConfig{LossProb: 0.1, DupProb: 0.1},
+		})
+		c.Engine.EnableDigest()
+		comps := c.Computes()
+		c.ScheduleFailure(comps[3], 5*time.Millisecond, 20*time.Millisecond)
+		c.Net.ScheduleGray(comps[5], 4.0, time.Millisecond, 0)
+		c.Net.SchedulePartition(comps[6:9], 10*time.Millisecond, 30*time.Millisecond)
+		c.Engine.Schedule(7*time.Millisecond, func() { c.Fail(comps[10]) })
+		c.Engine.Schedule(15*time.Millisecond, func() { c.Recover(comps[10]) })
+		var sent, failed int
+		master := c.Master().ID
+		for round := 0; round < 6; round++ {
+			at := time.Duration(round+1) * 4 * time.Millisecond
+			c.Engine.Schedule(at, func() {
+				for _, id := range comps {
+					id := id
+					c.Net.Transmit(master, id, 512, outcome{
+						// The receiver answers over the same substrate.
+						arrived: func() { c.Net.Send(id, master, 64, nil, nil) },
+						sent:    func() { sent++ },
+						failed:  func() { failed++ },
+					})
+				}
+			})
+		}
+		c.RunUntil(10 * time.Second)
+		if sent == 0 || failed == 0 {
+			t.Fatalf("storm resolved %d sent / %d failed, want both > 0", sent, failed)
+		}
+		for _, id := range append(comps, master) {
+			if s := c.Node(id).Meter.Sockets(); s != 0 {
+				t.Errorf("node %d holds %d sockets after the drain", id, s)
+			}
+		}
+		return c.Engine.Digest(), c.Engine.Processed()
+	}
+	refD, refP := run()
+	if d, p := run(); d != refD || p != refP {
+		t.Errorf("rerun digest/processed %#x/%d, want %#x/%d", d, p, refD, refP)
+	}
+}

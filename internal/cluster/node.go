@@ -8,9 +8,8 @@
 // DESIGN.md, "Substitutions").
 //
 // Determinism: all state changes (failures, recoveries, meter charges)
-// happen inside events on the owning cell's simnet engine, and network
-// jitter draws from that engine's labeled RNG streams — same seed, same
-// trace.
+// happen inside events on the cluster's simnet engine, and network jitter
+// draws from that engine's labeled RNG streams — same seed, same trace.
 package cluster
 
 import (
@@ -51,32 +50,25 @@ func (r Role) String() string {
 
 // Node is one machine in the simulated cluster.
 type Node struct {
-	ID   NodeID
-	Role Role
-	// Cell is the node's home cell: the one engine its meter and model
-	// events live on (always 0 on a one-cell cluster).
-	Cell  int
+	ID    NodeID
+	Role  Role
 	Meter ResourceMeter
 
-	view    *cellView // the home cell's replica of the fault state
-	control *cellView // cell 0's
+	net *Network
 }
 
-// Failed reports whether the node is currently down, as the control cell
-// (cell 0) sees it. Code running on another cell asks Cluster.FailedOn.
-func (n *Node) Failed() bool { return n.control.failed[n.ID] }
+// Failed reports whether the node is currently down.
+func (n *Node) Failed() bool { return n.net.failed[n.ID] }
 
-// Cluster is a set of nodes plus the network connecting them, spread over
-// the cells of one simnet.ShardGroup. A single engine is a one-cell group;
-// see DESIGN.md §4 for what a partitioning may and may not change.
+// Cluster is a set of nodes plus the network connecting them, all on one
+// simnet engine.
 type Cluster struct {
-	// Engine is cell 0, the control cell: the master, the satellites and
-	// every control-plane component (pool, monitor, reconciler) live on it.
-	// On a one-cell cluster it is the only engine.
+	// Engine runs every node's events: the master, the satellites, the
+	// computes and every control-plane component (pool, monitor,
+	// reconciler).
 	Engine *simnet.Engine
 	Net    *Network
 
-	group *simnet.ShardGroup
 	nodes []*Node
 }
 
@@ -88,43 +80,16 @@ type Config struct {
 	Satellites int
 	// Network overrides; zero values take defaults (see DefaultNetConfig).
 	Net NetConfig
-	// Cells is the number of engine cells the cluster is partitioned over
-	// (below 1 means one), and CellOf maps each node to its home cell in
-	// [0, Cells); nil homes everything on cell 0. The mapping must depend
-	// only on the model (IDs, roles, topology). With more than one cell the
-	// effective link Latency must be positive: it is the group's lookahead.
-	Cells  int
-	CellOf func(id NodeID, role Role) int
 }
 
-// New builds a cluster with one master node (ID 0), Config.Satellites
-// satellite nodes (IDs 1..S) and Config.Computes compute nodes after them.
-// The engine e becomes cell 0, untouched, so a one-cell cluster runs on e
-// exactly as if there were no group; further cells derive their seeds from
-// e's.
+// New builds a cluster on e with one master node (ID 0),
+// Config.Satellites satellite nodes (IDs 1..S) and Config.Computes compute
+// nodes after them.
 func New(e *simnet.Engine, cfg Config) *Cluster {
-	net := cfg.Net.withDefaults()
-	cells := cfg.Cells
-	if cells < 1 {
-		cells = 1
-	}
-	look := net.Latency
-	if look <= 0 {
-		if cells > 1 {
-			panic("cluster: a multi-cell cluster needs a positive link latency (it is the lookahead bound)")
-		}
-		look = time.Hour // nothing crosses a boundary, so the window width is free
-	}
-	c := &Cluster{Engine: e, group: simnet.GroupAround(e, cells, look)}
+	c := &Cluster{Engine: e}
 	add := func(role Role) {
 		n := &Node{ID: NodeID(len(c.nodes)), Role: role}
-		if cfg.CellOf != nil {
-			n.Cell = cfg.CellOf(n.ID, role)
-			if n.Cell < 0 || n.Cell >= cells {
-				panic("cluster: CellOf returned a cell out of range")
-			}
-		}
-		n.Meter.engine = c.group.Cell(n.Cell)
+		n.Meter.engine = e
 		c.nodes = append(c.nodes, n)
 	}
 	add(RoleMaster)
@@ -134,48 +99,23 @@ func New(e *simnet.Engine, cfg Config) *Cluster {
 	for i := 0; i < cfg.Computes; i++ {
 		add(RoleCompute)
 	}
-	c.Net = newNetwork(c, net)
+	c.Net = newNetwork(c, cfg.Net.withDefaults())
 	return c
 }
 
-// Group returns the shard group the cluster sits on (digests, tracing,
-// merged metrics).
-func (c *Cluster) Group() *simnet.ShardGroup { return c.group }
-
-// EngineOf returns the engine of a node's home cell: the only engine that
-// node's model events and meter may touch.
-func (c *Cluster) EngineOf(id NodeID) *simnet.Engine { return c.group.Cell(c.nodes[id].Cell) }
-
-// RunUntil executes every cell's events with time ≤ deadline and advances
-// the clocks to it. One cell runs its engine directly; several run the
-// group's windowed protocol.
-func (c *Cluster) RunUntil(deadline time.Duration) {
-	if c.group.Cells() == 1 {
-		c.Engine.RunUntil(deadline)
-		return
-	}
-	c.group.RunUntil(deadline)
-}
+// RunUntil executes events with time ≤ deadline and advances the clock to
+// it (simnet.Engine.RunUntil).
+func (c *Cluster) RunUntil(deadline time.Duration) { c.Engine.RunUntil(deadline) }
 
 // RunUntilDone executes events with time ≤ deadline until done reports
-// true and returns whether it did; the clocks stay near the answer rather
-// than moving to the deadline. One cell checks done before every event,
-// several at every window barrier.
+// true and returns whether it did; the clock stays at the answer rather
+// than moving to the deadline (simnet.Engine.RunUntilDone).
 func (c *Cluster) RunUntilDone(deadline time.Duration, done func() bool) bool {
-	if c.group.Cells() == 1 {
-		return c.Engine.RunUntilDone(deadline, done)
-	}
-	return c.group.RunUntilDone(deadline, done)
+	return c.Engine.RunUntilDone(deadline, done)
 }
 
-// Run executes events until no cell has one left.
-func (c *Cluster) Run() {
-	if c.group.Cells() == 1 {
-		c.Engine.Run()
-		return
-	}
-	c.group.Run()
-}
+// Run executes events until none is left.
+func (c *Cluster) Run() { c.Engine.Run() }
 
 // Master returns the master node (always ID 0).
 func (c *Cluster) Master() *Node { return c.nodes[0] }
@@ -209,24 +149,17 @@ func (c *Cluster) Computes() []NodeID {
 	return out
 }
 
-// Fail marks a node as failed, now, on every cell. Message deliveries to
-// it will time out at the sender. Failing an already-failed node is a
-// no-op. Like every immediate fault mutation it is legal from inside an
-// event only on a one-cell cluster (see Network.flip).
-func (c *Cluster) Fail(id NodeID) { c.Net.flip(func(v *cellView) { v.failed[id] = true }) }
+// Fail marks a node as failed. Message deliveries to it will time out at
+// the sender. Failing an already-failed node is a no-op.
+func (c *Cluster) Fail(id NodeID) { c.Net.failed[id] = true }
 
 // Recover brings a failed node back.
-func (c *Cluster) Recover(id NodeID) { c.Net.flip(func(v *cellView) { v.failed[id] = false }) }
+func (c *Cluster) Recover(id NodeID) { c.Net.failed[id] = false }
 
-// FailedOn reports id's fail-stop state as viewer's home cell sees it —
-// the read for code executing on that cell.
-func (c *Cluster) FailedOn(viewer, id NodeID) bool { return c.Net.view(viewer).failed[id] }
-
-// FailedCount returns the number of currently failed nodes (the control
-// cell's view).
+// FailedCount returns the number of currently failed nodes.
 func (c *Cluster) FailedCount() int {
 	k := 0
-	for _, f := range c.Net.views[0].failed {
+	for _, f := range c.Net.failed {
 		if f {
 			k++
 		}
@@ -237,10 +170,11 @@ func (c *Cluster) FailedCount() int {
 // ScheduleFailure injects a fail-stop at virtual time at; if recover > 0 the
 // node comes back after that additional delay. It returns immediately.
 func (c *Cluster) ScheduleFailure(id NodeID, at, recoverAfter time.Duration) {
-	c.Net.flipAt(at, func(v *cellView) {
-		v.failed[id] = true
+	e, failed := c.Engine, c.Net.failed
+	e.Schedule(at, func() {
+		failed[id] = true
 		if recoverAfter > 0 {
-			v.e.After(recoverAfter, func() { v.failed[id] = false })
+			e.After(recoverAfter, func() { failed[id] = false })
 		}
 	})
 }

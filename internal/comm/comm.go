@@ -14,11 +14,8 @@
 // adopts the failed child's subtree.
 //
 // Determinism: all delivery, retry and adoption logic runs as events on
-// the engine of the cell that owns the state it touches — a delivery
-// chain, its connection slot and its backoff jitter on the sender's cell,
-// relay forwarding on the receiver's, the Result on the origin's — with
-// jitter drawn from that cell's labeled RNG streams: same seed, same
-// delivery schedule. The comm.* spans and counters
+// the cluster's engine, with jitter drawn from its labeled RNG streams:
+// same seed, same delivery schedule. The comm.* spans and counters
 // recorded through the obs layer are passive observations and never alter
 // that schedule.
 package comm
@@ -142,17 +139,9 @@ type Broadcaster struct {
 	// span: the master sets it immediately before handing a sub-list to
 	// a Structure (which builds its tracker synchronously), and the
 	// tracker consumes and clears it. Zero — the default — makes
-	// broadcast spans roots. The parent lives on the tracer of the
-	// origin's cell, where the caller is executing.
+	// broadcast spans roots.
 	SpanParent obs.SpanID
 
-	cells []cellState // by cell
-}
-
-// cellState is the broadcaster's state on one cell: the connection slots
-// and retry stream of the senders homed there, and that cell's registry
-// handles. Only events of that cell touch it while the group runs.
-type cellState struct {
 	e        *simnet.Engine
 	limiters []*limiter // by sender NodeID (dense cluster indices), filled on a sender's first send
 	retryRng *rand.Rand
@@ -187,10 +176,10 @@ func broadcastElapsedBounds() []int64 {
 	}
 }
 
-func (st *cellState) inst() *instruments {
-	if st.in == nil {
-		m := st.e.Metrics()
-		st.in = &instruments{
+func (b *Broadcaster) inst() *instruments {
+	if b.in == nil {
+		m := b.e.Metrics()
+		b.in = &instruments{
 			delivered:   m.Counter("comm.delivered"),
 			unreachable: m.Counter("comm.unreachable"),
 			messages:    m.Counter("comm.messages"),
@@ -199,7 +188,7 @@ func (st *cellState) inst() *instruments {
 			elapsed:     m.Histogram("comm.broadcast_elapsed_ns", broadcastElapsedBounds()),
 		}
 	}
-	return st.in
+	return b.in
 }
 
 // NewBroadcaster returns a Broadcaster with the paper's defaults.
@@ -211,33 +200,10 @@ func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
 		RelayOverhead:    200 * time.Microsecond,
 		MaxConcurrent:    128,
 		PerNodeListBytes: 16,
-		cells:            make([]cellState, c.Group().Cells()),
-	}
-	for i := range b.cells {
-		b.cells[i] = cellState{e: c.Group().Cell(i), limiters: make([]*limiter, c.Size())}
+		e:                c.Engine,
+		limiters:         make([]*limiter, c.Size()),
 	}
 	return b
-}
-
-// on returns the broadcaster's state on id's home cell.
-func (b *Broadcaster) on(id cluster.NodeID) *cellState { return &b.cells[b.Cluster.Node(id).Cell] }
-
-// spanRef locates a span across cells: the tracer that recorded it (cell)
-// and its id there. The zero id means "no parent".
-type spanRef struct {
-	cell int
-	id   obs.SpanID
-}
-
-// under returns the parent id and attributes for a span recorded on cell
-// under parent: a same-cell parent links directly; a remote one rides the
-// "xparent" attribute (obs.CellRef), which critpath.FromCells resolves
-// when it flattens the per-cell recordings into one DAG.
-func (p spanRef) under(cell int, attrs []obs.Attr) (obs.SpanID, []obs.Attr) {
-	if p.id != 0 && p.cell != cell {
-		return 0, append([]obs.Attr{obs.String("xparent", obs.CellRef(p.cell, p.id))}, attrs...)
-	}
-	return p.id, attrs
 }
 
 // limiter serializes access to a sender's connection slots: chains past
@@ -249,11 +215,11 @@ type limiter struct {
 	head  int
 }
 
-func (st *cellState) limiter(id cluster.NodeID, max int) *limiter {
-	l := st.limiters[id]
+func (b *Broadcaster) limiter(id cluster.NodeID) *limiter {
+	l := b.limiters[id]
 	if l == nil {
-		l = &limiter{max: max}
-		st.limiters[id] = l
+		l = &limiter{max: b.MaxConcurrent}
+		b.limiters[id] = l
 	}
 	return l
 }
@@ -296,31 +262,27 @@ func (b *Broadcaster) maxAttempts() int {
 	return b.Retries
 }
 
-// retryDelay returns how long a sender on st's cell waits before attempt
-// number next (jitter included). The fixed-count legacy policy retries
-// immediately.
-func (b *Broadcaster) retryDelay(st *cellState, next int) time.Duration {
+// retryDelay returns how long a sender waits before attempt number next
+// (jitter included). The fixed-count legacy policy retries immediately.
+func (b *Broadcaster) retryDelay(next int) time.Duration {
 	p := b.Retry
 	if p == nil {
 		return 0
 	}
 	d := p.backoff(next)
 	if p.JitterFrac > 0 && d > 0 {
-		if st.retryRng == nil {
-			st.retryRng = st.e.Rand("comm/retry")
+		if b.retryRng == nil {
+			b.retryRng = b.e.Rand("comm/retry")
 		}
 		if span := int64(float64(d) * p.JitterFrac); span > 0 {
-			d += time.Duration(st.retryRng.Int63n(span))
+			d += time.Duration(b.retryRng.Int63n(span))
 		}
 	}
 	return d
 }
 
-// tally counts the link messages one broadcast sent from one cell. A
-// chain adds to its sender's cell's tally when an attempt begins; the
-// origin sums the cells when the broadcast finishes. That read is ordered
-// after every write: an attempt begins at least one link latency before
-// its outcome can reach another cell, hence in an earlier window.
+// tally counts the link messages one broadcast sent: a chain adds to it
+// when an attempt begins.
 type tally struct{ messages, retries int }
 
 // sink is where a delivery chain reports: what is behind the receiver and
@@ -328,9 +290,9 @@ type tally struct{ messages, retries int }
 // (treeCast, or the tracker itself for Star), so a target costs no
 // closure; funcSink and resultFunc adapt callers that think in callbacks.
 type sink interface {
-	// landed runs on the receiver's cell when the payload first lands.
+	// landed runs when the payload first lands at the receiver.
 	landed(c *chain)
-	// settled runs on the sender's cell exactly once, with true on delivery.
+	// settled runs exactly once, with true on delivery.
 	settled(c *chain, ok bool)
 }
 
@@ -354,20 +316,18 @@ func (resultFunc) landed(*chain) {}
 func (f resultFunc) settled(_ *chain, ok bool) { f(ok) }
 
 // send delivers one message with retries, occupying a connection slot of
-// the sender from dispatch until resolution, all on the sender's cell, and
-// reports to h; node is the tree position a treeCast keeps on its chains
-// (nil for everyone else). tl (may be nil) is the broadcast's tally for the
-// sender's cell. parent, when tracing is enabled, parents the
-// delivery-chain span (comm.send) under the broadcast that issued it.
-func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent spanRef, h sink, node *fptree.Node[cluster.NodeID]) {
-	st := b.on(from)
-	c := &chain{b: b, st: st, lim: st.limiter(from, b.MaxConcurrent), from: from, to: to, size: int32(size), tl: tl, sink: h, node: node}
-	st.inst().outstanding.Add(1)
+// the sender from dispatch until resolution, and reports to h; node is the
+// tree position a treeCast keeps on its chains (nil for everyone else). tl
+// (may be nil) is the broadcast's tally. parent, when tracing is enabled,
+// parents the delivery-chain span (comm.send) under the broadcast that
+// issued it.
+func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent obs.SpanID, h sink, node *fptree.Node[cluster.NodeID]) {
+	c := &chain{b: b, lim: b.limiter(from), from: from, to: to, size: int32(size), tl: tl, sink: h, node: node}
+	b.inst().outstanding.Add(1)
 	// The attributes are formatted strings: only a recording tracer pays
 	// for them.
-	if tr := st.e.Tracer(); tr != nil {
-		p, attrs := parent.under(b.Cluster.Node(from).Cell, []obs.Attr{obs.Int("from", int(from)), obs.Int("to", int(to))})
-		c.span = tr.Start("comm.send", p, attrs...)
+	if tr := b.e.Tracer(); tr != nil {
+		c.span = tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
 	}
 	c.lim.acquire(c)
 }
@@ -379,10 +339,9 @@ func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent 
 // the chain itself (cluster.Outcome), the limiter queues it, and what
 // happens next is the sink it shares with its broadcast. The soaks send
 // millions of messages and their wall time follows the garbage they make,
-// which is also why the fields are packed into 96 bytes.
+// which is also why the fields are packed into 88 bytes.
 type chain struct {
 	b        *Broadcaster
-	st       *cellState // the sender's cell
 	lim      *limiter
 	from, to cluster.NodeID
 	tl       *tally
@@ -393,7 +352,7 @@ type chain struct {
 	attempts int32
 	size     int32
 	resolved bool
-	arrived  bool // the receiver's cell's only word in the chain
+	arrived  bool
 }
 
 // The events of a chain.
@@ -414,12 +373,12 @@ func (c *chain) HandleEvent(kind int32) {
 
 // begin runs once the sender has a free connection slot.
 func (c *chain) begin() {
-	c.start = c.st.e.Now()
+	c.start = c.b.e.Now()
 	c.attempt()
 }
 
 func (c *chain) attempt() {
-	b, in := c.b, c.st.inst()
+	b, in := c.b, c.b.inst()
 	c.attempts++
 	in.messages.Inc()
 	if c.tl != nil {
@@ -430,15 +389,15 @@ func (c *chain) attempt() {
 		if c.tl != nil {
 			c.tl.retries++
 		}
-		c.st.e.Tracer().Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
+		b.e.Tracer().Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
 	}
 	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
-	c.st.e.AfterTo(b.SendOverhead, c, chainTransmit)
+	b.e.AfterTo(b.SendOverhead, c, chainTransmit)
 }
 
-// Arrived implements cluster.Outcome. It runs on the receiver's cell at
-// every landing of the payload; only the first counts, so a relay
-// forwards once under duplication (NetConfig.DupProb).
+// Arrived implements cluster.Outcome. It runs at every landing of the
+// payload; only the first counts, so a relay forwards once under
+// duplication (NetConfig.DupProb).
 func (c *chain) Arrived() {
 	if !c.arrived {
 		c.arrived = true
@@ -463,8 +422,8 @@ func (c *chain) Failed() {
 		c.settle(false)
 		return
 	}
-	if d := b.retryDelay(c.st, int(c.attempts)+1); d > 0 {
-		c.st.e.AfterTo(d, c, chainAfterBackoff)
+	if d := b.retryDelay(int(c.attempts) + 1); d > 0 {
+		b.e.AfterTo(d, c, chainAfterBackoff)
 		return
 	}
 	c.attempt()
@@ -486,8 +445,8 @@ func (c *chain) afterBackoff() {
 
 func (c *chain) settle(ok bool) {
 	c.resolved = true
-	c.st.inst().outstanding.Add(-1)
-	tr := c.st.e.Tracer()
+	c.b.inst().outstanding.Add(-1)
+	tr := c.b.e.Tracer()
 	tr.SetAttrInt(c.span, "attempts", int(c.attempts))
 	if !ok {
 		tr.SetAttr(c.span, "ok", "false")
@@ -501,89 +460,67 @@ func (c *chain) settle(ok bool) {
 // per-chain deadline.
 func (c *chain) pastDeadline() bool {
 	r := c.b.Retry
-	return r != nil && r.Deadline > 0 && c.st.e.Now()-c.start >= r.Deadline
+	return r != nil && r.Deadline > 0 && c.b.e.Now()-c.start >= r.Deadline
 }
 
 // OutstandingSends returns the number of delivery chains currently in
 // flight (holding or queued for a connection slot) across all senders.
 // Zero means the communication layer is fully drained — a teardown
-// invariant the chaos harness checks. The count lives in each cell's
-// registry gauge comm.outstanding_sends; this accessor sums them, so call
-// it while the group is idle.
+// invariant the chaos harness checks. The count is the registry gauge
+// comm.outstanding_sends.
 func (b *Broadcaster) OutstandingSends() int {
-	n := 0
-	for i := range b.cells {
-		if in := b.cells[i].in; in != nil { // a cell that never sent has none
-			n += int(in.outstanding.Value())
-		}
+	if b.in == nil { // a broadcaster that never sent has none
+		return 0
 	}
-	return n
+	return int(b.in.outstanding.Value())
 }
 
-// relayDelay returns the relay processing cost at a node, as seen from
-// its own cell: RelayOverhead, inflated by the node's gray-failure factor
-// when it is degraded.
+// relayDelay returns the relay processing cost at a node: RelayOverhead,
+// inflated by the node's gray-failure factor when it is degraded.
 func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
-	g := b.Cluster.Net.GrayFactorOn(id, id)
+	g := b.Cluster.Net.GrayFactor(id)
 	if g <= 1 {
 		return b.RelayOverhead
 	}
 	return time.Duration(float64(b.RelayOverhead) * g)
 }
 
-// relay charges id's relay cost and runs forward on id's cell once it has
-// been paid.
+// relay charges id's relay cost and runs forward once it has been paid.
 func (b *Broadcaster) relay(id cluster.NodeID, forward func()) {
 	d := b.relayDelay(id)
 	b.Cluster.Node(id).Meter.ChargeCPU(d)
-	b.Cluster.EngineOf(id).After(d, forward)
-}
-
-// handoff runs fn on to's cell: now when from shares it — the order every
-// one-cell trace was recorded in — else one link latency later, over the
-// group's cross-cell mail. With the wire (cluster.Network.send) it is the
-// only place that asks whether two nodes share a cell.
-func (b *Broadcaster) handoff(from, to cluster.NodeID, fn func()) {
-	src, dst := b.Cluster.Node(from).Cell, b.Cluster.Node(to).Cell
-	if src == dst {
-		fn()
-		return
-	}
-	b.Cluster.Group().SendAfter(src, dst, 0, fn)
+	b.e.After(d, forward)
 }
 
 // Send delivers one point-to-point message with the broadcaster's retry
-// policy, outside of any broadcast. cb runs on from's cell with true on
-// delivery, false once all attempts are exhausted. Used by the master
+// policy, outside of any broadcast. cb runs with true on delivery, false
+// once all attempts are exhausted. Used by the master
 // daemon for master↔satellite task hand-offs and heartbeats. The
 // delivery-chain span, if tracing is on, is parented under the consumed
 // SpanParent.
 func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
-	parent := spanRef{b.Cluster.Node(from).Cell, b.SpanParent}
+	parent := b.SpanParent
 	b.SpanParent = 0
 	b.send(from, to, size, nil, parent, resultFunc(cb), nil)
 }
 
-// tracker counts outstanding deliveries and finalizes the Result, on the
-// origin's cell. It also owns the broadcast's root span (comm.broadcast)
-// and feeds the registry's delivery counters and latency histogram.
+// tracker counts outstanding deliveries and finalizes the Result. It also
+// owns the broadcast's root span (comm.broadcast) and feeds the registry's
+// delivery counters and latency histogram.
 type tracker struct {
 	b       *Broadcaster
-	origin  cluster.NodeID
-	st      *cellState // the origin's cell
-	span    spanRef
+	span    obs.SpanID
 	start   time.Duration
 	pending int
-	tallies []tally // by cell
+	tally   tally
 	res     Result
 	done    func(Result)
 }
 
-func newTracker(b *Broadcaster, origin cluster.NodeID, structure string, pending int, done func(Result)) *tracker {
-	st := b.on(origin)
-	t := &tracker{b: b, origin: origin, st: st, start: st.e.Now(), pending: pending, tallies: make([]tally, len(b.cells)), done: done}
-	t.span = spanRef{b.Cluster.Node(origin).Cell, st.e.Tracer().Start("comm.broadcast", b.SpanParent,
-		obs.String("structure", structure), obs.Int("targets", pending))}
+func newTracker(b *Broadcaster, structure string, pending int, done func(Result)) *tracker {
+	t := &tracker{b: b, start: b.e.Now(), pending: pending, done: done}
+	t.span = b.e.Tracer().Start("comm.broadcast", b.SpanParent,
+		obs.String("structure", structure), obs.Int("targets", pending))
 	b.SpanParent = 0
 	if pending == 0 {
 		t.finish()
@@ -593,52 +530,40 @@ func newTracker(b *Broadcaster, origin cluster.NodeID, structure string, pending
 
 // send runs one of the broadcast's delivery chains (see Broadcaster.send).
 func (t *tracker) send(from, to cluster.NodeID, size int, h sink, node *fptree.Node[cluster.NodeID]) {
-	t.b.send(from, to, size, &t.tallies[t.b.Cluster.Node(from).Cell], t.span, h, node)
+	t.b.send(from, to, size, &t.tally, t.span, h, node)
 }
 
 // landed and settled make the tracker the sink of a direct delivery with
 // nothing behind the receiver (Star): the chain's outcome is the target's.
 func (t *tracker) landed(*chain) {}
 
-func (t *tracker) settled(c *chain, ok bool) { t.resolve(c.from, c.to, ok) }
+func (t *tracker) settled(c *chain, ok bool) { t.settle(c.to, ok) }
 
-// adopted records a comm.adopt instant on from's cell: from takes over the
-// children of a relay it could not reach.
-func (t *tracker) adopted(from, failed cluster.NodeID, children int) {
-	if tr := t.b.Cluster.EngineOf(from).Tracer(); tr != nil {
-		p, attrs := t.span.under(t.b.Cluster.Node(from).Cell, []obs.Attr{obs.Int("failed", int(failed)), obs.Int("children", children)})
-		tr.Instant("comm.adopt", p, attrs...)
+// adopted records a comm.adopt instant: the sender takes over the children
+// of a relay it could not reach.
+func (t *tracker) adopted(failed cluster.NodeID, children int) {
+	if tr := t.b.e.Tracer(); tr != nil {
+		tr.Instant("comm.adopt", t.span, obs.Int("failed", int(failed)), obs.Int("children", children))
 	}
 }
 
-// resolve reports one target's outcome, reached now on sender's cell, to
-// the tracker.
-func (t *tracker) resolve(sender, id cluster.NodeID, ok bool) {
-	if t.b.Cluster.Node(sender).Cell == t.span.cell {
-		t.settle(id, ok, t.st.e.Now())
-		return
-	}
-	at := t.b.Cluster.EngineOf(sender).Now()
-	t.b.handoff(sender, t.origin, func() { t.settle(id, ok, at) })
-}
-
-// settle books one target's outcome, reached at virtual time at.
-func (t *tracker) settle(id cluster.NodeID, ok bool, at time.Duration) {
+// settle books one target's outcome, reached now.
+func (t *tracker) settle(id cluster.NodeID, ok bool) {
 	if t.b.OnResolve != nil {
 		t.b.OnResolve(id, ok)
 	}
 	if ok {
 		t.res.Delivered++
-		t.st.inst().delivered.Inc()
+		t.b.inst().delivered.Inc()
 		if t.b.RecordResolved {
 			t.res.Resolved = append(t.res.Resolved, id)
 		}
-		if d := at - t.start; d > t.res.DeliveredElapsed {
+		if d := t.b.e.Now() - t.start; d > t.res.DeliveredElapsed {
 			t.res.DeliveredElapsed = d
 		}
 	} else {
 		t.res.Unreachable = append(t.res.Unreachable, id)
-		t.st.inst().unreachable.Inc()
+		t.b.inst().unreachable.Inc()
 	}
 	t.pending--
 	if t.pending == 0 {
@@ -647,16 +572,13 @@ func (t *tracker) settle(id cluster.NodeID, ok bool, at time.Duration) {
 }
 
 func (t *tracker) finish() {
-	for _, tl := range t.tallies {
-		t.res.Messages += tl.messages
-		t.res.Retries += tl.retries
-	}
-	t.res.Elapsed = t.st.e.Now() - t.start
-	t.st.inst().elapsed.Observe(int64(t.res.Elapsed))
-	if tr := t.st.e.Tracer(); tr != nil {
-		tr.SetAttrInt(t.span.id, "delivered", t.res.Delivered)
-		tr.SetAttrInt(t.span.id, "unreachable", len(t.res.Unreachable))
-		tr.End(t.span.id)
+	t.res.Messages, t.res.Retries = t.tally.messages, t.tally.retries
+	t.res.Elapsed = t.b.e.Now() - t.start
+	t.b.inst().elapsed.Observe(int64(t.res.Elapsed))
+	if tr := t.b.e.Tracer(); tr != nil {
+		tr.SetAttrInt(t.span, "delivered", t.res.Delivered)
+		tr.SetAttrInt(t.span, "unreachable", len(t.res.Unreachable))
+		tr.End(t.span)
 	}
 	if t.done != nil {
 		t.done(t.res)
@@ -668,9 +590,8 @@ type Structure interface {
 	// Name identifies the structure in experiment output.
 	Name() string
 	// Broadcast delivers size payload bytes from origin to targets and
-	// invokes done exactly once with the outcome, on origin's cell. It is
-	// called from an event on that cell (or while the group is idle). The
-	// targets slice is not retained.
+	// invokes done exactly once with the outcome. The targets slice is not
+	// retained.
 	Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result))
 }
 
@@ -687,7 +608,7 @@ func (Star) Name() string { return "star" }
 
 // Broadcast implements Structure.
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, origin, "star", len(targets), done)
+	t := newTracker(b, "star", len(targets), done)
 	for _, id := range targets {
 		t.send(origin, id, size, t, nil)
 	}
@@ -705,7 +626,7 @@ func (Ring) Name() string { return "ring" }
 
 // Broadcast implements Structure.
 func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, origin, "ring", len(targets), done)
+	t := newTracker(b, "ring", len(targets), done)
 	ids := append([]cluster.NodeID(nil), targets...)
 	var hop func(from cluster.NodeID, idx int)
 	hop = func(from cluster.NodeID, idx int) {
@@ -718,7 +639,7 @@ func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.N
 		t.send(from, to, sz, &funcSink{
 			onArrive: func() { b.relay(to, func() { hop(to, idx+1) }) },
 			cb: func(ok bool) {
-				t.resolve(from, to, ok)
+				t.settle(to, ok)
 				if !ok {
 					// Skip the dead node: the same sender tries its successor.
 					hop(from, idx+1)
@@ -746,43 +667,40 @@ type SharedMem struct {
 // Name returns "sharedmem".
 func (SharedMem) Name() string { return "sharedmem" }
 
-// Broadcast implements Structure. The service is the model: its queue, the
-// fetch outcomes and the liveness it observes all live on the origin's
-// cell; only a fetcher's message counter is told on its own.
+// Broadcast implements Structure.
 func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	st := s.ServiceTime
 	if st == 0 {
 		st = 1200 * time.Microsecond
 	}
-	e := b.Cluster.EngineOf(origin)
-	t := newTracker(b, origin, "sharedmem", len(targets), done)
-	msgs := &t.tallies[t.span.cell]
+	e := b.e
+	t := newTracker(b, "sharedmem", len(targets), done)
 	// Publish: one write into the shared segment.
 	b.Cluster.Node(origin).Meter.ChargeCPU(b.SendOverhead)
 	timeout := b.Cluster.Net.Config().ConnectTimeout
 	queue := time.Duration(0)
 	for _, id := range targets {
 		id := id
-		if b.Cluster.FailedOn(origin, id) {
+		if b.Cluster.Node(id).Failed() {
 			// A failed node never issues its fetch; the service notices
 			// the missing ack after its timeout when collecting results.
-			e.After(timeout, func() { t.settle(id, false, e.Now()) })
+			e.After(timeout, func() { t.settle(id, false) })
 			continue
 		}
 		queue += st
 		delay := queue + b.Cluster.Net.TransferTime(size)
-		msgs.messages++
-		t.st.inst().messages.Inc()
+		t.tally.messages++
+		b.inst().messages.Inc()
 		e.After(delay, func() {
 			// The node may have failed while queued behind earlier fetches
 			// (a mid-broadcast failure): its fetch never happens and the
 			// service notices the missing ack after its timeout.
-			if b.Cluster.FailedOn(origin, id) {
-				e.After(timeout, func() { t.settle(id, false, e.Now()) })
+			if b.Cluster.Node(id).Failed() {
+				e.After(timeout, func() { t.settle(id, false) })
 				return
 			}
-			b.handoff(origin, id, func() { b.Cluster.Node(id).Meter.CountMessage(false, size) })
-			t.settle(id, true, e.Now())
+			b.Cluster.Node(id).Meter.CountMessage(false, size)
+			t.settle(id, true)
 		})
 	}
 }
@@ -810,7 +728,7 @@ func (k KTree) width() int {
 
 // Broadcast implements Structure.
 func (k KTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	trc := b.Cluster.EngineOf(origin).Tracer()
+	trc := b.e.Tracer()
 	span := trc.Start("fptree.build", b.SpanParent,
 		obs.Int("targets", len(targets)), obs.Int("width", k.width()))
 	tr := fptree.Build(append([]cluster.NodeID(nil), targets...), k.width())
@@ -828,10 +746,9 @@ func subtreeCount(n *fptree.Node[cluster.NodeID]) int {
 }
 
 // broadcastTree relays a payload down a materialized tree with parent-
-// adoption fault tolerance. The tree is built once on the origin's cell
-// and only read afterwards.
+// adoption fault tolerance. The tree is only read once built.
 func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	tc := &treeCast{t: newTracker(b, origin, structure, tr.Size(), done), size: size}
+	tc := &treeCast{t: newTracker(b, structure, tr.Size(), done), size: size}
 	for _, r := range tr.Roots {
 		tc.dispatch(origin, r)
 	}
@@ -866,14 +783,14 @@ func (tc *treeCast) landed(c *chain) {
 
 func (tc *treeCast) settled(c *chain, ok bool) {
 	from, n := c.from, c.node
-	tc.t.resolve(from, n.Value, ok)
+	tc.t.settle(n.Value, ok)
 	if ok {
 		return
 	}
 	// Fault tolerance: the parent adopts the failed child's children and
 	// contacts them directly.
 	if len(n.Children) > 0 {
-		tc.t.adopted(from, n.Value, len(n.Children))
+		tc.t.adopted(n.Value, len(n.Children))
 	}
 	for _, ch := range n.Children {
 		tc.dispatch(from, ch)
@@ -943,7 +860,7 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 	if pred == nil {
 		pred = predict.Null{}
 	}
-	trc := b.Cluster.EngineOf(origin).Tracer()
+	trc := b.e.Tracer()
 	span := trc.Start("fptree.plan", b.SpanParent,
 		obs.Int("targets", len(targets)), obs.Int("width", f.width()))
 	list := f.Plan(targets)
@@ -956,7 +873,7 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 		f.Stats.NodesTotal += len(list)
 		slots := fptree.LeafSlots(len(list), f.width())
 		for i, id := range list {
-			if b.Cluster.FailedOn(origin, id) {
+			if b.Cluster.Node(id).Failed() {
 				f.Stats.FailedEncountered++
 				if slots[i] && pred.Predicted(id) {
 					f.Stats.FailedAtLeaves++
@@ -983,7 +900,7 @@ func (Binomial) Name() string { return "binomial" }
 
 // Broadcast implements Structure.
 func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, origin, "binomial", len(targets), done)
+	t := newTracker(b, "binomial", len(targets), done)
 	ids := append([]cluster.NodeID(nil), targets...)
 
 	// relay(holder, lo, hi): holder (origin for the root call, otherwise
@@ -1002,11 +919,11 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 		t.send(holder, head, sz, &funcSink{
 			onArrive: func() { b.relay(head, func() { relay(head, mid, hi) }) },
 			cb: func(ok bool) {
-				t.resolve(holder, head, ok)
+				t.settle(head, ok)
 				if !ok {
 					// Fault tolerance: the holder keeps both halves.
 					if hi-lo > 1 {
-						t.adopted(holder, head, hi-lo-1)
+						t.adopted(head, hi-lo-1)
 					}
 					relay(holder, mid, hi)
 				}

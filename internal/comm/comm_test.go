@@ -390,7 +390,7 @@ func TestLimiterQueueReleasesChains(t *testing.T) {
 	origin := c.Satellites()[0]
 	delivered := 0
 	Star{}.Broadcast(b, origin, c.Computes(), 512, func(r Result) { delivered = r.Delivered })
-	l := b.on(origin).limiters[origin]
+	l := b.limiters[origin]
 	if queued := len(l.queue) - l.head; queued != targets-b.MaxConcurrent {
 		t.Fatalf("%d chains queued behind %d slots, want %d", queued, b.MaxConcurrent, targets-b.MaxConcurrent)
 	}

@@ -205,7 +205,7 @@ type timedSpec struct {
 func replay(seed int64, computes int, parts func(*cluster.Cluster) []Partition, specs []timedSpec) (uint64, Metrics) {
 	e := simnet.NewEngine(seed)
 	c := cluster.New(e, cluster.Config{Computes: computes, Satellites: 2})
-	c.Group().EnableDigest()
+	e.EnableDigest()
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
 	cfg := Config{KillAtLimit: true}
 	if parts != nil {
@@ -227,7 +227,7 @@ func replay(seed int64, computes int, parts func(*cluster.Cluster) []Partition, 
 	e.RunUntil(end + 4*24*time.Hour)
 	ctl.Stop()
 	e.RunUntil(e.Now() + time.Hour)
-	return c.Group().Digest(), ctl.Metrics()
+	return e.Digest(), ctl.Metrics()
 }
 
 // contendedTrace is 300 Tianhe-2A jobs of at most 64 nodes submitted

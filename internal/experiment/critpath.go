@@ -8,14 +8,7 @@ package experiment
 // Every engine an experiment obtains from its Env becomes one critpath
 // source, labeled by experiment ID, index across the run, and seed — a
 // pure function of the registry order and each driver's creation order,
-// hence byte-stable at any -parallel. Under -cells each experiment's
-// clusters are multi-cell, so the flat engine list concatenates
-// cells from many groups; per-engine sources keep the report well-defined
-// there: a span whose parent ran on another cell surfaces as its own
-// root, still named, so per-kind attribution and structure grouping
-// survive. The fully stitched cross-cell DAG is exercised by `chaossoak
-// -cells -critpath`, which runs exactly one cluster per seed and flattens
-// it with critpath.FromCells.
+// hence byte-stable at any -parallel.
 
 import (
 	"fmt"

@@ -3,7 +3,6 @@ package experiment
 import (
 	"eslurm/internal/cluster"
 	"eslurm/internal/simnet"
-	"eslurm/internal/topo"
 )
 
 // Env is the one place an experiment obtains engines: every driver takes
@@ -16,8 +15,6 @@ import (
 // goroutine. The zero value is ready to use.
 type Env struct {
 	spans   bool // arm span recording on every engine as it is obtained
-	cells   bool // Params.Shards != 0: NewCluster partitions by rack
-	sharded bool // NewCluster built a cluster of more than one cell
 	engines []*simnet.Engine
 }
 
@@ -38,22 +35,10 @@ func (env *Env) Adopt(e *simnet.Engine) {
 	env.engines = append(env.engines, e)
 }
 
-// NewCluster builds a cluster on a fresh engine rooted at seed — one cell,
-// or under Params.Shards a control cell plus one cell per rack
-// (topo.Partition) — and takes in every cell, in cell order. It is the
-// only way an experiment builds a cluster, so every one answers to -cells.
-// Drive it with the cluster's Run/RunUntil, which run every cell.
+// NewCluster builds a cluster on a fresh engine rooted at seed. It is the
+// only way an experiment builds a cluster.
 func (env *Env) NewCluster(seed int64, cfg cluster.Config) *cluster.Cluster {
-	if env.cells {
-		cfg = topo.Default().Partition(cfg)
-	}
-	c := cluster.New(simnet.NewEngine(seed), cfg)
-	g := c.Group()
-	for i := 0; i < g.Cells(); i++ {
-		env.Adopt(g.Cell(i))
-	}
-	env.sharded = env.sharded || g.Cells() > 1
-	return c
+	return cluster.New(env.NewEngine(seed), cfg)
 }
 
 // Events sums the events executed across the Env's engines.

@@ -31,10 +31,9 @@ type Params struct {
 	Fig10Jobs     int
 	AblationScale int
 	AblationJobs  int
-	// Shards partitions every cluster an experiment builds (Env.NewCluster):
-	// 0 = one cell, any other value = rack cells — the control plane on one
-	// cell and every compute rack on its own. Rack cells differ from one
-	// cell only by what partitioning may change (DESIGN.md §4).
+	// Shards is ignored: every experiment runs each cluster on one
+	// engine. It is kept only because the benchmark module sets it by
+	// name; the benchmark's next change deletes it.
 	Shards int
 }
 

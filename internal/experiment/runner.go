@@ -17,7 +17,7 @@ import (
 
 // Result is one experiment's tables plus the harness-side stats
 // benchrunner reports on stderr; its -json perf record keeps only the
-// exact ones, Events and Sharded.
+// exact one, Events.
 type Result struct {
 	Spec   Spec
 	Tables []*Table
@@ -26,9 +26,6 @@ type Result struct {
 	// Events is the number of simulation events executed across every
 	// engine the experiment obtained from its Env.
 	Events uint64
-	// Sharded reports whether the experiment built a cluster of more than
-	// one cell (Env.NewCluster under Params.Shards).
-	Sharded bool
 	// Engines is the Env's engine list in creation order. RunObserved
 	// fills it; RunConcurrent leaves it nil so a suite run holds no
 	// finished simulation in memory.
@@ -72,13 +69,13 @@ func run(specs []Spec, p Params, parallel int, keep, spans bool, emit func(Resul
 // runOne executes a single spec on a fresh Env, timing it and accounting
 // the events its engines processed.
 func runOne(s Spec, p Params, keep, spans bool) Result {
-	env := &Env{spans: spans, cells: p.Shards != 0}
+	env := &Env{spans: spans}
 	//eslurmlint:ignore walltime benchmark harness measures host elapsed time, not simulated time
 	start := time.Now()
 	tables := s.Run(env, p)
 	//eslurmlint:ignore walltime benchmark harness measures host elapsed time, not simulated time
 	wall := time.Since(start)
-	r := Result{Spec: s, Tables: tables, Wall: wall, Events: env.Events(), Sharded: env.sharded}
+	r := Result{Spec: s, Tables: tables, Wall: wall, Events: env.Events()}
 	if keep {
 		r.Engines = env.engines
 	}

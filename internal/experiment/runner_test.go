@@ -132,36 +132,28 @@ func TestRunConcurrentStats(t *testing.T) {
 }
 
 // TestEnvAccountsEveryExperiment is the accounting contract of the Env,
-// over the whole registry on both kernels: Result.Events is the sum of
-// Processed() over the engines the experiment obtained, every experiment
-// that simulates obtained some, and under Params.Shards every experiment
-// that builds a cluster — all of them through Env.NewCluster — reports
-// Sharded.
+// over the whole registry: Result.Events is the sum of Processed() over
+// the engines the experiment obtained, and every experiment that
+// simulates obtained some.
 func TestEnvAccountsEveryExperiment(t *testing.T) {
 	engineFree := map[string]bool{"table1": true, "fig5": true, "table8": true, "fig11b": true}
-	for _, shards := range []int{0, 1} {
-		p := runnerParams()
-		p.Fig11bJobs, p.Table8Jobs = 200, 200 // engine-free; only their zero matters here
-		p.Shards = shards
-		for _, r := range RunObserved(Registry(), p, 4, false, nil) {
-			id := r.Spec.ID
-			var sum uint64
-			for _, e := range r.Engines {
-				sum += e.Processed()
-			}
-			if r.Events != sum {
-				t.Errorf("shards=%d %s: Events = %d, engines processed %d", shards, id, r.Events, sum)
-			}
-			if engineFree[id] != (len(r.Engines) == 0) {
-				t.Errorf("shards=%d %s: obtained %d engines", shards, id, len(r.Engines))
-			}
-			// ablation-topo draws from an engine's RNG and runs no event.
-			if !engineFree[id] && id != "ablation-topo" && r.Events == 0 {
-				t.Errorf("shards=%d %s: simulated experiment counted no events", shards, id)
-			}
-			if want := shards != 0 && !engineFree[id] && id != "ablation-topo"; r.Sharded != want {
-				t.Errorf("shards=%d %s: Sharded = %v, want %v", shards, id, r.Sharded, want)
-			}
+	p := runnerParams()
+	p.Fig11bJobs, p.Table8Jobs = 200, 200 // engine-free; only their zero matters here
+	for _, r := range RunObserved(Registry(), p, 4, false, nil) {
+		id := r.Spec.ID
+		var sum uint64
+		for _, e := range r.Engines {
+			sum += e.Processed()
+		}
+		if r.Events != sum {
+			t.Errorf("%s: Events = %d, engines processed %d", id, r.Events, sum)
+		}
+		if engineFree[id] != (len(r.Engines) == 0) {
+			t.Errorf("%s: obtained %d engines", id, len(r.Engines))
+		}
+		// ablation-topo draws from an engine's RNG and runs no event.
+		if !engineFree[id] && id != "ablation-topo" && r.Events == 0 {
+			t.Errorf("%s: simulated experiment counted no events", id)
 		}
 	}
 }
@@ -187,25 +179,21 @@ func TestRunConcurrentDropsEngines(t *testing.T) {
 }
 
 // TestEnvArmsSpansAtCreation: with spans asked for, every engine — built
-// by a driver, adopted from sched.Run, or a cell of a partitioned cluster — has its
-// tracer before its first event; without, none is armed.
+// by a driver or adopted from sched.Run — has its tracer before its first
+// event; without, none is armed.
 func TestEnvArmsSpansAtCreation(t *testing.T) {
-	spec, _ := Lookup("fig10") // probes (cells under Shards) plus sched.Run engines
-	for _, shards := range []int{0, 1} {
-		p := runnerParams()
-		p.Shards = shards
-		for _, spans := range []bool{false, true} {
-			r := RunObserved([]Spec{spec}, p, 1, spans, nil)[0]
-			recorded := 0
-			for _, e := range r.Engines {
-				if (e.Tracer() != nil) != spans {
-					t.Fatalf("shards=%d spans=%v: engine seed %d has tracer %v", shards, spans, e.Seed(), e.Tracer() != nil)
-				}
-				recorded += e.Tracer().Len()
+	spec, _ := Lookup("fig10") // probes plus sched.Run engines
+	for _, spans := range []bool{false, true} {
+		r := RunObserved([]Spec{spec}, runnerParams(), 1, spans, nil)[0]
+		recorded := 0
+		for _, e := range r.Engines {
+			if (e.Tracer() != nil) != spans {
+				t.Fatalf("spans=%v: engine seed %d has tracer %v", spans, e.Seed(), e.Tracer() != nil)
 			}
-			if spans && recorded == 0 {
-				t.Errorf("shards=%d: tracing armed but no span recorded", shards)
-			}
+			recorded += e.Tracer().Len()
+		}
+		if spans && recorded == 0 {
+			t.Errorf("tracing armed but no span recorded")
 		}
 	}
 }

@@ -123,8 +123,7 @@ func TestWriteChromeInstantOnly(t *testing.T) {
 
 // TestMergeIntoEmptyAndTwice: folding into a fresh registry reproduces
 // the source snapshot byte-for-byte, and folding the same source twice
-// doubles every instrument — the sum semantics the sharded coordinator
-// relies on when cells contribute one registry each.
+// doubles every instrument.
 func TestMergeIntoEmptyAndTwice(t *testing.T) {
 	src := obs.NewRegistry()
 	src.Counter("comm.delivered").Add(7)

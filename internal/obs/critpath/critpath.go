@@ -16,17 +16,11 @@
 // Determinism contract: analysis is a pure function of the input spans.
 // Every walk is over id- or explicitly-sorted orders, no map iteration
 // reaches the output, and no clocks or RNG streams are read — the same
-// recording always yields byte-identical report text and digest. For
-// sharded runs, FromCells flattens per-cell tracers in fixed cell order
-// and resolves the cross-cell "xparent" hand-off attributes, so the
-// merged DAG (and hence the report) is as reproducible as the kernel
-// digest it rides on.
+// recording always yields byte-identical report text and digest.
 package critpath
 
 import (
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"eslurm/internal/obs"
@@ -50,57 +44,6 @@ type Source struct {
 type Options struct {
 	// TopK bounds the slowest-critical-paths listing (default 5).
 	TopK int
-}
-
-// FromCells flattens per-cell tracers into one span slice in cell order,
-// remapping same-cell parent ids into the merged index space and
-// resolving cross-cell "xparent" attributes (see obs.CellRef). Unresolvable
-// references leave the span a root — Analyze then counts it normally.
-// Cell order is the model's fixed partition, so for a deterministic
-// sharded run the merged slice is byte-identical on every run.
-// Nil tracers contribute nothing.
-func FromCells(cells []*obs.Tracer) []obs.Span {
-	offs := make([]int, len(cells))
-	total := 0
-	for i, t := range cells {
-		offs[i] = total
-		total += t.Len()
-	}
-	out := make([]obs.Span, 0, total)
-	for ci, t := range cells {
-		for _, sp := range t.Spans() {
-			if sp.Parent != 0 {
-				sp.Parent += obs.SpanID(offs[ci])
-			} else if ref, ok := attrValue(sp.Attrs, "xparent"); ok {
-				if p, ok := resolveCellRef(ref, cells, offs); ok {
-					sp.Parent = p
-				}
-			}
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// resolveCellRef parses a CellRef against the cell layout, returning the
-// merged-space parent id.
-func resolveCellRef(ref string, cells []*obs.Tracer, offs []int) (obs.SpanID, bool) {
-	if !strings.HasPrefix(ref, "c") {
-		return 0, false
-	}
-	dot := strings.IndexByte(ref, '.')
-	if dot < 0 {
-		return 0, false
-	}
-	cell, err := strconv.Atoi(ref[1:dot])
-	if err != nil || cell < 0 || cell >= len(cells) {
-		return 0, false
-	}
-	id, err := strconv.Atoi(ref[dot+1:])
-	if err != nil || id < 1 || id > cells[cell].Len() {
-		return 0, false
-	}
-	return obs.SpanID(offs[cell] + id), true
 }
 
 func attrValue(attrs []obs.Attr, key string) (string, bool) {

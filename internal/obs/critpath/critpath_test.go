@@ -339,85 +339,3 @@ func TestParseRejectsTamperedDigest(t *testing.T) {
 		t.Fatal("Parse accepted garbage")
 	}
 }
-
-func TestFromCellsStitching(t *testing.T) {
-	// Cell 0 holds the root; cell 1 holds a child linked back via the
-	// xparent attribute. FromCells must remap the same-cell parent and
-	// resolve the cross-cell one into a single DAG.
-	c0 := &fakeClock{}
-	t0 := obs.NewTracer(c0.Now)
-	root := t0.Start("master.broadcast", 0)
-	local := t0.Start("comm.send", root)
-	c0.now = 40
-	t0.End(local)
-	c0.now = 100
-	t0.End(root)
-
-	c1 := &fakeClock{}
-	t1 := obs.NewTracer(c1.Now)
-	c1.now = 50
-	remote := t1.Start("comm.send", 0, obs.String("xparent", obs.CellRef(0, root)))
-	c1.now = 90
-	t1.End(remote)
-
-	spans := critpath.FromCells([]*obs.Tracer{t0, t1})
-	if len(spans) != 3 {
-		t.Fatalf("spans = %d, want 3", len(spans))
-	}
-	if spans[2].Parent != 1 {
-		t.Fatalf("cross-cell parent = %d, want 1", spans[2].Parent)
-	}
-	rep := analyzeOne(t, spans)
-	if rep.Roots != 1 {
-		t.Fatalf("roots = %d, want 1 (stitched DAG)\n%s", rep.Roots, rep.String())
-	}
-	// The remote send [50,90] owns 40ns; after the frontier retreats to
-	// 50, the local send [0,40] owns its own 40ns; the root keeps the
-	// two 10ns gaps.
-	if got := kindTime(t, rep, "comm.send"); got != 80 {
-		t.Errorf("comm.send = %v, want 80", got)
-	}
-	if got := kindTime(t, rep, "master.broadcast"); got != 20 {
-		t.Errorf("master.broadcast = %v, want 20", got)
-	}
-
-	// An unresolvable xparent leaves the span a root and counts nothing
-	// as orphan (the reference simply doesn't resolve).
-	t2 := obs.NewTracer((&fakeClock{}).Now)
-	t2.Start("comm.send", 0, obs.String("xparent", "c9.1"))
-	spans = critpath.FromCells([]*obs.Tracer{t2})
-	if spans[0].Parent != 0 {
-		t.Fatalf("bad xparent resolved to %d", spans[0].Parent)
-	}
-
-	// Nil tracers are skipped.
-	spans = critpath.FromCells([]*obs.Tracer{nil, t0})
-	if len(spans) != 2 {
-		t.Fatalf("nil cell: spans = %d, want 2", len(spans))
-	}
-}
-
-func TestFromCellsWorkerOrderInvariance(t *testing.T) {
-	// The merged slice depends only on cell order, never on which worker
-	// ran a cell: identical recordings in the same cell slots flatten to
-	// identical spans.
-	build := func() []*obs.Tracer {
-		c0 := &fakeClock{}
-		t0 := obs.NewTracer(c0.Now)
-		r := t0.Start("master.broadcast", 0)
-		c0.now = 100
-		t0.End(r)
-		c1 := &fakeClock{}
-		t1 := obs.NewTracer(c1.Now)
-		c1.now = 10
-		s := t1.Start("comm.send", 0, obs.String("xparent", obs.CellRef(0, r)))
-		c1.now = 60
-		t1.End(s)
-		return []*obs.Tracer{t0, t1}
-	}
-	a := critpath.Analyze([]critpath.Source{{Label: "x", Group: "g", Spans: critpath.FromCells(build())}}, critpath.Options{})
-	b := critpath.Analyze([]critpath.Source{{Label: "x", Group: "g", Spans: critpath.FromCells(build())}}, critpath.Options{})
-	if a.Digest() != b.Digest() {
-		t.Fatal("identical cell recordings produced different report digests")
-	}
-}

@@ -1,19 +1,15 @@
 package obs
 
 // Merge folds src's instruments into r: counters and gauges sum,
-// histograms add bucket-wise. Merging is the sharded kernel's metrics
-// story — each cell engine owns a private registry during the run, and
-// the coordinator folds them into one snapshot afterwards — so the
-// result must be deterministic: addition is commutative and associative,
-// and the merged registry's Snapshot/WriteText output depends only on
-// the multiset of (name, value) pairs, never on merge order.
+// histograms add bucket-wise. The result is deterministic: addition is
+// commutative and associative, and the merged registry's
+// Snapshot/WriteText output depends only on the multiset of (name,
+// value) pairs, never on merge order.
 //
 // Histogram bounds must match instrument-for-instrument; a mismatch
-// means two shards registered the same name with different shapes, which
-// is a model bug, and Merge panics rather than fold incomparable
-// buckets. Gauges sum too: sharded gauges are per-cell levels (open
-// sockets on this cell's nodes), and the cluster-wide level is their
-// sum.
+// means two registries registered the same name with different shapes,
+// which is a model bug, and Merge panics rather than fold incomparable
+// buckets.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return

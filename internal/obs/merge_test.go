@@ -40,9 +40,8 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-// TestMergeOrderIndependent pins the property the sharded snapshot
-// depends on: folding registries in any order yields byte-identical
-// text output.
+// TestMergeOrderIndependent: folding registries in any order yields
+// byte-identical text output.
 func TestMergeOrderIndependent(t *testing.T) {
 	mk := func(n int64) *Registry {
 		r := NewRegistry()

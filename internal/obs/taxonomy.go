@@ -101,11 +101,6 @@ func MetricTaxonomy() []MetricInfo {
 		{"sched.killed", "counter", "sched", "jobs killed at their walltime limit"},
 		{"sched.started", "counter", "sched", "jobs started"},
 		{"sched.submitted", "counter", "sched", "jobs submitted"},
-		{"simnet.cross_events", "counter", "simnet", "events merged onto another cell at a window barrier"},
-		{"simnet.window_busy_cells", "histogram", "simnet", "cells with work per conservative window"},
-		{"simnet.window_events", "histogram", "simnet", "events executed per conservative window"},
-		{"simnet.windows", "counter", "simnet", "conservative windows a shard group executed"},
-		{"simnet.windows_multi_busy", "counter", "simnet", "windows with work on two or more cells (the ones a second core could share)"},
 	}
 	sort.Slice(m, func(i, j int) bool { return m[i].Name < m[j].Name })
 	return m

@@ -11,8 +11,8 @@ import (
 	"eslurm/internal/obs"
 )
 
-// Emit-site patterns. Span names land via Tracer.Start/Instant or the
-// sharded broadcaster's startSpan/instantSpan helpers; metric names via
+// Emit-site patterns. Span names land via Tracer.Start/Instant; metric
+// names via
 // Registry.Counter/Gauge/Histogram. All names are dotted lowercase
 // literals by convention, which is what keeps this scan precise.
 var (

@@ -206,12 +206,3 @@ func attrSuffix(attrs []Attr) string {
 
 // fmtInt is strconv.Itoa under a short local name.
 func fmtInt(v int) string { return strconv.Itoa(v) }
-
-// CellRef renders the cross-cell span reference ("c<cell>.<id>") that
-// sharded components attach as the "xparent" attribute when a span's
-// logical parent lives on another cell's tracer (parent ids only index
-// the recording tracer). critpath.FromCells resolves these references
-// when it flattens per-cell recordings into one DAG.
-func CellRef(cell int, id SpanID) string {
-	return "c" + strconv.Itoa(cell) + "." + strconv.Itoa(int(id))
-}

@@ -19,8 +19,8 @@
 // passes through an interface, so Push/Pop never box. Fired and cancelled
 // events are returned to a free list and reused, so steady-state
 // scheduling does not allocate inside the kernel, and not in the caller
-// either when it schedules a Handler (ScheduleTo, AfterTo,
-// ShardGroup.SendAfterTo): the event stores the handler's interface value
+// either when it schedules a Handler (ScheduleTo, AfterTo): the event
+// stores the handler's interface value
 // and a kind, so a component that is already a heap object — a message in
 // flight, a delivery chain — is its own callback and names which of its
 // events this is with the kind, where a func() would have to be a freshly
@@ -151,6 +151,7 @@ type Engine struct {
 	processed uint64
 	tickers   int // Every tickers not yet stopped
 	observer  func(at time.Duration, seq uint64)
+	digest    uint64        // FNV-1a over (at, seq), armed by EnableDigest
 	tracer    *obs.Tracer   // nil unless EnableTracing was called
 	metrics   *obs.Registry // lazily built by Metrics
 }
@@ -409,16 +410,7 @@ func (e *Engine) Run() {
 // the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	for {
-		// Collect cancelled events at the root so the deadline peek sees
-		// the next event that will actually fire.
-		for len(e.events) > 0 && e.events[0].ev.canceled {
-			e.canceled--
-			e.recycle(e.popMin())
-		}
-		if len(e.events) == 0 {
-			break
-		}
-		if e.events[0].at > deadline {
+		if at, ok := e.peekNext(); !ok || at > deadline {
 			break
 		}
 		e.Step()
@@ -443,12 +435,50 @@ func (e *Engine) RunUntilDone(deadline time.Duration, done func() bool) bool {
 	return true
 }
 
+// peekNext returns the time of the next live event, collecting cancelled
+// entries at the root so the answer reflects what will actually fire.
+func (e *Engine) peekNext() (time.Duration, bool) {
+	for len(e.events) > 0 && e.events[0].ev.canceled {
+		e.canceled--
+		e.recycle(e.popMin())
+	}
+	if len(e.events) == 0 {
+		return 0, false
+	}
+	return e.events[0].at, true
+}
+
 // Observe registers fn to be invoked just before each event executes,
 // with the event's virtual time and sequence number. The (at, seq) stream
 // is the engine's complete execution trace, so hashing it gives a cheap
 // digest for determinism audits: two runs of the same seed must produce
 // identical streams. One observer at a time; pass nil to clear.
 func (e *Engine) Observe(fn func(at time.Duration, seq uint64)) { e.observer = fn }
+
+// EnableDigest arms an FNV-1a digest of the (at, seq) execution stream,
+// claiming the Observe slot. Call before running; read it with Digest.
+func (e *Engine) EnableDigest() {
+	e.digest = fnvOffset
+	e.Observe(func(at time.Duration, seq uint64) { e.digest = fnvMix(fnvMix(e.digest, uint64(at)), seq) })
+}
+
+// Digest returns the execution-stream digest, folded as stream 0 of a
+// list of streams (the form the tests' pinned constants are recorded in).
+// Two runs of the same seed produce the same digest.
+func (e *Engine) Digest() uint64 { return fnvMix(fnvMix(fnvOffset, 0), e.digest) }
+
+// FNV-1a mixing for the digest.
+const fnvOffset = 14695981039346656037
+
+func fnvMix(h, v uint64) uint64 {
+	const prime = 1099511628211
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= prime
+		v >>= 8
+	}
+	return h
+}
 
 // Rand returns a deterministic RNG stream derived from the engine seed and a
 // label. Equal (seed, label) pairs always yield identically-seeded streams,

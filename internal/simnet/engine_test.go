@@ -319,3 +319,24 @@ func TestObserve(t *testing.T) {
 	e.After(time.Millisecond, func() {})
 	e.Run()
 }
+
+// TestDigestFollowsTheExecutionStream: same-seed runs digest alike, and
+// moving one event's time moves the digest.
+func TestDigestFollowsTheExecutionStream(t *testing.T) {
+	run := func(last time.Duration) uint64 {
+		e := NewEngine(1)
+		e.EnableDigest()
+		for i := 1; i <= 8; i++ {
+			e.After(time.Duration(i)*time.Millisecond, func() {})
+		}
+		e.After(last, func() {})
+		e.Run()
+		return e.Digest()
+	}
+	if a, b := run(time.Second), run(time.Second); a != b {
+		t.Fatalf("same-seed digests differ: %#x vs %#x", a, b)
+	}
+	if a, b := run(time.Second), run(2*time.Second); a == b {
+		t.Fatalf("digest %#x did not move with an event's time", a)
+	}
+}

@@ -192,24 +192,6 @@ func TestHandlerEventSemantics(t *testing.T) {
 	})
 }
 
-// TestShardGroupSendAfterTo: the handler form crosses cells like the func
-// form, in the (time, src cell, send order) merge order.
-func TestShardGroupSendAfterTo(t *testing.T) {
-	g := NewShardGroup(1, 2, time.Millisecond)
-	var here, there kinds // what cell 0 and cell 1 were handed
-	g.SendAfterTo(0, 1, time.Millisecond, &there, 2)
-	g.SendAfterTo(0, 1, 0, &there, 1)
-	g.SendAfter(0, 1, 2*time.Millisecond, func() { there = append(there, 3) })
-	g.SendAfterTo(0, 0, 0, &here, 0)
-	g.RunUntil(time.Second)
-	if len(there) != 3 || there[0] != 1 || there[1] != 2 || there[2] != 3 {
-		t.Errorf("cell 1 was handed %v, want [1 2 3]", there)
-	}
-	if len(here) != 1 || g.Cell(0).Processed() != 1 {
-		t.Errorf("cell 0 was handed %v over %d events, want [0] over 1", here, g.Cell(0).Processed())
-	}
-}
-
 // counter is a handler with no state to grow.
 type counter struct{ n int }
 
@@ -218,8 +200,7 @@ func (c *counter) HandleEvent(int32) { c.n++ }
 // TestAllocsScheduleFire is the kernel's allocation budget: on a warm
 // engine a schedule→fire round trip allocates nothing in either form —
 // given, for the func form, a func the caller already has — nor does a
-// schedule→cancel→fire round trip or a repeated Rand lookup of one label,
-// and a warm barrier merges cross-cell events without allocating.
+// schedule→cancel→fire round trip or a repeated Rand lookup of one label.
 func TestAllocsScheduleFire(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -255,18 +236,6 @@ func TestAllocsScheduleFire(t *testing.T) {
 		t.Errorf("repeated Rand lookup: %v allocs/op, want 0", n)
 	}
 
-	g := NewShardGroup(1, 2, time.Millisecond)
-	window := func() {
-		for i := 0; i < 64; i++ {
-			g.SendAfterTo(0, 1, time.Duration(64-i)*time.Microsecond, h, 0)
-			g.SendAfterTo(1, 0, 0, h, 0)
-		}
-		g.RunUntil(g.Cell(0).Now() + 10*time.Millisecond)
-	}
-	window()
-	if n := testing.AllocsPerRun(100, window); n != 0 {
-		t.Errorf("128 cross-cell events through a warm barrier: %v allocs/run, want 0", n)
-	}
 }
 
 // raceEnabled is set by race_test.go in a -race build.

@@ -117,23 +117,3 @@ func (t Topology) PlanFPTree(list []cluster.NodeID, predicted func(cluster.NodeI
 	swaps := fptree.FineTune(ordered, predicted, width)
 	return ordered, swaps
 }
-
-// Partition returns cfg partitioned by rack: the control plane (master
-// and satellites) on cell 0 and every compute rack on a cell of its own.
-// The layout is a function of the cluster's shape alone.
-func (t Topology) Partition(cfg cluster.Config) cluster.Config {
-	per := t.NodesPerRack()
-	racks := (cfg.Computes + per - 1) / per
-	if racks < 1 {
-		racks = 1
-	}
-	firstCompute := 1 + cfg.Satellites
-	cfg.Cells = 1 + racks
-	cfg.CellOf = func(id cluster.NodeID, role cluster.Role) int {
-		if role != cluster.RoleCompute {
-			return 0
-		}
-		return 1 + t.Rack(cluster.NodeID(int(id)-firstCompute))
-	}
-	return cfg
-}

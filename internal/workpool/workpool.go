@@ -14,15 +14,21 @@ import (
 	"sync"
 )
 
-// Ordered runs task(0) … task(n-1) on min(workers, n) goroutines
-// (workers < 1 means GOMAXPROCS) and returns the results indexed like the
-// tasks. emit, when non-nil, is called on the caller's goroutine once per
-// result, in index order, as soon as the ordered prefix is complete.
-func Ordered[T any](n, workers int, task func(i int) T, emit func(T)) []T {
+// Workers is how many goroutines Ordered runs n tasks on when asked for
+// workers: min(workers, n), where workers < 1 means GOMAXPROCS.
+func Workers(n, workers int) int {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, n)
+	return min(workers, n)
+}
+
+// Ordered runs task(0) … task(n-1) on Workers(n, workers) goroutines and
+// returns the results indexed like the tasks. emit, when non-nil, is
+// called on the caller's goroutine once per result, in index order, as
+// soon as the ordered prefix is complete.
+func Ordered[T any](n, workers int, task func(i int) T, emit func(T)) []T {
+	workers = Workers(n, workers)
 	results := make([]T, n)
 	done := make([]chan struct{}, n)
 	next := make(chan int, n)
