@@ -28,7 +28,9 @@
 //
 // -loss, -dup and -silent are probabilities: a value outside [0,1] is an
 // error (exit 2), and so is a -seeds, -nodes, -sats or -broadcasts below
-// 1 or a -span or -bound that is not positive, in either soak. A flag the
+// 1 or a -span or -bound that is not positive, in either soak, and a
+// -target below 0 or above the satellite pool (-sats, or the reconcile
+// soak's default of chaos.ReconcileSatellites). A flag the
 // selected soak cannot honour is an error (exit 2) too, never silently
 // dropped: -reconcile records no spans and keeps no registry (-critpath,
 // -trace, -metrics) and fixes its silent fraction (-silent), and
@@ -155,6 +157,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	violations := 0
 	switch mode {
 	case modeReconcile:
+		// -target counts in-service satellites out of the pool, which the
+		// soak would otherwise quietly clamp or replace with its default.
+		pool := chaos.ReconcileSatellites
+		if set["sats"] {
+			pool = *sats
+		}
+		if *target < 0 || *target > pool {
+			return fail(fmt.Errorf("-target %d is not in [0,%d], the satellite pool (0 selects the default)", *target, pool))
+		}
 		// The reconcile soak has its own calibrated defaults (more
 		// satellites, a shorter span); only flags the user actually set
 		// override them.

@@ -55,6 +55,10 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		{name: "reconcile metrics", args: []string{"-reconcile", "-metrics"}, refused: "-metrics is not available with"},
 		{name: "reconcile silent", args: []string{"-reconcile", "-silent", "0.5"}, refused: "-silent is not available with"},
 		{name: "reconcile target", args: []string{"-reconcile", "-target", "3"}, wantOut: []string{"target=3"}},
+		{name: "reconcile target negative", args: []string{"-reconcile", "-target", "-2"}, refused: "-target -2 is not in [0,6]"},
+		{name: "reconcile target above default pool", args: []string{"-reconcile", "-target", "9"}, refused: "-target 9 is not in [0,6]"},
+		{name: "reconcile target above sats", args: []string{"-reconcile", "-sats", "3", "-target", "4"}, refused: "-target 4 is not in [0,3]"},
+		{name: "reconcile target whole pool", args: []string{"-reconcile", "-sats", "3", "-target", "3"}, wantOut: []string{"satellites=3 target=3"}},
 		{name: "reconcile spec", args: []string{"-reconcile", "-spec", spec}, wantOut: []string{"reconcile soak"}},
 		{name: "reconcile shards", args: []string{"-reconcile", "-cells"}, refused: "flag provided but not defined: -cells"},
 		{name: "two refusals both named", args: []string{"-reconcile", "-trace", "FILE", "-metrics"}, refused: "-metrics is not available with"},

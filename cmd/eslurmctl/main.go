@@ -16,11 +16,16 @@
 // replayed in simulated time; the run ends with a reconcile summary.
 // An eslurm.conf with SatelliteTarget set wires the reconciler the same
 // way without a schedule.
+//
+// -nodes, -jobs and -hours below 1, -satellites below 0 and -failures
+// outside [0,1] are usage errors (exit 2); a file that cannot be read or
+// parsed, or an unknown -rm, exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -40,19 +45,47 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams as parameters, so the tests
+// drive the whole CLI in-process; it returns the exit status: 0 on
+// success, 1 on a bad input file or RM name, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("eslurmctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		rmName     = flag.String("rm", "eslurm", "resource manager: eslurm, slurm, lsf, sge, torque, openpbs")
-		confPath   = flag.String("conf", "", "eslurm.conf file; overrides -nodes/-satellites and the ESlurm parameters")
-		nodes      = flag.Int("nodes", 1024, "compute-node count")
-		satellites = flag.Int("satellites", 0, "satellite count (0 = one per 5K nodes, min 2; ESlurm only)")
-		jobs       = flag.Int("jobs", 2000, "jobs to replay")
-		hours      = flag.Int("hours", 4, "virtual hours of RM runtime observation")
-		failures   = flag.Float64("failures", 0.01, "fraction of nodes failing during the run")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		specPath   = flag.String("spec", "", "reconcile spec/schedule JSON; runs the ESlurm master under the reconciler")
-		verbose    = flag.Bool("verbose", false, "print per-phase detail")
+		rmName     = fs.String("rm", "eslurm", "resource manager: eslurm, slurm, lsf, sge, torque, openpbs")
+		confPath   = fs.String("conf", "", "eslurm.conf file; overrides -nodes/-satellites and the ESlurm parameters")
+		nodes      = fs.Int("nodes", 1024, "compute-node count")
+		satellites = fs.Int("satellites", 0, "satellite count (0 = one per 5K nodes, min 2; ESlurm only)")
+		jobs       = fs.Int("jobs", 2000, "jobs to replay")
+		hours      = fs.Int("hours", 4, "virtual hours of RM runtime observation")
+		failures   = fs.Float64("failures", 0.01, "fraction of nodes failing during the run")
+		seed       = fs.Int64("seed", 1, "simulation seed")
+		specPath   = fs.String("spec", "", "reconcile spec/schedule JSON; runs the ESlurm master under the reconciler")
+		verbose    = fs.Bool("verbose", false, "print per-phase detail")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	for _, p := range []struct {
+		flag string
+		v    any
+		ok   bool
+		is   string // what the value is when it is not ok
+	}{
+		{"nodes", *nodes, *nodes >= 1, "not positive"},
+		{"jobs", *jobs, *jobs >= 1, "not positive"},
+		{"hours", *hours, *hours >= 1, "not positive"},
+		{"satellites", *satellites, *satellites >= 0, "negative"},
+		{"failures", *failures, *failures >= 0 && *failures <= 1, "not a fraction in [0,1]"}, // written so NaN fails too
+	} {
+		if !p.ok {
+			fmt.Fprintf(stderr, "eslurmctl: -%s %v is %s\n", p.flag, p.v, p.is)
+			return 2
+		}
+	}
 
 	coreCfg := core.DefaultConfig()
 	fwCfg := estimate.FrameworkConfig{}
@@ -60,14 +93,14 @@ func main() {
 	if *confPath != "" {
 		f, err := os.Open(*confPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		parsed, err := config.Parse(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if n := parsed.ComputeCount(); n > 0 {
 			*nodes = n
@@ -78,7 +111,7 @@ func main() {
 		coreCfg = parsed.CoreConfig()
 		fwCfg = parsed.FrameworkConfig()
 		parsedConf = parsed
-		fmt.Printf("loaded %s: cluster %q, %d computes, %d satellites\n",
+		fmt.Fprintf(stdout, "loaded %s: cluster %q, %d computes, %d satellites\n",
 			*confPath, parsed.ClusterName, *nodes, *satellites)
 	}
 
@@ -109,8 +142,8 @@ func main() {
 	case "openpbs":
 		r = rm.NewCentralized(c, rm.OpenPBSProfile())
 	default:
-		fmt.Fprintf(os.Stderr, "unknown RM %q\n", *rmName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown RM %q\n", *rmName)
+		return 1
 	}
 	r.Start()
 
@@ -124,33 +157,33 @@ func main() {
 		case *specPath != "":
 			f, err := os.Open(*specPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			sched2, err := reconcile.ParseSchedule(f)
 			f.Close()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "eslurmctl: %s: %v\n", *specPath, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "eslurmctl: %s: %v\n", *specPath, err)
+				return 1
 			}
 			rec = reconcile.New(es.M, sched2.Initial, reconcile.Config{})
 			rec.Start()
 			rec.ScheduleMutations(sched2.Mutations)
-			fmt.Printf("reconciler: initial target %d satellites, %d scheduled mutations\n",
+			fmt.Fprintf(stdout, "reconciler: initial target %d satellites, %d scheduled mutations\n",
 				rec.Spec().Satellites, len(sched2.Mutations))
 		case parsedConf != nil && parsedConf.SatelliteTarget > 0:
 			spec, opts, err := reconcile.FromConfig(parsedConf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "eslurmctl: %s: %v\n", *confPath, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "eslurmctl: %s: %v\n", *confPath, err)
+				return 1
 			}
 			rec = reconcile.New(es.M, spec, opts)
 			rec.Start()
-			fmt.Printf("reconciler: target %d satellites from %s\n", spec.Satellites, *confPath)
+			fmt.Fprintf(stdout, "reconciler: target %d satellites from %s\n", spec.Satellites, *confPath)
 		}
 	} else if *specPath != "" {
-		fmt.Fprintf(os.Stderr, "eslurmctl: -spec requires -rm eslurm (got %q)\n", *rmName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "eslurmctl: -spec requires -rm eslurm (got %q)\n", *rmName)
+		return 1
 	}
 
 	// Failure injection, announced to the monitoring network.
@@ -208,20 +241,20 @@ func main() {
 	e.RunUntil(span + 30*time.Minute)
 
 	m := r.Meter()
-	fmt.Printf("=== %s on %d nodes (%d satellites), %v observed ===\n", r.Name(), *nodes, sats, span)
-	fmt.Printf("master: cpu=%v vmem=%.2fGB rss=%.1fMB sockets avg=%.1f peak=%d\n",
+	fmt.Fprintf(stdout, "=== %s on %d nodes (%d satellites), %v observed ===\n", r.Name(), *nodes, sats, span)
+	fmt.Fprintf(stdout, "master: cpu=%v vmem=%.2fGB rss=%.1fMB sockets avg=%.1f peak=%d\n",
 		m.CPUTime().Round(time.Millisecond),
 		float64(m.VMem())/(1<<30), float64(m.RSS())/(1<<20),
 		m.AvgSockets(), m.PeakSockets())
 	if es, ok := r.(*rm.ESlurm); ok {
 		st := es.M.Stats()
-		fmt.Printf("broadcasts=%d subtasks=%d reallocations=%d takeovers=%d heartbeats=%d\n",
+		fmt.Fprintf(stdout, "broadcasts=%d subtasks=%d reallocations=%d takeovers=%d heartbeats=%d\n",
 			st.Broadcasts, st.SubTasks, st.Reallocations, st.MasterTakeovers, st.HeartbeatSweeps)
 		if *verbose {
 			for i, id := range c.Satellites() {
 				sm := &c.Node(id).Meter
 				sat := es.M.Pool.Get(id)
-				fmt.Printf("satellite %d: state=%v tasks=%d cpu=%v rss=%.1fMB\n",
+				fmt.Fprintf(stdout, "satellite %d: state=%v tasks=%d cpu=%v rss=%.1fMB\n",
 					i+1, sat.State(), sat.TasksReceived,
 					sm.CPUTime().Round(time.Millisecond), float64(sm.RSS())/(1<<20))
 			}
@@ -230,13 +263,13 @@ func main() {
 
 	if rec != nil {
 		st := rec.Status()
-		fmt.Printf("reconcile: rounds=%d actions=%d promotes=%d drains=%d (forced=%d) takeovers=%d breakers=%d specs=%d converged=%v\n",
+		fmt.Fprintf(stdout, "reconcile: rounds=%d actions=%d promotes=%d drains=%d (forced=%d) takeovers=%d breakers=%d specs=%d converged=%v\n",
 			st.Rounds, st.Actions, st.Promotes, st.Drains, st.DrainsForced,
 			st.Takeovers, st.BreakerOpens, st.SpecUpdates, st.Converged)
 	}
 
 	if demoed {
-		fmt.Printf("demo broadcast: delivered=%d unreachable=%d time=%v messages=%d\n",
+		fmt.Fprintf(stdout, "demo broadcast: delivered=%d unreachable=%d time=%v messages=%d\n",
 			demo.Delivered, len(demo.Unreachable), demo.DeliveredElapsed.Round(time.Microsecond), demo.Messages)
 	}
 
@@ -251,7 +284,7 @@ func main() {
 		scfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(fwCfg)}
 	}
 	res := sched.Run(tr.Jobs, scfg)
-	fmt.Printf("scheduling %d jobs: utilization=%.1f%% avg-wait=%v slowdown=%.1f completed=%d killed=%d\n",
+	fmt.Fprintf(stdout, "scheduling %d jobs: utilization=%.1f%% avg-wait=%v slowdown=%.1f completed=%d killed=%d\n",
 		len(tr.Jobs), 100*res.Utilization, res.AvgWait.Round(time.Second),
 		res.AvgBoundedSlowdown, res.Completed, res.Killed)
 	if *verbose && *rmName == "eslurm" {
@@ -263,8 +296,9 @@ func main() {
 					trusted++
 				}
 			}
-			fmt.Printf("estimator: %d generations, %d/%d clusters past the %.0f%% AEA gate\n",
+			fmt.Fprintf(stdout, "estimator: %d generations, %d/%d clusters past the %.0f%% AEA gate\n",
 				fw.F.Generations, trusted, total, 100*fw.F.Config().AEAGate)
 		}
 	}
+	return 0
 }

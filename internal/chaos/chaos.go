@@ -57,19 +57,11 @@ type Config struct {
 	// default 8 minutes covers the worst legal chain: ReallocLimit
 	// watchdog timeouts back-to-back plus the master-takeover broadcast.
 	Bound time.Duration
-	// Spec is the campaign mix. A zero Spec selects the default mix:
-	// 2 bursts, 2 flaps, 3 grays, 1 chassis partition, 1 satellite kill.
-	// Spec.Horizon defaults to Span.
-	Spec faults.ChaosSpec
 	// LossProb and DupProb are passed to the network (default 0; the
 	// default mix exercises them via DefaultConfig).
 	LossProb, DupProb float64
 	// SilentFraction of fail-stop events bypass monitoring.
 	SilentFraction float64
-	// Retry overrides the broadcaster's retry policy; nil selects a
-	// backoff policy (4 attempts, 50ms base, ×2, 2s cap, 30s deadline,
-	// 0.5 jitter) so the adversarial retry path is exercised.
-	Retry *comm.RetryPolicy
 	// Trace enables simulated-time span recording on each seed's engine;
 	// the tracer and metrics registry come back on the SeedResult. Tracing
 	// is passive recording — it does not change any seed's event trace,
@@ -99,17 +91,13 @@ func (c Config) withDefaults() Config {
 	if c.Bound <= 0 {
 		c.Bound = 8 * time.Minute
 	}
-	zero := faults.ChaosSpec{}
-	if c.Spec == zero {
-		c.Spec = faults.ChaosSpec{Bursts: 2, Flaps: 2, Grays: 3, Partitions: 1, SatelliteKills: 1}
-	}
-	if c.Spec.Horizon <= 0 {
-		c.Spec.Horizon = c.Span
-	}
-	if c.Retry == nil {
-		c.Retry = soakRetry()
-	}
 	return c
+}
+
+// soakMix is the plain soak's campaign over the driven span: 2 bursts,
+// 2 flaps, 3 grays, 1 chassis partition and 1 satellite kill.
+func soakMix(span time.Duration) faults.ChaosSpec {
+	return faults.ChaosSpec{Horizon: span, Bursts: 2, Flaps: 2, Grays: 3, Partitions: 1, SatelliteKills: 1}
 }
 
 // DefaultConfig is the default campaign mix at the acceptance scale, with
@@ -166,9 +154,10 @@ func (r *Report) String() string {
 	c := r.Config
 	fmt.Fprintf(&sb, "chaos soak: seeds=%d base=%d computes=%d satellites=%d span=%v broadcasts=%d bound=%v\n",
 		c.Seeds, c.BaseSeed, c.Computes, c.Satellites, c.Span, c.Broadcasts, c.Bound)
-	fmt.Fprintf(&sb, "campaign: bursts=%d flaps=%d grays=%d partitions=%d satkills=%d background=%.1f/day loss=%.3f dup=%.3f silent=%.2f\n",
-		c.Spec.Bursts, c.Spec.Flaps, c.Spec.Grays, c.Spec.Partitions, c.Spec.SatelliteKills,
-		c.Spec.BackgroundPerDay, c.LossProb, c.DupProb, c.SilentFraction)
+	mix := soakMix(c.Span)
+	fmt.Fprintf(&sb, "campaign: bursts=%d flaps=%d grays=%d partitions=%d satkills=%d loss=%.3f dup=%.3f silent=%.2f\n",
+		mix.Bursts, mix.Flaps, mix.Grays, mix.Partitions, mix.SatelliteKills,
+		c.LossProb, c.DupProb, c.SilentFraction)
 	for _, s := range r.Seeds {
 		fmt.Fprintf(&sb, "seed %d: events=%d campaign=%d broadcasts=%d delivered=%d unreachable=%d retries=%d reallocs=%d takeovers=%d drained=%d violations=%d\n",
 			s.Seed, s.Events, s.CampaignEvents, s.Broadcasts, s.Delivered,
@@ -215,8 +204,8 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 		Satellites: cfg.Satellites,
 		Net:        cluster.NetConfig{LossProb: cfg.LossProb, DupProb: cfg.DupProb},
 	}
-	r := newSeedRun(seed, ccfg, cfg.Trace, cfg.Retry, 0)
-	sr := SeedResult{Seed: seed, CampaignEvents: r.campaign(cfg.Spec, cfg.SilentFraction), Trace: r.e.Tracer()}
+	r := newSeedRun(seed, ccfg, cfg.Trace, 0)
+	sr := SeedResult{Seed: seed, CampaignEvents: r.campaign(soakMix(cfg.Span), cfg.SilentFraction), Trace: r.e.Tracer()}
 	r.drive(cfg.Broadcasts, cfg.Span, cfg.Bound)
 
 	r.c.RunUntil(cfg.Span)

@@ -24,6 +24,29 @@ import (
 	"eslurm/internal/workpool"
 )
 
+// ReconcileSatellites is the reconcile soak's default satellite pool:
+// the default target of 4 in service plus 2 parked standbys for the
+// reconciler to promote.
+const ReconcileSatellites = 6
+
+// The reconcile soak's fixed loop settings: a reconcile round every 30s,
+// graceful drains bounded at 90s, and a 2-minute FAULT→DOWN demotion
+// (short enough that campaign kills exercise the revival path). The
+// convergence bound is reconcileConvergeRounds rounds after the last fault
+// heals.
+const (
+	reconcileInterval       = 30 * time.Second
+	reconcileDrainDeadline  = 90 * time.Second
+	reconcileFaultTimeout   = 2 * time.Minute
+	reconcileConvergeRounds = 30
+)
+
+// reconcileMix is the reconcile soak's campaign over the driven span: 2
+// bursts, 2 flaps, 2 grays, 1 chassis partition and 2 satellite kills.
+func reconcileMix(span time.Duration) faults.ChaosSpec {
+	return faults.ChaosSpec{Horizon: span, Bursts: 2, Flaps: 2, Grays: 2, Partitions: 1, SatelliteKills: 2}
+}
+
 // ReconcileConfig parameterizes a reconcile soak. The zero value is
 // runnable.
 type ReconcileConfig struct {
@@ -31,7 +54,8 @@ type ReconcileConfig struct {
 	Seeds    int
 	BaseSeed int64
 	// Computes and Satellites size the cluster; Satellites is the total
-	// satellite-node count including parked standbys (defaults 256 and 6).
+	// satellite-node count including parked standbys (defaults 256 and
+	// ReconcileSatellites).
 	Computes   int
 	Satellites int
 	// Target is the initial spec's desired in-service satellite count
@@ -44,20 +68,6 @@ type ReconcileConfig struct {
 	// per-broadcast resolution bound (default 8 minutes).
 	Broadcasts int
 	Bound      time.Duration
-	// Interval is the reconcile-round cadence (default 30s);
-	// DrainDeadline bounds graceful drains (default 90s); FaultTimeout
-	// overrides the pool's FAULT→DOWN demotion timeout (default 2
-	// minutes, short enough that campaign kills exercise the revival
-	// path).
-	Interval      time.Duration
-	DrainDeadline time.Duration
-	FaultTimeout  time.Duration
-	// RoundBudget is the convergence bound: rounds allowed after the last
-	// fault heals (default 30).
-	RoundBudget int
-	// Spec is the campaign mix (default: 2 bursts, 2 flaps, 2 grays, 1
-	// partition, 2 satellite kills). Horizon defaults to Span.
-	Spec faults.ChaosSpec
 	// LossProb and DupProb are network fault rates (default 0.01 each).
 	LossProb, DupProb float64
 	// Initial overrides the starting spec (zero Satellites selects
@@ -83,7 +93,7 @@ func (c ReconcileConfig) withDefaults() ReconcileConfig {
 		c.Computes = 256
 	}
 	if c.Satellites <= 0 {
-		c.Satellites = 6
+		c.Satellites = ReconcileSatellites
 	}
 	if c.Target <= 0 {
 		c.Target = 4
@@ -99,25 +109,6 @@ func (c ReconcileConfig) withDefaults() ReconcileConfig {
 	}
 	if c.Bound <= 0 {
 		c.Bound = 8 * time.Minute
-	}
-	if c.Interval <= 0 {
-		c.Interval = 30 * time.Second
-	}
-	if c.DrainDeadline <= 0 {
-		c.DrainDeadline = 90 * time.Second
-	}
-	if c.FaultTimeout <= 0 {
-		c.FaultTimeout = 2 * time.Minute
-	}
-	if c.RoundBudget <= 0 {
-		c.RoundBudget = 30
-	}
-	zero := faults.ChaosSpec{}
-	if c.Spec == zero {
-		c.Spec = faults.ChaosSpec{Bursts: 2, Flaps: 2, Grays: 2, Partitions: 1, SatelliteKills: 2}
-	}
-	if c.Spec.Horizon <= 0 {
-		c.Spec.Horizon = c.Span
 	}
 	if c.LossProb == 0 && c.DupProb == 0 {
 		c.LossProb, c.DupProb = 0.01, 0.01
@@ -192,9 +183,10 @@ func (r *ReconcileReport) String() string {
 	c := r.Config
 	fmt.Fprintf(&sb, "reconcile soak: seeds=%d base=%d computes=%d satellites=%d target=%d span=%v broadcasts=%d bound=%v interval=%v drain=%v fault_timeout=%v budget=%d\n",
 		c.Seeds, c.BaseSeed, c.Computes, c.Satellites, c.Target, c.Span, c.Broadcasts, c.Bound,
-		c.Interval, c.DrainDeadline, c.FaultTimeout, c.RoundBudget)
+		reconcileInterval, reconcileDrainDeadline, reconcileFaultTimeout, reconcileConvergeRounds)
+	mix := reconcileMix(c.Span)
 	fmt.Fprintf(&sb, "campaign: bursts=%d flaps=%d grays=%d partitions=%d satkills=%d loss=%.3f dup=%.3f mutations=%d\n",
-		c.Spec.Bursts, c.Spec.Flaps, c.Spec.Grays, c.Spec.Partitions, c.Spec.SatelliteKills,
+		mix.Bursts, mix.Flaps, mix.Grays, mix.Partitions, mix.SatelliteKills,
 		c.LossProb, c.DupProb, len(c.Mutations))
 	for _, s := range r.Seeds {
 		fmt.Fprintf(&sb, "seed %d: events=%d campaign=%d broadcasts=%d delivered=%d unreachable=%d retries=%d reallocs=%d mtakeovers=%d rounds=%d heal_rounds=%d promotes=%d drains=%d forced=%d rtakeovers=%d breakers=%d specs=%d converged=%t violations=%d\n",
@@ -254,29 +246,30 @@ func runReconcileSeed(cfg ReconcileConfig, seed int64, trace bool) ReconcileSeed
 		Computes:   cfg.Computes,
 		Satellites: cfg.Satellites,
 		Net:        cluster.NetConfig{LossProb: cfg.LossProb, DupProb: cfg.DupProb},
-	}, trace, soakRetry(), cfg.FaultTimeout)
+	}, trace, reconcileFaultTimeout)
 
 	rec := reconcile.New(r.m, cfg.Initial, reconcile.Config{
-		Interval:      cfg.Interval,
-		DrainDeadline: cfg.DrainDeadline,
+		Interval:      reconcileInterval,
+		DrainDeadline: reconcileDrainDeadline,
 	})
 	rec.Start()
 	rec.ScheduleMutations(cfg.Mutations)
 
-	sr := ReconcileSeedResult{Seed: seed, CampaignEvents: r.campaign(cfg.Spec, 0)}
+	sr := ReconcileSeedResult{Seed: seed, CampaignEvents: r.campaign(reconcileMix(cfg.Span), 0)}
 	r.drive(cfg.Broadcasts, cfg.Span, cfg.Bound)
 
-	// Drive the adversarial span, then past the last possible heal (flap
-	// cycles can stretch to a few MaxDown past the horizon).
+	// Drive the adversarial span, then one minute past it. A flap can
+	// heal a few of the campaign's 90s outages past the span, later than
+	// this wait; reconcilePinnedDigest holds the wait at one minute until
+	// a deliberate re-pin (DESIGN §4, "Settings folded into constants").
 	r.c.RunUntil(cfg.Span)
-	healBy := cfg.Span + 4*cfg.Spec.MaxDown + time.Minute
-	r.c.RunUntil(healBy)
+	r.c.RunUntil(cfg.Span + time.Minute)
 
 	// Convergence contract: from the first round after the last heal, the
-	// reconciler must reach spec within RoundBudget rounds.
+	// reconciler must reach spec within reconcileConvergeRounds rounds.
 	roundsAtHeal := rec.Rounds()
-	for i := 0; i < cfg.RoundBudget && !rec.Converged(); i++ {
-		r.c.RunUntil(r.e.Now() + cfg.Interval)
+	for i := 0; i < reconcileConvergeRounds && !rec.Converged(); i++ {
+		r.c.RunUntil(r.e.Now() + reconcileInterval)
 	}
 	st := rec.Status()
 	sr.Converged = st.Converged

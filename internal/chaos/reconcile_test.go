@@ -76,8 +76,8 @@ func TestReconcileSoakConvergesEverySeed(t *testing.T) {
 		if !s.Converged {
 			t.Errorf("seed %d did not converge (%d rounds after heal)", s.Seed, s.RoundsAfterHeal)
 		}
-		if s.RoundsAfterHeal > cfg.RoundBudget && cfg.RoundBudget > 0 {
-			t.Errorf("seed %d used %d rounds after heal, budget %d", s.Seed, s.RoundsAfterHeal, cfg.RoundBudget)
+		if s.RoundsAfterHeal > reconcileConvergeRounds {
+			t.Errorf("seed %d used %d rounds after heal, budget %d", s.Seed, s.RoundsAfterHeal, reconcileConvergeRounds)
 		}
 		if s.Broadcasts != rep.Config.Broadcasts {
 			t.Errorf("seed %d resolved %d/%d broadcasts", s.Seed, s.Broadcasts, rep.Config.Broadcasts)

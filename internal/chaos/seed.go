@@ -21,8 +21,8 @@ import (
 // soakRetry is the broadcaster retry policy both soaks run under: 4
 // attempts, 50ms base backoff doubling to a 2s cap, 0.5 jitter, 30s
 // deadline — so the adversarial retry path is exercised.
-func soakRetry() *comm.RetryPolicy {
-	return &comm.RetryPolicy{
+func soakRetry() comm.RetryPolicy {
+	return comm.RetryPolicy{
 		MaxAttempts: 4,
 		Backoff:     50 * time.Millisecond,
 		MaxBackoff:  2 * time.Second,
@@ -51,7 +51,7 @@ type seedRun struct {
 // newSeedRun builds and starts the stack on ccfg. trace arms span
 // recording; a positive faultTimeout overrides the pool's
 // FAULT→DOWN demotion timeout.
-func newSeedRun(seed int64, ccfg cluster.Config, trace bool, retry *comm.RetryPolicy, faultTimeout time.Duration) *seedRun {
+func newSeedRun(seed int64, ccfg cluster.Config, trace bool, faultTimeout time.Duration) *seedRun {
 	e := simnet.NewEngine(seed)
 	c := cluster.New(e, ccfg)
 	if trace {
@@ -60,7 +60,7 @@ func newSeedRun(seed int64, ccfg cluster.Config, trace bool, retry *comm.RetryPo
 	r := &seedRun{seed: seed, e: e, c: c, mon: monitor.New(c, monitor.Config{})}
 	r.m = core.NewMaster(c, core.DefaultConfig(), nil)
 	r.m.B.RecordResolved = true
-	r.m.B.Retry = retry
+	r.m.B.Retry = soakRetry()
 	if faultTimeout > 0 {
 		r.m.Pool.FaultTimeout = faultTimeout
 	}

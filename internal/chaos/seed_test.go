@@ -11,7 +11,7 @@ import (
 // teardownRun builds a small, quiet stack for exercising the teardown
 // checks on one seeded defect each.
 func teardownRun(trace bool) *seedRun {
-	return newSeedRun(1, cluster.Config{Computes: 16, Satellites: 2}, trace, soakRetry(), 0)
+	return newSeedRun(1, cluster.Config{Computes: 16, Satellites: 2}, trace, 0)
 }
 
 // TestTeardownNamesOpenSpan: a span the stack never ends is reported by

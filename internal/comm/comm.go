@@ -8,7 +8,8 @@
 //
 // A broadcast delivers one payload from an origin node to a set of target
 // nodes. A delivery to a failed node costs the sender the connect timeout
-// per attempt; after Retries attempts the target is declared unreachable.
+// per attempt; after the retry policy's MaxAttempts attempts the target
+// is declared unreachable.
 // For relay structures (ring, tree) the fault-tolerance mechanism then
 // re-routes around the failed node: the ring skips it, the tree parent
 // adopts the failed child's subtree.
@@ -57,21 +58,17 @@ type Result struct {
 	Retries int
 }
 
-// RetryPolicy configures the per-link delivery retry loop. The zero
-// policy is not meaningful; a nil *RetryPolicy on the Broadcaster selects
-// the paper's fixed-count immediate-retry behaviour (Broadcaster.Retries
-// attempts, no backoff), which is also what every existing experiment
-// uses — the policy is strictly additive to the recorded traces.
+// RetryPolicy configures the per-link delivery retry loop. NewBroadcaster
+// sets the paper's policy, {MaxAttempts: 3}: three immediate attempts, no
+// backoff, no deadline. A zero Backoff draws nothing from "comm/retry".
 type RetryPolicy struct {
 	// MaxAttempts is the total number of connection attempts per link
 	// (first try included). Values below 1 are treated as 1.
 	MaxAttempts int
 	// Backoff is the wait before the second attempt; each further attempt
-	// multiplies it by BackoffFactor (default 2), capped at MaxBackoff.
+	// multiplies it by backoffFactor, capped at MaxBackoff. Zero retries
+	// immediately.
 	Backoff time.Duration
-	// BackoffFactor is the exponential growth factor (values below 1 are
-	// treated as the default 2).
-	BackoffFactor float64
 	// MaxBackoff caps the per-attempt backoff; zero means uncapped.
 	MaxBackoff time.Duration
 	// JitterFrac adds a uniform random extra delay in [0, JitterFrac ×
@@ -84,16 +81,15 @@ type RetryPolicy struct {
 	Deadline time.Duration
 }
 
+// backoffFactor is the growth of the retry backoff per attempt.
+const backoffFactor = 2
+
 // backoff returns the wait before attempt number next (2-based: the wait
 // scheduled after `next-1` failed attempts).
 func (p *RetryPolicy) backoff(next int) time.Duration {
 	d := p.Backoff
-	f := p.BackoffFactor
-	if f < 1 {
-		f = 2
-	}
 	for i := 2; i < next; i++ {
-		d = time.Duration(float64(d) * f)
+		d = time.Duration(float64(d) * backoffFactor)
 		if p.MaxBackoff > 0 && d > p.MaxBackoff {
 			return p.MaxBackoff
 		}
@@ -104,30 +100,29 @@ func (p *RetryPolicy) backoff(next int) time.Duration {
 	return d
 }
 
+// The per-message daemon costs every structure shares: RelayOverhead is
+// the receiver-side processing cost before a relay node forwards to its
+// children (gray, alive-but-slow relays pay it inflated by their slowdown
+// factor), and nodeListEntryBytes is the wire overhead per participant
+// carried in relay messages (the sub-nodelist).
+const (
+	RelayOverhead      = 200 * time.Microsecond
+	nodeListEntryBytes = 16
+)
+
 // Broadcaster carries the shared mechanics (retry policy, per-message
 // daemon costs, per-node connection limits) used by every structure.
 type Broadcaster struct {
 	Cluster *cluster.Cluster
-	// Retries is the number of connection attempts per link (paper: 3),
-	// retried immediately. Ignored when Retry is set.
-	Retries int
-	// Retry, when non-nil, replaces the fixed immediate-retry loop with
-	// exponential backoff, deterministic jitter and a per-chain deadline.
-	Retry *RetryPolicy
+	// Retry is the per-link delivery retry policy.
+	Retry RetryPolicy
 	// SendOverhead is the sender-side CPU/dispatch cost to initiate one
 	// message (serialization, thread hand-off).
 	SendOverhead time.Duration
-	// RelayOverhead is the receiver-side processing cost before a relay
-	// node forwards to its children. Gray (alive-but-slow) relays pay
-	// this inflated by their slowdown factor.
-	RelayOverhead time.Duration
 	// MaxConcurrent caps simultaneous outstanding connections per sender
 	// (daemon thread-pool / fd limit). Star broadcasts from one origin are
 	// throttled by this; tree fan-outs (≤ width) rarely are.
 	MaxConcurrent int
-	// PerNodeListBytes is the wire overhead per participant carried in
-	// relay messages (the sub-nodelist).
-	PerNodeListBytes int
 	// RecordResolved, when set, makes every Result carry the delivered
 	// targets' identities (Result.Resolved) for invariant checking.
 	RecordResolved bool
@@ -194,14 +189,12 @@ func (b *Broadcaster) inst() *instruments {
 // NewBroadcaster returns a Broadcaster with the paper's defaults.
 func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
 	b := &Broadcaster{
-		Cluster:          c,
-		Retries:          3,
-		SendOverhead:     30 * time.Microsecond,
-		RelayOverhead:    200 * time.Microsecond,
-		MaxConcurrent:    128,
-		PerNodeListBytes: 16,
-		e:                c.Engine,
-		limiters:         make([]*limiter, c.Size()),
+		Cluster:       c,
+		Retry:         RetryPolicy{MaxAttempts: 3},
+		SendOverhead:  30 * time.Microsecond,
+		MaxConcurrent: 128,
+		e:             c.Engine,
+		limiters:      make([]*limiter, c.Size()),
 	}
 	return b
 }
@@ -251,24 +244,15 @@ func (l *limiter) release() {
 	next.begin()
 }
 
-// maxAttempts returns the attempt budget of the active retry policy.
+// maxAttempts returns the retry policy's attempt budget.
 func (b *Broadcaster) maxAttempts() int {
-	if b.Retry != nil {
-		if b.Retry.MaxAttempts < 1 {
-			return 1
-		}
-		return b.Retry.MaxAttempts
-	}
-	return b.Retries
+	return max(b.Retry.MaxAttempts, 1)
 }
 
 // retryDelay returns how long a sender waits before attempt number next
-// (jitter included). The fixed-count legacy policy retries immediately.
+// (jitter included).
 func (b *Broadcaster) retryDelay(next int) time.Duration {
-	p := b.Retry
-	if p == nil {
-		return 0
-	}
+	p := &b.Retry
 	d := p.backoff(next)
 	if p.JitterFrac > 0 && d > 0 {
 		if b.retryRng == nil {
@@ -459,8 +443,8 @@ func (c *chain) settle(ok bool) {
 // pastDeadline reports whether the chain has exhausted the policy's
 // per-chain deadline.
 func (c *chain) pastDeadline() bool {
-	r := c.b.Retry
-	return r != nil && r.Deadline > 0 && c.b.e.Now()-c.start >= r.Deadline
+	r := &c.b.Retry
+	return r.Deadline > 0 && c.b.e.Now()-c.start >= r.Deadline
 }
 
 // OutstandingSends returns the number of delivery chains currently in
@@ -480,9 +464,9 @@ func (b *Broadcaster) OutstandingSends() int {
 func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
 	g := b.Cluster.Net.GrayFactor(id)
 	if g <= 1 {
-		return b.RelayOverhead
+		return RelayOverhead
 	}
-	return time.Duration(float64(b.RelayOverhead) * g)
+	return time.Duration(float64(RelayOverhead) * g)
 }
 
 // relay charges id's relay cost and runs forward once it has been paid.
@@ -635,7 +619,7 @@ func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.N
 		}
 		to := ids[idx]
 		// The relay message carries the remaining list.
-		sz := size + (len(ids)-idx)*b.PerNodeListBytes
+		sz := size + (len(ids)-idx)*nodeListEntryBytes
 		t.send(from, to, sz, &funcSink{
 			onArrive: func() { b.relay(to, func() { hop(to, idx+1) }) },
 			cb: func(ok bool) {
@@ -764,7 +748,7 @@ type treeCast struct {
 
 // dispatch sends n's subtree its payload from from.
 func (tc *treeCast) dispatch(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
-	sz := tc.size + subtreeCount(n)*tc.t.b.PerNodeListBytes
+	sz := tc.size + subtreeCount(n)*nodeListEntryBytes
 	tc.t.send(from, n.Value, sz, tc, n)
 }
 
@@ -915,7 +899,7 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 		}
 		head := ids[lo]
 		mid := lo + 1 + (hi-lo-1)/2
-		sz := size + (hi-lo)*b.PerNodeListBytes
+		sz := size + (hi-lo)*nodeListEntryBytes
 		t.send(holder, head, sz, &funcSink{
 			onArrive: func() { b.relay(head, func() { relay(head, mid, hi) }) },
 			cb: func(ok bool) {

@@ -159,8 +159,8 @@ func TestRetryOverlapsFirstAttemptsArrival(t *testing.T) {
 		if len(res.Unreachable) != 1 || res.Unreachable[0] != slow {
 			t.Errorf("%s: unreachable = %v, want [%d]", s.Name(), res.Unreachable, slow)
 		}
-		if res.Retries != b.Retries-1 {
-			t.Errorf("%s: %d retries, want %d against the one dead node", s.Name(), res.Retries, b.Retries-1)
+		if res.Retries != b.Retry.MaxAttempts-1 {
+			t.Errorf("%s: %d retries, want %d against the one dead node", s.Name(), res.Retries, b.Retry.MaxAttempts-1)
 		}
 		if n := b.OutstandingSends(); n != 0 {
 			t.Errorf("%s: outstanding sends = %d after drain, want 0", s.Name(), n)

@@ -142,7 +142,7 @@ func TestLossRetriesStillPartition(t *testing.T) {
 		})
 		b := NewBroadcaster(c)
 		b.RecordResolved = true
-		b.Retry = &RetryPolicy{MaxAttempts: 5, Backoff: 20 * time.Millisecond, JitterFrac: 0.5}
+		b.Retry = RetryPolicy{MaxAttempts: 5, Backoff: 20 * time.Millisecond, JitterFrac: 0.5}
 		var res Result
 		got := false
 		s.Broadcast(b, c.Satellites()[0], c.Computes(), 512, func(r Result) { res = r; got = true })
@@ -184,7 +184,7 @@ func TestRetryPolicyBackoffAndDeadline(t *testing.T) {
 	c := cluster.New(e, cluster.Config{Computes: 4, Satellites: 1})
 	c.Fail(c.Computes()[0])
 	b := NewBroadcaster(c)
-	b.Retry = &RetryPolicy{MaxAttempts: 100, Backoff: time.Second, Deadline: 3 * time.Second}
+	b.Retry = RetryPolicy{MaxAttempts: 100, Backoff: time.Second, Deadline: 3 * time.Second}
 	okSeen := false
 	var resolvedAt time.Duration
 	b.Send(c.Satellites()[0], c.Computes()[0], 64, func(ok bool) {
@@ -211,7 +211,7 @@ func TestRetryPolicyBackoffAndDeadline(t *testing.T) {
 			Net: cluster.NetConfig{LossProb: 0.3},
 		})
 		b := NewBroadcaster(c)
-		b.Retry = &RetryPolicy{MaxAttempts: 6, Backoff: 10 * time.Millisecond, JitterFrac: 1.0}
+		b.Retry = RetryPolicy{MaxAttempts: 6, Backoff: 10 * time.Millisecond, JitterFrac: 1.0}
 		var res Result
 		Star{}.Broadcast(b, c.Satellites()[0], c.Computes(), 256, func(r Result) { res = r })
 		e.Run()
@@ -236,7 +236,7 @@ func TestRetryDeadlineExpiresMidBackoff(t *testing.T) {
 	// First attempt fails around the connect timeout (~1s); the 10s
 	// backoff then straddles the 3s deadline, so the deadline expires
 	// mid-backoff with 98 attempts still in budget.
-	b.Retry = &RetryPolicy{MaxAttempts: 100, Backoff: 10 * time.Second, Deadline: 3 * time.Second}
+	b.Retry = RetryPolicy{MaxAttempts: 100, Backoff: 10 * time.Second, Deadline: 3 * time.Second}
 	var resolutions []bool
 	var resolvedAt time.Duration
 	b.Send(c.Satellites()[0], dead, 64, func(ok bool) {

@@ -531,7 +531,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 		// The satellite constructs an FP-Tree over its sub-list (Θ(n),
 		// Section IV-D) and marshals per-child sub-nodelists before
 		// relaying.
-		proc := m.B.RelayOverhead + time.Duration(len(sub))*satellitePerNodeProc
+		proc := comm.RelayOverhead + time.Duration(len(sub))*satellitePerNodeProc
 		m.Cluster.Node(sat.ID).Meter.ChargeCPU(proc)
 		bStart := m.engine.Now() + proc
 		structure := comm.FPTree{Width: m.cfg.TreeWidth, Predictor: m.effectivePredictor(), Stats: m.Placement}

@@ -283,18 +283,6 @@ func TestAllBaselinesRunCleanly(t *testing.T) {
 	}
 }
 
-func TestFrameworkAutoTune(t *testing.T) {
-	jobs := replayTrace(2000)
-	f := NewFramework(FrameworkConfig{AutoTune: true, RefreshEvery: 24 * time.Hour})
-	res := Evaluate(f, jobs)
-	if f.Generations == 0 {
-		t.Fatal("auto-tuned framework never trained")
-	}
-	if res.Coverage > 0 && res.AEA < 0.6 {
-		t.Errorf("auto-tuned AEA = %.3f, suspiciously low", res.AEA)
-	}
-}
-
 func TestClusterStatsObservability(t *testing.T) {
 	jobs := replayTrace(2000)
 	f := NewFramework(FrameworkConfig{})

@@ -20,16 +20,11 @@ type FrameworkConfig struct {
 	// default: 15 h, from the Fig. 5b interval analysis; must not exceed
 	// 30 h).
 	RefreshEvery time.Duration
-	// K is the number of job clusters (paper default: 15, via the elbow
-	// method). Set KAuto to re-derive it per refresh instead.
+	// K is the number of job clusters (default 15, the paper's elbow
+	// result on its own trace). It is a fixed choice: nothing re-derives
+	// it from the data, and the experiments pass K = 40 for the synthetic
+	// traces (see experiment.workloadK).
 	K int
-	// KAuto enables elbow-method selection of K on every refresh.
-	KAuto bool
-	// AutoTune grid-searches the per-cluster SVR hyperparameters (C,
-	// gamma) by cross-validation on each refresh, instead of the fixed
-	// production defaults — the "more advanced techniques" extension
-	// point, analogous to the predictor plugin.
-	AutoTune bool
 	// Alpha is the slack variable of Eq. 3 penalizing underestimation
 	// (paper default: 1.05, Table VIII).
 	Alpha float64
@@ -461,33 +456,8 @@ func (g *generator) generate() {
 		weightFeatures(xs[i])
 	}
 
-	k := g.cfg.K
-	if g.cfg.KAuto {
-		k = mlkit.ChooseKElbow(xs, 2, 40, 30, g.rng)
-	}
-	km := mlkit.KMeansFit(xs, k, 50, g.rng)
-
+	km := mlkit.KMeansFit(xs, g.cfg.K, 50, g.rng)
 	svrCfg := mlkit.SVRConfig{C: 10, Epsilon: 0.01, MaxIter: 1500, Kernel: mlkit.RBFKernel{Gamma: 0.25}}
-	if g.cfg.AutoTune {
-		// Tune on a bounded subsample: residual structure is shared across
-		// clusters, so one search per generation suffices.
-		tx, ty := xs, ys
-		if len(tx) > 200 {
-			tx, ty = tx[len(tx)-200:], ty[len(ty)-200:]
-		}
-		res := make([]float64, len(ty))
-		mean := mlkit.Mean(ty)
-		for i, v := range ty {
-			res[i] = v - mean
-		}
-		tuned, _ := mlkit.GridSearchSVR(tx, res, mlkit.SVRGrid{
-			Cs:      []float64{5, 10, 50},
-			Gammas:  []float64{0.1, 0.25, 0.5},
-			Epsilon: 0.01,
-		}, g.rng)
-		tuned.MaxIter = 1500
-		svrCfg = tuned
-	}
 
 	m := &model{
 		scaler: scaler,

@@ -164,9 +164,8 @@ func runFig10Cell(env *Env, name string, mk func(c *cluster.Cluster) rm.RM, scal
 	}
 	if name != "ESlurm" && scale >= 16384 {
 		// §II-B: the production centralized master crashed every ~42 h at
-		// 20K+ nodes, with ~90 min reboots.
+		// 20K+ nodes, with ~90 min reboots (sched's fixed downtime).
 		cfg.CrashMTBF = time.Duration(float64(42*time.Hour) * 20480.0 / float64(scale))
-		cfg.CrashDowntime = 90 * time.Minute
 	}
 	return sched.Run(scaleTrace(scale, jobs), cfg)
 }
@@ -200,7 +199,6 @@ func Ablation(env *Env, scale, jobs int) *Table {
 		}
 		if crash {
 			cfg.CrashMTBF = 42 * time.Hour
-			cfg.CrashDowntime = 90 * time.Minute
 		}
 		return sched.Run(jobsList, cfg)
 	}

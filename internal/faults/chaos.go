@@ -85,28 +85,18 @@ type ChaosSpec struct {
 	// other outages), exercising Table II demotions, reallocation and
 	// master takeover.
 	SatelliteKills int
-	// BackgroundPerDay adds independent single-node failures at this rate.
-	BackgroundPerDay float64
-	// MaxDown caps outage durations (default 90s).
-	MaxDown time.Duration
-	// GrayFactorMax caps the slow-down multiplier (default 8; min 2).
-	GrayFactorMax float64
-	// Topo places correlated cuts (zero value takes topo.Default()).
-	Topo topo.Topology
 }
+
+// maxDown caps every outage a generated campaign draws: fail-stops,
+// flap cycles, gray spells and partitions all last at most 90s.
+const maxDown = 90 * time.Second
+
+// grayFactorMax caps the slow-down multiplier of a generated gray node.
+const grayFactorMax = 8
 
 func (s ChaosSpec) withDefaults() ChaosSpec {
 	if s.Horizon <= 0 {
 		s.Horizon = 10 * time.Minute
-	}
-	if s.MaxDown <= 0 {
-		s.MaxDown = 90 * time.Second
-	}
-	if s.GrayFactorMax < 2 {
-		s.GrayFactorMax = 8
-	}
-	if s.Topo == (topo.Topology{}) {
-		s.Topo = topo.Default()
 	}
 	return s
 }
@@ -123,7 +113,7 @@ func (cp *Campaign) Generate(spec ChaosSpec) {
 	}
 	pick := func() cluster.NodeID { return comps[rng.Intn(len(comps))] }
 	at := func() time.Duration { return time.Duration(rng.Int63n(int64(spec.Horizon))) }
-	down := func() time.Duration { return time.Duration(1 + rng.Int63n(int64(spec.MaxDown))) }
+	down := func() time.Duration { return time.Duration(1 + rng.Int63n(int64(maxDown))) }
 
 	for i := 0; i < spec.Bursts; i++ {
 		cp.Burst(at(), 2+rng.Intn(6), down())
@@ -132,21 +122,19 @@ func (cp *Campaign) Generate(spec ChaosSpec) {
 		cp.Flap(pick(), at(), 2+rng.Intn(3), down()/4+time.Second, down()/2+time.Second)
 	}
 	for i := 0; i < spec.Grays; i++ {
-		factor := 2 + rng.Float64()*(spec.GrayFactorMax-2)
+		factor := 2 + rng.Float64()*(grayFactorMax-2)
 		cp.GrayDegrade(pick(), at(), down(), factor)
 	}
 	if spec.Partitions > 0 {
-		chassis := spec.Topo.Chassis(comps[len(comps)-1]) + 1
+		tp := topo.Default()
+		chassis := tp.Chassis(comps[len(comps)-1]) + 1
 		for i := 0; i < spec.Partitions; i++ {
-			cp.PartitionChassis(spec.Topo, rng.Intn(chassis), at(), down())
+			cp.PartitionChassis(tp, rng.Intn(chassis), at(), down())
 		}
 	}
 	if sats := cp.Cluster.Satellites(); len(sats) > 0 {
 		for i := 0; i < spec.SatelliteKills; i++ {
 			cp.inject(sats[rng.Intn(len(sats))], at(), down(), -1)
 		}
-	}
-	if spec.BackgroundPerDay > 0 {
-		cp.Background(spec.BackgroundPerDay, spec.Horizon, time.Second, spec.MaxDown)
 	}
 }

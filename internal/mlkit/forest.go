@@ -168,8 +168,6 @@ func (t *RegressionTree) Nodes() int { return t.nodes }
 type ForestConfig struct {
 	// Trees is the ensemble size. Zero defaults to 50.
 	Trees int
-	// Tree configures each member; FeatureSubset 0 defaults to ⌈√p⌉.
-	Tree TreeConfig
 }
 
 // Forest is a fitted random-forest regressor, used both as a Fig. 11b
@@ -189,10 +187,8 @@ func ForestFit(x [][]float64, y []float64, cfg ForestConfig, rng *rand.Rand) *Fo
 		return f
 	}
 	p := len(x[0])
-	tc := cfg.Tree
-	if tc.FeatureSubset == 0 {
-		tc.FeatureSubset = int(math.Ceil(math.Sqrt(float64(p))))
-	}
+	// Each member tries ⌈√p⌉ features per split, at TreeConfig's defaults.
+	tc := TreeConfig{FeatureSubset: int(math.Ceil(math.Sqrt(float64(p))))}
 	for t := 0; t < cfg.Trees; t++ {
 		// Bootstrap sample.
 		bx := make([][]float64, n)

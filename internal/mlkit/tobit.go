@@ -33,9 +33,11 @@ type Tobit struct {
 type TobitConfig struct {
 	// MaxIter bounds gradient-ascent steps. Zero defaults to 400.
 	MaxIter int
-	// LearnRate is the initial step size. Zero defaults to 0.05.
-	LearnRate float64
 }
+
+// tobitLearnRate is the optimizer's initial step size; it decays as
+// tobitLearnRate/(1 + 0.01·it).
+const tobitLearnRate = 0.05
 
 // TobitFit fits the model. censored[i] marks observations right-censored
 // at their recorded value y[i] (the job hit its walltime limit).
@@ -50,9 +52,6 @@ func TobitFit(x [][]float64, y []float64, censored []bool, cfg TobitConfig) *Tob
 	}
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 400
-	}
-	if cfg.LearnRate == 0 {
-		cfg.LearnRate = 0.05
 	}
 
 	// Standardize features and target for optimizer stability.
@@ -115,7 +114,7 @@ func TobitFit(x [][]float64, y []float64, censored []bool, cfg TobitConfig) *Tob
 			}
 		}
 		// Average and step with decay.
-		lr := cfg.LearnRate / (1 + 0.01*float64(it))
+		lr := tobitLearnRate / (1 + 0.01*float64(it))
 		scale := lr / float64(n)
 		maxStep := 0.0
 		for j := range w {

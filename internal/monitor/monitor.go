@@ -81,12 +81,22 @@ type Alert struct {
 	At       time.Duration
 }
 
+// The management hierarchy and the alarm cadence: 8 nodes per board,
+// 16 boards per chassis, a 5ms per-hop latency on the dedicated
+// monitoring network (BMU→CMU→SMU), and a down node's alarm re-raised
+// every 10 minutes (it keeps tripping its board's indicators) at most
+// 288 times — two days, after which the operator is assumed to have
+// silenced it.
+const (
+	nodesPerBMU    = 8
+	bmusPerCMU     = 16
+	relayLatency   = 5 * time.Millisecond
+	repeatInterval = 10 * time.Minute
+	maxRepeats     = 288
+)
+
 // Config parameterizes the monitoring subsystem.
 type Config struct {
-	// NodesPerBMU and BMUsPerCMU define the management hierarchy
-	// (defaults: 8 nodes per board, 16 boards per chassis).
-	NodesPerBMU int
-	BMUsPerCMU  int
 	// DetectionProb is the probability an impending failure produces a
 	// pre-failure alert (predictor recall ceiling). Default 0.85 — the
 	// paper reports 81.7% of failed nodes ending at leaves, which our
@@ -99,40 +109,14 @@ type Config struct {
 	// node per day. The paper adopts "the principle of over-prediction":
 	// false alerts only cost a leaf placement, never correctness.
 	FalseAlertsPerNodeDay float64
-	// RelayLatency is the per-hop latency of the dedicated monitoring
-	// network (BMU→CMU→SMU).
-	RelayLatency time.Duration
-	// RepeatInterval is how often the subsystem re-raises the alarm for a
-	// node that remains failed (a down node keeps tripping its board's
-	// indicators). Default 10 minutes.
-	RepeatInterval time.Duration
-	// MaxRepeats bounds the re-alarm chain per failure episode (after
-	// which the operator is assumed to have silenced the alarm). Default
-	// 288 (two days at the default interval).
-	MaxRepeats int
 }
 
 func (c Config) withDefaults() Config {
-	if c.NodesPerBMU == 0 {
-		c.NodesPerBMU = 8
-	}
-	if c.BMUsPerCMU == 0 {
-		c.BMUsPerCMU = 16
-	}
 	if c.DetectionProb == 0 {
 		c.DetectionProb = 0.85
 	}
 	if c.LeadTime == 0 {
 		c.LeadTime = 10 * time.Minute
-	}
-	if c.RelayLatency == 0 {
-		c.RelayLatency = 5 * time.Millisecond
-	}
-	if c.RepeatInterval == 0 {
-		c.RepeatInterval = 10 * time.Minute
-	}
-	if c.MaxRepeats == 0 {
-		c.MaxRepeats = 288
 	}
 	return c
 }
@@ -172,20 +156,20 @@ func (s *Subsystem) Subscribe(fn func(Alert)) { s.subs = append(s.subs, fn) }
 
 // Units returns (bmuID, cmuID) for a node.
 func (s *Subsystem) Units(id cluster.NodeID) (bmu, cmu int) {
-	bmu = int(id) / s.cfg.NodesPerBMU
-	cmu = bmu / s.cfg.BMUsPerCMU
+	bmu = int(id) / nodesPerBMU
+	cmu = bmu / bmusPerCMU
 	return
 }
 
 // BMUCount returns the number of board management units covering the
 // cluster.
 func (s *Subsystem) BMUCount() int {
-	return (s.cluster.Size() + s.cfg.NodesPerBMU - 1) / s.cfg.NodesPerBMU
+	return (s.cluster.Size() + nodesPerBMU - 1) / nodesPerBMU
 }
 
 // CMUCount returns the number of chassis management units.
 func (s *Subsystem) CMUCount() int {
-	return (s.BMUCount() + s.cfg.BMUsPerCMU - 1) / s.cfg.BMUsPerCMU
+	return (s.BMUCount() + bmusPerCMU - 1) / bmusPerCMU
 }
 
 // AlertsEmitted returns total alerts delivered (including false alerts).
@@ -197,7 +181,7 @@ func (s *Subsystem) FalseAlerts() int { return s.falseAlerts }
 // emit relays an alert BMU → CMU → SMU and then fans it to subscribers.
 func (s *Subsystem) emit(a Alert, spurious bool) {
 	a.BMU, a.CMU = s.Units(a.Node)
-	s.engine.After(2*s.cfg.RelayLatency, func() {
+	s.engine.After(2*relayLatency, func() {
 		a.At = s.engine.Now()
 		s.alertsEmitted++
 		if spurious {
@@ -234,8 +218,8 @@ func (s *Subsystem) NoticeImpendingFailure(node cluster.NodeID, failAt time.Dura
 		repeats := 0
 		var again func()
 		again = func() {
-			s.engine.After(s.cfg.RepeatInterval, func() {
-				if !s.cluster.Node(node).Failed() || repeats >= s.cfg.MaxRepeats {
+			s.engine.After(repeatInterval, func() {
+				if !s.cluster.Node(node).Failed() || repeats >= maxRepeats {
 					return
 				}
 				repeats++

@@ -81,7 +81,7 @@ func TestImpendingFailureAlertPrecedesFailure(t *testing.T) {
 }
 
 func TestRepeatAlertsStopOnRecovery(t *testing.T) {
-	c, s := newSub(9, 50, Config{DetectionProb: -1, RepeatInterval: 10 * time.Minute})
+	c, s := newSub(9, 50, Config{DetectionProb: -1})
 	count := 0
 	s.Subscribe(func(a Alert) { count++ })
 	node := c.Computes()[0]

@@ -120,36 +120,3 @@ func TestWriteChromeInstantOnly(t *testing.T) {
 			instants, metas, buf.String())
 	}
 }
-
-// TestMergeIntoEmptyAndTwice: folding into a fresh registry reproduces
-// the source snapshot byte-for-byte, and folding the same source twice
-// doubles every instrument.
-func TestMergeIntoEmptyAndTwice(t *testing.T) {
-	src := obs.NewRegistry()
-	src.Counter("comm.delivered").Add(7)
-	src.Gauge("comm.outstanding_sends").Add(3)
-	h := src.Histogram("comm.broadcast_elapsed_ns", []int64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-
-	dst := obs.NewRegistry()
-	dst.Merge(src)
-	var a, b bytes.Buffer
-	if err := src.WriteText(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("merge into empty registry is not an identity:\n%s\nvs\n%s", a.String(), b.String())
-	}
-
-	dst.Merge(src)
-	if got, want := dst.Counter("comm.delivered").Value(), int64(14); got != want {
-		t.Errorf("counter after double merge = %d, want %d", got, want)
-	}
-	if got, want := dst.Gauge("comm.outstanding_sends").Value(), int64(6); got != want {
-		t.Errorf("gauge after double merge = %d, want %d", got, want)
-	}
-}

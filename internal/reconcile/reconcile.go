@@ -35,10 +35,10 @@ type Config struct {
 	// DrainDeadline bounds how long a graceful drain waits for in-flight
 	// tasks before forcing the demotion.
 	DrainDeadline time.Duration
-	// BackoffBase / BackoffMax bound the per-node exponential backoff
-	// applied after a failed revival (promoted, then faulted again).
+	// BackoffBase is the first per-node backoff applied after a failed
+	// revival (promoted, then faulted again); each further failure
+	// doubles it, up to backoffMax.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BreakerThreshold is how many consecutive failed revivals open the
 	// crash-loop circuit breaker for that node; BreakerCooldown is how
 	// long it stays open.
@@ -49,6 +49,9 @@ type Config struct {
 	StableRounds int
 }
 
+// backoffMax caps the per-node revival backoff.
+const backoffMax = 5 * time.Minute
+
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 30 * time.Second
@@ -58,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 30 * time.Second
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Minute
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -388,8 +388,8 @@ func (r *Reconciler) observeNode(s *satellite.Satellite, wantCordon bool, now ti
 		c.failures++
 		c.notBefore = now + c.backoff
 		c.backoff *= 2
-		if c.backoff > r.cfg.BackoffMax {
-			c.backoff = r.cfg.BackoffMax
+		if c.backoff > backoffMax {
+			c.backoff = backoffMax
 		}
 		if c.failures >= r.cfg.BreakerThreshold {
 			c.failures = 0

@@ -79,10 +79,9 @@ type Config struct {
 	// §V-B).
 	KillAtLimit bool
 	// CrashMTBF, when positive, takes the whole RM down on this mean
-	// period; no job starts during CrashDowntime (default 90 min). Models
+	// period; no job starts during the crashDowntime that follows. Models
 	// the centralized-master crashes observed in production (§II-B).
-	CrashMTBF     time.Duration
-	CrashDowntime time.Duration
+	CrashMTBF time.Duration
 	// UtilWindow, when positive, measures utilization over this fixed
 	// horizon from trace start (the production observation window) rather
 	// than over the replay's makespan: work an RM fails to start inside
@@ -97,6 +96,10 @@ type Config struct {
 	// sched.started, sched.completed, sched.killed, sched.crashes).
 	OnEngine func(*simnet.Engine)
 }
+
+// crashDowntime is how long a crashed master stays down: the ~90-minute
+// reboot of the production centralized master (§II-B).
+const crashDowntime = 90 * time.Minute
 
 // Result carries the Fig. 10 metrics for one run.
 type Result struct {
@@ -217,9 +220,6 @@ func Run(jobs []trace.Job, cfg Config) Result {
 	if cfg.Overhead == nil {
 		cfg.Overhead = func(int) (time.Duration, time.Duration) { return 0, 0 }
 	}
-	if cfg.CrashDowntime == 0 {
-		cfg.CrashDowntime = 90 * time.Minute
-	}
 
 	e := simnet.NewEngine(cfg.Seed + 7)
 	if cfg.OnEngine != nil {
@@ -262,8 +262,8 @@ func Run(jobs []trace.Job, cfg Config) Result {
 				s.down = true
 				s.in.crashes.Inc()
 				e.Tracer().Instant("sched.crash", 0,
-					obs.Int64("downtime_ns", int64(cfg.CrashDowntime)))
-				e.After(cfg.CrashDowntime, func() {
+					obs.Int64("downtime_ns", int64(crashDowntime)))
+				e.After(crashDowntime, func() {
 					s.down = false
 					s.schedule()
 					crash()

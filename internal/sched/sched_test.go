@@ -146,7 +146,7 @@ func TestCrashDelaysScheduling(t *testing.T) {
 		jobs = append(jobs, mkJob(i, 4, time.Duration(i)*time.Minute, 30*time.Minute, time.Hour))
 	}
 	clean := Run(jobs, Config{Nodes: 8})
-	crashy := Run(jobs, Config{Nodes: 8, CrashMTBF: 30 * time.Minute, CrashDowntime: 2 * time.Hour, Seed: 3})
+	crashy := Run(jobs, Config{Nodes: 8, CrashMTBF: 30 * time.Minute, Seed: 3})
 	if crashy.AvgWait <= clean.AvgWait {
 		t.Errorf("crashes did not increase wait: %v vs %v", crashy.AvgWait, clean.AvgWait)
 	}
