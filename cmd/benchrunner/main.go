@@ -49,11 +49,11 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"eslurm/internal/experiment"
+	"eslurm/internal/hostprof"
 	"eslurm/internal/obs"
 	"eslurm/internal/workpool"
 )
@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stderr, "-- %d experiment(s), %s preset, %d worker(s)\n", len(specs), preset, workpool.Workers(len(specs), *parallel))
-	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	stopProfiles, err := hostprof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -175,48 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-- wrote %s\n", *jsonPath)
 	}
 	return 0
-}
-
-// startProfiles starts the CPU profile and returns the function that stops
-// it and writes the allocation profile; an empty path skips that profile.
-// Both files are created up front, so a bad path fails before the run.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu, mem *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err = pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, err
-		}
-	}
-	if memPath != "" {
-		if mem, err = os.Create(memPath); err != nil {
-			if cpu != nil {
-				pprof.StopCPUProfile()
-				cpu.Close()
-			}
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				return err
-			}
-		}
-		if mem == nil {
-			return nil
-		}
-		runtime.GC() // the allocs profile is as of the last completed collection
-		if err := pprof.Lookup("allocs").WriteTo(mem, 0); err != nil {
-			mem.Close()
-			return err
-		}
-		return mem.Close()
-	}, nil
 }
 
 // lookupAll resolves a comma-separated -exp value into specs in registry

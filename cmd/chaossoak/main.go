@@ -19,12 +19,18 @@
 //	chaossoak -critpath cp.txt        # critical-path attribution per seed
 //	chaossoak -reconcile              # chaos campaign under the reconciler
 //	chaossoak -reconcile -spec s.json # custom spec schedule for the soak
+//	chaossoak -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -critpath arms span recording and writes the deterministic
 // critical-path report (internal/obs/critpath): per root-span kind, the
 // top-K slowest broadcasts with their hop chains, per-kind time
 // attribution, and retry/rebuild share. Diff two reports with
 // `critdiff a.txt b.txt`.
+//
+// -cpuprofile and -memprofile write pprof files covering the soak run
+// alone (not flag parsing, not the trace or critical-path files), in host
+// time, for either soak: "where does the soak spend its CPU". They change
+// no byte of the report. Read them with `go tool pprof`.
 //
 // -loss, -dup and -silent are probabilities: a value outside [0,1] is an
 // error (exit 2), and so is a -seeds, -nodes, -sats or -broadcasts below
@@ -54,6 +60,7 @@ import (
 	"strings"
 
 	"eslurm/internal/chaos"
+	"eslurm/internal/hostprof"
 	"eslurm/internal/obs"
 	"eslurm/internal/obs/critpath"
 	"eslurm/internal/reconcile"
@@ -107,12 +114,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reconcileMode := fs.Bool("reconcile", false, "overlay the campaign on a reconciler and assert convergence (chaos.ReconcileSoak)")
 	target := fs.Int("target", 0, "reconcile mode: initial in-service satellite target (0 = default)")
 	specPath := fs.String("spec", "", "reconcile mode: spec/schedule JSON replacing the built-in schedule")
+	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the soak run to this file")
+	memProf := fs.String("memprofile", "", "write a pprof allocation profile, taken when the soak finishes, to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "chaossoak:", err)
 		return 2
+	}
+	// profiled runs soak under the -cpuprofile/-memprofile profiles.
+	profiled := func(soak func()) error {
+		stop, err := hostprof.Start(*cpuProf, *memProf)
+		if err != nil {
+			return err
+		}
+		soak()
+		return stop()
 	}
 	for _, p := range []struct {
 		flag string
@@ -210,7 +228,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rcfg.Initial = sched.Initial
 			rcfg.Mutations = sched.Mutations
 		}
-		rep := chaos.ReconcileSoak(rcfg)
+		var rep *chaos.ReconcileReport
+		if err := profiled(func() { rep = chaos.ReconcileSoak(rcfg) }); err != nil {
+			return fail(err)
+		}
 		fmt.Fprint(stdout, rep.String())
 		violations = rep.Violations()
 
@@ -226,7 +247,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.DupProb = *dup
 		cfg.SilentFraction = *silent
 		cfg.Trace = *tracePath != "" || *critPath != ""
-		rep := chaos.Soak(cfg)
+		var rep *chaos.Report
+		if err := profiled(func() { rep = chaos.Soak(cfg) }); err != nil {
+			return fail(err)
+		}
 		fmt.Fprint(stdout, rep.String())
 		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()
 	}

@@ -137,3 +137,40 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestProfileFlags: in either soak, -cpuprofile and -memprofile each leave
+// a non-empty pprof file and the report is byte for byte the unprofiled
+// run's; a profile path that cannot be created fails (exit 2) before the
+// soak runs.
+func TestProfileFlags(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-reconcile"}} {
+		base := append(append([]string(nil), tiny...), mode...)
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+		var plain, out, errs bytes.Buffer
+		if code := run(base, &plain, &errs); code != 0 {
+			t.Fatalf("%v plain run: exit %d\n%s", mode, code, errs.String())
+		}
+		if code := run(append(base, "-cpuprofile", cpu, "-memprofile", mem), &out, &errs); code != 0 {
+			t.Fatalf("%v profiled run: exit %d\n%s", mode, code, errs.String())
+		}
+		if !bytes.Equal(out.Bytes(), plain.Bytes()) {
+			t.Errorf("%v: profiled report differs from the plain one:\n%s\nvs\n%s", mode, out.String(), plain.String())
+		}
+		for _, path := range []string{cpu, mem} {
+			if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+				t.Errorf("%v: %s missing or empty (%v)", mode, filepath.Base(path), err)
+			}
+		}
+
+		out.Reset()
+		errs.Reset()
+		bad := filepath.Join(dir, "no-such-dir", "mem.pprof")
+		if code := run(append(base, "-memprofile", bad), &out, &errs); code != 2 {
+			t.Errorf("%v unwritable -memprofile: exit %d, want 2", mode, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v unwritable -memprofile still ran the soak:\n%s", mode, out.String())
+		}
+	}
+}

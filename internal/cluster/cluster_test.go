@@ -40,6 +40,29 @@ func TestClusterLayout(t *testing.T) {
 	}
 }
 
+// TestComputesIsSharedAndClipped: Computes costs no allocation because
+// every call returns the cluster's one slice, clipped, so a caller's
+// append copies instead of writing into the cluster.
+func TestComputesIsSharedAndClipped(t *testing.T) {
+	c := newTestCluster(t, 10, 3)
+	comps := c.Computes()
+	for i, id := range comps {
+		if c.Node(id).Role != RoleCompute || (i > 0 && id <= comps[i-1]) {
+			t.Fatalf("Computes()[%d] = %d: not the computes in ID order", i, id)
+		}
+	}
+	if cap(comps) != len(comps) {
+		t.Errorf("cap %d > len %d: an append would write into the cluster's slice", cap(comps), len(comps))
+	}
+	_ = append(comps, 0)
+	if again := c.Computes(); &again[0] != &comps[0] || len(again) != 10 {
+		t.Error("Computes did not return the cluster's one slice unchanged")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Computes() }); n != 0 && !raceEnabled {
+		t.Errorf("Computes: %v allocs/op, want 0", n)
+	}
+}
+
 func TestRoleString(t *testing.T) {
 	if RoleMaster.String() != "master" || RoleSatellite.String() != "satellite" || RoleCompute.String() != "compute" {
 		t.Error("role strings wrong")

@@ -124,10 +124,16 @@ type Network struct {
 	cfg     NetConfig
 	e       *simnet.Engine
 	rng     *rand.Rand // jitter
+	// The wire's fixed delays: an accept socket's close and a duplicate's
+	// landing come one Latency after a landing, and a message unreachable
+	// at send time times out one ConnectTimeout after it.
+	latency, timeout *simnet.Lane
+	flights          []*flight // retired flights awaiting reuse
 }
 
 func newNetwork(c *Cluster, cfg NetConfig) *Network {
-	n := &Network{cluster: c, cfg: cfg, e: c.Engine, rng: c.Engine.Rand("cluster/network")}
+	n := &Network{cluster: c, cfg: cfg, e: c.Engine, rng: c.Engine.Rand("cluster/network"),
+		latency: c.Engine.Lane(cfg.Latency), timeout: c.Engine.Lane(cfg.ConnectTimeout)}
 	n.failed = make([]bool, len(c.nodes))
 	for _, node := range c.nodes {
 		node.net = n
@@ -289,9 +295,10 @@ func (n *Network) send(from, to NodeID, size int, connect bool, out Outcome) {
 		src.Meter.OpenSocket()
 	}
 
-	f := &flight{n: n, src: src, dst: dst, size: int32(size), connect: connect, out: out}
+	f := n.newFlight()
+	f.src, f.dst, f.size, f.connect, f.out = src, dst, int32(size), connect, out
 	if n.unreachable(from, to) || n.lost(n.e, n.cfg.LossProb) {
-		n.e.AfterTo(n.cfg.ConnectTimeout, f, flightTimeout)
+		n.timeout.After(f, flightTimeout)
 		return
 	}
 
@@ -306,10 +313,31 @@ func (n *Network) send(from, to NodeID, size int, connect bool, out Outcome) {
 	n.e.AfterTo(f.d, f, flightLand)
 }
 
-// flight is one message on the wire, one allocated per attempt and owned
-// by the Network. It is the handler of every event of the message's life
-// (the kinds below), so a message allocates this one small object however
-// many events it takes.
+// newFlight takes a retired flight, or allocates one when none is left.
+func (n *Network) newFlight() *flight {
+	k := len(n.flights) - 1
+	if k < 0 {
+		return &flight{n: n}
+	}
+	f := n.flights[k]
+	n.flights[k] = nil
+	n.flights = n.flights[:k]
+	return f
+}
+
+// retire returns a flight whose last event has run. Clearing it drops the
+// Outcome, so a retired flight keeps no chain, and no broadcast, alive.
+func (f *flight) retire() {
+	n := f.n
+	*f = flight{n: n}
+	n.flights = append(n.flights, f)
+}
+
+// flight is one message on the wire, one per attempt, owned by the
+// Network and reused once the message's last event has run. It is the
+// handler of every event of the message's life (the kinds below), so a
+// message costs this one small object however many events it takes, and
+// in steady state not even that.
 type flight struct {
 	n        *Network
 	src, dst *Node
@@ -339,12 +367,14 @@ func (f *flight) HandleEvent(kind int32) {
 }
 
 // timeout fires when the sender's connect timeout expires on a message
-// that never arrived.
+// that never arrived. It is the message's last event.
 func (f *flight) timeout() {
 	if f.connect {
 		f.src.Meter.CloseSocket()
 	}
-	f.out.Failed()
+	out := f.out
+	f.retire()
+	out.Failed()
 }
 
 // land delivers the message. A destination that failed — or was
@@ -353,7 +383,8 @@ func (f *flight) timeout() {
 // timeout. Otherwise the receiver books the message, the sender learns it
 // landed, the receiver acts on it, and the duplication coin is drawn: a
 // retransmission after a lost ack lands the same payload a second time one
-// latency later, with no second acknowledgement.
+// latency later, with no second acknowledgement. Without a duplicate the
+// landing is the message's last event.
 func (f *flight) land() {
 	n := f.n
 	if n.unreachable(f.src.ID, f.dst.ID) {
@@ -366,23 +397,28 @@ func (f *flight) land() {
 		// The receiving daemon holds its accept socket one latency while
 		// processing; the meter is the handler of that close.
 		m.OpenSocket()
-		n.e.AfterTo(n.cfg.Latency, m, 0)
+		n.latency.After(m, 0)
 		f.src.Meter.CloseSocket()
 	}
 	f.out.Sent()
 	f.out.Arrived()
 	if n.duplicated(n.e, n.cfg.DupProb) {
-		n.e.AfterTo(n.cfg.Latency, f, flightArriveAgain)
+		n.latency.After(f, flightArriveAgain)
+		return
 	}
+	f.retire()
 }
 
-// arriveAgain is a duplicate's landing: it rides the first landing's
-// accept socket, and a destination that has since gone unreachable
-// receives nothing.
+// arriveAgain is a duplicate's landing, the message's last event: it rides
+// the first landing's accept socket, and a destination that has since gone
+// unreachable receives nothing.
 func (f *flight) arriveAgain() {
 	if f.n.unreachable(f.src.ID, f.dst.ID) {
+		f.retire()
 		return
 	}
 	f.dst.Meter.CountMessage(false, int(f.size))
-	f.out.Arrived()
+	out := f.out
+	f.retire()
+	out.Arrived()
 }

@@ -271,9 +271,9 @@ func (o *tallyOutcome) Sent()    { o.sent++ }
 func (o *tallyOutcome) Failed()  { o.failed++ }
 
 // TestAllocsTransmit is the wire's allocation budget: a delivered message
-// is one flight. Its three events — the landing, the sender's word, the
-// receiver's accept-socket close — are handled by the flight and the meter
-// themselves.
+// allocates nothing. Its flight is reused once its last event has run, and
+// its three events — the landing, the sender's word, the receiver's
+// accept-socket close — are handled by the flight and the meter themselves.
 func TestAllocsTransmit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -286,8 +286,8 @@ func TestAllocsTransmit(t *testing.T) {
 		c.Engine.Run()
 	}
 	send()
-	if n := testing.AllocsPerRun(1000, send); n > 1 {
-		t.Errorf("one delivered Transmit: %v allocs, want at most 1 (the flight)", n)
+	if n := testing.AllocsPerRun(1000, send); n != 0 {
+		t.Errorf("one delivered Transmit: %v allocs, want 0", n)
 	}
 	if out.arrived != 1002 || out.sent != 1002 || out.failed != 0 {
 		t.Errorf("outcome %+v, want 1002 arrivals and acknowledgements", *out)

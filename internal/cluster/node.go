@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"eslurm/internal/simnet"
@@ -69,7 +70,8 @@ type Cluster struct {
 	Engine *simnet.Engine
 	Net    *Network
 
-	nodes []*Node
+	nodes    []*Node
+	computes []NodeID // built once by New: roles never change
 }
 
 // Config sizes a cluster. The default latency parameters approximate the
@@ -86,11 +88,14 @@ type Config struct {
 // Config.Satellites satellite nodes (IDs 1..S) and Config.Computes compute
 // nodes after them.
 func New(e *simnet.Engine, cfg Config) *Cluster {
-	c := &Cluster{Engine: e}
+	c := &Cluster{Engine: e, computes: make([]NodeID, 0, cfg.Computes)}
 	add := func(role Role) {
 		n := &Node{ID: NodeID(len(c.nodes)), Role: role}
 		n.Meter.engine = e
 		c.nodes = append(c.nodes, n)
+		if role == RoleCompute {
+			c.computes = append(c.computes, n.ID)
+		}
 	}
 	add(RoleMaster)
 	for i := 0; i < cfg.Satellites; i++ {
@@ -138,16 +143,11 @@ func (c *Cluster) Satellites() []NodeID {
 	return out
 }
 
-// Computes returns the IDs of all compute nodes in ID order.
-func (c *Cluster) Computes() []NodeID {
-	out := make([]NodeID, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		if n.Role == RoleCompute {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
+// Computes returns the IDs of all compute nodes in ID order. The slice is
+// the cluster's own and is read-only: every call returns the same backing
+// array, clipped so an append copies rather than writing past its end.
+// A caller that means to reorder or edit it copies it first.
+func (c *Cluster) Computes() []NodeID { return slices.Clip(c.computes) }
 
 // Fail marks a node as failed. Message deliveries to it will time out at
 // the sender. Failing an already-failed node is a no-op.

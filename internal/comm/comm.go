@@ -376,7 +376,9 @@ func (c *chain) attempt() {
 		b.e.Tracer().Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
 	}
 	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
-	b.e.AfterTo(b.SendOverhead, c, chainTransmit)
+	// The lane of the current SendOverhead: callers may set it after
+	// NewBroadcaster.
+	b.e.Lane(b.SendOverhead).After(c, chainTransmit)
 }
 
 // Arrived implements cluster.Outcome. It runs at every landing of the
@@ -469,12 +471,24 @@ func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
 	return time.Duration(float64(RelayOverhead) * g)
 }
 
-// relay charges id's relay cost and runs forward once it has been paid.
+// relay charges id's relay cost and runs forward once it has been paid. A
+// healthy relay's cost is RelayOverhead, whose events share one lane; a
+// gray relay's inflated cost goes on the heap.
 func (b *Broadcaster) relay(id cluster.NodeID, forward func()) {
 	d := b.relayDelay(id)
 	b.Cluster.Node(id).Meter.ChargeCPU(d)
+	if d == RelayOverhead {
+		b.e.Lane(RelayOverhead).After(forwardFunc(forward), 0)
+		return
+	}
 	b.e.After(d, forward)
 }
+
+// forwardFunc makes a relay's forward a simnet.Handler. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type forwardFunc func()
+
+func (f forwardFunc) HandleEvent(int32) { f() }
 
 // Send delivers one point-to-point message with the broadcaster's retry
 // policy, outside of any broadcast. cb runs with true on delivery, false

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -314,16 +315,16 @@ func TestBinomialLogDepthLatency(t *testing.T) {
 // A delivered message is the unit the soaks and the scale experiments
 // repeat millions of times, and what it allocates sets how often the
 // collector runs — which is what made their wall time swing from run to
-// run. With tracing off one message costs its chain and its flight; the
-// events, the wire's callbacks, the limiter's queue and the span attributes
-// must cost nothing.
+// run. With tracing off one message costs its chain; the flight (reused
+// by the wire), the events, the wire's callbacks, the limiter's queue and
+// the span attributes must cost nothing.
 func TestSendAllocationBudget(t *testing.T) {
 	e := simnet.NewEngine(21)
 	c := cluster.New(e, cluster.Config{Computes: 2, Satellites: 0})
 	b := NewBroadcaster(c)
 	from, to := c.Computes()[0], c.Computes()[1]
 	cb := func(bool) {}
-	const budget = 2 // chain, flight
+	const budget = 1 // the chain
 	if got := testing.AllocsPerRun(200, func() { b.Send(from, to, 128, cb); e.Run() }); got > budget {
 		t.Fatalf("one delivered message allocates %.0f objects, budget %d", got, budget)
 	}
@@ -338,9 +339,10 @@ func TestSendAllocationBudget(t *testing.T) {
 var raceEnabled bool
 
 // TestAllocsPerTarget budgets a whole broadcast on 1024 healthy nodes per
-// target: a Star target is its chain and its flight; a tree target adds
-// its tree node and its share of the children slices, the interior relays'
-// forward closures and, for the FP-Tree, the rearranged list. A closure or
+// target: a Star target is its chain (the wire reuses its flights); a
+// tree target adds its tree node and its share of the children slices, the
+// interior relays' forward closures and, for the FP-Tree, the rearranged
+// list. A closure or
 // method value per message, anywhere between the structure and the
 // kernel, shows here as a whole extra object per target.
 func TestAllocsPerTarget(t *testing.T) {
@@ -352,9 +354,9 @@ func TestAllocsPerTarget(t *testing.T) {
 		s      Structure
 		budget float64 // objects per target
 	}{
-		{Star{}, 2.1},
-		{KTree{}, 3.2},
-		{FPTree{}, 3.2},
+		{Star{}, 1.1},
+		{KTree{}, 2.2},
+		{FPTree{}, 2.2},
 	} {
 		e := simnet.NewEngine(22)
 		c := cluster.New(e, cluster.Config{Computes: targets, Satellites: 1})
@@ -404,6 +406,31 @@ func TestLimiterQueueReleasesChains(t *testing.T) {
 	for i, ch := range l.queue[:cap(l.queue)] {
 		if ch != nil {
 			t.Fatalf("queue slot %d of %d still holds a chain after the drain", i, cap(l.queue))
+		}
+	}
+}
+
+// TestBroadcastLeavesTargetsUnchanged: cluster.Computes hands every caller
+// the cluster's own read-only slice, so no structure may reorder or edit
+// the targets it is given — with failed nodes (adoption, retries) and
+// with a predictor that makes the FP-Tree rearrange.
+func TestBroadcastLeavesTargetsUnchanged(t *testing.T) {
+	for _, s := range append(structures(), Binomial{}, FPTree{Width: 8, Predictor: predict.Static{7: true, 40: true}}) {
+		e := simnet.NewEngine(24)
+		c := cluster.New(e, cluster.Config{Computes: 100, Satellites: 1})
+		targets := c.Computes()
+		want := slices.Clone(targets)
+		for _, i := range []int{0, 7, 40, 99} {
+			c.Fail(targets[i])
+		}
+		got := false
+		s.Broadcast(NewBroadcaster(c), c.Satellites()[0], targets, 512, func(Result) { got = true })
+		e.Run()
+		if !got {
+			t.Fatalf("%s: broadcast never completed", s.Name())
+		}
+		if !slices.Equal(targets, want) || !slices.Equal(c.Computes(), want) {
+			t.Errorf("%s: broadcast changed its target slice", s.Name())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -400,5 +401,41 @@ func TestPartitionedMasterReallocates(t *testing.T) {
 	}
 	if st := m.Stats(); st.SubTasks == 0 || st.Reallocations == 0 {
 		t.Errorf("stats = %+v, want SubTasks > 0 and Reallocations > 0", st)
+	}
+}
+
+// TestBroadcastLeavesTargetsUnchanged: cluster.Computes is the cluster's
+// own read-only slice, so Master.Broadcast may not reorder or edit the
+// targets it is given on any path: split across satellites, reallocated
+// from a dead satellite with a failed compute in the list, or taken over
+// by the master when no satellite is left.
+func TestBroadcastLeavesTargetsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		sats     int
+		failSats int
+	}{
+		{"satellites", 3, 0},
+		{"reallocation", 3, 1},
+		{"takeover", 2, 2},
+	} {
+		e, c, m := newMaster(25, 120, tc.sats)
+		m.Start()
+		e.RunUntil(time.Second)
+		for _, s := range c.Satellites()[:tc.failSats] {
+			c.Fail(s)
+		}
+		targets := c.Computes()
+		c.Fail(targets[5])
+		want := slices.Clone(targets)
+		got := false
+		m.Broadcast(targets, 512, func(comm.Result) { got = true })
+		e.RunUntil(10 * time.Minute)
+		if !got {
+			t.Fatalf("%s: broadcast never completed", tc.name)
+		}
+		if !slices.Equal(targets, want) || !slices.Equal(c.Computes(), want) {
+			t.Errorf("%s: Master.Broadcast changed its target slice", tc.name)
+		}
 	}
 }

@@ -16,22 +16,36 @@
 // The event queue is a hand-rolled 4-ary min-heap over a slice of
 // (time, seq, event) entries: comparisons read the ordering key straight
 // from the slice (one cache line covers a whole sibling group) and nothing
-// passes through an interface, so Push/Pop never box. Fired and cancelled
-// events are returned to a free list and reused, so steady-state
-// scheduling does not allocate inside the kernel, and not in the caller
-// either when it schedules a Handler (ScheduleTo, AfterTo): the event
-// stores the handler's interface value
-// and a kind, so a component that is already a heap object — a message in
-// flight, a delivery chain — is its own callback and names which of its
-// events this is with the kind, where a func() would have to be a freshly
-// allocated closure or method value per event. The Event handles callers
-// hold are generation-stamped, so a handle retained past its event's
-// death can never cancel or observe the slot's next occupant. When more
-// than half the heap is cancelled events awaiting their pop (Ticker-heavy
-// workloads), the heap is compacted in place. Neither change is
-// observable in the (time, seq) execution order: cancelled events never
-// fire and the heap order is a total order, so every heap shape pops the
-// same sequence.
+// passes through an interface, so Push/Pop never box. An event records
+// which queue holds it, not its slot, so the sift loops write the slice
+// alone.
+//
+// Beside the heap sit lanes (Engine.Lane): one FIFO per fixed delay d,
+// for events scheduled d after now. Now never decreases and seq always
+// increases, so (at, seq) only grows along a lane and its head is its
+// least event; Step takes the least of the heap root and the lane heads.
+// A lane event is stamped with its seq exactly as a heap event is, so
+// which queue holds an event never changes the execution order. Most of a
+// broadcast's events (a chain's transmit, a relay's forward, an accept
+// socket's close) have a fixed delay and skip the heap this way.
+//
+// Fired and cancelled events are returned to a free list and reused, so
+// steady-state scheduling does not allocate inside the kernel, and not in
+// the caller either when it schedules a Handler (ScheduleTo, AfterTo,
+// Lane.After): the event stores the handler's interface value and a kind,
+// so a component that is already a heap object — a message in flight, a
+// delivery chain — is its own callback and names which of its events this
+// is with the kind, where a func() would have to be a freshly allocated
+// closure or method value per event. A lane links its events through
+// the pooled objects themselves, so it allocates nothing either. The
+// Event handles callers hold are generation-stamped, so a handle retained
+// past its event's death can never cancel or observe the slot's next
+// occupant. Cancel marks an event in place, on the heap or a lane; when
+// more than half the heap is cancelled events awaiting their pop
+// (Ticker-heavy workloads), the heap is compacted in place. None of this
+// is observable in the (time, seq) execution order: cancelled events
+// never fire and the order is a total order, so every heap shape and
+// every split between heap and lanes runs the same sequence.
 package simnet
 
 import (
@@ -63,15 +77,24 @@ func (f funcHandler) HandleEvent(int32) { f() }
 // across many scheduled callbacks; gen counts the reuses so stale handles
 // can be told apart from live ones.
 type event struct {
-	at       time.Duration
-	seq      uint64
+	key
 	gen      uint64  // bumped each time the object is taken from the pool
 	h        Handler // with kind, the event's whole payload
 	e        *Engine
-	index    int // position in heap; -1 once popped or collected
+	next     *event // the event behind this one in its lane
 	kind     int32
+	queued   queue // where the event waits; notQueued once popped or collected
 	canceled bool
 }
+
+// queue names where a scheduled event waits to fire.
+type queue uint8
+
+const (
+	notQueued queue = iota
+	inHeap
+	inLane
+)
 
 // Event is a handle to a scheduled callback in virtual time. Events are
 // one-shot; use Engine.Every for periodic work.
@@ -95,11 +118,17 @@ func (h Event) At() time.Duration { return h.at }
 // already-cancelled, or zero handle is a no-op.
 func (h Event) Cancel() {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.canceled || ev.index < 0 {
+	if ev == nil || ev.gen != h.gen || ev.canceled || ev.queued == notQueued {
 		return
 	}
 	ev.canceled = true
 	eng := ev.e
+	if ev.queued == inLane {
+		// A lane keeps its cancelled events in place until they reach its
+		// head, where Step skips them as it skips a cancelled heap root.
+		eng.laneLive--
+		return
+	}
 	eng.canceled++
 	// Ticker-heavy workloads cancel far more events than they fire; once
 	// the majority of heap slots are dead weight, rebuild without them.
@@ -115,18 +144,24 @@ func (h Event) Canceled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
 }
 
+// key is an event's place in the (time, seq) total order.
+type key struct {
+	at  time.Duration
+	seq uint64
+}
+
 // heapEntry carries an event's ordering key inline so heap comparisons
 // never chase the event pointer.
 type heapEntry struct {
-	at  time.Duration
-	seq uint64
-	ev  *event
+	key
+	ev *event
 }
 
-// entryBefore reports whether entry a orders before entry b under the
-// (time, seq) total order. It is the heap's single ordering predicate;
-// the compiler inlines it into the sift loops.
-func entryBefore(a, b *heapEntry) bool {
+// entryBefore reports whether key a orders before key b under the
+// (time, seq) total order. It is the kernel's single ordering predicate,
+// between heap entries and between the heap root and the lane heads; the
+// compiler inlines it into the sift loops.
+func entryBefore(a, b *key) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
@@ -145,6 +180,8 @@ type Engine struct {
 	seq       uint64
 	events    []heapEntry // 4-ary min-heap ordered by (at, seq)
 	canceled  int         // cancelled events still occupying heap slots
+	lanes     []*Lane     // fixed-delay FIFOs, one per delay, in creation order
+	laneLive  int         // live (not cancelled) events across the lanes
 	free      []*event    // pool of dead events awaiting reuse
 	seed      int64
 	rands     map[string]*rand.Rand
@@ -168,9 +205,9 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of live events still scheduled. Cancelled
-// events awaiting collection are not counted.
-func (e *Engine) Pending() int { return len(e.events) - e.canceled }
+// Pending returns the number of live events still scheduled, on the heap
+// and on the lanes. Cancelled events awaiting collection are not counted.
+func (e *Engine) Pending() int { return len(e.events) - e.canceled + e.laneLive }
 
 // siftUp restores the heap property from slot i toward the root.
 func (e *Engine) siftUp(i int) {
@@ -178,15 +215,13 @@ func (e *Engine) siftUp(i int) {
 	ent := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if entryBefore(&h[p], &ent) {
+		if entryBefore(&h[p].key, &ent.key) {
 			break
 		}
 		h[i] = h[p]
-		h[i].ev.index = i
 		i = p
 	}
 	h[i] = ent
-	ent.ev.index = i
 }
 
 // siftDown restores the heap property from slot i toward the leaves.
@@ -205,19 +240,17 @@ func (e *Engine) siftDown(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if entryBefore(&h[j], &h[m]) {
+			if entryBefore(&h[j].key, &h[m].key) {
 				m = j
 			}
 		}
-		if entryBefore(&ent, &h[m]) {
+		if entryBefore(&ent.key, &h[m].key) {
 			break
 		}
 		h[i] = h[m]
-		h[i].ev.index = i
 		i = m
 	}
 	h[i] = ent
-	ent.ev.index = i
 }
 
 // popMin removes and returns the heap's earliest event.
@@ -230,7 +263,10 @@ func (e *Engine) popMin() *event {
 	if n > 0 {
 		e.siftDown(0)
 	}
-	ev.index = -1
+	ev.queued = notQueued
+	if ev.canceled {
+		e.canceled--
+	}
 	return ev
 }
 
@@ -251,9 +287,6 @@ func (e *Engine) compact() {
 	}
 	e.events = live
 	e.canceled = 0
-	for i := range e.events {
-		e.events[i].ev.index = i
-	}
 	// Heapify only when two or more entries survive: (n-2)/4 truncates to
 	// zero for n of 0 or 1, and siftDown(0) on an empty heap would read
 	// past the slice (a single survivor is trivially a heap).
@@ -269,7 +302,7 @@ func (e *Engine) compact() {
 // is reused (newEvent resets it).
 func (e *Engine) recycle(ev *event) {
 	ev.h = nil
-	ev.index = -1
+	ev.queued = notQueued
 	e.free = append(e.free, ev)
 }
 
@@ -281,7 +314,6 @@ func (e *Engine) newEvent() *event {
 		block := make([]event, eventBlock)
 		for i := range block {
 			block[i].e = e
-			block[i].index = -1
 			e.free = append(e.free, &block[i])
 		}
 	}
@@ -300,12 +332,20 @@ func (e *Engine) ScheduleTo(t time.Duration, h Handler, kind int32) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	ev := e.newEvent()
-	ev.at, ev.seq, ev.h, ev.kind = t, e.seq, h, kind
-	e.events = append(e.events, heapEntry{t, e.seq, ev})
+	ev := e.arm(t, h, kind, inHeap)
+	e.events = append(e.events, heapEntry{ev.key, ev})
 	e.siftUp(len(e.events) - 1)
 	return Event{ev: ev, gen: ev.gen, at: t}
+}
+
+// arm takes a pooled event for kind to h at t, stamped with the next seq.
+// Both queues stamp here, so an event's place in the total order does not
+// depend on which queue holds it.
+func (e *Engine) arm(t time.Duration, h Handler, kind int32, q queue) *event {
+	e.seq++
+	ev := e.newEvent()
+	ev.at, ev.seq, ev.h, ev.kind, ev.queued = t, e.seq, h, kind, q
+	return ev
 }
 
 // AfterTo delivers kind to h d after the current virtual time. Negative d
@@ -376,11 +416,22 @@ func (e *Engine) Every(period time.Duration, fn func()) *Ticker {
 
 // Step executes the single earliest pending event. It returns false when no
 // runnable event remains.
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.popMin()
+func (e *Engine) Step() bool { return e.stepUntil(maxTime) }
+
+// maxTime is a deadline no event reaches.
+const maxTime = time.Duration(1<<63 - 1)
+
+// stepUntil executes the earliest live event if its time is ≤ deadline,
+// collecting the cancelled events ahead of it, and reports whether one
+// ran. It is the kernel's one dispatch: Step, Run, RunUntil and
+// RunUntilDone all fire events here.
+func (e *Engine) stepUntil(deadline time.Duration) bool {
+	for {
+		ev := e.popNext(deadline)
+		if ev == nil {
+			return false
+		}
 		if ev.canceled {
-			e.canceled--
 			e.recycle(ev)
 			continue
 		}
@@ -397,10 +448,32 @@ func (e *Engine) Step() bool {
 		e.recycle(ev)
 		return true
 	}
-	return false
 }
 
-// Run executes events until the heap is empty.
+// popNext removes and returns the earliest queued event, live or
+// cancelled — the least of the heap root and the lane heads — if its time
+// is ≤ deadline. nil means nothing is queued that early.
+func (e *Engine) popNext(deadline time.Duration) *event {
+	var from *Lane
+	var first *key
+	if len(e.events) > 0 {
+		first = &e.events[0].key
+	}
+	for _, l := range e.lanes {
+		if h := l.head; h != nil && (first == nil || entryBefore(&h.key, first)) {
+			from, first = l, &h.key
+		}
+	}
+	switch {
+	case first == nil || first.at > deadline:
+		return nil
+	case from != nil:
+		return from.pop()
+	}
+	return e.popMin()
+}
+
+// Run executes events until nothing is queued.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -409,11 +482,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ deadline, then advances the clock to
 // the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for {
-		if at, ok := e.peekNext(); !ok || at > deadline {
-			break
-		}
-		e.Step()
+	for e.stepUntil(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -424,28 +493,14 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 // true, checking it before every event, so it stops on the event after
 // which done first holds. The clock stays at that event: it is not moved
 // to the deadline. It reports whether done held; false means the deadline
-// (or an empty heap) came first.
+// (or an empty queue) came first.
 func (e *Engine) RunUntilDone(deadline time.Duration, done func() bool) bool {
 	for !done() {
-		if at, ok := e.peekNext(); !ok || at > deadline {
+		if !e.stepUntil(deadline) {
 			return false
 		}
-		e.Step()
 	}
 	return true
-}
-
-// peekNext returns the time of the next live event, collecting cancelled
-// entries at the root so the answer reflects what will actually fire.
-func (e *Engine) peekNext() (time.Duration, bool) {
-	for len(e.events) > 0 && e.events[0].ev.canceled {
-		e.canceled--
-		e.recycle(e.popMin())
-	}
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
 }
 
 // Observe registers fn to be invoked just before each event executes,

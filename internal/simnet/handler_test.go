@@ -199,8 +199,9 @@ func (c *counter) HandleEvent(int32) { c.n++ }
 
 // TestAllocsScheduleFire is the kernel's allocation budget: on a warm
 // engine a schedule→fire round trip allocates nothing in either form —
-// given, for the func form, a func the caller already has — nor does a
-// schedule→cancel→fire round trip or a repeated Rand lookup of one label.
+// given, for the func form, a func the caller already has — nor on a lane,
+// nor does a schedule→cancel→fire round trip on the heap or a lane, or a
+// repeated Rand lookup of one label.
 func TestAllocsScheduleFire(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -231,11 +232,25 @@ func TestAllocsScheduleFire(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("schedule+cancel+fire: %v allocs/op, want 0", n)
 	}
+	lane := e.Lane(time.Second)
+	if n := testing.AllocsPerRun(1000, func() {
+		lane.After(h, 3)
+		e.Step()
+	}); n != 0 {
+		t.Errorf("lane schedule+fire: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		doomed := lane.After(h, 4)
+		e.AfterTo(time.Second, h, 5)
+		doomed.Cancel()
+		e.Step()
+	}); n != 0 {
+		t.Errorf("lane schedule+cancel+fire: %v allocs/op, want 0", n)
+	}
 	// AllocsPerRun's warm-up call creates the stream; the runs look it up.
 	if n := testing.AllocsPerRun(1000, func() { e.Rand("alloc/label") }); n != 0 {
 		t.Errorf("repeated Rand lookup: %v allocs/op, want 0", n)
 	}
-
 }
 
 // raceEnabled is set by race_test.go in a -race build.
