@@ -45,16 +45,9 @@ func runDetrand(p *Package) []Finding {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
 			// Only package selectors: rand.Intn(...) — never r.Intn(...)
 			// on a threaded *rand.Rand, whose methods share these names.
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if _, ok := p.Info.Uses[id].(*types.PkgName); !ok {
+			if !ok || !isPkgSelector(p, sel) {
 				return true
 			}
 			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)

@@ -28,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -48,7 +49,7 @@ func (f Finding) String() string {
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	// ImportPath is the module-qualified path (e.g. "eslurm/internal/sched").
-	// Path-scoped rules (walltime's internal/-only scope, detrand's simnet
+	// Path-scoped rules (walltime's cmd/ and bench/ exemption, detrand's simnet
 	// exemption) key off this. The test harness may override it to exercise
 	// those scopes.
 	ImportPath string
@@ -62,8 +63,8 @@ type Package struct {
 // Analyzer is one named determinism rule. Exactly one of Run and
 // RunModule is set (or neither, for pipeline-implemented analyzers like
 // staleignore): Run sees one package at a time; RunModule sees every
-// loaded package at once, for rules whose evidence spans packages (taint
-// chains, module-wide writes to globals).
+// loaded package at once, for rules whose evidence spans packages
+// (module-wide writes to globals).
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -74,7 +75,7 @@ type Analyzer struct {
 // Analyzers returns the full eslurmlint rule set in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer, TaintAnalyzer,
+		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer,
 		GlobalmutAnalyzer, StaleignoreAnalyzer,
 	}
 }
@@ -160,9 +161,17 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 }
 
 // underInternal reports whether the package lives under an internal/
-// subtree, where the virtual-clock-only rule applies.
+// subtree, where globalmut's simulation-package rule applies.
 func underInternal(importPath string) bool {
 	return strings.Contains(importPath, "/internal/") || strings.HasPrefix(importPath, "internal/")
+}
+
+// hostSide reports whether the package is a host-side driver — under cmd/
+// or the bench/ harness — which may read the host clock and environment to
+// time and launch runs.
+func hostSide(importPath string) bool {
+	return strings.Contains(importPath, "/cmd/") || strings.HasPrefix(importPath, "cmd/") ||
+		strings.HasSuffix(importPath, "/bench") || strings.Contains(importPath, "/bench/")
 }
 
 // pkgFunc resolves a call expression to the package-level *types.Func it
@@ -170,18 +179,27 @@ func underInternal(importPath string) bool {
 // calls, locally defined functions, and anything else.
 func pkgFunc(p *Package, call *ast.CallExpr) *types.Func {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if _, ok := p.Info.Uses[id].(*types.PkgName); !ok {
+	if !ok || !isPkgSelector(p, sel) {
 		return nil
 	}
 	fn, _ := p.Info.Uses[sel.Sel].(*types.Func)
 	return fn
+}
+
+// isPkgSelector reports whether sel is a package-qualified name (pkg.X)
+// rather than a field or method selector.
+func isPkgSelector(p *Package, sel *ast.SelectorExpr) bool {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isPkg := p.Info.Uses[id].(*types.PkgName)
+	return isPkg
+}
+
+// shortPos renders a position as base-file:line for finding messages.
+func shortPos(pos token.Position) string {
+	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }
 
 // calleeFunc resolves a call to its *types.Func whether it is invoked via

@@ -11,19 +11,23 @@ import (
 // MaporderAnalyzer flags `for range` over a map whose body has
 // order-sensitive side effects: appending to a slice, sending on a
 // channel, calling into the event-carrying packages (simnet, sched,
-// comm), or accumulating floats (x += v, x -= v, x *= v, x = x + v).
+// comm), accumulating floats (x += v, x -= v, x *= v, x = x + v), or
+// letting the range key or value escape — a `return` of it, or a plain
+// `=` store of it into a variable (or field) declared before the loop.
 // Go randomizes map iteration order per run, so any of these leaks
-// nondeterminism straight into event sequencing or result tables; float
+// nondeterminism into event sequencing or result tables, and an escape
+// caught here cannot reach the event heap through later calls. Float
 // addition is not associative, so even a sum of deterministic inputs
-// changes its low-order bits with the order. Integer sums stay silent:
-// they really are commutative.
+// changes its low-order bits with the order. Integer sums and the
+// extremum idiom `if v > best { best = v }` stay silent: no order
+// changes their result.
 //
 // The sorted-keys idiom stays silent: a loop that only appends to slices
 // which are then passed to a sort/slices call later in the same block is
 // the sanctioned way to get a deterministic order out of a map.
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration with order-sensitive side effects (append/send/float accumulation/simnet/sched/comm) without sorting",
+	Doc:  "flag map iteration with order-sensitive side effects (append/send/float accumulation/simnet/sched/comm/key or value escape) without sorting",
 	Run:  runMaporder,
 }
 
@@ -83,7 +87,7 @@ func runMaporder(p *Package) []Finding {
 // enclosing statement list, searched for sort calls that excuse pure
 // key/value collection.
 func checkMapRange(p *Package, rs *ast.RangeStmt, tail []ast.Stmt) []Finding {
-	effects := collectEffects(p, rs.Body)
+	effects := collectEffects(p, rs)
 	if len(effects) == 0 {
 		return nil
 	}
@@ -110,11 +114,23 @@ func checkMapRange(p *Package, rs *ast.RangeStmt, tail []ast.Stmt) []Finding {
 // collectEffects walks a loop body (including closures scheduled from it —
 // the order closures are *registered* in already depends on map order) and
 // records every order-sensitive side effect.
-func collectEffects(p *Package, body *ast.BlockStmt) []mapEffect {
+func collectEffects(p *Package, rs *ast.RangeStmt) []mapEffect {
+	body := rs.Body
+	vars := make(map[types.Object]bool) // the range key and value
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := e.(*ast.Ident); ok && p.Info.ObjectOf(id) != nil {
+			vars[p.Info.ObjectOf(id)] = true
+		}
+	}
 	// Map append calls to their assignment target so the sorted-keys
-	// idiom can be recognized.
+	// idiom can be recognized, and mark the stores the extremum idiom
+	// guards.
 	appendTarget := make(map[*ast.CallExpr]string)
+	extremum := make(map[*ast.AssignStmt]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
+		if ifs, ok := n.(*ast.IfStmt); ok {
+			markExtremum(ifs, extremum)
+		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
 			return true
@@ -140,6 +156,9 @@ func collectEffects(p *Package, body *ast.BlockStmt) []mapEffect {
 			if acc := floatAccum(p, x); acc != "" {
 				effects = append(effects, mapEffect{x.Pos(),
 					"accumulates floats into " + acc + " (FP addition is not associative, so the result's bits change with the order)", ""})
+			} else if dst := escapeStore(p, x, rs, vars); dst != "" && !extremum[x] {
+				effects = append(effects, mapEffect{x.Pos(),
+					"stores the range key or value into " + dst + " (which iteration writes last depends on the order)", ""})
 			}
 		case *ast.CallExpr:
 			if isBuiltinAppend(p, x) {
@@ -165,7 +184,78 @@ func collectEffects(p *Package, body *ast.BlockStmt) []mapEffect {
 		}
 		return true
 	})
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false // a closure's return leaves the closure, not the loop
+		case *ast.ReturnStmt:
+			for _, r := range x.Results {
+				if mentionsVar(p, r, vars) {
+					effects = append(effects, mapEffect{x.Pos(),
+						"returns the range key or value (which entry comes first depends on the order)", ""})
+					break
+				}
+			}
+		}
+		return true
+	})
 	return effects
+}
+
+// escapeStore names the target of a plain `x = e` or `x.f = e` whose e
+// mentions the range key or value and whose x is declared before the
+// loop, else "". x = append(x, k) is left to the append effect and its
+// sorted-keys excuse.
+func escapeStore(p *Package, as *ast.AssignStmt, rs *ast.RangeStmt, vars map[types.Object]bool) string {
+	if as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+		return ""
+	}
+	for i, lhs := range as.Lhs {
+		if call, ok := as.Rhs[i].(*ast.CallExpr); (ok && isBuiltinAppend(p, call)) || !mentionsVar(p, as.Rhs[i], vars) {
+			continue
+		}
+		root := lhs
+		for sel, ok := root.(*ast.SelectorExpr); ok; sel, ok = root.(*ast.SelectorExpr) {
+			root = sel.X
+		}
+		id, ok := root.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		if v, ok := p.Info.Uses[id].(*types.Var); ok && (v.Pos() < rs.Pos() || v.Pos() >= rs.End()) {
+			return types.ExprString(lhs)
+		}
+	}
+	return ""
+}
+
+// markExtremum records the stores `if v > best { best = v }` guards, in
+// either operand order and with any of < > <= >=.
+func markExtremum(ifs *ast.IfStmt, extremum map[*ast.AssignStmt]bool) {
+	cmp, ok := ifs.Cond.(*ast.BinaryExpr)
+	if !ok || (cmp.Op != token.LSS && cmp.Op != token.GTR && cmp.Op != token.LEQ && cmp.Op != token.GEQ) {
+		return
+	}
+	a, b := types.ExprString(cmp.X), types.ExprString(cmp.Y)
+	for _, st := range ifs.Body.List {
+		if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+			if l, r := types.ExprString(as.Lhs[0]), types.ExprString(as.Rhs[0]); (l == a && r == b) || (l == b && r == a) {
+				extremum[as] = true
+			}
+		}
+	}
+}
+
+// mentionsVar reports whether e refers to any of the given objects.
+func mentionsVar(p *Package, e ast.Expr, vars map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && vars[p.Info.Uses[id]] {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func isBuiltinAppend(p *Package, call *ast.CallExpr) bool {

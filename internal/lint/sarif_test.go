@@ -25,8 +25,8 @@ func TestWriteSARIF(t *testing.T) {
 	findings := []Finding{
 		{
 			Pos:      token.Position{Filename: "/repo/internal/sched/controller.go", Line: 42, Column: 7},
-			Analyzer: "taint",
-			Message:  "nondeterministic value reaches Engine.Schedule",
+			Analyzer: "maporder",
+			Message:  "map iteration returns the range key or value",
 		},
 		{
 			Pos:      token.Position{Filename: "/elsewhere/z.go", Line: 3},
@@ -70,7 +70,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want 2", len(run.Results))
 	}
 	r0 := run.Results[0]
-	if r0.RuleID != "taint" || r0.Level != "error" {
+	if r0.RuleID != "maporder" || r0.Level != "error" {
 		t.Errorf("result 0 ruleId/level = %q/%q", r0.RuleID, r0.Level)
 	}
 	loc := r0.Locations[0].PhysicalLocation

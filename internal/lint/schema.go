@@ -10,13 +10,13 @@ import (
 // produced a log.
 //
 // The format is <generation>.<analyzer-count>: the generation bumps when
-// an analyzer starts or stops matching (9: gosim and engineown are
-// removed, their bug class confined to internal/workpool by a source
-// scan), and the count must equal
+// an analyzer starts or stops matching (10: taint is removed, its sources
+// banned at the call site by walltime, detrand and maporder), and the
+// count must equal
 // len(Analyzers()). Registering a new analyzer without bumping the count
 // here fails TestSchemaVersionTracksAnalyzers — a schema bump must be a
 // conscious act in the same change that alters what the tool emits.
-const SchemaVersion = "9.6"
+const SchemaVersion = "10.5"
 
 // schemaConsistent reports whether v's analyzer-count component matches
 // the live registry; split out so the guard test exercises the exact

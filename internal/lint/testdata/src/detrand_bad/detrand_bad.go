@@ -14,3 +14,15 @@ func Bad(n int) int {
 	// functions and must NOT be flagged.
 	return x + r.Intn(n) + int(f)
 }
+
+// Engine mimics the simnet scheduling surface.
+type Engine struct{}
+
+func (e *Engine) RunUntil(deadline int64)                            {}
+func (e *Engine) RunUntilDone(deadline int64, done func() bool) bool { return true }
+
+// A global draw handed straight to the engine is caught at the draw.
+func RunNoisy(e *Engine) bool {
+	e.RunUntil(rand.Int63())                                         // want "rand.Int63 uses the global math/rand generator"
+	return e.RunUntilDone(rand.Int63(), func() bool { return true }) // want "rand.Int63"
+}

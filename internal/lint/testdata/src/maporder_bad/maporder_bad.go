@@ -37,3 +37,30 @@ func ScheduleNested(e *simnet.Engine, m map[string]func()) func() {
 		}
 	}
 }
+
+// FirstKey lets the range key escape through a return value: which key
+// comes first is up to the per-run order.
+func FirstKey(m map[int]bool) int {
+	for k := range m { // want "returns the range key or value"
+		return k
+	}
+	return 0
+}
+
+// LastKey keeps whichever key the loop happens to visit last.
+func LastKey(m map[int]bool) int {
+	last := -1
+	for k := range m { // want "stores the range key or value into last"
+		last = k
+	}
+	return last
+}
+
+type picker struct{ pick func() }
+
+// Pick stores a value into a field of a variable declared before the loop.
+func (s *picker) Pick(m map[string]func()) {
+	for _, v := range m { // want "stores the range key or value into s.pick"
+		s.pick = v
+	}
+}

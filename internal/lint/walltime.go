@@ -5,49 +5,52 @@ import (
 	"go/types"
 )
 
-// WalltimeAnalyzer forbids reading or waiting on the wall clock anywhere
-// under internal/. Simulated components live in virtual time: the current
-// instant is simnet.Engine.Now and delays are Engine.After/Every. A single
-// time.Now() inside the simulation perturbs event ordering between runs
-// and breaks seed-reproducibility. cmd/ is exempt so benchmark drivers can
-// measure real elapsed time.
+// WalltimeAnalyzer forbids reading or waiting on the host clock, and
+// reading the process environment, outside the host-side drivers (cmd/
+// and the bench/ harness, which time real runs). Simulated components live
+// in virtual time: the current instant is simnet.Engine.Now and delays are
+// Engine.After/Every. A single time.Now() inside the simulation perturbs
+// event ordering between runs and breaks seed-reproducibility; an
+// os.Getenv makes the same seed mean different runs on different hosts.
+// Both are caught where they enter, so no such value can reach the event
+// heap through any chain of calls.
 var WalltimeAnalyzer = &Analyzer{
 	Name: "walltime",
-	Doc:  "forbid time.Now/Sleep/After/Since under internal/ (virtual clock only)",
+	Doc:  "forbid host clock or environment reads (time.Now/Since/Until/Sleep/After/Tick/timers, os.Getenv/LookupEnv/Environ) outside cmd/ and bench/",
 	Run:  runWalltime,
 }
 
-var walltimeBanned = map[string]string{
-	"Now":   "use the simnet.Engine virtual clock (Engine.Now)",
-	"Sleep": "schedule a continuation with Engine.After instead of blocking",
-	"After": "use Engine.After to schedule in virtual time",
-	"Since": "subtract Engine.Now values instead of wall-clock instants",
+// walltimeBanned lists, per package, the functions that read or wait on
+// the host clock or read the process environment.
+var walltimeBanned = map[string]map[string]bool{
+	"time": {"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
+		"Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true},
+	"os": {"Getenv": true, "LookupEnv": true, "Environ": true},
+}
+
+// walltimeHint is the fix, per banned package.
+var walltimeHint = map[string]string{
+	"time": "read Engine.Now and schedule with Engine.After/Every, in virtual time",
+	"os":   "thread the setting through the experiment config",
 }
 
 func runWalltime(p *Package) []Finding {
-	if !underInternal(p.ImportPath) {
+	if hostSide(p.ImportPath) {
 		return nil
 	}
 	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
+			if !ok || !isPkgSelector(p, sel) {
+				return true // methods such as time.Time.After read no clock
 			}
 			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
+			if !ok || !walltimeBanned[fn.Pkg().Path()][fn.Name()] {
 				return true
 			}
-			hint, banned := walltimeBanned[fn.Name()]
-			if !banned {
-				return true
-			}
-			out = append(out, Finding{
-				Pos:      p.Fset.Position(sel.Pos()),
-				Analyzer: "walltime",
-				Message:  "time." + fn.Name() + " reads the wall clock inside the simulation core; " + hint,
-			})
+			out = append(out, Finding{p.Fset.Position(sel.Pos()), "walltime", fn.Pkg().Name() + "." + fn.Name() +
+				" reads the host clock or environment inside the simulation; " + walltimeHint[fn.Pkg().Path()]})
 			return true
 		})
 	}
