@@ -7,9 +7,10 @@
 // Fig. 11b: user estimates, Last-2, global SVM, random forest, IRPA, TRIP
 // and PREP.
 //
-// Determinism: the framework is engine-free and all stochastic steps
-// (K-means++ seeding, SVR tuning subsamples) draw from one rand.Rand
-// seeded by FrameworkConfig.Seed, so identical job streams produce
+// Determinism: the framework is engine-free and its one stochastic step,
+// K-means++ seeding, draws from a rand.Rand seeded by FrameworkConfig.Seed;
+// the forest baselines (RandomForest, IRPA) draw bootstraps and feature
+// samples from their own seeded rand.Rand. Identical job streams produce
 // identical models and estimates.
 package estimate
 
