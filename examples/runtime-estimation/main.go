@@ -46,9 +46,9 @@ func main() {
 	fmt.Printf("  estimation accuracy EA (Eq. 4) vs truth: %.3f\n\n", estimate.EA(p.Model, j.Runtime))
 
 	// 3. Fig. 11b in miniature: replay the full trace through every
-	// estimator.
+	// estimator, side by side (each replay owns its model and seeds).
 	fmt.Printf("%-14s %-8s %-8s %s\n", "estimator", "AEA", "UR", "coverage")
-	for _, e := range []estimate.Estimator{
+	for _, res := range estimate.EvaluateAll([]estimate.Estimator{
 		estimate.User{},
 		estimate.NewLast2(),
 		estimate.NewSVM(),
@@ -59,10 +59,9 @@ func main() {
 		// K follows the paper's elbow methodology per workload: their
 		// trace gave 15, this synthetic one ~40 (see EXPERIMENTS.md).
 		estimate.NewFramework(estimate.FrameworkConfig{K: 40}),
-	} {
-		res := estimate.Evaluate(e, tr.Jobs)
+	}, tr.Jobs) {
 		fmt.Printf("%-14s %-8.3f %-8.3f %.3f\n",
-			e.Name(), res.AEA, res.UnderestimateRate, res.Coverage)
+			res.Estimator, res.AEA, res.UnderestimateRate, res.Coverage)
 	}
 	fmt.Println("\n(AEA: average estimation accuracy, Eq. 5 — higher is better;")
 	fmt.Println(" UR: underestimation rate — lower avoids walltime kills;")

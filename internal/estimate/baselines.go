@@ -7,6 +7,7 @@ import (
 
 	"eslurm/internal/mlkit"
 	"eslurm/internal/trace"
+	"eslurm/internal/workpool"
 )
 
 // Estimator is the common interface of all runtime predictors compared in
@@ -364,6 +365,16 @@ func Evaluate(est Estimator, jobs []trace.Job) EvalResult {
 		est.Observe(j)
 	}
 	return t.result(est.Name(), len(jobs))
+}
+
+// EvaluateAll replays the same trace through every estimator, one
+// Evaluate per estimator on GOMAXPROCS workpool goroutines, and returns
+// the results in the order of ests. A replay shares nothing but the
+// read-only jobs with another (each estimator owns its history, models
+// and rand.Rand, and Evaluate hands out copies of the jobs), so the
+// results are those of a serial loop at any worker count.
+func EvaluateAll(ests []Estimator, jobs []trace.Job) []EvalResult {
+	return workpool.Ordered(len(ests), 0, func(i int) EvalResult { return Evaluate(ests[i], jobs) }, nil)
 }
 
 // evalTally accumulates the Fig. 11b metrics over the covered jobs of one

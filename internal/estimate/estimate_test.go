@@ -371,3 +371,42 @@ func TestFrameworkObsCounters(t *testing.T) {
 		t.Errorf("estimate.svr_distinct_rows = %d of %d rows, want fewer (duplicated rows) but some", distinct, rows)
 	}
 }
+
+// fig11bEstimators builds the eight Fig. 11b estimators with fixed seeds;
+// two calls return independent sets that replay to the same results.
+func fig11bEstimators() []Estimator {
+	return []Estimator{
+		User{}, NewSVM(), NewRandomForest(1), NewLast2(),
+		NewIRPA(2), NewTRIP(), NewPREP(), NewFramework(FrameworkConfig{K: 40}),
+	}
+}
+
+// TestEvaluateAllMatchesSerial is the oracle for the fan-out: the replays
+// EvaluateAll runs side by side must equal, field for field and bit for
+// bit, a plain loop of Evaluate over a second set of the same estimators.
+// The trace is long enough that every windowed baseline retrains twice
+// before its last prediction and the framework refreshes its model, so
+// each replay's models carry state from one window into the next.
+func TestEvaluateAllMatchesSerial(t *testing.T) {
+	jobs := replayTrace(900)
+	serial := fig11bEstimators()
+	want := make([]EvalResult, len(serial))
+	for i, e := range serial {
+		want[i] = Evaluate(e, jobs)
+	}
+	if g := serial[len(serial)-1].(*Framework).Generations; g < 2 {
+		t.Fatalf("framework built %d model generations, want >= 2", g)
+	}
+	got := EvaluateAll(fig11bEstimators(), jobs)
+	if len(got) != len(want) {
+		t.Fatalf("%d results for %d estimators", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("estimator %d: EvaluateAll %+v, serial Evaluate %+v", i, got[i], want[i])
+		}
+		if want[i].Coverage == 0 {
+			t.Errorf("%s covered no job: the comparison is vacuous for it", want[i].Estimator)
+		}
+	}
+}

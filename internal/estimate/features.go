@@ -11,7 +11,10 @@
 // K-means++ seeding, draws from a rand.Rand seeded by FrameworkConfig.Seed;
 // the forest baselines (RandomForest, IRPA) draw bootstraps and feature
 // samples from their own seeded rand.Rand. Identical job streams produce
-// identical models and estimates.
+// identical models and estimates. EvaluateAll replays one trace through
+// several estimators side by side on workpool goroutines: each replay
+// owns its estimator's history, models and seeds and only reads the
+// jobs, so its results are those of a serial loop at any worker count.
 package estimate
 
 import (

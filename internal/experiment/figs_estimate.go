@@ -96,9 +96,8 @@ func Fig11b(jobs int) *Table {
 		// K is the experiments' fixed workloadK, not an elbow result.
 		estimate.NewFramework(estimate.FrameworkConfig{K: workloadK}),
 	}
-	for _, e := range ests {
-		res := estimate.Evaluate(e, tr.Jobs)
-		t.AddRow(e.Name(), fmtF(res.AEA), fmtF(res.UnderestimateRate), fmtF(res.Coverage))
+	for _, res := range estimate.EvaluateAll(ests, tr.Jobs) {
+		t.AddRow(res.Estimator, fmtF(res.AEA), fmtF(res.UnderestimateRate), fmtF(res.Coverage))
 	}
 	t.Note = "paper: ESlurm best at AEA 0.84 / UR ~0.10; SVM, RF, Last-2 below 0.70 AEA with UR > 0.25"
 	return t

@@ -3,9 +3,11 @@
 // index order. The determinism contract (same seed ⇒ same trace) holds
 // because every simulation engine runs on one goroutine; parallelism
 // exists only across independent runs, each with its own engines and
-// seeds. A task shares nothing with another task, and emit sees results
-// in index order on the caller's goroutine, so output built from emit is
-// byte-identical at any worker count. TestOnlyConcurrencySite keeps every
+// seeds, or, for engine-free replays such as fig11b's estimators, its own
+// model and seeds over read-only input. A task shares nothing mutable
+// with another task, and results come back in index order on the
+// caller's goroutine, so output built from them is byte-identical at any
+// worker count. TestOnlyConcurrencySite keeps every
 // go statement, channel and sync import in this file.
 package workpool
 
