@@ -53,7 +53,7 @@ import (
 	"time"
 
 	"eslurm/internal/experiment"
-	"eslurm/internal/hostprof"
+	"eslurm/internal/hostprof/profile"
 	"eslurm/internal/obs"
 	"eslurm/internal/workpool"
 )
@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stderr, "-- %d experiment(s), %s preset, %d worker(s)\n", len(specs), preset, workpool.Workers(len(specs), *parallel))
-	stopProfiles, err := hostprof.Start(*cpuProf, *memProf)
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

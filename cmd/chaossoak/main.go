@@ -60,7 +60,7 @@ import (
 	"strings"
 
 	"eslurm/internal/chaos"
-	"eslurm/internal/hostprof"
+	"eslurm/internal/hostprof/profile"
 	"eslurm/internal/obs"
 	"eslurm/internal/obs/critpath"
 	"eslurm/internal/reconcile"
@@ -125,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// profiled runs soak under the -cpuprofile/-memprofile profiles.
 	profiled := func(soak func()) error {
-		stop, err := hostprof.Start(*cpuProf, *memProf)
+		stop, err := profile.Start(*cpuProf, *memProf)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,8 @@
 // Doc-drift gates and source scans: the documentation makes checkable
 // claims about the code (the README's analyzer table mirrors the linter
-// registry; DESIGN's suppression ledger mirrors the ignore directives in
-// the tree; relative markdown links point at files that exist; every
-// internal package doc states its determinism contract), and the
+// registry; OBSERVABILITY's tables mirror the obs taxonomy; relative
+// markdown links point at files that exist; every internal package doc
+// states its determinism contract), and the
 // determinism contract makes one claim no type checker sees (no two
 // packages derive the same Engine.Rand stream label). These tests fail
 // when any of them drifts.
@@ -26,10 +26,17 @@ import (
 	"eslurm/internal/obs"
 )
 
+// hasTable reports whether doc embeds the generated markdown table (which
+// ends in a newline) as a whole table: followed by a blank line or the end
+// of the file, so a stale row left after it is drift too.
+func hasTable(doc, table string) bool {
+	return strings.Contains(doc+"\n", table+"\n")
+}
+
 // TestREADMEAnalyzerTable pins the README's analyzer table to the linter
-// registry, byte for byte, in the exact format `eslurmlint -list` prints.
-// Adding, renaming or re-documenting an analyzer without updating the
-// README fails here with the block to paste.
+// registry, byte for byte. Adding, renaming, deleting or re-documenting an
+// analyzer without updating the README fails here with the block to
+// paste.
 func TestREADMEAnalyzerTable(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("| analyzer | rule |\n")
@@ -43,9 +50,9 @@ func TestREADMEAnalyzerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(readme), want) {
+	if !hasTable(string(readme), want) {
 		t.Errorf("README.md analyzer table drifted from the lint registry.\n"+
-			"Replace the table with the output of `eslurmlint -list`:\n\n%s", want)
+			"Replace the whole table with this block, followed by a blank line:\n\n%s", want)
 	}
 }
 
@@ -64,79 +71,28 @@ func TestObservabilityTaxonomyTables(t *testing.T) {
 		"span":   obs.SpanTaxonomyMarkdown(),
 		"metric": obs.MetricTaxonomyMarkdown(),
 	} {
-		if !strings.Contains(string(doc), want) {
+		if !hasTable(string(doc), want) {
 			t.Errorf("OBSERVABILITY.md %s table drifted from the obs taxonomy.\n"+
-				"Replace it with the matching block from `go run ./cmd/benchrunner -spans`:\n\n%s", name, want)
+				"Replace the whole table with this block, followed by a blank line:\n\n%s", name, want)
 		}
 	}
 }
 
-// ignoreDirective matches a suppression on a comment line of its own, the
-// only form the linter honours; group 1 is the analyzer list.
-var ignoreDirective = regexp.MustCompile(`^\s*//eslurmlint:ignore\s+(\S+)\s+\S`)
-
-// ledgerRow matches one row of DESIGN.md's suppression ledger:
-// | `file` | `analyzer` | reason |
-var ledgerRow = regexp.MustCompile("^\\| `([^`]+)` \\| `([^`]+)` \\| (\\S.*) \\|$")
-
-// TestSuppressionLedger pins DESIGN.md's suppression ledger to the tree:
-// every //eslurmlint:ignore directive in non-test, non-testdata Go source
-// has a (file, analyzer) row with a reason, and every row still has its
-// directive. A new waiver therefore cannot land without being written
-// down where the analyzer audit is read, and a deleted one cannot linger.
-func TestSuppressionLedger(t *testing.T) {
-	var inTree []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// TestDocTableGateCatchesStaleRow holds hasTable to its point: a table
+// with an extra stale trailing row still contains the new table as a
+// substring, and must not pass.
+func TestDocTableGateCatchesStaleRow(t *testing.T) {
+	table := "| a | b |\n|---|---|\n| `x` | y |\n"
+	for doc, want := range map[string]bool{
+		"intro\n\n" + table:                         true,
+		"intro\n\n" + table + "\nmore\n":            true,
+		"intro\n\n" + table + "| `stale` | z |\n":   false,
+		"intro\n\n" + table + "| `stale` | z |\n\n": false,
+		"intro\n\n" + table + "more\n":              false,
+	} {
+		if got := hasTable(doc, table); got != want {
+			t.Errorf("hasTable(%q) = %v, want %v", doc, got, want)
 		}
-		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if m := ignoreDirective.FindStringSubmatch(line); m != nil {
-				for _, analyzer := range strings.Split(m[1], ",") {
-					inTree = append(inTree, filepath.ToSlash(path)+" "+analyzer)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	design, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const start, end = "<!-- suppression-ledger:start -->", "<!-- suppression-ledger:end -->"
-	doc := string(design)
-	i, j := strings.Index(doc, start), strings.Index(doc, end)
-	if i < 0 || j < i {
-		t.Fatalf("DESIGN.md has no %s ... %s block", start, end)
-	}
-	var ledger []string
-	for _, line := range strings.Split(doc[i+len(start):j], "\n") {
-		if m := ledgerRow.FindStringSubmatch(line); m != nil {
-			ledger = append(ledger, m[1]+" "+m[2])
-		}
-	}
-
-	sort.Strings(inTree)
-	sort.Strings(ledger)
-	if got, want := strings.Join(ledger, "\n"), strings.Join(inTree, "\n"); got != want {
-		t.Errorf("DESIGN.md suppression ledger drifted from the tree.\nledger (file analyzer):\n%s\n\nin-tree directives:\n%s", got, want)
 	}
 }
 

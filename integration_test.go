@@ -81,7 +81,8 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 // digest of the engine's full event trace — every executed event's
 // (time, seq) pair in execution order — and (b) a rendering of the final
 // metrics. Identical seeds must yield identical digests bit for bit;
-// this is the determinism contract eslurmlint statically enforces.
+// this is the determinism contract the internal/lint rules statically
+// enforce.
 func fullStackDigest(seed int64) (trace string, metrics string) {
 	const nodes = 128
 	span := 20 * time.Minute
@@ -129,9 +130,10 @@ func fullStackDigest(seed int64) (trace string, metrics string) {
 	return fmt.Sprintf("%016x", h.Sum64()), metrics
 }
 
-// TestFullStackDeterminism is the regression test behind the eslurmlint
-// gate: the same seed twice must reproduce the exact event trace and
-// final metrics, and a different seed must actually change the run.
+// TestFullStackDeterminism is the regression test behind the lint gate
+// (internal/lint): the same seed twice must reproduce the exact event
+// trace and final metrics, and a different seed must actually change the
+// run.
 func TestFullStackDeterminism(t *testing.T) {
 	trace1, metrics1 := fullStackDigest(42)
 	trace2, metrics2 := fullStackDigest(42)

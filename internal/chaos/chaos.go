@@ -205,7 +205,8 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 		Net:        cluster.NetConfig{LossProb: cfg.LossProb, DupProb: cfg.DupProb},
 	}
 	r := newSeedRun(seed, ccfg, cfg.Trace, 0)
-	sr := SeedResult{Seed: seed, CampaignEvents: r.campaign(soakMix(cfg.Span), cfg.SilentFraction), Trace: r.e.Tracer()}
+	events, _ := r.campaign(soakMix(cfg.Span), cfg.SilentFraction)
+	sr := SeedResult{Seed: seed, CampaignEvents: events, Trace: r.e.Tracer()}
 	r.drive(cfg.Broadcasts, cfg.Span, cfg.Bound)
 
 	r.c.RunUntil(cfg.Span)

@@ -159,6 +159,10 @@ type ReconcileSeedResult struct {
 	SpecUpdates      int
 	Converged        bool
 	Violations       []string
+
+	// lastHeal is when the campaign's last fault heals, and countFrom
+	// when RoundsAfterHeal starts counting (virtual time).
+	lastHeal, countFrom time.Duration
 }
 
 // ReconcileReport is a full reconcile soak's outcome; String and Digest
@@ -255,18 +259,19 @@ func runReconcileSeed(cfg ReconcileConfig, seed int64, trace bool) ReconcileSeed
 	rec.Start()
 	rec.ScheduleMutations(cfg.Mutations)
 
-	sr := ReconcileSeedResult{Seed: seed, CampaignEvents: r.campaign(reconcileMix(cfg.Span), 0)}
+	events, lastHeal := r.campaign(reconcileMix(cfg.Span), 0)
+	sr := ReconcileSeedResult{Seed: seed, CampaignEvents: events, lastHeal: lastHeal}
 	r.drive(cfg.Broadcasts, cfg.Span, cfg.Bound)
 
-	// Drive the adversarial span, then one minute past it. A flap can
-	// heal a few of the campaign's 90s outages past the span, later than
-	// this wait; reconcilePinnedDigest holds the wait at one minute until
-	// a deliberate re-pin (DESIGN §4, "Settings folded into constants").
+	// Drive the adversarial span, then one minute past the later of its
+	// end and the campaign's last heal: a flap or an outage drawn late in
+	// the span can heal past it.
 	r.c.RunUntil(cfg.Span)
-	r.c.RunUntil(cfg.Span + time.Minute)
+	r.c.RunUntil(max(cfg.Span, lastHeal) + time.Minute)
 
 	// Convergence contract: from the first round after the last heal, the
 	// reconciler must reach spec within reconcileConvergeRounds rounds.
+	sr.countFrom = r.e.Now()
 	roundsAtHeal := rec.Rounds()
 	for i := 0; i < reconcileConvergeRounds && !rec.Converged(); i++ {
 		r.c.RunUntil(r.e.Now() + reconcileInterval)

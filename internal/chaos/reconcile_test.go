@@ -22,7 +22,7 @@ func reconcilePinCfg() ReconcileConfig {
 // changes — the reconcile soak must be bit-deterministic, and incidental
 // changes to the reconciler, drain path, or fault layer must be noticed,
 // not slip through.
-const reconcilePinnedDigest = "f58c84e0d8eedee6"
+const reconcilePinnedDigest = "7568963722e69916"
 
 func TestReconcileSoakDigestPinned(t *testing.T) {
 	a := ReconcileSoak(reconcilePinCfg())
@@ -91,5 +91,26 @@ func TestReconcileSoakConvergesEverySeed(t *testing.T) {
 	}
 	if want := cfg.Seeds * 2; specs != want {
 		t.Fatalf("spec updates = %d, want %d (2 scheduled mutations per seed)", specs, want)
+	}
+}
+
+// TestReconcileCountsRoundsAfterLastHeal: RoundsAfterHeal counts from
+// the campaign's last heal, not from a fixed minute past the span. At the
+// benchmark's reconcile scale (2,048 computes, 12-minute span), seed 5's
+// campaign heals its last fault 78 s past the span, after a
+// Span+1m wait would already have started counting.
+func TestReconcileCountsRoundsAfterLastHeal(t *testing.T) {
+	cfg := ReconcileConfig{Computes: 2048, Span: 12 * time.Minute}
+	sr := runReconcileSeed(cfg, 5, false)
+	if sr.lastHeal <= cfg.Span+time.Minute {
+		t.Fatalf("seed 5's last heal is at %v, no later than span+1m (%v): the case no longer tests the wait",
+			sr.lastHeal, cfg.Span+time.Minute)
+	}
+	t.Logf("last heal at %v, round counting from %v", sr.lastHeal, sr.countFrom)
+	if sr.countFrom < sr.lastHeal {
+		t.Errorf("round counting started at %v, before the campaign's last heal at %v", sr.countFrom, sr.lastHeal)
+	}
+	if len(sr.Violations) != 0 {
+		t.Errorf("violations: %v", sr.Violations)
 	}
 }

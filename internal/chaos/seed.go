@@ -91,11 +91,15 @@ func (r *seedRun) violate(format string, args ...interface{}) {
 	}
 }
 
-// campaign injects the seeded fault campaign and returns its event count.
-func (r *seedRun) campaign(spec faults.ChaosSpec, silent float64) int {
+// campaign injects the seeded fault campaign and returns its event count
+// and the virtual time its last fault heals.
+func (r *seedRun) campaign(spec faults.ChaosSpec, silent float64) (events int, lastHeal time.Duration) {
 	cp := faults.New(r.c, r.mon, silent)
 	cp.Generate(spec)
-	return len(cp.Events)
+	for _, ev := range cp.Events {
+		lastHeal = max(lastHeal, ev.At+ev.Down)
+	}
+	return len(cp.Events), lastHeal
 }
 
 // drive schedules n full-cluster broadcasts spread evenly over span and

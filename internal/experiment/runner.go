@@ -11,6 +11,7 @@ package experiment
 import (
 	"time"
 
+	"eslurm/internal/hostprof"
 	"eslurm/internal/simnet"
 	"eslurm/internal/workpool"
 )
@@ -21,7 +22,8 @@ import (
 type Result struct {
 	Spec   Spec
 	Tables []*Table
-	// Wall is host elapsed time for the Spec.Run call (not virtual time).
+	// Wall is host elapsed time for the Spec.Run call (not virtual time),
+	// read from a hostprof.Stopwatch.
 	Wall time.Duration
 	// Events is the number of simulation events executed across every
 	// engine the experiment obtained from its Env.
@@ -70,11 +72,9 @@ func run(specs []Spec, p Params, parallel int, keep, spans bool, emit func(Resul
 // the events its engines processed.
 func runOne(s Spec, p Params, keep, spans bool) Result {
 	env := &Env{spans: spans}
-	//eslurmlint:ignore walltime benchmark harness measures host elapsed time, not simulated time
-	start := time.Now()
+	stop := hostprof.Stopwatch()
 	tables := s.Run(env, p)
-	//eslurmlint:ignore walltime benchmark harness measures host elapsed time, not simulated time
-	wall := time.Since(start)
+	wall := stop()
 	r := Result{Spec: s, Tables: tables, Wall: wall, Events: env.Events()}
 	if keep {
 		r.Engines = env.engines

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // BenchmarkRunModule times one full analyzer sweep — every registered
 // analyzer, per-package passes plus the module-level summary passes —
@@ -21,7 +18,7 @@ func BenchmarkRunModule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pkgs, err := l.LoadPatterns([]string{filepath.Join(root, "...")})
+	pkgs, err := l.LoadModule()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,9 +30,9 @@ import (
 //
 // internal/lint and internal/testutil are exempt: linter tables and test
 // scaffolding are never linked into a simulation binary, so they cannot
-// carry state between runs. Every remaining finding must be fixed or
-// carry a reasoned suppression, and DESIGN.md's suppression ledger lists
-// each one.
+// carry state between runs. Every remaining finding must be fixed: a
+// read-only table becomes a function returning a literal (a fresh value
+// per call, which no run can share with another).
 var GlobalmutAnalyzer = &Analyzer{
 	Name:      "globalmut",
 	Doc:       "flag mutable package-level state (non-const vars of pointer/map/slice/struct/chan type, or written vars of any type) in internal/ simulation packages",
@@ -97,7 +97,7 @@ func runGlobalmut(pkgs []*Package) []Finding {
 						} else {
 							msg += ": no writes observed, but " + mutable + " state can be aliased and mutated by any future caller"
 						}
-						msg += "; it outlives the run, leaking state into the next run in the process and across workpool workers — make it a constant, derive it per call, or thread it through the engine/config and suppress with a reason if it must stay"
+						msg += "; it outlives the run, leaking state into the next run in the process and across workpool workers — make it a constant, derive it per call (a function returning a literal), or thread it through the engine/config"
 						out = append(out, Finding{p.Fset.Position(name.Pos()), "globalmut", msg})
 					}
 				}

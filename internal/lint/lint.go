@@ -1,26 +1,22 @@
-// Package lint implements eslurmlint, a project-specific static-analysis
-// pass that enforces the simulation core's determinism contract.
+// Package lint holds the project-specific static analyzers that enforce
+// the simulation core's determinism contract.
 //
 // Every experiment in this repository assumes the discrete-event simulator
 // is bit-for-bit reproducible: same seed ⇒ same event ordering ⇒ same
 // utilization/slowdown/AEA numbers. A single stray wall-clock read, global
 // RNG call, or order-sensitive map iteration silently corrupts every
-// downstream table. The analyzers here (run `eslurmlint -list` for the
-// current set — the README table is drift-gated against it) turn that
-// contract into a merge gate; see each analyzer's Doc for the precise
-// rule.
+// downstream table. The analyzers here (Analyzers; the README table is
+// drift-gated against it) turn that contract into a merge gate: the test
+// TestRunOnRealTree runs every one of them over the whole module and fails
+// on any finding. See each analyzer's Doc for the precise rule.
 //
 // The driver is built from the standard library only (go/ast, go/token,
 // go/types, go/importer) — no external module dependencies — so the lint
 // gate can never be the thing that breaks the build.
 //
-// Findings can be suppressed at a specific site with
-//
-//	//eslurmlint:ignore <analyzer> <reason>
-//
-// on the offending line or the line directly above it. The reason is
-// mandatory: a suppression must explain why the site is deterministic so
-// reviewers can audit the exceptions.
+// There is no suppression syntax. A site a rule flags is fixed by
+// construction: host time enters only through internal/hostprof, seeds
+// are threaded, and read-only tables are functions returning literals.
 package lint
 
 import (
@@ -49,11 +45,10 @@ func (f Finding) String() string {
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	// ImportPath is the module-qualified path (e.g. "eslurm/internal/sched").
-	// Path-scoped rules (walltime's cmd/ and bench/ exemption, detrand's simnet
+	// Path-scoped rules (walltime's host-side exemption, detrand's simnet
 	// exemption) key off this. The test harness may override it to exercise
 	// those scopes.
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -61,8 +56,7 @@ type Package struct {
 }
 
 // Analyzer is one named determinism rule. Exactly one of Run and
-// RunModule is set (or neither, for pipeline-implemented analyzers like
-// staleignore): Run sees one package at a time; RunModule sees every
+// RunModule is set: Run sees one package at a time; RunModule sees every
 // loaded package at once, for rules whose evidence spans packages
 // (module-wide writes to globals).
 type Analyzer struct {
@@ -72,73 +66,23 @@ type Analyzer struct {
 	RunModule func(pkgs []*Package) []Finding
 }
 
-// Analyzers returns the full eslurmlint rule set in reporting order.
+// Analyzers returns the full rule set in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer,
-		GlobalmutAnalyzer, StaleignoreAnalyzer,
-	}
+	return []*Analyzer{WalltimeAnalyzer, DetrandAnalyzer, MaporderAnalyzer, GlobalmutAnalyzer}
 }
 
-// AnalyzerNames returns the names of every registered analyzer.
-func AnalyzerNames() []string {
-	var names []string
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
-// Run executes the analyzers over the packages, applies
-// //eslurmlint:ignore suppressions, and returns the surviving findings
-// sorted by position. Malformed suppression comments are themselves
-// reported as findings of the pseudo-analyzer "suppress". After every
-// analyzer has run and suppression filtering has marked which directives
-// were load-bearing, the staleignore pass reports the rest.
+// Run executes the analyzers over the packages and returns their
+// findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	// A directive may name any registered analyzer without being
-	// malformed, even when this invocation enables a subset.
-	known := make(map[string]bool)
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	enabled := make(map[string]bool, len(analyzers))
+	var out []Finding
 	for _, a := range analyzers {
-		known[a.Name] = true
-		enabled[a.Name] = true
-	}
-
-	sups := make(suppressionSet)
-	var out, raw []Finding
-	for _, p := range pkgs {
-		ps, malformed := collectSuppressions(p, known)
-		for k, e := range ps {
-			sups[k] = e
-		}
-		out = append(out, malformed...)
-		for _, a := range analyzers {
-			if a.Run != nil {
-				raw = append(raw, a.Run(p)...)
+		if a.Run != nil {
+			for _, p := range pkgs {
+				out = append(out, a.Run(p)...)
 			}
 		}
-	}
-	for _, a := range analyzers {
 		if a.RunModule != nil {
-			raw = append(raw, a.RunModule(pkgs)...)
-		}
-	}
-	for _, f := range raw {
-		if !sups.covers(f) {
-			out = append(out, f)
-		}
-	}
-	if enabled["staleignore"] {
-		for _, k := range sups.unused(enabled) {
-			f := Finding{sups[k].pos, "staleignore",
-				"//eslurmlint:ignore " + k.analyzer + " suppresses nothing; the finding it excused is gone — delete the directive (or fix the drift that moved it off the site)"}
-			if !sups.covers(f) {
-				out = append(out, f)
-			}
+			out = append(out, a.RunModule(pkgs)...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -166,12 +110,26 @@ func underInternal(importPath string) bool {
 	return strings.Contains(importPath, "/internal/") || strings.HasPrefix(importPath, "internal/")
 }
 
-// hostSide reports whether the package is a host-side driver — under cmd/
-// or the bench/ harness — which may read the host clock and environment to
+// hostSide reports whether the package is host side — a driver under cmd/,
+// the bench/ harness, or internal/hostprof, where host time enters the
+// tree under internal/ — which may read the host clock and environment to
 // time and launch runs.
 func hostSide(importPath string) bool {
 	return strings.Contains(importPath, "/cmd/") || strings.HasPrefix(importPath, "cmd/") ||
-		strings.HasSuffix(importPath, "/bench") || strings.Contains(importPath, "/bench/")
+		strings.HasSuffix(importPath, "/bench") || strings.Contains(importPath, "/bench/") ||
+		inHostprof(importPath)
+}
+
+// inHostprof reports whether the package is internal/hostprof or one of
+// its subpackages.
+func inHostprof(importPath string) bool {
+	return pathIs(importPath, "internal/hostprof") || strings.Contains(importPath, "internal/hostprof/")
+}
+
+// pathIs reports whether importPath is the module package rel, with or
+// without the module prefix.
+func pathIs(importPath, rel string) bool {
+	return importPath == rel || strings.HasSuffix(importPath, "/"+rel)
 }
 
 // pkgFunc resolves a call expression to the package-level *types.Func it

@@ -153,7 +153,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 
 	p := &Package{
 		ImportPath: importPath,
-		Dir:        dir,
 		Fset:       l.Fset,
 		Files:      files,
 		Types:      tpkg,
@@ -177,64 +176,29 @@ func (l *Loader) importPathFor(dir string) string {
 	return l.ModulePath + "/" + filepath.ToSlash(rel)
 }
 
-// LoadPatterns resolves CLI package patterns into loaded packages. Each
-// pattern is a directory, optionally ending in "/..." to include every
-// package underneath it. Directories named testdata or vendor and hidden
-// or underscore-prefixed directories are skipped during recursive walks
-// (but an explicitly named directory is always loaded, so fixtures can be
-// linted directly in tests).
-func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
+// LoadModule loads every package of the module, in directory order.
+// Directories named testdata or vendor and hidden or underscore-prefixed
+// directories are skipped, as the go tool skips them; LoadDir still loads
+// a fixture under testdata when named explicitly.
+func (l *Loader) LoadModule() ([]*Package, error) {
 	var dirs []string
-	seen := make(map[string]bool)
-	addDir := func(d string) {
-		if abs, err := filepath.Abs(d); err == nil && !seen[abs] {
-			seen[abs] = true
-			dirs = append(dirs, abs)
+	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
-	}
-	for _, pat := range patterns {
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			root := rest
-			if root == "" || root == "." {
-				root = "."
-			}
-			absRoot, err := filepath.Abs(root)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := os.Stat(absRoot); err != nil {
-				return nil, fmt.Errorf("pattern %s: %w", pat, err)
-			}
-			err = filepath.WalkDir(absRoot, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				base := filepath.Base(path)
-				if path != absRoot && (base == "testdata" || base == "vendor" ||
-					strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
-					return filepath.SkipDir
-				}
-				if names, err := goFilesIn(path); err == nil && len(names) > 0 {
-					addDir(path)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			if st, err := os.Stat(pat); err != nil {
-				return nil, fmt.Errorf("pattern %s: %w", pat, err)
-			} else if !st.IsDir() {
-				return nil, fmt.Errorf("pattern %s: not a directory", pat)
-			}
-			addDir(pat)
+		base := filepath.Base(path)
+		if path != l.ModuleRoot && (base == "testdata" || base == "vendor" ||
+			strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+			return filepath.SkipDir
 		}
+		if names, err := goFilesIn(path); err == nil && len(names) > 0 {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(dirs)
 	var pkgs []*Package
 	for _, dir := range dirs {
 		p, err := l.LoadDir(dir)

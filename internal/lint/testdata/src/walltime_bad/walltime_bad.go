@@ -5,6 +5,9 @@ package walltime_bad
 import (
 	"os"
 	"time"
+
+	"eslurm/internal/hostprof"
+	"eslurm/internal/hostprof/profile"
 )
 
 func Bad() time.Duration {
@@ -69,4 +72,17 @@ func ScheduleEnv(e *Engine) {
 // StreamFromEnv selects an RNG stream with an environment-derived label.
 func StreamFromEnv(e *Engine) int {
 	return e.Rand(os.Getenv("ESLURM_STREAM")) // want "os.Getenv"
+}
+
+// Stopwatch reaches the host clock through hostprof, where host time
+// enters the tree under internal/: only the host side and the experiment
+// suite runner may call it or its profile subpackage.
+func Stopwatch(fn func()) time.Duration {
+	stop := hostprof.Stopwatch() // want "hostprof.Stopwatch is host time"
+	fn()
+	return stop()
+}
+
+func Profile() (func() error, error) {
+	return profile.Start("", "") // want "profile.Start is host time"
 }

@@ -70,12 +70,13 @@ func NGTianheConfig(jobs int) GenConfig {
 
 // appFamilies reflects the paper's workload description: CFD,
 // electromagnetics, combustion, nonlinear flows, bio-informatics and
-// mechanical analyses.
-//
-//eslurmlint:ignore globalmut read-only name catalogue; only ever indexed by the generator, never written or handed out, so it cannot carry state between runs or workers
-var appFamilies = []string{
-	"cfd-sim", "em-field", "engine-comb", "nonlin-flow", "bioinf-align",
-	"mech-strength", "wrf-fcst", "md-dynamics", "qcd-lattice", "seismic-inv",
+// mechanical analyses. Each call returns a fresh slice, so no run can
+// see another's.
+func appFamilies() []string {
+	return []string{
+		"cfd-sim", "em-field", "engine-comb", "nonlin-flow", "bioinf-align",
+		"mech-strength", "wrf-fcst", "md-dynamics", "qcd-lattice", "seismic-inv",
+	}
 }
 
 // familyProfile is the shared characteristic of one application family:
@@ -128,8 +129,9 @@ func Generate(cfg GenConfig) *Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Shared family profiles: two of the ten families are long-runners.
-	profiles := make([]familyProfile, len(appFamilies))
-	for i, name := range appFamilies {
+	families := appFamilies()
+	profiles := make([]familyProfile, len(families))
+	for i, name := range families {
 		long := i == 3 || i == 7
 		var median time.Duration
 		if long {
