@@ -26,7 +26,6 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"strings"
 	"time"
 
@@ -226,7 +225,10 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 // checkPartition asserts invariants 1 and 3 on one broadcast result:
 // Resolved ∪ Unreachable is an exact partition of the target list — every
 // target exactly once, no duplicates, no strangers — and the counters
-// agree with the identities.
+// agree with the identities. It runs in O(n) over one count array indexed
+// by NodeID: each listing in targets adds one, each resolution takes one
+// away, so the partition is exact when every target's count ends at zero
+// and no resolution names a node outside the array.
 func checkPartition(seed int64, bc int, targets []cluster.NodeID, r comm.Result, violate func(string, ...interface{})) {
 	if r.Delivered+len(r.Unreachable) != len(targets) {
 		violate("seed %d: broadcast %d: delivered %d + unreachable %d != targets %d",
@@ -236,20 +238,27 @@ func checkPartition(seed int64, bc int, targets []cluster.NodeID, r comm.Result,
 		violate("seed %d: broadcast %d: Delivered %d != len(Resolved) %d",
 			seed, bc, r.Delivered, len(r.Resolved))
 	}
-	all := make([]cluster.NodeID, 0, len(r.Resolved)+len(r.Unreachable))
-	all = append(all, r.Resolved...)
-	all = append(all, r.Unreachable...)
-	slices.Sort(all)
-	want := slices.Clone(targets)
-	slices.Sort(want)
-	if len(all) != len(want) {
+	if len(r.Resolved)+len(r.Unreachable) != len(targets) {
 		return // already reported via the counter mismatch above
 	}
-	for i := range all {
-		if all[i] != want[i] {
-			violate("seed %d: broadcast %d: resolution set is not an exact partition of targets (first mismatch at rank %d: got node %d want %d)",
-				seed, bc, i, all[i], want[i])
-			return
+	size := cluster.NodeID(0)
+	for _, id := range targets {
+		size = max(size, id+1)
+	}
+	count := make([]int32, size)
+	for _, id := range targets {
+		count[id]++
+	}
+	for _, list := range [2][]cluster.NodeID{r.Resolved, r.Unreachable} {
+		for _, id := range list {
+			if id < 0 || id >= size || count[id] == 0 {
+				violate("seed %d: broadcast %d: resolution set is not an exact partition of targets (node %d resolved but not a target, or resolved twice)",
+					seed, bc, id)
+				return
+			}
+			count[id]--
 		}
 	}
+	// Every resolution took away a listing and the lengths agree, so every
+	// count is back at zero.
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -217,5 +218,65 @@ func TestSeedReplayMatchesSoak(t *testing.T) {
 			got.Unreachable != want.Unreachable || got.Retries != want.Retries {
 			t.Errorf("seed %d replay diverged: got %+v want %+v", want.Seed, got, want)
 		}
+	}
+}
+
+// TestCheckPartition plants each way a broadcast result can break
+// invariants 1 and 3 — a target missing, a target resolved twice, a node
+// that was never a target, and counters that disagree with the identities
+// — and requires checkPartition to report every one, and nothing on a
+// clean result, whatever order the result lists its nodes in.
+func TestCheckPartition(t *testing.T) {
+	targets := []cluster.NodeID{9, 3, 7, 1, 12, 5}
+	clean := func() comm.Result {
+		return comm.Result{Delivered: 4, Resolved: []cluster.NodeID{7, 9, 12, 3}, Unreachable: []cluster.NodeID{5, 1}}
+	}
+	for _, tc := range []struct {
+		name  string
+		plant func(r *comm.Result)
+		want  int // violations
+	}{
+		{"clean", func(*comm.Result) {}, 0},
+		{"missing", func(r *comm.Result) { r.Resolved = r.Resolved[:3]; r.Delivered = 3 }, 1},
+		{"duplicated", func(r *comm.Result) { r.Resolved[1] = 7 }, 1},
+		{"duplicated across lists", func(r *comm.Result) { r.Unreachable[0] = 12 }, 1},
+		{"stranger", func(r *comm.Result) { r.Resolved[2] = 4 }, 1},
+		{"stranger beyond every target", func(r *comm.Result) { r.Unreachable[1] = 1 << 20 }, 1},
+		{"count mismatch", func(r *comm.Result) { r.Delivered = 5 }, 2},
+	} {
+		r := clean()
+		tc.plant(&r)
+		var got []string
+		checkPartition(1, 0, targets, r, func(format string, args ...interface{}) {
+			got = append(got, fmt.Sprintf(format, args...))
+		})
+		if len(got) != tc.want {
+			t.Errorf("%s: %d violations %q, want %d", tc.name, len(got), got, tc.want)
+		}
+	}
+}
+
+// TestAllocsPerDeliveredTarget is the soak's allocation budget: one seed
+// of the full adversarial mix (loss, duplication, partitions, gray nodes,
+// satellite kills, retries with backoff) at 256 computes, counted in heap
+// objects per delivered target. A broadcast target costs no object of its
+// own (pooled chains, the tree is its list); what is left is per
+// broadcast, per campaign event and per relay, spread over the targets.
+// A closure, a node or a chain per message again shows here as a whole
+// extra object per target.
+func TestAllocsPerDeliveredTarget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := Config{Computes: 256, Satellites: 2, Span: 5 * time.Minute, Broadcasts: 8, LossProb: 0.01, DupProb: 0.01}
+	var sr SeedResult
+	got := testing.AllocsPerRun(1, func() { sr = RunSeed(cfg, 1) })
+	if len(sr.Violations) != 0 || sr.Delivered == 0 {
+		t.Fatalf("seed 1: %d delivered, violations %q", sr.Delivered, sr.Violations)
+	}
+	per := got / float64(sr.Delivered)
+	const budget = 1.5 // measured 1.18 (Go 1.24, linux/amd64): mostly the seed's setup
+	if per > budget {
+		t.Errorf("%.0f objects for %d delivered targets: %.3f per target, budget %.1f", got, sr.Delivered, per, budget)
 	}
 }

@@ -246,6 +246,13 @@ type Outcome interface {
 	// behaviour that makes failed interior tree nodes expensive
 	// (Section IV).
 	Failed()
+	// Released runs once per Transmit, after the message's last callback:
+	// after Failed on a timeout, after Arrived on a landing with no
+	// duplicate, and after the duplicate's landing (or its loss) otherwise.
+	// From then on the wire holds no reference to the Outcome, so a sender
+	// that reuses its outcomes may take this one back once it is also done
+	// with it itself.
+	Released()
 }
 
 // Transmit models one message from -> to carrying size bytes and reports
@@ -266,6 +273,8 @@ func (c *callbacks) Arrived() {
 }
 
 func (c *callbacks) Sent() {}
+
+func (c *callbacks) Released() {}
 
 func (c *callbacks) Failed() {
 	if c.onFailed != nil {
@@ -375,6 +384,7 @@ func (f *flight) timeout() {
 	out := f.out
 	f.retire()
 	out.Failed()
+	out.Released()
 }
 
 // land delivers the message. A destination that failed — or was
@@ -406,19 +416,23 @@ func (f *flight) land() {
 		n.latency.After(f, flightArriveAgain)
 		return
 	}
+	out := f.out
 	f.retire()
+	out.Released()
 }
 
 // arriveAgain is a duplicate's landing, the message's last event: it rides
 // the first landing's accept socket, and a destination that has since gone
 // unreachable receives nothing.
 func (f *flight) arriveAgain() {
+	out := f.out
 	if f.n.unreachable(f.src.ID, f.dst.ID) {
 		f.retire()
+		out.Released()
 		return
 	}
 	f.dst.Meter.CountMessage(false, int(f.size))
-	out := f.out
 	f.retire()
 	out.Arrived()
+	out.Released()
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +11,10 @@ import (
 // outcome is an Outcome made of three optional callbacks.
 type outcome struct{ arrived, sent, failed func() }
 
-func (o outcome) Arrived() { call(o.arrived) }
-func (o outcome) Sent()    { call(o.sent) }
-func (o outcome) Failed()  { call(o.failed) }
+func (o outcome) Arrived()  { call(o.arrived) }
+func (o outcome) Sent()     { call(o.sent) }
+func (o outcome) Failed()   { call(o.failed) }
+func (o outcome) Released() {}
 
 func call(fn func()) {
 	if fn != nil {
@@ -264,11 +266,12 @@ func TestDisabledFeaturesDrawNoRandomness(t *testing.T) {
 var raceEnabled bool
 
 // tallyOutcome is an Outcome that allocates nothing.
-type tallyOutcome struct{ arrived, sent, failed int }
+type tallyOutcome struct{ arrived, sent, failed, released int }
 
-func (o *tallyOutcome) Arrived() { o.arrived++ }
-func (o *tallyOutcome) Sent()    { o.sent++ }
-func (o *tallyOutcome) Failed()  { o.failed++ }
+func (o *tallyOutcome) Arrived()  { o.arrived++ }
+func (o *tallyOutcome) Sent()     { o.sent++ }
+func (o *tallyOutcome) Failed()   { o.failed++ }
+func (o *tallyOutcome) Released() { o.released++ }
 
 // TestAllocsTransmit is the wire's allocation budget: a delivered message
 // allocates nothing. Its flight is reused once its last event has run, and
@@ -289,7 +292,7 @@ func TestAllocsTransmit(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, send); n != 0 {
 		t.Errorf("one delivered Transmit: %v allocs, want 0", n)
 	}
-	if out.arrived != 1002 || out.sent != 1002 || out.failed != 0 {
+	if out.arrived != 1002 || out.sent != 1002 || out.failed != 0 || out.released != 1002 {
 		t.Errorf("outcome %+v, want 1002 arrivals and acknowledgements", *out)
 	}
 	if s := c.Node(b).Meter.Sockets(); s != 0 {
@@ -414,5 +417,42 @@ func TestStormDrainsAndReruns(t *testing.T) {
 	refD, refP := run()
 	if d, p := run(); d != refD || p != refP {
 		t.Errorf("rerun digest/processed %#x/%d, want %#x/%d", d, p, refD, refP)
+	}
+}
+
+// logOutcome records the order of its callbacks.
+type logOutcome struct{ calls []string }
+
+func (o *logOutcome) Arrived()  { o.calls = append(o.calls, "arrived") }
+func (o *logOutcome) Sent()     { o.calls = append(o.calls, "sent") }
+func (o *logOutcome) Failed()   { o.calls = append(o.calls, "failed") }
+func (o *logOutcome) Released() { o.calls = append(o.calls, "released") }
+
+// TestReleasedEndsEveryTransmit: Released runs once per Transmit, as the
+// message's last callback, on every way a message ends — so a sender that
+// pools its Outcomes can tell when the wire has let go of one.
+func TestReleasedEndsEveryTransmit(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		net   NetConfig
+		fail  bool // the destination dies while the message is in flight
+		calls string
+	}{
+		{"landing", NetConfig{}, false, "sent arrived released"},
+		{"duplicate", NetConfig{DupProb: 1}, false, "sent arrived arrived released"},
+		{"lost", NetConfig{LossProb: 1}, false, "failed released"},
+		{"in-flight death", NetConfig{}, true, "failed released"},
+	} {
+		c := newNetCluster(t, 2, tc.net)
+		a, b := c.Computes()[0], c.Computes()[1]
+		out := &logOutcome{}
+		c.Net.Transmit(a, b, 512, out)
+		if tc.fail {
+			c.Fail(b)
+		}
+		c.Engine.Run()
+		if got := strings.Join(out.calls, " "); got != tc.calls {
+			t.Errorf("%s: callbacks %q, want %q", tc.name, got, tc.calls)
+		}
 	}
 }

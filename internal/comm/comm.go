@@ -141,6 +141,8 @@ type Broadcaster struct {
 	limiters []*limiter // by sender NodeID (dense cluster indices), filled on a sender's first send
 	retryRng *rand.Rand
 	in       *instruments
+	spare    []*chain // released chains awaiting reuse
+	made     int      // chains ever allocated
 }
 
 // instruments caches the broadcaster's registry handles so hot paths pay
@@ -278,6 +280,9 @@ type sink interface {
 	landed(c *chain)
 	// settled runs exactly once, with true on delivery.
 	settled(c *chain, ok bool)
+	// relayed runs once the receiver has paid the relay cost that landed
+	// asked for with chain.relay.
+	relayed(c *chain)
 }
 
 // funcSink is a sink made of two callbacks.
@@ -290,6 +295,8 @@ func (h *funcSink) landed(*chain) { h.onArrive() }
 
 func (h *funcSink) settled(_ *chain, ok bool) { h.cb(ok) }
 
+func (h *funcSink) relayed(*chain) {}
+
 // resultFunc is the sink of a point-to-point message with nothing behind
 // the receiver. A func value is pointer-shaped: the conversion to sink
 // allocates nothing.
@@ -299,14 +306,17 @@ func (resultFunc) landed(*chain) {}
 
 func (f resultFunc) settled(_ *chain, ok bool) { f(ok) }
 
+func (resultFunc) relayed(*chain) {}
+
 // send delivers one message with retries, occupying a connection slot of
-// the sender from dispatch until resolution, and reports to h; node is the
-// tree position a treeCast keeps on its chains (nil for everyone else). tl
+// the sender from dispatch until resolution, and reports to h; [lo, hi) is
+// the subtree a treeCast keeps on its chains (unused by everyone else). tl
 // (may be nil) is the broadcast's tally. parent, when tracing is enabled,
 // parents the delivery-chain span (comm.send) under the broadcast that
 // issued it.
-func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent obs.SpanID, h sink, node *fptree.Node[cluster.NodeID]) {
-	c := &chain{b: b, lim: b.limiter(from), from: from, to: to, size: int32(size), tl: tl, sink: h, node: node}
+func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent obs.SpanID, h sink, lo, hi int) {
+	c := b.newChain()
+	*c = chain{b: b, lim: b.limiter(from), from: from, to: to, size: int32(size), tl: tl, sink: h, lo: int32(lo), hi: int32(hi)}
 	b.inst().outstanding.Add(1)
 	// The attributes are formatted strings: only a recording tracer pays
 	// for them.
@@ -317,41 +327,92 @@ func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent 
 }
 
 // chain is one delivery chain: a message and its retries, holding one of
-// the sender's connection slots from dispatch to resolution. It is the
-// only object a message allocates in this package: the engine schedules
-// the chain itself (simnet.Handler, the kinds below), the wire reports to
-// the chain itself (cluster.Outcome), the limiter queues it, and what
-// happens next is the sink it shares with its broadcast. The soaks send
-// millions of messages and their wall time follows the garbage they make,
-// which is also why the fields are packed into 88 bytes.
+// the sender's connection slots from dispatch to resolution. The engine
+// schedules the chain itself (simnet.Handler, the kinds below), the wire
+// reports to the chain itself (cluster.Outcome), the limiter queues it,
+// and what happens next is the sink it shares with its broadcast.
+//
+// Chains are pooled per Broadcaster, so in steady state a message
+// allocates nothing here. One rule says when a chain is free: it is
+// resolved (settle has run) and nothing holds it any more — no flight on
+// the wire (every Transmit has had its Released) and no relay pending (a
+// tree relay's event is the chain itself). A duplicate can land after
+// Sent has settled the chain, which is why the wire, not the settle, has
+// the last word; a settle with nothing outstanding (the deadline at the
+// end of a backoff) frees the chain at once. The limiter drops a chain
+// before it begins and a sink only sees it as a call argument, so nothing
+// else holds one. The fields are packed into 88 bytes.
 type chain struct {
 	b        *Broadcaster
 	lim      *limiter
 	from, to cluster.NodeID
 	tl       *tally
 	sink     sink
-	node     *fptree.Node[cluster.NodeID]
 	start    time.Duration // when the chain got its slot; the deadline runs from here
 	span     obs.SpanID
 	attempts int32
 	size     int32
+	lo, hi   int32 // a treeCast's subtree [lo, hi) of its tree's list
 	resolved bool
 	arrived  bool
+	inFlight bool // a Transmit has not had its Released yet
+	relaying bool // a relay's event is pending
+	spare    bool // on the free list: any call is a use after release
+}
+
+// newChain takes a released chain, or allocates one when none is left.
+func (b *Broadcaster) newChain() *chain {
+	k := len(b.spare) - 1
+	if k < 0 {
+		b.made++
+		return new(chain)
+	}
+	c := b.spare[k]
+	b.spare[k] = nil
+	b.spare = b.spare[:k]
+	return c
+}
+
+// freeIfDone returns the chain to the free list once it is resolved and
+// nothing holds it. Clearing it drops the sink and the tally, so a free
+// chain keeps no broadcast alive.
+func (c *chain) freeIfDone() {
+	if !c.resolved || c.inFlight || c.relaying {
+		return
+	}
+	b := c.b
+	*c = chain{spare: true}
+	b.spare = append(b.spare, c)
+}
+
+// live panics on a released chain: a flight or an event that outlived the
+// chain's release would otherwise act on whatever broadcast reuses it.
+func (c *chain) live() {
+	if c.spare {
+		panic("comm: a delivery chain was used after its release")
+	}
 }
 
 // The events of a chain.
 const (
 	chainTransmit     int32 = iota // SendOverhead paid: put the message on the wire
 	chainAfterBackoff              // the retry backoff ran out
+	chainRelay                     // the receiver paid its relay cost
 )
 
 // HandleEvent implements simnet.Handler.
 func (c *chain) HandleEvent(kind int32) {
+	c.live()
 	switch kind {
 	case chainTransmit:
+		c.inFlight = true
 		c.b.Cluster.Net.Transmit(c.from, c.to, int(c.size), c)
 	case chainAfterBackoff:
 		c.afterBackoff()
+	case chainRelay:
+		c.relaying = false
+		c.sink.relayed(c)
+		c.freeIfDone()
 	}
 }
 
@@ -373,7 +434,9 @@ func (c *chain) attempt() {
 		if c.tl != nil {
 			c.tl.retries++
 		}
-		b.e.Tracer().Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
+		if tr := b.e.Tracer(); tr != nil {
+			tr.Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
+		}
 	}
 	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
 	// The lane of the current SendOverhead: callers may set it after
@@ -385,6 +448,7 @@ func (c *chain) attempt() {
 // payload; only the first counts, so a relay forwards once under
 // duplication (NetConfig.DupProb).
 func (c *chain) Arrived() {
+	c.live()
 	if !c.arrived {
 		c.arrived = true
 		c.sink.landed(c)
@@ -393,6 +457,7 @@ func (c *chain) Arrived() {
 
 // Sent implements cluster.Outcome.
 func (c *chain) Sent() {
+	c.live()
 	if !c.resolved {
 		c.settle(true)
 	}
@@ -400,6 +465,7 @@ func (c *chain) Sent() {
 
 // Failed implements cluster.Outcome: one attempt timed out.
 func (c *chain) Failed() {
+	c.live()
 	if c.resolved {
 		return
 	}
@@ -440,6 +506,22 @@ func (c *chain) settle(ok bool) {
 	tr.End(c.span)
 	c.lim.release()
 	c.sink.settled(c, ok)
+	c.freeIfDone()
+}
+
+// Released implements cluster.Outcome: the wire has run the last callback
+// of the chain's latest flight.
+func (c *chain) Released() {
+	c.live()
+	c.inFlight = false
+	c.freeIfDone()
+}
+
+// relay has the receiver pay its relay cost, then hands the chain back to
+// its sink (relayed). The chain is held until then.
+func (c *chain) relay() {
+	c.relaying = true
+	c.b.relayTo(c.to, c, chainRelay)
 }
 
 // pastDeadline reports whether the chain has exhausted the policy's
@@ -471,17 +553,22 @@ func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
 	return time.Duration(float64(RelayOverhead) * g)
 }
 
-// relay charges id's relay cost and runs forward once it has been paid. A
-// healthy relay's cost is RelayOverhead, whose events share one lane; a
-// gray relay's inflated cost goes on the heap.
+// relay charges id's relay cost and runs forward once it has been paid.
 func (b *Broadcaster) relay(id cluster.NodeID, forward func()) {
+	b.relayTo(id, forwardFunc(forward), 0)
+}
+
+// relayTo charges id's relay cost and sends the event (h, kind) once it
+// has been paid. A healthy relay's cost is RelayOverhead, whose events
+// share one lane; a gray relay's inflated cost goes on the heap.
+func (b *Broadcaster) relayTo(id cluster.NodeID, h simnet.Handler, kind int32) {
 	d := b.relayDelay(id)
 	b.Cluster.Node(id).Meter.ChargeCPU(d)
 	if d == RelayOverhead {
-		b.e.Lane(RelayOverhead).After(forwardFunc(forward), 0)
+		b.e.Lane(RelayOverhead).After(h, kind)
 		return
 	}
-	b.e.After(d, forward)
+	b.e.AfterTo(d, h, kind)
 }
 
 // forwardFunc makes a relay's forward a simnet.Handler. A func value is
@@ -499,7 +586,7 @@ func (f forwardFunc) HandleEvent(int32) { f() }
 func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
 	parent := b.SpanParent
 	b.SpanParent = 0
-	b.send(from, to, size, nil, parent, resultFunc(cb), nil)
+	b.send(from, to, size, nil, parent, resultFunc(cb), 0, 0)
 }
 
 // tracker counts outstanding deliveries and finalizes the Result. It also
@@ -517,6 +604,9 @@ type tracker struct {
 
 func newTracker(b *Broadcaster, structure string, pending int, done func(Result)) *tracker {
 	t := &tracker{b: b, start: b.e.Now(), pending: pending, done: done}
+	if b.RecordResolved {
+		t.res.Resolved = make([]cluster.NodeID, 0, pending)
+	}
 	t.span = b.e.Tracer().Start("comm.broadcast", b.SpanParent,
 		obs.String("structure", structure), obs.Int("targets", pending))
 	b.SpanParent = 0
@@ -527,8 +617,8 @@ func newTracker(b *Broadcaster, structure string, pending int, done func(Result)
 }
 
 // send runs one of the broadcast's delivery chains (see Broadcaster.send).
-func (t *tracker) send(from, to cluster.NodeID, size int, h sink, node *fptree.Node[cluster.NodeID]) {
-	t.b.send(from, to, size, &t.tally, t.span, h, node)
+func (t *tracker) send(from, to cluster.NodeID, size int, h sink, lo, hi int) {
+	t.b.send(from, to, size, &t.tally, t.span, h, lo, hi)
 }
 
 // landed and settled make the tracker the sink of a direct delivery with
@@ -536,6 +626,8 @@ func (t *tracker) send(from, to cluster.NodeID, size int, h sink, node *fptree.N
 func (t *tracker) landed(*chain) {}
 
 func (t *tracker) settled(c *chain, ok bool) { t.settle(c.to, ok) }
+
+func (t *tracker) relayed(*chain) {}
 
 // adopted records a comm.adopt instant: the sender takes over the children
 // of a relay it could not reach.
@@ -608,7 +700,7 @@ func (Star) Name() string { return "star" }
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	t := newTracker(b, "star", len(targets), done)
 	for _, id := range targets {
-		t.send(origin, id, size, t, nil)
+		t.send(origin, id, size, t, 0, 0)
 	}
 }
 
@@ -642,7 +734,7 @@ func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.N
 					// Skip the dead node: the same sender tries its successor.
 					hop(from, idx+1)
 				}
-			}}, nil)
+			}}, 0, 0)
 	}
 	hop(origin, 0)
 }
@@ -734,64 +826,58 @@ func (k KTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluste
 	broadcastTree(b, "tree", origin, tr, size, done)
 }
 
-// subtreeCount returns the node count of a subtree (message sizing).
-func subtreeCount(n *fptree.Node[cluster.NodeID]) int {
-	c := 1
-	for _, ch := range n.Children {
-		c += subtreeCount(ch)
-	}
-	return c
-}
-
-// broadcastTree relays a payload down a materialized tree with parent-
-// adoption fault tolerance. The tree is only read once built.
+// broadcastTree relays a payload down a tree with parent-adoption fault
+// tolerance. The tree is only read once built.
 func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	tc := &treeCast{t: newTracker(b, structure, tr.Size(), done), size: size}
-	for _, r := range tr.Roots {
-		tc.dispatch(origin, r)
+	tc := &treeCast{t: newTracker(b, structure, tr.Size(), done), tr: tr, size: size}
+	for g := tr.Roots(); g.Next(); {
+		tc.dispatch(origin, g.Lo, g.Hi)
 	}
 }
 
 // treeCast is one tree broadcast: the sink every one of its chains shares.
-// A chain carries its own tree position (chain.node), so a target costs
-// the chain and nothing else.
+// A chain carries its own subtree (chain.lo, chain.hi) and is its relay's
+// event, so a target costs nothing but its pooled chain.
 type treeCast struct {
 	t    *tracker
+	tr   *fptree.Tree[cluster.NodeID]
 	size int
 }
 
-// dispatch sends n's subtree its payload from from.
-func (tc *treeCast) dispatch(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
-	sz := tc.size + subtreeCount(n)*nodeListEntryBytes
-	tc.t.send(from, n.Value, sz, tc, n)
+// dispatch sends the subtree [lo, hi) its payload from from: the message
+// carries the subtree's node list.
+func (tc *treeCast) dispatch(from cluster.NodeID, lo, hi int) {
+	sz := tc.size + (hi-lo)*nodeListEntryBytes
+	tc.t.send(from, tc.tr.At(lo), sz, tc, lo, hi)
 }
 
 // landed makes an interior node relay to its children.
 func (tc *treeCast) landed(c *chain) {
-	n := c.node
-	if len(n.Children) == 0 {
-		return
+	if c.hi-c.lo > 1 {
+		c.relay()
 	}
-	tc.t.b.relay(n.Value, func() {
-		for _, ch := range n.Children {
-			tc.dispatch(n.Value, ch)
-		}
-	})
+}
+
+// relayed forwards to the children once the relay cost is paid.
+func (tc *treeCast) relayed(c *chain) {
+	for g := tc.tr.Children(int(c.lo), int(c.hi)); g.Next(); {
+		tc.dispatch(c.to, g.Lo, g.Hi)
+	}
 }
 
 func (tc *treeCast) settled(c *chain, ok bool) {
-	from, n := c.from, c.node
-	tc.t.settle(n.Value, ok)
+	from, to, lo, hi := c.from, c.to, int(c.lo), int(c.hi)
+	tc.t.settle(to, ok)
 	if ok {
 		return
 	}
 	// Fault tolerance: the parent adopts the failed child's children and
 	// contacts them directly.
-	if len(n.Children) > 0 {
-		tc.t.adopted(n.Value, len(n.Children))
+	if hi-lo > 1 {
+		tc.t.adopted(to, tc.tr.Fanout(lo, hi))
 	}
-	for _, ch := range n.Children {
-		tc.dispatch(from, ch)
+	for g := tc.tr.Children(lo, hi); g.Next(); {
+		tc.dispatch(from, g.Lo, g.Hi)
 	}
 }
 
@@ -926,7 +1012,7 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 					relay(holder, mid, hi)
 				}
 				relay(holder, lo+1, mid)
-			}}, nil)
+			}}, 0, 0)
 	}
 	relay(origin, 0, len(ids))
 }

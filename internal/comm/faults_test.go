@@ -167,3 +167,63 @@ func TestRetryOverlapsFirstAttemptsArrival(t *testing.T) {
 		}
 	}
 }
+
+// TestChainsReturnToPool holds the chain pool's ownership rule — a chain
+// is free once it is resolved and the wire has released its last flight —
+// where it is easiest to break: every landing is duplicated (a duplicate
+// lands after Sent has settled its chain), messages are lost, an interior
+// relay is dead, and the retry deadline expires both on a timeout and in
+// the middle of a backoff, when no flight is out. After the drain no
+// chain is outstanding and every chain ever made is back on the free list;
+// an Outcome callback or event that reached a released chain would have
+// panicked in the run.
+func TestChainsReturnToPool(t *testing.T) {
+	const computes = 200
+	net := cluster.NetConfig{DupProb: 1, LossProb: 0.2}
+	for _, s := range []Structure{Star{}, KTree{Width: 4}, FPTree{Width: 4}} {
+		c := cluster.New(simnet.NewEngine(31), cluster.Config{Computes: computes, Satellites: 1, Net: net})
+		comps, origin := c.Computes(), c.Satellites()[0]
+		c.Fail(comps[0])  // the head of the first subtree: an interior relay
+		c.Fail(comps[51]) // a second interior relay, one level down at width 4
+		b := NewBroadcaster(c)
+		// Attempts at 0 s and 1.1 s time out at 1 s and 2.1 s; the backoff
+		// after the second runs past the 2.2 s deadline, so the chain
+		// settles with no flight out. A chain lost once succeeds at 1.1 s.
+		b.Retry = RetryPolicy{MaxAttempts: 5, Backoff: 100 * time.Millisecond, Deadline: 2200 * time.Millisecond}
+		var res Result
+		sends, sent := 0, 0
+		run := func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s: %v", s.Name(), p)
+				}
+			}()
+			s.Broadcast(b, origin, comps, 512, func(r Result) { res = r })
+			for _, to := range comps[:20] {
+				sends++
+				b.Send(origin, to, 64, func(bool) { sent++ })
+			}
+			c.Run()
+		}
+		run()
+		if res.Delivered+len(res.Unreachable) != computes || sent != sends {
+			t.Fatalf("%s: %d delivered + %d unreachable of %d, %d/%d sends resolved",
+				s.Name(), res.Delivered, len(res.Unreachable), computes, sent, sends)
+		}
+		if res.Retries == 0 || len(res.Unreachable) <= 2 {
+			t.Fatalf("%s: %d retries, %d unreachable: the loss and deadline paths did not run",
+				s.Name(), res.Retries, len(res.Unreachable))
+		}
+		if n := b.OutstandingSends(); n != 0 {
+			t.Errorf("%s: %d chains outstanding after the drain", s.Name(), n)
+		}
+		if len(b.spare) != b.made {
+			t.Errorf("%s: %d of %d chains back on the free list after the drain", s.Name(), len(b.spare), b.made)
+		}
+		for _, ch := range b.spare {
+			if *ch != (chain{spare: true}) {
+				t.Fatalf("%s: a free chain still holds %+v", s.Name(), *ch)
+			}
+		}
+	}
+}

@@ -426,6 +426,9 @@ func (m *Master) Broadcast(targets []cluster.NodeID, size int, done func(comm.Re
 
 	start := m.engine.Now()
 	merged := comm.Result{}
+	if m.B.RecordResolved {
+		merged.Resolved = make([]cluster.NodeID, 0, len(targets))
+	}
 	pending := len(subs)
 	// finish merges one sub-task's outcome. deliveredAt is the absolute
 	// virtual time of the sub-broadcast's last successful delivery, so the

@@ -15,7 +15,10 @@
 //  3. Rearrange — an O(n) pass that fills leaf positions preferentially
 //     with predicted-failed nodes and interior positions with healthy ones.
 //
-// Build materializes the tree for the broadcast engines in package comm.
+// The list is the tree: a subtree is a half-open range [lo, hi) of the
+// list headed by list[lo], and its children are the width-way groups of
+// [lo+1, hi). Build wraps a list in O(1) and the broadcast engines in
+// package comm walk it with Groups, which allocates nothing.
 // All functions are pure and generic so they are directly
 // property-testable — and deterministic: tree shape is a function of list
 // order and width alone, with no RNG or map iteration anywhere.
@@ -28,73 +31,81 @@ import "fmt"
 // paper reports.
 const DefaultWidth = 32
 
-// groupSizes splits n items into g contiguous groups as evenly as possible:
-// the first n%g groups get one extra item.
-func groupSizes(n, g int) []int {
-	sizes := make([]int, g)
-	base, extra := n/g, n%g
-	for i := range sizes {
-		sizes[i] = base
-		if i < extra {
-			sizes[i]++
-		}
+// checkWidth panics on a width that cannot make a tree.
+func checkWidth(w int) {
+	if w < 2 {
+		panic(fmt.Sprintf("fptree: width must be >= 2, got %d", w))
 	}
-	return sizes
+}
+
+// Groups walks the width-way groups a range of the list splits into, in
+// list order, scanner-style: each Next that returns true sets Lo and Hi to
+// the next group [Lo, Hi). The range is split as evenly as possible (the
+// first n%g of the g groups get one extra item) into g = min(w, n) groups,
+// so no group is empty. A Groups value allocates nothing.
+type Groups struct {
+	// Lo and Hi bound the current group after a Next that returned true.
+	Lo, Hi int
+
+	left, base, extra int
+}
+
+// groups returns the width-w groups of [lo, hi).
+func groups(lo, hi, w int) Groups {
+	n := hi - lo
+	if n <= 0 {
+		return Groups{}
+	}
+	g := min(w, n)
+	return Groups{Hi: lo, left: g, base: n / g, extra: n % g}
+}
+
+// Next advances to the next group and reports whether there was one.
+func (g *Groups) Next() bool {
+	if g.left == 0 {
+		return false
+	}
+	g.left--
+	sz := g.base
+	if g.extra > 0 {
+		g.extra--
+		sz++
+	}
+	g.Lo, g.Hi = g.Hi, g.Hi+sz
+	return true
 }
 
 // LeafSlots reports, for each position in an n-node participant list, whether
 // the node at that position becomes a leaf of the width-w relay tree. It is
 // the "leaf-nodes location" component of Fig. 4(b) and runs in Θ(n).
 func LeafSlots(n, w int) []bool {
-	if w < 2 {
-		panic(fmt.Sprintf("fptree: width must be >= 2, got %d", w))
-	}
+	checkWidth(w)
 	leaf := make([]bool, n)
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		n := hi - lo
-		switch {
-		case n <= 0:
-			return
-		case n == 1:
-			leaf[lo] = true
-			return
-		}
-		g := w
-		if n < w {
-			// Fewer nodes than the width: every node is a direct child,
-			// hence a leaf.
-			g = n
-		}
-		pos := lo
-		for _, sz := range groupSizes(n, g) {
-			if sz == 0 {
-				continue
-			}
-			if sz == 1 {
-				leaf[pos] = true
-			} else {
-				// Group head at pos is interior; the remainder of the
-				// group is its subtree.
-				rec(pos+1, pos+sz)
-			}
-			pos += sz
-		}
-	}
-	rec(0, n)
+	eachSubtree(0, n, w, 0, func(lo, hi, _ int) { leaf[lo] = hi-lo == 1 })
 	return leaf
 }
 
 // LeafCount returns the number of leaf slots for an n-node width-w tree
-// without allocating the full slot array.
+// without allocating the slot array.
 func LeafCount(n, w int) int {
+	checkWidth(w)
 	k := 0
-	for _, b := range LeafSlots(n, w) {
-		if b {
+	eachSubtree(0, n, w, 0, func(lo, hi, _ int) {
+		if hi-lo == 1 {
 			k++
 		}
-	}
+	})
 	return k
+}
+
+// eachSubtree calls visit for every subtree among the width-w groups of
+// [lo, hi) and below them, in list order (each head before its subtree),
+// with its range and depth (the groups of [lo, hi) at depth).
+func eachSubtree(lo, hi, w, depth int, visit func(lo, hi, depth int)) {
+	for g := groups(lo, hi, w); g.Next(); {
+		visit(g.Lo, g.Hi, depth)
+		eachSubtree(g.Lo+1, g.Hi, w, depth+1, visit)
+	}
 }
 
 // Rearrange returns a permutation of list in which predicted-failed nodes
@@ -109,7 +120,8 @@ func Rearrange[T any](list []T, predicted func(T) bool, w int) []T {
 		return nil
 	}
 	leaf := LeafSlots(n, w)
-	var bad, good []T
+	var bad []T
+	good := make([]T, 0, n)
 	for _, v := range list {
 		if predicted(v) {
 			bad = append(bad, v)
@@ -168,89 +180,58 @@ func FineTune[T any](list []T, predicted func(T) bool, w int) int {
 	return swaps
 }
 
-// Node is one vertex of a materialized relay tree.
-type Node[T any] struct {
-	Value    T
-	Children []*Node[T]
-}
-
-// Tree is a materialized width-w relay tree over a participant list. Root
-// is the broadcast origin (the satellite node itself does not appear in the
-// list; the tree's top-level children are the first-layer relay nodes).
+// Tree is a width-w relay tree over a participant list, and it is that
+// list: the subtree [lo, hi) is headed by the participant at position lo.
+// The broadcast origin (the satellite node itself) is not in the list; the
+// first-layer relays it contacts directly are the heads of Roots.
 type Tree[T any] struct {
-	Width int
-	// Roots are the first-layer nodes the origin contacts directly.
-	Roots []*Node[T]
-	size  int
+	list  []T
+	width int
 }
 
-// Build materializes the relay tree for a participant list, following the
-// same grouping as LeafSlots. It runs in Θ(n).
+// Build makes the width-w relay tree over list in O(1). The tree keeps
+// list, which must not change while the tree is in use.
 func Build[T any](list []T, w int) *Tree[T] {
-	if w < 2 {
-		panic(fmt.Sprintf("fptree: width must be >= 2, got %d", w))
-	}
-	t := &Tree[T]{Width: w, size: len(list)}
-	var rec func(lo, hi int) []*Node[T]
-	rec = func(lo, hi int) []*Node[T] {
-		n := hi - lo
-		if n <= 0 {
-			return nil
-		}
-		g := w
-		if n < w {
-			g = n
-		}
-		nodes := make([]*Node[T], 0, g)
-		pos := lo
-		for _, sz := range groupSizes(n, g) {
-			if sz == 0 {
-				continue
-			}
-			nd := &Node[T]{Value: list[pos]}
-			nd.Children = rec(pos+1, pos+sz)
-			nodes = append(nodes, nd)
-			pos += sz
-		}
-		return nodes
-	}
-	t.Roots = rec(0, len(list))
-	return t
+	checkWidth(w)
+	return &Tree[T]{list: list, width: w}
 }
 
 // Size returns the number of participant nodes in the tree.
-func (t *Tree[T]) Size() int { return t.size }
+func (t *Tree[T]) Size() int { return len(t.list) }
+
+// At returns the participant at list position i: the head of every
+// subtree [i, hi).
+func (t *Tree[T]) At(i int) T { return t.list[i] }
+
+// Roots walks the first layer: the subtrees the origin contacts directly.
+func (t *Tree[T]) Roots() Groups { return groups(0, len(t.list), t.width) }
+
+// Children walks the child subtrees of the subtree [lo, hi).
+func (t *Tree[T]) Children(lo, hi int) Groups { return groups(lo+1, hi, t.width) }
+
+// Fanout returns the number of children of the subtree [lo, hi).
+func (t *Tree[T]) Fanout(lo, hi int) int { return min(t.width, hi-lo-1) }
 
 // Depth returns the number of relay levels (0 for an empty tree, 1 when all
-// participants are direct children of the origin).
+// participants are direct children of the origin). The depth of a forest
+// of m nodes never falls as m grows, and the first group is the largest,
+// so the deepest path runs through first groups: O(log n).
 func (t *Tree[T]) Depth() int {
-	var rec func(ns []*Node[T]) int
-	rec = func(ns []*Node[T]) int {
-		if len(ns) == 0 {
-			return 0
-		}
-		max := 0
-		for _, n := range ns {
-			if d := rec(n.Children); d > max {
-				max = d
-			}
-		}
-		return max + 1
+	d := 0
+	for lo, hi := 0, len(t.list); hi > lo; d++ {
+		g := groups(lo, hi, t.width)
+		g.Next()
+		lo, hi = g.Lo+1, g.Hi
 	}
-	return rec(t.Roots)
+	return d
 }
 
-// Walk visits every node with its depth (first layer = 0), parent value and
-// whether it is a leaf, in list order.
+// Walk visits every node with its depth (first layer = 0) and whether it
+// is a leaf, in list order.
 func (t *Tree[T]) Walk(visit func(value T, depth int, leaf bool)) {
-	var rec func(ns []*Node[T], depth int)
-	rec = func(ns []*Node[T], depth int) {
-		for _, n := range ns {
-			visit(n.Value, depth, len(n.Children) == 0)
-			rec(n.Children, depth+1)
-		}
-	}
-	rec(t.Roots, 0)
+	eachSubtree(0, len(t.list), t.width, 0, func(lo, hi, depth int) {
+		visit(t.list[lo], depth, hi-lo == 1)
+	})
 }
 
 // Leaves returns the values at the tree's leaves in list order.
@@ -265,32 +246,14 @@ func (t *Tree[T]) Leaves() []T {
 }
 
 // Values returns all participant values in list order.
-func (t *Tree[T]) Values() []T {
-	out := make([]T, 0, t.size)
-	t.Walk(func(v T, _ int, _ bool) { out = append(out, v) })
-	return out
-}
+func (t *Tree[T]) Values() []T { return append([]T(nil), t.list...) }
 
 // DescendantCounts returns, per participant in list order, the number of
 // descendants below it — the quantity that makes an interior failure
 // expensive (Section IV: "the more descendant nodes of a failed node have,
-// the higher the delay").
-func DescendantCounts[T any](t *Tree[T]) map[int]int {
-	counts := make(map[int]int, t.size)
-	idx := 0
-	var rec func(n *Node[T]) int
-	rec = func(n *Node[T]) int {
-		my := idx
-		idx++
-		total := 0
-		for _, c := range n.Children {
-			total += 1 + rec(c)
-		}
-		counts[my] = total
-		return total
-	}
-	for _, r := range t.Roots {
-		rec(r)
-	}
+// the higher the delay"). The head of [lo, hi) has hi-lo-1.
+func DescendantCounts[T any](t *Tree[T]) []int {
+	counts := make([]int, len(t.list))
+	eachSubtree(0, len(t.list), t.width, 0, func(lo, hi, _ int) { counts[lo] = hi - lo - 1 })
 	return counts
 }

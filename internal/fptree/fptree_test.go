@@ -1,6 +1,7 @@
 package fptree
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -81,20 +82,20 @@ func TestBuildValuesPreserveOrder(t *testing.T) {
 
 func TestBuildWidthRespected(t *testing.T) {
 	tr := Build(ints(500), 8)
-	if len(tr.Roots) > 8 {
-		t.Fatalf("root fan-out %d > width 8", len(tr.Roots))
-	}
-	tr.Walk(func(_ int, _ int, _ bool) {})
-	var check func(ns []*Node[int])
-	check = func(ns []*Node[int]) {
-		for _, n := range ns {
-			if len(n.Children) > 8 {
-				t.Fatalf("fan-out %d > width 8", len(n.Children))
+	var check func(g Groups)
+	check = func(g Groups) {
+		n := 0
+		for ; g.Next(); n++ {
+			check(tr.Children(g.Lo, g.Hi))
+			if f := tr.Fanout(g.Lo, g.Hi); f > 8 {
+				t.Fatalf("fan-out %d > width 8", f)
 			}
-			check(n.Children)
+		}
+		if n > 8 {
+			t.Fatalf("fan-out %d > width 8", n)
 		}
 	}
-	check(tr.Roots)
+	check(tr.Roots())
 }
 
 func TestDepthGrowsLogarithmically(t *testing.T) {
@@ -322,5 +323,164 @@ func BenchmarkBuild20K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(list, DefaultWidth)
+	}
+}
+
+// refNode is one vertex of the reference tree: the same grouping
+// materialized as one node and one children slice per participant, the
+// oracle the range tree is held to.
+type refNode struct {
+	value    int
+	children []*refNode
+}
+
+// refGroupSizes splits n items into g contiguous groups as evenly as
+// possible: the first n%g groups get one extra item.
+func refGroupSizes(n, g int) []int {
+	sizes := make([]int, g)
+	base, extra := n/g, n%g
+	for i := range sizes {
+		sizes[i] = base
+		if i < extra {
+			sizes[i]++
+		}
+	}
+	return sizes
+}
+
+// refBuild materializes the relay tree's first layer, one node and one
+// children slice per participant.
+func refBuild(list []int, w int) []*refNode {
+	var rec func(lo, hi int) []*refNode
+	rec = func(lo, hi int) []*refNode {
+		n := hi - lo
+		if n <= 0 {
+			return nil
+		}
+		g := w
+		if n < w {
+			g = n
+		}
+		nodes := make([]*refNode, 0, g)
+		pos := lo
+		for _, sz := range refGroupSizes(n, g) {
+			if sz == 0 {
+				continue
+			}
+			nd := &refNode{value: list[pos]}
+			nd.children = rec(pos+1, pos+sz)
+			nodes = append(nodes, nd)
+			pos += sz
+		}
+		return nodes
+	}
+	return rec(0, len(list))
+}
+
+// refLeafSlots is LeafSlots as a recursion over group-size slices.
+func refLeafSlots(n, w int) []bool {
+	leaf := make([]bool, n)
+	var rec func(lo, hi int)
+	rec = func(lo, hi int) {
+		n := hi - lo
+		switch {
+		case n <= 0:
+			return
+		case n == 1:
+			leaf[lo] = true
+			return
+		}
+		g := w
+		if n < w {
+			g = n
+		}
+		pos := lo
+		for _, sz := range refGroupSizes(n, g) {
+			if sz == 0 {
+				continue
+			}
+			if sz == 1 {
+				leaf[pos] = true
+			} else {
+				rec(pos+1, pos+sz)
+			}
+			pos += sz
+		}
+	}
+	rec(0, n)
+	return leaf
+}
+
+func refDepth(ns []*refNode) int {
+	if len(ns) == 0 {
+		return 0
+	}
+	d := 0
+	for _, n := range ns {
+		d = max(d, refDepth(n.children))
+	}
+	return d + 1
+}
+
+// refWalk renders the (value, depth, leaf) sequence in visit order.
+func refWalk(ns []*refNode, depth int, out *[]string) {
+	for _, n := range ns {
+		*out = append(*out, fmt.Sprintf("%d/%d/%v", n.value, depth, len(n.children) == 0))
+		refWalk(n.children, depth+1, out)
+	}
+}
+
+// refDescendants appends, in visit order, each node's descendant count.
+func refDescendants(n *refNode, out *[]int) int {
+	my := len(*out)
+	*out = append(*out, 0)
+	total := 0
+	for _, c := range n.children {
+		total += 1 + refDescendants(c, out)
+	}
+	(*out)[my] = total
+	return total
+}
+
+// TestRangeTreeMatchesReference holds the range tree to the materialized
+// reference tree: the same walk (value, depth, leaf), leaf slots, descendant
+// counts and depth, for every n in [0, 300] and w in [2, 9] and at the
+// paper's scale (20,480 nodes, width 32). The list is shuffled so a value
+// mix-up cannot hide behind value == position.
+func TestRangeTreeMatchesReference(t *testing.T) {
+	type shape struct{ n, w int }
+	var cases []shape
+	for n := 0; n <= 300; n++ {
+		for w := 2; w <= 9; w++ {
+			cases = append(cases, shape{n, w})
+		}
+	}
+	cases = append(cases, shape{20480, 32})
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range cases {
+		list := ints(c.n)
+		rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+		ref := refBuild(list, c.w)
+		tr := Build(list, c.w)
+
+		var want, got []string
+		refWalk(ref, 0, &want)
+		tr.Walk(func(v, depth int, leaf bool) { got = append(got, fmt.Sprintf("%d/%d/%v", v, depth, leaf)) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d w=%d: walk differs from the reference", c.n, c.w)
+		}
+		if got, want := LeafSlots(c.n, c.w), refLeafSlots(c.n, c.w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d w=%d: LeafSlots %v, reference %v", c.n, c.w, got, want)
+		}
+		wantCounts := []int{}
+		for _, r := range ref {
+			refDescendants(r, &wantCounts)
+		}
+		if got := DescendantCounts(tr); !reflect.DeepEqual(got, wantCounts) {
+			t.Fatalf("n=%d w=%d: DescendantCounts %v, reference %v", c.n, c.w, got, wantCounts)
+		}
+		if got, want := tr.Depth(), refDepth(ref); got != want {
+			t.Fatalf("n=%d w=%d: Depth %d, reference %d", c.n, c.w, got, want)
+		}
 	}
 }

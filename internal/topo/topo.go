@@ -92,18 +92,19 @@ func (t Topology) Order(list []cluster.NodeID) []cluster.NodeID {
 // ordering minimizes it by keeping subtrees rack-local.
 func (t Topology) TreeCost(tr *fptree.Tree[cluster.NodeID]) int {
 	cost := 0
-	var rec func(parent cluster.NodeID, nodes []*fptree.Node[cluster.NodeID], fromOrigin bool)
-	rec = func(parent cluster.NodeID, nodes []*fptree.Node[cluster.NodeID], fromOrigin bool) {
-		for _, n := range nodes {
+	var rec func(parent cluster.NodeID, g fptree.Groups, fromOrigin bool)
+	rec = func(parent cluster.NodeID, g fptree.Groups, fromOrigin bool) {
+		for g.Next() {
+			v := tr.At(g.Lo)
 			if fromOrigin {
 				cost += 3
 			} else {
-				cost += t.Hops(parent, n.Value)
+				cost += t.Hops(parent, v)
 			}
-			rec(n.Value, n.Children, false)
+			rec(v, tr.Children(g.Lo, g.Hi), false)
 		}
 	}
-	rec(0, tr.Roots, true)
+	rec(0, tr.Roots(), true)
 	return cost
 }
 
