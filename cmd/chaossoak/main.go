@@ -47,8 +47,9 @@
 // additionally asserts the convergence contract: after the last fault
 // heals, every seed reaches spec within the round budget, with no task
 // dropped during graceful drains. -spec replaces the built-in schedule
-// with a JSON spec/schedule file. Independent seeds fan out over
-// GOMAXPROCS workers; the report is byte-identical for any worker count.
+// with a JSON spec/schedule file. Both soaks fan their independent seeds
+// out over GOMAXPROCS workers; the report is byte-identical for any
+// worker count.
 package main
 
 import (
@@ -56,7 +57,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"eslurm/internal/chaos"
@@ -187,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The reconcile soak has its own calibrated defaults (more
 		// satellites, a shorter span); only flags the user actually set
 		// override them.
-		rcfg := chaos.ReconcileConfig{Target: *target, Workers: runtime.GOMAXPROCS(0)}
+		rcfg := chaos.ReconcileConfig{Target: *target}
 		if set["seeds"] {
 			rcfg.Seeds = *seeds
 		}

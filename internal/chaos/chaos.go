@@ -5,7 +5,9 @@
 // teardown. Because the stack runs on one deterministic simnet engine, a
 // failing seed is perfectly replayable: the report is
 // byte-identical for the same configuration, which digest-pinned tests
-// enforce.
+// enforce. Seeds share nothing, so both soaks run them side by side on
+// workpool goroutines; results land by seed index, and the report is the
+// same bytes at any GOMAXPROCS.
 //
 // The invariants (ISSUE 3):
 //
@@ -33,6 +35,7 @@ import (
 	"eslurm/internal/comm"
 	"eslurm/internal/faults"
 	"eslurm/internal/obs"
+	"eslurm/internal/workpool"
 )
 
 // Config parameterizes a soak. The zero value is runnable: Soak applies
@@ -184,14 +187,15 @@ func (r *Report) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Soak runs the full soak.
+// Soak runs the full soak, its seeds side by side on GOMAXPROCS
+// workpool goroutines: every seed is an independent engine and results
+// land by seed index, so the report is byte-identical at any GOMAXPROCS.
 func Soak(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	rep := &Report{Config: cfg}
-	for i := 0; i < cfg.Seeds; i++ {
-		rep.Seeds = append(rep.Seeds, RunSeed(cfg, cfg.BaseSeed+int64(i)))
-	}
-	return rep
+	seeds := workpool.Ordered(cfg.Seeds, 0, func(i int) SeedResult {
+		return RunSeed(cfg, cfg.BaseSeed+int64(i))
+	}, nil)
+	return &Report{Config: cfg, Seeds: seeds}
 }
 
 // RunSeed soaks one seed: builds the stack, injects the campaign, drives
@@ -226,33 +230,39 @@ func RunSeed(cfg Config, seed int64) SeedResult {
 // Resolved ∪ Unreachable is an exact partition of the target list — every
 // target exactly once, no duplicates, no strangers — and the counters
 // agree with the identities. It runs in O(n) over one count array indexed
-// by NodeID: each listing in targets adds one, each resolution takes one
-// away, so the partition is exact when every target's count ends at zero
-// and no resolution names a node outside the array.
-func checkPartition(seed int64, bc int, targets []cluster.NodeID, r comm.Result, violate func(string, ...interface{})) {
-	if r.Delivered+len(r.Unreachable) != len(targets) {
-		violate("seed %d: broadcast %d: delivered %d + unreachable %d != targets %d",
-			seed, bc, r.Delivered, len(r.Unreachable), len(targets))
+// by NodeID, the seed's r.count: each listing in targets adds one, each
+// resolution takes one away, so the partition is exact when every
+// target's count ends at zero and no resolution names a node outside the
+// array.
+func (r *seedRun) checkPartition(bc int, targets []cluster.NodeID, res comm.Result) {
+	seed := r.seed
+	if res.Delivered+len(res.Unreachable) != len(targets) {
+		r.violate("seed %d: broadcast %d: delivered %d + unreachable %d != targets %d",
+			seed, bc, res.Delivered, len(res.Unreachable), len(targets))
 	}
-	if r.Delivered != len(r.Resolved) {
-		violate("seed %d: broadcast %d: Delivered %d != len(Resolved) %d",
-			seed, bc, r.Delivered, len(r.Resolved))
+	if res.Delivered != len(res.Resolved) {
+		r.violate("seed %d: broadcast %d: Delivered %d != len(Resolved) %d",
+			seed, bc, res.Delivered, len(res.Resolved))
 	}
-	if len(r.Resolved)+len(r.Unreachable) != len(targets) {
+	if len(res.Resolved)+len(res.Unreachable) != len(targets) {
 		return // already reported via the counter mismatch above
 	}
 	size := cluster.NodeID(0)
 	for _, id := range targets {
 		size = max(size, id+1)
 	}
-	count := make([]int32, size)
+	if int(size) > len(r.count) {
+		r.count = make([]int32, size)
+	}
+	count := r.count[:size]
+	clear(count)
 	for _, id := range targets {
 		count[id]++
 	}
-	for _, list := range [2][]cluster.NodeID{r.Resolved, r.Unreachable} {
+	for _, list := range [2][]cluster.NodeID{res.Resolved, res.Unreachable} {
 		for _, id := range list {
 			if id < 0 || id >= size || count[id] == 0 {
-				violate("seed %d: broadcast %d: resolution set is not an exact partition of targets (node %d resolved but not a target, or resolved twice)",
+				r.violate("seed %d: broadcast %d: resolution set is not an exact partition of targets (node %d resolved but not a target, or resolved twice)",
 					seed, bc, id)
 				return
 			}

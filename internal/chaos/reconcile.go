@@ -76,9 +76,9 @@ type ReconcileConfig struct {
 	// of satellite 2 at 2·Span/3).
 	Initial   reconcile.Spec
 	Mutations []reconcile.Mutation
-	// Workers parallelizes seeds (default 1). The report is byte-identical
-	// for any value: each seed runs on its own engine and results land by
-	// seed index.
+	// Workers is how many seeds run side by side; zero means GOMAXPROCS,
+	// as in Soak. The report is byte-identical for any value: each seed
+	// runs on its own engine and results land by seed index.
 	Workers int
 }
 
@@ -127,9 +127,6 @@ func (c ReconcileConfig) withDefaults() ReconcileConfig {
 				Satellites: c.Target, MinSatellites: 1, MaxSatellites: c.Satellites,
 				Cordoned: []cluster.NodeID{2}}},
 		}
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -223,7 +220,7 @@ func (r *ReconcileReport) Digest() string {
 }
 
 // ReconcileSoak runs the full reconcile soak, fanning seeds out over
-// Workers goroutines (workpool.Ordered); every seed is an independent
+// workpool.Workers(Seeds, Workers) goroutines; every seed is an independent
 // engine and results land by seed index, so the report is byte-identical
 // for any worker count.
 func ReconcileSoak(cfg ReconcileConfig) *ReconcileReport {

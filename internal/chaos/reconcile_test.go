@@ -43,10 +43,13 @@ func TestReconcileSoakDigestPinned(t *testing.T) {
 }
 
 // TestReconcileSoakWorkerSweep: the report is byte-identical for any
-// Workers value — seed-level fan-out must not leak into results.
+// Workers value, zero (GOMAXPROCS) included — seed-level fan-out must not
+// leak into results.
 func TestReconcileSoakWorkerSweep(t *testing.T) {
-	base := ReconcileSoak(reconcilePinCfg())
-	for _, workers := range []int{2, 4} {
+	one := reconcilePinCfg()
+	one.Workers = 1
+	base := ReconcileSoak(one)
+	for _, workers := range []int{0, 2, 4} {
 		cfg := reconcilePinCfg()
 		cfg.Workers = workers
 		got := ReconcileSoak(cfg)

@@ -43,6 +43,7 @@ type seedRun struct {
 
 	broadcasts, delivered, unreachable, retries int
 	violations                                  []string
+	count                                       []int32 // checkPartition's scratch
 
 	baseVMem, baseRSS int64
 	baseSockets       int
@@ -115,7 +116,7 @@ func (r *seedRun) drive(n int, span, bound time.Duration) {
 				r.delivered += res.Delivered
 				r.unreachable += len(res.Unreachable)
 				r.retries += res.Retries
-				checkPartition(r.seed, i, targets, res, r.violate)
+				r.checkPartition(i, targets, res)
 				if d := r.e.Now() - start; d > bound {
 					r.violate("seed %d: broadcast %d resolved in %v > bound %v", r.seed, i, d, bound)
 				}

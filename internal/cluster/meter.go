@@ -63,12 +63,17 @@ func (m *ResourceMeter) AddRSS(delta int64) {
 // RSS returns current resident memory in bytes.
 func (m *ResourceMeter) RSS() int64 { return m.rssBytes }
 
+// integrateSockets adds the socket count's time integral since the last
+// change. A term with no sockets or no elapsed time is +0, and adding +0
+// to the non-negative sum leaves its bits alone, so it is skipped.
 func (m *ResourceMeter) integrateSockets() {
 	if m.engine == nil {
 		return
 	}
 	now := m.engine.Now()
-	m.sockTimeSum += float64(m.sockets) * (now - m.lastSockAt).Seconds()
+	if m.sockets != 0 && now != m.lastSockAt {
+		m.sockTimeSum += float64(m.sockets) * (now - m.lastSockAt).Seconds()
+	}
 	m.lastSockAt = now
 }
 

@@ -135,8 +135,8 @@ func newNetwork(c *Cluster, cfg NetConfig) *Network {
 	n := &Network{cluster: c, cfg: cfg, e: c.Engine, rng: c.Engine.Rand("cluster/network"),
 		latency: c.Engine.Lane(cfg.Latency), timeout: c.Engine.Lane(cfg.ConnectTimeout)}
 	n.failed = make([]bool, len(c.nodes))
-	for _, node := range c.nodes {
-		node.net = n
+	for i := range c.nodes {
+		c.nodes[i].net = n
 	}
 	return n
 }
@@ -298,7 +298,7 @@ func (n *Network) SendPersistent(from, to NodeID, size int, onDelivered func(), 
 
 // send is the single wire.
 func (n *Network) send(from, to NodeID, size int, connect bool, out Outcome) {
-	src, dst := n.cluster.nodes[from], n.cluster.nodes[to]
+	src, dst := &n.cluster.nodes[from], &n.cluster.nodes[to]
 	src.Meter.CountMessage(true, size)
 	if connect {
 		src.Meter.OpenSocket()

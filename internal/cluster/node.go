@@ -70,7 +70,7 @@ type Cluster struct {
 	Engine *simnet.Engine
 	Net    *Network
 
-	nodes    []*Node
+	nodes    []Node   // one block, indexed by NodeID
 	computes []NodeID // built once by New: roles never change
 }
 
@@ -88,21 +88,21 @@ type Config struct {
 // Config.Satellites satellite nodes (IDs 1..S) and Config.Computes compute
 // nodes after them.
 func New(e *simnet.Engine, cfg Config) *Cluster {
-	c := &Cluster{Engine: e, computes: make([]NodeID, 0, cfg.Computes)}
-	add := func(role Role) {
-		n := &Node{ID: NodeID(len(c.nodes)), Role: role}
+	sats, computes := max(cfg.Satellites, 0), max(cfg.Computes, 0)
+	c := &Cluster{Engine: e, nodes: make([]Node, 1+sats+computes), computes: make([]NodeID, 0, computes)}
+	for i := range c.nodes {
+		n := &c.nodes[i]
+		n.ID = NodeID(i)
 		n.Meter.engine = e
-		c.nodes = append(c.nodes, n)
-		if role == RoleCompute {
+		switch {
+		case i == 0:
+			n.Role = RoleMaster
+		case i <= sats:
+			n.Role = RoleSatellite
+		default:
+			n.Role = RoleCompute
 			c.computes = append(c.computes, n.ID)
 		}
-	}
-	add(RoleMaster)
-	for i := 0; i < cfg.Satellites; i++ {
-		add(RoleSatellite)
-	}
-	for i := 0; i < cfg.Computes; i++ {
-		add(RoleCompute)
 	}
 	c.Net = newNetwork(c, cfg.Net.withDefaults())
 	return c
@@ -123,11 +123,11 @@ func (c *Cluster) RunUntilDone(deadline time.Duration, done func() bool) bool {
 func (c *Cluster) Run() { c.Engine.Run() }
 
 // Master returns the master node (always ID 0).
-func (c *Cluster) Master() *Node { return c.nodes[0] }
+func (c *Cluster) Master() *Node { return &c.nodes[0] }
 
 // Node returns the node with the given ID. It panics on out-of-range IDs:
 // that is always a programming error in an experiment driver.
-func (c *Cluster) Node(id NodeID) *Node { return c.nodes[id] }
+func (c *Cluster) Node(id NodeID) *Node { return &c.nodes[id] }
 
 // Size returns the total number of nodes, including master and satellites.
 func (c *Cluster) Size() int { return len(c.nodes) }
@@ -135,9 +135,9 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // Satellites returns the IDs of all satellite nodes in ID order.
 func (c *Cluster) Satellites() []NodeID {
 	var out []NodeID
-	for _, n := range c.nodes {
-		if n.Role == RoleSatellite {
-			out = append(out, n.ID)
+	for i := range c.nodes {
+		if c.nodes[i].Role == RoleSatellite {
+			out = append(out, c.nodes[i].ID)
 		}
 	}
 	return out

@@ -39,7 +39,8 @@ type Result struct {
 	// Resolved lists the delivered targets in resolution order. It is
 	// populated only when Broadcaster.RecordResolved is set (the chaos
 	// harness's exactly-once invariant needs identities, not just counts);
-	// otherwise it stays nil and costs nothing.
+	// otherwise it stays nil and costs nothing. The list comes from the
+	// broadcaster's Lists: whoever holds the Result last may Put it back.
 	Resolved []cluster.NodeID
 	// Unreachable lists targets that could not be reached after retries.
 	Unreachable []cluster.NodeID
@@ -136,6 +137,9 @@ type Broadcaster struct {
 	// tracker consumes and clears it. Zero — the default — makes
 	// broadcast spans roots.
 	SpanParent obs.SpanID
+	// Lists recycles the node lists broadcasts use: every tree's list,
+	// and every Result.Resolved.
+	Lists ListPool
 
 	e        *simnet.Engine
 	limiters []*limiter // by sender NodeID (dense cluster indices), filled on a sender's first send
@@ -173,19 +177,25 @@ func broadcastElapsedBounds() []int64 {
 	}
 }
 
+// inst returns the instruments, building them on first use. The build is
+// a call of its own, so inst inlines into the per-message paths.
 func (b *Broadcaster) inst() *instruments {
 	if b.in == nil {
-		m := b.e.Metrics()
-		b.in = &instruments{
-			delivered:   m.Counter("comm.delivered"),
-			unreachable: m.Counter("comm.unreachable"),
-			messages:    m.Counter("comm.messages"),
-			retries:     m.Counter("comm.retries"),
-			outstanding: m.Gauge("comm.outstanding_sends"),
-			elapsed:     m.Histogram("comm.broadcast_elapsed_ns", broadcastElapsedBounds()),
-		}
+		b.buildInstruments()
 	}
 	return b.in
+}
+
+func (b *Broadcaster) buildInstruments() {
+	m := b.e.Metrics()
+	b.in = &instruments{
+		delivered:   m.Counter("comm.delivered"),
+		unreachable: m.Counter("comm.unreachable"),
+		messages:    m.Counter("comm.messages"),
+		retries:     m.Counter("comm.retries"),
+		outstanding: m.Gauge("comm.outstanding_sends"),
+		elapsed:     m.Histogram("comm.broadcast_elapsed_ns", broadcastElapsedBounds()),
+	}
 }
 
 // NewBroadcaster returns a Broadcaster with the paper's defaults.
@@ -199,6 +209,36 @@ func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
 		limiters:      make([]*limiter, c.Size()),
 	}
 	return b
+}
+
+// ListPool recycles node lists, so a broadcast's lists cost nothing once
+// the engine has run a few. Put hands back a list its holder keeps no
+// other reference to; Get reuses the smallest one large enough. Like
+// everything on a Broadcaster, a pool belongs to one engine.
+type ListPool struct{ free [][]cluster.NodeID }
+
+// Get returns an empty list with room for n nodes.
+func (p *ListPool) Get(n int) []cluster.NodeID {
+	best := -1
+	for i, l := range p.free {
+		if cap(l) >= n && (best < 0 || cap(l) < cap(p.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]cluster.NodeID, 0, n)
+	}
+	l, last := p.free[best], len(p.free)-1
+	p.free[best], p.free[last] = p.free[last], nil
+	p.free = p.free[:last]
+	return l[:0]
+}
+
+// Put hands a list back for reuse; a nil or zero-capacity list is ignored.
+func (p *ListPool) Put(l []cluster.NodeID) {
+	if cap(l) > 0 {
+		p.free = append(p.free, l[:0])
+	}
 }
 
 // limiter serializes access to a sender's connection slots: chains past
@@ -283,6 +323,9 @@ type sink interface {
 	// relayed runs once the receiver has paid the relay cost that landed
 	// asked for with chain.relay.
 	relayed(c *chain)
+	// freed runs when the chain goes back to its pool: the sink's last
+	// sight of it.
+	freed()
 }
 
 // funcSink is a sink made of two callbacks.
@@ -297,6 +340,8 @@ func (h *funcSink) settled(_ *chain, ok bool) { h.cb(ok) }
 
 func (h *funcSink) relayed(*chain) {}
 
+func (h *funcSink) freed() {}
+
 // resultFunc is the sink of a point-to-point message with nothing behind
 // the receiver. A func value is pointer-shaped: the conversion to sink
 // allocates nothing.
@@ -308,6 +353,8 @@ func (f resultFunc) settled(_ *chain, ok bool) { f(ok) }
 
 func (resultFunc) relayed(*chain) {}
 
+func (resultFunc) freed() {}
+
 // send delivers one message with retries, occupying a connection slot of
 // the sender from dispatch until resolution, and reports to h; [lo, hi) is
 // the subtree a treeCast keeps on its chains (unused by everyone else). tl
@@ -315,8 +362,10 @@ func (resultFunc) relayed(*chain) {}
 // parents the delivery-chain span (comm.send) under the broadcast that
 // issued it.
 func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent obs.SpanID, h sink, lo, hi int) {
+	// A new chain is zero, so the fields are set one by one: a composite
+	// literal would be built aside and copied in.
 	c := b.newChain()
-	*c = chain{b: b, lim: b.limiter(from), from: from, to: to, size: int32(size), tl: tl, sink: h, lo: int32(lo), hi: int32(hi)}
+	c.b, c.lim, c.from, c.to, c.size, c.tl, c.sink, c.lo, c.hi = b, b.limiter(from), from, to, int32(size), tl, h, int32(lo), int32(hi)
 	b.inst().outstanding.Add(1)
 	// The attributes are formatted strings: only a recording tracer pays
 	// for them.
@@ -360,7 +409,8 @@ type chain struct {
 	spare    bool // on the free list: any call is a use after release
 }
 
-// newChain takes a released chain, or allocates one when none is left.
+// newChain takes a released chain, or allocates one when none is left;
+// either way every field is zero.
 func (b *Broadcaster) newChain() *chain {
 	k := len(b.spare) - 1
 	if k < 0 {
@@ -370,6 +420,7 @@ func (b *Broadcaster) newChain() *chain {
 	c := b.spare[k]
 	b.spare[k] = nil
 	b.spare = b.spare[:k]
+	c.spare = false
 	return c
 }
 
@@ -380,9 +431,10 @@ func (c *chain) freeIfDone() {
 	if !c.resolved || c.inFlight || c.relaying {
 		return
 	}
-	b := c.b
+	b, sink := c.b, c.sink
 	*c = chain{spare: true}
 	b.spare = append(b.spare, c)
+	sink.freed()
 }
 
 // live panics on a released chain: a flight or an event that outlived the
@@ -605,10 +657,14 @@ type tracker struct {
 func newTracker(b *Broadcaster, structure string, pending int, done func(Result)) *tracker {
 	t := &tracker{b: b, start: b.e.Now(), pending: pending, done: done}
 	if b.RecordResolved {
-		t.res.Resolved = make([]cluster.NodeID, 0, pending)
+		t.res.Resolved = b.Lists.Get(pending)
 	}
-	t.span = b.e.Tracer().Start("comm.broadcast", b.SpanParent,
-		obs.String("structure", structure), obs.Int("targets", pending))
+	// The attributes are formatted strings: only a recording tracer pays
+	// for them.
+	if tr := b.e.Tracer(); tr != nil {
+		t.span = tr.Start("comm.broadcast", b.SpanParent,
+			obs.String("structure", structure), obs.Int("targets", pending))
+	}
 	b.SpanParent = 0
 	if pending == 0 {
 		t.finish()
@@ -628,6 +684,8 @@ func (t *tracker) landed(*chain) {}
 func (t *tracker) settled(c *chain, ok bool) { t.settle(c.to, ok) }
 
 func (t *tracker) relayed(*chain) {}
+
+func (t *tracker) freed() {}
 
 // adopted records a comm.adopt instant: the sender takes over the children
 // of a relay it could not reach.
@@ -819,19 +877,28 @@ func (k KTree) width() int {
 // Broadcast implements Structure.
 func (k KTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	trc := b.e.Tracer()
-	span := trc.Start("fptree.build", b.SpanParent,
-		obs.Int("targets", len(targets)), obs.Int("width", k.width()))
-	tr := fptree.Build(append([]cluster.NodeID(nil), targets...), k.width())
+	var span obs.SpanID
+	if trc != nil {
+		span = trc.Start("fptree.build", b.SpanParent,
+			obs.Int("targets", len(targets)), obs.Int("width", k.width()))
+	}
+	list := append(b.Lists.Get(len(targets)), targets...)
+	tr := fptree.Build(list, k.width())
 	trc.End(span)
-	broadcastTree(b, "tree", origin, tr, size, done)
+	broadcastTree(b, "tree", origin, list, tr, size, done)
 }
 
-// broadcastTree relays a payload down a tree with parent-adoption fault
-// tolerance. The tree is only read once built.
-func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	tc := &treeCast{t: newTracker(b, structure, tr.Size(), done), tr: tr, size: size}
+// broadcastTree relays a payload down tr, the tree over list, with
+// parent-adoption fault tolerance. The tree is only read once built, and
+// list goes back to b.Lists once the last of the broadcast's chains is
+// freed: no event, flight or relay can read the tree after that.
+func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, list []cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
+	tc := &treeCast{t: newTracker(b, structure, tr.Size(), done), tr: tr, list: list, size: size}
 	for g := tr.Roots(); g.Next(); {
 		tc.dispatch(origin, g.Lo, g.Hi)
+	}
+	if tc.live == 0 { // an empty tree sends nothing
+		b.Lists.Put(list)
 	}
 }
 
@@ -841,14 +908,27 @@ func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *
 type treeCast struct {
 	t    *tracker
 	tr   *fptree.Tree[cluster.NodeID]
+	list []cluster.NodeID // the tree's list, from the broadcaster's Lists
 	size int
+	live int // chains sent and not yet freed
 }
 
 // dispatch sends the subtree [lo, hi) its payload from from: the message
 // carries the subtree's node list.
 func (tc *treeCast) dispatch(from cluster.NodeID, lo, hi int) {
 	sz := tc.size + (hi-lo)*nodeListEntryBytes
+	tc.live++
 	tc.t.send(from, tc.tr.At(lo), sz, tc, lo, hi)
+}
+
+// freed returns the tree's list once its last chain is free. A chain's
+// children are sent before it is freed (by its relay, or by its sender's
+// adoption), so the count reaches zero only when every target is settled.
+func (tc *treeCast) freed() {
+	tc.live--
+	if tc.live == 0 {
+		tc.t.b.Lists.Put(tc.list)
+	}
 }
 
 // landed makes an interior node relay to its children.
@@ -928,44 +1008,49 @@ func (f FPTree) width() int {
 	return f.Width
 }
 
+// predictor returns the predictor in use: Predictor, or predict.Null.
+func (f FPTree) predictor() predict.Predictor {
+	if f.Predictor == nil {
+		return predict.Null{}
+	}
+	return f.Predictor
+}
+
 // Plan returns the rearranged target list without broadcasting — used by
 // tests and by the FP-Tree constructor pipeline.
 func (f FPTree) Plan(targets []cluster.NodeID) []cluster.NodeID {
-	pred := f.Predictor
-	if pred == nil {
-		pred = predict.Null{}
-	}
-	return fptree.Rearrange(targets, func(id cluster.NodeID) bool { return pred.Predicted(id) }, f.width())
+	return fptree.Rearrange(targets, f.predictor().Predicted, f.width())
 }
 
 // Broadcast implements Structure.
 func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	pred := f.Predictor
-	if pred == nil {
-		pred = predict.Null{}
-	}
+	pred := f.predictor()
 	trc := b.e.Tracer()
-	span := trc.Start("fptree.plan", b.SpanParent,
-		obs.Int("targets", len(targets)), obs.Int("width", f.width()))
-	list := f.Plan(targets)
+	var span obs.SpanID
+	if trc != nil {
+		span = trc.Start("fptree.plan", b.SpanParent,
+			obs.Int("targets", len(targets)), obs.Int("width", f.width()))
+	}
+	list := fptree.AppendRearranged(b.Lists.Get(len(targets)), targets, pred.Predicted, f.width())
 	trc.End(span)
-	span = trc.Start("fptree.build", b.SpanParent, obs.Int("targets", len(list)))
+	if trc != nil {
+		span = trc.Start("fptree.build", b.SpanParent, obs.Int("targets", len(list)))
+	}
 	tr := fptree.Build(list, f.width())
 	trc.End(span)
 	if f.Stats != nil {
 		f.Stats.TreesBuilt++
 		f.Stats.NodesTotal += len(list)
-		slots := fptree.LeafSlots(len(list), f.width())
-		for i, id := range list {
+		tr.Walk(func(id cluster.NodeID, _ int, leaf bool) {
 			if b.Cluster.Node(id).Failed() {
 				f.Stats.FailedEncountered++
-				if slots[i] && pred.Predicted(id) {
+				if leaf && pred.Predicted(id) {
 					f.Stats.FailedAtLeaves++
 				}
 			}
-		}
+		})
 	}
-	broadcastTree(b, "fptree", origin, tr, size, done)
+	broadcastTree(b, "fptree", origin, list, tr, size, done)
 }
 
 // ---------------------------------------------------------------------------

@@ -225,5 +225,32 @@ func TestChainsReturnToPool(t *testing.T) {
 				t.Fatalf("%s: a free chain still holds %+v", s.Name(), *ch)
 			}
 		}
+		// A tree broadcast's list goes back to the pool with its last chain.
+		wantLists := 1
+		if _, star := s.(Star); star {
+			wantLists = 0
+		}
+		if n := len(b.Lists.free); n != wantLists {
+			t.Errorf("%s: %d lists back in the pool after the drain, want %d", s.Name(), n, wantLists)
+		}
+	}
+}
+
+// TestListPool: Get reuses the smallest list that is large enough, empty,
+// and allocates only when none is; Put ignores a list with no room.
+func TestListPool(t *testing.T) {
+	var p ListPool
+	small, big := make([]cluster.NodeID, 3, 8), make([]cluster.NodeID, 0, 64)
+	p.Put(nil)
+	p.Put(big)
+	p.Put(small)
+	if got := p.Get(5); cap(got) != 8 || len(got) != 0 {
+		t.Fatalf("Get(5) = len %d cap %d, want the empty cap-8 list", len(got), cap(got))
+	}
+	if got := p.Get(5); cap(got) != 64 {
+		t.Fatalf("second Get(5) has cap %d, want the cap-64 list", cap(got))
+	}
+	if got := p.Get(5); cap(got) != 5 || len(p.free) != 0 {
+		t.Fatalf("Get(5) on an empty pool: cap %d, %d left in the pool", cap(got), len(p.free))
 	}
 }

@@ -383,14 +383,18 @@ func splitList(targets []cluster.NodeID, n int) [][]cluster.NodeID {
 // Broadcast relays one payload to the target compute nodes through the
 // satellite layer, with reallocation and master-takeover fault tolerance.
 // done (may be nil) receives the merged result when every target has
-// resolved.
+// resolved. Its Resolved list (comm.Broadcaster.RecordResolved) goes back
+// to the broadcaster's Lists when done returns, so done must not keep it.
 func (m *Master) Broadcast(targets []cluster.NodeID, size int, done func(comm.Result)) {
 	m.in.broadcasts.Inc()
 	master := m.Cluster.Master().ID
 	mm := m.Meter()
 	mm.ChargeCPU(m.B.SendOverhead) // task splitting
 	tr := m.engine.Tracer()
-	root := tr.Start("master.broadcast", 0, obs.Int("targets", len(targets)))
+	var root obs.SpanID
+	if tr != nil {
+		root = tr.Start("master.broadcast", 0, obs.Int("targets", len(targets)))
+	}
 
 	if len(targets) == 0 {
 		tr.End(root)
@@ -426,8 +430,10 @@ func (m *Master) Broadcast(targets []cluster.NodeID, size int, done func(comm.Re
 
 	start := m.engine.Now()
 	merged := comm.Result{}
-	if m.B.RecordResolved {
-		merged.Resolved = make([]cluster.NodeID, 0, len(targets))
+	// Only a caller that reads the result needs the merged identities.
+	resolved := m.B.RecordResolved && done != nil
+	if resolved {
+		merged.Resolved = m.B.Lists.Get(len(targets))
 	}
 	pending := len(subs)
 	// finish merges one sub-task's outcome. deliveredAt is the absolute
@@ -437,7 +443,9 @@ func (m *Master) Broadcast(targets []cluster.NodeID, size int, done func(comm.Re
 	// drained (the paper's "message broadcast time").
 	finish := func(r comm.Result, deliveredAt time.Duration) {
 		merged.Delivered += r.Delivered
-		merged.Resolved = append(merged.Resolved, r.Resolved...)
+		if resolved {
+			merged.Resolved = append(merged.Resolved, r.Resolved...)
+		}
 		merged.Unreachable = append(merged.Unreachable, r.Unreachable...)
 		merged.Messages += r.Messages
 		merged.Retries += r.Retries
@@ -456,6 +464,7 @@ func (m *Master) Broadcast(targets []cluster.NodeID, size int, done func(comm.Re
 			tr.End(root)
 			if done != nil {
 				done(merged)
+				m.B.Lists.Put(merged.Resolved)
 			}
 		}
 	}
@@ -487,8 +496,11 @@ func takeoverReason(drained bool) string {
 func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, size int, trail int, parent obs.SpanID, finish func(comm.Result, time.Duration)) {
 	master := m.Cluster.Master().ID
 	tr := m.engine.Tracer()
-	task := tr.Start("master.task", parent,
-		obs.Int("sat", int(sat.ID)), obs.Int("nodes", len(sub)), obs.Int("trail", trail))
+	var task obs.SpanID
+	if tr != nil {
+		task = tr.Start("master.task", parent,
+			obs.Int("sat", int(sat.ID)), obs.Int("nodes", len(sub)), obs.Int("trail", trail))
+	}
 	m.Pool.Apply(sat, satellite.EvBTAssigned)
 	sat.NodesServed += len(sub)
 
@@ -561,6 +573,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 						tr.SetAttrInt(task, "delivered", r.Delivered)
 						tr.End(task)
 						finish(r, bStart+r.DeliveredElapsed)
+						m.B.Lists.Put(r.Resolved)
 						return
 					}
 					fail("reply-undelivered")
@@ -609,6 +622,7 @@ func (m *Master) directBroadcast(origin cluster.NodeID, sub []cluster.NodeID, si
 		if finish != nil {
 			finish(r, bStart+r.DeliveredElapsed)
 		}
+		m.B.Lists.Put(r.Resolved)
 	})
 }
 

@@ -100,11 +100,14 @@ func LeafCount(n, w int) int {
 
 // eachSubtree calls visit for every subtree among the width-w groups of
 // [lo, hi) and below them, in list order (each head before its subtree),
-// with its range and depth (the groups of [lo, hi) at depth).
+// with its range and depth (the groups of [lo, hi) at depth). A leaf has
+// nothing below it, so the walk does not descend into one.
 func eachSubtree(lo, hi, w, depth int, visit func(lo, hi, depth int)) {
 	for g := groups(lo, hi, w); g.Next(); {
 		visit(g.Lo, g.Hi, depth)
-		eachSubtree(g.Lo+1, g.Hi, w, depth+1, visit)
+		if g.Hi-g.Lo > 1 {
+			eachSubtree(g.Lo+1, g.Hi, w, depth+1, visit)
+		}
 	}
 }
 
@@ -115,39 +118,48 @@ func eachSubtree(lo, hi, w, depth int, visit func(lo, hi, depth int)) {
 // set the output equals the input. Runs in O(n). This is the "nodelist
 // rearranger" of Fig. 4(c).
 func Rearrange[T any](list []T, predicted func(T) bool, w int) []T {
-	n := len(list)
-	if n == 0 {
+	if len(list) == 0 {
 		return nil
 	}
-	leaf := LeafSlots(n, w)
-	var bad []T
-	good := make([]T, 0, n)
-	for _, v := range list {
+	return AppendRearranged(make([]T, 0, len(list)), list, predicted, w)
+}
+
+// AppendRearranged appends Rearrange(list, predicted, w) to dst and returns
+// the extended slice. It calls predicted once per node and, given a dst
+// with room for list, allocates only the positions of the predicted nodes.
+// The slots are filled in list order as the tree's subtrees are walked, so
+// no leaf-slot array is built.
+func AppendRearranged[T any](dst, list []T, predicted func(T) bool, w int) []T {
+	checkWidth(w)
+	var bad []int // the predicted nodes' positions in list, ascending
+	for i, v := range list {
 		if predicted(v) {
-			bad = append(bad, v)
-		} else {
-			good = append(good, v)
+			bad = append(bad, i)
 		}
 	}
-	out := make([]T, 0, n)
-	bi, gi := 0, 0
-	for pos := 0; pos < n; pos++ {
-		takeBad := leaf[pos]
-		if takeBad && bi >= len(bad) {
-			takeBad = false
-		}
-		if !takeBad && gi >= len(good) {
-			takeBad = true
-		}
-		if takeBad {
-			out = append(out, bad[bi])
+	if len(bad) == 0 {
+		return append(dst, list...) // every slot takes the next healthy node
+	}
+	ng := len(list) - len(bad)
+	// bi and gi count the predicted and healthy nodes placed so far; gp is
+	// the next position of list that may hold a healthy node, and skip the
+	// next predicted position it must step over.
+	bi, gi, gp, skip := 0, 0, 0, 0
+	eachSubtree(0, len(list), w, 0, func(lo, hi, _ int) {
+		if hi-lo == 1 && bi < len(bad) || gi >= ng {
+			dst = append(dst, list[bad[bi]])
 			bi++
-		} else {
-			out = append(out, good[gi])
-			gi++
+			return
 		}
-	}
-	return out
+		for skip < len(bad) && bad[skip] == gp {
+			skip++
+			gp++
+		}
+		dst = append(dst, list[gp])
+		gp++
+		gi++
+	})
+	return dst
 }
 
 // FineTune adjusts an already-ordered list (e.g. one produced by a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -482,5 +483,77 @@ func TestRangeTreeMatchesReference(t *testing.T) {
 		if got, want := tr.Depth(), refDepth(ref); got != want {
 			t.Fatalf("n=%d w=%d: Depth %d, reference %d", c.n, c.w, got, want)
 		}
+	}
+}
+
+// refRearrange is Rearrange over a leaf-slot array and two staged class
+// lists, the form the slot-walking rearranger is held to.
+func refRearrange(list []int, predicted func(int) bool, w int) []int {
+	n := len(list)
+	if n == 0 {
+		return nil
+	}
+	leaf := refLeafSlots(n, w)
+	var bad, good []int
+	for _, v := range list {
+		if predicted(v) {
+			bad = append(bad, v)
+		} else {
+			good = append(good, v)
+		}
+	}
+	out := make([]int, 0, n)
+	bi, gi := 0, 0
+	for pos := 0; pos < n; pos++ {
+		takeBad := leaf[pos]
+		if takeBad && bi >= len(bad) {
+			takeBad = false
+		}
+		if !takeBad && gi >= len(good) {
+			takeBad = true
+		}
+		if takeBad {
+			out = append(out, bad[bi])
+			bi++
+		} else {
+			out = append(out, good[gi])
+			gi++
+		}
+	}
+	return out
+}
+
+// TestRearrangeMatchesReference holds Rearrange and AppendRearranged to the
+// staged reference for every n in [0, 300], w in {2, 3, 5, 32} and a
+// prediction share from none through more predicted nodes than leaf slots
+// to all of them, on a shuffled list. AppendRearranged must leave dst's
+// prefix alone, and with room in dst it allocates nothing when no node is
+// predicted.
+func TestRearrangeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 300; n++ {
+		list := ints(n)
+		rng.Shuffle(n, func(i, j int) { list[i], list[j] = list[j], list[i] })
+		for _, w := range []int{2, 3, 5, 32} {
+			for _, share := range []float64{0, 0.02, 0.3, 0.7, 1} {
+				pred := make([]bool, n)
+				for i := range pred {
+					pred[i] = rng.Float64() < share
+				}
+				predicted := func(v int) bool { return pred[v] }
+				want := refRearrange(list, predicted, w)
+				if got := Rearrange(list, predicted, w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d w=%d share=%v: Rearrange %v, reference %v", n, w, share, got, want)
+				}
+				dst := append(make([]int, 0, n+1), -1)
+				if got := AppendRearranged(dst, list, predicted, w); got[0] != -1 || !slices.Equal(got[1:], want) {
+					t.Fatalf("n=%d w=%d share=%v: AppendRearranged %v, reference %v after -1", n, w, share, got, want)
+				}
+			}
+		}
+	}
+	list, dst := ints(4096), make([]int, 0, 4096)
+	if a := testing.AllocsPerRun(10, func() { AppendRearranged(dst, list, func(int) bool { return false }, DefaultWidth) }); a != 0 {
+		t.Errorf("AppendRearranged with no prediction: %v allocations, want 0", a)
 	}
 }

@@ -61,10 +61,21 @@ func Indicators() []string {
 		"voltage", "current", "temperature", "humidity",
 		"liquid-cooling", "air-cooling", "nic", "memory", "power-supply", "fan",
 	}
-	var out []string
+	const perFamily = 21 // numbered .00 to .20
+	// Every name is built into one string, "<family>.<two digits>", and
+	// the catalogue slices it.
+	var buf []byte
 	for _, f := range families {
-		for i := 0; i < 21; i++ {
-			out = append(out, fmt.Sprintf("%s.%02d", f, i))
+		for i := 0; i < perFamily; i++ {
+			buf = append(append(buf, f...), '.', byte('0'+i/10), byte('0'+i%10))
+		}
+	}
+	all := string(buf)
+	out := make([]string, 0, len(families)*perFamily)
+	for _, f := range families {
+		for i := 0; i < perFamily; i++ {
+			n := len(f) + 3
+			out, all = append(out, all[:n]), all[n:]
 		}
 	}
 	return out // 210 indicators

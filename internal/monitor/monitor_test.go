@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,6 +27,24 @@ func TestIndicatorCatalogue(t *testing.T) {
 			t.Fatalf("duplicate indicator %q", in)
 		}
 		seen[in] = true
+	}
+}
+
+// TestIndicatorNames pins the catalogue to its "%s.%02d" names, family by
+// family in order.
+func TestIndicatorNames(t *testing.T) {
+	families := []string{
+		"voltage", "current", "temperature", "humidity",
+		"liquid-cooling", "air-cooling", "nic", "memory", "power-supply", "fan",
+	}
+	var want []string
+	for _, f := range families {
+		for i := 0; i < 21; i++ {
+			want = append(want, fmt.Sprintf("%s.%02d", f, i))
+		}
+	}
+	if got := Indicators(); !slices.Equal(got, want) {
+		t.Fatalf("Indicators() = %q, want %q", got, want)
 	}
 }
 
