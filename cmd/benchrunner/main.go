@@ -4,8 +4,12 @@
 //
 // Experiments are independent simulations, so they execute on a worker
 // pool (-parallel, default GOMAXPROCS); tables are still printed to
-// stdout in registry order, byte-identical to a serial run. Progress and
-// timing go to stderr so stdout stays a stable artifact.
+// stdout in registry order, byte-identical to a serial run. Each
+// experiment also runs its independent rows on GOMAXPROCS workers, so
+// -parallel N keeps at most N × GOMAXPROCS simulations in flight, and
+// the stderr "done in" time and events/s are those of the overlapped
+// rows. Progress and timing go to stderr so stdout stays a stable
+// artifact.
 //
 // Usage:
 //

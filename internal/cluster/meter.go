@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"math/bits"
 	"time"
 
 	"eslurm/internal/simnet"
@@ -20,9 +22,11 @@ type ResourceMeter struct {
 	rssBytes    int64
 	sockets     int
 	peakSockets int
-	// sockSum/sockSamples support average-concurrent-socket reporting
-	// (Table V) without storing a full time series.
-	sockTimeSum float64 // socket-count integrated over virtual time
+	// sockNanos is the socket count integrated over virtual time, in
+	// socket-nanoseconds: average-concurrent-socket reporting (Table V)
+	// without storing a full time series. A uint64 holds 20,480 sockets
+	// for ten days (1.77e19 of 1.84e19); past that the sum saturates.
+	sockNanos   uint64
 	lastSockAt  time.Duration
 	messagesIn  int64
 	messagesOut int64
@@ -64,16 +68,18 @@ func (m *ResourceMeter) AddRSS(delta int64) {
 func (m *ResourceMeter) RSS() int64 { return m.rssBytes }
 
 // integrateSockets adds the socket count's time integral since the last
-// change. A term with no sockets or no elapsed time is +0, and adding +0
-// to the non-negative sum leaves its bits alone, so it is skipped.
+// change, exactly, in integer socket-nanoseconds.
 func (m *ResourceMeter) integrateSockets() {
 	if m.engine == nil {
 		return
 	}
 	now := m.engine.Now()
-	if m.sockets != 0 && now != m.lastSockAt {
-		m.sockTimeSum += float64(m.sockets) * (now - m.lastSockAt).Seconds()
+	hi, term := bits.Mul64(uint64(m.sockets), uint64(now-m.lastSockAt))
+	sum, carry := bits.Add64(m.sockNanos, term, 0)
+	if hi|carry != 0 {
+		sum = math.MaxUint64
 	}
+	m.sockNanos = sum
 	m.lastSockAt = now
 }
 
@@ -113,7 +119,7 @@ func (m *ResourceMeter) AvgSockets() float64 {
 	if m.engine == nil || m.engine.Now() <= 0 {
 		return float64(m.sockets)
 	}
-	return m.sockTimeSum / m.engine.Now().Seconds()
+	return float64(m.sockNanos) / float64(m.engine.Now())
 }
 
 // CountMessage records message traffic for throughput reporting.

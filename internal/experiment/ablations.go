@@ -29,7 +29,8 @@ func AblationTreeWidth(env *Env, nodes int, widths []int) *Table {
 		Title:   fmt.Sprintf("FP-Tree width sweep (%d nodes, 2%% failed, oracle prediction)", nodes),
 		Columns: []string{"width", "depth", "clean broadcast", "with failures"},
 	}
-	for _, w := range widths {
+	rows := sideBySide(env, len(widths), func(i int, env *Env) []string {
+		w := widths[i]
 		run := func(failures bool) time.Duration {
 			c := env.NewCluster(31, cluster.Config{Computes: nodes, Satellites: 1})
 			if failures {
@@ -43,8 +44,11 @@ func AblationTreeWidth(env *Env, nodes int, widths []int) *Table {
 			return res.DeliveredElapsed
 		}
 		depth := treeDepth(nodes, w)
-		t.AddRow(fmt.Sprintf("%d", w), fmt.Sprintf("%d", depth),
-			fmtDur(run(false)), fmtDur(run(true)))
+		return []string{fmt.Sprintf("%d", w), fmt.Sprintf("%d", depth),
+			fmtDur(run(false)), fmtDur(run(true))}
+	})
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.Note = "the default w=32 balances depth against per-relay fan-out"
 	return t
@@ -71,10 +75,10 @@ func AblationReallocLimit(env *Env, nodes int, limits []int) *Table {
 		Title:   fmt.Sprintf("Reallocation-limit sweep (%d nodes, first 2 of 4 satellites dead)", nodes),
 		Columns: []string{"limit", "broadcast completes in", "reallocations", "master takeovers"},
 	}
-	for _, lim := range limits {
+	rows := sideBySide(env, len(limits), func(i int, env *Env) []string {
 		c := env.NewCluster(37, cluster.Config{Computes: nodes, Satellites: 4})
 		cfg := core.DefaultConfig()
-		cfg.ReallocLimit = lim
+		cfg.ReallocLimit = limits[i]
 		m := core.NewMaster(c, cfg, nil)
 		m.Start()
 		c.RunUntil(time.Second)
@@ -88,10 +92,13 @@ func AblationReallocLimit(env *Env, nodes int, limits []int) *Table {
 		c.RunUntilDone(start+10*time.Minute, func() bool { return got })
 		st := m.Stats()
 		m.Stop()
-		t.AddRow(fmt.Sprintf("%d", lim),
+		return []string{fmt.Sprintf("%d", limits[i]),
 			fmtDur(res.Elapsed),
 			fmt.Sprintf("%d", st.Reallocations),
-			fmt.Sprintf("%d", st.MasterTakeovers))
+			fmt.Sprintf("%d", st.MasterTakeovers)}
+	})
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.Note = "paper default: 2 trails, then the master takes over"
 	return t

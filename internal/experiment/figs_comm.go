@@ -78,16 +78,16 @@ func Fig7f(env *Env, clusterNodes int, sizes []int) *Table {
 		Title:   fmt.Sprintf("Job occupation time vs job size (%d-node cluster, 10s jobs)", clusterNodes),
 		Columns: append([]string{"RM"}, sizesHeader(sizes)...),
 	}
-	for _, m := range rmRoster(plainESlurm) {
-		row := []string{m.name}
-		for _, size := range sizes {
-			if size > clusterNodes {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmtDur(OccupationTime(env, m.new, clusterNodes, size)))
+	roster := rmRoster(plainESlurm)
+	cells := sideBySide(env, len(roster)*len(sizes), func(i int, env *Env) string {
+		m, size := roster[i/len(sizes)], sizes[i%len(sizes)]
+		if size > clusterNodes {
+			return "-"
 		}
-		t.AddRow(row...)
+		return fmtDur(OccupationTime(env, m.new, clusterNodes, size))
+	})
+	for r, m := range roster {
+		t.AddRow(append([]string{m.name}, cells[r*len(sizes):(r+1)*len(sizes)]...)...)
 	}
 	t.Note = "paper: SGE/Torque/OpenPBS explode past 1K nodes; ESlurm stays below 15s at every size"
 	return t
@@ -164,9 +164,9 @@ func Fig8a(env *Env, nodes int) *Table {
 
 	type variant struct {
 		name string
-		run  func(size int) time.Duration
+		run  func(env *Env, size int) time.Duration
 	}
-	slurmTree := func(size int) time.Duration {
+	slurmTree := func(env *Env, size int) time.Duration {
 		c := env.NewCluster(7, cluster.Config{Computes: nodes, Satellites: 1})
 		failSpread(c, nodes/50)
 		b := comm.NewBroadcaster(c)
@@ -175,8 +175,8 @@ func Fig8a(env *Env, nodes int) *Table {
 		c.Run()
 		return res.DeliveredElapsed
 	}
-	eslurm := func(fp bool) func(size int) time.Duration {
-		return func(size int) time.Duration {
+	eslurm := func(fp bool) func(env *Env, size int) time.Duration {
+		return func(env *Env, size int) time.Duration {
 			sats := 2 + nodes/5120
 			c := env.NewCluster(7, cluster.Config{Computes: nodes, Satellites: sats})
 			failed := failSpread(c, nodes/50)
@@ -205,8 +205,12 @@ func Fig8a(env *Env, nodes int) *Table {
 		{"ESlurm w/o FP-Tree", eslurm(false)},
 		{"ESlurm", eslurm(true)},
 	}
-	for _, v := range variants {
-		t.AddRow(v.name, fmtDur(v.run(loadBytes)), fmtDur(v.run(termBytes)))
+	sizes := []int{loadBytes, termBytes}
+	times := sideBySide(env, len(variants)*len(sizes), func(i int, env *Env) time.Duration {
+		return variants[i/len(sizes)].run(env, sizes[i%len(sizes)])
+	})
+	for i, v := range variants {
+		t.AddRow(v.name, fmtDur(times[2*i]), fmtDur(times[2*i+1]))
 	}
 	t.Note = "paper: ESlurm cuts average broadcast time 63.7%/73.6% vs Slurm; FP-Tree alone contributes 36.3%/54.9%"
 	return t
@@ -229,10 +233,10 @@ func Fig8b(env *Env, nodes int, ratios []float64) *Table {
 		Columns: cols,
 	}
 
-	run := func(s comm.Structure, ratio float64, predicted bool) time.Duration {
+	run := func(env *Env, s comm.Structure, ratio float64) time.Duration {
 		c := env.NewCluster(11, cluster.Config{Computes: nodes, Satellites: 1})
 		failed := failSpread(c, int(float64(nodes)*ratio))
-		if fp, ok := s.(comm.FPTree); ok && predicted {
+		if fp, ok := s.(comm.FPTree); ok {
 			st := predict.Static{}
 			for id := range failed {
 				st[id] = true
@@ -250,12 +254,11 @@ func Fig8b(env *Env, nodes int, ratios []float64) *Table {
 	structures := []comm.Structure{
 		comm.Ring{}, comm.Star{}, comm.SharedMem{}, comm.KTree{}, comm.FPTree{},
 	}
-	for _, s := range structures {
-		row := []string{s.Name()}
-		for _, ratio := range ratios {
-			row = append(row, fmtDur(run(s, ratio, true)))
-		}
-		t.AddRow(row...)
+	times := sideBySide(env, len(structures)*len(ratios), func(i int, env *Env) string {
+		return fmtDur(run(env, structures[i/len(ratios)], ratios[i%len(ratios)]))
+	})
+	for i, s := range structures {
+		t.AddRow(append([]string{s.Name()}, times[i*len(ratios):(i+1)*len(ratios)]...)...)
 	}
 	t.Note = "paper: ring/star/tree degrade sharply; shared-memory flat; FP-Tree minimal and below 10s even at 30%"
 	return t
@@ -273,8 +276,8 @@ func Fig11a(env *Env, nodes int, satCounts []int) *Table {
 		Title:   fmt.Sprintf("Heartbeat broadcast time vs satellite count (%d nodes)", nodes),
 		Columns: []string{"satellites", "broadcast time"},
 	}
-	for _, m := range satCounts {
-		c := env.NewCluster(13, cluster.Config{Computes: nodes, Satellites: m})
+	times := sideBySide(env, len(satCounts), func(i int, env *Env) time.Duration {
+		c := env.NewCluster(13, cluster.Config{Computes: nodes, Satellites: satCounts[i]})
 		// Production failure background: ~1% down.
 		failSpread(c, nodes/100)
 		master := core.NewMaster(c, core.DefaultConfig(), predict.Oracle{Cluster: c})
@@ -285,7 +288,10 @@ func Fig11a(env *Env, nodes int, satCounts []int) *Table {
 		master.Broadcast(c.Computes(), core.HeartbeatMsgBytes, func(r comm.Result) { res, got = r, true })
 		c.RunUntilDone(c.Engine.Now()+10*time.Minute, func() bool { return got })
 		master.Stop()
-		t.AddRow(fmt.Sprintf("%d", m), fmtDur(res.DeliveredElapsed))
+		return res.DeliveredElapsed
+	})
+	for i, m := range satCounts {
+		t.AddRow(fmt.Sprintf("%d", m), fmtDur(times[i]))
 	}
 	t.Note = "paper: ~20 satellites optimal at 20K+ nodes (≈1 per 5K slaves)"
 	return t

@@ -108,12 +108,17 @@ func Fig7(env *Env, nodes int, span time.Duration) *Table {
 		Columns: []string{"RM", "CPU time", "CPU util", "vmem", "rss",
 			"avg sockets", "peak sockets"},
 	}
-	for _, m := range fig7Contenders() {
+	cs := fig7Contenders()
+	rows := sideBySide(env, len(cs), func(i int, env *Env) []string {
+		m := cs[i]
 		meter, _, _ := resourceRun(env, m.mk, nodes, m.sats, span, m.seed, 0)
 		util := meter.CPUTime().Seconds() / span.Seconds()
-		t.AddRow(m.name, fmtDur(meter.CPUTime()), fmtPct(util),
+		return []string{m.name, fmtDur(meter.CPUTime()), fmtPct(util),
 			fmtBytes(meter.VMem()), fmtBytes(meter.RSS()),
-			fmt.Sprintf("%.1f", meter.AvgSockets()), fmt.Sprintf("%d", meter.PeakSockets()))
+			fmt.Sprintf("%.1f", meter.AvgSockets()), fmt.Sprintf("%d", meter.PeakSockets())}
+	})
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.Note = "paper (24h, 4K nodes): ESlurm lowest CPU/rss/sockets; Slurm ~10GB vmem; SGE/OpenPBS hold node-count socket pools; ESlurm <100 sockets, <2GB vmem, ~60MB rss"
 	return t
@@ -133,11 +138,20 @@ func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 			"avg sockets", "peak sockets"},
 	}
 
+	type run struct {
+		m *cluster.ResourceMeter
+		c *cluster.Cluster
+	}
+	cs := fig9Contenders()
+	runs := sideBySide(env, len(cs), func(i int, env *Env) run {
+		m, c, _ := resourceRun(env, cs[i].mk, nodes, cs[i].sats, span, cs[i].seed, 0)
+		return run{m, c}
+	})
 	var esCluster *cluster.Cluster
-	for _, row := range fig9Contenders() {
-		m, c, _ := resourceRun(env, row.mk, nodes, row.sats, span, row.seed, 0)
+	for i, row := range cs {
+		m := runs[i].m
 		if row.sats > 0 {
-			esCluster = c
+			esCluster = runs[i].c
 		}
 		master.AddRow(row.name, fmtDur(m.CPUTime()), fmtBytes(m.VMem()),
 			fmtBytes(m.RSS()), fmt.Sprintf("%.1f", m.AvgSockets()),
@@ -195,14 +209,13 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 		satVMem, satRSS     int64
 		satSock             float64
 	}
-	results := make([]outcome, len(satCounts))
-	for i, sc := range satCounts {
+	results := sideBySide(env, len(satCounts), func(i int, env *Env) outcome {
 		var es *rm.ESlurm
 		meter, c, _ := resourceRun(env, func(c *cluster.Cluster) rm.RM {
 			e := rm.NewESlurm(c)
 			es = e
 			return e
-		}, nodes, sc, span, int64(300+i), 0)
+		}, nodes, satCounts[i], span, int64(300+i), 0)
 		o := outcome{
 			cpu: meter.CPUTime(), vmem: meter.VMem(), rss: meter.RSS(),
 			avgSock: meter.AvgSockets(),
@@ -228,8 +241,8 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 			o.satRSS = rssSum / int64(n)
 			o.satSock = sockSum / float64(n)
 		}
-		results[i] = o
-	}
+		return o
+	})
 
 	row := func(t *Table, name string, f func(outcome) string) {
 		cells := []string{name}

@@ -26,7 +26,7 @@ func RackOutage(env *Env, nodes int) *Table {
 		Columns: []string{"structure", "clean", "during outage"},
 	}
 
-	run := func(s comm.Structure, outage bool) time.Duration {
+	run := func(env *Env, s comm.Structure, outage bool) time.Duration {
 		c := env.NewCluster(53, cluster.Config{Computes: nodes, Satellites: 1})
 		sub := monitor.New(c, monitor.Config{DetectionProb: 1.0})
 		pred := predict.NewAlertDriven(c.Engine, sub, time.Hour)
@@ -48,8 +48,13 @@ func RackOutage(env *Env, nodes int) *Table {
 		return res.DeliveredElapsed
 	}
 
-	for _, s := range []comm.Structure{comm.KTree{}, comm.FPTree{}} {
-		t.AddRow(s.Name(), fmtDur(run(s, false)), fmtDur(run(s, true)))
+	structures := []comm.Structure{comm.KTree{}, comm.FPTree{}}
+	rows := sideBySide(env, len(structures), func(i int, env *Env) []string {
+		s := structures[i]
+		return []string{s.Name(), fmtDur(run(env, s, false)), fmtDur(run(env, s, true))}
+	})
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.Note = "a dead rack is a contiguous ID block: entire subtrees die and the plain tree pays cascaded adoptions; the FP-Tree pins the rack to leaves"
 	return t

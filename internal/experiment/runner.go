@@ -6,7 +6,10 @@ package experiment
 // each Spec.Run call is an independent simulation tree with its own
 // engines and seeds, so workpool.Ordered can execute many of them
 // concurrently while the emitted output stays byte-identical to a serial
-// run — results are surfaced strictly in registry order.
+// run — results are surfaced strictly in registry order. Inside a
+// Spec.Run, a driver's independent rows fan out the same way
+// (sideBySide), so a run of N experiments keeps at most N × GOMAXPROCS
+// simulations in flight.
 
 import (
 	"time"
@@ -23,7 +26,9 @@ type Result struct {
 	Spec   Spec
 	Tables []*Table
 	// Wall is host elapsed time for the Spec.Run call (not virtual time),
-	// read from a hostprof.Stopwatch.
+	// read from a hostprof.Stopwatch. A driver's rows run side by side,
+	// so Wall is the overlapped time, not the sum of the rows' times, and
+	// EventsPerSec counts every row's events against it.
 	Wall time.Duration
 	// Events is the number of simulation events executed across every
 	// engine the experiment obtained from its Env.

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -180,7 +182,10 @@ func TestRunConcurrentDropsEngines(t *testing.T) {
 
 // TestEnvArmsSpansAtCreation: with spans asked for, every engine — built
 // by a driver or adopted from sched.Run — has its tracer before its first
-// event; without, none is armed.
+// event; without, none is armed. fig8b and fig11a build every engine in a
+// child Env of sideBySide, and each of those starts a span at virtual
+// time zero, so a child armed late (or not at all) shows as an engine
+// whose spans begin after zero.
 func TestEnvArmsSpansAtCreation(t *testing.T) {
 	spec, _ := Lookup("fig10") // probes plus sched.Run engines
 	for _, spans := range []bool{false, true} {
@@ -195,5 +200,93 @@ func TestEnvArmsSpansAtCreation(t *testing.T) {
 		if spans && recorded == 0 {
 			t.Errorf("tracing armed but no span recorded")
 		}
+	}
+	for _, id := range []string{"fig8b", "fig11a"} {
+		spec, _ := Lookup(id)
+		r := RunObserved([]Spec{spec}, runnerParams(), 1, true, nil)[0]
+		if len(r.Engines) < 2 {
+			t.Fatalf("%s: %d engines, want one per row", id, len(r.Engines))
+		}
+		for i, e := range r.Engines {
+			if e.Tracer().Len() == 0 {
+				t.Fatalf("%s: engine %d recorded no span", id, i)
+			}
+			if first := e.Tracer().Spans()[0].Start; first != 0 {
+				t.Errorf("%s: engine %d's first span starts at %v, not at virtual time zero", id, i, first)
+			}
+		}
+	}
+}
+
+// TestSideBySideMatchesSerial: a driver runs its independent rows side by
+// side on GOMAXPROCS workers. At one worker and at four, every such driver
+// must render the same tables, count the same events, hand over the same
+// engines in the same order (seed and events processed, engine by
+// engine) and yield the same critical-path report.
+func TestSideBySideMatchesSerial(t *testing.T) {
+	// The adoption order itself, against the engine list a serial loop
+	// over the same rows builds: row i makes i+1 engines.
+	row := func(i int, env *Env) int {
+		for j := 0; j <= i; j++ {
+			env.NewEngine(int64(10*i + j))
+		}
+		return i
+	}
+	var serial, fanned Env
+	for i := 0; i < 6; i++ {
+		row(i, &serial)
+	}
+	seeds := func(env *Env) (out []int64) {
+		for _, e := range env.engines {
+			out = append(out, e.Seed())
+		}
+		return out
+	}
+	if got := sideBySide(&fanned, 6, row); fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+		t.Fatalf("sideBySide returned %v, want the rows' values in index order", got)
+	}
+	if fmt.Sprint(seeds(&fanned)) != fmt.Sprint(seeds(&serial)) {
+		t.Fatalf("adopted engine seeds %v, serial loop %v", seeds(&fanned), seeds(&serial))
+	}
+
+	var specs []Spec
+	for _, id := range []string{"fig7", "fig7f", "fig8a", "fig8b", "fig9", "table5", "fig11a",
+		"ablation-width", "ablation-realloc", "rack-outage"} {
+		s, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("missing %s", id)
+		}
+		specs = append(specs, s)
+	}
+	observe := func(procs int) (tables string, engines []string, report string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		results := RunObserved(specs, runnerParams(), 1, true, nil)
+		var sb strings.Builder
+		for _, r := range results {
+			for _, tb := range r.Tables {
+				tb.Fprint(&sb)
+			}
+			fmt.Fprintf(&sb, "%s: %d events\n", r.Spec.ID, r.Events)
+		}
+		all := ObservedEngines(results)
+		for _, te := range all {
+			engines = append(engines, fmt.Sprintf("%s seed %d processed %d", te.Exp, te.E.Seed(), te.E.Processed()))
+		}
+		return sb.String(), engines, CritpathReport(all, 5).String()
+	}
+	tables1, engines1, report1 := observe(1)
+	tables4, engines4, report4 := observe(4)
+	if tables1 != tables4 {
+		t.Errorf("tables or events differ\n--- GOMAXPROCS 1 ---\n%s\n--- GOMAXPROCS 4 ---\n%s", tables1, tables4)
+	}
+	if strings.Join(engines1, "\n") != strings.Join(engines4, "\n") {
+		t.Errorf("engine lists differ\n--- GOMAXPROCS 1 ---\n%s\n--- GOMAXPROCS 4 ---\n%s",
+			strings.Join(engines1, "\n"), strings.Join(engines4, "\n"))
+	}
+	if report1 != report4 {
+		t.Errorf("critpath reports differ")
+	}
+	if len(engines1) == 0 || len(report1) == 0 {
+		t.Fatal("nothing observed")
 	}
 }

@@ -4,7 +4,11 @@
 // because every simulation engine runs on one goroutine; parallelism
 // exists only across independent runs, each with its own engines and
 // seeds, or, for engine-free replays such as fig11b's estimators, its own
-// model and seeds over read-only input. A task shares nothing mutable
+// model and seeds over read-only input. Three kinds of caller fan out
+// here: benchrunner's -parallel experiments, the chaos soaks' seeds, and
+// a driver's independent rows (experiment.sideBySide, GOMAXPROCS
+// workers) — the pools nest, so `benchrunner -parallel N` keeps at most
+// N × GOMAXPROCS simulations in flight. A task shares nothing mutable
 // with another task, and results come back in index order on the
 // caller's goroutine, so output built from them is byte-identical at any
 // worker count. TestOnlyConcurrencySite keeps every
