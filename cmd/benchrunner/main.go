@@ -155,8 +155,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	suiteStart := time.Now()
 	var results []experiment.Result
-	if spans := *trace != "" || *critPath != ""; spans || *metrics {
-		results = experiment.RunObserved(specs, params, *parallel, spans, emit)
+	if *trace != "" || *critPath != "" {
+		results = experiment.RunTraced(specs, params, *parallel, emit)
 	} else {
 		results = experiment.RunConcurrent(specs, params, *parallel, emit)
 	}
@@ -203,8 +203,8 @@ func lookupAll(ids string) ([]experiment.Spec, error) {
 }
 
 // writeObserved emits what the observability flags asked for from the
-// engines a RunObserved call kept (none after a plain run, so every
-// branch is a no-op then). The Chrome file gets one process per engine —
+// engine records of a run (every branch is a no-op when no flag is set).
+// The Chrome file gets one process per engine —
 // pid is the engine's index across the whole run, the process name
 // carries the experiment ID and the engine's seed — -critpath feeds the
 // same engines, with the same labels, through experiment.CritpathReport,
@@ -215,8 +215,8 @@ func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, trac
 		for i, o := range all {
 			procs = append(procs, obs.Process{
 				PID:  i,
-				Name: fmt.Sprintf("%s engine %d seed %d", o.Exp, i, o.E.Seed()),
-				T:    o.E.Tracer(),
+				Name: fmt.Sprintf("%s engine %d seed %d", o.Exp, i, o.Seed),
+				T:    o.Tracer,
 			})
 		}
 		err := obs.WriteFile(tracePath, func(w io.Writer) error { return obs.WriteChrome(w, procs...) })
@@ -234,8 +234,8 @@ func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, trac
 	}
 	if metrics {
 		for i, o := range all {
-			fmt.Fprintf(stdout, "metrics %s engine %d seed %d:\n", o.Exp, i, o.E.Seed())
-			o.E.Metrics().WriteText(stdout)
+			fmt.Fprintf(stdout, "metrics %s engine %d seed %d:\n", o.Exp, i, o.Seed)
+			o.Metrics.WriteText(stdout)
 		}
 	}
 	return nil

@@ -245,7 +245,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "master: cpu=%v vmem=%.2fGB rss=%.1fMB sockets avg=%.1f peak=%d\n",
 		m.CPUTime().Round(time.Millisecond),
 		float64(m.VMem())/(1<<30), float64(m.RSS())/(1<<20),
-		m.AvgSockets(), m.PeakSockets())
+		m.AvgSockets(e.Now()), m.PeakSockets())
 	if es, ok := r.(*rm.ESlurm); ok {
 		st := es.M.Stats()
 		fmt.Fprintf(stdout, "broadcasts=%d subtasks=%d reallocations=%d takeovers=%d heartbeats=%d\n",

@@ -126,7 +126,7 @@ func fullStackDigest(seed int64) (trace string, metrics string) {
 
 	m := r.Meter()
 	metrics = fmt.Sprintf("events=%d cpu=%v vmem=%d rss=%d sockets=%.6f peak=%d",
-		e.Processed(), m.CPUTime(), m.VMem(), m.RSS(), m.AvgSockets(), m.PeakSockets())
+		e.Processed(), m.CPUTime(), m.VMem(), m.RSS(), m.AvgSockets(e.Now()), m.PeakSockets())
 	return fmt.Sprintf("%016x", h.Sum64()), metrics
 }
 

@@ -200,12 +200,12 @@ func TestMeterCPUAndMemory(t *testing.T) {
 
 func TestMeterSocketClamp(t *testing.T) {
 	var m ResourceMeter
-	m.CloseSocket()
+	m.CloseSocket(0)
 	if m.Sockets() != 0 {
 		t.Error("socket count went negative")
 	}
-	m.OpenSocket()
-	m.OpenSocket()
+	m.OpenSocket(0)
+	m.OpenSocket(0)
 	if m.PeakSockets() != 2 {
 		t.Errorf("peak = %d", m.PeakSockets())
 	}
@@ -216,11 +216,11 @@ func TestMeterAvgSockets(t *testing.T) {
 	c := New(e, Config{Computes: 1})
 	m := &c.Node(c.Computes()[0]).Meter
 	// Hold 2 sockets for the first 10s, 0 sockets for the next 10s.
-	m.OpenSocket()
-	m.OpenSocket()
-	e.Schedule(10*time.Second, func() { m.CloseSocket(); m.CloseSocket() })
+	m.OpenSocket(e.Now())
+	m.OpenSocket(e.Now())
+	e.Schedule(10*time.Second, func() { m.CloseSocket(e.Now()); m.CloseSocket(e.Now()) })
 	e.RunUntil(20 * time.Second)
-	avg := m.AvgSockets()
+	avg := m.AvgSockets(e.Now())
 	if avg < 0.9 || avg > 1.1 {
 		t.Errorf("AvgSockets = %v, want ~1.0", avg)
 	}

@@ -12,11 +12,10 @@ type partition struct {
 	member map[NodeID]bool
 }
 
-// faultState is everything the wire consults about faults: fail-stop
-// flags, gray nodes, active partitions, and the loss and duplication
-// coins. The Network holds the one instance.
+// faultState is everything the wire consults about faults beyond a node's
+// own fail-stop flag (Node.failed): gray nodes, active partitions, and the
+// loss and duplication coins. The Network holds the one instance.
 type faultState struct {
-	failed     []bool // by NodeID
 	gray       map[NodeID]float64
 	partitions []*partition
 
@@ -70,8 +69,8 @@ func (f *faultState) severed(from, to NodeID) bool {
 
 // unreachable reports whether a message from→to cannot be delivered right
 // now: the destination is dead or a partition separates the endpoints.
-func (f *faultState) unreachable(from, to NodeID) bool {
-	return f.failed[to] || f.severed(from, to)
+func (f *faultState) unreachable(from, to *Node) bool {
+	return to.failed || f.severed(from.ID, to.ID)
 }
 
 // pathFactor returns the multiplier gray endpoints impose on the from→to

@@ -13,15 +13,15 @@ import (
 // concurrent TCP sockets (Fig. 7, Fig. 9, Tables V–VI).
 //
 // RMs charge the meter as they process messages and scheduling events; the
-// per-event costs live in the RM models, not here.
+// per-event costs live in the RM models, not here. A meter has no clock of
+// its own: the calls that integrate the socket count take the virtual
+// time now, so a meter is a plain value that points at nothing.
 type ResourceMeter struct {
-	engine *simnet.Engine
-
 	cpuTime     time.Duration
 	vmemBytes   int64
 	rssBytes    int64
-	sockets     int
-	peakSockets int
+	sockets     int32
+	peakSockets int32
 	// sockNanos is the socket count integrated over virtual time, in
 	// socket-nanoseconds: average-concurrent-socket reporting (Table V)
 	// without storing a full time series. A uint64 holds 20,480 sockets
@@ -67,13 +67,9 @@ func (m *ResourceMeter) AddRSS(delta int64) {
 // RSS returns current resident memory in bytes.
 func (m *ResourceMeter) RSS() int64 { return m.rssBytes }
 
-// integrateSockets adds the socket count's time integral since the last
-// change, exactly, in integer socket-nanoseconds.
-func (m *ResourceMeter) integrateSockets() {
-	if m.engine == nil {
-		return
-	}
-	now := m.engine.Now()
+// integrateSockets adds the socket count's time integral up to now,
+// exactly, in integer socket-nanoseconds.
+func (m *ResourceMeter) integrateSockets(now time.Duration) {
 	hi, term := bits.Mul64(uint64(m.sockets), uint64(now-m.lastSockAt))
 	sum, carry := bits.Add64(m.sockNanos, term, 0)
 	if hi|carry != 0 {
@@ -83,43 +79,41 @@ func (m *ResourceMeter) integrateSockets() {
 	m.lastSockAt = now
 }
 
-// OpenSocket records one more concurrent TCP connection.
-func (m *ResourceMeter) OpenSocket() {
-	m.integrateSockets()
+// OpenSocket records one more concurrent TCP connection at virtual time
+// now.
+func (m *ResourceMeter) OpenSocket(now time.Duration) {
+	m.integrateSockets(now)
 	m.sockets++
 	if m.sockets > m.peakSockets {
 		m.peakSockets = m.sockets
 	}
 }
 
-// CloseSocket records one fewer concurrent connection. Closing below zero
-// is clamped: it indicates a modelling bug upstream but must not corrupt
-// long experiment runs.
-func (m *ResourceMeter) CloseSocket() {
-	m.integrateSockets()
+// CloseSocket records one fewer concurrent connection at virtual time now.
+// Closing below zero is clamped: it indicates a modelling bug upstream but
+// must not corrupt long experiment runs.
+func (m *ResourceMeter) CloseSocket(now time.Duration) {
+	m.integrateSockets(now)
 	if m.sockets > 0 {
 		m.sockets--
 	}
 }
 
-// HandleEvent implements simnet.Handler: the one event a meter schedules
-// for itself is the close of an accept socket the wire opened on it.
-func (m *ResourceMeter) HandleEvent(int32) { m.CloseSocket() }
-
 // Sockets returns the current number of concurrent connections.
-func (m *ResourceMeter) Sockets() int { return m.sockets }
+func (m *ResourceMeter) Sockets() int { return int(m.sockets) }
 
 // PeakSockets returns the maximum concurrent connections observed.
-func (m *ResourceMeter) PeakSockets() int { return m.peakSockets }
+func (m *ResourceMeter) PeakSockets() int { return int(m.peakSockets) }
 
 // AvgSockets returns the time-weighted average concurrent socket count over
-// the meter's lifetime (Table V's "average concurrent sockets").
-func (m *ResourceMeter) AvgSockets() float64 {
-	m.integrateSockets()
-	if m.engine == nil || m.engine.Now() <= 0 {
+// the meter's lifetime up to virtual time now (Table V's "average
+// concurrent sockets").
+func (m *ResourceMeter) AvgSockets(now time.Duration) float64 {
+	m.integrateSockets(now)
+	if now <= 0 {
 		return float64(m.sockets)
 	}
-	return float64(m.sockNanos) / float64(m.engine.Now())
+	return float64(m.sockNanos) / float64(now)
 }
 
 // CountMessage records message traffic for throughput reporting.
@@ -149,13 +143,9 @@ type Snapshot struct {
 	Sockets int
 }
 
-// Read returns the meter's current snapshot.
-func (m *ResourceMeter) Read() Snapshot {
-	var at time.Duration
-	if m.engine != nil {
-		at = m.engine.Now()
-	}
-	return Snapshot{At: at, CPUTime: m.cpuTime, VMem: m.vmemBytes, RSS: m.rssBytes, Sockets: m.sockets}
+// Read returns the meter's snapshot at virtual time now.
+func (m *ResourceMeter) Read(now time.Duration) Snapshot {
+	return Snapshot{At: now, CPUTime: m.cpuTime, VMem: m.vmemBytes, RSS: m.rssBytes, Sockets: int(m.sockets)}
 }
 
 // Sampler periodically snapshots a meter. The paper samples once per
@@ -170,7 +160,7 @@ type Sampler struct {
 func NewSampler(e *simnet.Engine, m *ResourceMeter, interval time.Duration) *Sampler {
 	s := &Sampler{}
 	s.ticker = e.Every(interval, func() {
-		s.Samples = append(s.Samples, m.Read())
+		s.Samples = append(s.Samples, m.Read(e.Now()))
 	})
 	return s
 }

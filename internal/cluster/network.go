@@ -134,11 +134,14 @@ type Network struct {
 func newNetwork(c *Cluster, cfg NetConfig) *Network {
 	n := &Network{cluster: c, cfg: cfg, e: c.Engine, rng: c.Engine.Rand("cluster/network"),
 		latency: c.Engine.Lane(cfg.Latency), timeout: c.Engine.Lane(cfg.ConnectTimeout)}
-	n.failed = make([]bool, len(c.nodes))
-	for i := range c.nodes {
-		c.nodes[i].net = n
-	}
 	return n
+}
+
+// HandleEvent implements simnet.Handler: the one event the network
+// schedules for itself is the close of an accept socket the wire opened,
+// and kind is the receiving node's ID.
+func (n *Network) HandleEvent(kind int32) {
+	n.cluster.nodes[kind].Meter.CloseSocket(n.e.Now())
 }
 
 // Config returns the effective network configuration.
@@ -301,12 +304,12 @@ func (n *Network) send(from, to NodeID, size int, connect bool, out Outcome) {
 	src, dst := &n.cluster.nodes[from], &n.cluster.nodes[to]
 	src.Meter.CountMessage(true, size)
 	if connect {
-		src.Meter.OpenSocket()
+		src.Meter.OpenSocket(n.e.Now())
 	}
 
 	f := n.newFlight()
 	f.src, f.dst, f.size, f.connect, f.out = src, dst, int32(size), connect, out
-	if n.unreachable(from, to) || n.lost(n.e, n.cfg.LossProb) {
+	if n.unreachable(src, dst) || n.lost(n.e, n.cfg.LossProb) {
 		n.timeout.After(f, flightTimeout)
 		return
 	}
@@ -379,7 +382,7 @@ func (f *flight) HandleEvent(kind int32) {
 // that never arrived. It is the message's last event.
 func (f *flight) timeout() {
 	if f.connect {
-		f.src.Meter.CloseSocket()
+		f.src.Meter.CloseSocket(f.n.e.Now())
 	}
 	out := f.out
 	f.retire()
@@ -397,7 +400,7 @@ func (f *flight) timeout() {
 // landing is the message's last event.
 func (f *flight) land() {
 	n := f.n
-	if n.unreachable(f.src.ID, f.dst.ID) {
+	if n.unreachable(f.src, f.dst) {
 		n.e.AfterTo(n.cfg.ConnectTimeout-f.d, f, flightTimeout)
 		return
 	}
@@ -405,10 +408,11 @@ func (f *flight) land() {
 	m.CountMessage(false, int(f.size))
 	if f.connect {
 		// The receiving daemon holds its accept socket one latency while
-		// processing; the meter is the handler of that close.
-		m.OpenSocket()
-		n.latency.After(m, 0)
-		f.src.Meter.CloseSocket()
+		// processing; the network is the handler of that close.
+		now := n.e.Now()
+		m.OpenSocket(now)
+		n.latency.After(n, int32(f.dst.ID))
+		f.src.Meter.CloseSocket(now)
 	}
 	f.out.Sent()
 	f.out.Arrived()
@@ -426,7 +430,7 @@ func (f *flight) land() {
 // unreachable receives nothing.
 func (f *flight) arriveAgain() {
 	out := f.out
-	if f.n.unreachable(f.src.ID, f.dst.ID) {
+	if f.n.unreachable(f.src, f.dst) {
 		f.retire()
 		out.Released()
 		return

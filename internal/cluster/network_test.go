@@ -276,7 +276,8 @@ func (o *tallyOutcome) Released() { o.released++ }
 // TestAllocsTransmit is the wire's allocation budget: a delivered message
 // allocates nothing. Its flight is reused once its last event has run, and
 // its three events — the landing, the sender's word, the receiver's
-// accept-socket close — are handled by the flight and the meter themselves.
+// accept-socket close — are handled by the flight and the network
+// themselves.
 func TestAllocsTransmit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -24,7 +24,7 @@ import (
 type NodeID int
 
 // Role classifies a node's function in the RM architecture.
-type Role int
+type Role uint8
 
 const (
 	// RoleCompute nodes run user jobs (the paper's "slave" nodes).
@@ -49,17 +49,18 @@ func (r Role) String() string {
 	}
 }
 
-// Node is one machine in the simulated cluster.
+// Node is one machine in the simulated cluster. It holds no pointer, so
+// a cluster's node block is one 96-byte value per node that the garbage
+// collector never scans.
 type Node struct {
-	ID    NodeID
-	Role  Role
-	Meter ResourceMeter
-
-	net *Network
+	ID     NodeID
+	Role   Role
+	failed bool
+	Meter  ResourceMeter
 }
 
 // Failed reports whether the node is currently down.
-func (n *Node) Failed() bool { return n.net.failed[n.ID] }
+func (n *Node) Failed() bool { return n.failed }
 
 // Cluster is a set of nodes plus the network connecting them, all on one
 // simnet engine.
@@ -93,7 +94,6 @@ func New(e *simnet.Engine, cfg Config) *Cluster {
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		n.ID = NodeID(i)
-		n.Meter.engine = e
 		switch {
 		case i == 0:
 			n.Role = RoleMaster
@@ -151,16 +151,16 @@ func (c *Cluster) Computes() []NodeID { return slices.Clip(c.computes) }
 
 // Fail marks a node as failed. Message deliveries to it will time out at
 // the sender. Failing an already-failed node is a no-op.
-func (c *Cluster) Fail(id NodeID) { c.Net.failed[id] = true }
+func (c *Cluster) Fail(id NodeID) { c.nodes[id].failed = true }
 
 // Recover brings a failed node back.
-func (c *Cluster) Recover(id NodeID) { c.Net.failed[id] = false }
+func (c *Cluster) Recover(id NodeID) { c.nodes[id].failed = false }
 
 // FailedCount returns the number of currently failed nodes.
 func (c *Cluster) FailedCount() int {
 	k := 0
-	for _, f := range c.Net.failed {
-		if f {
+	for i := range c.nodes {
+		if c.nodes[i].failed {
 			k++
 		}
 	}
@@ -170,11 +170,11 @@ func (c *Cluster) FailedCount() int {
 // ScheduleFailure injects a fail-stop at virtual time at; if recover > 0 the
 // node comes back after that additional delay. It returns immediately.
 func (c *Cluster) ScheduleFailure(id NodeID, at, recoverAfter time.Duration) {
-	e, failed := c.Engine, c.Net.failed
+	e := c.Engine
 	e.Schedule(at, func() {
-		failed[id] = true
+		c.Fail(id)
 		if recoverAfter > 0 {
-			e.After(recoverAfter, func() { failed[id] = false })
+			e.After(recoverAfter, func() { c.Recover(id) })
 		}
 	})
 }

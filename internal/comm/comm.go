@@ -313,8 +313,9 @@ type tally struct{ messages, retries int }
 
 // sink is where a delivery chain reports: what is behind the receiver and
 // who wants the outcome. A broadcast has one sink shared by all its chains
-// (treeCast, or the tracker itself for Star), so a target costs no
-// closure; funcSink and resultFunc adapt callers that think in callbacks.
+// (treeCast, ringCast, binomialCast, or the tracker itself for Star), so a
+// target costs no closure; resultFunc adapts a caller that thinks in a
+// callback.
 type sink interface {
 	// landed runs when the payload first lands at the receiver.
 	landed(c *chain)
@@ -327,20 +328,6 @@ type sink interface {
 	// sight of it.
 	freed()
 }
-
-// funcSink is a sink made of two callbacks.
-type funcSink struct {
-	onArrive func()
-	cb       func(ok bool)
-}
-
-func (h *funcSink) landed(*chain) { h.onArrive() }
-
-func (h *funcSink) settled(_ *chain, ok bool) { h.cb(ok) }
-
-func (h *funcSink) relayed(*chain) {}
-
-func (h *funcSink) freed() {}
 
 // resultFunc is the sink of a point-to-point message with nothing behind
 // the receiver. A func value is pointer-shaped: the conversion to sink
@@ -357,7 +344,8 @@ func (resultFunc) freed() {}
 
 // send delivers one message with retries, occupying a connection slot of
 // the sender from dispatch until resolution, and reports to h; [lo, hi) is
-// the subtree a treeCast keeps on its chains (unused by everyone else). tl
+// the span of its broadcast's list a relay broadcast keeps on its chains
+// (unused by everyone else). tl
 // (may be nil) is the broadcast's tally. parent, when tracing is enabled,
 // parents the delivery-chain span (comm.send) under the broadcast that
 // issued it.
@@ -401,7 +389,7 @@ type chain struct {
 	span     obs.SpanID
 	attempts int32
 	size     int32
-	lo, hi   int32 // a treeCast's subtree [lo, hi) of its tree's list
+	lo, hi   int32 // a relay broadcast's span [lo, hi) of its list
 	resolved bool
 	arrived  bool
 	inFlight bool // a Transmit has not had its Released yet
@@ -605,11 +593,6 @@ func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
 	return time.Duration(float64(RelayOverhead) * g)
 }
 
-// relay charges id's relay cost and runs forward once it has been paid.
-func (b *Broadcaster) relay(id cluster.NodeID, forward func()) {
-	b.relayTo(id, forwardFunc(forward), 0)
-}
-
 // relayTo charges id's relay cost and sends the event (h, kind) once it
 // has been paid. A healthy relay's cost is RelayOverhead, whose events
 // share one lane; a gray relay's inflated cost goes on the heap.
@@ -622,12 +605,6 @@ func (b *Broadcaster) relayTo(id cluster.NodeID, h simnet.Handler, kind int32) {
 	}
 	b.e.AfterTo(d, h, kind)
 }
-
-// forwardFunc makes a relay's forward a simnet.Handler. A func value is
-// pointer-shaped, so the conversion allocates nothing.
-type forwardFunc func()
-
-func (f forwardFunc) HandleEvent(int32) { f() }
 
 // Send delivers one point-to-point message with the broadcaster's retry
 // policy, outside of any broadcast. cb runs with true on delivery, false
@@ -774,27 +751,37 @@ func (Ring) Name() string { return "ring" }
 
 // Broadcast implements Structure.
 func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "ring", len(targets), done)
-	ids := append([]cluster.NodeID(nil), targets...)
-	var hop func(from cluster.NodeID, idx int)
-	hop = func(from cluster.NodeID, idx int) {
-		if idx >= len(ids) {
-			return
-		}
-		to := ids[idx]
-		// The relay message carries the remaining list.
-		sz := size + (len(ids)-idx)*nodeListEntryBytes
-		t.send(from, to, sz, &funcSink{
-			onArrive: func() { b.relay(to, func() { hop(to, idx+1) }) },
-			cb: func(ok bool) {
-				t.settle(to, ok)
-				if !ok {
-					// Skip the dead node: the same sender tries its successor.
-					hop(from, idx+1)
-				}
-			}}, 0, 0)
+	rc := &ringCast{listCast{t: newTracker(b, "ring", len(targets), done),
+		list: append(b.Lists.Get(len(targets)), targets...), size: size}}
+	rc.hop(origin, 0)
+	rc.release()
+}
+
+// ringCast is one ring broadcast: the sink every one of its chains shares.
+// A chain keeps its hop's index in the list as chain.lo and is its relay's
+// event, so a hop costs nothing but its pooled chain.
+type ringCast struct{ listCast }
+
+// hop sends the payload from from to the idx-th target: the relay message
+// carries the remaining list.
+func (rc *ringCast) hop(from cluster.NodeID, idx int) {
+	if idx < len(rc.list) {
+		rc.send(from, rc.list[idx], len(rc.list)-idx, rc, idx, idx+1)
 	}
-	hop(origin, 0)
+}
+
+// landed makes every target relay, the last one included.
+func (rc *ringCast) landed(c *chain) { c.relay() }
+
+// relayed forwards to the next target once the relay cost is paid.
+func (rc *ringCast) relayed(c *chain) { rc.hop(c.to, int(c.lo)+1) }
+
+func (rc *ringCast) settled(c *chain, ok bool) {
+	rc.t.settle(c.to, ok)
+	if !ok {
+		// Skip the dead node: the same sender tries its successor.
+		rc.hop(c.from, int(c.lo)+1)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -821,35 +808,64 @@ func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cl
 	if st == 0 {
 		st = 1200 * time.Microsecond
 	}
-	e := b.e
 	t := newTracker(b, "sharedmem", len(targets), done)
+	sc := &sharedMemCast{t: t, list: append(b.Lists.Get(len(targets)), targets...), size: size,
+		timeout: b.Cluster.Net.Config().ConnectTimeout}
 	// Publish: one write into the shared segment.
 	b.Cluster.Node(origin).Meter.ChargeCPU(b.SendOverhead)
-	timeout := b.Cluster.Net.Config().ConnectTimeout
 	queue := time.Duration(0)
-	for _, id := range targets {
-		id := id
+	for i, id := range sc.list {
 		if b.Cluster.Node(id).Failed() {
 			// A failed node never issues its fetch; the service notices
 			// the missing ack after its timeout when collecting results.
-			e.After(timeout, func() { t.settle(id, false) })
+			b.e.AfterTo(sc.timeout, sc, int32(^i))
 			continue
 		}
 		queue += st
 		delay := queue + b.Cluster.Net.TransferTime(size)
 		t.tally.messages++
 		b.inst().messages.Inc()
-		e.After(delay, func() {
-			// The node may have failed while queued behind earlier fetches
-			// (a mid-broadcast failure): its fetch never happens and the
-			// service notices the missing ack after its timeout.
-			if b.Cluster.Node(id).Failed() {
-				e.After(timeout, func() { t.settle(id, false) })
-				return
-			}
-			b.Cluster.Node(id).Meter.CountMessage(false, size)
-			t.settle(id, true)
-		})
+		b.e.AfterTo(delay, sc, int32(i))
+	}
+	if len(sc.list) == 0 {
+		b.Lists.Put(sc.list)
+	}
+}
+
+// sharedMemCast is one shared-memory broadcast: the handler of all its
+// events. Kind i ≥ 0 is the i-th target's fetch, kind ^i (negative) the
+// service noticing that target's missing ack, so a target costs no
+// closure. The list goes back to the broadcaster's Lists once every
+// target has settled.
+type sharedMemCast struct {
+	t       *tracker
+	list    []cluster.NodeID
+	size    int
+	timeout time.Duration
+}
+
+// HandleEvent implements simnet.Handler.
+func (sc *sharedMemCast) HandleEvent(kind int32) {
+	if kind < 0 {
+		sc.settle(sc.list[^kind], false)
+		return
+	}
+	b, id := sc.t.b, sc.list[kind]
+	// The node may have failed while queued behind earlier fetches (a
+	// mid-broadcast failure): its fetch never happens and the service
+	// notices the missing ack after its timeout.
+	if b.Cluster.Node(id).Failed() {
+		b.e.AfterTo(sc.timeout, sc, ^kind)
+		return
+	}
+	b.Cluster.Node(id).Meter.CountMessage(false, sc.size)
+	sc.settle(id, true)
+}
+
+func (sc *sharedMemCast) settle(id cluster.NodeID, ok bool) {
+	sc.t.settle(id, ok)
+	if sc.t.pending == 0 {
+		sc.t.b.Lists.Put(sc.list)
 	}
 }
 
@@ -893,42 +909,58 @@ func (k KTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluste
 // list goes back to b.Lists once the last of the broadcast's chains is
 // freed: no event, flight or relay can read the tree after that.
 func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, list []cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	tc := &treeCast{t: newTracker(b, structure, tr.Size(), done), tr: tr, list: list, size: size}
+	tc := &treeCast{listCast{t: newTracker(b, structure, tr.Size(), done), list: list, size: size}, tr}
 	for g := tr.Roots(); g.Next(); {
 		tc.dispatch(origin, g.Lo, g.Hi)
 	}
-	if tc.live == 0 { // an empty tree sends nothing
-		b.Lists.Put(list)
+	tc.release()
+}
+
+// listCast is what every relay broadcast (tree, ring, binomial) keeps: its
+// tracker, its list from the broadcaster's Lists, the payload size and the
+// number of chains sent and not yet freed. A chain's successors are sent
+// before it is freed (by its relay, or by its sender's fault tolerance),
+// so the count reaches zero only when every target is settled, and the
+// list goes back then.
+type listCast struct {
+	t    *tracker
+	list []cluster.NodeID
+	size int
+	live int
+}
+
+// send sends one of the broadcast's chains, reporting to h, with [lo, hi)
+// on the chain; the message carries entries node-list entries.
+func (lc *listCast) send(from, to cluster.NodeID, entries int, h sink, lo, hi int) {
+	lc.live++
+	lc.t.send(from, to, lc.size+entries*nodeListEntryBytes, h, lo, hi)
+}
+
+// release returns the list once no chain is live: at the end of a
+// broadcast that sent nothing, or when the last chain is freed.
+func (lc *listCast) release() {
+	if lc.live == 0 {
+		lc.t.b.Lists.Put(lc.list)
 	}
+}
+
+func (lc *listCast) freed() {
+	lc.live--
+	lc.release()
 }
 
 // treeCast is one tree broadcast: the sink every one of its chains shares.
 // A chain carries its own subtree (chain.lo, chain.hi) and is its relay's
 // event, so a target costs nothing but its pooled chain.
 type treeCast struct {
-	t    *tracker
-	tr   *fptree.Tree[cluster.NodeID]
-	list []cluster.NodeID // the tree's list, from the broadcaster's Lists
-	size int
-	live int // chains sent and not yet freed
+	listCast
+	tr *fptree.Tree[cluster.NodeID]
 }
 
 // dispatch sends the subtree [lo, hi) its payload from from: the message
 // carries the subtree's node list.
 func (tc *treeCast) dispatch(from cluster.NodeID, lo, hi int) {
-	sz := tc.size + (hi-lo)*nodeListEntryBytes
-	tc.live++
-	tc.t.send(from, tc.tr.At(lo), sz, tc, lo, hi)
-}
-
-// freed returns the tree's list once its last chain is free. A chain's
-// children are sent before it is freed (by its relay, or by its sender's
-// adoption), so the count reaches zero only when every target is settled.
-func (tc *treeCast) freed() {
-	tc.live--
-	if tc.live == 0 {
-		tc.t.b.Lists.Put(tc.list)
-	}
+	tc.send(from, tc.tr.At(lo), hi-lo, tc, lo, hi)
 }
 
 // landed makes an interior node relay to its children.
@@ -1069,35 +1101,51 @@ func (Binomial) Name() string { return "binomial" }
 
 // Broadcast implements Structure.
 func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "binomial", len(targets), done)
-	ids := append([]cluster.NodeID(nil), targets...)
+	bc := &binomialCast{listCast{t: newTracker(b, "binomial", len(targets), done),
+		list: append(b.Lists.Get(len(targets)), targets...), size: size}}
+	bc.deliver(origin, 0, len(bc.list))
+	bc.release()
+}
 
-	// relay(holder, lo, hi): holder (origin for the root call, otherwise
-	// ids[lo-1]'s owner) is responsible for delivering ids[lo:hi). It
-	// sends to the block's head, then splits: the head takes the upper
-	// half, the holder keeps recursing on the lower half — the standard
-	// binomial recursion.
-	var relay func(holder cluster.NodeID, lo, hi int)
-	relay = func(holder cluster.NodeID, lo, hi int) {
-		if lo >= hi {
-			return
-		}
-		head := ids[lo]
-		mid := lo + 1 + (hi-lo-1)/2
-		sz := size + (hi-lo)*nodeListEntryBytes
-		t.send(holder, head, sz, &funcSink{
-			onArrive: func() { b.relay(head, func() { relay(head, mid, hi) }) },
-			cb: func(ok bool) {
-				t.settle(head, ok)
-				if !ok {
-					// Fault tolerance: the holder keeps both halves.
-					if hi-lo > 1 {
-						t.adopted(head, hi-lo-1)
-					}
-					relay(holder, mid, hi)
-				}
-				relay(holder, lo+1, mid)
-			}}, 0, 0)
+// binomialCast is one binomial broadcast: the sink every one of its chains
+// shares. A chain carries the block [lo, hi) its receiver heads and is its
+// relay's event.
+type binomialCast struct{ listCast }
+
+// deliver makes holder (origin for the root call, otherwise the owner of
+// list[lo-1]) responsible for delivering list[lo:hi). It sends to the
+// block's head, which on landing takes the upper half, while the holder
+// recurses on the lower half once the send settles — the standard
+// binomial recursion.
+func (bc *binomialCast) deliver(holder cluster.NodeID, lo, hi int) {
+	if lo < hi {
+		bc.send(holder, bc.list[lo], hi-lo, bc, lo, hi)
 	}
-	relay(origin, 0, len(ids))
+}
+
+// binomialMid splits the block [lo, hi) behind its head: the head takes
+// [mid, hi), the holder keeps [lo+1, mid).
+func binomialMid(lo, hi int) int { return lo + 1 + (hi-lo-1)/2 }
+
+// landed makes every head relay, whether or not it has a half to take.
+func (bc *binomialCast) landed(c *chain) { c.relay() }
+
+// relayed has the head deliver the upper half once its relay cost is paid.
+func (bc *binomialCast) relayed(c *chain) {
+	lo, hi := int(c.lo), int(c.hi)
+	bc.deliver(c.to, binomialMid(lo, hi), hi)
+}
+
+func (bc *binomialCast) settled(c *chain, ok bool) {
+	holder, head, lo, hi := c.from, c.to, int(c.lo), int(c.hi)
+	mid := binomialMid(lo, hi)
+	bc.t.settle(head, ok)
+	if !ok {
+		// Fault tolerance: the holder keeps both halves.
+		if hi-lo > 1 {
+			bc.t.adopted(head, hi-lo-1)
+		}
+		bc.deliver(holder, mid, hi)
+	}
+	bc.deliver(holder, lo+1, mid)
 }

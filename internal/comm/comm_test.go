@@ -340,8 +340,10 @@ var raceEnabled bool
 
 // TestAllocsPerTarget budgets a whole broadcast on 1024 healthy nodes per
 // target. A target costs no object of its own: its chain comes from the
-// broadcaster's pool and is its relay's event, its flight from the wire's,
-// and a tree is its target list, walked by range. What is left is per
+// broadcaster's pool and is its relay's event (tree, ring and binomial
+// alike), its flight from the wire's, a tree is its target list, walked by
+// range, and a shared-memory fetch is an event of its broadcast's one
+// handler. What is left is per
 // broadcast — the tracker, the tree, the copied or rearranged list — and
 // comes to a few hundredths of an object per target. A closure, method
 // value or node per message, anywhere between the structure and the
@@ -356,8 +358,11 @@ func TestAllocsPerTarget(t *testing.T) {
 		budget float64 // objects per target
 	}{
 		{Star{}, 0.2},
+		{Ring{}, 0.2},
+		{SharedMem{}, 0.2},
 		{KTree{}, 0.2},
 		{FPTree{}, 0.2},
+		{Binomial{}, 0.2},
 	} {
 		e := simnet.NewEngine(22)
 		c := cluster.New(e, cluster.Config{Computes: targets, Satellites: 1})

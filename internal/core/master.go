@@ -302,7 +302,7 @@ func (m *Master) Start() {
 		// The master holds a long-lived control connection per satellite
 		// and per-satellite pool state (Table V's mild growth with the
 		// satellite count).
-		mm.OpenSocket()
+		mm.OpenSocket(m.engine.Now())
 		mm.AddVMem(masterPerSatState)
 		mm.AddRSS(masterPerSatState / 4)
 	}

@@ -5,8 +5,8 @@ package experiment
 // `benchrunner -exp fig7f -critpath out.txt` emits the per-structure
 // table the paper's bottleneck argument rests on.
 //
-// Every engine an experiment obtains from its Env becomes one critpath
-// source, labeled by experiment ID, index across the run, and seed — a
+// The record of every engine an experiment obtains from its Env becomes
+// one critpath source, labeled by experiment ID, index across the run, and seed — a
 // pure function of the registry order and each driver's creation order,
 // hence byte-stable at any -parallel.
 
@@ -14,24 +14,24 @@ import (
 	"fmt"
 
 	"eslurm/internal/obs/critpath"
-	"eslurm/internal/simnet"
 )
 
-// A TracedEngine pairs an engine with the experiment that built it.
+// A TracedEngine pairs an engine's record with the experiment that built
+// the engine.
 type TracedEngine struct {
 	Exp string
-	E   *simnet.Engine
+	EngineRecord
 }
 
-// ObservedEngines flattens RunObserved results into one engine list:
-// results in the order given (registry order), each experiment's engines
-// in creation order. An engine's index in the list is its pid in the
-// Chrome trace and its number in every label.
+// ObservedEngines flattens results into one record list: results in the
+// order given (registry order), each experiment's records in creation
+// order. An engine's index in the list is its pid in the Chrome trace and
+// its number in every label.
 func ObservedEngines(results []Result) []TracedEngine {
 	var all []TracedEngine
 	for _, r := range results {
-		for _, e := range r.Engines {
-			all = append(all, TracedEngine{Exp: r.Spec.ID, E: e})
+		for _, rec := range r.Engines {
+			all = append(all, TracedEngine{Exp: r.Spec.ID, EngineRecord: rec})
 		}
 	}
 	return all
@@ -44,14 +44,13 @@ func ObservedEngines(results []Result) []TracedEngine {
 func CritpathSources(engines []TracedEngine) []critpath.Source {
 	var srcs []critpath.Source
 	for i, te := range engines {
-		tr := te.E.Tracer()
-		if tr.Len() == 0 {
+		if te.Tracer.Len() == 0 {
 			continue
 		}
 		srcs = append(srcs, critpath.Source{
-			Label: fmt.Sprintf("%s engine %d seed %d", te.Exp, i, te.E.Seed()),
+			Label: fmt.Sprintf("%s engine %d seed %d", te.Exp, i, te.Seed),
 			Group: te.Exp,
-			Spans: tr.Spans(),
+			Spans: te.Tracer.Spans(),
 		})
 	}
 	return srcs

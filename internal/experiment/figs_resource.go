@@ -111,11 +111,11 @@ func Fig7(env *Env, nodes int, span time.Duration) *Table {
 	cs := fig7Contenders()
 	rows := sideBySide(env, len(cs), func(i int, env *Env) []string {
 		m := cs[i]
-		meter, _, _ := resourceRun(env, m.mk, nodes, m.sats, span, m.seed, 0)
+		meter, c, _ := resourceRun(env, m.mk, nodes, m.sats, span, m.seed, 0)
 		util := meter.CPUTime().Seconds() / span.Seconds()
 		return []string{m.name, fmtDur(meter.CPUTime()), fmtPct(util),
 			fmtBytes(meter.VMem()), fmtBytes(meter.RSS()),
-			fmt.Sprintf("%.1f", meter.AvgSockets()), fmt.Sprintf("%d", meter.PeakSockets())}
+			fmt.Sprintf("%.1f", meter.AvgSockets(c.Engine.Now())), fmt.Sprintf("%d", meter.PeakSockets())}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -138,37 +138,40 @@ func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 			"avg sockets", "peak sockets"},
 	}
 
+	// A row renders its cells before it returns, so its cluster is
+	// released with it rather than held until the driver returns.
 	type run struct {
-		m *cluster.ResourceMeter
-		c *cluster.Cluster
+		master []string   // the master-usage row
+		sats   [][]string // one row per satellite
 	}
 	cs := fig9Contenders()
 	runs := sideBySide(env, len(cs), func(i int, env *Env) run {
 		m, c, _ := resourceRun(env, cs[i].mk, nodes, cs[i].sats, span, cs[i].seed, 0)
-		return run{m, c}
-	})
-	var esCluster *cluster.Cluster
-	for i, row := range cs {
-		m := runs[i].m
-		if row.sats > 0 {
-			esCluster = runs[i].c
+		r := run{master: []string{cs[i].name, fmtDur(m.CPUTime()), fmtBytes(m.VMem()),
+			fmtBytes(m.RSS()), fmt.Sprintf("%.1f", m.AvgSockets(c.Engine.Now())),
+			fmt.Sprintf("%d", m.PeakSockets())}}
+		for j, id := range c.Satellites() {
+			sm := &c.Node(id).Meter
+			r.sats = append(r.sats, []string{fmt.Sprintf("satellite %d", j+1), fmtDur(sm.CPUTime()),
+				fmtBytes(sm.VMem()), fmtBytes(sm.RSS()), fmt.Sprintf("%d", sm.PeakSockets())})
 		}
-		master.AddRow(row.name, fmtDur(m.CPUTime()), fmtBytes(m.VMem()),
-			fmtBytes(m.RSS()), fmt.Sprintf("%.1f", m.AvgSockets()),
-			fmt.Sprintf("%d", m.PeakSockets()))
-	}
-	master.Note = "paper: ESlurm <40% of Slurm's CPU time, >80% memory saving, >10x fewer sockets"
-
+		return r
+	})
 	sats := &Table{
 		ID:      "fig9sat",
 		Title:   "ESlurm satellite-node usage (Fig. 9d-f)",
 		Columns: []string{"satellite", "CPU time", "vmem", "rss", "peak sockets"},
 	}
-	for i, id := range esCluster.Satellites() {
-		m := &esCluster.Node(id).Meter
-		sats.AddRow(fmt.Sprintf("satellite %d", i+1), fmtDur(m.CPUTime()),
-			fmtBytes(m.VMem()), fmtBytes(m.RSS()), fmt.Sprintf("%d", m.PeakSockets()))
+	for i, row := range cs {
+		master.AddRow(runs[i].master...)
+		if row.sats > 0 {
+			for _, sat := range runs[i].sats {
+				sats.AddRow(sat...)
+			}
+		}
 	}
+	master.Note = "paper: ESlurm <40% of Slurm's CPU time, >80% memory saving, >10x fewer sockets"
+
 	sats.Note = "paper: the two satellites balance evenly; sockets stay below 80"
 	return []*Table{master, sats}
 }
@@ -216,9 +219,10 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 			es = e
 			return e
 		}, nodes, satCounts[i], span, int64(300+i), 0)
+		now := c.Engine.Now()
 		o := outcome{
 			cpu: meter.CPUTime(), vmem: meter.VMem(), rss: meter.RSS(),
-			avgSock: meter.AvgSockets(),
+			avgSock: meter.AvgSockets(now),
 		}
 		var tasks, nodesServed int
 		var vmemSum, rssSum int64
@@ -229,7 +233,7 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 			m := &c.Node(s.ID).Meter
 			vmemSum += m.VMem()
 			rssSum += m.RSS()
-			sockSum += m.AvgSockets()
+			sockSum += m.AvgSockets(now)
 		}
 		n := len(es.M.Pool.All())
 		if n > 0 {

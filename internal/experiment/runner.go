@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"eslurm/internal/hostprof"
-	"eslurm/internal/simnet"
 	"eslurm/internal/workpool"
 )
 
@@ -33,10 +32,11 @@ type Result struct {
 	// Events is the number of simulation events executed across every
 	// engine the experiment obtained from its Env.
 	Events uint64
-	// Engines is the Env's engine list in creation order. RunObserved
-	// fills it; RunConcurrent leaves it nil so a suite run holds no
-	// finished simulation in memory.
-	Engines []*simnet.Engine
+	// Engines holds a record of every engine the experiment obtained, in
+	// creation order. Records keep what the observability flags read and
+	// nothing of the simulations, so a suite run holds no finished
+	// simulation in memory.
+	Engines []EngineRecord
 }
 
 // EventsPerSec returns the experiment's simulation throughput in events
@@ -56,33 +56,34 @@ func (r Result) EventsPerSec() float64 {
 // specs. Output built solely from emit order is therefore byte-identical
 // for every parallel setting: the determinism contract across the pool.
 func RunConcurrent(specs []Spec, p Params, parallel int, emit func(Result)) []Result {
-	return run(specs, p, parallel, false, false, emit)
+	return run(specs, p, parallel, false, emit)
 }
 
-// RunObserved is RunConcurrent for the observability flags: each Result
-// keeps its engines (Result.Engines), and with spans set every engine
-// records spans from virtual time zero. Recording is passive, so tables
-// and event counts match RunConcurrent's, and because each experiment's
-// engine list is in creation order, output built from results in specs
-// order is byte-identical for every parallel setting too.
-func RunObserved(specs []Spec, p Params, parallel int, spans bool, emit func(Result)) []Result {
-	return run(specs, p, parallel, true, spans, emit)
+// RunTraced is RunConcurrent with span recording armed on every engine
+// from virtual time zero. Recording is passive, so tables and event counts
+// match RunConcurrent's, and because each experiment's records are in
+// creation order, output built from results in specs order is
+// byte-identical for every parallel setting too.
+func RunTraced(specs []Spec, p Params, parallel int, emit func(Result)) []Result {
+	return run(specs, p, parallel, true, emit)
 }
 
-func run(specs []Spec, p Params, parallel int, keep, spans bool, emit func(Result)) []Result {
-	return workpool.Ordered(len(specs), parallel, func(i int) Result { return runOne(specs[i], p, keep, spans) }, emit)
+func run(specs []Spec, p Params, parallel int, spans bool, emit func(Result)) []Result {
+	return workpool.Ordered(len(specs), parallel, func(i int) Result { return runOne(specs[i], p, spans) }, emit)
 }
 
-// runOne executes a single spec on a fresh Env, timing it and accounting
-// the events its engines processed.
-func runOne(s Spec, p Params, keep, spans bool) Result {
+// runOne executes a single spec on a fresh Env, timing it, releasing the
+// engines the driver kept until it returned, and accounting the events
+// they processed.
+func runOne(s Spec, p Params, spans bool) Result {
 	env := &Env{spans: spans}
 	stop := hostprof.Stopwatch()
 	tables := s.Run(env, p)
 	wall := stop()
-	r := Result{Spec: s, Tables: tables, Wall: wall, Events: env.Events()}
-	if keep {
-		r.Engines = env.engines
+	env.release()
+	r := Result{Spec: s, Tables: tables, Wall: wall, Engines: env.engines}
+	for _, rec := range r.Engines {
+		r.Events += rec.Processed
 	}
 	return r
 }

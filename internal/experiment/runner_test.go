@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"eslurm/internal/cluster"
+	"eslurm/internal/comm"
 	"eslurm/internal/testutil"
 )
 
@@ -141,11 +144,11 @@ func TestEnvAccountsEveryExperiment(t *testing.T) {
 	engineFree := map[string]bool{"table1": true, "fig5": true, "table8": true, "fig11b": true}
 	p := runnerParams()
 	p.Fig11bJobs, p.Table8Jobs = 200, 200 // engine-free; only their zero matters here
-	for _, r := range RunObserved(Registry(), p, 4, false, nil) {
+	for _, r := range RunConcurrent(Registry(), p, 4, nil) {
 		id := r.Spec.ID
 		var sum uint64
-		for _, e := range r.Engines {
-			sum += e.Processed()
+		for _, rec := range r.Engines {
+			sum += rec.Processed
 		}
 		if r.Events != sum {
 			t.Errorf("%s: Events = %d, engines processed %d", id, r.Events, sum)
@@ -161,7 +164,8 @@ func TestEnvAccountsEveryExperiment(t *testing.T) {
 }
 
 // TestRunConcurrentDropsEngines: the plain runner counts the same events
-// as the observing one and keeps no finished simulation alive.
+// as the tracing one, over the same engines, and keeps no finished
+// simulation alive: a Result holds records, none of them a live engine.
 func TestRunConcurrentDropsEngines(t *testing.T) {
 	var specs []Spec
 	for _, id := range []string{"fig8a", "fig8b", "rack-outage"} {
@@ -169,15 +173,69 @@ func TestRunConcurrentDropsEngines(t *testing.T) {
 		specs = append(specs, s)
 	}
 	p := runnerParams()
-	observed := RunObserved(specs, p, 2, false, nil)
+	traced := RunTraced(specs, p, 2, nil)
 	for i, r := range RunConcurrent(specs, p, 2, nil) {
-		if r.Engines != nil {
-			t.Errorf("%s: RunConcurrent retained %d engines", r.Spec.ID, len(r.Engines))
+		for _, rec := range append(r.Engines, traced[i].Engines...) {
+			if rec.e != nil {
+				t.Errorf("%s: a result retained the live engine of seed %d", r.Spec.ID, rec.Seed)
+			}
 		}
-		if r.Events == 0 || r.Events != observed[i].Events {
-			t.Errorf("%s: RunConcurrent counted %d events, RunObserved %d", r.Spec.ID, r.Events, observed[i].Events)
+		if len(r.Engines) != len(traced[i].Engines) {
+			t.Errorf("%s: RunConcurrent recorded %d engines, RunTraced %d", r.Spec.ID, len(r.Engines), len(traced[i].Engines))
+		}
+		if r.Events == 0 || r.Events != traced[i].Events {
+			t.Errorf("%s: RunConcurrent counted %d events, RunTraced %d", r.Spec.ID, r.Events, traced[i].Events)
 		}
 	}
+}
+
+// sentinel is a pending event's handler that points at nothing, so the
+// runtime can finalize it as soon as the engine holding the event is
+// unreachable. (An engine itself sits in a cycle — its pending events'
+// handlers reach back to it through their cluster — and a finalizer on a
+// cycle is not guaranteed to run.)
+type sentinel struct{ row, _ int }
+
+func (*sentinel) HandleEvent(int32) {}
+
+// TestSideBySideReleasesRows: a row lets go of its simulation when it
+// ends. Each row leaves a broadcast mid-flight and a sentinel event
+// pending on its engine; every sentinel must be collectable while the
+// caller still holds the Env — with spans armed, so a tracer still
+// reading its engine's clock would pin the engine — and the Env must
+// still hold every row's record.
+func TestSideBySideReleasesRows(t *testing.T) {
+	const rows = 6
+	var finalized atomic.Int32
+	env := &Env{spans: true}
+	sideBySide(env, rows, func(i int, env *Env) int {
+		c := env.NewCluster(int64(i), cluster.Config{Computes: 64, Satellites: 1})
+		comm.FPTree{}.Broadcast(comm.NewBroadcaster(c), c.Satellites()[0], c.Computes(), 512, nil)
+		s := &sentinel{row: i}
+		runtime.SetFinalizer(s, func(*sentinel) { finalized.Add(1) })
+		c.Engine.AfterTo(time.Hour, s, 0)
+		c.RunUntil(time.Millisecond)
+		if c.Engine.Pending() == 0 {
+			t.Errorf("row %d: no event left pending", i)
+		}
+		return i
+	})
+	for try := 0; try < 100 && finalized.Load() < rows; try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := finalized.Load(); got != rows {
+		t.Errorf("%d of %d finished rows were collected while their Env was live", got, rows)
+	}
+	if len(env.engines) != rows {
+		t.Fatalf("%d records, want %d", len(env.engines), rows)
+	}
+	for i, rec := range env.engines {
+		if rec.e != nil || rec.Seed != int64(i) || rec.Processed == 0 || rec.Tracer.Len() == 0 || rec.Metrics == nil {
+			t.Errorf("record %d = %+v, want seed %d with its events, spans and metrics", i, rec, i)
+		}
+	}
+	runtime.KeepAlive(env)
 }
 
 // TestEnvArmsSpansAtCreation: with spans asked for, every engine — built
@@ -189,13 +247,17 @@ func TestRunConcurrentDropsEngines(t *testing.T) {
 func TestEnvArmsSpansAtCreation(t *testing.T) {
 	spec, _ := Lookup("fig10") // probes plus sched.Run engines
 	for _, spans := range []bool{false, true} {
-		r := RunObserved([]Spec{spec}, runnerParams(), 1, spans, nil)[0]
+		run := RunConcurrent
+		if spans {
+			run = RunTraced
+		}
+		r := run([]Spec{spec}, runnerParams(), 1, nil)[0]
 		recorded := 0
-		for _, e := range r.Engines {
-			if (e.Tracer() != nil) != spans {
-				t.Fatalf("spans=%v: engine seed %d has tracer %v", spans, e.Seed(), e.Tracer() != nil)
+		for _, rec := range r.Engines {
+			if (rec.Tracer != nil) != spans {
+				t.Fatalf("spans=%v: engine seed %d has tracer %v", spans, rec.Seed, rec.Tracer != nil)
 			}
-			recorded += e.Tracer().Len()
+			recorded += rec.Tracer.Len()
 		}
 		if spans && recorded == 0 {
 			t.Errorf("tracing armed but no span recorded")
@@ -203,15 +265,15 @@ func TestEnvArmsSpansAtCreation(t *testing.T) {
 	}
 	for _, id := range []string{"fig8b", "fig11a"} {
 		spec, _ := Lookup(id)
-		r := RunObserved([]Spec{spec}, runnerParams(), 1, true, nil)[0]
+		r := RunTraced([]Spec{spec}, runnerParams(), 1, nil)[0]
 		if len(r.Engines) < 2 {
 			t.Fatalf("%s: %d engines, want one per row", id, len(r.Engines))
 		}
-		for i, e := range r.Engines {
-			if e.Tracer().Len() == 0 {
+		for i, rec := range r.Engines {
+			if rec.Tracer.Len() == 0 {
 				t.Fatalf("%s: engine %d recorded no span", id, i)
 			}
-			if first := e.Tracer().Spans()[0].Start; first != 0 {
+			if first := rec.Tracer.Spans()[0].Start; first != 0 {
 				t.Errorf("%s: engine %d's first span starts at %v, not at virtual time zero", id, i, first)
 			}
 		}
@@ -221,7 +283,7 @@ func TestEnvArmsSpansAtCreation(t *testing.T) {
 // TestSideBySideMatchesSerial: a driver runs its independent rows side by
 // side on GOMAXPROCS workers. At one worker and at four, every such driver
 // must render the same tables, count the same events, hand over the same
-// engines in the same order (seed and events processed, engine by
+// engine records in the same order (seed and events processed, engine by
 // engine) and yield the same critical-path report.
 func TestSideBySideMatchesSerial(t *testing.T) {
 	// The adoption order itself, against the engine list a serial loop
@@ -236,9 +298,10 @@ func TestSideBySideMatchesSerial(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		row(i, &serial)
 	}
+	serial.release()
 	seeds := func(env *Env) (out []int64) {
-		for _, e := range env.engines {
-			out = append(out, e.Seed())
+		for _, rec := range env.engines {
+			out = append(out, rec.Seed)
 		}
 		return out
 	}
@@ -260,7 +323,7 @@ func TestSideBySideMatchesSerial(t *testing.T) {
 	}
 	observe := func(procs int) (tables string, engines []string, report string) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		results := RunObserved(specs, runnerParams(), 1, true, nil)
+		results := RunTraced(specs, runnerParams(), 1, nil)
 		var sb strings.Builder
 		for _, r := range results {
 			for _, tb := range r.Tables {
@@ -270,7 +333,7 @@ func TestSideBySideMatchesSerial(t *testing.T) {
 		}
 		all := ObservedEngines(results)
 		for _, te := range all {
-			engines = append(engines, fmt.Sprintf("%s seed %d processed %d", te.Exp, te.E.Seed(), te.E.Processed()))
+			engines = append(engines, fmt.Sprintf("%s seed %d processed %d", te.Exp, te.Seed, te.Processed))
 		}
 		return sb.String(), engines, CritpathReport(all, 5).String()
 	}

@@ -128,6 +128,18 @@ func (t *Tracer) Instant(name string, parent SpanID, attrs ...Attr) SpanID {
 	return id
 }
 
+// Freeze stops the tracer reading its clock: a later span or instant is
+// stamped with the time of the freeze. A finished simulation's tracer is
+// frozen so that it no longer keeps the engine whose clock it borrowed
+// alive.
+func (t *Tracer) Freeze() {
+	if t == nil {
+		return
+	}
+	now := t.clock()
+	t.clock = func() time.Duration { return now }
+}
+
 // Len returns the number of recorded spans and instants (0 on nil).
 func (t *Tracer) Len() int {
 	if t == nil {

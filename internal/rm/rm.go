@@ -127,7 +127,7 @@ func (r *Centralized) Start() {
 	m.AddRSS(r.prof.BaseRSS + n*r.prof.PerNodeRSS)
 	if r.prof.PersistentConns {
 		for range r.cluster.Computes() {
-			m.OpenSocket()
+			m.OpenSocket(r.engine.Now())
 		}
 	}
 	if r.prof.HeartbeatInterval > 0 {
