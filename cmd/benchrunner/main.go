@@ -59,6 +59,7 @@ import (
 	"eslurm/internal/experiment"
 	"eslurm/internal/hostprof/profile"
 	"eslurm/internal/obs"
+	"eslurm/internal/obs/critpath"
 	"eslurm/internal/workpool"
 )
 
@@ -166,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stderr, "-- suite done in %s\n", suiteWall.Round(time.Millisecond))
-	if err := writeObserved(stdout, stderr, experiment.ObservedEngines(results), *trace, *critPath, *metrics); err != nil {
+	if err := critpath.WriteFlags(stdout, stderr, experiment.Recordings(results), *trace, *critPath, *metrics); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
@@ -200,45 +201,6 @@ func lookupAll(ids string) ([]experiment.Spec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// writeObserved emits what the observability flags asked for from the
-// engine records of a run (every branch is a no-op when no flag is set).
-// The Chrome file gets one process per engine —
-// pid is the engine's index across the whole run, the process name
-// carries the experiment ID and the engine's seed — -critpath feeds the
-// same engines, with the same labels, through experiment.CritpathReport,
-// and -metrics dumps each engine's registry in the same order.
-func writeObserved(stdout, stderr io.Writer, all []experiment.TracedEngine, tracePath, critPath string, metrics bool) error {
-	if tracePath != "" {
-		procs := make([]obs.Process, 0, len(all))
-		for i, o := range all {
-			procs = append(procs, obs.Process{
-				PID:  i,
-				Name: fmt.Sprintf("%s engine %d seed %d", o.Exp, i, o.Seed),
-				T:    o.Tracer,
-			})
-		}
-		err := obs.WriteFile(tracePath, func(w io.Writer) error { return obs.WriteChrome(w, procs...) })
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "-- trace: %d engine(s) -> %s\n", len(procs), tracePath)
-	}
-	if critPath != "" {
-		rep := experiment.CritpathReport(all, 5)
-		if err := obs.WriteFile(critPath, rep.WriteText); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "-- critpath: %d source(s) -> %s\n", rep.Sources, critPath)
-	}
-	if metrics {
-		for i, o := range all {
-			fmt.Fprintf(stdout, "metrics %s engine %d seed %d:\n", o.Exp, i, o.Seed)
-			o.Metrics.WriteText(stdout)
-		}
-	}
-	return nil
 }
 
 // A perfRecord is the perf record the repo commits for the quick preset

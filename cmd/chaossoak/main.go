@@ -61,7 +61,6 @@ import (
 
 	"eslurm/internal/chaos"
 	"eslurm/internal/hostprof/profile"
-	"eslurm/internal/obs"
 	"eslurm/internal/obs/critpath"
 	"eslurm/internal/reconcile"
 )
@@ -170,8 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("%s", strings.Join(refused, "; ")))
 	}
 
-	var seedResults []chaos.SeedResult
-	var critRep func(topK int) *critpath.Report
+	var recs []critpath.Recording // what -trace, -critpath and -metrics read
 	violations := 0
 	switch mode {
 	case modeReconcile:
@@ -252,42 +250,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprint(stdout, rep.String())
-		seedResults, critRep, violations = rep.Seeds, rep.CritpathReport, rep.Violations()
+		recs, violations = rep.Recordings(), rep.Violations()
 	}
 
-	if *critPath != "" {
-		rep := critRep(5)
-		if err := obs.WriteFile(*critPath, rep.WriteText); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "critpath: %d seed(s) -> %s\n", rep.Sources, *critPath)
-	}
-	if *tracePath != "" {
-		procs := traceProcesses(seedResults)
-		if err := obs.WriteFile(*tracePath, func(w io.Writer) error { return obs.WriteChrome(w, procs...) }); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "trace: %d seeds -> %s\n", len(seedResults), *tracePath)
-	}
-	if *metrics {
-		for _, s := range seedResults {
-			fmt.Fprintf(stdout, "metrics seed %d:\n", s.Seed)
-			s.Metrics.WriteText(stdout)
-		}
+	if err := critpath.WriteFlags(stdout, stdout, recs, *tracePath, *critPath, *metrics); err != nil {
+		return fail(err)
 	}
 	if violations > 0 {
 		return 1
 	}
 	return 0
-}
-
-// traceProcesses lays the seeds out as Chrome trace processes so Perfetto
-// shows the soak side by side: one process per seed, pid = seed. Same
-// flags → byte-identical file.
-func traceProcesses(seeds []chaos.SeedResult) []obs.Process {
-	var procs []obs.Process
-	for _, s := range seeds {
-		procs = append(procs, obs.Process{PID: int(s.Seed), Name: fmt.Sprintf("chaossoak seed %d", s.Seed), T: s.Trace})
-	}
-	return procs
 }

@@ -34,8 +34,8 @@ func TestFlagsHonouredOrRefused(t *testing.T) {
 		inFile  []string
 		wantOut []string
 	}{
-		{name: "single trace", args: []string{"-trace", "FILE"}, writes: true, wantOut: []string{"trace: 1 seeds"}},
-		{name: "single critpath", args: []string{"-critpath", "FILE"}, writes: true, wantOut: []string{"critpath: 1 seed(s)"}},
+		{name: "single trace", args: []string{"-trace", "FILE"}, writes: true, wantOut: []string{"-- trace: 1 engine(s) -> "}},
+		{name: "single critpath", args: []string{"-critpath", "FILE"}, writes: true, wantOut: []string{"-- critpath: 1 source(s) -> "}},
 		{name: "single metrics", args: []string{"-metrics"}, wantOut: []string{"metrics seed 1:", "comm.messages"}},
 		{name: "single silent", args: []string{"-silent", "0.5"}, wantOut: []string{"silent=0.50"}},
 		{name: "single target", args: []string{"-target", "3"}, refused: "-target is not available with"},

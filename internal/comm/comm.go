@@ -131,12 +131,6 @@ type Broadcaster struct {
 	// target) at the virtual instant the target resolves — delivered or
 	// declared unreachable. It must not schedule events.
 	OnResolve func(to cluster.NodeID, ok bool)
-	// SpanParent, when non-zero, parents the *next* broadcast's root
-	// span: the master sets it immediately before handing a sub-list to
-	// a Structure (which builds its tracker synchronously), and the
-	// tracker consumes and clears it. Zero — the default — makes
-	// broadcast spans roots.
-	SpanParent obs.SpanID
 	// Lists recycles the node lists broadcasts use: every tree's list,
 	// and every Result.Resolved.
 	Lists ListPool
@@ -610,11 +604,9 @@ func (b *Broadcaster) relayTo(id cluster.NodeID, h simnet.Handler, kind int32) {
 // policy, outside of any broadcast. cb runs with true on delivery, false
 // once all attempts are exhausted. Used by the master
 // daemon for master↔satellite task hand-offs and heartbeats. The
-// delivery-chain span, if tracing is on, is parented under the consumed
-// SpanParent.
-func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
-	parent := b.SpanParent
-	b.SpanParent = 0
+// delivery-chain span, if tracing is on, is parented under parent (0: a
+// root).
+func (b *Broadcaster) Send(from, to cluster.NodeID, size int, parent obs.SpanID, cb func(ok bool)) {
 	b.send(from, to, size, nil, parent, resultFunc(cb), 0, 0)
 }
 
@@ -631,7 +623,8 @@ type tracker struct {
 	done    func(Result)
 }
 
-func newTracker(b *Broadcaster, structure string, pending int, done func(Result)) *tracker {
+// newTracker opens the broadcast's root span under parent (0: a root).
+func newTracker(b *Broadcaster, structure string, parent obs.SpanID, pending int, done func(Result)) *tracker {
 	t := &tracker{b: b, start: b.e.Now(), pending: pending, done: done}
 	if b.RecordResolved {
 		t.res.Resolved = b.Lists.Get(pending)
@@ -639,10 +632,9 @@ func newTracker(b *Broadcaster, structure string, pending int, done func(Result)
 	// The attributes are formatted strings: only a recording tracer pays
 	// for them.
 	if tr := b.e.Tracer(); tr != nil {
-		t.span = tr.Start("comm.broadcast", b.SpanParent,
+		t.span = tr.Start("comm.broadcast", parent,
 			obs.String("structure", structure), obs.Int("targets", pending))
 	}
-	b.SpanParent = 0
 	if pending == 0 {
 		t.finish()
 	}
@@ -733,7 +725,7 @@ func (Star) Name() string { return "star" }
 
 // Broadcast implements Structure.
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "star", len(targets), done)
+	t := newTracker(b, "star", 0, len(targets), done)
 	for _, id := range targets {
 		t.send(origin, id, size, t, 0, 0)
 	}
@@ -751,7 +743,7 @@ func (Ring) Name() string { return "ring" }
 
 // Broadcast implements Structure.
 func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	rc := &ringCast{listCast{t: newTracker(b, "ring", len(targets), done),
+	rc := &ringCast{listCast{t: newTracker(b, "ring", 0, len(targets), done),
 		list: append(b.Lists.Get(len(targets)), targets...), size: size}}
 	rc.hop(origin, 0)
 	rc.release()
@@ -792,23 +784,19 @@ func (rc *ringCast) settled(c *chain, ok bool) {
 
 // SharedMem broadcasts via a publish/fetch shared-memory service hosted on
 // the origin.
-type SharedMem struct {
-	// ServiceTime is the per-fetch handling cost at the service. Zero
-	// takes a 1.2 ms default, calibrated so a 4K-node fetch storm drains
-	// in a few seconds as in Fig. 8b.
-	ServiceTime time.Duration
-}
+type SharedMem struct{}
+
+// sharedMemServiceTime is the per-fetch handling cost at the service,
+// calibrated so a 4K-node fetch storm drains in a few seconds as in
+// Fig. 8b.
+const sharedMemServiceTime = 1200 * time.Microsecond
 
 // Name returns "sharedmem".
 func (SharedMem) Name() string { return "sharedmem" }
 
 // Broadcast implements Structure.
-func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	st := s.ServiceTime
-	if st == 0 {
-		st = 1200 * time.Microsecond
-	}
-	t := newTracker(b, "sharedmem", len(targets), done)
+func (SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
+	t := newTracker(b, "sharedmem", 0, len(targets), done)
 	sc := &sharedMemCast{t: t, list: append(b.Lists.Get(len(targets)), targets...), size: size,
 		timeout: b.Cluster.Net.Config().ConnectTimeout}
 	// Publish: one write into the shared segment.
@@ -821,7 +809,7 @@ func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cl
 			b.e.AfterTo(sc.timeout, sc, int32(^i))
 			continue
 		}
-		queue += st
+		queue += sharedMemServiceTime
 		delay := queue + b.Cluster.Net.TransferTime(size)
 		t.tally.messages++
 		b.inst().messages.Inc()
@@ -895,21 +883,21 @@ func (k KTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluste
 	trc := b.e.Tracer()
 	var span obs.SpanID
 	if trc != nil {
-		span = trc.Start("fptree.build", b.SpanParent,
+		span = trc.Start("fptree.build", 0,
 			obs.Int("targets", len(targets)), obs.Int("width", k.width()))
 	}
 	list := append(b.Lists.Get(len(targets)), targets...)
 	tr := fptree.Build(list, k.width())
 	trc.End(span)
-	broadcastTree(b, "tree", origin, list, tr, size, done)
+	broadcastTree(b, "tree", 0, origin, list, tr, size, done)
 }
 
 // broadcastTree relays a payload down tr, the tree over list, with
 // parent-adoption fault tolerance. The tree is only read once built, and
 // list goes back to b.Lists once the last of the broadcast's chains is
 // freed: no event, flight or relay can read the tree after that.
-func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, list []cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	tc := &treeCast{listCast{t: newTracker(b, structure, tr.Size(), done), list: list, size: size}, tr}
+func broadcastTree(b *Broadcaster, structure string, parent obs.SpanID, origin cluster.NodeID, list []cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
+	tc := &treeCast{listCast{t: newTracker(b, structure, parent, tr.Size(), done), list: list, size: size}, tr}
 	for g := tr.Roots(); g.Next(); {
 		tc.dispatch(origin, g.Lo, g.Hi)
 	}
@@ -1007,6 +995,10 @@ type FPTree struct {
 	// Stats, when non-nil, accumulates placement statistics for the
 	// FP-Tree placement experiment (§VII-A).
 	Stats *PlacementStats
+	// Parent, when non-zero, parents the broadcast's spans (fptree.plan,
+	// fptree.build, comm.broadcast): the master sets it to the task or
+	// broadcast span the relay serves. Zero makes them roots.
+	Parent obs.SpanID
 }
 
 // PlacementStats accumulates how many actually-failed nodes the FP-Tree
@@ -1060,13 +1052,13 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 	trc := b.e.Tracer()
 	var span obs.SpanID
 	if trc != nil {
-		span = trc.Start("fptree.plan", b.SpanParent,
+		span = trc.Start("fptree.plan", f.Parent,
 			obs.Int("targets", len(targets)), obs.Int("width", f.width()))
 	}
 	list := fptree.AppendRearranged(b.Lists.Get(len(targets)), targets, pred.Predicted, f.width())
 	trc.End(span)
 	if trc != nil {
-		span = trc.Start("fptree.build", b.SpanParent, obs.Int("targets", len(list)))
+		span = trc.Start("fptree.build", f.Parent, obs.Int("targets", len(list)))
 	}
 	tr := fptree.Build(list, f.width())
 	trc.End(span)
@@ -1082,7 +1074,7 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 			}
 		})
 	}
-	broadcastTree(b, "fptree", origin, list, tr, size, done)
+	broadcastTree(b, "fptree", f.Parent, origin, list, tr, size, done)
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,7 +1093,7 @@ func (Binomial) Name() string { return "binomial" }
 
 // Broadcast implements Structure.
 func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	bc := &binomialCast{listCast{t: newTracker(b, "binomial", len(targets), done),
+	bc := &binomialCast{listCast{t: newTracker(b, "binomial", 0, len(targets), done),
 		list: append(b.Lists.Get(len(targets)), targets...), size: size}}
 	bc.deliver(origin, 0, len(bc.list))
 	bc.release()

@@ -267,7 +267,7 @@ func TestBroadcasterPublicSend(t *testing.T) {
 	b := NewBroadcaster(c)
 	a, d := c.Computes()[0], c.Computes()[1]
 	ok := false
-	b.Send(a, d, 128, func(delivered bool) { ok = delivered })
+	b.Send(a, d, 128, 0, func(delivered bool) { ok = delivered })
 	e.Run()
 	if !ok {
 		t.Fatal("public Send failed on healthy pair")
@@ -275,7 +275,7 @@ func TestBroadcasterPublicSend(t *testing.T) {
 	// To a failed node: all retries exhausted, cb(false).
 	c.Fail(d)
 	got := true
-	b.Send(a, d, 128, func(delivered bool) { got = delivered })
+	b.Send(a, d, 128, 0, func(delivered bool) { got = delivered })
 	e.Run()
 	if got {
 		t.Fatal("Send to failed node reported success")
@@ -325,7 +325,7 @@ func TestSendAllocationBudget(t *testing.T) {
 	from, to := c.Computes()[0], c.Computes()[1]
 	cb := func(bool) {}
 	const budget = 0
-	if got := testing.AllocsPerRun(200, func() { b.Send(from, to, 128, cb); e.Run() }); got > budget {
+	if got := testing.AllocsPerRun(200, func() { b.Send(from, to, 128, 0, cb); e.Run() }); got > budget {
 		t.Fatalf("one delivered message allocates %.0f objects, budget %d", got, budget)
 	}
 	// Bytes follow the allocator's size classes: one more word puts a chain

@@ -201,7 +201,7 @@ func TestChainsReturnToPool(t *testing.T) {
 			s.Broadcast(b, origin, comps, 512, func(r Result) { res = r })
 			for _, to := range comps[:20] {
 				sends++
-				b.Send(origin, to, 64, func(bool) { sent++ })
+				b.Send(origin, to, 64, 0, func(bool) { sent++ })
 			}
 			c.Run()
 		}

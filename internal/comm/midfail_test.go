@@ -187,7 +187,7 @@ func TestRetryPolicyBackoffAndDeadline(t *testing.T) {
 	b.Retry = RetryPolicy{MaxAttempts: 100, Backoff: time.Second, Deadline: 3 * time.Second}
 	okSeen := false
 	var resolvedAt time.Duration
-	b.Send(c.Satellites()[0], c.Computes()[0], 64, func(ok bool) {
+	b.Send(c.Satellites()[0], c.Computes()[0], 64, 0, func(ok bool) {
 		okSeen = true
 		if ok {
 			t.Error("delivery to a dead node reported ok")
@@ -239,7 +239,7 @@ func TestRetryDeadlineExpiresMidBackoff(t *testing.T) {
 	b.Retry = RetryPolicy{MaxAttempts: 100, Backoff: 10 * time.Second, Deadline: 3 * time.Second}
 	var resolutions []bool
 	var resolvedAt time.Duration
-	b.Send(c.Satellites()[0], dead, 64, func(ok bool) {
+	b.Send(c.Satellites()[0], dead, 64, 0, func(ok bool) {
 		resolutions = append(resolutions, ok)
 		resolvedAt = e.Now()
 	})

@@ -50,6 +50,13 @@ const (
 // Resource-model coefficients (see DESIGN.md "Resource accounting"):
 // fixed calibration of the production daemons, not settings.
 const (
+	// The master daemon's base footprint and scheduling cost. ESlurm's
+	// hallmark is that these stay small because the master only ever
+	// talks to satellites.
+	masterBaseVMem int64 = 1 << 30              // daemon image + arenas: <2 GB virtual (Fig. 7c)
+	masterBaseRSS  int64 = 40 << 20             // ~60 MB real at 4K nodes (Fig. 7d)
+	schedCPUPerJob       = 2 * time.Millisecond // scheduling-pass CPU per job event
+
 	perNodeState int64 = 4 << 10  // bytes of master state per managed compute node
 	perJobState  int64 = 16 << 10 // bytes of master state per active job
 
@@ -88,13 +95,6 @@ type Config struct {
 	// aggregated response before treating the task as failed.
 	TaskTimeout time.Duration
 
-	// The master daemon's base footprint and scheduling cost. ESlurm's
-	// hallmark is that these stay small because the master only ever
-	// talks to satellites.
-	BaseVMem       int64 // daemon image + arenas
-	BaseRSS        int64
-	SchedCPUPerJob time.Duration // scheduling-pass CPU per job event
-
 	// DisableSuspectFeedback turns off the master's own unreachable-node
 	// suspect set, leaving placement purely to the plugin predictor (used
 	// by the §VII-A placement experiment to measure the monitoring
@@ -110,9 +110,6 @@ func DefaultConfig() Config {
 		ReallocLimit:      2,
 		HeartbeatInterval: 150 * time.Second,
 		TaskTimeout:       120 * time.Second,
-		BaseVMem:          1 << 30,  // <2 GB virtual (Fig. 7c)
-		BaseRSS:           40 << 20, // ~60 MB real at 4K nodes (Fig. 7d)
-		SchedCPUPerJob:    2 * time.Millisecond,
 	}
 }
 
@@ -291,8 +288,8 @@ func (m *Master) Name() string { return "ESlurm" }
 // service begins.
 func (m *Master) Start() {
 	mm := m.Meter()
-	mm.AddVMem(m.cfg.BaseVMem)
-	mm.AddRSS(m.cfg.BaseRSS)
+	mm.AddVMem(masterBaseVMem)
+	mm.AddRSS(masterBaseRSS)
 	mm.AddVMem(int64(len(m.Cluster.Computes())) * perNodeState)
 	mm.AddRSS(int64(len(m.Cluster.Computes())) * perNodeState / 8)
 	for _, id := range m.Cluster.Satellites() {
@@ -322,7 +319,7 @@ func (m *Master) Stop() {
 func (m *Master) probeSatellites() {
 	for _, s := range m.Pool.All() {
 		s := s
-		m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, func(ok bool) {
+		m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, 0, func(ok bool) {
 			if ok {
 				m.Pool.Apply(s, satellite.EvHBSuccess)
 			} else {
@@ -533,8 +530,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 		fail("timeout")
 	})
 
-	m.B.SpanParent = task
-	m.B.Send(master, sat.ID, taskBytes, func(ok bool) {
+	m.B.Send(master, sat.ID, taskBytes, task, func(ok bool) {
 		if responded {
 			return
 		}
@@ -549,9 +545,8 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 		proc := comm.RelayOverhead + time.Duration(len(sub))*satellitePerNodeProc
 		m.Cluster.Node(sat.ID).Meter.ChargeCPU(proc)
 		bStart := m.engine.Now() + proc
-		structure := comm.FPTree{Width: m.cfg.TreeWidth, Predictor: m.effectivePredictor(), Stats: m.Placement}
+		structure := comm.FPTree{Width: m.cfg.TreeWidth, Predictor: m.effectivePredictor(), Stats: m.Placement, Parent: task}
 		m.engine.After(proc, func() {
-			m.B.SpanParent = task
 			structure.Broadcast(m.B, sat.ID, sub, size, func(r comm.Result) {
 				m.markSuspects(r.Unreachable)
 				if responded {
@@ -560,8 +555,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 				// Aggregate response back to the master (wire-encoded
 				// per-node statuses, see package proto).
 				respBytes := proto.AggregateReplySize(len(sub), len(r.Unreachable))
-				m.B.SpanParent = task
-				m.B.Send(sat.ID, master, respBytes, func(respOK bool) {
+				m.B.Send(sat.ID, master, respBytes, task, func(respOK bool) {
 					if responded {
 						return
 					}
@@ -615,8 +609,7 @@ func (m *Master) reallocate(failed *satellite.Satellite, sub []cluster.NodeID, s
 // correctly and promptly".
 func (m *Master) directBroadcast(origin cluster.NodeID, sub []cluster.NodeID, size int, parent obs.SpanID, finish func(comm.Result, time.Duration)) {
 	bStart := m.engine.Now()
-	structure := comm.FPTree{Width: m.cfg.TreeWidth, Predictor: m.effectivePredictor(), Stats: m.Placement}
-	m.B.SpanParent = parent
+	structure := comm.FPTree{Width: m.cfg.TreeWidth, Predictor: m.effectivePredictor(), Stats: m.Placement, Parent: parent}
 	structure.Broadcast(m.B, origin, sub, size, func(r comm.Result) {
 		m.markSuspects(r.Unreachable)
 		if finish != nil {
@@ -640,7 +633,7 @@ func (m *Master) ShutdownSatellite(id cluster.NodeID, done func(delivered bool))
 	if _, err := m.Pool.Apply(sat, satellite.EvShutdown); err != nil {
 		return err
 	}
-	m.B.Send(m.Cluster.Master().ID, id, HeartbeatMsgBytes, func(ok bool) {
+	m.B.Send(m.Cluster.Master().ID, id, HeartbeatMsgBytes, 0, func(ok bool) {
 		if done != nil {
 			done(ok)
 		}
@@ -662,7 +655,7 @@ func (m *Master) DrainSatellite(id cluster.NodeID, deadline time.Duration, done 
 		return fmt.Errorf("core: node %d is not a satellite", id)
 	}
 	return m.Pool.Drain(id, deadline, func(clean bool) {
-		m.B.Send(m.Cluster.Master().ID, id, HeartbeatMsgBytes, func(ok bool) {
+		m.B.Send(m.Cluster.Master().ID, id, HeartbeatMsgBytes, 0, func(ok bool) {
 			if done != nil {
 				done(clean, ok)
 			}
@@ -679,7 +672,7 @@ func (m *Master) ProbeSatellite(id cluster.NodeID) error {
 	if s == nil {
 		return fmt.Errorf("core: node %d is not a satellite", id)
 	}
-	m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, func(ok bool) {
+	m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, 0, func(ok bool) {
 		if ok {
 			m.Pool.Apply(s, satellite.EvHBSuccess)
 		} else {
@@ -722,7 +715,7 @@ func (m *Master) heartbeatSweep() {
 // the master's job bookkeeping. done receives the broadcast result.
 func (m *Master) LoadJob(nodes []cluster.NodeID, done func(comm.Result)) {
 	mm := m.Meter()
-	mm.ChargeCPU(m.cfg.SchedCPUPerJob)
+	mm.ChargeCPU(schedCPUPerJob)
 	mm.AddVMem(perJobState)
 	mm.AddRSS(perJobState / 4)
 	m.jobs++
@@ -734,7 +727,7 @@ func (m *Master) LoadJob(nodes []cluster.NodeID, done func(comm.Result)) {
 // (unlike the Slurm model, whose virtual footprint only grows).
 func (m *Master) TerminateJob(nodes []cluster.NodeID, done func(comm.Result)) {
 	mm := m.Meter()
-	mm.ChargeCPU(m.cfg.SchedCPUPerJob / 2)
+	mm.ChargeCPU(schedCPUPerJob / 2)
 	m.Broadcast(nodes, jobTermMsgBytes, func(r comm.Result) {
 		mm.AddVMem(-perJobState)
 		mm.AddRSS(-perJobState / 4)

@@ -183,11 +183,7 @@ func Fig8a(env *Env, nodes int) *Table {
 			cfg := core.DefaultConfig()
 			var p predict.Predictor = predict.Null{}
 			if fp {
-				st := predict.Static{}
-				for id := range failed {
-					st[id] = true
-				}
-				p = st
+				p = predict.Static(failed)
 			}
 			m := core.NewMaster(c, cfg, p)
 			m.Start()
@@ -237,11 +233,7 @@ func Fig8b(env *Env, nodes int, ratios []float64) *Table {
 		c := env.NewCluster(11, cluster.Config{Computes: nodes, Satellites: 1})
 		failed := failSpread(c, int(float64(nodes)*ratio))
 		if fp, ok := s.(comm.FPTree); ok {
-			st := predict.Static{}
-			for id := range failed {
-				st[id] = true
-			}
-			fp.Predictor = st
+			fp.Predictor = predict.Static(failed)
 			s = fp
 		}
 		b := comm.NewBroadcaster(c)

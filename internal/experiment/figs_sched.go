@@ -86,21 +86,25 @@ func Fig10(env *Env, scales []int, jobsPerScale int) []*Table {
 	// and LSF stop at 4,096. Slurm and ESlurm run at every scale.
 	maxScale := map[string]int{"SGE": 1024, "Torque": 1024, "OpenPBS": 4096, "LSF": 4096}
 
-	for _, ct := range rmRoster(oracleESlurm) {
+	// One row per roster × scale cell, in the serial loop's order; a
+	// capped cell builds nothing and prints "-" in all three tables.
+	roster := rmRoster(oracleESlurm)
+	cells := sideBySide(env, len(roster)*len(scales), func(i int, env *Env) [3]string {
+		ct, scale := roster[i/len(scales)], scales[i%len(scales)]
+		if limit, capped := maxScale[ct.name]; capped && scale > limit {
+			return [3]string{"-", "-", "-"}
+		}
+		res := runFig10Cell(env, ct.name, ct.new, scale, jobsPerScale)
+		return [3]string{fmtPct(res.Utilization), fmtDur(res.AvgWait), fmt.Sprintf("%.1f", res.AvgBoundedSlowdown)}
+	})
+	for r, ct := range roster {
 		uRow := []string{ct.name}
 		wRow := []string{ct.name}
 		sRow := []string{ct.name}
-		for _, scale := range scales {
-			if limit, capped := maxScale[ct.name]; capped && scale > limit {
-				uRow = append(uRow, "-")
-				wRow = append(wRow, "-")
-				sRow = append(sRow, "-")
-				continue
-			}
-			res := runFig10Cell(env, ct.name, ct.new, scale, jobsPerScale)
-			uRow = append(uRow, fmtPct(res.Utilization))
-			wRow = append(wRow, fmtDur(res.AvgWait))
-			sRow = append(sRow, fmt.Sprintf("%.1f", res.AvgBoundedSlowdown))
+		for _, c := range cells[r*len(scales) : (r+1)*len(scales)] {
+			uRow = append(uRow, c[0])
+			wRow = append(wRow, c[1])
+			sRow = append(sRow, c[2])
 		}
 		util.AddRow(uRow...)
 		wait.AddRow(wRow...)
@@ -188,34 +192,45 @@ func Ablation(env *Env, scale, jobs int) *Table {
 	}
 	jobsList := scaleTrace(scale, jobs)
 
-	run := func(overhead sched.Overhead, framework bool, crash bool) sched.Result {
+	// Two stages, each side by side: the three occupation-probe sweeps,
+	// then the four replays that read them, so the engine records keep
+	// the serial order. Without FP-Tree, prediction is disabled, so the
+	// satellite relays pay timeouts on failed interior nodes.
+	probed := []func(c *cluster.Cluster) rm.RM{oracleESlurm, plainESlurm, centralized(rm.SlurmProfile())}
+	overheads := sideBySide(env, len(probed), func(i int, env *Env) sched.Overhead {
+		return overheadLookup(env, probed[i], scale, 0.01)
+	})
+	esOverhead, noFPOverhead, slurmOverhead := overheads[0], overheads[1], overheads[2]
+
+	replays := []struct {
+		name             string
+		overhead         sched.Overhead
+		framework, crash bool
+	}{
+		{"ESlurm (full)", withPenalty(esOverhead, responsePenalty("ESlurm", scale)), true, false},
+		{"ESlurm w/o estimator", withPenalty(esOverhead, responsePenalty("ESlurm", scale)), false, false},
+		{"ESlurm w/o FP-Tree", withPenalty(noFPOverhead, responsePenalty("ESlurm", scale)), true, false},
+		{"Slurm", withPenalty(slurmOverhead, responsePenalty("Slurm", scale)), false, true},
+	}
+	rows := sideBySide(env, len(replays), func(i int, env *Env) []string {
+		rp := replays[i]
 		cfg := sched.Config{
-			Nodes: scale, Policy: sched.Backfill, Overhead: overhead,
+			Nodes: scale, Policy: sched.Backfill, Overhead: rp.overhead,
 			KillAtLimit: true, UtilWindow: 7 * 24 * time.Hour, Seed: int64(scale),
 			OnEngine: env.Adopt,
 		}
-		if framework {
+		if rp.framework {
 			cfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})}
 		}
-		if crash {
+		if rp.crash {
 			cfg.CrashMTBF = 42 * time.Hour
 		}
-		return sched.Run(jobsList, cfg)
+		r := sched.Run(jobsList, cfg)
+		return []string{rp.name, fmtPct(r.Utilization), fmtDur(r.AvgWait), fmt.Sprintf("%.1f", r.AvgBoundedSlowdown)}
+	})
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
-
-	esOverhead := overheadLookup(env, oracleESlurm, scale, 0.01)
-	// Without FP-Tree: prediction disabled, so the satellite relays pay
-	// timeouts on failed interior nodes.
-	noFPOverhead := overheadLookup(env, plainESlurm, scale, 0.01)
-	slurmOverhead := overheadLookup(env, centralized(rm.SlurmProfile()), scale, 0.01)
-
-	addRow := func(name string, r sched.Result) {
-		t.AddRow(name, fmtPct(r.Utilization), fmtDur(r.AvgWait), fmt.Sprintf("%.1f", r.AvgBoundedSlowdown))
-	}
-	addRow("ESlurm (full)", run(withPenalty(esOverhead, responsePenalty("ESlurm", scale)), true, false))
-	addRow("ESlurm w/o estimator", run(withPenalty(esOverhead, responsePenalty("ESlurm", scale)), false, false))
-	addRow("ESlurm w/o FP-Tree", run(withPenalty(noFPOverhead, responsePenalty("ESlurm", scale)), true, false))
-	addRow("Slurm", run(withPenalty(slurmOverhead, responsePenalty("Slurm", scale)), false, true))
 	t.Note = "paper: estimator contributes 8.7 utilization points, FP-Tree 6.2, vs a 47.2-point total gap to Slurm"
 	return t
 }

@@ -10,6 +10,7 @@ import (
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/comm"
+	"eslurm/internal/obs/critpath"
 	"eslurm/internal/testutil"
 )
 
@@ -314,7 +315,7 @@ func TestSideBySideMatchesSerial(t *testing.T) {
 
 	var specs []Spec
 	for _, id := range []string{"fig7", "fig7f", "fig8a", "fig8b", "fig9", "table5", "fig11a",
-		"ablation-width", "ablation-realloc", "rack-outage"} {
+		"ablation-width", "ablation-realloc", "rack-outage", "fig10", "ablation"} {
 		s, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("missing %s", id)
@@ -331,11 +332,12 @@ func TestSideBySideMatchesSerial(t *testing.T) {
 			}
 			fmt.Fprintf(&sb, "%s: %d events\n", r.Spec.ID, r.Events)
 		}
-		all := ObservedEngines(results)
-		for _, te := range all {
-			engines = append(engines, fmt.Sprintf("%s seed %d processed %d", te.Exp, te.Seed, te.Processed))
+		for _, r := range results {
+			for _, rec := range r.Engines {
+				engines = append(engines, fmt.Sprintf("%s seed %d processed %d", r.Spec.ID, rec.Seed, rec.Processed))
+			}
 		}
-		return sb.String(), engines, CritpathReport(all, 5).String()
+		return sb.String(), engines, critpath.AnalyzeRecordings(Recordings(results), 5).String()
 	}
 	tables1, engines1, report1 := observe(1)
 	tables4, engines4, report4 := observe(4)

@@ -2,14 +2,14 @@ package lint
 
 import "testing"
 
-// BenchmarkRunModule times one full analyzer sweep — every registered
-// analyzer, per-package passes plus the module-level summary passes —
-// over the repo's own source tree. Loading and type-checking happen once
-// outside the timer: the benchmark isolates analysis cost, which is what
-// a new analyzer or CFG change moves. CI runs it with -benchtime=1x as a
-// smoke (the pass must complete over the live tree), and perf work can
-// run it with real benchtimes to compare analysis throughput.
-func BenchmarkRunModule(b *testing.B) {
+// BenchmarkSweep times one full analyzer sweep — every registered
+// analyzer over every package — of the repo's own source tree. Loading
+// and type-checking happen once outside the timer: the benchmark isolates
+// analysis cost, which is what a new or changed analyzer moves. CI runs
+// it with -benchtime=1x as a smoke (the pass must complete over the live
+// tree), and perf work can run it with real benchtimes to compare
+// analysis throughput.
+func BenchmarkSweep(b *testing.B) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		b.Fatal(err)

@@ -24,7 +24,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -55,15 +54,12 @@ type Package struct {
 	Info       *types.Info
 }
 
-// Analyzer is one named determinism rule. Exactly one of Run and
-// RunModule is set: Run sees one package at a time; RunModule sees every
-// loaded package at once, for rules whose evidence spans packages
-// (module-wide writes to globals).
+// Analyzer is one named determinism rule. Run sees one package at a
+// time: no rule needs evidence from another package.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(p *Package) []Finding
-	RunModule func(pkgs []*Package) []Finding
+	Name string
+	Doc  string
+	Run  func(p *Package) []Finding
 }
 
 // Analyzers returns the full rule set in reporting order.
@@ -76,13 +72,8 @@ func Analyzers() []*Analyzer {
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, a := range analyzers {
-		if a.Run != nil {
-			for _, p := range pkgs {
-				out = append(out, a.Run(p)...)
-			}
-		}
-		if a.RunModule != nil {
-			out = append(out, a.RunModule(pkgs)...)
+		for _, p := range pkgs {
+			out = append(out, a.Run(p)...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -153,11 +144,6 @@ func isPkgSelector(p *Package, sel *ast.SelectorExpr) bool {
 	}
 	_, isPkg := p.Info.Uses[id].(*types.PkgName)
 	return isPkg
-}
-
-// shortPos renders a position as base-file:line for finding messages.
-func shortPos(pos token.Position) string {
-	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }
 
 // calleeFunc resolves a call to its *types.Func whether it is invoked via

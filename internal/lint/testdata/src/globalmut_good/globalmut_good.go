@@ -1,23 +1,23 @@
 //eslurmlint:testpath eslurm/internal/globalmut_good
 
-// Package globalmut_good is compliant: constants, immutable-typed vars
-// that are never written (sentinel errors, function values, numeric
-// defaults), and function-local mutable state are all fine.
+// Package globalmut_good is compliant: constants, error sentinels
+// initialized at their declaration, functions in place of function
+// values, and function-local mutable state are all fine.
 package globalmut_good
 
 import "errors"
 
 const maxNodes = 4096
 
-// ErrDrained is the sentinel-error idiom: interface-typed, assigned once
-// at initialization, never written again.
+// defaultSeed is a constant, not a read-only var.
+const defaultSeed int64 = 42
+
+// ErrDrained is the sentinel-error idiom: error-typed and initialized at
+// its declaration.
 var ErrDrained = errors.New("globalmut_good: drained")
 
-// defaultSeed is basic-typed and read-only.
-var defaultSeed int64 = 42
-
-// clamp is a function value that is never reassigned.
-var clamp = func(v, lo, hi int) int {
+// clamp is a function, not a function-valued var.
+func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo
 	}
