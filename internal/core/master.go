@@ -241,21 +241,6 @@ func (p mergedPredictor) Predicted(id cluster.NodeID) bool {
 	return p.m.Suspected(id) || p.m.Predictor.Predicted(id)
 }
 
-// PredictedCount implements predict.Predictor (plugin count plus live
-// suspects; overlap is not deduplicated — the count is informational).
-func (p mergedPredictor) PredictedCount() int {
-	n := p.m.Predictor.PredictedCount()
-	if n < 0 {
-		return -1
-	}
-	for id := range p.m.suspects {
-		if p.m.Suspected(id) && !p.m.Predictor.Predicted(id) {
-			n++
-		}
-	}
-	return n
-}
-
 // Config returns the master's configuration.
 func (m *Master) Config() Config { return m.cfg }
 

@@ -7,8 +7,8 @@
 // that run simulations at scale (benchrunner, chaossoak) take
 // -cpuprofile and -memprofile through profile.Start. Neither draws RNG
 // or schedules events, so they leave the determinism contract (same seed
-// ⇒ same trace) and every report byte untouched. The walltime lint rule
-// lets only host-side packages and the suite runner call them.
+// ⇒ same trace) and every report byte untouched. The lint ban table
+// (bannedcall) lets only host-side packages and the suite runner call them.
 //
 // The profiler lives in its own package so that importing the stopwatch
 // does not link runtime/pprof (and its compression code) into every

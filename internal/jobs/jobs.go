@@ -15,6 +15,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"eslurm/internal/mapkeys"
 )
 
 // ID identifies a job within one registry.
@@ -132,9 +134,8 @@ type Registry struct {
 	live   map[ID]*Job
 	// done keeps the last historyCap terminal jobs (the "historical job
 	// queue" the estimation framework trains on).
-	done   []*Job
-	counts map[State]int
-	fs     *Fairshare
+	done []*Job
+	fs   *Fairshare
 }
 
 // historyCap is how many terminal jobs a registry keeps.
@@ -145,7 +146,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		nextID: 1,
 		live:   make(map[ID]*Job),
-		counts: make(map[State]int),
 		fs:     NewFairshare(usageHalfLife),
 	}
 }
@@ -159,7 +159,6 @@ func (r *Registry) Submit(name, user, partition string, nodes, cores int, limit,
 	}
 	r.nextID++
 	r.live[j.ID] = j
-	r.counts[Pending]++
 	return j
 }
 
@@ -177,14 +176,12 @@ func (r *Registry) Get(id ID) *Job {
 }
 
 // Transition moves a job to a new state at virtual time now, enforcing
-// the lifecycle and maintaining counters, timestamps, history and
-// fair-share usage.
+// the lifecycle and maintaining timestamps, history and fair-share
+// usage.
 func (r *Registry) Transition(j *Job, to State, now time.Duration) error {
 	if !validTransition(j.state, to) {
 		return &ErrBadTransition{Job: j.ID, From: j.state, To: to}
 	}
-	r.counts[j.state]--
-	r.counts[to]++
 	switch to {
 	case Running:
 		j.StartAt = now
@@ -209,18 +206,6 @@ func (r *Registry) Transition(j *Job, to State, now time.Duration) error {
 	return nil
 }
 
-// Counts returns the number of jobs per state (terminal states count the
-// retained history only).
-func (r *Registry) Counts() map[State]int {
-	out := make(map[State]int, len(r.counts))
-	for s, c := range r.counts {
-		if c != 0 {
-			out[s] = c
-		}
-	}
-	return out
-}
-
 // History returns the retained terminal jobs, oldest first.
 func (r *Registry) History() []*Job { return r.done }
 
@@ -232,8 +217,8 @@ func (r *Registry) Fairshare() *Fairshare { return r.fs }
 // priority (ties by submit time, then ID), recomputing priorities at now.
 func (r *Registry) Pending(now time.Duration) []*Job {
 	var out []*Job
-	for _, j := range r.live {
-		if j.state == Pending {
+	for _, id := range mapkeys.Sorted(r.live) {
+		if j := r.live[id]; j.state == Pending {
 			j.priority = score(j, r.fs, now)
 			out = append(out, j)
 		}

@@ -29,11 +29,11 @@ func TestLifecycleHappyPath(t *testing.T) {
 	if j.StartAt != 2*time.Minute || j.EndAt != 4*time.Minute {
 		t.Errorf("timestamps: start=%v end=%v", j.StartAt, j.EndAt)
 	}
-	if len(r.History()) != 1 {
+	if h := r.History(); len(h) != 1 || h[0] != j {
 		t.Error("history missing the job")
 	}
-	if r.Counts()[Completed] != 1 {
-		t.Errorf("counts = %v", r.Counts())
+	if j.State() != Completed {
+		t.Errorf("state = %v, want COMPLETED", j.State())
 	}
 }
 
@@ -80,8 +80,8 @@ func TestKilledAtLimitEndsTimeout(t *testing.T) {
 			t.Fatalf("-> %v: %v", s, err)
 		}
 	}
-	if r.Counts()[Timeout] != 1 || len(r.History()) != 1 {
-		t.Errorf("counts = %v, history = %d", r.Counts(), len(r.History()))
+	if h := r.History(); j.State() != Timeout || len(h) != 1 || h[0] != j {
+		t.Errorf("state = %v, history = %d", j.State(), len(h))
 	}
 }
 
@@ -194,17 +194,4 @@ func TestAgeFactorSaturates(t *testing.T) {
 	if p1 != p2 {
 		t.Errorf("age factor did not saturate: %v vs %v", p1, p2)
 	}
-}
-
-func TestCountsTrackStates(t *testing.T) {
-	r := newReg()
-	a := r.Submit("a", "u", "p", 1, 24, time.Hour, 0)
-	b := r.Submit("b", "u", "p", 1, 24, time.Hour, 0)
-	r.Transition(a, Configuring, 0)
-	r.Transition(a, Running, 0)
-	c := r.Counts()
-	if c[Pending] != 1 || c[Running] != 1 {
-		t.Errorf("counts = %v", c)
-	}
-	_ = b
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // GlobalmutAnalyzer is the global-state audit. A package-level variable
@@ -32,19 +31,9 @@ var GlobalmutAnalyzer = &Analyzer{
 	Run:  runGlobalmut,
 }
 
-// globalmutExempt lists import-path suffixes outside the audit's scope.
-var globalmutExempt = []string{"internal/lint", "internal/testutil"}
-
+// globalmutScoped reports whether the package is in the audit's scope.
 func globalmutScoped(path string) bool {
-	if !underInternal(path) {
-		return false
-	}
-	for _, suffix := range globalmutExempt {
-		if strings.HasSuffix(path, suffix) || strings.Contains(path, suffix+"/") {
-			return false
-		}
-	}
-	return true
+	return under(path, "internal") && !under(path, "internal/lint") && !under(path, "internal/testutil")
 }
 
 func runGlobalmut(p *Package) []Finding {

@@ -96,8 +96,8 @@ func parseWants(t *testing.T, dir string) []want {
 }
 
 // testPathOverride returns the //eslurmlint:testpath value, if any. It
-// lets a testdata package exercise path-scoped rules (walltime's host-side
-// scope, detrand's simnet exemption) although its real path lives under
+// lets a testdata package exercise path-scoped rules (the ban table's
+// allowed directories, maprange's helper package) although its real path lives under
 // internal/lint/testdata.
 func testPathOverride(p *Package) (string, bool) {
 	for _, f := range p.Files {
@@ -113,9 +113,10 @@ func testPathOverride(p *Package) (string, bool) {
 	return "", false
 }
 
-// runCase loads one testdata package, runs the analyzer through Run, and
-// diffs findings against the want comments.
-func runCase(t *testing.T, name string, a *Analyzer) {
+// runCase loads one testdata package, runs every analyzer over it through
+// Run, and diffs the findings against the want comments, so a fixture
+// pins what each rule reports on it and that the others stay silent.
+func runCase(t *testing.T, name string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
 	p, err := testLoader(t).LoadDir(dir)
@@ -126,7 +127,7 @@ func runCase(t *testing.T, name string, a *Analyzer) {
 		p.ImportPath = tp
 	}
 	wants := parseWants(t, dir)
-	got := Run([]*Package{p}, []*Analyzer{a})
+	got := Run([]*Package{p}, Analyzers())
 
 	matched := make([]bool, len(got))
 	for _, w := range wants {
@@ -159,44 +160,51 @@ func runCase(t *testing.T, name string, a *Analyzer) {
 	}
 }
 
-// TestWalltime pins the host clock and environment ban and its scope:
-// walltime_examples fires outside internal/, walltime_cmd and
-// walltime_hostprof are host side, and walltime_runner (the experiment
-// suite runner) may call hostprof but not the clock itself.
+// TestWalltime pins the ban table's host clock, environment and hostprof
+// rows and their scope: walltime_examples fires outside internal/,
+// walltime_cmd and walltime_hostprof are host side, and walltime_runner
+// (the experiment suite runner) may call hostprof but not the clock
+// itself.
 func TestWalltime(t *testing.T) {
-	runCase(t, "walltime_bad", WalltimeAnalyzer)
-	runCase(t, "walltime_good", WalltimeAnalyzer)
-	runCase(t, "walltime_examples", WalltimeAnalyzer)
-	runCase(t, "walltime_cmd", WalltimeAnalyzer)
-	runCase(t, "walltime_hostprof", WalltimeAnalyzer)
-	runCase(t, "walltime_runner", WalltimeAnalyzer)
+	for _, name := range []string{"walltime_bad", "walltime_good", "walltime_examples", "walltime_cmd", "walltime_hostprof", "walltime_runner"} {
+		runCase(t, name)
+	}
 }
 
+// TestDetrand pins the ban table's generator rows: the global math/rand
+// and math/rand/v2 draws everywhere, and a constant-seeded rand.NewSource
+// outside internal/simnet (detrand_simnet).
 func TestDetrand(t *testing.T) {
-	runCase(t, "detrand_bad", DetrandAnalyzer)
-	runCase(t, "detrand_good", DetrandAnalyzer)
-	runCase(t, "detrand_simnet", DetrandAnalyzer)
+	for _, name := range []string{"detrand_bad", "detrand_good", "detrand_simnet"} {
+		runCase(t, name)
+	}
 }
 
-func TestMaporder(t *testing.T) {
-	runCase(t, "maporder_bad", MaporderAnalyzer)
-	runCase(t, "maporder_good", MaporderAnalyzer)
+// TestMaprange pins the map-range ban: every range over a map fires,
+// whatever its body (maprange_bad holds the forms the old order-sensitivity
+// rule let through: sorted-keys appends, integer sums, extrema), the
+// mapkeys.Sorted and slice forms stay silent, and so does the helper
+// package itself (maprange_helper).
+func TestMaprange(t *testing.T) {
+	for _, name := range []string{"maprange_bad", "maprange_good", "maprange_helper"} {
+		runCase(t, name)
+	}
 }
 
-// TestFloatsum pins maporder's float-accumulation effect: every
-// floatsum_bad reduction fires maporder, and floatsum_good (ordered
-// collections, integer sums, the sorted-keys fix, max) stays silent.
+// TestFloatsum pins float accumulation over a map: every floatsum_bad
+// reduction fires, integer sums and extrema included, and floatsum_good
+// (ordered collections, the sorted-keys helper) stays silent.
 func TestFloatsum(t *testing.T) {
-	runCase(t, "floatsum_bad", MaporderAnalyzer)
-	runCase(t, "floatsum_good", MaporderAnalyzer)
+	runCase(t, "floatsum_bad")
+	runCase(t, "floatsum_good")
 }
 
 // TestGlobalmut pins the global-state audit, including the internal/lint
 // scope exemption (globalmut_exempt).
 func TestGlobalmut(t *testing.T) {
-	runCase(t, "globalmut_bad", GlobalmutAnalyzer)
-	runCase(t, "globalmut_good", GlobalmutAnalyzer)
-	runCase(t, "globalmut_exempt", GlobalmutAnalyzer)
+	for _, name := range []string{"globalmut_bad", "globalmut_good", "globalmut_exempt"} {
+		runCase(t, name)
+	}
 }
 
 // TestRunOnRealTree is the determinism gate itself: every analyzer over
@@ -227,13 +235,13 @@ func TestRunOnRealTree(t *testing.T) {
 // TestFindingString pins the canonical file:line: [analyzer] format the
 // gate's failure messages use, and the size of the rule set.
 func TestFindingString(t *testing.T) {
-	f := Finding{Analyzer: "detrand", Message: "msg"}
+	f := Finding{Analyzer: "bannedcall", Message: "msg"}
 	f.Pos.Filename = "a/b.go"
 	f.Pos.Line = 7
-	if got, want := f.String(), "a/b.go:7: [detrand] msg"; got != want {
+	if got, want := f.String(), "a/b.go:7: [bannedcall] msg"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
-	if len(Analyzers()) != 4 {
-		t.Fatalf("expected 4 analyzers, got %d", len(Analyzers()))
+	if len(Analyzers()) != 3 {
+		t.Fatalf("expected 3 analyzers, got %d", len(Analyzers()))
 	}
 }

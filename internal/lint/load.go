@@ -1,10 +1,10 @@
 package lint
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -12,8 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -101,7 +99,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// LoadDir parses and type-checks the (non-test) package in dir.
+// LoadDir parses and type-checks the (non-test) package in dir. go/build
+// picks its files for the default build: this platform, the gc toolchain
+// and every release up to the running Go, but no feature tag such as race,
+// so tag-disjoint twins (race_on.go/race_off.go) load one of the two.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
@@ -117,15 +118,15 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.loading[importPath] = true
 	defer delete(l.loading, importPath)
 
-	names, err := goFilesIn(dir)
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err == nil && len(bp.GoFiles) == 0 {
+		err = fmt.Errorf("%s: no non-test Go files", dir)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("%s: no Go files", dir)
-	}
 	var files []*ast.File
-	for _, name := range names {
+	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -134,11 +135,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	}
 
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	var typeErrs []error
 	conf := types.Config{
@@ -191,10 +190,13 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 			strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
 			return filepath.SkipDir
 		}
-		if names, err := goFilesIn(path); err == nil && len(names) > 0 {
-			dirs = append(dirs, path)
+		bp, err := build.Default.ImportDir(path, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) || err == nil && len(bp.GoFiles) == 0 {
+			return nil // no package here, or only tests (the module root)
 		}
-		return nil
+		dirs = append(dirs, path)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -208,85 +210,4 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// goFilesIn lists the buildable non-test Go files in dir, honoring
-// //go:build constraints so tag-disjoint twins (race_on.go/race_off.go)
-// do not collide as redeclarations.
-func goFilesIn(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !buildConstraintOK(filepath.Join(dir, name)) {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// buildConstraintOK evaluates the file's //go:build line (if any) for the
-// loader's context: current GOOS/GOARCH, the gc toolchain, and every
-// release tag up to the running version. Feature tags like "race" are
-// false — the loader analyzes the default build, same as `go build`
-// without extra tags. Files without a constraint, and files whose
-// constraint fails to parse (the compiler will report those properly),
-// are included.
-func buildConstraintOK(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return true
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if constraint.IsGoBuild(line) {
-			expr, err := constraint.Parse(line)
-			if err != nil {
-				return true
-			}
-			return expr.Eval(buildTagMatches)
-		}
-		// The constraint must precede the package clause; stop there.
-		if strings.HasPrefix(line, "package ") {
-			return true
-		}
-	}
-	return true
-}
-
-func buildTagMatches(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		switch runtime.GOOS {
-		case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly", "solaris", "illumos", "aix":
-			return true
-		}
-		return false
-	}
-	if rest, ok := strings.CutPrefix(tag, "go1."); ok {
-		tagMinor, err := strconv.Atoi(rest)
-		if err != nil {
-			return false
-		}
-		cur := strings.TrimPrefix(runtime.Version(), "go1.")
-		if i := strings.IndexByte(cur, '.'); i >= 0 {
-			cur = cur[:i]
-		}
-		curMinor, err := strconv.Atoi(cur)
-		return err == nil && tagMinor <= curMinor
-	}
-	return false
 }

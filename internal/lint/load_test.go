@@ -4,13 +4,16 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 )
 
 // TestLoadBuildConstrainedTwins: a package split into tag-disjoint twin
 // files (the internal/testutil RaceEnabled pattern) must load exactly one
 // of them — without constraint evaluation both parse and the const is a
-// redeclaration.
+// redeclaration. The loader analyzes the default build: the current
+// platform, the gc toolchain and every release tag up to the running Go
+// hold; feature tags (race, integration) and future releases do not.
 func TestLoadBuildConstrainedTwins(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -19,6 +22,10 @@ func TestLoadBuildConstrainedTwins(t *testing.T) {
 		"p/race_on.go":  "//go:build race\n\npackage p\n\nconst RaceEnabled = true\n",
 		"p/race_off.go": "//go:build !race\n\npackage p\n\nconst RaceEnabled = false\n",
 		"p/other_os.go": "//go:build " + otherGOOS() + "\n\npackage p\n\nconst RaceEnabled = 3 // would redeclare if loaded\n",
+		"p/future.go":   "//go:build go1.999\n\npackage p\n\nconst RaceEnabled = 4 // would redeclare if loaded\n",
+		"p/feature.go":  "//go:build integration\n\npackage p\n\nconst RaceEnabled = 5 // would redeclare if loaded\n",
+		"p/release.go":  "//go:build go1.18\n\npackage p\n\nconst Release = true\n",
+		"p/platform.go": "//go:build gc && " + runtime.GOOS + " && " + runtime.GOARCH + "\n\npackage p\n\nconst Platform = true\n",
 	}
 	for name, content := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -37,9 +44,12 @@ func TestLoadBuildConstrainedTwins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tag-disjoint twins failed to load: %v", err)
 	}
-	// The linter analyzes the default build: race off.
-	if len(p.Files) != 2 {
-		t.Fatalf("loaded %d files, want 2 (doc.go + race_off.go)", len(p.Files))
+	var loaded []string
+	for _, f := range p.Files {
+		loaded = append(loaded, filepath.Base(l.Fset.File(f.Pos()).Name()))
+	}
+	if want := []string{"doc.go", "platform.go", "race_off.go", "release.go"}; !slices.Equal(loaded, want) {
+		t.Fatalf("loaded %v, want %v", loaded, want)
 	}
 	if v := p.Types.Scope().Lookup("RaceEnabled"); v == nil || v.Type().String() != "untyped bool" {
 		t.Errorf("RaceEnabled resolved to %v, want the untyped bool from race_off.go", v)
@@ -53,22 +63,4 @@ func otherGOOS() string {
 		return "windows"
 	}
 	return "plan9"
-}
-
-// TestBuildTagMatches pins the tag evaluation context: current platform
-// and release tags are true, feature tags are false.
-func TestBuildTagMatches(t *testing.T) {
-	for tag, want := range map[string]bool{
-		runtime.GOOS:   true,
-		runtime.GOARCH: true,
-		"gc":           true,
-		"go1.18":       true,
-		"go1.999":      false,
-		"race":         false,
-		"integration":  false,
-	} {
-		if got := buildTagMatches(tag); got != want {
-			t.Errorf("buildTagMatches(%q) = %v, want %v", tag, got, want)
-		}
-	}
 }

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"eslurm/internal/mapkeys"
 	"eslurm/internal/obs"
 )
 
@@ -74,7 +75,11 @@ type analysis struct {
 	// (End desc, Start desc, id desc) — the tie-break rule of the
 	// backward walk, documented in DESIGN.md §8.
 	critKids map[int][]int32
-	self     map[int]time.Duration // per-root scratch: attributed self time
+	// self is per-root scratch: the self time attributed to each span,
+	// indexed by span id; touched lists the ids with a nonzero entry, in
+	// the order they were first attributed.
+	self    []time.Duration
+	touched []int
 }
 
 // Analyze computes the critical-path report over the given sources.
@@ -126,7 +131,10 @@ func Analyze(sources []Source, opt Options) *Report {
 				groups[key] = g
 			}
 
-			clear(a.self)
+			for _, sid := range a.touched {
+				a.self[sid] = 0
+			}
+			a.touched = a.touched[:0]
 			spine := []int{id}
 			a.attribute(id, n.start, n.end, &spine)
 
@@ -138,7 +146,8 @@ func Analyze(sources []Source, opt Options) *Report {
 			}
 			g.Retries += retries[id]
 			g.Adopts += adopts[id]
-			for sid, d := range a.self {
+			for _, sid := range a.touched {
+				d := a.self[sid]
 				sn := &a.nodes[sid-1]
 				k, ok := g.kinds[sn.name]
 				if !ok {
@@ -166,19 +175,9 @@ func Analyze(sources []Source, opt Options) *Report {
 		}
 	}
 
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range mapkeys.Sorted(groups) {
 		g := groups[k]
-		names := make([]string, 0, len(g.kinds))
-		for name := range g.kinds {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range mapkeys.Sorted(g.kinds) {
 			g.Kinds = append(g.Kinds, *g.kinds[name])
 		}
 		g.kinds = nil
@@ -233,7 +232,7 @@ func build(spans []obs.Span, rep *Report) *analysis {
 	a := &analysis{
 		nodes:    make([]node, len(spans)),
 		critKids: make(map[int][]int32),
-		self:     make(map[int]time.Duration),
+		self:     make([]time.Duration, len(spans)+1),
 	}
 	rep.Spans += len(spans)
 	seenPlan := make(map[int]bool)
@@ -354,6 +353,9 @@ func (a *analysis) attribute(id int, from, to time.Duration, spine *[]int) {
 
 func (a *analysis) addSelf(id int, d time.Duration) {
 	if d > 0 {
+		if a.self[id] == 0 {
+			a.touched = append(a.touched, id)
+		}
 		a.self[id] += d
 	}
 }

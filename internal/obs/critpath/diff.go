@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"eslurm/internal/mapkeys"
 )
 
 // DiffReport is the comparison of two critical-path reports: per-group,
@@ -77,12 +79,7 @@ func Diff(a, b *Report, labelA, labelB string) *DiffReport {
 				kd.TimeB, kd.SegsB = k.Time, k.Segs
 			}
 		}
-		names := make([]string, 0, len(kinds))
-		for n := range kinds {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range mapkeys.Sorted(kinds) {
 			kd := *kinds[n]
 			gd.Kinds = append(gd.Kinds, kd)
 			if kd.Delta() != 0 {

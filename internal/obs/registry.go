@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"eslurm/internal/mapkeys"
 )
 
 // Counter is a monotonically increasing count. Instruments are plain
@@ -202,13 +204,13 @@ func (r *Registry) Snapshot() []Metric {
 		return nil
 	}
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name := range r.counters {
+	for _, name := range mapkeys.Sorted(r.counters) {
 		out = append(out, Metric{Kind: "counter", Name: name})
 	}
-	for name := range r.gauges {
+	for _, name := range mapkeys.Sorted(r.gauges) {
 		out = append(out, Metric{Kind: "gauge", Name: name})
 	}
-	for name := range r.hists {
+	for _, name := range mapkeys.Sorted(r.hists) {
 		out = append(out, Metric{Kind: "histogram", Name: name})
 	}
 	sort.Slice(out, func(i, j int) bool {

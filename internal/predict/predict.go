@@ -27,9 +27,6 @@ import (
 type Predictor interface {
 	// Predicted reports whether the node is currently expected to fail.
 	Predicted(id cluster.NodeID) bool
-	// PredictedCount returns the current size of the predicted set (for
-	// reporting; implementations without a materialized set may return -1).
-	PredictedCount() int
 }
 
 // Null never predicts a failure. FP-Tree with a Null predictor degenerates
@@ -39,9 +36,6 @@ type Null struct{}
 // Predicted always returns false.
 func (Null) Predicted(cluster.NodeID) bool { return false }
 
-// PredictedCount is always zero.
-func (Null) PredictedCount() int { return 0 }
-
 // Static predicts exactly the nodes in its set. Used in tests and in
 // experiments that control the predicted set directly.
 type Static map[cluster.NodeID]bool
@@ -49,18 +43,12 @@ type Static map[cluster.NodeID]bool
 // Predicted reports set membership.
 func (s Static) Predicted(id cluster.NodeID) bool { return s[id] }
 
-// PredictedCount returns the set size.
-func (s Static) PredictedCount() int { return len(s) }
-
 // Oracle predicts precisely the nodes that are currently failed — an upper
 // bound for ablation studies (perfect detection, zero lead time).
 type Oracle struct{ Cluster *cluster.Cluster }
 
 // Predicted reports whether the node is failed right now.
 func (o Oracle) Predicted(id cluster.NodeID) bool { return o.Cluster.Node(id).Failed() }
-
-// PredictedCount returns the live failed-node count.
-func (o Oracle) PredictedCount() int { return o.Cluster.FailedCount() }
 
 // AlertDriven is the paper's production predictor: it subscribes to the
 // monitoring subsystem and marks a node predicted-failed from the moment
@@ -106,18 +94,6 @@ func (p *AlertDriven) Predicted(id cluster.NodeID) bool {
 		return false
 	}
 	return true
-}
-
-// PredictedCount returns the number of live predictions, pruning expired
-// entries as a side effect.
-func (p *AlertDriven) PredictedCount() int {
-	now := p.engine.Now()
-	for id, exp := range p.predicted {
-		if now > exp {
-			delete(p.predicted, id)
-		}
-	}
-	return len(p.predicted)
 }
 
 // AlertsSeen returns the total number of alerts consumed.
