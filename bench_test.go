@@ -15,7 +15,6 @@ import (
 	"eslurm/internal/controller"
 	"eslurm/internal/core"
 	"eslurm/internal/estimate"
-	"eslurm/internal/rm"
 	"eslurm/internal/simnet"
 	"eslurm/internal/trace"
 )
@@ -61,7 +60,7 @@ func BenchmarkFig7_MasterResourceHour(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := simnet.NewEngine(int64(i))
 		c := cluster.New(e, cluster.Config{Computes: 1024, Satellites: 2})
-		r := rm.NewESlurm(c)
+		r := core.NewMaster(c, core.DefaultConfig(), nil)
 		r.Start()
 		e.RunUntil(time.Hour)
 		r.Stop()

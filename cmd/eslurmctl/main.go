@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"eslurm/internal/cluster"
@@ -54,8 +55,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eslurmctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	rmNames := "eslurm"
+	for _, prof := range rm.Profiles() {
+		rmNames += ", " + strings.ToLower(prof.Name)
+	}
 	var (
-		rmName     = fs.String("rm", "eslurm", "resource manager: eslurm, slurm, lsf, sge, torque, openpbs")
+		rmName     = fs.String("rm", "eslurm", "resource manager: "+rmNames)
 		confPath   = fs.String("conf", "", "eslurm.conf file; overrides -nodes/-satellites and the ESlurm parameters")
 		nodes      = fs.Int("nodes", 1024, "compute-node count")
 		satellites = fs.Int("satellites", 0, "satellite count (0 = one per 5K nodes, min 2; ESlurm only)")
@@ -126,22 +131,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c := cluster.New(e, cluster.Config{Computes: *nodes, Satellites: sats})
 	sub := monitor.New(c, monitor.Config{DetectionProb: 0.85})
 
+	// r is the RM under test; probe builds the same design on the fresh
+	// clusters phase 3 probes for its scheduling overhead.
 	var r rm.RM
-	switch *rmName {
-	case "eslurm":
-		m := core.NewMaster(c, coreCfg, predict.NewAlertDriven(e, sub, 0))
-		r = &rm.ESlurm{M: m}
-	case "slurm":
-		r = rm.NewCentralized(c, rm.SlurmProfile())
-	case "lsf":
-		r = rm.NewCentralized(c, rm.LSFProfile())
-	case "sge":
-		r = rm.NewCentralized(c, rm.SGEProfile())
-	case "torque":
-		r = rm.NewCentralized(c, rm.TorqueProfile())
-	case "openpbs":
-		r = rm.NewCentralized(c, rm.OpenPBSProfile())
-	default:
+	var probe func(c *cluster.Cluster) rm.RM
+	var es *core.Master
+	if *rmName == "eslurm" {
+		es = core.NewMaster(c, coreCfg, predict.NewAlertDriven(e, sub, 0))
+		r = es
+		probe = experiment.OracleESlurm
+	}
+	for _, prof := range rm.Profiles() {
+		if strings.ToLower(prof.Name) == *rmName {
+			r = rm.NewCentralized(c, prof)
+			probe = func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, prof) }
+		}
+	}
+	if r == nil {
 		fmt.Fprintf(stderr, "unknown RM %q\n", *rmName)
 		return 1
 	}
@@ -152,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// satellite census and replays the schedule's mutations in simulated
 	// time.
 	var rec *reconcile.Reconciler
-	if es, ok := r.(*rm.ESlurm); ok {
+	if es != nil {
 		switch {
 		case *specPath != "":
 			f, err := os.Open(*specPath)
@@ -166,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "eslurmctl: %s: %v\n", *specPath, err)
 				return 1
 			}
-			rec = reconcile.New(es.M, sched2.Initial, reconcile.Config{})
+			rec = reconcile.New(es, sched2.Initial, reconcile.Config{})
 			rec.Start()
 			rec.ScheduleMutations(sched2.Mutations)
 			fmt.Fprintf(stdout, "reconciler: initial target %d satellites, %d scheduled mutations\n",
@@ -177,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "eslurmctl: %s: %v\n", *confPath, err)
 				return 1
 			}
-			rec = reconcile.New(es.M, spec, opts)
+			rec = reconcile.New(es, spec, opts)
 			rec.Start()
 			fmt.Fprintf(stdout, "reconciler: target %d satellites from %s\n", spec.Satellites, *confPath)
 		}
@@ -210,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				size = *nodes / 2
 			}
 			jn := c.Computes()[:size]
-			r.LoadJob(jn, func(time.Duration) {
+			r.LoadJob(jn, func(comm.Result) {
 				e.After(time.Duration(20+rng.Intn(300))*time.Second, func() {
 					r.TerminateJob(jn, nil)
 				})
@@ -228,8 +234,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var demo comm.Result
 	demoed := false
 	if *verbose {
-		if es, ok := r.(*rm.ESlurm); ok {
-			es.M.Broadcast(c.Computes(), 4096, func(rr comm.Result) { demo = rr; demoed = true })
+		if es != nil {
+			es.Broadcast(c.Computes(), core.JobLoadMsgBytes, func(rr comm.Result) { demo = rr; demoed = true })
 		}
 	}
 
@@ -246,14 +252,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		m.CPUTime().Round(time.Millisecond),
 		float64(m.VMem())/(1<<30), float64(m.RSS())/(1<<20),
 		m.AvgSockets(e.Now()), m.PeakSockets())
-	if es, ok := r.(*rm.ESlurm); ok {
-		st := es.M.Stats()
+	if es != nil {
+		st := es.Stats()
 		fmt.Fprintf(stdout, "broadcasts=%d subtasks=%d reallocations=%d takeovers=%d heartbeats=%d\n",
 			st.Broadcasts, st.SubTasks, st.Reallocations, st.MasterTakeovers, st.HeartbeatSweeps)
 		if *verbose {
 			for i, id := range c.Satellites() {
 				sm := &c.Node(id).Meter
-				sat := es.M.Pool.Get(id)
+				sat := es.Pool.Get(id)
 				fmt.Fprintf(stdout, "satellite %d: state=%v tasks=%d cpu=%v rss=%.1fMB\n",
 					i+1, sat.State(), sat.TasksReceived,
 					sm.CPUTime().Round(time.Millisecond), float64(sm.RSS())/(1<<20))
@@ -278,16 +284,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := trace.Tianhe2AConfig(*jobs)
 	cfg.MaxNodes = *nodes
 	tr := trace.Generate(cfg)
-	overhead := experiment.OccupationProbeLookup(new(experiment.Env), *rmName, *nodes)
+	overhead := experiment.OccupationProbeLookup(new(experiment.Env), probe, *nodes)
 	scfg := sched.Config{Nodes: *nodes, Policy: sched.Backfill, KillAtLimit: true, Overhead: overhead, Seed: *seed}
-	if *rmName == "eslurm" {
+	if es != nil {
 		scfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(fwCfg)}
 	}
 	res := sched.Run(tr.Jobs, scfg)
 	fmt.Fprintf(stdout, "scheduling %d jobs: utilization=%.1f%% avg-wait=%v slowdown=%.1f completed=%d killed=%d\n",
 		len(tr.Jobs), 100*res.Utilization, res.AvgWait.Round(time.Second),
 		res.AvgBoundedSlowdown, res.Completed, res.Killed)
-	if *verbose && *rmName == "eslurm" {
+	if *verbose && es != nil {
 		if fw, ok := scfg.Predictor.(sched.FrameworkWalltimes); ok {
 			trusted, total := 0, 0
 			for _, cs := range fw.F.ClusterStats() {

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"eslurm/internal/cluster"
+	"eslurm/internal/comm"
+	"eslurm/internal/core"
 	"eslurm/internal/experiment"
 	"eslurm/internal/rm"
 	"eslurm/internal/simnet"
@@ -93,7 +95,7 @@ func fullStackDigest(seed int64) (trace string, metrics string) {
 		fmt.Fprintf(h, "%d:%d;", int64(at), seq)
 	})
 	c := cluster.New(e, cluster.Config{Computes: nodes, Satellites: 2})
-	r := rm.NewESlurm(c)
+	var r rm.RM = core.NewMaster(c, core.DefaultConfig(), nil)
 	r.Start()
 
 	rng := e.Rand("integration/determinism")
@@ -109,10 +111,10 @@ func fullStackDigest(seed int64) (trace string, metrics string) {
 				size = nodes / 2
 			}
 			jobNodes := c.Computes()[:size]
-			r.LoadJob(jobNodes, func(time.Duration) {
+			r.LoadJob(jobNodes, func(comm.Result) {
 				runFor := time.Duration(10+rng.ExpFloat64()*110) * time.Second
 				e.After(runFor, func() {
-					r.TerminateJob(jobNodes, func(time.Duration) {})
+					r.TerminateJob(jobNodes, func(comm.Result) {})
 				})
 			})
 			submit()

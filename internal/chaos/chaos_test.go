@@ -123,7 +123,7 @@ func TestDrainedPoolFallback(t *testing.T) {
 	// satellites FAULT; the pool is then fully drained.
 	e.Schedule(200*time.Second, func() {
 		if !m.Pool.Drained() {
-			t.Errorf("pool not drained before broadcast: %+v", m.PoolHealth())
+			t.Errorf("pool not drained before broadcast: %+v", m.Pool.Health())
 		}
 		if r := m.Pool.RunningCount(); r != 0 {
 			t.Errorf("%d satellites still RUNNING", r)
@@ -156,7 +156,7 @@ func TestDrainedPoolFallback(t *testing.T) {
 	if len(poolAlerts) < 3 {
 		t.Errorf("monitor saw %d satellite.pool alerts, want >= 3", len(poolAlerts))
 	}
-	h := m.PoolHealth()
+	h := m.Pool.Health()
 	if !h.Drained() || h.Alive() != 0 {
 		t.Errorf("final pool health not drained: %+v", h)
 	}

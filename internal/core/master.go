@@ -38,10 +38,12 @@ import (
 )
 
 // Message sizes in bytes. Task and reply sizes come from their proto
-// encodings; these three are fixed.
+// encodings; these three are fixed. The job messages are the same bytes
+// under every RM the experiments compare, and the broadcast figures send
+// them too.
 const (
-	jobLoadMsgBytes = 4096
-	jobTermMsgBytes = 1024
+	JobLoadMsgBytes = 4096
+	JobTermMsgBytes = 1024
 	// HeartbeatMsgBytes sizes a heartbeat, and the heartbeat-sized probe
 	// broadcast of the satellite-count sweep.
 	HeartbeatMsgBytes = 256
@@ -243,11 +245,6 @@ func (p mergedPredictor) Predicted(id cluster.NodeID) bool {
 
 // Config returns the master's configuration.
 func (m *Master) Config() Config { return m.cfg }
-
-// PoolHealth returns the satellite pool's current census — the signal the
-// monitoring subsystem (monitor.ObservePool) and the chaos harness watch
-// for graceful degradation.
-func (m *Master) PoolHealth() satellite.Health { return m.Pool.Health() }
 
 // Stats returns a snapshot of the master's event counters, assembled
 // from the registry instruments (see masterInstruments).
@@ -704,7 +701,7 @@ func (m *Master) LoadJob(nodes []cluster.NodeID, done func(comm.Result)) {
 	mm.AddVMem(perJobState)
 	mm.AddRSS(perJobState / 4)
 	m.jobs++
-	m.Broadcast(nodes, jobLoadMsgBytes, done)
+	m.Broadcast(nodes, JobLoadMsgBytes, done)
 }
 
 // TerminateJob broadcasts the job-termination message and releases the
@@ -713,7 +710,7 @@ func (m *Master) LoadJob(nodes []cluster.NodeID, done func(comm.Result)) {
 func (m *Master) TerminateJob(nodes []cluster.NodeID, done func(comm.Result)) {
 	mm := m.Meter()
 	mm.ChargeCPU(schedCPUPerJob / 2)
-	m.Broadcast(nodes, jobTermMsgBytes, func(r comm.Result) {
+	m.Broadcast(nodes, JobTermMsgBytes, func(r comm.Result) {
 		mm.AddVMem(-perJobState)
 		mm.AddRSS(-perJobState / 4)
 		if m.jobs > 0 {

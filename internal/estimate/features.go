@@ -99,13 +99,6 @@ func fromLogSeconds(v float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // EA implements Eq. 4: the estimation accuracy of a single job, in (0, 1],
 // where 1 is a perfect estimate.
 func EA(predicted, actual time.Duration) float64 {

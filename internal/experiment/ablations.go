@@ -36,12 +36,8 @@ func AblationTreeWidth(env *Env, nodes int, widths []int) *Table {
 			if failures {
 				failSpread(c, nodes/50)
 			}
-			b := comm.NewBroadcaster(c)
-			var res comm.Result
 			s := comm.FPTree{Width: w, Predictor: predict.Oracle{Cluster: c}}
-			s.Broadcast(b, c.Satellites()[0], c.Computes(), 4096, func(r comm.Result) { res = r })
-			c.Run()
-			return res.DeliveredElapsed
+			return deliveredIn(c, s, c.Satellites()[0], core.JobLoadMsgBytes)
 		}
 		depth := treeDepth(nodes, w)
 		return []string{fmt.Sprintf("%d", w), fmt.Sprintf("%d", depth),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"eslurm/internal/cluster"
+	"eslurm/internal/comm"
 	"eslurm/internal/rm"
 	"eslurm/internal/simnet"
 )
@@ -301,13 +302,13 @@ type silentRM struct{ answerLoad bool }
 func (silentRM) Name() string { return "Silent" }
 func (silentRM) Start()       {}
 func (silentRM) Stop()        {}
-func (s silentRM) LoadJob(_ []cluster.NodeID, done func(time.Duration)) {
+func (s silentRM) LoadJob(_ []cluster.NodeID, done func(comm.Result)) {
 	if s.answerLoad {
-		done(time.Second)
+		done(comm.Result{DeliveredElapsed: time.Second})
 	}
 }
-func (silentRM) TerminateJob([]cluster.NodeID, func(time.Duration)) {}
-func (silentRM) Meter() *cluster.ResourceMeter                      { return nil }
+func (silentRM) TerminateJob([]cluster.NodeID, func(comm.Result)) {}
+func (silentRM) Meter() *cluster.ResourceMeter                    { return nil }
 
 // TestOccupationProbeFailsLoudly: a callback that never fires within the
 // probe's horizon panics with the RM name and both sizes instead of

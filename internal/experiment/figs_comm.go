@@ -44,9 +44,7 @@ type namedRM struct {
 // its own choice of ESlurm's failure predictor.
 func rmRoster(eslurm func(c *cluster.Cluster) rm.RM) []namedRM {
 	var out []namedRM
-	for _, prof := range []rm.Profile{
-		rm.SGEProfile(), rm.TorqueProfile(), rm.OpenPBSProfile(), rm.LSFProfile(), rm.SlurmProfile(),
-	} {
+	for _, prof := range rm.Profiles() {
 		out = append(out, namedRM{prof.Name, centralized(prof)})
 	}
 	return append(out, namedRM{"ESlurm", eslurm})
@@ -58,12 +56,13 @@ func centralized(prof rm.Profile) func(c *cluster.Cluster) rm.RM {
 }
 
 // plainESlurm is ESlurm with no failure predictor.
-func plainESlurm(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }
+func plainESlurm(c *cluster.Cluster) rm.RM { return core.NewMaster(c, core.DefaultConfig(), nil) }
 
-// oracleESlurm is ESlurm whose predictor knows the cluster's true
-// failures, as the scheduling drivers run it.
-func oracleESlurm(c *cluster.Cluster) rm.RM {
-	return rm.NewESlurmWithPredictor(c, predict.Oracle{Cluster: c})
+// OracleESlurm is ESlurm whose predictor knows the cluster's true
+// failures, as the scheduling drivers and eslurmctl's overhead probes run
+// it.
+func OracleESlurm(c *cluster.Cluster) rm.RM {
+	return core.NewMaster(c, core.DefaultConfig(), predict.Oracle{Cluster: c})
 }
 
 // Fig7f reproduces the job-occupation-time experiment: parallel jobs of
@@ -112,10 +111,12 @@ func OccupationTime(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, j
 // OccupationProbe measures the RM's job load and termination latencies for
 // one job of the given size, with failedFrac of the cluster's nodes down
 // (the production failure background). The scheduling drivers call it per
-// job size to build their sched.Overhead lookups. It runs the cluster only
-// until each answer arrives, with the paper's 10 s job between them; 30 min
-// per answer is a guard, and a callback that has not fired by then panics,
-// naming the RM and the sizes, rather than reporting a zero latency.
+// job size to build their sched.Overhead lookups. Load is the launch
+// broadcast's last delivery; termination is the whole teardown, failed
+// nodes' timeouts included. It runs the cluster only until each answer
+// arrives, with the paper's 10 s job between them; 30 min per answer is a
+// guard, and a callback that has not fired by then panics, naming the RM
+// and the sizes, rather than reporting a zero latency.
 func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64) (load, term time.Duration) {
 	satellites := 1
 	if clusterNodes >= 1024 {
@@ -136,13 +137,13 @@ func OccupationProbe(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes, 
 	nodes := c.Computes()[:jobNodes]
 	var loaded, termed bool
 	start := c.Engine.Now()
-	r.LoadJob(nodes, func(d time.Duration) { load, loaded = d, true })
+	r.LoadJob(nodes, func(res comm.Result) { load, loaded = res.DeliveredElapsed, true })
 	if !c.RunUntilDone(start+30*time.Minute, func() bool { return loaded }) {
 		panic(fmt.Sprintf("experiment: %s never answered LoadJob within 30m (%d-node cluster, %d-node job)", r.Name(), clusterNodes, jobNodes))
 	}
 	c.RunUntil(start + load + 10*time.Second)
 	termStart := c.Engine.Now()
-	r.TerminateJob(nodes, func(d time.Duration) { term, termed = d, true })
+	r.TerminateJob(nodes, func(res comm.Result) { term, termed = res.Elapsed, true })
 	if !c.RunUntilDone(termStart+30*time.Minute, func() bool { return termed }) {
 		panic(fmt.Sprintf("experiment: %s never answered TerminateJob within 30m (%d-node cluster, %d-node job)", r.Name(), clusterNodes, jobNodes))
 	}
@@ -160,8 +161,6 @@ func Fig8a(env *Env, nodes int) *Table {
 		Title:   fmt.Sprintf("Average broadcast time, %d nodes, 2%% failed", nodes),
 		Columns: []string{"System", "job loading msg", "job termination msg"},
 	}
-	loadBytes, termBytes := 4096, 1024
-
 	type variant struct {
 		name string
 		run  func(env *Env, size int) time.Duration
@@ -169,11 +168,7 @@ func Fig8a(env *Env, nodes int) *Table {
 	slurmTree := func(env *Env, size int) time.Duration {
 		c := env.NewCluster(7, cluster.Config{Computes: nodes, Satellites: 1})
 		failSpread(c, nodes/50)
-		b := comm.NewBroadcaster(c)
-		var res comm.Result
-		comm.KTree{Width: 50}.Broadcast(b, c.Master().ID, c.Computes(), size, func(r comm.Result) { res = r })
-		c.Run()
-		return res.DeliveredElapsed
+		return deliveredIn(c, comm.KTree{Width: 50}, c.Master().ID, size)
 	}
 	eslurm := func(fp bool) func(env *Env, size int) time.Duration {
 		return func(env *Env, size int) time.Duration {
@@ -201,7 +196,7 @@ func Fig8a(env *Env, nodes int) *Table {
 		{"ESlurm w/o FP-Tree", eslurm(false)},
 		{"ESlurm", eslurm(true)},
 	}
-	sizes := []int{loadBytes, termBytes}
+	sizes := []int{core.JobLoadMsgBytes, core.JobTermMsgBytes}
 	times := sideBySide(env, len(variants)*len(sizes), func(i int, env *Env) time.Duration {
 		return variants[i/len(sizes)].run(env, sizes[i%len(sizes)])
 	})
@@ -210,6 +205,15 @@ func Fig8a(env *Env, nodes int) *Table {
 	}
 	t.Note = "paper: ESlurm cuts average broadcast time 63.7%/73.6% vs Slurm; FP-Tree alone contributes 36.3%/54.9%"
 	return t
+}
+
+// deliveredIn broadcasts size bytes from origin to every compute node of c
+// over s, runs c dry and returns the last delivery time.
+func deliveredIn(c *cluster.Cluster, s comm.Structure, origin cluster.NodeID, size int) time.Duration {
+	var res comm.Result
+	s.Broadcast(comm.NewBroadcaster(c), origin, c.Computes(), size, func(r comm.Result) { res = r })
+	c.Run()
+	return res.DeliveredElapsed
 }
 
 // Fig8b reproduces the communication-structure comparison under failures:
@@ -236,11 +240,7 @@ func Fig8b(env *Env, nodes int, ratios []float64) *Table {
 			fp.Predictor = predict.Static(failed)
 			s = fp
 		}
-		b := comm.NewBroadcaster(c)
-		var res comm.Result
-		s.Broadcast(b, c.Satellites()[0], c.Computes(), 4096, func(r comm.Result) { res = r })
-		c.Run()
-		return res.DeliveredElapsed
+		return deliveredIn(c, s, c.Satellites()[0], core.JobLoadMsgBytes)
 	}
 
 	structures := []comm.Structure{

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"eslurm/internal/cluster"
+	"eslurm/internal/comm"
+	"eslurm/internal/core"
 	"eslurm/internal/rm"
 )
 
@@ -42,7 +44,7 @@ func resourceRun(env *Env, mk func(c *cluster.Cluster) rm.RM, nodes, satellites 
 				size = nodes / 2
 			}
 			jobNodes := c.Computes()[:size]
-			r.LoadJob(jobNodes, func(time.Duration) {
+			r.LoadJob(jobNodes, func(comm.Result) {
 				runFor := time.Duration(10+rng.ExpFloat64()*110) * time.Second
 				e.After(runFor, func() { r.TerminateJob(jobNodes, nil) })
 			})
@@ -213,11 +215,10 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 		satSock             float64
 	}
 	results := sideBySide(env, len(satCounts), func(i int, env *Env) outcome {
-		var es *rm.ESlurm
+		var es *core.Master
 		meter, c, _ := resourceRun(env, func(c *cluster.Cluster) rm.RM {
-			e := rm.NewESlurm(c)
-			es = e
-			return e
+			es = core.NewMaster(c, core.DefaultConfig(), nil)
+			return es
 		}, nodes, satCounts[i], span, int64(300+i), 0)
 		now := c.Engine.Now()
 		o := outcome{
@@ -227,7 +228,7 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 		var tasks, nodesServed int
 		var vmemSum, rssSum int64
 		var sockSum float64
-		for _, s := range es.M.Pool.All() {
+		for _, s := range es.Pool.All() {
 			tasks += s.TasksReceived
 			nodesServed += s.NodesServed
 			m := &c.Node(s.ID).Meter
@@ -235,7 +236,7 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 			rssSum += m.RSS()
 			sockSum += m.AvgSockets(now)
 		}
-		n := len(es.M.Pool.All())
+		n := len(es.Pool.All())
 		if n > 0 {
 			o.tasks = float64(tasks) / float64(n) * extrapolate
 			if tasks > 0 {

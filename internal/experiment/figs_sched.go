@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"eslurm/internal/cluster"
@@ -13,9 +12,16 @@ import (
 	"eslurm/internal/trace"
 )
 
-// overheadLookup builds a sched.Overhead from a handful of occupation
-// probes, interpolating linearly between probed sizes.
-func overheadLookup(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes int, failedFrac float64) sched.Overhead {
+// probeFailedFrac is the production failure background every
+// scheduling lookup probes under (see OccupationProbe's failedFrac).
+const probeFailedFrac = 0.01
+
+// OccupationProbeLookup builds a sched.Overhead for the RM mk builds at a
+// given cluster scale from a handful of occupation probes under the 1%
+// failure background, interpolating linearly between probed sizes. It
+// couples the communication model to the scheduler for fig10, the
+// ablation and the eslurmctl CLI.
+func OccupationProbeLookup(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes int) sched.Overhead {
 	var sizes []int
 	for _, s := range []int{16, 64, 256, 1024, 4096, 16384} {
 		if s < clusterNodes {
@@ -26,7 +32,7 @@ func overheadLookup(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes in
 	loads := make([]time.Duration, len(sizes))
 	terms := make([]time.Duration, len(sizes))
 	for i, s := range sizes {
-		loads[i], terms[i] = OccupationProbe(env, mk, clusterNodes, s, failedFrac)
+		loads[i], terms[i] = OccupationProbe(env, mk, clusterNodes, s, probeFailedFrac)
 	}
 	return func(n int) (time.Duration, time.Duration) {
 		if n <= sizes[0] {
@@ -48,17 +54,37 @@ func overheadLookup(env *Env, mk func(c *cluster.Cluster) rm.RM, clusterNodes in
 	}
 }
 
-// responsePenalty models the master's request-response degradation as a
-// centralized RM saturates (§II-B: >27 s average response with 38% of
-// requests failing to connect at 20K+ nodes under Slurm). ESlurm's
+// withPenalty adds the named RM's request-response degradation at the
+// given scale to every load of base. A centralized master's grows
+// superlinearly once it saturates (§II-B: >27 s average response with
+// 38% of requests failing to connect at 20K+ nodes under Slurm); ESlurm's
 // production response time stays below 1 s at the same scale.
-func responsePenalty(name string, nodes int) time.Duration {
-	if name == "ESlurm" {
-		return 500 * time.Millisecond
+func withPenalty(base sched.Overhead, name string, nodes int) sched.Overhead {
+	p := 500 * time.Millisecond
+	if name != "ESlurm" {
+		f := float64(nodes) / 20480.0
+		p = time.Duration(27 * f * f * float64(time.Second))
 	}
-	// Grows superlinearly once the master saturates.
-	f := float64(nodes) / 20480.0
-	return time.Duration(27 * f * f * float64(time.Second))
+	return func(n int) (time.Duration, time.Duration) {
+		l, t := base(n)
+		return l + p, t
+	}
+}
+
+// replay runs jobs under EASY backfill on a scale-node cluster with the
+// given overhead, over one week's utilization window. framework swaps the
+// users' walltimes for the estimation framework's; a positive crashMTBF
+// takes the master down that often.
+func replay(env *Env, jobs []trace.Job, scale int, overhead sched.Overhead, framework bool, crashMTBF time.Duration) sched.Result {
+	cfg := sched.Config{
+		Nodes: scale, Policy: sched.Backfill, Overhead: overhead,
+		KillAtLimit: true, UtilWindow: 7 * 24 * time.Hour, Seed: int64(scale),
+		CrashMTBF: crashMTBF, OnEngine: env.Adopt,
+	}
+	if framework {
+		cfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})}
+	}
+	return sched.Run(jobs, cfg)
 }
 
 // Fig10 reproduces the cluster-scale scheduling comparison of Fig. 10 /
@@ -88,7 +114,7 @@ func Fig10(env *Env, scales []int, jobsPerScale int) []*Table {
 
 	// One row per roster × scale cell, in the serial loop's order; a
 	// capped cell builds nothing and prints "-" in all three tables.
-	roster := rmRoster(oracleESlurm)
+	roster := rmRoster(OracleESlurm)
 	cells := sideBySide(env, len(roster)*len(scales), func(i int, env *Env) [3]string {
 		ct, scale := roster[i/len(scales)], scales[i%len(scales)]
 		if limit, capped := maxScale[ct.name]; capped && scale > limit {
@@ -154,24 +180,14 @@ func scaleTrace(scale, jobs int) []trace.Job {
 }
 
 func runFig10Cell(env *Env, name string, mk func(c *cluster.Cluster) rm.RM, scale, jobs int) sched.Result {
-	cfg := sched.Config{
-		Nodes:       scale,
-		Policy:      sched.Backfill,
-		Overhead:    withPenalty(overheadLookup(env, mk, scale, 0.01), responsePenalty(name, scale)),
-		KillAtLimit: true,
-		UtilWindow:  7 * 24 * time.Hour,
-		Seed:        int64(scale),
-		OnEngine:    env.Adopt,
-	}
-	if name == "ESlurm" {
-		cfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})}
-	}
+	overhead := withPenalty(OccupationProbeLookup(env, mk, scale), name, scale)
+	var crash time.Duration
 	if name != "ESlurm" && scale >= 16384 {
 		// §II-B: the production centralized master crashed every ~42 h at
 		// 20K+ nodes, with ~90 min reboots (sched's fixed downtime).
-		cfg.CrashMTBF = time.Duration(float64(42*time.Hour) * 20480.0 / float64(scale))
+		crash = time.Duration(float64(42*time.Hour) * 20480.0 / float64(scale))
 	}
-	return sched.Run(scaleTrace(scale, jobs), cfg)
+	return replay(env, scaleTrace(scale, jobs), scale, overhead, name == "ESlurm", crash)
 }
 
 // Ablation reproduces the §VII-D contribution analysis at full NG-Tianhe
@@ -196,36 +212,26 @@ func Ablation(env *Env, scale, jobs int) *Table {
 	// then the four replays that read them, so the engine records keep
 	// the serial order. Without FP-Tree, prediction is disabled, so the
 	// satellite relays pay timeouts on failed interior nodes.
-	probed := []func(c *cluster.Cluster) rm.RM{oracleESlurm, plainESlurm, centralized(rm.SlurmProfile())}
+	probed := []func(c *cluster.Cluster) rm.RM{OracleESlurm, plainESlurm, centralized(rm.SlurmProfile())}
 	overheads := sideBySide(env, len(probed), func(i int, env *Env) sched.Overhead {
-		return overheadLookup(env, probed[i], scale, 0.01)
+		return OccupationProbeLookup(env, probed[i], scale)
 	})
 	esOverhead, noFPOverhead, slurmOverhead := overheads[0], overheads[1], overheads[2]
 
 	replays := []struct {
-		name             string
-		overhead         sched.Overhead
-		framework, crash bool
+		name      string
+		overhead  sched.Overhead
+		framework bool
+		crashMTBF time.Duration
 	}{
-		{"ESlurm (full)", withPenalty(esOverhead, responsePenalty("ESlurm", scale)), true, false},
-		{"ESlurm w/o estimator", withPenalty(esOverhead, responsePenalty("ESlurm", scale)), false, false},
-		{"ESlurm w/o FP-Tree", withPenalty(noFPOverhead, responsePenalty("ESlurm", scale)), true, false},
-		{"Slurm", withPenalty(slurmOverhead, responsePenalty("Slurm", scale)), false, true},
+		{"ESlurm (full)", withPenalty(esOverhead, "ESlurm", scale), true, 0},
+		{"ESlurm w/o estimator", withPenalty(esOverhead, "ESlurm", scale), false, 0},
+		{"ESlurm w/o FP-Tree", withPenalty(noFPOverhead, "ESlurm", scale), true, 0},
+		{"Slurm", withPenalty(slurmOverhead, "Slurm", scale), false, 42 * time.Hour},
 	}
 	rows := sideBySide(env, len(replays), func(i int, env *Env) []string {
 		rp := replays[i]
-		cfg := sched.Config{
-			Nodes: scale, Policy: sched.Backfill, Overhead: rp.overhead,
-			KillAtLimit: true, UtilWindow: 7 * 24 * time.Hour, Seed: int64(scale),
-			OnEngine: env.Adopt,
-		}
-		if rp.framework {
-			cfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})}
-		}
-		if rp.crash {
-			cfg.CrashMTBF = 42 * time.Hour
-		}
-		r := sched.Run(jobsList, cfg)
+		r := replay(env, jobsList, scale, rp.overhead, rp.framework, rp.crashMTBF)
 		return []string{rp.name, fmtPct(r.Utilization), fmtDur(r.AvgWait), fmt.Sprintf("%.1f", r.AvgBoundedSlowdown)}
 	})
 	for _, row := range rows {
@@ -233,23 +239,4 @@ func Ablation(env *Env, scale, jobs int) *Table {
 	}
 	t.Note = "paper: estimator contributes 8.7 utilization points, FP-Tree 6.2, vs a 47.2-point total gap to Slurm"
 	return t
-}
-
-// OccupationProbeLookup builds a sched.Overhead for a named RM at a given
-// cluster scale, probed under a 1% failure background — the hook the
-// eslurmctl CLI uses to couple the communication model to the scheduler.
-func OccupationProbeLookup(env *Env, rmName string, clusterNodes int) sched.Overhead {
-	for _, m := range rmRoster(oracleESlurm) {
-		if strings.ToLower(m.name) == rmName {
-			return overheadLookup(env, m.new, clusterNodes, 0.01)
-		}
-	}
-	return nil
-}
-
-func withPenalty(base sched.Overhead, p time.Duration) sched.Overhead {
-	return func(n int) (time.Duration, time.Duration) {
-		l, t := base(n)
-		return l + p, t
-	}
 }

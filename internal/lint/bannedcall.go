@@ -22,17 +22,22 @@ import (
 // hostprof.Stopwatch (a field no table reads).
 //
 // The package-level draws of math/rand and math/rand/v2 use a process-wide
-// generator seeded from entropy: they are banned everywhere.
-// rand.NewSource with a constant seed is banned outside internal/simnet,
-// whose Engine.Rand is the one stream constructor (it hashes engine seed
-// and label into the source seed); a threaded seed (a config field, a
-// parameter) is fine.
+// generator seeded from entropy: they are banned everywhere. A source
+// built from constants alone (math/rand's NewSource, math/rand/v2's
+// NewPCG) is banned outside internal/simnet, whose Engine.Rand is the one
+// stream constructor (it hashes engine seed and label into the source
+// seed); a threaded seed (a config field, a parameter) is fine.
+//
+// The maps package's Keys, Values and All iterate a map in Go's random
+// order, as a range over it does; like that range (see maprange) they
+// are banned outside internal/mapkeys, whose Sorted is the way to visit
+// a map.
 //
 // Every banned value is caught where it enters, so none can reach the
 // event heap through any chain of calls.
 var BannedcallAnalyzer = &Analyzer{
 	Name: "bannedcall",
-	Doc:  "forbid host clock and environment reads outside cmd/, bench/ and internal/hostprof, hostprof calls outside those and internal/experiment, global math/rand and math/rand/v2 draws everywhere, and constant-seeded rand.NewSource outside internal/simnet",
+	Doc:  "forbid host clock and environment reads outside cmd/, bench/ and internal/hostprof, hostprof calls outside those and internal/experiment, global math/rand and math/rand/v2 draws everywhere, constant-seeded rand.NewSource and rand/v2 NewPCG outside internal/simnet, and maps.Keys/Values/All outside internal/mapkeys",
 	Run:  runBannedcall,
 }
 
@@ -41,15 +46,16 @@ type ban struct {
 	pkg   string   // import path of the package
 	funcs []string // banned functions; nil bans all of them
 	allow []string // module-relative directories where the call is fine
-	// constSeed limits the row to calls whose one argument is a constant.
+	// constSeed limits the row to calls whose arguments are all constants.
 	constSeed bool
 	msg       string // follows "pkg.Func " in the finding
 }
 
 const (
-	hostMsg     = "reads the host clock or environment inside the simulation; "
-	hostprofMsg = "is host time inside the simulation; only cmd/, bench/ and the experiment suite runner may call it"
-	globalFix   = " generator; draw from a seeded *rand.Rand stream (e.g. simnet Engine.Rand)"
+	hostMsg      = "reads the host clock or environment inside the simulation; "
+	hostprofMsg  = "is host time inside the simulation; only cmd/, bench/ and the experiment suite runner may call it"
+	globalFix    = " generator; draw from a seeded *rand.Rand stream (e.g. simnet Engine.Rand)"
+	constSeedMsg = "with a constant seed bakes stream identity into the call site; thread a seed from the experiment config (or use simnet Engine.Rand)"
 )
 
 var (
@@ -70,16 +76,19 @@ var bans = []ban{
 	{pkg: "math/rand/v2", funcs: []string{"Int", "IntN", "Int32", "Int32N", "Int64", "Int64N", "Uint", "UintN",
 		"Uint32", "Uint32N", "Uint64", "Uint64N", "N", "Float32", "Float64", "NormFloat64", "ExpFloat64", "Perm", "Shuffle"},
 		msg: "uses the global math/rand/v2" + globalFix},
-	{pkg: "math/rand", funcs: []string{"NewSource"}, allow: []string{"internal/simnet"}, constSeed: true,
-		msg: "with a constant seed bakes stream identity into the call site; thread a seed from the experiment config (or use simnet Engine.Rand)"},
+	{pkg: "math/rand", funcs: []string{"NewSource"}, allow: []string{"internal/simnet"}, constSeed: true, msg: constSeedMsg},
+	{pkg: "math/rand/v2", funcs: []string{"NewPCG"}, allow: []string{"internal/simnet"}, constSeed: true, msg: constSeedMsg},
+	{pkg: "maps", funcs: []string{"Keys", "Values", "All"}, allow: []string{"internal/mapkeys"},
+		msg: "iterates a map in random order; visit its keys through mapkeys.Sorted"},
 }
 
 func runBannedcall(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
-		seeded := make(map[ast.Expr]bool) // the callee of each call whose one argument is a constant
+		seeded := make(map[ast.Expr]bool) // the callee of each call whose arguments are all constants
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 && p.Info.Types[call.Args[0]].Value != nil {
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 &&
+				!slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return p.Info.Types[a].Value == nil }) {
 				seeded[call.Fun] = true
 			}
 			// Only package selectors: rand.Intn, never r.Intn on a threaded

@@ -40,7 +40,7 @@ func BadV2(n int) int {
 	d := randv2.N(time.Second)           // want "rand.N uses the global math/rand/v2 generator"
 	randv2.Shuffle(n, func(i, j int) {}) // want "rand.Shuffle uses the global math/rand/v2 generator"
 	_ = randv2.Perm(n)                   // want "rand.Perm uses the global math/rand/v2 generator"
-	r := randv2.New(randv2.NewPCG(1, 2))
+	r := randv2.New(randv2.NewPCG(1, 2)) // want "rand.NewPCG with a constant seed"
 	// A threaded *rand.Rand is fine in v2 too.
 	return x + int(y) + int(f) + int(d) + r.IntN(n)
 }

@@ -5,9 +5,13 @@
 // hashes engine seed + label into them).
 package detrand_simnet
 
-import "math/rand"
+import (
+	"math/rand"
+	randv2 "math/rand/v2"
+)
 
 func StreamFor(hashed int64) *rand.Rand {
-	_ = rand.New(rand.NewSource(12345)) // exempt: simnet owns stream construction
+	_ = rand.New(rand.NewSource(12345))        // exempt: simnet owns stream construction
+	_ = randv2.New(randv2.NewPCG(12345, 6789)) // and its rand/v2 twin
 	return rand.New(rand.NewSource(hashed))
 }

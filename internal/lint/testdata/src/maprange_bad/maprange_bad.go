@@ -4,6 +4,8 @@
 package maprange_bad
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -170,4 +172,15 @@ func Generic[M ~map[K]V, K comparable, V any](m M) int {
 		n++
 	}
 	return n
+}
+
+// Iterated collects the keys through the maps iterators, which visit the
+// map in the same random order a range does.
+func Iterated(m map[string]int) ([]string, []int) {
+	keys := slices.Collect(maps.Keys(m))     // want "maps.Keys iterates a map in random order"
+	maps.All(m)(func(k string, _ int) bool { // want "maps.All iterates a map in random order"
+		keys = append(keys, k)
+		return true
+	})
+	return keys, slices.Collect(maps.Values(m)) // want "maps.Values iterates a map in random order"
 }

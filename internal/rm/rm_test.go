@@ -5,12 +5,31 @@ import (
 	"time"
 
 	"eslurm/internal/cluster"
+	"eslurm/internal/comm"
+	"eslurm/internal/core"
 	"eslurm/internal/simnet"
 )
+
+func newESlurm(c *cluster.Cluster) RM { return core.NewMaster(c, core.DefaultConfig(), nil) }
 
 func newCluster(seed int64, computes, satellites int) *cluster.Cluster {
 	e := simnet.NewEngine(seed)
 	return cluster.New(e, cluster.Config{Computes: computes, Satellites: satellites})
+}
+
+// TestProfilesTableOrder: the one roster of centralized RMs holds the
+// paper's five, in the order its tables print them.
+func TestProfilesTableOrder(t *testing.T) {
+	want := []string{"SGE", "Torque", "OpenPBS", "LSF", "Slurm"}
+	got := Profiles()
+	if len(got) != len(want) {
+		t.Fatalf("Profiles() has %d entries, want %d", len(got), len(want))
+	}
+	for i, p := range got {
+		if p.Name != want[i] {
+			t.Errorf("Profiles()[%d] = %q, want %q", i, p.Name, want[i])
+		}
+	}
 }
 
 func TestCentralizedStartChargesMemory(t *testing.T) {
@@ -48,20 +67,20 @@ func TestLoadJobCompletes(t *testing.T) {
 	for _, mk := range []func(*cluster.Cluster) RM{
 		func(c *cluster.Cluster) RM { return NewCentralized(c, SlurmProfile()) },
 		func(c *cluster.Cluster) RM { return NewCentralized(c, SGEProfile()) },
-		func(c *cluster.Cluster) RM { return NewESlurm(c) },
+		newESlurm,
 	} {
 		c := newCluster(4, 64, 2)
 		r := mk(c)
 		r.Start()
 		c.Engine.RunUntil(time.Second)
 		var spawn time.Duration
-		r.LoadJob(c.Computes()[:32], func(d time.Duration) { spawn = d })
+		r.LoadJob(c.Computes()[:32], func(res comm.Result) { spawn = res.DeliveredElapsed })
 		c.Engine.RunUntil(10 * time.Minute)
 		if spawn <= 0 {
 			t.Errorf("%s: LoadJob never completed", r.Name())
 		}
 		var reclaim time.Duration
-		r.TerminateJob(c.Computes()[:32], func(d time.Duration) { reclaim = d })
+		r.TerminateJob(c.Computes()[:32], func(res comm.Result) { reclaim = res.Elapsed })
 		c.Engine.RunUntil(20 * time.Minute)
 		if reclaim <= 0 {
 			t.Errorf("%s: TerminateJob never completed", r.Name())
@@ -79,7 +98,7 @@ func TestLowParallelismLaunchScalesBadly(t *testing.T) {
 		r.Start()
 		c.Engine.RunUntil(time.Second)
 		var spawn time.Duration
-		r.LoadJob(c.Computes()[:jobNodes], func(d time.Duration) { spawn = d })
+		r.LoadJob(c.Computes()[:jobNodes], func(res comm.Result) { spawn = res.DeliveredElapsed })
 		c.Engine.RunUntil(30 * time.Minute)
 		r.Stop()
 		return spawn
@@ -144,7 +163,7 @@ func TestESlurmUsesFarLessThanSlurmAtScale(t *testing.T) {
 		return r.Meter()
 	}
 	slurm := run(func(c *cluster.Cluster) RM { return NewCentralized(c, SlurmProfile()) }, 0)
-	eslurm := run(func(c *cluster.Cluster) RM { return NewESlurm(c) }, 2)
+	eslurm := run(newESlurm, 2)
 
 	if eslurm.VMem() >= slurm.VMem()/2 {
 		t.Errorf("ESlurm vmem %d not far below Slurm %d", eslurm.VMem(), slurm.VMem())

@@ -565,12 +565,3 @@ func (p *Pool) Apply(s *Satellite, ev Event) (State, error) {
 	p.notify(s, before, st)
 	return st, nil
 }
-
-// Counts returns the number of satellites in each state.
-func (p *Pool) Counts() map[State]int {
-	out := make(map[State]int, 5)
-	for _, s := range p.sats {
-		out[s.state]++
-	}
-	return out
-}

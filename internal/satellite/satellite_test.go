@@ -248,8 +248,7 @@ func TestPoolCounts(t *testing.T) {
 			p.Apply(s, EvHBSuccess)
 		}
 	}
-	c := p.Counts()
-	if c[Running] != 3 || c[Unknown] != 2 {
-		t.Errorf("counts = %v", c)
+	if h := p.Health(); h != (Health{Running: 3, Unknown: 2}) {
+		t.Errorf("health = %+v", h)
 	}
 }
