@@ -36,9 +36,10 @@
 // -parallel.
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
-// -json writes the perf record: each experiment's event count, exact for
-// a preset on any machine and at any -parallel, so a fresh record is
-// compared with the committed BENCH_quick.json byte for byte.
+// -json writes the perf record: each experiment's event and message
+// counts, exact for a preset on any machine and at any -parallel, so a
+// fresh record is compared with the committed BENCH_quick.json byte for
+// byte.
 // Wall-clock is bench/'s to measure, not the record's.
 // -cpuprofile and -memprofile write pprof files covering the experiments
 // alone (not flag parsing, not the -json record): host-time questions
@@ -214,20 +215,29 @@ type perfRecord struct {
 	Experiments []expRecord `json:"experiments"`
 }
 
+// An expRecord is one experiment's line: the events its engines ran and
+// the messages its broadcasters sent (comm.messages, retries included),
+// so events per message is read off the record.
 type expRecord struct {
 	ID       string `json:"id"`
 	Artifact string `json:"artifact"`
 	Events   uint64 `json:"events"`
+	Messages int64  `json:"messages"`
 }
 
 func writePerfRecord(path, preset string, results []experiment.Result) error {
 	rec := perfRecord{Preset: preset}
 	for _, r := range results {
 		rec.TotalEvents += r.Events
+		var messages int64
+		for _, e := range r.Engines {
+			messages += e.Metrics.CounterValue("comm.messages")
+		}
 		rec.Experiments = append(rec.Experiments, expRecord{
 			ID:       r.Spec.ID,
 			Artifact: r.Spec.Artifact,
 			Events:   r.Events,
+			Messages: messages,
 		})
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

@@ -130,12 +130,15 @@ func TestPerfRecordIsExact(t *testing.T) {
 	}
 	var sum uint64
 	for _, e := range rec.Experiments {
-		if got, want := keys(e), "artifact,events,id"; got != want {
+		if got, want := keys(e), "artifact,events,id,messages"; got != want {
 			t.Errorf("experiment %v keys %s, want %s", e["id"], got, want)
 		}
 		n, _ := e["events"].(float64)
 		if n <= 0 {
 			t.Errorf("experiment %v recorded %v events", e["id"], e["events"])
+		}
+		if m, _ := e["messages"].(float64); m <= 0 || m > n {
+			t.Errorf("experiment %v recorded %v messages for %v events", e["id"], e["messages"], n)
 		}
 		sum += uint64(n)
 	}

@@ -258,7 +258,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			st.Broadcasts, st.SubTasks, st.Reallocations, st.MasterTakeovers, st.HeartbeatSweeps)
 		if *verbose {
 			for i, id := range c.Satellites() {
-				sm := &c.Node(id).Meter
+				sm := c.Meter(id)
 				sat := es.Pool.Get(id)
 				fmt.Fprintf(stdout, "satellite %d: state=%v tasks=%d cpu=%v rss=%.1fMB\n",
 					i+1, sat.State(), sat.TasksReceived,

@@ -52,7 +52,7 @@ func main() {
 
 	// The headline scalability property: the master only ever talked to
 	// its satellites.
-	_, out := c.Master().Meter.Messages()
+	_, out := c.Meter(c.Master().ID).Messages()
 	fmt.Printf("master sent just %d messages for %d deliveries; peak sockets: %d\n",
-		out, res.Delivered+loaded.Delivered+256, c.Master().Meter.PeakSockets())
+		out, res.Delivered+loaded.Delivered+256, c.Meter(c.Master().ID).PeakSockets())
 }

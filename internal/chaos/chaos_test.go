@@ -38,7 +38,7 @@ func pinCfg() Config {
 // simulation's event schedule changes — which is exactly what it is here
 // to detect: the soak must be bit-deterministic, and incidental changes
 // to the fault layer must be noticed, not slip through.
-const pinnedDigest = "d04e6949b2a4aa77"
+const pinnedDigest = "cb7bfff5ead0fa05"
 
 func TestSoakDeterministicDigest(t *testing.T) {
 	a := Soak(pinCfg())

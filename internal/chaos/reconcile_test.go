@@ -22,7 +22,7 @@ func reconcilePinCfg() ReconcileConfig {
 // changes — the reconcile soak must be bit-deterministic, and incidental
 // changes to the reconciler, drain path, or fault layer must be noticed,
 // not slip through.
-const reconcilePinnedDigest = "7568963722e69916"
+const reconcilePinnedDigest = "f437fd39cde6c4e5"
 
 func TestReconcileSoakDigestPinned(t *testing.T) {
 	a := ReconcileSoak(reconcilePinCfg())

@@ -40,26 +40,32 @@ func TestClusterLayout(t *testing.T) {
 	}
 }
 
-// TestComputesIsSharedAndClipped: Computes costs no allocation because
-// every call returns the cluster's one slice, clipped, so a caller's
-// append copies instead of writing into the cluster.
+// TestComputesIsSharedAndClipped: Computes and Satellites cost no
+// allocation because every call returns the cluster's one slice, clipped,
+// so a caller's append copies instead of writing into the cluster.
 func TestComputesIsSharedAndClipped(t *testing.T) {
 	c := newTestCluster(t, 10, 3)
-	comps := c.Computes()
-	for i, id := range comps {
-		if c.Node(id).Role != RoleCompute || (i > 0 && id <= comps[i-1]) {
-			t.Fatalf("Computes()[%d] = %d: not the computes in ID order", i, id)
+	for _, tc := range []struct {
+		role Role
+		ids  func() []NodeID
+		n    int
+	}{{RoleCompute, c.Computes, 10}, {RoleSatellite, c.Satellites, 3}} {
+		ids := tc.ids()
+		for i, id := range ids {
+			if c.Node(id).Role != tc.role || (i > 0 && id <= ids[i-1]) {
+				t.Fatalf("%v list [%d] = %d: not the %v nodes in ID order", tc.role, i, id, tc.role)
+			}
 		}
-	}
-	if cap(comps) != len(comps) {
-		t.Errorf("cap %d > len %d: an append would write into the cluster's slice", cap(comps), len(comps))
-	}
-	_ = append(comps, 0)
-	if again := c.Computes(); &again[0] != &comps[0] || len(again) != 10 {
-		t.Error("Computes did not return the cluster's one slice unchanged")
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = c.Computes() }); n != 0 && !raceEnabled {
-		t.Errorf("Computes: %v allocs/op, want 0", n)
+		if cap(ids) != len(ids) {
+			t.Errorf("%v list: cap %d > len %d: an append would write into the cluster's slice", tc.role, cap(ids), len(ids))
+		}
+		_ = append(ids, 0)
+		if again := tc.ids(); &again[0] != &ids[0] || len(again) != tc.n {
+			t.Errorf("%v list: not the cluster's one slice unchanged", tc.role)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = tc.ids() }); n != 0 && !raceEnabled {
+			t.Errorf("%v list: %v allocs/op, want 0", tc.role, n)
+		}
 	}
 }
 
@@ -104,30 +110,30 @@ func TestScheduleFailure(t *testing.T) {
 }
 
 func TestSendHealthy(t *testing.T) {
-	c := newTestCluster(t, 2, 0)
-	a, b := c.Computes()[0], c.Computes()[1]
+	c := newTestCluster(t, 2, 1)
+	a, b := c.Satellites()[0], c.Master().ID
 	delivered, failed := false, false
 	c.Net.Send(a, b, 1000, func() { delivered = true }, func() { failed = true })
 	c.Engine.Run()
 	if !delivered || failed {
 		t.Fatalf("delivered=%v failed=%v", delivered, failed)
 	}
-	in, _ := c.Node(b).Meter.Messages()
+	in, _ := c.Meter(b).Messages()
 	if in != 1 {
 		t.Errorf("receiver message count = %d", in)
 	}
-	_, out := c.Node(a).Meter.Messages()
+	_, out := c.Meter(a).Messages()
 	if out != 1 {
 		t.Errorf("sender out count = %d", out)
 	}
-	if c.Node(a).Meter.Sockets() != 0 || c.Node(b).Meter.Sockets() != 0 {
+	if c.Meter(a).Sockets() != 0 || c.Meter(b).Sockets() != 0 {
 		t.Error("sockets leaked after delivery")
 	}
 }
 
 func TestSendToFailedTimesOut(t *testing.T) {
 	c := newTestCluster(t, 2, 0)
-	a, b := c.Computes()[0], c.Computes()[1]
+	a, b := c.Master().ID, c.Computes()[1]
 	c.Fail(b)
 	var failedAt time.Duration
 	delivered := false
@@ -139,7 +145,7 @@ func TestSendToFailedTimesOut(t *testing.T) {
 	if failedAt != c.Net.Config().ConnectTimeout {
 		t.Fatalf("failure reported at %v, want %v", failedAt, c.Net.Config().ConnectTimeout)
 	}
-	if c.Node(a).Meter.Sockets() != 0 {
+	if c.Meter(a).Sockets() != 0 {
 		t.Error("socket leaked after timeout")
 	}
 }
@@ -167,15 +173,15 @@ func TestTransferTimeMonotonicInSize(t *testing.T) {
 }
 
 func TestSendPersistentNoSocketChurn(t *testing.T) {
-	c := newTestCluster(t, 2, 0)
-	a, b := c.Computes()[0], c.Computes()[1]
+	c := newTestCluster(t, 2, 1)
+	a, b := c.Master().ID, c.Satellites()[0]
 	delivered := false
 	c.Net.SendPersistent(a, b, 100, func() { delivered = true }, nil)
 	c.Engine.Run()
 	if !delivered {
 		t.Fatal("not delivered")
 	}
-	if c.Node(a).Meter.PeakSockets() != 0 {
+	if c.Meter(a).PeakSockets() != 0 || c.Meter(b).PeakSockets() != 0 {
 		t.Error("persistent send churned sockets")
 	}
 }
@@ -214,7 +220,7 @@ func TestMeterSocketClamp(t *testing.T) {
 func TestMeterAvgSockets(t *testing.T) {
 	e := simnet.NewEngine(1)
 	c := New(e, Config{Computes: 1})
-	m := &c.Node(c.Computes()[0]).Meter
+	m := c.Meter(c.Master().ID)
 	// Hold 2 sockets for the first 10s, 0 sockets for the next 10s.
 	m.OpenSocket(e.Now())
 	m.OpenSocket(e.Now())
@@ -229,7 +235,7 @@ func TestMeterAvgSockets(t *testing.T) {
 func TestSampler(t *testing.T) {
 	e := simnet.NewEngine(1)
 	c := New(e, Config{Computes: 1})
-	m := &c.Master().Meter
+	m := c.Meter(c.Master().ID)
 	s := NewSampler(e, m, time.Second)
 	e.Every(time.Second, func() { m.ChargeCPU(10 * time.Millisecond) })
 	e.RunUntil(5500 * time.Millisecond)

@@ -8,14 +8,18 @@ import (
 	"eslurm/internal/simnet"
 )
 
-// ResourceMeter accumulates the four resource dimensions the paper reports
-// for RM daemons: CPU time, virtual memory, resident (real) memory, and
-// concurrent TCP sockets (Fig. 7, Fig. 9, Tables V–VI).
+// ResourceMeter meters the master and satellite daemons in the four
+// resource dimensions the paper reports for them: CPU time, virtual
+// memory, resident (real) memory, and concurrent TCP sockets (Fig. 7,
+// Fig. 9, Tables V–VI).
 //
 // RMs charge the meter as they process messages and scheduling events; the
 // per-event costs live in the RM models, not here. A meter has no clock of
 // its own: the calls that integrate the socket count take the virtual
-// time now, so a meter is a plain value that points at nothing.
+// time now, so a meter is a plain value that points at nothing. A compute
+// node has no meter (Cluster.Meter returns nil), and the recording methods
+// ChargeCPU, CountMessage, OpenSocket and CloseSocket do nothing on a nil
+// meter.
 type ResourceMeter struct {
 	cpuTime     time.Duration
 	vmemBytes   int64
@@ -36,7 +40,7 @@ type ResourceMeter struct {
 
 // ChargeCPU adds d of daemon CPU time.
 func (m *ResourceMeter) ChargeCPU(d time.Duration) {
-	if d > 0 {
+	if m != nil && d > 0 {
 		m.cpuTime += d
 	}
 }
@@ -82,6 +86,9 @@ func (m *ResourceMeter) integrateSockets(now time.Duration) {
 // OpenSocket records one more concurrent TCP connection at virtual time
 // now.
 func (m *ResourceMeter) OpenSocket(now time.Duration) {
+	if m == nil {
+		return
+	}
 	m.integrateSockets(now)
 	m.sockets++
 	if m.sockets > m.peakSockets {
@@ -93,6 +100,9 @@ func (m *ResourceMeter) OpenSocket(now time.Duration) {
 // Closing below zero is clamped: it indicates a modelling bug upstream but
 // must not corrupt long experiment runs.
 func (m *ResourceMeter) CloseSocket(now time.Duration) {
+	if m == nil {
+		return
+	}
 	m.integrateSockets(now)
 	if m.sockets > 0 {
 		m.sockets--
@@ -118,6 +128,9 @@ func (m *ResourceMeter) AvgSockets(now time.Duration) float64 {
 
 // CountMessage records message traffic for throughput reporting.
 func (m *ResourceMeter) CountMessage(out bool, bytes int) {
+	if m == nil {
+		return
+	}
 	if out {
 		m.messagesOut++
 		m.bytesOut += int64(bytes)

@@ -124,9 +124,9 @@ type Network struct {
 	cfg     NetConfig
 	e       *simnet.Engine
 	rng     *rand.Rand // jitter
-	// The wire's fixed delays: an accept socket's close and a duplicate's
-	// landing come one Latency after a landing, and a message unreachable
-	// at send time times out one ConnectTimeout after it.
+	// The wire's fixed delays: a daemon's accept-socket close and a
+	// duplicate's landing come one Latency after a landing, and a message
+	// unreachable at send time times out one ConnectTimeout after it.
 	latency, timeout *simnet.Lane
 	flights          []*flight // retired flights awaiting reuse
 }
@@ -138,10 +138,10 @@ func newNetwork(c *Cluster, cfg NetConfig) *Network {
 }
 
 // HandleEvent implements simnet.Handler: the one event the network
-// schedules for itself is the close of an accept socket the wire opened,
-// and kind is the receiving node's ID.
+// schedules for itself is the close of an accept socket the wire opened
+// on a daemon, and kind is that daemon's ID.
 func (n *Network) HandleEvent(kind int32) {
-	n.cluster.nodes[kind].Meter.CloseSocket(n.e.Now())
+	n.cluster.meters[kind].CloseSocket(n.e.Now())
 }
 
 // Config returns the effective network configuration.
@@ -260,8 +260,9 @@ type Outcome interface {
 
 // Transmit models one message from -> to carrying size bytes and reports
 // to out. A relay forwards from Arrived; a retry chain resolves from Sent
-// or Failed. Sockets and message counters on both meters are maintained
-// here so every RM model accounts traffic uniformly.
+// or Failed. Sockets and message counters on the meters of the endpoints
+// that have one are maintained here so every RM model accounts traffic
+// uniformly.
 func (n *Network) Transmit(from, to NodeID, size int, out Outcome) {
 	n.send(from, to, size, true, out)
 }
@@ -302,9 +303,10 @@ func (n *Network) SendPersistent(from, to NodeID, size int, onDelivered func(), 
 // send is the single wire.
 func (n *Network) send(from, to NodeID, size int, connect bool, out Outcome) {
 	src, dst := &n.cluster.nodes[from], &n.cluster.nodes[to]
-	src.Meter.CountMessage(true, size)
+	sm := n.cluster.Meter(from)
+	sm.CountMessage(true, size)
 	if connect {
-		src.Meter.OpenSocket(n.e.Now())
+		sm.OpenSocket(n.e.Now())
 	}
 
 	f := n.newFlight()
@@ -349,7 +351,10 @@ func (f *flight) retire() {
 // Network and reused once the message's last event has run. It is the
 // handler of every event of the message's life (the kinds below), so a
 // message costs this one small object however many events it takes, and
-// in steady state not even that.
+// in steady state not even that. It does not keep its endpoints' meters:
+// Cluster.Meter finds them in a compare, and two more pointers would move
+// a flight from the 64- to the 80-byte size class, paid by every message
+// in the air (TestFlightFitsItsSizeClass).
 type flight struct {
 	n        *Network
 	src, dst *Node
@@ -382,7 +387,7 @@ func (f *flight) HandleEvent(kind int32) {
 // that never arrived. It is the message's last event.
 func (f *flight) timeout() {
 	if f.connect {
-		f.src.Meter.CloseSocket(f.n.e.Now())
+		f.n.cluster.Meter(f.src.ID).CloseSocket(f.n.e.Now())
 	}
 	out := f.out
 	f.retire()
@@ -404,15 +409,18 @@ func (f *flight) land() {
 		n.e.AfterTo(n.cfg.ConnectTimeout-f.d, f, flightTimeout)
 		return
 	}
-	m := &f.dst.Meter
-	m.CountMessage(false, int(f.size))
+	dm := n.cluster.Meter(f.dst.ID)
+	dm.CountMessage(false, int(f.size))
 	if f.connect {
-		// The receiving daemon holds its accept socket one latency while
-		// processing; the network is the handler of that close.
+		// A receiving daemon holds its accept socket one latency while
+		// processing; the network is the handler of that close. A compute
+		// has no meter to hold one in, so its landing schedules nothing.
 		now := n.e.Now()
-		m.OpenSocket(now)
-		n.latency.After(n, int32(f.dst.ID))
-		f.src.Meter.CloseSocket(now)
+		if dm != nil {
+			dm.OpenSocket(now)
+			n.latency.After(n, int32(f.dst.ID))
+		}
+		n.cluster.Meter(f.src.ID).CloseSocket(now)
 	}
 	f.out.Sent()
 	f.out.Arrived()
@@ -435,7 +443,7 @@ func (f *flight) arriveAgain() {
 		out.Released()
 		return
 	}
-	f.dst.Meter.CountMessage(false, int(f.size))
+	f.n.cluster.Meter(f.dst.ID).CountMessage(false, int(f.size))
 	f.retire()
 	out.Arrived()
 	out.Released()

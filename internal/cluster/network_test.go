@@ -87,7 +87,7 @@ func TestLossLooksLikeDeadPeer(t *testing.T) {
 // once.
 func TestDupDeliversTwice(t *testing.T) {
 	c := newNetCluster(t, 2, NetConfig{DupProb: 1})
-	a, b := c.Computes()[0], c.Computes()[1]
+	a, b := c.Computes()[0], c.Master().ID
 	arrivals, acks := 0, 0
 	c.Net.Transmit(a, b, 100, outcome{func() { arrivals++ }, func() { acks++ }, func() { t.Error("send failed") }})
 	c.Engine.Run()
@@ -97,7 +97,7 @@ func TestDupDeliversTwice(t *testing.T) {
 	if acks != 1 {
 		t.Errorf("sender told %d times, want 1", acks)
 	}
-	if in, _ := c.Node(b).Meter.Messages(); in != 2 {
+	if in, _ := c.Meter(b).Messages(); in != 2 {
 		t.Errorf("receiver counted %d messages, want 2", in)
 	}
 }
@@ -275,7 +275,7 @@ func (o *tallyOutcome) Released() { o.released++ }
 
 // TestAllocsTransmit is the wire's allocation budget: a delivered message
 // allocates nothing. Its flight is reused once its last event has run, and
-// its three events — the landing, the sender's word, the receiver's
+// its events — the landing and, at a daemon receiver like this one, the
 // accept-socket close — are handled by the flight and the network
 // themselves.
 func TestAllocsTransmit(t *testing.T) {
@@ -283,7 +283,7 @@ func TestAllocsTransmit(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	c := newNetCluster(t, 2, NetConfig{})
-	a, b := c.Computes()[0], c.Computes()[1]
+	a, b := c.Computes()[0], c.Master().ID
 	out := &tallyOutcome{}
 	send := func() {
 		c.Net.Transmit(a, b, 512, out)
@@ -296,7 +296,7 @@ func TestAllocsTransmit(t *testing.T) {
 	if out.arrived != 1002 || out.sent != 1002 || out.failed != 0 || out.released != 1002 {
 		t.Errorf("outcome %+v, want 1002 arrivals and acknowledgements", *out)
 	}
-	if s := c.Node(b).Meter.Sockets(); s != 0 {
+	if s := c.Meter(b).Sockets(); s != 0 {
 		t.Errorf("receiver holds %d sockets after the drain: the meter's close event did not run", s)
 	}
 }
@@ -319,7 +319,7 @@ func TestInFlightDeathTimesOutAtConnectTimeout(t *testing.T) {
 		} else {
 			c.Net.Send(from, to, 1<<20, func() { delivered = true }, onFailed)
 		}
-		c.Engine.Schedule(500*time.Millisecond, func() { midSockets = c.Master().Meter.Sockets() })
+		c.Engine.Schedule(500*time.Millisecond, func() { midSockets = c.Meter(from).Sockets() })
 		c.RunUntil(5 * time.Second)
 		if delivered {
 			t.Errorf("persistent=%v: delivered to a node that died in flight", persistent)
@@ -334,7 +334,7 @@ func TestInFlightDeathTimesOutAtConnectTimeout(t *testing.T) {
 		if midSockets != wantMid {
 			t.Errorf("persistent=%v: sender sockets while waiting = %d, want %d", persistent, midSockets, wantMid)
 		}
-		if s := c.Master().Meter.Sockets(); s != 0 {
+		if s := c.Meter(from).Sockets(); s != 0 {
 			t.Errorf("persistent=%v: sender sockets after the timeout = %d, want 0", persistent, s)
 		}
 	}
@@ -408,10 +408,8 @@ func TestStormDrainsAndReruns(t *testing.T) {
 		if sent == 0 || failed == 0 {
 			t.Fatalf("storm resolved %d sent / %d failed, want both > 0", sent, failed)
 		}
-		for _, id := range append(comps, master) {
-			if s := c.Node(id).Meter.Sockets(); s != 0 {
-				t.Errorf("node %d holds %d sockets after the drain", id, s)
-			}
+		if s := c.Meter(master).Sockets(); s != 0 {
+			t.Errorf("master holds %d sockets after the drain", s)
 		}
 		return c.Engine.Digest(), c.Engine.Processed()
 	}
@@ -454,6 +452,46 @@ func TestReleasedEndsEveryTransmit(t *testing.T) {
 		c.Engine.Run()
 		if got := strings.Join(out.calls, " "); got != tc.calls {
 			t.Errorf("%s: callbacks %q, want %q", tc.name, got, tc.calls)
+		}
+	}
+}
+
+// TestComputeMessageCostsTwoEvents: a compute node has no meter, so a
+// message to it costs the event that sends it and its landing; a message
+// to a satellite costs one more, the close of the accept socket the
+// satellite holds for exactly one Latency.
+func TestComputeMessageCostsTwoEvents(t *testing.T) {
+	for _, tc := range []struct {
+		role   Role
+		to     func(*Cluster) NodeID
+		events uint64
+	}{
+		{RoleCompute, func(c *Cluster) NodeID { return c.Computes()[0] }, 2},
+		{RoleSatellite, func(c *Cluster) NodeID { return c.Satellites()[0] }, 3},
+	} {
+		c := newNetCluster(t, 1, NetConfig{})
+		to := tc.to(c)
+		out := &tallyOutcome{}
+		c.Engine.Schedule(time.Millisecond, func() { c.Net.Transmit(c.Master().ID, to, 512, out) })
+		c.Run()
+		if out.arrived != 1 || out.released != 1 {
+			t.Fatalf("%v: outcome %+v, want one arrival", tc.role, *out)
+		}
+		if got := c.Engine.Processed(); got != tc.events {
+			t.Errorf("%v: one Transmit fired %d events, want %d", tc.role, got, tc.events)
+		}
+		m := c.Meter(to)
+		if tc.role == RoleCompute {
+			if m != nil {
+				t.Errorf("compute %d has a meter", to)
+			}
+			continue
+		}
+		if m.sockNanos != uint64(c.Net.Config().Latency) {
+			t.Errorf("satellite socket integral %dns, want one Latency (%v)", m.sockNanos, c.Net.Config().Latency)
+		}
+		if m.Sockets() != 0 {
+			t.Errorf("satellite holds %d sockets after the drain", m.Sockets())
 		}
 	}
 }

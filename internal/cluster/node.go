@@ -1,7 +1,8 @@
 // Package cluster models the physical substrate the resource managers run
 // on: nodes with roles and failure state, a latency/bandwidth network, and
-// per-node resource meters mirroring what the paper measures on the master
-// daemon (CPU time, virtual memory, resident memory, concurrent sockets).
+// resource meters on the master and satellite daemons mirroring what the
+// paper measures there (CPU time, virtual memory, resident memory,
+// concurrent sockets). Compute nodes carry no meter: no result reads one.
 //
 // The paper evaluates on Tianhe-2A (16,384 nodes) and NG-Tianhe (20K+
 // nodes); this package is the simulated stand-in for those machines (see
@@ -50,13 +51,12 @@ func (r Role) String() string {
 }
 
 // Node is one machine in the simulated cluster. It holds no pointer, so
-// a cluster's node block is one 96-byte value per node that the garbage
-// collector never scans.
+// a cluster's node block is one 16-byte value per node that the garbage
+// collector never scans. A node's meter, if it has one, is Cluster.Meter's.
 type Node struct {
 	ID     NodeID
 	Role   Role
 	failed bool
-	Meter  ResourceMeter
 }
 
 // Failed reports whether the node is currently down.
@@ -71,8 +71,10 @@ type Cluster struct {
 	Engine *simnet.Engine
 	Net    *Network
 
-	nodes    []Node   // one block, indexed by NodeID
-	computes []NodeID // built once by New: roles never change
+	nodes  []Node          // one block, indexed by NodeID
+	meters []ResourceMeter // the daemons' block, indexed by NodeID 0..S
+	// Built once by New: roles never change.
+	satellites, computes []NodeID
 }
 
 // Config sizes a cluster. The default latency parameters approximate the
@@ -87,10 +89,11 @@ type Config struct {
 
 // New builds a cluster on e with one master node (ID 0),
 // Config.Satellites satellite nodes (IDs 1..S) and Config.Computes compute
-// nodes after them.
+// nodes after them. The daemons, IDs 0..S, get one meter each.
 func New(e *simnet.Engine, cfg Config) *Cluster {
 	sats, computes := max(cfg.Satellites, 0), max(cfg.Computes, 0)
-	c := &Cluster{Engine: e, nodes: make([]Node, 1+sats+computes), computes: make([]NodeID, 0, computes)}
+	c := &Cluster{Engine: e, nodes: make([]Node, 1+sats+computes), meters: make([]ResourceMeter, 1+sats),
+		satellites: make([]NodeID, 0, sats), computes: make([]NodeID, 0, computes)}
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		n.ID = NodeID(i)
@@ -99,6 +102,7 @@ func New(e *simnet.Engine, cfg Config) *Cluster {
 			n.Role = RoleMaster
 		case i <= sats:
 			n.Role = RoleSatellite
+			c.satellites = append(c.satellites, n.ID)
 		default:
 			n.Role = RoleCompute
 			c.computes = append(c.computes, n.ID)
@@ -129,19 +133,23 @@ func (c *Cluster) Master() *Node { return &c.nodes[0] }
 // that is always a programming error in an experiment driver.
 func (c *Cluster) Node(id NodeID) *Node { return &c.nodes[id] }
 
+// Meter returns the resource meter of the master or a satellite, and nil
+// for a compute node, which has none. ResourceMeter's recording methods
+// do nothing on nil, so a sender or relay charges whatever node it runs
+// on without asking which kind it is.
+func (c *Cluster) Meter(id NodeID) *ResourceMeter {
+	if int(id) < len(c.meters) {
+		return &c.meters[id]
+	}
+	return nil
+}
+
 // Size returns the total number of nodes, including master and satellites.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
-// Satellites returns the IDs of all satellite nodes in ID order.
-func (c *Cluster) Satellites() []NodeID {
-	var out []NodeID
-	for i := range c.nodes {
-		if c.nodes[i].Role == RoleSatellite {
-			out = append(out, c.nodes[i].ID)
-		}
-	}
-	return out
-}
+// Satellites returns the IDs of all satellite nodes in ID order. Like
+// Computes, the slice is the cluster's own, read-only and clipped.
+func (c *Cluster) Satellites() []NodeID { return slices.Clip(c.satellites) }
 
 // Computes returns the IDs of all compute nodes in ID order. The slice is
 // the cluster's own and is read-only: every call returns the same backing

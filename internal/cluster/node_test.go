@@ -37,13 +37,23 @@ func pointerPaths(t reflect.Type, path string) []string {
 
 // TestNodeIsPointerFree: a cluster's node block is one value per node the
 // garbage collector never scans, so a Node may hold no pointer-bearing
-// field, and it stays within 96 bytes.
+// field, and it stays within 16 bytes: the meter lives apart, and only
+// the daemons have one.
 func TestNodeIsPointerFree(t *testing.T) {
 	if paths := pointerPaths(reflect.TypeOf(Node{}), "Node"); len(paths) != 0 {
 		t.Errorf("Node holds pointers: %v", paths)
 	}
-	if size := unsafe.Sizeof(Node{}); size > 96 {
-		t.Errorf("Node is %d bytes, budget 96", size)
+	if size := unsafe.Sizeof(Node{}); size > 16 {
+		t.Errorf("Node is %d bytes, budget 16", size)
+	}
+}
+
+// TestFlightFitsItsSizeClass: a message in flight holds one pooled flight,
+// so a flight's size class is paid once per concurrent message; past 64
+// bytes it rounds up to the 80-byte class.
+func TestFlightFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(flight{}); size > 64 {
+		t.Errorf("flight is %d bytes, budget 64", size)
 	}
 }
 
@@ -54,7 +64,7 @@ func TestAllocsClusterBytesPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const computes, budget = 20480, 110.0
+	const computes, budget = 20480, 27.0
 	e := simnet.NewEngine(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -472,7 +472,7 @@ func (c *chain) attempt() {
 			tr.Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
 		}
 	}
-	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
+	b.Cluster.Meter(c.from).ChargeCPU(b.SendOverhead)
 	// The lane of the current SendOverhead: callers may set it after
 	// NewBroadcaster.
 	b.e.Lane(b.SendOverhead).After(c, chainTransmit)
@@ -592,7 +592,7 @@ func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
 // share one lane; a gray relay's inflated cost goes on the heap.
 func (b *Broadcaster) relayTo(id cluster.NodeID, h simnet.Handler, kind int32) {
 	d := b.relayDelay(id)
-	b.Cluster.Node(id).Meter.ChargeCPU(d)
+	b.Cluster.Meter(id).ChargeCPU(d)
 	if d == RelayOverhead {
 		b.e.Lane(RelayOverhead).After(h, kind)
 		return
@@ -800,7 +800,7 @@ func (SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clus
 	sc := &sharedMemCast{t: t, list: append(b.Lists.Get(len(targets)), targets...), size: size,
 		timeout: b.Cluster.Net.Config().ConnectTimeout}
 	// Publish: one write into the shared segment.
-	b.Cluster.Node(origin).Meter.ChargeCPU(b.SendOverhead)
+	b.Cluster.Meter(origin).ChargeCPU(b.SendOverhead)
 	queue := time.Duration(0)
 	for i, id := range sc.list {
 		if b.Cluster.Node(id).Failed() {
@@ -846,7 +846,7 @@ func (sc *sharedMemCast) HandleEvent(kind int32) {
 		b.e.AfterTo(sc.timeout, sc, ^kind)
 		return
 	}
-	b.Cluster.Node(id).Meter.CountMessage(false, sc.size)
+	b.Cluster.Meter(id).CountMessage(false, sc.size)
 	sc.settle(id, true)
 }
 

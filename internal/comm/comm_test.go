@@ -225,7 +225,7 @@ func TestStarLimitedByConcurrency(t *testing.T) {
 		t.Fatalf("delivered %d", res.Delivered)
 	}
 	// Origin can never exceed 4 concurrent sockets.
-	if peak := c.Node(c.Satellites()[0]).Meter.PeakSockets(); peak > 4 {
+	if peak := c.Meter(c.Satellites()[0]).PeakSockets(); peak > 4 {
 		t.Errorf("peak sockets %d > MaxConcurrent 4", peak)
 	}
 }

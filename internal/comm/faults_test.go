@@ -83,19 +83,20 @@ func TestBroadcastOracle(t *testing.T) {
 
 // TestDuplicatesDedupAtTheReceiver: with every message duplicated, a relay
 // still forwards once — each target receives the payload from its parent
-// exactly twice (original + duplicate), never more.
+// exactly twice (original + duplicate), never more. The targets are
+// satellites, the nodes whose meters count what they receive.
 func TestDuplicatesDedupAtTheReceiver(t *testing.T) {
-	c := cluster.New(simnet.NewEngine(9), cluster.Config{Computes: 40, Satellites: 2, Net: cluster.NetConfig{DupProb: 1}})
-	comps := c.Computes()
+	c := cluster.New(simnet.NewEngine(9), cluster.Config{Computes: 2, Satellites: 40, Net: cluster.NetConfig{DupProb: 1}})
+	sats := c.Satellites()
 	b := NewBroadcaster(c)
 	var res Result
-	KTree{Width: 3}.Broadcast(b, c.Master().ID, comps, 512, func(r Result) { res = r })
+	KTree{Width: 3}.Broadcast(b, c.Master().ID, sats, 512, func(r Result) { res = r })
 	c.RunUntil(time.Minute)
 	if res.Delivered != 40 || res.Messages != 40 {
 		t.Fatalf("delivered=%d messages=%d, want 40/40: a duplicate was forwarded", res.Delivered, res.Messages)
 	}
-	for _, id := range comps {
-		if in, _ := c.Node(id).Meter.Messages(); in != 2 {
+	for _, id := range sats {
+		if in, _ := c.Meter(id).Messages(); in != 2 {
 			t.Errorf("node %d received %d messages, want 2 (payload + its duplicate)", id, in)
 		}
 	}

@@ -249,7 +249,7 @@ func contendedTrace() []timedSpec {
 // claim "same schedule" answer to it.
 func TestReplayPinned(t *testing.T) {
 	const (
-		wantDigest  = 0xd223f6558e20aef0
+		wantDigest  = 0xd9116369a22b0ae5
 		wantMetrics = "{Submitted:300 Started:300 Completed:262 TimedOut:38 Rejected:0 WaitSum:608h14m3.76613558s SpawnSum:931.66838ms SpawnReps:300}"
 	)
 	digest, m := replay(7, 128, nil, contendedTrace())

@@ -260,7 +260,7 @@ func (m *Master) Stats() Stats {
 }
 
 // Meter returns the master daemon's resource meter.
-func (m *Master) Meter() *cluster.ResourceMeter { return &m.Cluster.Master().Meter }
+func (m *Master) Meter() *cluster.ResourceMeter { return m.Cluster.Meter(m.Cluster.Master().ID) }
 
 // Name identifies the RM in experiment output.
 func (m *Master) Name() string { return "ESlurm" }
@@ -275,7 +275,7 @@ func (m *Master) Start() {
 	mm.AddVMem(int64(len(m.Cluster.Computes())) * perNodeState)
 	mm.AddRSS(int64(len(m.Cluster.Computes())) * perNodeState / 8)
 	for _, id := range m.Cluster.Satellites() {
-		sm := &m.Cluster.Node(id).Meter
+		sm := m.Cluster.Meter(id)
 		sm.AddVMem(SatelliteBaseVMem)
 		sm.AddRSS(satelliteBaseRSS)
 		// The master holds a long-lived control connection per satellite
@@ -485,7 +485,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 
 	// The satellite's resident set high-water mark follows the largest
 	// sub-nodelist it has buffered.
-	sm := &m.Cluster.Node(sat.ID).Meter
+	sm := m.Cluster.Meter(sat.ID)
 	if target := satelliteBaseRSS + int64(len(sub))*satellitePerNodeRSS; sm.RSS() < target {
 		sm.AddRSS(target - sm.RSS())
 	}
@@ -525,7 +525,7 @@ func (m *Master) dispatchTask(sat *satellite.Satellite, sub []cluster.NodeID, si
 		// Section IV-D) and marshals per-child sub-nodelists before
 		// relaying.
 		proc := comm.RelayOverhead + time.Duration(len(sub))*satellitePerNodeProc
-		m.Cluster.Node(sat.ID).Meter.ChargeCPU(proc)
+		m.Cluster.Meter(sat.ID).ChargeCPU(proc)
 		bStart := m.engine.Now() + proc
 		structure := comm.FPTree{Width: m.cfg.TreeWidth, Predictor: m.effectivePredictor(), Stats: m.Placement, Parent: task}
 		m.engine.After(proc, func() {

@@ -110,7 +110,7 @@ func TestBroadcastThroughSatellites(t *testing.T) {
 	}
 	// The master spoke only to satellites: its outbound message count must
 	// be far below the target count.
-	_, out := c.Master().Meter.Messages()
+	_, out := c.Meter(c.Master().ID).Messages()
 	if out > 20 {
 		t.Errorf("master sent %d messages for a 200-node broadcast", out)
 	}
@@ -266,7 +266,7 @@ func TestMasterSocketsStayLow(t *testing.T) {
 	e.RunUntil(time.Second)
 	m.Broadcast(c.Computes(), 1024, nil)
 	e.RunUntil(2 * time.Minute)
-	if peak := c.Master().Meter.PeakSockets(); peak > 100 {
+	if peak := c.Meter(c.Master().ID).PeakSockets(); peak > 100 {
 		t.Errorf("master peak sockets = %d, want < 100", peak)
 	}
 }
@@ -337,7 +337,7 @@ func TestSatelliteMemoryModel(t *testing.T) {
 	m.Start()
 	e.RunUntil(time.Second)
 	sat := c.Satellites()[0]
-	sm := &c.Node(sat).Meter
+	sm := c.Meter(sat)
 	if sm.VMem() < SatelliteBaseVMem {
 		t.Error("satellite base vmem not charged")
 	}

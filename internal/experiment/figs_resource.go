@@ -153,7 +153,7 @@ func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 			fmtBytes(m.RSS()), fmt.Sprintf("%.1f", m.AvgSockets(c.Engine.Now())),
 			fmt.Sprintf("%d", m.PeakSockets())}}
 		for j, id := range c.Satellites() {
-			sm := &c.Node(id).Meter
+			sm := c.Meter(id)
 			r.sats = append(r.sats, []string{fmt.Sprintf("satellite %d", j+1), fmtDur(sm.CPUTime()),
 				fmtBytes(sm.VMem()), fmtBytes(sm.RSS()), fmt.Sprintf("%d", sm.PeakSockets())})
 		}
@@ -231,7 +231,7 @@ func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Ta
 		for _, s := range es.Pool.All() {
 			tasks += s.TasksReceived
 			nodesServed += s.NodesServed
-			m := &c.Node(s.ID).Meter
+			m := c.Meter(s.ID)
 			vmemSum += m.VMem()
 			rssSum += m.RSS()
 			sockSum += m.AvgSockets(now)

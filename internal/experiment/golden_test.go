@@ -57,3 +57,27 @@ func TestSchedTablesGolden(t *testing.T) {
 	Ablation(new(Env), p.AblationScale, p.AblationJobs).Fprint(&buf)
 	checkGolden(t, "sched_tables.golden", buf.Bytes())
 }
+
+// TestResourceTablesGolden pins, at the quick preset, every table read off
+// the simulated daemons' meters and the wire: the resource figures (fig7,
+// fig9, tables V–VI), the broadcast figures (fig7f, fig8a, fig8b, fig11a)
+// and the design sweeps built on them. A change to the wire, the meters or
+// a broadcaster that claims "same tables" answers to this file.
+func TestResourceTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resource runs are slow")
+	}
+	p := QuickParams()
+	var buf bytes.Buffer
+	for _, id := range []string{"fig7", "fig7f", "fig8a", "fig8b", "fig9", "table5", "fig11a",
+		"ablation-width", "ablation-realloc", "rack-outage"} {
+		spec, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("no experiment %q", id)
+		}
+		for _, tb := range spec.Run(new(Env), p) {
+			tb.Fprint(&buf)
+		}
+	}
+	checkGolden(t, "resource_tables.golden", buf.Bytes())
+}

@@ -154,6 +154,16 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterValue returns the named counter's count, 0 when the registry has
+// no such counter. Unlike Counter it registers nothing, so reading a
+// registry this way leaves its dump as it was.
+func (r *Registry) CounterValue(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.counters[name].Value()
+}
+
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {

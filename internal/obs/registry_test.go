@@ -30,6 +30,9 @@ func TestNilRegistryHandsOutInertInstruments(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot non-nil")
 	}
+	if r.CounterValue("a") != 0 {
+		t.Fatal("nil-registry counter value non-zero")
+	}
 }
 
 func TestCounterAndGauge(t *testing.T) {
@@ -48,6 +51,12 @@ func TestCounterAndGauge(t *testing.T) {
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
+	}
+	// CounterValue reads without registering: an absent name is 0 and
+	// stays absent from the snapshot.
+	if r.CounterValue("x") != 5 || r.CounterValue("absent") != 0 || len(r.Snapshot()) != 2 {
+		t.Fatalf("CounterValue x=%d absent=%d over %d instruments, want 5, 0 over 2",
+			r.CounterValue("x"), r.CounterValue("absent"), len(r.Snapshot()))
 	}
 }
 

@@ -121,7 +121,7 @@ func NewCentralized(c *cluster.Cluster, prof Profile) *Centralized {
 func (r *Centralized) Name() string { return r.prof.Name }
 
 // Meter implements RM.
-func (r *Centralized) Meter() *cluster.ResourceMeter { return &r.cluster.Master().Meter }
+func (r *Centralized) Meter() *cluster.ResourceMeter { return r.cluster.Meter(r.cluster.Master().ID) }
 
 // Start implements RM.
 func (r *Centralized) Start() {
