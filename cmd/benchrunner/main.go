@@ -37,9 +37,9 @@
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
 // -json writes the perf record: each experiment's event and message
-// counts, exact for a preset on any machine and at any -parallel, so a
-// fresh record is compared with the committed BENCH_quick.json byte for
-// byte.
+// counts and its estimator replays' model fits and SVR sweeps, exact for
+// a preset on any machine and at any -parallel, so a fresh record is
+// compared with the committed BENCH_quick.json byte for byte.
 // Wall-clock is bench/'s to measure, not the record's.
 // -cpuprofile and -memprofile write pprof files covering the experiments
 // alone (not flag parsing, not the -json record): host-time questions
@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list available experiments")
 		csvDir   = fs.String("csv", "", "also write the Fig. 7/9 time-series CSVs into this directory")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker-pool size (tables always print in registry order)")
-		jsonPath = fs.String("json", "", "write the perf record (per-experiment event counts) to this file")
+		jsonPath = fs.String("json", "", "write the perf record (per-experiment event, message and model-fit counts) to this file")
 		trace    = fs.String("trace", "", "write a Chrome trace_event JSON of every engine to this file")
 		metrics  = fs.Bool("metrics", false, "dump each engine's metrics registry to stdout")
 		critPath = fs.String("critpath", "", "write the deterministic critical-path report of every engine to this file")
@@ -215,14 +215,18 @@ type perfRecord struct {
 	Experiments []expRecord `json:"experiments"`
 }
 
-// An expRecord is one experiment's line: the events its engines ran and
-// the messages its broadcasters sent (comm.messages, retries included),
-// so events per message is read off the record.
+// An expRecord is one experiment's line: the events its engines ran, the
+// messages its broadcasters sent (comm.messages, retries included), so
+// events per message is read off the record, and the model fits and SVR
+// sweeps of its estimator replays (estimate.Work; zero for an experiment
+// that replays no estimator).
 type expRecord struct {
-	ID       string `json:"id"`
-	Artifact string `json:"artifact"`
-	Events   uint64 `json:"events"`
-	Messages int64  `json:"messages"`
+	ID        string `json:"id"`
+	Artifact  string `json:"artifact"`
+	Events    uint64 `json:"events"`
+	Messages  int64  `json:"messages"`
+	Fits      int64  `json:"fits"`
+	SVRSweeps int64  `json:"svr_sweeps"`
 }
 
 func writePerfRecord(path, preset string, results []experiment.Result) error {
@@ -234,10 +238,12 @@ func writePerfRecord(path, preset string, results []experiment.Result) error {
 			messages += e.Metrics.CounterValue("comm.messages")
 		}
 		rec.Experiments = append(rec.Experiments, expRecord{
-			ID:       r.Spec.ID,
-			Artifact: r.Spec.Artifact,
-			Events:   r.Events,
-			Messages: messages,
+			ID:        r.Spec.ID,
+			Artifact:  r.Spec.Artifact,
+			Events:    r.Events,
+			Messages:  messages,
+			Fits:      r.Fits,
+			SVRSweeps: r.SVRSweeps,
 		})
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

@@ -81,13 +81,15 @@ func TestObservedRunsAreParallelInvariant(t *testing.T) {
 // TestPerfRecordIsExact: the -json perf record holds only what the preset
 // fixes, so it is byte-identical at any -parallel and carries no
 // host or timing key — which is what lets CI compare a fresh record with
-// the committed BENCH_quick.json by diff.
+// the committed BENCH_quick.json by diff. An engine experiment records
+// events and messages and no model fit; table8, an estimator replay,
+// records fits and SVR sweeps and no event.
 func TestPerfRecordIsExact(t *testing.T) {
 	dir := t.TempDir()
 	record := func(parallel string) []byte {
 		path := filepath.Join(dir, "bench-"+parallel+".json")
 		var out, errs bytes.Buffer
-		args := []string{"-exp", "fig8a,fig8b,ablation-width,rack-outage", "-parallel", parallel, "-json", path}
+		args := []string{"-exp", "fig8a,fig8b,table8,ablation-width,rack-outage", "-parallel", parallel, "-json", path}
 		if code := run(args, &out, &errs); code != 0 {
 			t.Fatalf("benchrunner %v: exit %d\n%s", args, code, errs.String())
 		}
@@ -125,15 +127,26 @@ func TestPerfRecordIsExact(t *testing.T) {
 	if got, want := keys(top), "experiments,preset,total_events"; got != want {
 		t.Errorf("record keys %s, want %s", got, want)
 	}
-	if rec.Preset != "quick" || len(rec.Experiments) != 4 {
-		t.Fatalf("record has preset %q and %d experiments, want quick and 4", rec.Preset, len(rec.Experiments))
+	if rec.Preset != "quick" || len(rec.Experiments) != 5 {
+		t.Fatalf("record has preset %q and %d experiments, want quick and 5", rec.Preset, len(rec.Experiments))
 	}
 	var sum uint64
 	for _, e := range rec.Experiments {
-		if got, want := keys(e), "artifact,events,id,messages"; got != want {
+		if got, want := keys(e), "artifact,events,fits,id,messages,svr_sweeps"; got != want {
 			t.Errorf("experiment %v keys %s, want %s", e["id"], got, want)
 		}
 		n, _ := e["events"].(float64)
+		fits, _ := e["fits"].(float64)
+		sweeps, _ := e["svr_sweeps"].(float64)
+		if e["id"] == "table8" {
+			if n != 0 || fits <= 0 || sweeps < fits {
+				t.Errorf("table8 recorded %v events, %v fits, %v SVR sweeps; want 0, some, and more sweeps than fits", n, fits, sweeps)
+			}
+			continue
+		}
+		if fits != 0 || sweeps != 0 {
+			t.Errorf("engine experiment %v recorded %v fits and %v SVR sweeps", e["id"], fits, sweeps)
+		}
 		if n <= 0 {
 			t.Errorf("experiment %v recorded %v events", e["id"], e["events"])
 		}

@@ -139,7 +139,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rmName == "eslurm" {
 		es = core.NewMaster(c, coreCfg, predict.NewAlertDriven(e, sub, 0))
 		r = es
-		probe = experiment.OracleESlurm
+		// The probe masters run this master's configuration (a -conf
+		// TreeWidth or ReallocLimit reaches the scheduling overhead) with
+		// an oracle predictor, like the Fig. 10 ESlurm rows.
+		probe = func(c *cluster.Cluster) rm.RM { return core.NewMaster(c, coreCfg, predict.Oracle{Cluster: c}) }
 	}
 	for _, prof := range rm.Profiles() {
 		if strings.ToLower(prof.Name) == *rmName {
@@ -293,6 +296,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "scheduling %d jobs: utilization=%.1f%% avg-wait=%v slowdown=%.1f completed=%d killed=%d\n",
 		len(tr.Jobs), 100*res.Utilization, res.AvgWait.Round(time.Second),
 		res.AvgBoundedSlowdown, res.Completed, res.Killed)
+	if *verbose {
+		load, term := overhead(*nodes)
+		fmt.Fprintf(stdout, "probed overhead of a %d-node job: load=%v terminate=%v\n",
+			*nodes, load.Round(time.Microsecond), term.Round(time.Microsecond))
+	}
 	if *verbose && es != nil {
 		if fw, ok := scfg.Predictor.(sched.FrameworkWalltimes); ok {
 			trusted, total := 0, 0

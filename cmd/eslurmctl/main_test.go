@@ -2,17 +2,23 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestFlags: a value the run cannot honour exits 2 naming the flag before
-// anything runs, an unknown -rm exits 1, and a small in-range run under
-// each of the six RMs succeeds and reports every phase.
+// anything runs, an unknown -rm exits 1, a small in-range run under each
+// of the six RMs succeeds and reports every phase, and an eslurm.conf's
+// TreeWidth reaches the masters phase 3 probes for the scheduling
+// overhead.
 func TestFlags(t *testing.T) {
 	type flagCase struct {
 		name string
 		args []string
+		// conf, when set, is written to a file passed as -conf.
+		conf string
 		// exit is a refused run's status, with stderr saying refused;
 		// zero means the run must succeed with every string of wantOut on
 		// stdout.
@@ -45,10 +51,27 @@ func TestFlags(t *testing.T) {
 			wantOut: []string{"=== " + m.name + " on 256 nodes", "scheduling 200 jobs:"},
 		})
 	}
+	for _, w := range []string{"4", "32"} {
+		cases = append(cases, flagCase{
+			name:    "conf TreeWidth " + w,
+			conf:    "TreeWidth=" + w + "\n",
+			args:    []string{"-nodes", "256", "-jobs", "200", "-hours", "1", "-verbose"},
+			wantOut: []string{"scheduling 200 jobs:", "probed overhead of a 256-node job:"},
+		})
+	}
+	stdout := map[string]string{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			args := tc.args
+			if tc.conf != "" {
+				path := filepath.Join(t.TempDir(), "eslurm.conf")
+				if err := os.WriteFile(path, []byte(tc.conf), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				args = append([]string{"-conf", path}, args...)
+			}
 			var out, errs bytes.Buffer
-			code := run(tc.args, &out, &errs)
+			code := run(args, &out, &errs)
 			if tc.exit != 0 {
 				if code != tc.exit {
 					t.Fatalf("exit %d, want %d (stderr %q)", code, tc.exit, errs.String())
@@ -69,6 +92,24 @@ func TestFlags(t *testing.T) {
 					t.Errorf("stdout lacks %q:\n%s", want, out.String())
 				}
 			}
+			stdout[tc.name] = out.String()
 		})
 	}
+
+	// The probed overhead differs by a few milliseconds per job between
+	// the two widths. The scheduling line prints waits to the second and
+	// utilization to 0.1%, so it need not move (README, "eslurmctl").
+	line := func(out, prefix string) string {
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, prefix) {
+				return l
+			}
+		}
+		return ""
+	}
+	w4, w32 := stdout["conf TreeWidth 4"], stdout["conf TreeWidth 32"]
+	if p4, p32 := line(w4, "probed overhead"), line(w32, "probed overhead"); p4 == "" || p4 == p32 {
+		t.Errorf("TreeWidth=4 and TreeWidth=32 probe the same overhead: %q, %q", p4, p32)
+	}
+	t.Logf("TreeWidth=4:  %s\nTreeWidth=32: %s", line(w4, "scheduling"), line(w32, "scheduling"))
 }

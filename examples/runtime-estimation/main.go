@@ -45,21 +45,13 @@ func main() {
 	}
 	fmt.Printf("  estimation accuracy EA (Eq. 4) vs truth: %.3f\n\n", estimate.EA(p.Model, j.Runtime))
 
-	// 3. Fig. 11b in miniature: replay the full trace through every
-	// estimator, side by side (each replay owns its model and seeds).
+	// 3. Fig. 11b in miniature: replay the full trace through the
+	// comparison's estimators, side by side (each replay owns its models
+	// and seeds). K follows the paper's elbow methodology per workload:
+	// their trace gave 15, this synthetic one ~40 (see EXPERIMENTS.md).
 	fmt.Printf("%-14s %-8s %-8s %s\n", "estimator", "AEA", "UR", "coverage")
-	for _, res := range estimate.EvaluateAll([]estimate.Estimator{
-		estimate.User{},
-		estimate.NewLast2(),
-		estimate.NewSVM(),
-		estimate.NewRandomForest(1),
-		estimate.NewIRPA(2),
-		estimate.NewTRIP(),
-		estimate.NewPREP(),
-		// K follows the paper's elbow methodology per workload: their
-		// trace gave 15, this synthetic one ~40 (see EXPERIMENTS.md).
-		estimate.NewFramework(estimate.FrameworkConfig{K: 40}),
-	}, tr.Jobs) {
+	results, _ := estimate.EvaluateAll(estimate.Fig11bRoster(40), tr.Jobs)
+	for _, res := range results {
 		fmt.Printf("%-14s %-8.3f %-8.3f %.3f\n",
 			res.Estimator, res.AEA, res.UnderestimateRate, res.Coverage)
 	}

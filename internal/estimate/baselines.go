@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -74,6 +75,31 @@ func (l *Last2) Observe(j trace.Job) {
 
 // ---------------------------------------------------------------------------
 
+// Work counts the model fits an estimator has made: every mlkit fit
+// (SVR, forest, k-means, Tobit and ridge) and the sweeps its SVR fits
+// ran. Both are machine-independent, so a replay's Work is exact.
+type Work struct {
+	Fits      int64
+	SVRSweeps int64
+}
+
+// Add adds o's counts to w.
+func (w *Work) Add(o Work) {
+	w.Fits += o.Fits
+	w.SVRSweeps += o.SVRSweeps
+}
+
+// svr counts one SVR fit and returns the model.
+func (w *Work) svr(m *mlkit.SVR) *mlkit.SVR {
+	w.Fits++
+	w.SVRSweeps += int64(m.Iterations())
+	return m
+}
+
+// A fitter is an estimator that fits models; a row that only reads
+// another row's model is not one.
+type fitter interface{ fitWork() Work }
+
 // windowed is shared machinery for batch learners: keep a sliding window
 // of completed jobs and retrain every RetrainEvery observations.
 type windowed struct {
@@ -83,7 +109,10 @@ type windowed struct {
 	history []trace.Job
 	scaler  *mlkit.StandardScaler
 	ready   bool
+	work    Work
 }
+
+func (w *windowed) fitWork() Work { return w.work }
 
 func newWindowed(window, every int) windowed {
 	if window == 0 {
@@ -150,12 +179,18 @@ func (s *SVM) Estimate(j *trace.Job) (time.Duration, bool) {
 }
 
 // Observe implements Estimator.
-func (s *SVM) Observe(j trace.Job) {
-	if s.observe(j) {
-		xs, ys, _ := s.trainSet()
-		s.m = mlkit.SVRFit(xs, ys, mlkit.SVRConfig{C: 50, Epsilon: 0.05})
-		s.ready = true
+func (s *SVM) Observe(j trace.Job) { s.retrain(j) }
+
+// retrain observes j and, when a retrain is due, refits the SVR and
+// returns the scaled training set it was fitted on.
+func (s *SVM) retrain(j trace.Job) (xs [][]float64, ys []float64, ok bool) {
+	if !s.observe(j) {
+		return nil, nil, false
 	}
+	xs, ys, _ = s.trainSet()
+	s.m = s.work.svr(mlkit.SVRFit(xs, ys, mlkit.SVRConfig{C: 50, Epsilon: 0.05}))
+	s.ready = true
+	return xs, ys, true
 }
 
 // ---------------------------------------------------------------------------
@@ -188,6 +223,7 @@ func (r *RandomForest) Observe(j trace.Job) {
 	if r.observe(j) {
 		xs, ys, _ := r.trainSet()
 		r.m = mlkit.ForestFit(xs, ys, mlkit.ForestConfig{Trees: 30}, r.rng)
+		r.work.Fits++
 		r.ready = true
 	}
 }
@@ -195,18 +231,21 @@ func (r *RandomForest) Observe(j trace.Job) {
 // ---------------------------------------------------------------------------
 
 // IRPA is the integrated-learning baseline (Wu et al.): the average of a
-// random forest, an SVR and a Bayesian ridge regressor.
+// random forest, an SVR and a Bayesian ridge regressor. Its SVR is the
+// global SVM baseline's own — the same window, scaler and SVRConfig — so
+// IRPA holds that SVM, feeds it every job, and fits its forest and ridge
+// on the SVM's training set.
 type IRPA struct {
-	windowed
+	svm    *SVM
 	forest *mlkit.Forest
-	svr    *mlkit.SVR
 	ridge  *mlkit.BayesianRidge
 	rng    *rand.Rand
+	work   Work // the forest and ridge fits; the SVM counts its own
 }
 
 // NewIRPA returns an empty IRPA ensemble.
 func NewIRPA(seed int64) *IRPA {
-	return &IRPA{windowed: newWindowed(0, 0), rng: rand.New(rand.NewSource(seed))}
+	return &IRPA{svm: NewSVM(), rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Estimator.
@@ -214,24 +253,37 @@ func (*IRPA) Name() string { return "IRPA" }
 
 // Estimate implements Estimator.
 func (p *IRPA) Estimate(j *trace.Job) (time.Duration, bool) {
-	if !p.ready {
+	s := p.svm
+	if !s.ready {
 		return 0, false
 	}
-	x := p.scaler.Transform(Features(j))
-	v := (p.forest.Predict(x) + p.svr.Predict(x) + p.ridge.Predict(x)) / 3
+	x := s.scaler.Transform(Features(j))
+	v := (p.forest.Predict(x) + s.m.Predict(x) + p.ridge.Predict(x)) / 3
 	return fromLogSeconds(v), true
 }
 
 // Observe implements Estimator.
 func (p *IRPA) Observe(j trace.Job) {
-	if p.observe(j) {
-		xs, ys, _ := p.trainSet()
+	if xs, ys, ok := p.svm.retrain(j); ok {
 		p.forest = mlkit.ForestFit(xs, ys, mlkit.ForestConfig{Trees: 30}, p.rng)
-		p.svr = mlkit.SVRFit(xs, ys, mlkit.SVRConfig{C: 50, Epsilon: 0.05})
 		p.ridge = mlkit.BayesianRidgeFit(xs, ys, 0)
-		p.ready = true
+		p.work.Fits += 2
 	}
 }
+
+func (p *IRPA) fitWork() Work {
+	w := p.work
+	w.Add(p.svm.work)
+	return w
+}
+
+// shared is a row that estimates through a model another row of its
+// replay trains: its Observe does nothing, and it is no fitter, so the
+// model's fits are counted once, by the row that trains it.
+type shared struct{ Estimator }
+
+// Observe is a no-op: the owning row observes.
+func (shared) Observe(trace.Job) {}
 
 // ---------------------------------------------------------------------------
 
@@ -271,6 +323,7 @@ func (t *TRIP) Observe(j trace.Job) {
 			}
 		}
 		t.m = mlkit.TobitFit(xs, ys, cens, mlkit.TobitConfig{})
+		t.work.Fits++
 		t.ready = true
 	}
 }
@@ -356,25 +409,102 @@ type EvalResult struct {
 // as immediate, which matches how the record module sees a steady stream of
 // finished jobs.
 func Evaluate(est Estimator, jobs []trace.Job) EvalResult {
-	var t evalTally
-	for i := range jobs {
-		j := jobs[i]
-		if pred, ok := est.Estimate(&j); ok {
-			t.add(pred, j.Runtime)
-		}
-		est.Observe(j)
-	}
-	return t.result(est.Name(), len(jobs))
+	return replay([]Estimator{est}, jobs)[0]
 }
 
-// EvaluateAll replays the same trace through every estimator, one
-// Evaluate per estimator on GOMAXPROCS workpool goroutines, and returns
-// the results in the order of ests. A replay shares nothing but the
-// read-only jobs with another (each estimator owns its history, models
-// and rand.Rand, and Evaluate hands out copies of the jobs), so the
-// results are those of a serial loop at any worker count.
-func EvaluateAll(ests []Estimator, jobs []trace.Job) []EvalResult {
-	return workpool.Ordered(len(ests), 0, func(i int) EvalResult { return Evaluate(ests[i], jobs) }, nil)
+// replay runs the trace through ests in lockstep, the way Evaluate runs
+// it through one: every estimator estimates a job before any of them
+// observes it, so a row that reads another row's model sees the model
+// that row estimated with. Results are indexed like ests.
+func replay(ests []Estimator, jobs []trace.Job) []EvalResult {
+	tallies := make([]evalTally, len(ests))
+	for i := range jobs {
+		j := jobs[i]
+		for k, est := range ests {
+			if pred, ok := est.Estimate(&j); ok {
+				tallies[k].add(pred, j.Runtime)
+			}
+		}
+		for _, est := range ests {
+			est.Observe(j)
+		}
+	}
+	out := make([]EvalResult, len(ests))
+	for k, est := range ests {
+		out[k] = tallies[k].result(est.Name(), len(jobs))
+	}
+	return out
+}
+
+// A Roster is a set of estimators compared over one trace and the
+// replays that run them.
+type Roster struct {
+	// Rows are the estimators in the order their results are reported.
+	Rows []Estimator
+	// Replays partitions the indices of Rows: each replay runs its rows
+	// in lockstep on one goroutine, and replays are dispatched in the
+	// order given.
+	Replays [][]int
+}
+
+// Fig11bRoster builds the eight estimators of the Fig. 11b comparison,
+// with the framework at k clusters. Rows are in the paper's order: User,
+// SVM, RandomForest, Last-2, IRPA, TRIP, PREP, ESlurm. The SVM row reads
+// IRPA's own SVM, so the two share one replay and one SVR per window.
+// Replays go heaviest first — the framework, IRPA with SVM, TRIP,
+// RandomForest, then the three history-only rows as one — so that on two
+// workers the framework then TRIP and IRPA then RandomForest end about
+// together.
+func Fig11bRoster(k int) Roster {
+	irpa := NewIRPA(2)
+	return Roster{
+		Rows: []Estimator{
+			User{}, shared{irpa.svm}, NewRandomForest(1), NewLast2(),
+			irpa, NewTRIP(), NewPREP(), NewFramework(FrameworkConfig{K: k}),
+		},
+		Replays: [][]int{{7}, {4, 1}, {5}, {2}, {0, 3, 6}},
+	}
+}
+
+// EvaluateAll replays the trace through every row of r, its replays side
+// by side on GOMAXPROCS workpool goroutines, and returns the results
+// indexed like r.Rows and the fits the rows made, summed in row order.
+// A replay shares nothing but the read-only jobs with another (its rows
+// own their histories, models and rand.Rand, and each job is handed out
+// as a copy), so the results are those of a serial loop at any worker
+// count.
+func EvaluateAll(r Roster, jobs []trace.Job) ([]EvalResult, Work) {
+	seen := make([]int, len(r.Rows))
+	for _, g := range r.Replays {
+		for _, i := range g {
+			seen[i]++
+		}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			panic(fmt.Sprintf("estimate: row %d (%s) is in %d replays, want 1", i, r.Rows[i].Name(), n))
+		}
+	}
+	done := workpool.Ordered(len(r.Replays), 0, func(g int) []EvalResult {
+		ests := make([]Estimator, len(r.Replays[g]))
+		for k, i := range r.Replays[g] {
+			ests[k] = r.Rows[i]
+		}
+		return replay(ests, jobs)
+	}, nil)
+	out := make([]EvalResult, len(r.Rows))
+	for g, res := range done {
+		for k, i := range r.Replays[g] {
+			out[i] = res[k]
+		}
+	}
+	var w Work
+	for _, est := range r.Rows {
+		if f, ok := est.(fitter); ok {
+			w.Add(f.fitWork())
+		}
+	}
+	return out, w
 }
 
 // evalTally accumulates the Fig. 11b metrics over the covered jobs of one

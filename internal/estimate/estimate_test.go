@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"eslurm/internal/mlkit"
 	"eslurm/internal/obs"
 	"eslurm/internal/trace"
 )
@@ -319,7 +320,7 @@ func TestEvaluateSlacksMatchesIndependentReplays(t *testing.T) {
 	jobs := replayTrace(700)
 	cfg := FrameworkConfig{K: 40}
 	alphas := []float64{1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08}
-	got := EvaluateSlacks(cfg, alphas, jobs)
+	got, _ := EvaluateSlacks(cfg, alphas, jobs)
 	if len(got) != len(alphas) {
 		t.Fatalf("%d results for %d alphas", len(got), len(alphas))
 	}
@@ -372,41 +373,111 @@ func TestFrameworkObsCounters(t *testing.T) {
 	}
 }
 
-// fig11bEstimators builds the eight Fig. 11b estimators with fixed seeds;
-// two calls return independent sets that replay to the same results.
-func fig11bEstimators() []Estimator {
+// standaloneFig11b builds, row for row, what Fig11bRoster(40) reports:
+// the same constructors and seeds, each estimator replaying alone, with
+// the SVM row a global SVM of its own instead of IRPA's.
+func standaloneFig11b() []Estimator {
 	return []Estimator{
 		User{}, NewSVM(), NewRandomForest(1), NewLast2(),
 		NewIRPA(2), NewTRIP(), NewPREP(), NewFramework(FrameworkConfig{K: 40}),
 	}
 }
 
-// TestEvaluateAllMatchesSerial is the oracle for the fan-out: the replays
-// EvaluateAll runs side by side must equal, field for field and bit for
-// bit, a plain loop of Evaluate over a second set of the same estimators.
+// refitCheck rides in IRPA's replay after IRPA. Each time IRPA's SVM
+// refits, it fits the SVR the way IRPA did before it shared the SVM's —
+// on its own copy of the window, with a fresh scaler — and requires the
+// SVM's model to predict exactly that SVR's values on every window row.
+type refitCheck struct {
+	t      *testing.T
+	irpa   *IRPA
+	seen   []trace.Job
+	last   *mlkit.SVR
+	refits int
+}
+
+func (*refitCheck) Name() string                              { return "refit check" }
+func (*refitCheck) Estimate(*trace.Job) (time.Duration, bool) { return 0, false }
+
+func (c *refitCheck) Observe(j trace.Job) {
+	c.seen = append(c.seen, j)
+	m := c.irpa.svm.m
+	if m == c.last {
+		return
+	}
+	c.last = m
+	c.refits++
+	window := c.seen[max(0, len(c.seen)-c.irpa.svm.window):]
+	raw := make([][]float64, len(window))
+	ys := make([]float64, len(window))
+	for i := range window {
+		raw[i] = Features(&window[i])
+		ys[i] = logSeconds(window[i].Runtime)
+	}
+	xs := mlkit.FitScaler(raw).TransformAll(raw)
+	own := mlkit.SVRFit(xs, ys, mlkit.SVRConfig{C: 50, Epsilon: 0.05})
+	for i, x := range xs {
+		if got, want := m.Predict(x), own.Predict(x); got != want {
+			c.t.Errorf("refit %d after %d jobs: window row %d: IRPA's SVR predicts %v, its own refit %v",
+				c.refits, len(c.seen), i, got, want)
+			return
+		}
+	}
+}
+
+// TestGroupedReplaysMatchStandalone is the differential oracle for the
+// grouped replays: every row EvaluateAll reads from the Fig. 11b roster —
+// replays side by side, rows of one replay in lockstep, the SVM row
+// through IRPA's own SVM — must equal, field for field and bit for bit, a
+// standalone Evaluate of a freshly built estimator with the same seed.
 // The trace is long enough that every windowed baseline retrains twice
 // before its last prediction and the framework refreshes its model, so
-// each replay's models carry state from one window into the next.
-func TestEvaluateAllMatchesSerial(t *testing.T) {
+// each replay's models carry state from one window into the next. The
+// roster's fits are the standalone replays' less the standalone SVM's:
+// IRPA's SVR fits are the SVM row's, counted once, and IRPA fits no SVR
+// of its own.
+func TestGroupedReplaysMatchStandalone(t *testing.T) {
 	jobs := replayTrace(900)
-	serial := fig11bEstimators()
-	want := make([]EvalResult, len(serial))
-	for i, e := range serial {
-		want[i] = Evaluate(e, jobs)
+	r := Fig11bRoster(40)
+	irpa := r.Rows[4].(*IRPA)
+	if r.Rows[1].(shared).Estimator != irpa.svm {
+		t.Fatal("the roster's SVM row does not read IRPA's SVM")
 	}
-	if g := serial[len(serial)-1].(*Framework).Generations; g < 2 {
+	check := &refitCheck{t: t, irpa: irpa}
+	r.Rows = append(r.Rows, check)
+	r.Replays[1] = append(r.Replays[1], len(r.Rows)-1)
+	got, work := EvaluateAll(r, jobs)
+	if check.refits < 2 {
+		t.Errorf("IRPA's SVM refit %d times, want >= 2", check.refits)
+	}
+
+	alone := standaloneFig11b()
+	if len(got) != len(alone)+1 {
+		t.Fatalf("%d results for %d rows", len(got), len(alone)+1)
+	}
+	var want Work
+	for i, est := range alone {
+		res := Evaluate(est, jobs)
+		if got[i] != res {
+			t.Errorf("row %d: grouped %+v, standalone %+v", i, got[i], res)
+		}
+		if res.Coverage == 0 {
+			t.Errorf("%s covered no job: the comparison is vacuous for it", res.Estimator)
+		}
+		if f, ok := est.(fitter); ok && i != 1 {
+			want.Add(f.fitWork())
+		}
+	}
+	if g := alone[7].(*Framework).Generations; g < 2 {
 		t.Fatalf("framework built %d model generations, want >= 2", g)
 	}
-	got := EvaluateAll(fig11bEstimators(), jobs)
-	if len(got) != len(want) {
-		t.Fatalf("%d results for %d estimators", len(got), len(want))
+	if work != want {
+		t.Errorf("roster fits %+v, standalone replays less the SVM %+v", work, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("estimator %d: EvaluateAll %+v, serial Evaluate %+v", i, got[i], want[i])
-		}
-		if want[i].Coverage == 0 {
-			t.Errorf("%s covered no job: the comparison is vacuous for it", want[i].Estimator)
-		}
+	if svm, shared := alone[1].(*SVM).work, irpa.svm.work; svm != shared || svm.Fits < 2 {
+		t.Errorf("standalone SVM fits %+v, IRPA's SVM %+v: want the same, >= 2 fits", svm, shared)
+	}
+	// IRPA fits a forest and a ridge per window and no SVR of its own.
+	if w, svr := irpa.fitWork(), irpa.svm.work; w.Fits != 3*svr.Fits || w.SVRSweeps != svr.SVRSweeps {
+		t.Errorf("IRPA fits %+v over its SVM's %+v: want 3 fits and the same sweeps per SVR fit", w, svr)
 	}
 }

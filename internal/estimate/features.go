@@ -7,14 +7,22 @@
 // Fig. 11b: user estimates, Last-2, global SVM, random forest, IRPA, TRIP
 // and PREP.
 //
+// IRPA averages the SVM baseline's own model: it holds that SVM, feeds it
+// every completed job and fits its forest and ridge on the SVM's training
+// set, so the global SVR of a window is fitted once.
+//
 // Determinism: the framework is engine-free and its one stochastic step,
 // K-means++ seeding, draws from a rand.Rand seeded by FrameworkConfig.Seed;
 // the forest baselines (RandomForest, IRPA) draw bootstraps and feature
 // samples from their own seeded rand.Rand. Identical job streams produce
-// identical models and estimates. EvaluateAll replays one trace through
-// several estimators side by side on workpool goroutines: each replay
-// owns its estimator's history, models and seeds and only reads the
-// jobs, so its results are those of a serial loop at any worker count.
+// identical models and estimates. EvaluateAll replays one trace through a
+// Roster: its replays run side by side on workpool goroutines, and the
+// rows of one replay run in lockstep — every row estimates a job before
+// any observes it — so Fig. 11b's SVM row can read IRPA's SVM. A replay
+// owns its rows' histories, models and seeds and only reads the jobs, so
+// every row's result is that of a standalone Evaluate at any worker
+// count. Each estimator counts its model fits (Work), which the perf
+// record keeps.
 package estimate
 
 import (

@@ -144,6 +144,7 @@ type generator struct {
 	m       *model
 	lastGen time.Duration
 	started bool
+	work    Work
 }
 
 func newGenerator(cfg FrameworkConfig) generator {
@@ -350,12 +351,14 @@ func (f *Framework) Complete(j *trace.Job) {
 // Observe implements Estimator.
 func (f *Framework) Observe(j trace.Job) { f.Complete(&j) }
 
+func (f *Framework) fitWork() Work { return f.gen.work }
+
 // EvaluateSlacks replays a trace once through one model generator and one
 // record module per slack value, returning for each α what
-// Evaluate(NewFramework(cfg with Alpha: α), jobs) returns. The model
-// generations do not depend on α, so the sweep of Table VIII fits each of
-// them once instead of once per α.
-func EvaluateSlacks(cfg FrameworkConfig, alphas []float64, jobs []trace.Job) []EvalResult {
+// Evaluate(NewFramework(cfg with Alpha: α), jobs) returns, and the fits
+// of the one generator. The model generations do not depend on α, so the
+// sweep of Table VIII fits each of them once instead of once per α.
+func EvaluateSlacks(cfg FrameworkConfig, alphas []float64, jobs []trace.Job) ([]EvalResult, Work) {
 	gen := newGenerator(cfg.withDefaults())
 	recs := make([]record, len(alphas))
 	for i, a := range alphas {
@@ -385,7 +388,7 @@ func EvaluateSlacks(cfg FrameworkConfig, alphas []float64, jobs []trace.Job) []E
 	for i := range out {
 		out[i] = tallies[i].result(frameworkName, len(jobs))
 	}
-	return out
+	return out, gen.work
 }
 
 // ClusterStat is one cluster's record-module view (for operator
@@ -457,6 +460,7 @@ func (g *generator) generate() {
 	}
 
 	km := mlkit.KMeansFit(xs, g.cfg.K, 50, g.rng)
+	g.work.Fits++
 	svrCfg := mlkit.SVRConfig{C: 10, Epsilon: 0.01, MaxIter: 1500, Kernel: mlkit.RBFKernel{Gamma: 0.25}}
 
 	m := &model{
@@ -481,7 +485,7 @@ func (g *generator) generate() {
 		for i, v := range cy {
 			res[i] = v - m.base[c]
 		}
-		m.svrs[c] = mlkit.SVRFit(cx, res, svrCfg)
+		m.svrs[c] = g.work.svr(mlkit.SVRFit(cx, res, svrCfg))
 		if !m.svrs[c].Converged() {
 			m.unconverged++
 		}

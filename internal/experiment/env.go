@@ -28,6 +28,9 @@ import (
 type Env struct {
 	spans   bool           // arm span recording on every engine as it is obtained
 	engines []EngineRecord // one per engine obtained, in creation order
+	// fits and svrSweeps count the model fits of the estimator replays
+	// run through this Env (countFits); no sideBySide row replays one.
+	fits, svrSweeps int64
 }
 
 // An EngineRecord is what observers read of one engine once the row that

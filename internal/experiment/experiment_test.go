@@ -243,7 +243,7 @@ func TestTable8Trend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("estimator sweep is slow")
 	}
-	tb := Table8(2000)
+	tb := Table8(new(Env), 2000)
 	if len(tb.Rows) != 9 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

@@ -74,29 +74,27 @@ func Fig5(jobsPerTrace int) []*Table {
 	return []*Table{cdf, interval, gap}
 }
 
+// countFits adds an estimator replay's model fits to the experiment's.
+func (env *Env) countFits(w estimate.Work) {
+	env.fits += w.Fits
+	env.svrSweeps += w.SVRSweeps
+}
+
 // Fig11b reproduces the runtime-estimator comparison: AEA and
 // underestimation rate for the user estimates, SVM, RandomForest, Last-2,
 // IRPA, TRIP, PREP and the ESlurm framework, replayed over an NG-Tianhe
 // trace ("historical workloads on the NG-Tianhe").
-func Fig11b(jobs int) *Table {
+func Fig11b(env *Env, jobs int) *Table {
 	tr := trace.Generate(trace.NGTianheConfig(jobs))
 	t := &Table{
 		ID:      "fig11b",
 		Title:   "Runtime-estimator comparison on NG-Tianhe trace",
 		Columns: []string{"Estimator", "AEA", "UnderestimateRate", "Coverage"},
 	}
-	ests := []estimate.Estimator{
-		estimate.User{},
-		estimate.NewSVM(),
-		estimate.NewRandomForest(1),
-		estimate.NewLast2(),
-		estimate.NewIRPA(2),
-		estimate.NewTRIP(),
-		estimate.NewPREP(),
-		// K is the experiments' fixed workloadK, not an elbow result.
-		estimate.NewFramework(estimate.FrameworkConfig{K: workloadK}),
-	}
-	for _, res := range estimate.EvaluateAll(ests, tr.Jobs) {
+	// K is the experiments' fixed workloadK, not an elbow result.
+	results, work := estimate.EvaluateAll(estimate.Fig11bRoster(workloadK), tr.Jobs)
+	env.countFits(work)
+	for _, res := range results {
 		t.AddRow(res.Estimator, fmtF(res.AEA), fmtF(res.UnderestimateRate), fmtF(res.Coverage))
 	}
 	t.Note = "paper: ESlurm best at AEA 0.84 / UR ~0.10; SVM, RF, Last-2 below 0.70 AEA with UR > 0.25"
@@ -106,7 +104,7 @@ func Fig11b(jobs int) *Table {
 // Table8 reproduces the slack-variable sweep of Table VIII: AEA and UR of
 // the ESlurm framework for α in 1.00..1.08, from one replay whose model
 // generations all nine record modules share.
-func Table8(jobs int) *Table {
+func Table8(env *Env, jobs int) *Table {
 	tr := trace.Generate(trace.NGTianheConfig(jobs))
 	t := &Table{
 		ID:      "table8",
@@ -114,7 +112,8 @@ func Table8(jobs int) *Table {
 		Columns: []string{"alpha", "AEA", "UR"},
 	}
 	alphas := []float64{1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08}
-	results := estimate.EvaluateSlacks(estimate.FrameworkConfig{K: workloadK}, alphas, tr.Jobs)
+	results, work := estimate.EvaluateSlacks(estimate.FrameworkConfig{K: workloadK}, alphas, tr.Jobs)
+	env.countFits(work)
 	for i, res := range results {
 		t.AddRow(fmt.Sprintf("%.2f", alphas[i]), fmtF(res.AEA), fmtF(res.UnderestimateRate))
 	}

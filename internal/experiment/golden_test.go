@@ -40,8 +40,8 @@ func TestEstimateTablesGolden(t *testing.T) {
 		t.Skip("estimator replay is slow")
 	}
 	var buf bytes.Buffer
-	Table8(500).Fprint(&buf)
-	Fig11b(2500).Fprint(&buf)
+	Table8(new(Env), 500).Fprint(&buf)
+	Fig11b(new(Env), 2500).Fprint(&buf)
 	checkGolden(t, "estimate_tables.golden", buf.Bytes())
 }
 

@@ -102,8 +102,8 @@ func Registry() []Spec {
 		{"ablation", "§VII-D contributions", func(env *Env, p Params) []*Table {
 			return []*Table{Ablation(env, p.AblationScale, p.AblationJobs)}
 		}},
-		{"table8", "Table VIII", func(env *Env, p Params) []*Table { return []*Table{Table8(p.Table8Jobs)} }},
-		{"fig11b", "Fig. 11b", func(env *Env, p Params) []*Table { return []*Table{Fig11b(p.Fig11bJobs)} }},
+		{"table8", "Table VIII", func(env *Env, p Params) []*Table { return []*Table{Table8(env, p.Table8Jobs)} }},
+		{"fig11b", "Fig. 11b", func(env *Env, p Params) []*Table { return []*Table{Fig11b(env, p.Fig11bJobs)} }},
 		{"ablation-width", "design sweep (not in paper)", func(env *Env, p Params) []*Table {
 			return []*Table{AblationTreeWidth(env, p.Fig8Nodes, nil)}
 		}},

@@ -20,7 +20,7 @@ import (
 
 // Result is one experiment's tables plus the harness-side stats
 // benchrunner reports on stderr; its -json perf record keeps only the
-// exact one, Events.
+// exact ones, Events, Fits and SVRSweeps.
 type Result struct {
 	Spec   Spec
 	Tables []*Table
@@ -32,6 +32,10 @@ type Result struct {
 	// Events is the number of simulation events executed across every
 	// engine the experiment obtained from its Env.
 	Events uint64
+	// Fits counts the model fits of the estimator replays the experiment
+	// ran (estimate.Work), SVRSweeps the sweeps of its SVR fits; both are
+	// zero for the experiments that replay no estimator.
+	Fits, SVRSweeps int64
 	// Engines holds a record of every engine the experiment obtained, in
 	// creation order. Records keep what the observability flags read and
 	// nothing of the simulations, so a suite run holds no finished
@@ -81,7 +85,7 @@ func runOne(s Spec, p Params, spans bool) Result {
 	tables := s.Run(env, p)
 	wall := stop()
 	env.release()
-	r := Result{Spec: s, Tables: tables, Wall: wall, Engines: env.engines}
+	r := Result{Spec: s, Tables: tables, Wall: wall, Fits: env.fits, SVRSweeps: env.svrSweeps, Engines: env.engines}
 	for _, rec := range r.Engines {
 		r.Events += rec.Processed
 	}
