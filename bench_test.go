@@ -96,7 +96,7 @@ func BenchmarkController_FullStackHour(b *testing.B) {
 		e := simnet.NewEngine(int64(i))
 		c := cluster.New(e, cluster.Config{Computes: 512, Satellites: 2})
 		m := core.NewMaster(c, core.DefaultConfig(), nil)
-		ctl, err := controller.New(c, m, controller.Config{KillAtLimit: true})
+		ctl, err := controller.New(c, m, controller.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,7 +37,8 @@
 // `benchrunner -spans` prints the span/metric taxonomy tables that
 // OBSERVABILITY.md embeds (and docs_test.go byte-gates).
 // -json writes the perf record: each experiment's event and message
-// counts and its estimator replays' model fits and SVR sweeps, exact for
+// counts and the model fits and SVR sweeps of its estimator replays and
+// framework-planned schedules, exact for
 // a preset on any machine and at any -parallel, so a fresh record is
 // compared with the committed BENCH_quick.json byte for byte.
 // Wall-clock is bench/'s to measure, not the record's.
@@ -218,8 +219,8 @@ type perfRecord struct {
 // An expRecord is one experiment's line: the events its engines ran, the
 // messages its broadcasters sent (comm.messages, retries included), so
 // events per message is read off the record, and the model fits and SVR
-// sweeps of its estimator replays (estimate.Work; zero for an experiment
-// that replays no estimator).
+// sweeps of its estimator replays and framework-planned schedules
+// (estimate.Work; zero for an experiment that fits no model).
 type expRecord struct {
 	ID        string `json:"id"`
 	Artifact  string `json:"artifact"`

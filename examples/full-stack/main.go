@@ -59,9 +59,8 @@ func main() {
 	}
 	fw := estimate.NewFramework(cfg.FrameworkConfig())
 	ctl, err := controller.New(c, master, controller.Config{
-		Predictor:   sched.FrameworkWalltimes{F: fw},
-		KillAtLimit: true,
-		Partitions:  parts,
+		Predictor:  sched.FrameworkWalltimes{F: fw},
+		Partitions: parts,
 	})
 	if err != nil {
 		panic(err)

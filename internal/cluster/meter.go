@@ -34,8 +34,6 @@ type ResourceMeter struct {
 	lastSockAt  time.Duration
 	messagesIn  int64
 	messagesOut int64
-	bytesIn     int64
-	bytesOut    int64
 }
 
 // ChargeCPU adds d of daemon CPU time.
@@ -126,25 +124,20 @@ func (m *ResourceMeter) AvgSockets(now time.Duration) float64 {
 	return float64(m.sockNanos) / float64(now)
 }
 
-// CountMessage records message traffic for throughput reporting.
-func (m *ResourceMeter) CountMessage(out bool, bytes int) {
+// CountMessage records one sent (out) or received message.
+func (m *ResourceMeter) CountMessage(out bool) {
 	if m == nil {
 		return
 	}
 	if out {
 		m.messagesOut++
-		m.bytesOut += int64(bytes)
 	} else {
 		m.messagesIn++
-		m.bytesIn += int64(bytes)
 	}
 }
 
 // Messages returns (in, out) message counts.
 func (m *ResourceMeter) Messages() (in, out int64) { return m.messagesIn, m.messagesOut }
-
-// Bytes returns (in, out) byte counts.
-func (m *ResourceMeter) Bytes() (in, out int64) { return m.bytesIn, m.bytesOut }
 
 // Snapshot is a point-in-time reading of a meter, used by samplers to build
 // the time series behind Figs. 7 and 9.

@@ -112,7 +112,7 @@ func (c NetConfig) withDefaults() NetConfig {
 //     a message to a dead node — the sender cannot distinguish the two;
 //   - a lost message (LossProb) silently vanishes and the sender times out;
 //   - a duplicated message (DupProb) is delivered twice;
-//   - a gray node (SetGray) is alive but slow: connect and transfer costs
+//   - a gray node (ScheduleGray) is alive but slow: connect and transfer costs
 //     to and from it are inflated by its factor.
 //
 // All randomness is drawn from named simnet streams of the cluster's
@@ -147,16 +147,10 @@ func (n *Network) HandleEvent(kind int32) {
 // Config returns the effective network configuration.
 func (n *Network) Config() NetConfig { return n.cfg }
 
-// SetGray marks a node as a gray failure: alive, but every connect and
-// transfer involving it is multiplied by factor (> 1). A factor <= 1
-// clears the mark.
-func (n *Network) SetGray(id NodeID, factor float64) { n.setGray(id, factor) }
-
-// ClearGray removes a node's gray-failure mark.
-func (n *Network) ClearGray(id NodeID) { n.SetGray(id, 1) }
-
-// ScheduleGray marks a node gray at virtual time at; if clearAfter is
-// positive the mark clears that much later.
+// ScheduleGray marks a node as a gray failure at virtual time at: alive,
+// but every connect and transfer involving it is multiplied by factor
+// (> 1); a factor <= 1 clears the mark. If clearAfter is positive the
+// mark clears that much later.
 func (n *Network) ScheduleGray(id NodeID, factor float64, at, clearAfter time.Duration) {
 	n.e.Schedule(at, func() { n.setGray(id, factor) })
 	if clearAfter > 0 {
@@ -170,43 +164,24 @@ func (n *Network) GrayFactor(id NodeID) float64 { return n.grayFactor(id) }
 // GrayCount returns the number of currently gray nodes.
 func (n *Network) GrayCount() int { return len(n.gray) }
 
-// Partition severs the member set from the rest of the cluster starting
-// now: messages between a member and a non-member fail with the connect
-// timeout in both directions; traffic within either side is unaffected.
-// If heal > 0 the partition heals after that long; otherwise it stays
-// until HealAll. Partitions compose: a link is severed if any active
-// partition separates its endpoints.
-func (n *Network) Partition(members []NodeID, heal time.Duration) {
-	n.severFor(memberSet(members), heal)
-}
-
-// SchedulePartition severs the member set at virtual time at, healing
-// after heal if it is positive.
+// SchedulePartition severs the member set from the rest of the cluster
+// at virtual time at: messages between a member and a non-member fail
+// with the connect timeout in both directions; traffic within either side
+// is unaffected. If heal is positive the partition heals that much later.
+// Partitions compose: a link is severed if any active partition separates
+// its endpoints.
 func (n *Network) SchedulePartition(members []NodeID, at, heal time.Duration) {
-	member := memberSet(members)
-	n.e.Schedule(at, func() { n.severFor(member, heal) })
-}
-
-func memberSet(members []NodeID) map[NodeID]bool {
-	member := make(map[NodeID]bool, len(members))
+	p := &partition{member: make(map[NodeID]bool, len(members))}
 	for _, id := range members {
-		member[id] = true
+		p.member[id] = true
 	}
-	return member
+	n.e.Schedule(at, func() {
+		n.sever(p)
+		if heal > 0 {
+			n.e.After(heal, func() { n.heal(p) })
+		}
+	})
 }
-
-// severFor activates a partition over member and, if heal is positive,
-// arms its heal.
-func (n *Network) severFor(member map[NodeID]bool, heal time.Duration) {
-	p := &partition{member: member}
-	n.sever(p)
-	if heal > 0 {
-		n.e.After(heal, func() { n.heal(p) })
-	}
-}
-
-// HealAll removes every active partition.
-func (n *Network) HealAll() { n.partitions = nil }
 
 // PartitionCount returns the number of active partitions.
 func (n *Network) PartitionCount() int { return len(n.partitions) }
@@ -304,13 +279,13 @@ func (n *Network) SendPersistent(from, to NodeID, size int, onDelivered func(), 
 func (n *Network) send(from, to NodeID, size int, connect bool, out Outcome) {
 	src, dst := &n.cluster.nodes[from], &n.cluster.nodes[to]
 	sm := n.cluster.Meter(from)
-	sm.CountMessage(true, size)
+	sm.CountMessage(true)
 	if connect {
 		sm.OpenSocket(n.e.Now())
 	}
 
 	f := n.newFlight()
-	f.src, f.dst, f.size, f.connect, f.out = src, dst, int32(size), connect, out
+	f.src, f.dst, f.connect, f.out = src, dst, connect, out
 	if n.unreachable(src, dst) || n.lost(n.e, n.cfg.LossProb) {
 		n.timeout.After(f, flightTimeout)
 		return
@@ -358,7 +333,6 @@ func (f *flight) retire() {
 type flight struct {
 	n        *Network
 	src, dst *Node
-	size     int32
 	connect  bool
 	d        time.Duration // modelled delivery time
 	out      Outcome
@@ -410,7 +384,7 @@ func (f *flight) land() {
 		return
 	}
 	dm := n.cluster.Meter(f.dst.ID)
-	dm.CountMessage(false, int(f.size))
+	dm.CountMessage(false)
 	if f.connect {
 		// A receiving daemon holds its accept socket one latency while
 		// processing; the network is the handler of that close. A compute
@@ -443,7 +417,7 @@ func (f *flight) arriveAgain() {
 		out.Released()
 		return
 	}
-	f.n.cluster.Meter(f.dst.ID).CountMessage(false, int(f.size))
+	f.n.cluster.Meter(f.dst.ID).CountMessage(false)
 	f.retire()
 	out.Arrived()
 	out.Released()

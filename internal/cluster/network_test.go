@@ -109,7 +109,8 @@ func TestGrayNodeSlowsDelivery(t *testing.T) {
 		c := newNetCluster(t, 2, NetConfig{Jitter: Disabled})
 		a, b := c.Computes()[0], c.Computes()[1]
 		if gray > 1 {
-			c.Net.SetGray(b, gray)
+			c.Net.ScheduleGray(b, gray, 0, 0)
+			c.Engine.RunUntil(0)
 		}
 		var at time.Duration
 		c.Net.Send(a, b, 100000, func() { at = c.Engine.Now() }, func() { t.Error("send failed") })
@@ -124,11 +125,12 @@ func TestGrayNodeSlowsDelivery(t *testing.T) {
 		t.Fatalf("gray receiver not slower: %v vs %v", slow, base)
 	}
 	c := newNetCluster(t, 2, NetConfig{})
-	c.Net.SetGray(c.Computes()[0], 3)
+	c.Net.ScheduleGray(c.Computes()[0], 3, 0, time.Second)
+	c.Engine.RunUntil(0)
 	if c.Node(c.Computes()[0]).Failed() {
 		t.Error("gray node reported failed")
 	}
-	c.Net.ClearGray(c.Computes()[0])
+	c.Engine.RunUntil(time.Second)
 	if c.Net.GrayCount() != 0 {
 		t.Errorf("GrayCount = %d after clear", c.Net.GrayCount())
 	}
@@ -140,7 +142,8 @@ func TestGrayNodeSlowsDelivery(t *testing.T) {
 func TestPartitionSeversAndHealsSends(t *testing.T) {
 	c := newNetCluster(t, 4, NetConfig{})
 	in1, in2, out := c.Computes()[0], c.Computes()[1], c.Computes()[2]
-	c.Net.Partition([]NodeID{in1, in2}, time.Minute)
+	c.Net.SchedulePartition([]NodeID{in1, in2}, 0, time.Minute)
+	c.Engine.RunUntil(0)
 
 	okInside, failAcross := false, false
 	c.Net.Send(in1, in2, 100, func() { okInside = true }, func() { t.Error("intra-partition send failed") })
@@ -168,9 +171,9 @@ func TestPartitionSeversAndHealsSends(t *testing.T) {
 // TestGrayOnSeveredMemberAndHealAll pins the fault-model interplay the
 // reconciler leans on: marking a partition-severed member gray keeps the
 // boundary severed (gray slows, partition cuts — the stronger fault
-// wins), gray still slows intra-partition traffic, and HealAll restores
-// the boundary while leaving the gray degradation in place until it is
-// cleared independently.
+// wins), gray still slows intra-partition traffic, and healing every
+// partition restores the boundary while leaving the gray degradation in
+// place until it is cleared independently.
 func TestGrayOnSeveredMemberAndHealAll(t *testing.T) {
 	c := newNetCluster(t, 4, NetConfig{Jitter: Disabled})
 	in1, in2, out := c.Computes()[0], c.Computes()[1], c.Computes()[2]
@@ -180,8 +183,10 @@ func TestGrayOnSeveredMemberAndHealAll(t *testing.T) {
 	c.Net.Send(in1, in2, 100000, func() { healthy = c.Engine.Now() - start }, func() { t.Error("baseline send failed") })
 	c.Engine.Run()
 
-	c.Net.Partition([]NodeID{in1, in2}, time.Hour)
-	c.Net.SetGray(in2, 8)
+	now := c.Engine.Now()
+	c.Net.SchedulePartition([]NodeID{in1, in2}, now, time.Hour)
+	c.Net.ScheduleGray(in2, 8, now, 0)
+	c.Engine.RunUntil(now)
 	if !c.Net.Severed(in1, out) || !c.Net.Severed(out, in2) {
 		t.Fatal("partition boundary not severed")
 	}
@@ -204,35 +209,36 @@ func TestGrayOnSeveredMemberAndHealAll(t *testing.T) {
 		t.Fatalf("gray member not slowed inside the partition: %v <= healthy %v", grayed, healthy)
 	}
 
-	// HealAll restores the boundary immediately (the 1h timer becomes a
-	// no-op), but the gray mark survives until cleared.
-	c.Net.HealAll()
+	// The heal restores the boundary, but the gray mark survives until
+	// cleared.
+	c.Engine.RunUntil(now + time.Hour)
 	if c.Net.PartitionCount() != 0 {
-		t.Fatalf("PartitionCount = %d after HealAll", c.Net.PartitionCount())
+		t.Fatalf("PartitionCount = %d after the heal", c.Net.PartitionCount())
 	}
 	if c.Net.Severed(out, in2) {
-		t.Fatal("boundary still severed after HealAll")
+		t.Fatal("boundary still severed after the heal")
 	}
 	var healedCross time.Duration
 	start = c.Engine.Now()
-	c.Net.Send(out, in2, 100000, func() { healedCross = c.Engine.Now() - start }, func() { t.Error("send failed after HealAll") })
+	c.Net.Send(out, in2, 100000, func() { healedCross = c.Engine.Now() - start }, func() { t.Error("send failed after the heal") })
 	c.Engine.Run()
 	if healedCross <= 0 {
-		t.Fatal("no delivery after HealAll")
+		t.Fatal("no delivery after the heal")
 	}
 	if c.Net.GrayFactor(in2) != 8 {
-		t.Fatal("HealAll must not clear gray state")
+		t.Fatal("the heal must not clear gray state")
 	}
-	c.Net.ClearGray(in2)
+	c.Net.ScheduleGray(in2, 1, c.Engine.Now(), 0)
+	c.Engine.RunUntil(c.Engine.Now())
 	if c.Net.GrayCount() != 0 {
-		t.Fatal("ClearGray left gray state behind")
+		t.Fatal("a factor of 1 left gray state behind")
 	}
 	var restored time.Duration
 	start = c.Engine.Now()
-	c.Net.Send(in1, in2, 100000, func() { restored = c.Engine.Now() - start }, func() { t.Error("send failed after ClearGray") })
+	c.Net.Send(in1, in2, 100000, func() { restored = c.Engine.Now() - start }, func() { t.Error("send failed after the clear") })
 	c.Engine.Run()
 	if restored >= grayed {
-		t.Fatalf("latency not restored after ClearGray: %v >= grayed %v", restored, grayed)
+		t.Fatalf("latency not restored after the clear: %v >= grayed %v", restored, grayed)
 	}
 }
 

@@ -797,7 +797,7 @@ func (SharedMem) Name() string { return "sharedmem" }
 // Broadcast implements Structure.
 func (SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	t := newTracker(b, "sharedmem", 0, len(targets), done)
-	sc := &sharedMemCast{t: t, list: append(b.Lists.Get(len(targets)), targets...), size: size,
+	sc := &sharedMemCast{t: t, list: append(b.Lists.Get(len(targets)), targets...),
 		timeout: b.Cluster.Net.Config().ConnectTimeout}
 	// Publish: one write into the shared segment.
 	b.Cluster.Meter(origin).ChargeCPU(b.SendOverhead)
@@ -828,7 +828,6 @@ func (SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clus
 type sharedMemCast struct {
 	t       *tracker
 	list    []cluster.NodeID
-	size    int
 	timeout time.Duration
 }
 
@@ -846,7 +845,7 @@ func (sc *sharedMemCast) HandleEvent(kind int32) {
 		b.e.AfterTo(sc.timeout, sc, ^kind)
 		return
 	}
-	b.Cluster.Meter(id).CountMessage(false, sc.size)
+	b.Cluster.Meter(id).CountMessage(false)
 	sc.settle(id, true)
 }
 
@@ -1038,12 +1037,6 @@ func (f FPTree) predictor() predict.Predictor {
 		return predict.Null{}
 	}
 	return f.Predictor
-}
-
-// Plan returns the rearranged target list without broadcasting — used by
-// tests and by the FP-Tree constructor pipeline.
-func (f FPTree) Plan(targets []cluster.NodeID) []cluster.NodeID {
-	return fptree.Rearrange(targets, f.predictor().Predicted, f.width())
 }
 
 // Broadcast implements Structure.

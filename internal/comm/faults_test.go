@@ -54,8 +54,9 @@ func TestBroadcastOracle(t *testing.T) {
 				if p == 0 && trial%2 == 1 {
 					ids = append(ids, origin)
 				}
-				c.Net.Partition(ids, 0)
+				c.Net.SchedulePartition(ids, 0, 0)
 			}
+			c.Engine.RunUntil(0)
 			var want, wantUnreachable []cluster.NodeID
 			for _, id := range comps {
 				if !c.Node(id).Failed() && !c.Net.Severed(origin, id) {

@@ -7,8 +7,8 @@
 //   - alloc: topology-aware node selection,
 //   - sched: the EASY-backfill planner (sched.Plan), the kill rule and the
 //     walltime predictors, the estimation framework among them,
-//   - core: the satellite-relayed master for launch/termination
-//     broadcasts,
+//   - rm: the master that carries launch/termination broadcasts (ESlurm's
+//     satellite-relayed core.Master, or a centralized model),
 //
 // — into an event-driven scheduling loop with priority ordering and EASY
 // backfill. Jobs submitted through Submit flow PENDING → CONFIGURING →
@@ -28,8 +28,8 @@ import (
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/comm"
-	"eslurm/internal/core"
 	"eslurm/internal/jobs"
+	"eslurm/internal/rm"
 	"eslurm/internal/sched"
 	"eslurm/internal/simnet"
 	"eslurm/internal/trace"
@@ -45,8 +45,6 @@ type Config struct {
 	// every finished job; nil means sched.UserWalltimes. Pass
 	// sched.FrameworkWalltimes to plan with the estimation framework.
 	Predictor sched.WalltimePredictor
-	// KillAtLimit kills a job at sched.KillLimit of its planned walltime.
-	KillAtLimit bool
 	// Partitions carves the cluster into named scheduling domains; empty
 	// means one default "batch" partition over every compute node.
 	Partitions []Partition
@@ -99,7 +97,6 @@ type pendingInfo struct {
 }
 
 type runningInfo struct {
-	job      *jobs.Job
 	nodes    []cluster.NodeID
 	limitEnd time.Duration
 }
@@ -108,7 +105,7 @@ type runningInfo struct {
 type Controller struct {
 	Engine   *simnet.Engine
 	Cluster  *cluster.Cluster
-	Master   *core.Master
+	Master   rm.RM
 	Registry *jobs.Registry
 
 	cfg         Config
@@ -121,7 +118,7 @@ type Controller struct {
 
 // New assembles a controller over a cluster with the given master. Each
 // partition gets a topology-aware allocator over its nodes.
-func New(c *cluster.Cluster, m *core.Master, cfg Config) (*Controller, error) {
+func New(c *cluster.Cluster, m rm.RM, cfg Config) (*Controller, error) {
 	if cfg.Predictor == nil {
 		cfg.Predictor = sched.UserWalltimes{}
 	}
@@ -264,7 +261,7 @@ func (ctl *Controller) start(info *pendingInfo) {
 	ctl.metrics.Started++
 	ctl.metrics.WaitSum += ctl.Engine.Now() - j.SubmitAt
 
-	run := &runningInfo{job: j, nodes: nodes, limitEnd: ctl.Engine.Now() + info.walltime}
+	run := &runningInfo{nodes: nodes, limitEnd: ctl.Engine.Now() + info.walltime}
 	ps.running = append(ps.running, run)
 
 	ctl.Master.LoadJob(nodes, func(r comm.Result) {
@@ -273,7 +270,7 @@ func (ctl *Controller) start(info *pendingInfo) {
 		ctl.transition(j, jobs.Running)
 
 		runtime, end := info.spec.Runtime, jobs.Completed
-		if limit := sched.KillLimit(info.walltime, info.spec.UserEstimate); ctl.cfg.KillAtLimit && limit < runtime {
+		if limit := sched.KillLimit(info.walltime, info.spec.UserEstimate); limit < runtime {
 			runtime, end = limit, jobs.Timeout
 		}
 		ctl.Engine.After(runtime, func() {

@@ -68,7 +68,7 @@ func TestOversizedRejected(t *testing.T) {
 }
 
 func TestWalltimeKill(t *testing.T) {
-	e, _, ctl := newController(3, 32, Config{KillAtLimit: true})
+	e, _, ctl := newController(3, 32, Config{})
 	id, _ := ctl.Submit(JobSpec{Name: "x", User: "u", Nodes: 4, Cores: 96,
 		UserEstimate: 10 * time.Minute, Runtime: time.Hour})
 	e.RunUntil(2 * time.Hour)
@@ -142,7 +142,7 @@ func TestPriorityOrderDrivesStarts(t *testing.T) {
 
 func TestEstimatorIntegration(t *testing.T) {
 	fw := estimate.NewFramework(estimate.FrameworkConfig{MinTrain: 40, RefreshEvery: time.Hour})
-	e, _, ctl := newController(7, 256, Config{Predictor: sched.FrameworkWalltimes{F: fw}, KillAtLimit: true})
+	e, _, ctl := newController(7, 256, Config{Predictor: sched.FrameworkWalltimes{F: fw}})
 	// Feed a steady stream of identical jobs; after the framework trains,
 	// its walltimes take over from the (inflated) user estimates.
 	rng := e.Rand("test/jobs")
@@ -172,7 +172,7 @@ func TestEstimatorIntegration(t *testing.T) {
 }
 
 func TestTraceReplayThroughController(t *testing.T) {
-	e, _, ctl := newController(8, 512, Config{KillAtLimit: true})
+	e, _, ctl := newController(8, 512, Config{})
 	tr := trace.Generate(trace.Tianhe2AConfig(400))
 	for i := range tr.Jobs {
 		j := tr.Jobs[i]
@@ -207,7 +207,7 @@ func replay(seed int64, computes int, parts func(*cluster.Cluster) []Partition, 
 	c := cluster.New(e, cluster.Config{Computes: computes, Satellites: 2})
 	e.EnableDigest()
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	cfg := Config{KillAtLimit: true}
+	cfg := Config{}
 	if parts != nil {
 		cfg.Partitions = parts(c)
 	}

@@ -24,7 +24,7 @@ func TestPartitionRouting(t *testing.T) {
 	e := simnet.NewEngine(32)
 	c := cluster.New(e, cluster.Config{Computes: 64, Satellites: 1})
 	m := core.NewMaster(c, core.DefaultConfig(), nil)
-	ctl, err := New(c, m, Config{Partitions: twoPartitions(c), KillAtLimit: true})
+	ctl, err := New(c, m, Config{Partitions: twoPartitions(c)})
 	if err != nil {
 		t.Fatal(err)
 	}

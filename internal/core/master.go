@@ -296,19 +296,23 @@ func (m *Master) Stop() {
 	}
 }
 
-// probeSatellites heartbeats every satellite once, synchronously promoting
-// reachable ones to RUNNING.
+// probeSatellites heartbeats every satellite once, in pool order.
 func (m *Master) probeSatellites() {
 	for _, s := range m.Pool.All() {
-		s := s
-		m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, 0, func(ok bool) {
-			if ok {
-				m.Pool.Apply(s, satellite.EvHBSuccess)
-			} else {
-				m.Pool.Apply(s, satellite.EvHBFailure)
-			}
-		})
+		m.probe(s)
 	}
+}
+
+// probe sends one heartbeat to a satellite and feeds the outcome to its
+// state machine: a reachable satellite is promoted to RUNNING.
+func (m *Master) probe(s *satellite.Satellite) {
+	m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, 0, func(ok bool) {
+		if ok {
+			m.Pool.Apply(s, satellite.EvHBSuccess)
+		} else {
+			m.Pool.Apply(s, satellite.EvHBFailure)
+		}
+	})
 }
 
 // SatelliteFanout implements Eq. 1: the number N of satellite nodes used
@@ -601,28 +605,6 @@ func (m *Master) directBroadcast(origin cluster.NodeID, sub []cluster.NodeID, si
 	})
 }
 
-// ShutdownSatellite sends the SHUTDOWN command of Table II to a satellite:
-// the node is removed from broadcast rotation immediately and stays DOWN
-// until an administrator reinstates it. The command itself travels as a
-// real control message.
-func (m *Master) ShutdownSatellite(id cluster.NodeID, done func(delivered bool)) error {
-	sat := m.Pool.Get(id)
-	if sat == nil {
-		return fmt.Errorf("core: node %d is not a satellite", id)
-	}
-	// The state change is immediate — the master stops routing tasks even
-	// before the daemon acknowledges.
-	if _, err := m.Pool.Apply(sat, satellite.EvShutdown); err != nil {
-		return err
-	}
-	m.B.Send(m.Cluster.Master().ID, id, HeartbeatMsgBytes, 0, func(ok bool) {
-		if done != nil {
-			done(ok)
-		}
-	})
-	return nil
-}
-
 // DrainSatellite gracefully removes a satellite from service: it is
 // cordoned out of the round-robin immediately, in-flight broadcast tasks
 // are given until the deadline to resolve, and only then is the SHUTDOWN
@@ -654,13 +636,7 @@ func (m *Master) ProbeSatellite(id cluster.NodeID) error {
 	if s == nil {
 		return fmt.Errorf("core: node %d is not a satellite", id)
 	}
-	m.B.Send(m.Cluster.Master().ID, s.ID, HeartbeatMsgBytes, 0, func(ok bool) {
-		if ok {
-			m.Pool.Apply(s, satellite.EvHBSuccess)
-		} else {
-			m.Pool.Apply(s, satellite.EvHBFailure)
-		}
-	})
+	m.probe(s)
 	return nil
 }
 

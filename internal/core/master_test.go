@@ -349,13 +349,16 @@ func TestSatelliteMemoryModel(t *testing.T) {
 	}
 }
 
-func TestShutdownSatellite(t *testing.T) {
+// TestDrainIdleSatelliteShutsItDown: draining a satellite that is not
+// BUSY applies the SHUTDOWN command of Table II at once and sends it as a
+// real control message; the node stays DOWN and out of rotation.
+func TestDrainIdleSatelliteShutsItDown(t *testing.T) {
 	e, c, m := newMaster(17, 100, 2)
 	m.Start()
 	e.RunUntil(time.Second)
 	target := c.Satellites()[0]
 	acked := false
-	if err := m.ShutdownSatellite(target, func(ok bool) { acked = ok }); err != nil {
+	if err := m.DrainSatellite(target, 0, func(_, delivered bool) { acked = delivered }); err != nil {
 		t.Fatal(err)
 	}
 	e.RunUntil(2 * time.Second)
@@ -373,8 +376,8 @@ func TestShutdownSatellite(t *testing.T) {
 		t.Fatalf("delivered %d with one satellite down", res.Delivered)
 	}
 	// Unknown node errors.
-	if err := m.ShutdownSatellite(c.Computes()[0], nil); err == nil {
-		t.Error("shutdown of a compute node accepted")
+	if err := m.DrainSatellite(c.Computes()[0], 0, nil); err == nil {
+		t.Error("drain of a compute node accepted")
 	}
 }
 

@@ -351,7 +351,11 @@ func (f *Framework) Complete(j *trace.Job) {
 // Observe implements Estimator.
 func (f *Framework) Observe(j trace.Job) { f.Complete(&j) }
 
-func (f *Framework) fitWork() Work { return f.gen.work }
+// Work returns the model fits the framework's generations have made so
+// far.
+func (f *Framework) Work() Work { return f.gen.work }
+
+func (f *Framework) fitWork() Work { return f.Work() }
 
 // EvaluateSlacks replays a trace once through one model generator and one
 // record module per slack value, returning for each α what

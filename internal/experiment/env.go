@@ -29,7 +29,8 @@ type Env struct {
 	spans   bool           // arm span recording on every engine as it is obtained
 	engines []EngineRecord // one per engine obtained, in creation order
 	// fits and svrSweeps count the model fits of the estimator replays
-	// run through this Env (countFits); no sideBySide row replays one.
+	// and framework-planned schedules run through this Env (countFits),
+	// its sideBySide rows' included.
 	fits, svrSweeps int64
 }
 
@@ -88,10 +89,10 @@ func (env *Env) release() {
 // GOMAXPROCS workers, and returns their values in index order. Row i
 // obtains its engines from a child Env of its own, armed like env, which
 // releases them as soon as the row returns; once every row is done env
-// adopts the children's records in index order, so event counts, traces,
-// metrics and critpath reports match the serial loop's. run must touch
-// nothing another row touches, and its value should hold what the driver
-// prints, not the row's clusters.
+// adopts the children's records and fit counts in index order, so event
+// counts, traces, metrics, critpath reports and fits match the serial
+// loop's. run must touch nothing another row touches, and its value
+// should hold what the driver prints, not the row's clusters.
 func sideBySide[T any](env *Env, n int, run func(i int, env *Env) T) []T {
 	kids := make([]*Env, n)
 	for i := range kids {
@@ -104,6 +105,8 @@ func sideBySide[T any](env *Env, n int, run func(i int, env *Env) T) []T {
 	}, nil)
 	for _, kid := range kids {
 		env.engines = append(env.engines, kid.engines...)
+		env.fits += kid.fits
+		env.svrSweeps += kid.svrSweeps
 	}
 	return out
 }

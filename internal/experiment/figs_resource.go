@@ -11,10 +11,6 @@ import (
 	"eslurm/internal/rm"
 )
 
-// defaultResourceSpan is the virtual run length of the resource figures
-// when the caller passes 0.
-const defaultResourceSpan = 2 * time.Hour
-
 // resourceRun drives one RM on a fresh cluster for `span` of virtual time
 // under a light production-like job flow (a job every ~100 s, lognormal
 // sizes, short runtimes) and returns the master meter plus the cluster for
@@ -101,9 +97,6 @@ func fig9Contenders() []resourceContender {
 // flow. The paper runs 24 h at 4,096 nodes; span is a knob so the default
 // benchrunner invocation stays fast.
 func Fig7(env *Env, nodes int, span time.Duration) *Table {
-	if span == 0 {
-		span = defaultResourceSpan
-	}
 	t := &Table{
 		ID:    "fig7",
 		Title: fmt.Sprintf("Master-node resource usage, %d nodes, %s run (Fig. 7a-e)", nodes, span),
@@ -130,9 +123,6 @@ func Fig7(env *Env, nodes int, span time.Duration) *Table {
 // Slurm vs ESlurm (two satellite nodes) master usage, plus the two
 // satellites' own usage (Fig. 9d–f).
 func Fig9(env *Env, nodes int, span time.Duration) []*Table {
-	if span == 0 {
-		span = defaultResourceSpan
-	}
 	master := &Table{
 		ID:    "fig9",
 		Title: fmt.Sprintf("Master usage at %d nodes, %s run (Fig. 9a-c)", nodes, span),
@@ -184,12 +174,6 @@ func Fig9(env *Env, nodes int, span time.Duration) []*Table {
 // days; span is a knob and task counts are extrapolated to 10 days in the
 // output.
 func Tables5and6(env *Env, nodes int, satCounts []int, span time.Duration) []*Table {
-	if len(satCounts) == 0 {
-		satCounts = []int{10, 20, 30, 40, 50}
-	}
-	if span == 0 {
-		span = defaultResourceSpan
-	}
 	cols := []string{"metric"}
 	for i := range satCounts {
 		cols = append(cols, fmt.Sprintf("SE%d(%d)", i+1, satCounts[i]))

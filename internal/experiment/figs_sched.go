@@ -73,18 +73,22 @@ func withPenalty(base sched.Overhead, name string, nodes int) sched.Overhead {
 
 // replay runs jobs under EASY backfill on a scale-node cluster with the
 // given overhead, over one week's utilization window. framework swaps the
-// users' walltimes for the estimation framework's; a positive crashMTBF
-// takes the master down that often.
+// users' walltimes for the estimation framework's, whose model fits env
+// counts; a positive crashMTBF takes the master down that often.
 func replay(env *Env, jobs []trace.Job, scale int, overhead sched.Overhead, framework bool, crashMTBF time.Duration) sched.Result {
 	cfg := sched.Config{
 		Nodes: scale, Policy: sched.Backfill, Overhead: overhead,
 		KillAtLimit: true, UtilWindow: 7 * 24 * time.Hour, Seed: int64(scale),
 		CrashMTBF: crashMTBF, OnEngine: env.Adopt,
 	}
-	if framework {
-		cfg.Predictor = sched.FrameworkWalltimes{F: estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})}
+	if !framework {
+		return sched.Run(jobs, cfg)
 	}
-	return sched.Run(jobs, cfg)
+	f := estimate.NewFramework(estimate.FrameworkConfig{K: workloadK})
+	cfg.Predictor = sched.FrameworkWalltimes{F: f}
+	res := sched.Run(jobs, cfg)
+	env.countFits(f.Work())
+	return res
 }
 
 // Fig10 reproduces the cluster-scale scheduling comparison of Fig. 10 /
@@ -92,13 +96,6 @@ func replay(env *Env, jobs []trace.Job, scale int, overhead sched.Overhead, fram
 // slowdown for the RMs deployable at each scale, replaying a synthetic
 // one-week-like trace (jobsPerScale jobs) under EASY backfill.
 func Fig10(env *Env, scales []int, jobsPerScale int) []*Table {
-	if len(scales) == 0 {
-		scales = []int{1024, 4096, 16384, 20480}
-	}
-	if jobsPerScale == 0 {
-		jobsPerScale = 6000
-	}
-
 	util := &Table{ID: "fig10a", Title: "System utilization (higher is better)"}
 	wait := &Table{ID: "fig10b", Title: "Average job waiting time (lower is better)"}
 	slow := &Table{ID: "fig10c", Title: "Average bounded slowdown (lower is better)"}
@@ -195,12 +192,6 @@ func runFig10Cell(env *Env, name string, mk func(c *cluster.Cluster) rm.RM, scal
 // (user walltimes) vs ESlurm without FP-Tree (plain-tree relays under the
 // production failure background), plus the Slurm reference.
 func Ablation(env *Env, scale, jobs int) *Table {
-	if scale == 0 {
-		scale = 20480
-	}
-	if jobs == 0 {
-		jobs = 6000
-	}
 	t := &Table{
 		ID:      "ablation",
 		Title:   fmt.Sprintf("ESlurm component contributions at %d nodes", scale),

@@ -32,9 +32,10 @@ type Result struct {
 	// Events is the number of simulation events executed across every
 	// engine the experiment obtained from its Env.
 	Events uint64
-	// Fits counts the model fits of the estimator replays the experiment
-	// ran (estimate.Work), SVRSweeps the sweeps of its SVR fits; both are
-	// zero for the experiments that replay no estimator.
+	// Fits counts the model fits of the estimator replays and
+	// framework-planned schedules the experiment ran (estimate.Work),
+	// SVRSweeps the sweeps of its SVR fits; both are zero for the
+	// experiments that fit no model.
 	Fits, SVRSweeps int64
 	// Engines holds a record of every engine the experiment obtained, in
 	// creation order. Records keep what the observability flags read and

@@ -60,3 +60,33 @@ func TestFigureSeriesEndAtTheTable(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteCSV pins the CSV layout: a seconds column, then one column per
+// series in argument order.
+func TestWriteCSV(t *testing.T) {
+	a, b := &series{name: "slurm"}, &series{name: "eslurm"}
+	for i := 0; i < 3; i++ {
+		at := time.Duration(i) * time.Second
+		a.add(at, float64(i*10))
+		b.add(at, float64(i))
+	}
+	var sb strings.Builder
+	if err := writeCSV(&sb, []*series{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	want := "seconds,slurm,eslurm\n0,0,0\n1,10,1\n2,20,2\n"
+	if sb.String() != want {
+		t.Fatalf("csv = %q, want %q", sb.String(), want)
+	}
+}
+
+// TestWriteCSVMismatch: series that were not sampled on one schedule are
+// refused, not written misaligned.
+func TestWriteCSVMismatch(t *testing.T) {
+	a := &series{name: "a"}
+	a.add(0, 1)
+	var sb strings.Builder
+	if err := writeCSV(&sb, []*series{a, {name: "b"}}); err == nil {
+		t.Error("length mismatch not reported")
+	}
+}

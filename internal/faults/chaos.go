@@ -40,7 +40,7 @@ func (cp *Campaign) GrayDegrade(node cluster.NodeID, at, dur time.Duration, fact
 }
 
 // Partition severs `members` from the rest of the cluster at `at`,
-// healing after `dur` (dur <= 0 leaves it in place until HealAll).
+// healing after `dur` (dur <= 0 leaves it in place).
 // Members still reach each other; traffic across the cut times out at
 // the sender. Partitions are silent by construction — there is no node
 // failure for the monitor to be told about.

@@ -252,6 +252,10 @@ const (
 	maxNodes = 20480
 	// usageHalfLife is the fair-share usage decay half-life.
 	usageHalfLife = 7 * 24 * time.Hour
+	// userShares is each user's normalized share: the fair-share factor
+	// halves each time decayed usage grows by this many node-seconds
+	// (1000 node-hours).
+	userShares = 3600 * 1000
 )
 
 // score computes a job's multifactor priority at time now.
@@ -276,21 +280,14 @@ type Fairshare struct {
 	halfLife time.Duration
 	usage    map[string]float64
 	lastAt   map[string]time.Duration
-	// SharesPerUser is each user's normalized share; the factor halves
-	// each time decayed usage grows by this many node-seconds.
-	SharesPerUser float64
 }
 
 // NewFairshare builds an empty fair-share ledger.
 func NewFairshare(halfLife time.Duration) *Fairshare {
-	if halfLife <= 0 {
-		halfLife = 7 * 24 * time.Hour
-	}
 	return &Fairshare{
-		halfLife:      halfLife,
-		usage:         make(map[string]float64),
-		lastAt:        make(map[string]time.Duration),
-		SharesPerUser: 3600 * 1000, // 1000 node-hours halves the factor
+		halfLife: halfLife,
+		usage:    make(map[string]float64),
+		lastAt:   make(map[string]time.Duration),
 	}
 }
 
@@ -319,8 +316,8 @@ func (f *Fairshare) Usage(user string, now time.Duration) float64 {
 }
 
 // Factor returns 2^(−usage/shares) in (0, 1]: 1 for an unused account,
-// halving per SharesPerUser of decayed consumption.
+// halving per userShares of decayed consumption.
 func (f *Fairshare) Factor(user string, now time.Duration) float64 {
 	f.decayTo(user, now)
-	return math.Pow(2, -f.usage[user]/f.SharesPerUser)
+	return math.Pow(2, -f.usage[user]/userShares)
 }

@@ -187,7 +187,7 @@ func TestFairshareDecay(t *testing.T) {
 }
 
 func TestAgeFactorSaturates(t *testing.T) {
-	fs := NewFairshare(0)
+	fs := NewFairshare(usageHalfLife)
 	j := &Job{Nodes: 1, SubmitAt: 0}
 	p1 := score(j, fs, maxAge)
 	p2 := score(j, fs, 10*maxAge)

@@ -22,12 +22,6 @@ func (k RBFKernel) Eval(a, b []float64) float64 {
 	return math.Exp(-k.Gamma * SqDist(a, b))
 }
 
-// LinearKernel is the plain dot product.
-type LinearKernel struct{}
-
-// Eval implements Kernel.
-func (LinearKernel) Eval(a, b []float64) float64 { return Dot(a, b) }
-
 // SVRConfig parameterizes ε-insensitive support-vector regression.
 type SVRConfig struct {
 	// C is the box constraint (regularization inverse). Zero defaults to 10.

@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// linearKernel is the plain dot product, a second kernel for the fits
+// below beside the default RBF.
+type linearKernel struct{}
+
+func (linearKernel) Eval(a, b []float64) float64 { return Dot(a, b) }
+
 // svrFitIndexed is the reference coordinate-descent solver: one Gram row and
 // one f entry per sample (n×n), the kernel row addressed as km[i*n+j]. It
 // returns β, the sweep count and whether the fit stopped on Tol.
@@ -183,7 +189,7 @@ func TestSVRFitDistinctRowsMatchIndexedReference(t *testing.T) {
 	cases := []fixture{
 		{"linear", lx, ly, SVRConfig{C: 100, Epsilon: 0.05, MaxIter: 200}},
 		{"rbf", sx, sy, SVRConfig{C: 50, Epsilon: 0.02, Kernel: RBFKernel{Gamma: 1}, MaxIter: 200}},
-		{"linear-kernel", lx, ly, SVRConfig{C: 1, Kernel: LinearKernel{}, MaxIter: 300}},
+		{"linear-kernel", lx, ly, SVRConfig{C: 1, Kernel: linearKernel{}, MaxIter: 300}},
 	}
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -194,7 +200,7 @@ func TestSVRFitDistinctRowsMatchIndexedReference(t *testing.T) {
 		}
 		cfg := SVRConfig{C: 5, Epsilon: 0.1, MaxIter: 10 + 100*int(seed%3)}
 		if seed%2 == 1 {
-			cfg.Kernel = LinearKernel{}
+			cfg.Kernel = linearKernel{}
 		}
 		cases = append(cases, fixture{fmt.Sprintf("seed %d (n=%d, kernel %T)", seed, len(xs), cfg.Kernel), xs, ys, cfg})
 	}
@@ -279,7 +285,7 @@ func TestSVRBlockMatchesBruteForce(t *testing.T) {
 			Epsilon: []float64{0.01, 0.1, 0.4}[seed%3],
 		}
 		if seed%2 == 0 {
-			cfg.Kernel = LinearKernel{}
+			cfg.Kernel = linearKernel{}
 		}
 		center, spread := 3*rng.NormFloat64(), []float64{0.05, 0.5, 2}[seed%3]
 		xs := make([][]float64, copies)
@@ -338,7 +344,7 @@ func TestSVRDualObjectiveNoWorseThanIndexedReference(t *testing.T) {
 		}
 		cfg := SVRConfig{C: 5, Epsilon: 0.1, Kernel: RBFKernel{Gamma: []float64{0.25, 1}[seed/3%2]}}
 		if seed%4 == 1 {
-			cfg.Kernel = LinearKernel{}
+			cfg.Kernel = linearKernel{}
 		}
 		name := fmt.Sprintf("seed %d (n=%d, dup %.0f%%, kernel %T)", seed, len(xs), share*100, cfg.Kernel)
 
@@ -353,7 +359,7 @@ func TestSVRDualObjectiveNoWorseThanIndexedReference(t *testing.T) {
 			prev = v
 		}
 
-		if _, linear := cfg.Kernel.(LinearKernel); linear {
+		if _, linear := cfg.Kernel.(linearKernel); linear {
 			continue
 		}
 		tight := cfg

@@ -87,7 +87,7 @@ func Analyze(sources []Source, opt Options) *Report {
 	if opt.TopK <= 0 {
 		opt.TopK = 5
 	}
-	rep := &Report{Sources: len(sources), TopK: opt.TopK}
+	rep := &Report{Sources: len(sources)}
 	groups := make(map[string]*Group)
 	var paths []Path
 

@@ -18,7 +18,6 @@ import (
 // Diff.
 type Report struct {
 	Sources  int // traces analyzed
-	TopK     int // path listing bound
 	Spans    int // spans + instants seen
 	Roots    int // ended root spans analyzed
 	Open     int // root spans skipped because still open
@@ -32,7 +31,7 @@ type Report struct {
 	Adopts      int           // comm.adopt instants under analyzed roots
 
 	Groups []Group // sorted by Key
-	Paths  []Path  // the TopK slowest roots, slowest first
+	Paths  []Path  // the Options.TopK slowest roots, slowest first
 }
 
 // Group aggregates every root sharing one key (source group + root kind

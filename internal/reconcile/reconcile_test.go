@@ -126,7 +126,8 @@ func TestBreakerOpensOnCrashLoop(t *testing.T) {
 	m.Pool.FaultTimeout = 30 * time.Second
 	// Sever satellite 2 behind a partition that never heals: probes fail,
 	// but the node is not Failed, so revival attempts proceed and fault.
-	c.Net.Partition([]cluster.NodeID{2}, 24*time.Hour)
+	c.Net.SchedulePartition([]cluster.NodeID{2}, e.Now(), 24*time.Hour)
+	e.RunUntil(e.Now())
 	rec := New(m, Spec{Satellites: 2}, Config{
 		Interval:         20 * time.Second,
 		BackoffBase:      30 * time.Second,

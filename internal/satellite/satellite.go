@@ -463,7 +463,7 @@ func (p *Pool) Reinstate(id cluster.NodeID) bool {
 // called exactly once with clean=true when the satellite left BUSY on its
 // own (or was never BUSY) and clean=false when the deadline forced it or a
 // fault demoted it first. An external demotion while the drain is pending
-// (ShutdownSatellite, FAULT-timeout) completes the drain — the deadline
+// (a FAULT timeout) completes the drain — the deadline
 // timer is cancelled and the satellite is not demoted twice. Deterministic:
 // the deadline is an engine event and all completion paths run inside
 // engine callbacks.

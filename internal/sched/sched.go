@@ -23,7 +23,6 @@ import (
 	"eslurm/internal/estimate"
 	"eslurm/internal/obs"
 	"eslurm/internal/simnet"
-	"eslurm/internal/stats"
 	"eslurm/internal/trace"
 )
 
@@ -107,13 +106,8 @@ type Result struct {
 	Utilization float64
 	// AvgWait is the mean queue wait.
 	AvgWait time.Duration
-	// P95Wait is the 95th-percentile queue wait — means hide the tail
-	// that users actually complain about.
-	P95Wait time.Duration
 	// AvgBoundedSlowdown is Eq. 6 averaged over completed jobs (τ = 10 s).
 	AvgBoundedSlowdown float64
-	// MaxBoundedSlowdown is the worst single job's bounded slowdown.
-	MaxBoundedSlowdown float64
 	// Completed, Killed count job outcomes; Killed jobs were resubmitted.
 	Completed, Killed int
 	// Makespan is the span from first submission to last completion.
@@ -279,8 +273,6 @@ func Run(jobs []trace.Job, cfg Config) Result {
 	if s.completed > 0 {
 		res.AvgWait = time.Duration(int64(s.waitSum) / int64(s.completed))
 		res.AvgBoundedSlowdown = s.slowdownSum / float64(s.completed)
-		res.P95Wait = time.Duration(s.waits.Percentile(95) * float64(time.Second))
-		res.MaxBoundedSlowdown = s.slowdowns.Max()
 	}
 	if cfg.UtilWindow > 0 {
 		res.Utilization = s.nodeSeconds / (float64(cfg.Nodes) * cfg.UtilWindow.Seconds())
@@ -321,8 +313,6 @@ type state struct {
 	outstanding       int
 	waitSum           time.Duration
 	slowdownSum       float64
-	waits             stats.Summary
-	slowdowns         stats.Summary
 	nodeSeconds       float64
 	lastCompletion    time.Duration
 }
@@ -435,8 +425,6 @@ func (s *state) start(q queuedJob) {
 				sd = 1
 			}
 			s.slowdownSum += sd
-			s.waits.Add(wait.Seconds())
-			s.slowdowns.Add(sd)
 			s.cfg.Predictor.JobDone(&q.job)
 		}
 		s.schedule()

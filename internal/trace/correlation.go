@@ -14,8 +14,6 @@ type CorrelationPoint struct {
 	// Ratio is the fraction of sampled job pairs in the bucket that are
 	// correlated.
 	Ratio float64
-	// Pairs is the number of pairs sampled.
-	Pairs int
 }
 
 // CorrelationVsInterval estimates the job-correlation ratio as a function
@@ -61,7 +59,7 @@ func (t *Trace) CorrelationVsInterval(maxHours, samplesPerBucket int, rng *rand.
 		if pairs > 0 {
 			ratio = float64(correlated) / float64(pairs)
 		}
-		out = append(out, CorrelationPoint{X: float64(h), Ratio: ratio, Pairs: pairs})
+		out = append(out, CorrelationPoint{X: float64(h), Ratio: ratio})
 	}
 	return out
 }
@@ -99,7 +97,7 @@ func (t *Trace) CorrelationVsIDGap(maxGap, gapStep, samplesPerBucket int, rng *r
 		if pairs > 0 {
 			ratio = float64(correlated) / float64(pairs)
 		}
-		out = append(out, CorrelationPoint{X: float64(gap), Ratio: ratio, Pairs: pairs})
+		out = append(out, CorrelationPoint{X: float64(gap), Ratio: ratio})
 	}
 	return out
 }

@@ -181,10 +181,3 @@ func (t *Trace) ResubmissionProbability24h() float64 {
 	}
 	return float64(hits) / float64(total)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
