@@ -11,9 +11,12 @@
 //	eslurmctl -spec spec.json -satellites 6
 //
 // With -spec the ESlurm master runs under the reconciler: the JSON file's
-// initial spec (satellite target, cordon list, ESlurm parameters) is
-// enforced every reconcile round and its schedule of timed mutations is
-// replayed in simulated time; the run ends with a reconcile summary.
+// initial spec (satellite target and bounds, cordon list) is enforced
+// every reconcile round and its schedule of timed mutations is replayed
+// in simulated time; the run ends with a reconcile summary. The ESlurm
+// parameters (TreeWidth, ReallocLimit, HeartbeatInterval) come only from
+// -conf: a spec naming tree_width, realloc_limit or heartbeat_interval
+// is rejected as an unknown field.
 // An eslurm.conf with SatelliteTarget set wires the reconciler the same
 // way without a schedule.
 //

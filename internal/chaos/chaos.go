@@ -99,7 +99,7 @@ func (c Config) withDefaults() Config {
 // soakMix is the plain soak's campaign over the driven span: 2 bursts,
 // 2 flaps, 3 grays, 1 chassis partition and 1 satellite kill.
 func soakMix(span time.Duration) faults.ChaosSpec {
-	return faults.ChaosSpec{Horizon: span, Bursts: 2, Flaps: 2, Grays: 3, Partitions: 1, SatelliteKills: 1}
+	return faults.ChaosSpec{Horizon: span, Grays: 3, SatelliteKills: 1}
 }
 
 // DefaultConfig is the default campaign mix at the acceptance scale, with
@@ -158,7 +158,7 @@ func (r *Report) String() string {
 		c.Seeds, c.BaseSeed, c.Computes, c.Satellites, c.Span, c.Broadcasts, c.Bound)
 	mix := soakMix(c.Span)
 	fmt.Fprintf(&sb, "campaign: bursts=%d flaps=%d grays=%d partitions=%d satkills=%d loss=%.3f dup=%.3f silent=%.2f\n",
-		mix.Bursts, mix.Flaps, mix.Grays, mix.Partitions, mix.SatelliteKills,
+		faults.ChaosBursts, faults.ChaosFlaps, mix.Grays, faults.ChaosPartitions, mix.SatelliteKills,
 		c.LossProb, c.DupProb, c.SilentFraction)
 	for _, s := range r.Seeds {
 		fmt.Fprintf(&sb, "seed %d: events=%d campaign=%d broadcasts=%d delivered=%d unreachable=%d retries=%d reallocs=%d takeovers=%d drained=%d violations=%d\n",

@@ -44,7 +44,7 @@ const (
 // reconcileMix is the reconcile soak's campaign over the driven span: 2
 // bursts, 2 flaps, 2 grays, 1 chassis partition and 2 satellite kills.
 func reconcileMix(span time.Duration) faults.ChaosSpec {
-	return faults.ChaosSpec{Horizon: span, Bursts: 2, Flaps: 2, Grays: 2, Partitions: 1, SatelliteKills: 2}
+	return faults.ChaosSpec{Horizon: span, Grays: 2, SatelliteKills: 2}
 }
 
 // ReconcileConfig parameterizes a reconcile soak. The zero value is
@@ -187,7 +187,7 @@ func (r *ReconcileReport) String() string {
 		reconcileInterval, reconcileDrainDeadline, reconcileFaultTimeout, reconcileConvergeRounds)
 	mix := reconcileMix(c.Span)
 	fmt.Fprintf(&sb, "campaign: bursts=%d flaps=%d grays=%d partitions=%d satkills=%d loss=%.3f dup=%.3f mutations=%d\n",
-		mix.Bursts, mix.Flaps, mix.Grays, mix.Partitions, mix.SatelliteKills,
+		faults.ChaosBursts, faults.ChaosFlaps, mix.Grays, faults.ChaosPartitions, mix.SatelliteKills,
 		c.LossProb, c.DupProb, len(c.Mutations))
 	for _, s := range r.Seeds {
 		fmt.Fprintf(&sb, "seed %d: events=%d campaign=%d broadcasts=%d delivered=%d unreachable=%d retries=%d reallocs=%d mtakeovers=%d rounds=%d heal_rounds=%d promotes=%d drains=%d forced=%d rtakeovers=%d breakers=%d specs=%d converged=%t violations=%d\n",

@@ -640,27 +640,6 @@ func (m *Master) ProbeSatellite(id cluster.NodeID) error {
 	return nil
 }
 
-// Tune applies runtime-adjustable ESlurm parameters (the spec-carried
-// subset): tree width, reallocation limit, and heartbeat cadence. Zero
-// values keep the current setting. Changing the cadence restarts the
-// heartbeat ticker from now; an unchanged cadence is left alone so a
-// no-op Tune cannot perturb the event trace.
-func (m *Master) Tune(treeWidth, reallocLimit int, heartbeat time.Duration) {
-	if treeWidth > 0 {
-		m.cfg.TreeWidth = treeWidth
-	}
-	if reallocLimit > 0 {
-		m.cfg.ReallocLimit = reallocLimit
-	}
-	if heartbeat > 0 && heartbeat != m.cfg.HeartbeatInterval {
-		m.cfg.HeartbeatInterval = heartbeat
-		if m.hb != nil {
-			m.hb.Stop()
-			m.hb = m.engine.Every(m.cfg.HeartbeatInterval, m.heartbeatSweep)
-		}
-	}
-}
-
 // heartbeatSweep probes satellites directly and compute nodes through the
 // satellite layer, feeding the state machine and the predictor pipeline.
 func (m *Master) heartbeatSweep() {

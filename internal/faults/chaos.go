@@ -21,7 +21,7 @@ import (
 // at every sweep yet be unusable in between.
 func (cp *Campaign) Flap(node cluster.NodeID, at time.Duration, cycles int, down, up time.Duration) {
 	for i := 0; i < cycles; i++ {
-		cp.inject(node, at, down, -1)
+		cp.inject(node, at, down)
 		at += down + up
 	}
 }
@@ -34,9 +34,7 @@ func (cp *Campaign) Flap(node cluster.NodeID, at time.Duration, cycles int, down
 // predicted-failed leaf demotion is for.
 func (cp *Campaign) GrayDegrade(node cluster.NodeID, at, dur time.Duration, factor float64) {
 	cp.Cluster.Net.ScheduleGray(node, factor, at, dur)
-	cp.Events = append(cp.Events, Event{
-		Node: node, At: at, Down: dur, Silent: true, RackID: -1, Kind: KindGray,
-	})
+	cp.Events = append(cp.Events, Event{Node: node, At: at, Down: dur, Silent: true})
 }
 
 // Partition severs `members` from the rest of the cluster at `at`,
@@ -50,9 +48,7 @@ func (cp *Campaign) Partition(members []cluster.NodeID, at, dur time.Duration) {
 	}
 	cp.Cluster.Net.SchedulePartition(members, at, dur)
 	for _, id := range members {
-		cp.Events = append(cp.Events, Event{
-			Node: id, At: at, Down: dur, Silent: true, RackID: -1, Kind: KindPartition,
-		})
+		cp.Events = append(cp.Events, Event{Node: id, At: at, Down: dur, Silent: true})
 	}
 }
 
@@ -69,6 +65,15 @@ func (cp *Campaign) PartitionChassis(tp topo.Topology, chassisID int, at, dur ti
 	return len(members)
 }
 
+// Every generated campaign draws ChaosBursts scattered multi-node
+// fail-stops, ChaosFlaps bouncing nodes and ChaosPartitions
+// chassis-correlated cuts.
+const (
+	ChaosBursts     = 2
+	ChaosFlaps      = 2
+	ChaosPartitions = 1
+)
+
 // ChaosSpec parameterizes a randomized mixed campaign. Generate draws all
 // randomness from the engine stream "faults/chaos", so one (engine seed,
 // spec) pair always produces the same campaign — the determinism contract
@@ -76,11 +81,8 @@ func (cp *Campaign) PartitionChassis(tp topo.Topology, chassisID int, at, dur ti
 type ChaosSpec struct {
 	// Horizon is the window events land in (default 10 minutes).
 	Horizon time.Duration
-	// Counts per scenario class. Zero means none of that class.
-	Bursts     int // scattered multi-node fail-stops
-	Flaps      int // bouncing nodes
-	Grays      int // alive-but-slow nodes
-	Partitions int // chassis-correlated cuts
+	// Grays is the number of alive-but-slow nodes.
+	Grays int
 	// SatelliteKills fail-stops random satellite nodes (recovering like
 	// other outages), exercising Table II demotions, reallocation and
 	// master takeover.
@@ -115,26 +117,24 @@ func (cp *Campaign) Generate(spec ChaosSpec) {
 	at := func() time.Duration { return time.Duration(rng.Int63n(int64(spec.Horizon))) }
 	down := func() time.Duration { return time.Duration(1 + rng.Int63n(int64(maxDown))) }
 
-	for i := 0; i < spec.Bursts; i++ {
+	for i := 0; i < ChaosBursts; i++ {
 		cp.Burst(at(), 2+rng.Intn(6), down())
 	}
-	for i := 0; i < spec.Flaps; i++ {
+	for i := 0; i < ChaosFlaps; i++ {
 		cp.Flap(pick(), at(), 2+rng.Intn(3), down()/4+time.Second, down()/2+time.Second)
 	}
 	for i := 0; i < spec.Grays; i++ {
 		factor := 2 + rng.Float64()*(grayFactorMax-2)
 		cp.GrayDegrade(pick(), at(), down(), factor)
 	}
-	if spec.Partitions > 0 {
-		tp := topo.Default()
-		chassis := tp.Chassis(comps[len(comps)-1]) + 1
-		for i := 0; i < spec.Partitions; i++ {
-			cp.PartitionChassis(tp, rng.Intn(chassis), at(), down())
-		}
+	tp := topo.Default()
+	chassis := tp.Chassis(comps[len(comps)-1]) + 1
+	for i := 0; i < ChaosPartitions; i++ {
+		cp.PartitionChassis(tp, rng.Intn(chassis), at(), down())
 	}
 	if sats := cp.Cluster.Satellites(); len(sats) > 0 {
 		for i := 0; i < spec.SatelliteKills; i++ {
-			cp.inject(sats[rng.Intn(len(sats))], at(), down(), -1)
+			cp.inject(sats[rng.Intn(len(sats))], at(), down())
 		}
 	}
 }

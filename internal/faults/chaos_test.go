@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"eslurm/internal/cluster"
+	"eslurm/internal/monitor"
 	"eslurm/internal/simnet"
 	"eslurm/internal/topo"
 )
@@ -70,7 +71,7 @@ func TestGrayDegrade(t *testing.T) {
 	node := c.Computes()[3]
 	cp.GrayDegrade(node, time.Minute, 2*time.Minute, 6)
 
-	if len(cp.Events) != 1 || cp.Events[0].Kind != KindGray || !cp.Events[0].Silent {
+	if len(cp.Events) != 1 || cp.Events[0].Node != node || !cp.Events[0].Silent {
 		t.Fatalf("gray event malformed: %+v", cp.Events)
 	}
 	e.RunUntil(30 * time.Second)
@@ -154,8 +155,8 @@ func TestGenerateDeterminismAndMix(t *testing.T) {
 	gen := func(seed int64) []Event {
 		e := simnet.NewEngine(seed)
 		c := cluster.New(e, cluster.Config{Computes: 512, Satellites: 4})
-		cp := New(c, nil, 0)
-		cp.Generate(ChaosSpec{Bursts: 2, Flaps: 2, Grays: 3, Partitions: 1, SatelliteKills: 1})
+		cp := New(c, monitor.New(c, monitor.Config{}), 0)
+		cp.Generate(ChaosSpec{Grays: 3, SatelliteKills: 1})
 		return cp.Events
 	}
 	a, b := gen(21), gen(21)
@@ -180,22 +181,37 @@ func TestGenerateDeterminismAndMix(t *testing.T) {
 			t.Fatal("different seeds generated identical campaigns")
 		}
 	}
-	// The mix contains every requested class.
-	kinds := map[Kind]int{}
+	// The mix contains every requested class. The monitor is told of
+	// every fail-stop, while gray spells and partition cuts are silent; a
+	// chassis cut is the silent events sharing one onset.
+	onsets := map[time.Duration]int{}
+	for _, ev := range a {
+		if ev.Silent {
+			onsets[ev.At]++
+		}
+	}
+	var announced, grays, cut int
 	var satHit bool
 	for _, ev := range a {
-		kinds[ev.Kind]++
+		switch {
+		case !ev.Silent:
+			announced++
+		case onsets[ev.At] > 1:
+			cut++
+		default:
+			grays++
+		}
 		if ev.Node <= 4 && ev.Node >= 1 { // satellites are IDs 1..4
 			satHit = true
 		}
 	}
-	if kinds[KindGray] != 3 {
-		t.Errorf("grays = %d, want 3", kinds[KindGray])
+	if grays != 3 {
+		t.Errorf("grays = %d, want 3", grays)
 	}
-	if kinds[KindPartition] == 0 {
+	if cut == 0 {
 		t.Error("no partition events generated")
 	}
-	if kinds[KindFailStop] == 0 {
+	if announced == 0 {
 		t.Error("no fail-stop events generated")
 	}
 	if !satHit {

@@ -21,25 +21,12 @@ import (
 	"eslurm/internal/topo"
 )
 
-// Kind classifies an injected event. The zero value is a fail-stop; the
-// adversarial scenarios (PR 3) tag their events so reports can break a
-// mixed campaign down by failure mode.
-type Kind string
-
-const (
-	KindFailStop  Kind = ""
-	KindGray      Kind = "gray"
-	KindPartition Kind = "partition"
-)
-
 // Event records one injected failure for reporting.
 type Event struct {
 	Node   cluster.NodeID
 	At     time.Duration
 	Down   time.Duration
 	Silent bool
-	RackID int  // -1 unless rack-correlated
-	Kind   Kind // "" = fail-stop
 }
 
 // Campaign injects scenarios into one cluster/monitor pair and records
@@ -65,7 +52,7 @@ func New(c *cluster.Cluster, m *monitor.Subsystem, silentFraction float64) *Camp
 }
 
 // inject schedules one failure, announcing it unless silent.
-func (cp *Campaign) inject(node cluster.NodeID, at, down time.Duration, rack int) {
+func (cp *Campaign) inject(node cluster.NodeID, at, down time.Duration) {
 	silent := cp.Monitor == nil
 	if !silent && cp.SilentFraction > 0 {
 		silent = cp.rng.Float64() < cp.SilentFraction
@@ -74,7 +61,7 @@ func (cp *Campaign) inject(node cluster.NodeID, at, down time.Duration, rack int
 		cp.Monitor.NoticeImpendingFailure(node, at)
 	}
 	cp.Cluster.ScheduleFailure(node, at, down)
-	cp.Events = append(cp.Events, Event{Node: node, At: at, Down: down, Silent: silent, RackID: rack})
+	cp.Events = append(cp.Events, Event{Node: node, At: at, Down: down, Silent: silent})
 }
 
 // Background schedules independent single-node failures at the given
@@ -94,7 +81,7 @@ func (cp *Campaign) Background(ratePerDay float64, horizon, downMin, downMax tim
 		if downMax > downMin {
 			down += time.Duration(rng.Int63n(int64(downMax - downMin)))
 		}
-		cp.inject(node, at, down, -1)
+		cp.inject(node, at, down)
 		at += time.Duration(rng.ExpFloat64() * float64(meanGap))
 	}
 }
@@ -114,7 +101,7 @@ func (cp *Campaign) Burst(at time.Duration, count int, down time.Duration) {
 		stride = 1
 	}
 	for i := 0; i < count; i++ {
-		cp.inject(comps[(i*stride)%len(comps)], at, down, -1)
+		cp.inject(comps[(i*stride)%len(comps)], at, down)
 	}
 }
 
@@ -126,7 +113,7 @@ func (cp *Campaign) RackOutage(tp topo.Topology, rackID int, at, down time.Durat
 	n := 0
 	for _, id := range cp.Cluster.Computes() {
 		if tp.Rack(id) == rackID {
-			cp.inject(id, at, down, rackID)
+			cp.inject(id, at, down)
 			n++
 		}
 	}

@@ -74,9 +74,12 @@ func TestRackOutage(t *testing.T) {
 			t.Fatalf("node %d: failed=%v inRack=%v", id, failed, inRack)
 		}
 	}
+	if len(cp.Events) != n {
+		t.Fatalf("outage recorded %d events, want %d", len(cp.Events), n)
+	}
 	for _, ev := range cp.Events {
-		if ev.RackID != 1 {
-			t.Error("rack ID not recorded")
+		if tp.Rack(ev.Node) != 1 {
+			t.Errorf("outage event on node %d of rack %d, want rack 1", ev.Node, tp.Rack(ev.Node))
 		}
 	}
 }

@@ -141,8 +141,7 @@ type Subsystem struct {
 	subs       []func(Alert)
 	indicators []string
 
-	alertsEmitted int
-	falseAlerts   int
+	falseAlerts int
 }
 
 // New builds the monitoring subsystem over a cluster. If
@@ -183,9 +182,6 @@ func (s *Subsystem) CMUCount() int {
 	return (s.BMUCount() + bmusPerCMU - 1) / bmusPerCMU
 }
 
-// AlertsEmitted returns total alerts delivered (including false alerts).
-func (s *Subsystem) AlertsEmitted() int { return s.alertsEmitted }
-
 // FalseAlerts returns the number of spurious alerts delivered.
 func (s *Subsystem) FalseAlerts() int { return s.falseAlerts }
 
@@ -194,7 +190,6 @@ func (s *Subsystem) emit(a Alert, spurious bool) {
 	a.BMU, a.CMU = s.Units(a.Node)
 	s.engine.After(2*relayLatency, func() {
 		a.At = s.engine.Now()
-		s.alertsEmitted++
 		if spurious {
 			s.falseAlerts++
 		}

@@ -59,7 +59,6 @@ type AlertDriven struct {
 	ttl    time.Duration
 
 	predicted map[cluster.NodeID]time.Duration // node -> expiry
-	alerts    int
 }
 
 // NewAlertDriven subscribes to sub and returns the predictor. A ttl of 0
@@ -75,7 +74,6 @@ func NewAlertDriven(e *simnet.Engine, sub *monitor.Subsystem, ttl time.Duration)
 	}
 	alerts := e.Metrics().Counter("predict.alerts")
 	sub.Subscribe(func(a monitor.Alert) {
-		p.alerts++
 		alerts.Inc()
 		e.Tracer().Instant("predict.alert", 0, obs.Int("node", int(a.Node)))
 		p.predicted[a.Node] = e.Now() + p.ttl
@@ -95,6 +93,3 @@ func (p *AlertDriven) Predicted(id cluster.NodeID) bool {
 	}
 	return true
 }
-
-// AlertsSeen returns the total number of alerts consumed.
-func (p *AlertDriven) AlertsSeen() int { return p.alerts }

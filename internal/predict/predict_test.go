@@ -50,7 +50,7 @@ func TestAlertDrivenLifecycle(t *testing.T) {
 	if !p.Predicted(node) {
 		t.Fatal("node with live alert not predicted")
 	}
-	if p.AlertsSeen() < 1 {
+	if e.Metrics().CounterValue("predict.alerts") < 1 {
 		t.Error("no alerts consumed")
 	}
 	// After TTL with no further alerts the prediction expires.

@@ -35,22 +35,23 @@ type Config struct {
 	// DrainDeadline bounds how long a graceful drain waits for in-flight
 	// tasks before forcing the demotion.
 	DrainDeadline time.Duration
-	// BackoffBase is the first per-node backoff applied after a failed
-	// revival (promoted, then faulted again); each further failure
-	// doubles it, up to backoffMax.
-	BackoffBase time.Duration
-	// BreakerThreshold is how many consecutive failed revivals open the
-	// crash-loop circuit breaker for that node; BreakerCooldown is how
-	// long it stays open.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// StableRounds is how many consecutive healthy rounds a revived node
-	// must survive before its failure count resets.
-	StableRounds int
 }
 
-// backoffMax caps the per-node revival backoff.
-const backoffMax = 5 * time.Minute
+// The self-healing path's constants.
+const (
+	// backoffBase is the first per-node backoff applied after a failed
+	// revival (promoted, then faulted again); each further failure
+	// doubles it, up to backoffMax.
+	backoffBase = 30 * time.Second
+	backoffMax  = 5 * time.Minute
+	// breakerThreshold consecutive failed revivals open the crash-loop
+	// circuit breaker for that node; it stays open for breakerCooldown.
+	breakerThreshold = 3
+	breakerCooldown  = 10 * time.Minute
+	// stableRounds is how many consecutive healthy rounds a revived node
+	// must survive before its failure count resets.
+	stableRounds = 2
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -59,22 +60,12 @@ func (c Config) withDefaults() Config {
 	if c.DrainDeadline <= 0 {
 		c.DrainDeadline = 2 * time.Minute
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 30 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Minute
-	}
-	if c.StableRounds <= 0 {
-		c.StableRounds = 2
-	}
 	return c
 }
 
-// Status is a point-in-time summary of the reconciler's work.
+// Status is a point-in-time summary of the reconciler's work. The counts
+// are the reconcile.* counters of the engine's registry, which an engine
+// gives its one reconciler.
 type Status struct {
 	// Rounds is the number of completed reconcile rounds.
 	Rounds int
@@ -123,21 +114,23 @@ type Reconciler struct {
 	ticker   *simnet.Ticker
 	ctl      map[cluster.NodeID]*nodeCtl
 	draining map[cluster.NodeID]bool
-	st       Status
+	// converged and convergedRound are Status's two fields that are not
+	// registry counters.
+	converged      bool
+	convergedRound int
 
-	rounds       *obs.Counter
-	actions      *obs.Counter
-	promotes     *obs.Counter
-	drains       *obs.Counter
-	drainsForced *obs.Counter
-	takeovers    *obs.Counter
-	breakerOpens *obs.Counter
-	specUpdates  *obs.Counter
-	converged    *obs.Gauge
+	rounds         *obs.Counter
+	actions        *obs.Counter
+	promotes       *obs.Counter
+	drains         *obs.Counter
+	drainsForced   *obs.Counter
+	takeovers      *obs.Counter
+	breakerOpens   *obs.Counter
+	specUpdates    *obs.Counter
+	convergedGauge *obs.Gauge
 }
 
-// New builds a reconciler for the master's pool. The spec is normalized;
-// its ESlurm parameters are applied to the master immediately.
+// New builds a reconciler for the master's pool. The spec is normalized.
 func New(m *core.Master, spec Spec, cfg Config) *Reconciler {
 	e := m.Cluster.Engine
 	reg := e.Metrics()
@@ -149,17 +142,16 @@ func New(m *core.Master, spec Spec, cfg Config) *Reconciler {
 		ctl:      map[cluster.NodeID]*nodeCtl{},
 		draining: map[cluster.NodeID]bool{},
 
-		rounds:       reg.Counter("reconcile.rounds"),
-		actions:      reg.Counter("reconcile.actions"),
-		promotes:     reg.Counter("reconcile.promotes"),
-		drains:       reg.Counter("reconcile.drains"),
-		drainsForced: reg.Counter("reconcile.drains_forced"),
-		takeovers:    reg.Counter("reconcile.takeovers"),
-		breakerOpens: reg.Counter("reconcile.breaker_opens"),
-		specUpdates:  reg.Counter("reconcile.spec_updates"),
-		converged:    reg.Gauge("reconcile.converged"),
+		rounds:         reg.Counter("reconcile.rounds"),
+		actions:        reg.Counter("reconcile.actions"),
+		promotes:       reg.Counter("reconcile.promotes"),
+		drains:         reg.Counter("reconcile.drains"),
+		drainsForced:   reg.Counter("reconcile.drains_forced"),
+		takeovers:      reg.Counter("reconcile.takeovers"),
+		breakerOpens:   reg.Counter("reconcile.breaker_opens"),
+		specUpdates:    reg.Counter("reconcile.spec_updates"),
+		convergedGauge: reg.Gauge("reconcile.converged"),
 	}
-	r.m.Tune(r.spec.TreeWidth, r.spec.ReallocLimit, time.Duration(r.spec.HeartbeatInterval))
 	return r
 }
 
@@ -184,28 +176,39 @@ func (r *Reconciler) Stop() {
 func (r *Reconciler) Spec() Spec { return r.spec }
 
 // Status returns the current status summary.
-func (r *Reconciler) Status() Status { return r.st }
+func (r *Reconciler) Status() Status {
+	return Status{
+		Rounds:         r.Rounds(),
+		Actions:        int(r.actions.Value()),
+		Promotes:       int(r.promotes.Value()),
+		Drains:         int(r.drains.Value()),
+		DrainsForced:   int(r.drainsForced.Value()),
+		Takeovers:      int(r.takeovers.Value()),
+		BreakerOpens:   int(r.breakerOpens.Value()),
+		SpecUpdates:    int(r.specUpdates.Value()),
+		Converged:      r.converged,
+		ConvergedRound: r.convergedRound,
+	}
+}
 
 // Rounds returns the number of completed rounds.
-func (r *Reconciler) Rounds() int { return r.st.Rounds }
+func (r *Reconciler) Rounds() int { return int(r.rounds.Value()) }
 
 // Converged reports whether the cluster met the spec at the end of the
 // last completed round.
-func (r *Reconciler) Converged() bool { return r.st.Converged }
+func (r *Reconciler) Converged() bool { return r.converged }
 
-// SetSpec replaces the spec (a schedule mutation or operator edit),
-// resets convergence tracking, and applies the spec's ESlurm parameters.
+// SetSpec replaces the spec (a schedule mutation or operator edit) and
+// resets convergence tracking.
 func (r *Reconciler) SetSpec(s Spec) {
 	r.spec = s.Normalized()
-	r.st.SpecUpdates++
 	r.specUpdates.Inc()
-	r.st.Converged = false
-	r.st.ConvergedRound = 0
-	r.converged.Set(0)
+	r.converged = false
+	r.convergedRound = 0
+	r.convergedGauge.Set(0)
 	r.e.Tracer().Instant("reconcile.spec_update", 0,
 		obs.Int("satellites", r.spec.Satellites),
 		obs.Int("cordoned", len(r.spec.Cordoned)))
-	r.m.Tune(r.spec.TreeWidth, r.spec.ReallocLimit, time.Duration(r.spec.HeartbeatInterval))
 }
 
 // ScheduleMutations arms a schedule's timed spec mutations as engine
@@ -220,7 +223,7 @@ func (r *Reconciler) ScheduleMutations(muts []Mutation) {
 func (r *Reconciler) ctlFor(id cluster.NodeID) *nodeCtl {
 	c := r.ctl[id]
 	if c == nil {
-		c = &nodeCtl{backoff: r.cfg.BackoffBase}
+		c = &nodeCtl{backoff: backoffBase}
 		r.ctl[id] = c
 	}
 	return c
@@ -228,11 +231,10 @@ func (r *Reconciler) ctlFor(id cluster.NodeID) *nodeCtl {
 
 // round is one observe→diff→act pass. It runs as an engine event.
 func (r *Reconciler) round() {
-	r.st.Rounds++
 	r.rounds.Inc()
 	now := r.e.Now()
 	tr := r.e.Tracer()
-	span := tr.Start("reconcile.round", 0, obs.Int("round", r.st.Rounds))
+	span := tr.Start("reconcile.round", 0, obs.Int("round", r.Rounds()))
 
 	pool := r.m.Pool
 	cordonSet := map[cluster.NodeID]bool{}
@@ -329,25 +331,23 @@ func (r *Reconciler) round() {
 	// tasks resolve, and stranded sends are re-adopted by the dispatch
 	// watchdog.
 	for i := 0; i < len(drainedCordons) && i < len(promoted); i++ {
-		r.st.Takeovers++
 		r.takeovers.Inc()
 		tr.Instant("reconcile.takeover", span,
 			obs.Int("from", int(drainedCordons[i])),
 			obs.Int("to", int(promoted[i])))
 	}
 
-	r.st.Actions += actions
 	r.actions.Add(int64(actions))
 
 	conv := r.convergedNow(target, cordonSet)
-	r.st.Converged = conv
+	r.converged = conv
 	if conv {
-		if r.st.ConvergedRound == 0 {
-			r.st.ConvergedRound = r.st.Rounds
+		if r.convergedRound == 0 {
+			r.convergedRound = r.Rounds()
 		}
-		r.converged.Set(1)
+		r.convergedGauge.Set(1)
 	} else {
-		r.converged.Set(0)
+		r.convergedGauge.Set(0)
 	}
 	tr.SetAttrInt(span, "actions", actions)
 	tr.SetAttrInt(span, "active", active)
@@ -376,10 +376,10 @@ func (r *Reconciler) observeNode(s *satellite.Satellite, wantCordon bool, now ti
 	switch s.State() {
 	case satellite.Running, satellite.Busy:
 		c.stable++
-		if c.stable >= r.cfg.StableRounds {
+		if c.stable >= stableRounds {
 			c.pendingRevive = false
 			c.failures = 0
-			c.backoff = r.cfg.BackoffBase
+			c.backoff = backoffBase
 		}
 	case satellite.Fault, satellite.Down:
 		// Crash-looped: the revived node faulted again before stabilizing.
@@ -391,10 +391,9 @@ func (r *Reconciler) observeNode(s *satellite.Satellite, wantCordon bool, now ti
 		if c.backoff > backoffMax {
 			c.backoff = backoffMax
 		}
-		if c.failures >= r.cfg.BreakerThreshold {
+		if c.failures >= breakerThreshold {
 			c.failures = 0
-			c.breakerUntil = now + r.cfg.BreakerCooldown
-			r.st.BreakerOpens++
+			c.breakerUntil = now + breakerCooldown
 			r.breakerOpens.Inc()
 			r.e.Tracer().Instant("reconcile.breaker_open", span, obs.Int("sat", int(id)))
 		}
@@ -422,7 +421,6 @@ func (r *Reconciler) promote(s *satellite.Satellite, now time.Duration, span obs
 	c.pendingRevive = true
 	c.stable = 0
 	r.m.ProbeSatellite(id)
-	r.st.Promotes++
 	r.promotes.Inc()
 	r.e.Tracer().Instant("reconcile.promote", span, obs.Int("sat", int(id)))
 	return true
@@ -435,12 +433,10 @@ func (r *Reconciler) drainSat(s *satellite.Satellite) {
 	tr := r.e.Tracer()
 	dspan := tr.Start("reconcile.drain", 0, obs.Int("sat", int(id)))
 	r.draining[id] = true
-	r.st.Drains++
 	r.drains.Inc()
 	err := r.m.DrainSatellite(id, r.cfg.DrainDeadline, func(clean, delivered bool) {
 		delete(r.draining, id)
 		if !clean {
-			r.st.DrainsForced++
 			r.drainsForced.Inc()
 		}
 		tr.SetAttr(dspan, "clean", strconv.FormatBool(clean))

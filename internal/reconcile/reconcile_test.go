@@ -128,15 +128,27 @@ func TestBreakerOpensOnCrashLoop(t *testing.T) {
 	// but the node is not Failed, so revival attempts proceed and fault.
 	c.Net.SchedulePartition([]cluster.NodeID{2}, e.Now(), 24*time.Hour)
 	e.RunUntil(e.Now())
-	rec := New(m, Spec{Satellites: 2}, Config{
-		Interval:         20 * time.Second,
-		BackoffBase:      30 * time.Second,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		StableRounds:     2,
-	})
+	const interval = 20 * time.Second
+	rec := New(m, Spec{Satellites: 2}, Config{Interval: interval})
 	rec.Start()
-	e.RunUntil(e.Now() + 20*time.Minute)
+
+	// The promote bound, from the self-healing constants. A failed revival
+	// is seen the round after its promote, and the next promote waits out
+	// the backoff from there: while the breaker is closed, revival i+1
+	// comes at least interval + backoffBase·2^(i-1) after revival i.
+	// Revival breakerThreshold opens the breaker, so the next one comes
+	// at least interval + breakerCooldown later, and the one after that
+	// interval + backoffBase·2^breakerThreshold later (below backoffMax).
+	// Revival breakerThreshold+2 thus comes at least window after the
+	// first, which itself waits a round: a window-long run holds at most
+	// breakerThreshold+1 revivals, and the breaker opening needs
+	// breakerThreshold of them. Without the backoff, or without the
+	// breaker's cooldown, more revivals fit.
+	window := time.Duration(breakerThreshold+1)*interval + breakerCooldown + backoffBase<<breakerThreshold
+	for i := 0; i < breakerThreshold-1; i++ {
+		window += backoffBase << i
+	}
+	e.RunUntil(e.Now() + window)
 	st := rec.Status()
 	if st.Converged {
 		t.Fatal("cannot converge with a severed satellite; Converged must be false")
@@ -144,8 +156,9 @@ func TestBreakerOpensOnCrashLoop(t *testing.T) {
 	if st.BreakerOpens == 0 {
 		t.Fatalf("breaker never opened: %+v", st)
 	}
-	if st.Promotes < 2 || st.Promotes > 6 {
-		t.Fatalf("Promotes = %d; backoff+breaker should bound revival attempts to a handful", st.Promotes)
+	if st.Promotes < breakerThreshold || st.Promotes > breakerThreshold+1 {
+		t.Fatalf("Promotes = %d in %v, want %d..%d: backoff+breaker bound the revival attempts",
+			st.Promotes, window, breakerThreshold, breakerThreshold+1)
 	}
 	if st.Rounds < 30 {
 		t.Fatalf("Rounds = %d; the loop itself must keep running", st.Rounds)
@@ -187,41 +200,29 @@ func TestReconcilerDeterminism(t *testing.T) {
 	}
 }
 
-func TestSpecTuneAppliesToMaster(t *testing.T) {
-	_, _, m := harness(t, 4, 2)
-	New(m, Spec{Satellites: 2, TreeWidth: 17, ReallocLimit: 5, HeartbeatInterval: Duration(200 * time.Second)}, Config{})
-	cfg := m.Config()
-	if cfg.TreeWidth != 17 || cfg.ReallocLimit != 5 || cfg.HeartbeatInterval != 200*time.Second {
-		t.Fatalf("Tune not applied: %+v", cfg)
-	}
-}
-
 func TestParseSpecAndSchedule(t *testing.T) {
-	s, err := ParseSpec(strings.NewReader(`{
+	sc, err := ParseSchedule(strings.NewReader(`{"initial": {
 		"satellites": 3, "min_satellites": 2, "max_satellites": 8,
-		"cordoned": [4, 2, 4],
-		"tree_width": 50, "realloc_limit": 2, "heartbeat_interval": "150s"}`))
+		"cordoned": [4, 2, 4]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := sc.Initial
 	if s.Satellites != 3 || s.MinSatellites != 2 || s.MaxSatellites != 8 {
 		t.Fatalf("counts: %+v", s)
 	}
 	if len(s.Cordoned) != 2 || s.Cordoned[0] != 2 || s.Cordoned[1] != 4 {
 		t.Fatalf("cordon list not sorted+deduped: %v", s.Cordoned)
 	}
-	if time.Duration(s.HeartbeatInterval) != 150*time.Second {
-		t.Fatalf("heartbeat interval: %v", s.HeartbeatInterval)
-	}
 
-	if _, err := ParseSpec(strings.NewReader(`{"satelites": 3}`)); err == nil {
+	if _, err := ParseSchedule(strings.NewReader(`{"initial": {"satelites": 3}}`)); err == nil {
 		t.Fatal("typoed field must error (unknown fields disallowed)")
 	}
-	if _, err := ParseSpec(strings.NewReader(`{"min_satellites": 5, "max_satellites": 2}`)); err == nil {
+	if _, err := ParseSchedule(strings.NewReader(`{"initial": {"min_satellites": 5, "max_satellites": 2}}`)); err == nil {
 		t.Fatal("min > max must error")
 	}
 
-	sc, err := ParseSchedule(strings.NewReader(`{
+	sc, err = ParseSchedule(strings.NewReader(`{
 		"initial": {"satellites": 4},
 		"schedule": [
 			{"at": "10m", "spec": {"satellites": 2}},
@@ -262,7 +263,6 @@ SatelliteMax=4
 CordonedSatellites=sat2
 ReconcileInterval=45s
 DrainDeadline=2m
-TreeWidth=30
 `))
 	if err != nil {
 		t.Fatal(err)
@@ -276,9 +276,6 @@ TreeWidth=30
 	}
 	if len(spec.Cordoned) != 1 || spec.Cordoned[0] != 2 {
 		t.Fatalf("cordon mapping: %v (sat2 is the 2nd satellite host = node ID 2)", spec.Cordoned)
-	}
-	if spec.TreeWidth != 30 {
-		t.Fatalf("tree width: %d", spec.TreeWidth)
 	}
 	if opts.Interval != 45*time.Second || opts.DrainDeadline != 2*time.Minute {
 		t.Fatalf("opts: %+v", opts)

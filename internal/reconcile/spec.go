@@ -12,7 +12,8 @@ import (
 )
 
 // Duration is a time.Duration that unmarshals from JSON either as a Go
-// duration string ("150s", "5m") or as an integer nanosecond count.
+// duration string ("150s", "5m") or as an integer nanosecond count; a
+// mutation's At is one.
 type Duration time.Duration
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -43,9 +44,10 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 }
 
 // Spec is the declarative cluster spec the reconciler drives toward: the
-// desired satellite count with replica bounds, administratively cordoned
-// satellites, and the runtime-tunable ESlurm parameters. Zero values mean
-// "unset / keep the current setting".
+// desired satellite count with replica bounds and the administratively
+// cordoned satellites. The master's own parameters (tree width,
+// reallocation limit, heartbeat cadence) are not part of it: they come
+// from core.Config when the master is built.
 type Spec struct {
 	// Satellites is the desired number of schedulable (non-cordoned)
 	// satellites in service.
@@ -58,10 +60,6 @@ type Spec struct {
 	// gracefully drained (in-flight tasks resolve up to the deadline) and
 	// kept DOWN while it remains in the spec.
 	Cordoned []cluster.NodeID `json:"cordoned,omitempty"`
-	// ESlurm parameters carried by the spec (0 = keep current).
-	TreeWidth         int      `json:"tree_width,omitempty"`
-	ReallocLimit      int      `json:"realloc_limit,omitempty"`
-	HeartbeatInterval Duration `json:"heartbeat_interval,omitempty"`
 }
 
 // Normalized returns a copy with the cordon list sorted and deduplicated
@@ -97,9 +95,6 @@ func (s Spec) Validate() error {
 	if s.MaxSatellites > 0 && s.MinSatellites > s.MaxSatellites {
 		return fmt.Errorf("reconcile: min_satellites %d > max_satellites %d", s.MinSatellites, s.MaxSatellites)
 	}
-	if s.HeartbeatInterval < 0 {
-		return fmt.Errorf("reconcile: negative heartbeat_interval")
-	}
 	for _, id := range s.Cordoned {
 		if id <= 0 {
 			return fmt.Errorf("reconcile: cordoned ID %d is not a satellite (satellites are IDs 1..m)", id)
@@ -123,25 +118,13 @@ type Schedule struct {
 	Mutations []Mutation `json:"schedule,omitempty"`
 }
 
-// ParseSpec reads a single JSON spec. Unknown fields are errors, so a
-// typoed knob fails loudly instead of silently keeping a default.
-func ParseSpec(r io.Reader) (Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("reconcile: parsing spec: %v", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s.Normalized(), nil
-}
-
 // ParseSchedule reads a JSON spec schedule: {"initial": {...},
-// "schedule": [{"at": "5m", "spec": {...}}, ...]}. Mutations are sorted
-// by time (stably, so equal-time mutations keep file order and the
-// resulting engine schedule is deterministic).
+// "schedule": [{"at": "5m", "spec": {...}}, ...]}, the one JSON entry
+// point. Unknown fields are errors, so a typoed knob (or a master
+// parameter such as tree_width, which a spec does not carry) fails loudly
+// instead of silently keeping a default. Mutations are sorted by time
+// (stably, so equal-time mutations keep file order and the resulting
+// engine schedule is deterministic).
 func ParseSchedule(r io.Reader) (*Schedule, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -173,12 +156,9 @@ func ParseSchedule(r io.Reader) (*Schedule, error) {
 // layout. An unset target defaults to the full satellite list.
 func FromConfig(c *config.Config) (Spec, Config, error) {
 	s := Spec{
-		Satellites:        c.SatelliteTarget,
-		MinSatellites:     c.SatelliteMin,
-		MaxSatellites:     c.SatelliteMax,
-		TreeWidth:         c.TreeWidth,
-		ReallocLimit:      c.ReallocLimit,
-		HeartbeatInterval: Duration(c.HeartbeatInterval),
+		Satellites:    c.SatelliteTarget,
+		MinSatellites: c.SatelliteMin,
+		MaxSatellites: c.SatelliteMax,
 	}
 	if s.Satellites == 0 {
 		s.Satellites = len(c.SatelliteNodes)

@@ -6,34 +6,58 @@ import (
 	"time"
 )
 
-// Table-driven error-path coverage for the spec parsers: every rejection
-// branch in ParseSpec/ParseSchedule/Validate, with a substring of the
+// Table-driven error-path coverage for the schedule parser: every
+// rejection branch in ParseSchedule/Validate, with a substring of the
 // diagnostic pinned so a refactor cannot silently swap one error for a
 // vaguer one.
 
+// specForms places one spec and one mutation time in a schedule both
+// ways round: the spec as the initial spec, and the spec as the
+// mutation's.
+func specForms(spec, at string) []string {
+	return []string{
+		`{"initial": ` + spec + `, "schedule": [{"at": ` + at + `, "spec": {}}]}`,
+		`{"initial": {}, "schedule": [{"at": ` + at + `, "spec": ` + spec + `}]}`,
+	}
+}
+
+// TestParseSpecErrors runs each spec both as the initial spec and as a
+// mutation's spec.
 func TestParseSpecErrors(t *testing.T) {
 	cases := []struct {
 		name    string
 		in      string
+		at      string // the mutation's time; "" means "1m"
 		wantErr string // substring of the error; "" means must parse
 	}{
-		{"unknown field", `{"satelites": 3}`, `unknown field`},
-		{"unknown nested knob", `{"satellites": 2, "tree_widht": 50}`, `unknown field`},
-		{"not json", `satellites = 3`, `parsing spec`},
-		{"wrong type", `{"satellites": "three"}`, `parsing spec`},
-		{"bad duration string", `{"heartbeat_interval": "150 parsecs"}`, `bad duration`},
-		{"negative target", `{"satellites": -1}`, `negative satellite counts`},
-		{"negative min", `{"min_satellites": -2}`, `negative satellite counts`},
-		{"min over max", `{"min_satellites": 5, "max_satellites": 2}`, `min_satellites 5 > max_satellites 2`},
-		{"negative heartbeat", `{"heartbeat_interval": "-10s"}`, `negative heartbeat_interval`},
-		{"cordoned master", `{"cordoned": [0]}`, `not a satellite`},
-		{"cordoned negative", `{"cordoned": [-3]}`, `not a satellite`},
-		{"zero min is unbounded", `{"min_satellites": 0, "max_satellites": 2, "satellites": 1}`, ``},
+		{"unknown field", `{"satelites": 3}`, ``, `unknown field`},
+		{"unknown nested knob", `{"satellites": 2, "tree_widht": 50}`, ``, `unknown field`},
+		{"not json", `satellites = 3`, ``, `parsing spec`},
+		{"wrong type", `{"satellites": "three"}`, ``, `parsing spec`},
+		{"bad duration string", `{}`, `"150 parsecs"`, `bad duration`},
+		{"negative target", `{"satellites": -1}`, ``, `negative satellite counts`},
+		{"negative min", `{"min_satellites": -2}`, ``, `negative satellite counts`},
+		{"min over max", `{"min_satellites": 5, "max_satellites": 2}`, ``, `min_satellites 5 > max_satellites 2`},
+		// The master's parameters reach it only through core.Config, so a
+		// spec naming one is rejected whatever its value.
+		{"negative heartbeat", `{"heartbeat_interval": "-10s"}`, ``, `unknown field "heartbeat_interval"`},
+		{"heartbeat interval", `{"satellites": 2, "heartbeat_interval": "150s"}`, ``, `unknown field "heartbeat_interval"`},
+		{"tree width", `{"satellites": 2, "tree_width": 50}`, ``, `unknown field "tree_width"`},
+		{"realloc limit", `{"satellites": 2, "realloc_limit": 2}`, ``, `unknown field "realloc_limit"`},
+		{"cordoned master", `{"cordoned": [0]}`, ``, `not a satellite`},
+		{"cordoned negative", `{"cordoned": [-3]}`, ``, `not a satellite`},
+		{"zero min is unbounded", `{"min_satellites": 0, "max_satellites": 2, "satellites": 1}`, ``, ``},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseSpec(strings.NewReader(tc.in))
-			checkParseErr(t, err, tc.wantErr)
+			at := tc.at
+			if at == "" {
+				at = `"1m"`
+			}
+			for _, in := range specForms(tc.in, at) {
+				_, err := ParseSchedule(strings.NewReader(in))
+				checkParseErr(t, err, tc.wantErr)
+			}
 		})
 	}
 }
@@ -84,8 +108,9 @@ func checkParseErr(t *testing.T, err error, want string) {
 }
 
 // TestParseSpecClampsThroughParse: the parser returns normalized specs,
-// so a target outside [min, max] is already clamped by the time a caller
-// sees it — the reconciler never observes an out-of-bounds target.
+// initial and mutation alike, so a target outside [min, max] is already
+// clamped by the time a caller sees it — the reconciler never observes an
+// out-of-bounds target.
 func TestParseSpecClampsThroughParse(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,12 +123,19 @@ func TestParseSpecClampsThroughParse(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := ParseSpec(strings.NewReader(tc.in))
+			forms := specForms(tc.in, `"1m"`)
+			initial, err := ParseSchedule(strings.NewReader(forms[0]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Satellites != tc.want {
-				t.Fatalf("Satellites = %d, want %d", s.Satellites, tc.want)
+			mutated, err := ParseSchedule(strings.NewReader(forms[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []Spec{initial.Initial, mutated.Mutations[0].Spec} {
+				if s.Satellites != tc.want {
+					t.Fatalf("Satellites = %d, want %d", s.Satellites, tc.want)
+				}
 			}
 		})
 	}

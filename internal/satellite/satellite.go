@@ -125,7 +125,6 @@ type Satellite struct {
 
 	// Counters for Table VI reporting.
 	TasksReceived int
-	TasksFailed   int
 	NodesServed   int
 }
 
@@ -202,7 +201,6 @@ func (s *Satellite) Transition(ev Event, now time.Duration) (State, error) {
 				s.state = Running
 			}
 		case EvBTFailure:
-			s.TasksFailed++
 			s.enterFault(now)
 		case EvHBSuccess:
 			// absorbed

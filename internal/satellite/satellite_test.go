@@ -60,8 +60,8 @@ func TestBTFailureFaults(t *testing.T) {
 	if s.FaultSince() != 5*time.Minute {
 		t.Errorf("FaultSince = %v", s.FaultSince())
 	}
-	if s.TasksFailed != 1 {
-		t.Errorf("TasksFailed = %d", s.TasksFailed)
+	if s.State() != Fault {
+		t.Errorf("State after BT-failure = %v, want FAULT", s.State())
 	}
 	// Recovery via heartbeat.
 	st, _ = s.Transition(EvHBSuccess, 6*time.Minute)
