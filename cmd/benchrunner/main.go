@@ -218,16 +218,18 @@ type perfRecord struct {
 
 // An expRecord is one experiment's line: the events its engines ran, the
 // messages its broadcasters sent (comm.messages, retries included), so
-// events per message is read off the record, and the model fits and SVR
-// sweeps of its estimator replays and framework-planned schedules
-// (estimate.Work; zero for an experiment that fits no model).
+// events per message is read off the record, and the model fits, SVR
+// sweeps and Tobit Newton steps of its estimator replays and
+// framework-planned schedules (estimate.Work; zero for an experiment that
+// fits no model).
 type expRecord struct {
-	ID        string `json:"id"`
-	Artifact  string `json:"artifact"`
-	Events    uint64 `json:"events"`
-	Messages  int64  `json:"messages"`
-	Fits      int64  `json:"fits"`
-	SVRSweeps int64  `json:"svr_sweeps"`
+	ID         string `json:"id"`
+	Artifact   string `json:"artifact"`
+	Events     uint64 `json:"events"`
+	Messages   int64  `json:"messages"`
+	Fits       int64  `json:"fits"`
+	SVRSweeps  int64  `json:"svr_sweeps"`
+	TobitSteps int64  `json:"tobit_steps"`
 }
 
 func writePerfRecord(path, preset string, results []experiment.Result) error {
@@ -239,12 +241,13 @@ func writePerfRecord(path, preset string, results []experiment.Result) error {
 			messages += e.Metrics.CounterValue("comm.messages")
 		}
 		rec.Experiments = append(rec.Experiments, expRecord{
-			ID:        r.Spec.ID,
-			Artifact:  r.Spec.Artifact,
-			Events:    r.Events,
-			Messages:  messages,
-			Fits:      r.Fits,
-			SVRSweeps: r.SVRSweeps,
+			ID:         r.Spec.ID,
+			Artifact:   r.Spec.Artifact,
+			Events:     r.Events,
+			Messages:   messages,
+			Fits:       r.Fits,
+			SVRSweeps:  r.SVRSweeps,
+			TobitSteps: r.TobitSteps,
 		})
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

@@ -82,16 +82,17 @@ func TestObservedRunsAreParallelInvariant(t *testing.T) {
 // fixes, so it is byte-identical at any -parallel and carries no
 // host or timing key — which is what lets CI compare a fresh record with
 // the committed BENCH_quick.json by diff. An engine experiment records
-// events and messages; table8, an estimator replay, records fits and SVR
-// sweeps and no event; fig10 and the ablation, whose schedules plan with
-// the estimation framework, record both; no other experiment fits a
+// events and messages; table8 and fig11b, estimator replays, record fits
+// and SVR sweeps and no event, and fig11b, whose TRIP row fits Tobit
+// models, its Tobit steps; fig10 and the ablation, whose schedules plan
+// with the estimation framework, record both; no other experiment fits a
 // model.
 func TestPerfRecordIsExact(t *testing.T) {
 	dir := t.TempDir()
 	record := func(parallel string) []byte {
 		path := filepath.Join(dir, "bench-"+parallel+".json")
 		var out, errs bytes.Buffer
-		args := []string{"-exp", "fig8a,fig8b,table8,fig10,ablation,ablation-width,rack-outage", "-parallel", parallel, "-json", path}
+		args := []string{"-exp", "fig8a,fig8b,table8,fig10,fig11b,ablation,ablation-width,rack-outage", "-parallel", parallel, "-json", path}
 		if code := run(args, &out, &errs); code != 0 {
 			t.Fatalf("benchrunner %v: exit %d\n%s", args, code, errs.String())
 		}
@@ -129,19 +130,22 @@ func TestPerfRecordIsExact(t *testing.T) {
 	if got, want := keys(top), "experiments,preset,total_events"; got != want {
 		t.Errorf("record keys %s, want %s", got, want)
 	}
-	if rec.Preset != "quick" || len(rec.Experiments) != 7 {
-		t.Fatalf("record has preset %q and %d experiments, want quick and 7", rec.Preset, len(rec.Experiments))
+	if rec.Preset != "quick" || len(rec.Experiments) != 8 {
+		t.Fatalf("record has preset %q and %d experiments, want quick and 8", rec.Preset, len(rec.Experiments))
 	}
 	var sum uint64
 	for _, e := range rec.Experiments {
-		if got, want := keys(e), "artifact,events,fits,id,messages,svr_sweeps"; got != want {
+		if got, want := keys(e), "artifact,events,fits,id,messages,svr_sweeps,tobit_steps"; got != want {
 			t.Errorf("experiment %v keys %s, want %s", e["id"], got, want)
 		}
 		n, _ := e["events"].(float64)
 		fits, _ := e["fits"].(float64)
 		sweeps, _ := e["svr_sweeps"].(float64)
+		if steps, _ := e["tobit_steps"].(float64); (steps > 0) != (e["id"] == "fig11b") {
+			t.Errorf("%v recorded %v Tobit steps; only fig11b fits Tobit models", e["id"], steps)
+		}
 		switch e["id"] {
-		case "table8", "fig10", "ablation":
+		case "table8", "fig11b", "fig10", "ablation":
 			if fits <= 0 || sweeps < fits {
 				t.Errorf("%v recorded %v fits and %v SVR sweeps; want some, and more sweeps than fits", e["id"], fits, sweeps)
 			}
@@ -150,7 +154,7 @@ func TestPerfRecordIsExact(t *testing.T) {
 				t.Errorf("experiment %v recorded %v fits and %v SVR sweeps", e["id"], fits, sweeps)
 			}
 		}
-		if e["id"] == "table8" {
+		if e["id"] == "table8" || e["id"] == "fig11b" {
 			if n != 0 {
 				t.Errorf("table8 recorded %v events", n)
 			}

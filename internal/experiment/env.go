@@ -28,10 +28,10 @@ import (
 type Env struct {
 	spans   bool           // arm span recording on every engine as it is obtained
 	engines []EngineRecord // one per engine obtained, in creation order
-	// fits and svrSweeps count the model fits of the estimator replays
-	// and framework-planned schedules run through this Env (countFits),
-	// its sideBySide rows' included.
-	fits, svrSweeps int64
+	// fits, svrSweeps and tobitSteps count the model fits of the
+	// estimator replays and framework-planned schedules run through this
+	// Env (countFits), its sideBySide rows' included.
+	fits, svrSweeps, tobitSteps int64
 }
 
 // An EngineRecord is what observers read of one engine once the row that
@@ -107,6 +107,7 @@ func sideBySide[T any](env *Env, n int, run func(i int, env *Env) T) []T {
 		env.engines = append(env.engines, kid.engines...)
 		env.fits += kid.fits
 		env.svrSweeps += kid.svrSweeps
+		env.tobitSteps += kid.tobitSteps
 	}
 	return out
 }

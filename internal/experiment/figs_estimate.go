@@ -78,6 +78,7 @@ func Fig5(jobsPerTrace int) []*Table {
 func (env *Env) countFits(w estimate.Work) {
 	env.fits += w.Fits
 	env.svrSweeps += w.SVRSweeps
+	env.tobitSteps += w.TobitSteps
 }
 
 // Fig11b reproduces the runtime-estimator comparison: AEA and

@@ -20,7 +20,7 @@ import (
 
 // Result is one experiment's tables plus the harness-side stats
 // benchrunner reports on stderr; its -json perf record keeps only the
-// exact ones, Events, Fits and SVRSweeps.
+// exact ones, Events, Fits, SVRSweeps and TobitSteps.
 type Result struct {
 	Spec   Spec
 	Tables []*Table
@@ -34,9 +34,10 @@ type Result struct {
 	Events uint64
 	// Fits counts the model fits of the estimator replays and
 	// framework-planned schedules the experiment ran (estimate.Work),
-	// SVRSweeps the sweeps of its SVR fits; both are zero for the
-	// experiments that fit no model.
-	Fits, SVRSweeps int64
+	// SVRSweeps the sweeps of its SVR fits and TobitSteps the Newton
+	// steps of its Tobit fits; all are zero for the experiments that fit
+	// no model.
+	Fits, SVRSweeps, TobitSteps int64
 	// Engines holds a record of every engine the experiment obtained, in
 	// creation order. Records keep what the observability flags read and
 	// nothing of the simulations, so a suite run holds no finished
@@ -86,7 +87,7 @@ func runOne(s Spec, p Params, spans bool) Result {
 	tables := s.Run(env, p)
 	wall := stop()
 	env.release()
-	r := Result{Spec: s, Tables: tables, Wall: wall, Fits: env.fits, SVRSweeps: env.svrSweeps, Engines: env.engines}
+	r := Result{Spec: s, Tables: tables, Wall: wall, Fits: env.fits, SVRSweeps: env.svrSweeps, TobitSteps: env.tobitSteps, Engines: env.engines}
 	for _, rec := range r.Engines {
 		r.Events += rec.Processed
 	}

@@ -157,11 +157,39 @@ func seedPlusPlus(samples [][]float64, groups rowGroups, k int, rng *rand.Rand) 
 // K returns the number of clusters.
 func (k *KMeans) K() int { return len(k.Centroids) }
 
-// Nearest returns the index of the closest centroid to x.
+// Nearest returns the index of the closest centroid to x, the first one
+// on ties: the argmin of SqDist, with its bits. It adds each distance's
+// terms in SqDist's order, and drops a centroid once the partial sum after
+// a block of 4 terms reaches the best distance so far: adding non-negative
+// terms never lowers a float sum, so the full sum could not win either,
+// and a NaN or +Inf distance fails d < bestD as it would whole. One test
+// per block rather than per term keeps the loop as fast as SqDist's where
+// nothing is dropped.
 func (k *KMeans) Nearest(x []float64) int {
 	best, bestD := 0, math.Inf(1)
 	for c, cen := range k.Centroids {
-		if d := SqDist(x, cen); d < bestD {
+		if len(cen) != len(x) {
+			panic("mlkit: SqDist length mismatch")
+		}
+		d, j := 0.0, 0
+		for ; j+4 <= len(x); j += 4 {
+			d0, d1, d2, d3 := x[j]-cen[j], x[j+1]-cen[j+1], x[j+2]-cen[j+2], x[j+3]-cen[j+3]
+			d += d0 * d0
+			d += d1 * d1
+			d += d2 * d2
+			d += d3 * d3
+			if d >= bestD {
+				break
+			}
+		}
+		if d >= bestD {
+			continue
+		}
+		for ; j < len(x); j++ {
+			dj := x[j] - cen[j]
+			d += dj * dj
+		}
+		if d < bestD {
 			best, bestD = c, d
 		}
 	}

@@ -253,3 +253,62 @@ func TestSeedPlusPlusRouletteRoundingFallsBackToLastWeighted(t *testing.T) {
 		t.Errorf("second centroid = %v, want the last weighted sample %v", cs[1][0], want)
 	}
 }
+
+// nearestBrute is the reference nearest-centroid rule: the full SqDist to
+// every centroid, the first index winning ties.
+func nearestBrute(centroids [][]float64, x []float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cen := range centroids {
+		if d := SqDist(x, cen); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// TestNearestMatchesBruteForce holds the pruned Nearest to the full-SqDist
+// argmin at every dimension from 1 to 17, so every block-of-4 tail length
+// is covered: on drawn rows, on rows equal to a centroid that is repeated
+// (a tie, first index wins) or to one an ulp from an earlier centroid (a
+// near tie), and on rows and centroids holding ±Inf and NaN components.
+func TestNearestMatchesBruteForce(t *testing.T) {
+	odd := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), 1e300}
+	for dim := 1; dim <= 17; dim++ {
+		rng := rand.New(rand.NewSource(int64(100 + dim)))
+		draw := func(oddShare float64) []float64 {
+			v := make([]float64, dim)
+			for j := range v {
+				if rng.Float64() < oddShare {
+					v[j] = odd[rng.Intn(len(odd))]
+				} else {
+					v[j] = rng.NormFloat64() * float64(1+rng.Intn(3))
+				}
+			}
+			return v
+		}
+		for trial := 0; trial < 40; trial++ {
+			oddShare := []float64{0, 0, 0.05, 0.3}[trial%4]
+			km := &KMeans{}
+			for c := 1 + rng.Intn(20); c > 0; c-- {
+				km.Centroids = append(km.Centroids, draw(oddShare/2))
+			}
+			// Repeat a centroid so that a row equal to it ties, and add
+			// one an ulp away in its last component so that a row equal
+			// to that one is nearer to it by a hair.
+			tie := km.Centroids[rng.Intn(len(km.Centroids))]
+			near := append([]float64(nil), tie...)
+			near[dim-1] = math.Nextafter(near[dim-1], math.Inf(1))
+			km.Centroids = append(km.Centroids, append([]float64(nil), tie...), near)
+			rows := [][]float64{tie, append([]float64(nil), tie...), near}
+			for i := 0; i < 50; i++ {
+				rows = append(rows, draw(oddShare))
+			}
+			for i, x := range rows {
+				if got, want := km.Nearest(x), nearestBrute(km.Centroids, x); got != want {
+					t.Fatalf("dim %d trial %d row %d: Nearest = %d, full-SqDist argmin = %d\nrow %v\ncentroids %v",
+						dim, trial, i, got, want, x, km.Centroids)
+				}
+			}
+		}
+	}
+}

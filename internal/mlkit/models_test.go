@@ -408,61 +408,206 @@ func TestTobitCorrectsCensorBias(t *testing.T) {
 }
 
 // TestTobitUncensoredSolvesNormalEquations: with no censored rows the
-// Tobit likelihood in w is the least-squares objective, so the fit must
-// land on the OLS solution. Every fitted value is held to 1e-4 of the fit
+// Tobit likelihood in β is the least-squares objective, so the fit must
+// land on the OLS solution. Every fitted value is held to 1e-6 of the fit
 // mlkit.Solve returns for the normal equations XᵀXβ = Xᵀy (X with the
-// intercept column), at pairwise feature correlation 0, 0.5 and 0.9.
-//
-// The check holds only where the fixed-step ascent converges inside its
-// default 400 steps, which at ρ = 0.9 is a noise band around 0.3: at 0.1
-// the step overshoots and the fit diverges, at 0.5 and 1.0 it stops at the
-// cap 2e-3 and 0.17 from OLS. ROADMAP item 5 carries the optimizer fix.
+// intercept column), at pairwise feature correlation 0, 0.5 and 0.9 and
+// noise 0.1, 0.3 and 1.0. Two designs are rank-deficient, as a TRIP window
+// whose hashed name or user column is constant or repeats another column:
+// there OLS runs on the independent columns, since the fitted values do not
+// depend on how the fit splits weight between equal columns.
 func TestTobitUncensoredSolvesNormalEquations(t *testing.T) {
 	const n, p = 400, 5
-	for _, rho := range []float64{0, 0.5, 0.9} {
-		rng := rand.New(rand.NewSource(14))
+	type design struct {
+		name string
+		rho  float64
+		// tie, if set, overwrites feature 4 of each row; keep lists the
+		// features OLS uses.
+		tie  func(row []float64) float64
+		keep []int
+	}
+	all := []int{0, 1, 2, 3, 4}
+	designs := []design{
+		{name: "rho 0", rho: 0, keep: all},
+		{name: "rho 0.5", rho: 0.5, keep: all},
+		{name: "rho 0.9", rho: 0.9, keep: all},
+		{name: "constant column", rho: 0.5, tie: func([]float64) float64 { return -1 }, keep: []int{0, 1, 2, 3}},
+		{name: "duplicated column", rho: 0.5, tie: func(row []float64) float64 { return row[2] }, keep: []int{0, 1, 2, 3}},
+	}
+	for _, d := range designs {
+		for _, noise := range []float64{0.1, 0.3, 1.0} {
+			rng := rand.New(rand.NewSource(14))
+			xs := make([][]float64, n)
+			ys := make([]float64, n)
+			cens := make([]bool, n)
+			for i := range xs {
+				// x_j = √ρ·z₀ + √(1−ρ)·z_j gives every feature pair correlation ρ.
+				z0 := rng.NormFloat64()
+				xs[i] = make([]float64, p)
+				for j := range xs[i] {
+					xs[i][j] = math.Sqrt(d.rho)*z0 + math.Sqrt(1-d.rho)*rng.NormFloat64()
+				}
+				if d.tie != nil {
+					xs[i][4] = d.tie(xs[i])
+				}
+				ys[i] = 1 + 2*xs[i][0] - xs[i][1] + 0.5*xs[i][3] + noise*rng.NormFloat64()
+			}
+
+			k := len(d.keep) + 1
+			ata := NewMatrix(k, k)
+			aty := make([]float64, k)
+			row := func(i int) []float64 {
+				r := make([]float64, 0, k)
+				for _, j := range d.keep {
+					r = append(r, xs[i][j])
+				}
+				return append(r, 1)
+			}
+			for i := range xs {
+				xi := row(i)
+				for r := range xi {
+					for c := range xi {
+						ata.Data[r*k+c] += xi[r] * xi[c]
+					}
+					aty[r] += xi[r] * ys[i]
+				}
+			}
+			beta, err := Solve(ata, aty)
+			if err != nil {
+				t.Fatalf("%s, noise %v: normal equations: %v", d.name, noise, err)
+			}
+
+			m := TobitFit(xs, ys, cens, TobitConfig{})
+			worst := 0.0
+			for i := range xs {
+				ols := 0.0
+				for j, v := range row(i) {
+					ols += beta[j] * v
+				}
+				worst = max(worst, math.Abs(m.Predict(xs[i])-ols))
+			}
+			t.Logf("%s, noise %v: %d Newton steps, worst |Tobit - OLS| = %.2g", d.name, noise, m.Iterations(), worst)
+			if worst > 1e-6 {
+				t.Errorf("%s, noise %v: a fitted value is %.2g from the OLS fit after %d steps, want <= 1e-6", d.name, noise, worst, m.Iterations())
+			}
+
+		}
+	}
+}
+
+// olsenLogLik is the right-censored Tobit log-likelihood, less its
+// constant, in Olsen's parametrization par = (γ with the intercept last,
+// θ), written out for the test from the textbook density: an uncensored y
+// adds log θ − (θy − x·γ)²/2, one censored at y adds log(1 − Φ(θy − x·γ)).
+// score returns its gradient.
+func olsenLogLik(xs [][]float64, ys []float64, cens []bool, par []float64) (ll float64, score []float64) {
+	p := len(par) - 1
+	theta := par[p]
+	score = make([]float64, len(par))
+	for i, x := range xs {
+		z := theta*ys[i] - par[p-1]
+		for j, v := range x {
+			z -= par[j] * v
+		}
+		// dℓᵢ/dz, and ∂z/∂γ = −(x, 1), ∂z/∂θ = y.
+		var dz float64
+		if cens[i] {
+			surv := 0.5 * math.Erfc(z/math.Sqrt2)
+			ll += math.Log(surv)
+			dz = -math.Exp(-z*z/2) / math.Sqrt(2*math.Pi) / surv
+		} else {
+			ll += math.Log(theta) - z*z/2
+			dz = -z
+			score[p] += 1 / theta
+		}
+		for j, v := range x {
+			score[j] -= dz * v
+		}
+		score[p-1] -= dz
+		score[p] += dz * ys[i]
+	}
+	return ll, score
+}
+
+// TestTobitCensoredFitIsTheMaximum holds a censored fit to the first- and
+// second-order conditions of its optimum, in the standardized space the fit
+// runs in: every component of the score is at most 1e-6·n, and moving any
+// one parameter by ±h does not raise the log-likelihood. Feature 3 is
+// feature 0 plus log2 24, as log cores is log nodes at 24 cores a node:
+// the two standardize to the same column up to rounding, and the fit must
+// split their weight evenly rather than along the rounding.
+func TestTobitCensoredFitIsTheMaximum(t *testing.T) {
+	const n = 700
+	for _, seed := range []int64{21, 22, 23} {
+		rng := rand.New(rand.NewSource(seed))
 		xs := make([][]float64, n)
 		ys := make([]float64, n)
 		cens := make([]bool, n)
+		censored := 0
 		for i := range xs {
-			// x_j = √ρ·z₀ + √(1−ρ)·z_j gives every feature pair correlation ρ.
-			z0 := rng.NormFloat64()
-			xs[i] = make([]float64, p)
-			for j := range xs[i] {
-				xs[i][j] = math.Sqrt(rho)*z0 + math.Sqrt(1-rho)*rng.NormFloat64()
-			}
-			ys[i] = 1 + 2*xs[i][0] - xs[i][1] + 0.5*xs[i][3] + 0.3*rng.NormFloat64()
-		}
-
-		ata := NewMatrix(p+1, p+1)
-		aty := make([]float64, p+1)
-		row := func(i int) []float64 { return append(append([]float64(nil), xs[i]...), 1) }
-		for i := range xs {
-			xi := row(i)
-			for r := range xi {
-				for c := range xi {
-					ata.Data[r*(p+1)+c] += xi[r] * xi[c]
-				}
-				aty[r] += xi[r] * ys[i]
+			x0 := rng.NormFloat64()
+			xs[i] = []float64{x0, rng.NormFloat64(), rng.Float64(), x0 + math.Log2(24)}
+			ys[i] = 1 + 2*xs[i][0] - xs[i][1] + 0.5*rng.NormFloat64()
+			if limit := 2.0; ys[i] >= limit {
+				ys[i], cens[i] = limit, true
+				censored++
 			}
 		}
-		beta, err := Solve(ata, aty)
-		if err != nil {
-			t.Fatalf("rho %v: normal equations: %v", rho, err)
-		}
-
 		m := TobitFit(xs, ys, cens, TobitConfig{})
-		worst := 0.0
-		for i := range xs {
-			ols := 0.0
-			for j, v := range row(i) {
-				ols += beta[j] * v
-			}
-			worst = max(worst, math.Abs(m.Predict(xs[i])-ols))
+
+		sx := m.xs.TransformAll(xs)
+		sy := make([]float64, n)
+		for i, v := range ys {
+			sy[i] = (v - m.yMean) / m.yStd
 		}
-		t.Logf("rho %v: %d iterations, worst |Tobit - OLS| = %.2g", rho, m.Iterations(), worst)
-		if worst > 1e-4 {
-			t.Errorf("rho %v: a fitted value is %.2g from the OLS fit after %d iterations, want <= 1e-4", rho, worst, m.Iterations())
+		theta := 1 / m.Sigma
+		par := make([]float64, len(m.Weights)+1)
+		for j, w := range m.Weights {
+			par[j] = w * theta
+		}
+		par[len(par)-1] = theta
+
+		ll, score := olsenLogLik(sx, sy, cens, par)
+		for j, g := range score {
+			if math.Abs(g) > 1e-6*n {
+				t.Errorf("seed %d: score component %d is %.3g, want |·| <= %g", seed, j, g, 1e-6*n)
+			}
+		}
+		const h = 1e-3
+		for j := range par {
+			for _, dir := range []float64{-h, h} {
+				moved := append([]float64(nil), par...)
+				moved[j] += dir
+				if l, _ := olsenLogLik(sx, sy, cens, moved); l > ll {
+					t.Errorf("seed %d: moving parameter %d by %+g raises ℓ from %.12g to %.12g", seed, j, dir, ll, l)
+				}
+			}
+		}
+		t.Logf("seed %d: %d of %d censored, %d Newton steps, ℓ = %.6f", seed, censored, n, m.Iterations(), ll)
+		if w0, w3 := m.Weights[0], m.Weights[3]; math.Abs(w0-w3) > 1e-3 {
+			t.Errorf("seed %d: features 0 and 3 are one column, weighted %.6g and %.6g", seed, w0, w3)
+		}
+		if m.Iterations() >= 400 {
+			t.Errorf("seed %d: the fit ran to its step cap", seed)
+		}
+	}
+}
+
+// TestLogNormCDFMatchesErfcReference holds log Φ(a) and λ = φ(a)/Φ(a) to
+// the values 0.5·erfc(−a/√2) gives, across the erf branch, the
+// continued-fraction branch and the switch between them, down to where
+// Φ(a) nears the smallest normal float64.
+func TestLogNormCDFMatchesErfcReference(t *testing.T) {
+	for a := -37.0; a <= 8; a += 0.01 {
+		p := 0.5 * math.Erfc(-a/math.Sqrt2)
+		wantLog := math.Log(p)
+		wantLambda := math.Exp(-a*a/2) / math.Sqrt(2*math.Pi) / p
+		gotLog, gotLambda := logNormCDF(a)
+		if e := math.Abs(gotLog-wantLog) / max(1, math.Abs(wantLog)); e > 1e-11 {
+			t.Errorf("a = %.2f: log Φ = %.17g, erfc gives %.17g (rel. error %.2g)", a, gotLog, wantLog, e)
+		}
+		if e := math.Abs(gotLambda-wantLambda) / wantLambda; e > 1e-11 {
+			t.Errorf("a = %.2f: λ = %.17g, erfc gives %.17g (rel. error %.2g)", a, gotLambda, wantLambda, e)
 		}
 	}
 }

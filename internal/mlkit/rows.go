@@ -3,7 +3,6 @@ package mlkit
 import (
 	"cmp"
 	"math"
-	"slices"
 )
 
 // rowGroups partitions the rows of a sample matrix into classes of
@@ -27,39 +26,47 @@ type rowGroups struct {
 // groupRows classes rows by math.Float64bits of every component: -0 and +0,
 // and NaNs with different payloads, stay apart (arithmetic can tell them
 // apart), while NaNs with equal payloads merge (it cannot).
+//
+// One pass over the rows: an open-addressing table keyed by rowHash holds
+// 1 + the class of each hash slot's first row, and compareBits confirms a
+// match, so a row either joins the class of an earlier equal row or opens
+// the next class.
 func groupRows(rows [][]float64) rowGroups {
-	// Sorting the indices by row bits, ties by index, lays equal rows side
-	// by side with the first occurrence leading each run.
-	order := make([]int, len(rows))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := compareBits(rows[a], rows[b]); c != 0 {
-			return c
-		}
-		return a - b
-	})
-	// First of[i] is the index of the row leading i's run, then, walking the
-	// rows in order so that every leader is numbered before its copies, the
-	// run's class.
 	g := rowGroups{of: make([]int, len(rows))}
-	for k, i := range order {
-		if k > 0 && compareBits(rows[order[k-1]], rows[i]) == 0 {
-			g.of[i] = g.of[order[k-1]]
-		} else {
-			g.of[i] = i
-		}
+	size := 1
+	for size < 2*len(rows) {
+		size <<= 1
 	}
-	for i, lead := range g.of {
-		if lead == i {
-			g.of[i] = len(g.rep)
-			g.rep = append(g.rep, i)
-		} else {
-			g.of[i] = g.of[lead]
+	slot := make([]int32, size)
+	mask := uint64(size - 1)
+	for i, row := range rows {
+		for s := rowHash(row) & mask; ; s = (s + 1) & mask {
+			c := int(slot[s]) - 1
+			if c < 0 {
+				slot[s] = int32(len(g.rep) + 1)
+				g.of[i] = len(g.rep)
+				g.rep = append(g.rep, i)
+				break
+			}
+			if compareBits(rows[g.rep[c]], row) == 0 {
+				g.of[i] = c
+				break
+			}
 		}
 	}
 	return g
+}
+
+// rowHash mixes a row's length and component bits into 64 bits whose low
+// bits are as well spread as its high ones (the table masks them).
+func rowHash(row []float64) uint64 {
+	h := uint64(len(row))
+	for _, v := range row {
+		h = (h ^ math.Float64bits(v)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	h *= 0x94d049bb133111eb
+	return h ^ h>>29
 }
 
 // distinct returns the number of classes.

@@ -3,6 +3,7 @@ package mlkit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -89,5 +90,68 @@ func TestGroupRowsKeysOnBits(t *testing.T) {
 	}
 	if e := groupRows(nil); e.distinct() != 0 || len(e.of) != 0 {
 		t.Errorf("empty input grouped into %+v", e)
+	}
+}
+
+// groupRowsSorted is the reference grouping: sort the indices by row bits,
+// ties by index, so equal rows lie side by side with the first occurrence
+// leading each run, then number the runs in order of their leaders.
+func groupRowsSorted(rows [][]float64) rowGroups {
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := compareBits(rows[a], rows[b]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	g := rowGroups{of: make([]int, len(rows))}
+	for k, i := range order {
+		if k > 0 && compareBits(rows[order[k-1]], rows[i]) == 0 {
+			g.of[i] = g.of[order[k-1]]
+		} else {
+			g.of[i] = i
+		}
+	}
+	for i, lead := range g.of {
+		if lead == i {
+			g.of[i] = len(g.rep)
+			g.rep = append(g.rep, i)
+		} else {
+			g.of[i] = g.of[lead]
+		}
+	}
+	return g
+}
+
+// TestGroupRowsMatchesSortReference holds the hash-table grouping to the
+// sort-based one: the same classes in the same numbering. Rows draw their
+// components from a small set holding ±0 and two NaN payloads, so equal
+// bits, equal values with different bits and unequal NaNs all recur, and
+// the sizes sit on both sides of the powers of two the table is sized by.
+func TestGroupRowsMatchesSortReference(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002),
+		math.Inf(1),
+	}
+	for _, n := range []int{0, 1, 2, 3, 31, 32, 33, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025} {
+		for _, dim := range []int{0, 1, 3, 6} {
+			rng := rand.New(rand.NewSource(int64(n*10 + dim)))
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = make([]float64, dim)
+				for j := range rows[i] {
+					rows[i][j] = vals[rng.Intn(len(vals))]
+				}
+			}
+			got, want := groupRows(rows), groupRowsSorted(rows)
+			if !slices.Equal(got.rep, want.rep) || !slices.Equal(got.of, want.of) {
+				t.Fatalf("n %d dim %d: grouped into %d classes, reference %d\ngot  rep %v of %v\nwant rep %v of %v",
+					n, dim, got.distinct(), want.distinct(), got.rep, got.of, want.rep, want.of)
+			}
+		}
 	}
 }

@@ -140,8 +140,6 @@ type Subsystem struct {
 	rng        *rand.Rand
 	subs       []func(Alert)
 	indicators []string
-
-	falseAlerts int
 }
 
 // New builds the monitoring subsystem over a cluster. If
@@ -182,17 +180,11 @@ func (s *Subsystem) CMUCount() int {
 	return (s.BMUCount() + bmusPerCMU - 1) / bmusPerCMU
 }
 
-// FalseAlerts returns the number of spurious alerts delivered.
-func (s *Subsystem) FalseAlerts() int { return s.falseAlerts }
-
 // emit relays an alert BMU → CMU → SMU and then fans it to subscribers.
-func (s *Subsystem) emit(a Alert, spurious bool) {
+func (s *Subsystem) emit(a Alert) {
 	a.BMU, a.CMU = s.Units(a.Node)
 	s.engine.After(2*relayLatency, func() {
 		a.At = s.engine.Now()
-		if spurious {
-			s.falseAlerts++
-		}
 		for _, fn := range s.subs {
 			fn(a)
 		}
@@ -214,11 +206,11 @@ func (s *Subsystem) NoticeImpendingFailure(node cluster.NodeID, failAt time.Dura
 			at = s.engine.Now()
 		}
 		s.engine.Schedule(at, func() {
-			s.emit(Alert{Node: node, Indicator: ind, Severity: SevCritical}, false)
+			s.emit(Alert{Node: node, Indicator: ind, Severity: SevCritical})
 		})
 	}
 	s.engine.Schedule(failAt, func() {
-		s.emit(Alert{Node: node, Indicator: ind, Severity: SevFailure}, false)
+		s.emit(Alert{Node: node, Indicator: ind, Severity: SevFailure})
 		// Keep alarming while the node stays down (bounded, so permanent
 		// failures cannot pin the event loop forever).
 		repeats := 0
@@ -229,7 +221,7 @@ func (s *Subsystem) NoticeImpendingFailure(node cluster.NodeID, failAt time.Dura
 					return
 				}
 				repeats++
-				s.emit(Alert{Node: node, Indicator: ind, Severity: SevFailure}, false)
+				s.emit(Alert{Node: node, Indicator: ind, Severity: SevFailure})
 				again()
 			})
 		}
@@ -252,9 +244,9 @@ func (s *Subsystem) ObservePool(p *satellite.Pool) {
 		}
 		switch to {
 		case satellite.Fault:
-			s.emit(Alert{Node: sat.ID, Indicator: "satellite.pool", Severity: SevCritical}, false)
+			s.emit(Alert{Node: sat.ID, Indicator: "satellite.pool", Severity: SevCritical})
 		case satellite.Down:
-			s.emit(Alert{Node: sat.ID, Indicator: "satellite.pool", Severity: SevFailure}, false)
+			s.emit(Alert{Node: sat.ID, Indicator: "satellite.pool", Severity: SevFailure})
 		}
 	}
 }
@@ -273,7 +265,7 @@ func (s *Subsystem) startNoise() {
 		s.engine.After(gap, func() {
 			node := cluster.NodeID(s.rng.Intn(s.cluster.Size()))
 			ind := s.indicators[s.rng.Intn(len(s.indicators))]
-			s.emit(Alert{Node: node, Indicator: ind, Severity: SevWarning}, true)
+			s.emit(Alert{Node: node, Indicator: ind, Severity: SevWarning})
 			next()
 		})
 	}

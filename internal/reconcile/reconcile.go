@@ -85,10 +85,8 @@ type Status struct {
 	// SpecUpdates counts SetSpec calls (schedule mutations included).
 	SpecUpdates int
 	// Converged reports whether the cluster met the current spec at the
-	// end of the last round; ConvergedRound is the first round (1-based)
-	// that did so since the spec last changed (0 = not yet).
-	Converged      bool
-	ConvergedRound int
+	// end of the last round.
+	Converged bool
 }
 
 // nodeCtl is the reconciler's per-satellite control state: backoff and
@@ -114,10 +112,8 @@ type Reconciler struct {
 	ticker   *simnet.Ticker
 	ctl      map[cluster.NodeID]*nodeCtl
 	draining map[cluster.NodeID]bool
-	// converged and convergedRound are Status's two fields that are not
-	// registry counters.
-	converged      bool
-	convergedRound int
+	// converged is Status's one field that is not a registry counter.
+	converged bool
 
 	rounds         *obs.Counter
 	actions        *obs.Counter
@@ -178,16 +174,15 @@ func (r *Reconciler) Spec() Spec { return r.spec }
 // Status returns the current status summary.
 func (r *Reconciler) Status() Status {
 	return Status{
-		Rounds:         r.Rounds(),
-		Actions:        int(r.actions.Value()),
-		Promotes:       int(r.promotes.Value()),
-		Drains:         int(r.drains.Value()),
-		DrainsForced:   int(r.drainsForced.Value()),
-		Takeovers:      int(r.takeovers.Value()),
-		BreakerOpens:   int(r.breakerOpens.Value()),
-		SpecUpdates:    int(r.specUpdates.Value()),
-		Converged:      r.converged,
-		ConvergedRound: r.convergedRound,
+		Rounds:       r.Rounds(),
+		Actions:      int(r.actions.Value()),
+		Promotes:     int(r.promotes.Value()),
+		Drains:       int(r.drains.Value()),
+		DrainsForced: int(r.drainsForced.Value()),
+		Takeovers:    int(r.takeovers.Value()),
+		BreakerOpens: int(r.breakerOpens.Value()),
+		SpecUpdates:  int(r.specUpdates.Value()),
+		Converged:    r.converged,
 	}
 }
 
@@ -204,7 +199,6 @@ func (r *Reconciler) SetSpec(s Spec) {
 	r.spec = s.Normalized()
 	r.specUpdates.Inc()
 	r.converged = false
-	r.convergedRound = 0
 	r.convergedGauge.Set(0)
 	r.e.Tracer().Instant("reconcile.spec_update", 0,
 		obs.Int("satellites", r.spec.Satellites),
@@ -342,9 +336,6 @@ func (r *Reconciler) round() {
 	conv := r.convergedNow(target, cordonSet)
 	r.converged = conv
 	if conv {
-		if r.convergedRound == 0 {
-			r.convergedRound = r.Rounds()
-		}
 		r.convergedGauge.Set(1)
 	} else {
 		r.convergedGauge.Set(0)
