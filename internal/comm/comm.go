@@ -122,7 +122,9 @@ type Broadcaster struct {
 	SendOverhead time.Duration
 	// MaxConcurrent caps simultaneous outstanding connections per sender
 	// (daemon thread-pool / fd limit). Star broadcasts from one origin are
-	// throttled by this; tree fan-outs (≤ width) rarely are.
+	// throttled by this; tree fan-outs (≤ width) rarely are. It is read at
+	// every acquire, so set it before the first send, as rm.NewCentralized
+	// does.
 	MaxConcurrent int
 	// RecordResolved, when set, makes every Result carry the delivered
 	// targets' identities (Result.Resolved) for invariant checking.
@@ -136,7 +138,8 @@ type Broadcaster struct {
 	Lists ListPool
 
 	e        *simnet.Engine
-	limiters []*limiter // by sender NodeID (dense cluster indices), filled on a sender's first send
+	slots    []int32                       // connection slots in use, by sender NodeID
+	waiting  map[cluster.NodeID]*waitQueue // the queue of each sender that has reached MaxConcurrent
 	retryRng *rand.Rand
 	in       *instruments
 	spare    []*chain // released chains awaiting reuse
@@ -200,7 +203,7 @@ func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
 		SendOverhead:  30 * time.Microsecond,
 		MaxConcurrent: 128,
 		e:             c.Engine,
-		limiters:      make([]*limiter, c.Size()),
+		slots:         make([]int32, c.Size()),
 	}
 	return b
 }
@@ -235,47 +238,75 @@ func (p *ListPool) Put(l []cluster.NodeID) {
 	}
 }
 
-// limiter serializes access to a sender's connection slots: chains past
-// the limit wait in queue[head:], in dispatch order.
-type limiter struct {
-	max   int
-	inUse int
-	queue []*chain
+// waitQueue holds a saturated sender's waiting sends in items[head:], in
+// dispatch order. An item is one chain, or the rest of a Star's targets,
+// whose chains are made one at a time as slots free: a Star queues its
+// targets in one synchronous loop, so they are one contiguous run of the
+// queue, and one item keeps their order.
+type waitQueue struct {
+	items []waiter
 	head  int
 }
 
-func (b *Broadcaster) limiter(id cluster.NodeID) *limiter {
-	l := b.limiters[id]
-	if l == nil {
-		l = &limiter{max: b.MaxConcurrent}
-		b.limiters[id] = l
-	}
-	return l
+// waiter is one item of a waitQueue: a chain, or a star's run when c is nil.
+type waiter struct {
+	c    *chain
+	star *starRun
 }
 
-func (l *limiter) acquire(c *chain) {
-	if l.inUse < l.max {
-		l.inUse++
-		c.begin()
-		return
-	}
-	l.queue = append(l.queue, c)
+// full reports whether from has no free connection slot.
+func (b *Broadcaster) full(from cluster.NodeID) bool {
+	return int(b.slots[from]) >= b.MaxConcurrent
 }
 
-// release hands the slot to the longest-waiting chain, or frees it. The
-// popped slot is cleared and a drained queue rewinds to the front of its
-// array, so the queue never keeps a finished chain — and the broadcast
-// behind it — reachable, and a sender's next burst reuses the array.
-func (l *limiter) release() {
-	if l.head == len(l.queue) {
-		l.inUse--
+// wait queues w behind from's slots, making from's queue on its first wait.
+func (b *Broadcaster) wait(from cluster.NodeID, w waiter) {
+	q := b.waiting[from]
+	if q == nil {
+		if b.waiting == nil {
+			b.waiting = make(map[cluster.NodeID]*waitQueue)
+		}
+		q = new(waitQueue)
+		b.waiting[from] = q
+	}
+	q.items = append(q.items, w)
+}
+
+// acquire begins c in a free slot of its sender, or queues it.
+func (b *Broadcaster) acquire(c *chain) {
+	from := c.sender()
+	if b.full(from) {
+		b.wait(from, waiter{c: c})
 		return
 	}
-	next := l.queue[l.head]
-	l.queue[l.head] = nil
-	l.head++
-	if l.head == len(l.queue) {
-		l.queue, l.head = l.queue[:0], 0
+	b.slots[from]++
+	c.begin()
+}
+
+// release hands from's freed slot to its longest-waiting send, or frees
+// it. A popped item is cleared and a drained queue rewinds to the front
+// of its array, so the queue never keeps a finished chain or star — and
+// the broadcast behind it — reachable, and a sender's next burst reuses
+// the array.
+func (b *Broadcaster) release(from cluster.NodeID) {
+	q := b.waiting[from]
+	if q == nil || q.head == len(q.items) {
+		b.slots[from]--
+		return
+	}
+	w := &q.items[q.head]
+	next := w.c
+	if next == nil {
+		next = w.star.chain()
+		if w.star.waiting() {
+			next.begin()
+			return
+		}
+	}
+	*w = waiter{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
 	}
 	next.begin()
 }
@@ -344,24 +375,28 @@ func (resultFunc) freed() {}
 // parents the delivery-chain span (comm.send) under the broadcast that
 // issued it.
 func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent obs.SpanID, h sink, lo, hi int) {
-	// A new chain is zero, so the fields are set one by one: a composite
-	// literal would be built aside and copied in.
 	c := b.newChain()
-	c.b, c.lim, c.from, c.to, c.size, c.tl, c.sink, c.lo, c.hi = b, b.limiter(from), from, to, int32(size), tl, h, int32(lo), int32(hi)
+	c.set(b, from, to, size, tl, h, lo, hi)
 	b.inst().outstanding.Add(1)
-	// The attributes are formatted strings: only a recording tracer pays
-	// for them.
+	c.span = b.sendSpan(parent, from, to)
+	b.acquire(c)
+}
+
+// sendSpan opens a delivery chain's comm.send span when tracing is on. The
+// attributes are formatted strings: only a recording tracer pays for them.
+func (b *Broadcaster) sendSpan(parent obs.SpanID, from, to cluster.NodeID) obs.SpanID {
 	if tr := b.e.Tracer(); tr != nil {
-		c.span = tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
+		return tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
 	}
-	c.lim.acquire(c)
+	return 0
 }
 
 // chain is one delivery chain: a message and its retries, holding one of
 // the sender's connection slots from dispatch to resolution. The engine
 // schedules the chain itself (simnet.Handler, the kinds below), the wire
-// reports to the chain itself (cluster.Outcome), the limiter queues it,
-// and what happens next is the sink it shares with its broadcast.
+// reports to the chain itself (cluster.Outcome), its sender's wait queue
+// may hold it, and what happens next is the sink it shares with its
+// broadcast.
 //
 // Chains are pooled per Broadcaster, so in steady state a message
 // allocates nothing here. One rule says when a chain is free: it is
@@ -370,17 +405,17 @@ func (b *Broadcaster) send(from, to cluster.NodeID, size int, tl *tally, parent 
 // tree relay's event is the chain itself). A duplicate can land after
 // Sent has settled the chain, which is why the wire, not the settle, has
 // the last word; a settle with nothing outstanding (the deadline at the
-// end of a backoff) frees the chain at once. The limiter drops a chain
+// end of a backoff) frees the chain at once. A wait queue drops a chain
 // before it begins and a sink only sees it as a call argument, so nothing
-// else holds one. The fields are packed into 88 bytes.
+// else holds one. The fields are packed into 80 bytes, the size class of
+// a live message (TestChainFitsItsSizeClass).
 type chain struct {
 	b        *Broadcaster
-	lim      *limiter
-	from, to cluster.NodeID
 	tl       *tally
 	sink     sink
 	start    time.Duration // when the chain got its slot; the deadline runs from here
 	span     obs.SpanID
+	from, to int32 // cluster.NodeIDs: sender and receiver
 	attempts int32
 	size     int32
 	lo, hi   int32 // a relay broadcast's span [lo, hi) of its list
@@ -405,6 +440,18 @@ func (b *Broadcaster) newChain() *chain {
 	c.spare = false
 	return c
 }
+
+// set fills a new chain's message fields. A new chain is zero, so they
+// are set one by one: a composite literal would be built aside and copied
+// in.
+func (c *chain) set(b *Broadcaster, from, to cluster.NodeID, size int, tl *tally, h sink, lo, hi int) {
+	c.b, c.from, c.to, c.size, c.tl, c.sink, c.lo, c.hi = b, int32(from), int32(to), int32(size), tl, h, int32(lo), int32(hi)
+}
+
+// sender and receiver return the chain's endpoints.
+func (c *chain) sender() cluster.NodeID { return cluster.NodeID(c.from) }
+
+func (c *chain) receiver() cluster.NodeID { return cluster.NodeID(c.to) }
 
 // freeIfDone returns the chain to the free list once it is resolved and
 // nothing holds it. Clearing it drops the sink and the tally, so a free
@@ -440,7 +487,7 @@ func (c *chain) HandleEvent(kind int32) {
 	switch kind {
 	case chainTransmit:
 		c.inFlight = true
-		c.b.Cluster.Net.Transmit(c.from, c.to, int(c.size), c)
+		c.b.Cluster.Net.Transmit(c.sender(), c.receiver(), int(c.size), c)
 	case chainAfterBackoff:
 		c.afterBackoff()
 	case chainRelay:
@@ -472,7 +519,7 @@ func (c *chain) attempt() {
 			tr.Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
 		}
 	}
-	b.Cluster.Meter(c.from).ChargeCPU(b.SendOverhead)
+	b.Cluster.Meter(c.sender()).ChargeCPU(b.SendOverhead)
 	// The lane of the current SendOverhead: callers may set it after
 	// NewBroadcaster.
 	b.e.Lane(b.SendOverhead).After(c, chainTransmit)
@@ -538,7 +585,7 @@ func (c *chain) settle(ok bool) {
 		tr.SetAttr(c.span, "ok", "false")
 	}
 	tr.End(c.span)
-	c.lim.release()
+	c.b.release(c.sender())
 	c.sink.settled(c, ok)
 	c.freeIfDone()
 }
@@ -555,7 +602,7 @@ func (c *chain) Released() {
 // its sink (relayed). The chain is held until then.
 func (c *chain) relay() {
 	c.relaying = true
-	c.b.relayTo(c.to, c, chainRelay)
+	c.b.relayTo(c.receiver(), c, chainRelay)
 }
 
 // pastDeadline reports whether the chain has exhausted the policy's
@@ -565,8 +612,8 @@ func (c *chain) pastDeadline() bool {
 	return r.Deadline > 0 && c.b.e.Now()-c.start >= r.Deadline
 }
 
-// OutstandingSends returns the number of delivery chains currently in
-// flight (holding or queued for a connection slot) across all senders.
+// OutstandingSends returns the number of messages not yet resolved
+// (holding or waiting for a connection slot) across all senders.
 // Zero means the communication layer is fully drained — a teardown
 // invariant the chaos harness checks. The count is the registry gauge
 // comm.outstanding_sends.
@@ -650,7 +697,7 @@ func (t *tracker) send(from, to cluster.NodeID, size int, h sink, lo, hi int) {
 // nothing behind the receiver (Star): the chain's outcome is the target's.
 func (t *tracker) landed(*chain) {}
 
-func (t *tracker) settled(c *chain, ok bool) { t.settle(c.to, ok) }
+func (t *tracker) settled(c *chain, ok bool) { t.settle(c.receiver(), ok) }
 
 func (t *tracker) relayed(*chain) {}
 
@@ -723,13 +770,65 @@ type Star struct{}
 // Name returns "star".
 func (Star) Name() string { return "star" }
 
-// Broadcast implements Structure.
+// Broadcast implements Structure. It sends while the origin has free
+// slots; the rest of the targets wait in the origin's queue as one
+// starRun, and each gets its chain only when a slot frees for it.
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	t := newTracker(b, "star", 0, len(targets), done)
-	for _, id := range targets {
+	for i, id := range targets {
+		if b.full(origin) {
+			b.wait(origin, waiter{star: newStarRun(t, origin, targets[i:], size)})
+			return
+		}
 		t.send(origin, id, size, t, 0, 0)
 	}
 }
+
+// starRun is the part of a Star that waits for its origin's slots: the
+// targets not yet sent, in order, from the broadcaster's Lists. They are
+// outstanding sends from dispatch, and a recording tracer opens their
+// comm.send spans then too, as it does for a chain that waits.
+type starRun struct {
+	t     *tracker
+	from  cluster.NodeID
+	size  int
+	list  []cluster.NodeID
+	spans []obs.SpanID // list[i]'s comm.send span; nil when not tracing
+	next  int          // list[next:] still wait
+}
+
+func newStarRun(t *tracker, from cluster.NodeID, targets []cluster.NodeID, size int) *starRun {
+	b := t.b
+	r := &starRun{t: t, from: from, size: size, list: append(b.Lists.Get(len(targets)), targets...)}
+	b.inst().outstanding.Add(int64(len(targets)))
+	if b.e.Tracer() != nil {
+		r.spans = make([]obs.SpanID, len(targets))
+		for i, id := range targets {
+			r.spans[i] = b.sendSpan(t.span, from, id)
+		}
+	}
+	return r
+}
+
+// chain makes the next waiting target's chain; once none waits, the list
+// goes back to the broadcaster's Lists.
+func (r *starRun) chain() *chain {
+	b := r.t.b
+	c := b.newChain()
+	c.set(b, r.from, r.list[r.next], r.size, &r.t.tally, r.t, 0, 0)
+	if r.spans != nil {
+		c.span = r.spans[r.next]
+	}
+	r.next++
+	if !r.waiting() {
+		b.Lists.Put(r.list)
+		r.list, r.spans = nil, nil
+	}
+	return c
+}
+
+// waiting reports whether a target still waits for a slot.
+func (r *starRun) waiting() bool { return r.next < len(r.list) }
 
 // ---------------------------------------------------------------------------
 // Ring: the message travels target-to-target in list order. A failed node
@@ -766,13 +865,13 @@ func (rc *ringCast) hop(from cluster.NodeID, idx int) {
 func (rc *ringCast) landed(c *chain) { c.relay() }
 
 // relayed forwards to the next target once the relay cost is paid.
-func (rc *ringCast) relayed(c *chain) { rc.hop(c.to, int(c.lo)+1) }
+func (rc *ringCast) relayed(c *chain) { rc.hop(c.receiver(), int(c.lo)+1) }
 
 func (rc *ringCast) settled(c *chain, ok bool) {
-	rc.t.settle(c.to, ok)
+	rc.t.settle(c.receiver(), ok)
 	if !ok {
 		// Skip the dead node: the same sender tries its successor.
-		rc.hop(c.from, int(c.lo)+1)
+		rc.hop(c.sender(), int(c.lo)+1)
 	}
 }
 
@@ -960,12 +1059,12 @@ func (tc *treeCast) landed(c *chain) {
 // relayed forwards to the children once the relay cost is paid.
 func (tc *treeCast) relayed(c *chain) {
 	for g := tc.tr.Children(int(c.lo), int(c.hi)); g.Next(); {
-		tc.dispatch(c.to, g.Lo, g.Hi)
+		tc.dispatch(c.receiver(), g.Lo, g.Hi)
 	}
 }
 
 func (tc *treeCast) settled(c *chain, ok bool) {
-	from, to, lo, hi := c.from, c.to, int(c.lo), int(c.hi)
+	from, to, lo, hi := c.sender(), c.receiver(), int(c.lo), int(c.hi)
 	tc.t.settle(to, ok)
 	if ok {
 		return
@@ -1118,11 +1217,11 @@ func (bc *binomialCast) landed(c *chain) { c.relay() }
 // relayed has the head deliver the upper half once its relay cost is paid.
 func (bc *binomialCast) relayed(c *chain) {
 	lo, hi := int(c.lo), int(c.hi)
-	bc.deliver(c.to, binomialMid(lo, hi), hi)
+	bc.deliver(c.receiver(), binomialMid(lo, hi), hi)
 }
 
 func (bc *binomialCast) settled(c *chain, ok bool) {
-	holder, head, lo, hi := c.from, c.to, int(c.lo), int(c.hi)
+	holder, head, lo, hi := c.sender(), c.receiver(), int(c.lo), int(c.hi)
 	mid := binomialMid(lo, hi)
 	bc.t.settle(head, ok)
 	if !ok {

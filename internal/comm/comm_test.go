@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -317,7 +318,7 @@ func TestBinomialLogDepthLatency(t *testing.T) {
 // collector runs — which is what made their wall time swing from run to
 // run. With tracing off one message costs nothing: the chain (reused by
 // the broadcaster), the flight (reused by the wire), the events, the
-// wire's callbacks, the limiter's queue and the span attributes.
+// wire's callbacks, the sender's slot and the span attributes.
 func TestSendAllocationBudget(t *testing.T) {
 	e := simnet.NewEngine(21)
 	c := cluster.New(e, cluster.Config{Computes: 2, Satellites: 0})
@@ -328,10 +329,14 @@ func TestSendAllocationBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { b.Send(from, to, 128, 0, cb); e.Run() }); got > budget {
 		t.Fatalf("one delivered message allocates %.0f objects, budget %d", got, budget)
 	}
-	// Bytes follow the allocator's size classes: one more word puts a chain
-	// in the 112-byte class.
-	if sz := unsafe.Sizeof(chain{}); sz > 96 {
-		t.Errorf("chain is %d bytes, want at most 96", sz)
+}
+
+// TestChainFitsItsSizeClass: a message in flight holds one pooled chain,
+// so a chain's size class is paid once per concurrent message; past 80
+// bytes it rounds up to the 96-byte class.
+func TestChainFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(chain{}); size > 80 {
+		t.Errorf("chain is %d bytes, budget 80", size)
 	}
 }
 
@@ -373,7 +378,7 @@ func TestAllocsPerTarget(t *testing.T) {
 			tc.s.Broadcast(b, c.Satellites()[0], c.Computes(), 512, done)
 			e.Run()
 		}
-		run() // the origin's limiter, its queue, the event pool
+		run() // the origin's queue, the chain and event pools
 		got := testing.AllocsPerRun(10, run) / targets
 		if delivered != targets {
 			t.Fatalf("%s: delivered %d/%d", tc.s.Name(), delivered, targets)
@@ -385,11 +390,57 @@ func TestAllocsPerTarget(t *testing.T) {
 	}
 }
 
+// TestAllocsColdBroadcast budgets one broadcast on a fresh Broadcaster,
+// the broadcaster included: what a node costs before any pool is warm. A
+// sender's slots are a count in one []int32 (4 bytes a node), so no
+// sender gets an object of its own — the Ring and the Binomial make every
+// target a sender — and a Star makes a chain only per slot, not per
+// target: the targets past its slots wait as one list. A Binomial's last
+// round has half its targets in flight at once, each with a chain and a
+// flight, which is its floor. Each budget fails a 48-byte object per
+// sender or a chain per star target (with those: star 1.07 objects / 191
+// bytes per target, ring 1.01 / 68, binomial 1.25 / 191).
+func TestAllocsColdBroadcast(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, tc := range []struct {
+		s              Structure
+		targets, slots int
+		objects, bytes float64 // per target
+	}{
+		{Star{}, 16384, 1024, 0.2, 48},
+		{Ring{}, 4096, 128, 0.05, 24},
+		{Binomial{}, 4096, 128, 0.85, 170},
+	} {
+		e := simnet.NewEngine(27)
+		c := cluster.New(e, cluster.Config{Computes: tc.targets, Satellites: 1})
+		delivered := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b := NewBroadcaster(c)
+		b.MaxConcurrent = tc.slots
+		tc.s.Broadcast(b, c.Satellites()[0], c.Computes(), 512, func(r Result) { delivered = r.Delivered })
+		e.Run()
+		runtime.ReadMemStats(&after)
+		if delivered != tc.targets {
+			t.Fatalf("%s: delivered %d/%d", tc.s.Name(), delivered, tc.targets)
+		}
+		n := float64(tc.targets)
+		objects, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
+		if objects > tc.objects || bytes > tc.bytes {
+			t.Errorf("%s: %.3f objects and %.1f bytes per target, budget %.2f and %.0f",
+				tc.s.Name(), objects, bytes, tc.objects, tc.bytes)
+		}
+		t.Logf("%s: %.3f objects, %.1f bytes per target", tc.s.Name(), objects, bytes)
+	}
+}
+
 // TestLimiterQueueReleasesChains: once a Star far wider than the origin's
-// connection limit has drained, the origin's queue holds no chain — a
-// popped slot that kept its pointer would pin every chain, and through
-// its sink the whole broadcast, until the array happened to be
-// reallocated.
+// connection limit has drained, the origin's queue holds no chain and no
+// star — a popped item that kept its pointer would pin a chain or a star's
+// run, and through it the whole broadcast, until the array happened to be
+// reallocated — and none of its slots is in use.
 func TestLimiterQueueReleasesChains(t *testing.T) {
 	const targets = 4096
 	e := simnet.NewEngine(23)
@@ -398,20 +449,87 @@ func TestLimiterQueueReleasesChains(t *testing.T) {
 	origin := c.Satellites()[0]
 	delivered := 0
 	Star{}.Broadcast(b, origin, c.Computes(), 512, func(r Result) { delivered = r.Delivered })
-	l := b.limiters[origin]
-	if queued := len(l.queue) - l.head; queued != targets-b.MaxConcurrent {
-		t.Fatalf("%d chains queued behind %d slots, want %d", queued, b.MaxConcurrent, targets-b.MaxConcurrent)
+	q := b.waiting[origin]
+	if q == nil || len(q.items)-q.head != 1 || q.items[q.head].star == nil {
+		t.Fatal("the star's waiting targets are not one item of the origin's queue")
+	}
+	if r := q.items[q.head].star; len(r.list)-r.next != targets-b.MaxConcurrent {
+		t.Fatalf("%d targets wait behind %d slots, want %d", len(r.list)-r.next, b.MaxConcurrent, targets-b.MaxConcurrent)
+	}
+	if b.made != b.MaxConcurrent {
+		t.Errorf("%d chains made at dispatch, want one per slot (%d)", b.made, b.MaxConcurrent)
 	}
 	e.Run()
 	if delivered != targets {
 		t.Fatalf("delivered %d/%d", delivered, targets)
 	}
-	if len(l.queue) != 0 || l.head != 0 || l.inUse != 0 {
-		t.Errorf("drained limiter: %d queued from head %d, %d slots in use; want 0, 0, 0", len(l.queue), l.head, l.inUse)
+	if len(q.items) != 0 || q.head != 0 || b.slots[origin] != 0 {
+		t.Errorf("drained queue: %d items from head %d, %d slots in use; want 0, 0, 0", len(q.items), q.head, b.slots[origin])
 	}
-	for i, ch := range l.queue[:cap(l.queue)] {
-		if ch != nil {
-			t.Fatalf("queue slot %d of %d still holds a chain after the drain", i, cap(l.queue))
+	for i, w := range q.items[:cap(q.items)] {
+		if w != (waiter{}) {
+			t.Fatalf("queue item %d of %d still holds a chain or a star after the drain", i, cap(q.items))
+		}
+	}
+}
+
+// TestSaturatedSenderOrderPinned: a sender at its connection limit serves
+// its waiting sends first come, first served, whether a send waits as its
+// own chain or as one of a Star's waiting targets. One origin with four
+// slots sends two Stars with Sends between and after them; three targets
+// are dead, so their chains hold a slot through every retry. The engine's
+// event stream, the tracer's dump and every resolution (which message,
+// where, when) are pinned, untraced and traced.
+func TestSaturatedSenderOrderPinned(t *testing.T) {
+	const engineDigest, tracerDigest = 0x56fe74ee3d60a6d1, 0xb1e516190754a114
+	type resolution struct {
+		star bool
+		to   cluster.NodeID
+		ok   bool
+		at   time.Duration
+	}
+	want := []resolution{
+		{true, 3, true, 499586}, {true, 2, true, 531497}, {true, 5, true, 549642},
+		{true, 6, true, 996520}, {true, 7, true, 1079587}, {true, 8, true, 1104994},
+		{true, 9, true, 1506820}, {true, 11, true, 1610494}, {true, 10, true, 1649435},
+		{false, 22, true, 2078157}, {true, 12, true, 2207622}, {true, 13, true, 2593916},
+		{true, 14, true, 2691662}, {true, 16, true, 3180579}, {true, 17, true, 3727593},
+		{true, 18, true, 4215164}, {true, 19, true, 4714044}, {true, 20, true, 5267730},
+		{true, 21, true, 5788265}, {false, 24, true, 6286056}, {true, 4, false, 3000090000},
+		{false, 23, false, 3001700494}, {true, 15, false, 3002683916},
+	}
+	for _, traced := range []bool{false, true} {
+		e := simnet.NewEngine(26)
+		c := cluster.New(e, cluster.Config{Computes: 24, Satellites: 1})
+		if traced {
+			e.EnableTracing()
+		}
+		e.EnableDigest()
+		b := NewBroadcaster(c)
+		b.MaxConcurrent = 4
+		origin, nodes := c.Satellites()[0], c.Computes()
+		for _, i := range []int{2, 13, 21} {
+			c.Fail(nodes[i])
+		}
+		var got []resolution
+		b.OnResolve = func(to cluster.NodeID, ok bool) { got = append(got, resolution{true, to, ok, e.Now()}) }
+		send := func(to cluster.NodeID) {
+			b.Send(origin, to, 128, 0, func(ok bool) { got = append(got, resolution{false, to, ok, e.Now()}) })
+		}
+		Star{}.Broadcast(b, origin, nodes[:10], 512, func(Result) {})
+		send(nodes[20])
+		send(nodes[21])
+		Star{}.Broadcast(b, origin, nodes[10:20], 512, func(Result) {})
+		send(nodes[22])
+		e.Run()
+		if !slices.Equal(got, want) {
+			t.Errorf("traced=%v: resolutions\n%v\nwant\n%v", traced, got, want)
+		}
+		if d := e.Digest(); d != engineDigest {
+			t.Errorf("traced=%v: engine digest %#x, want %#x", traced, d, uint64(engineDigest))
+		}
+		if d := e.Tracer().Digest(); traced && d != tracerDigest {
+			t.Errorf("tracer digest %#x, want %#x", d, uint64(tracerDigest))
 		}
 	}
 }

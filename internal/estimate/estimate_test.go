@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -383,6 +384,31 @@ func standaloneFig11b() []Estimator {
 	}
 }
 
+// rowNamed returns the index of the estimator called name: the tests find
+// a roster's rows by name, so the roster's order stays free.
+func rowNamed(t *testing.T, rows []Estimator, name string) int {
+	t.Helper()
+	for i, est := range rows {
+		if est.Name() == name {
+			return i
+		}
+	}
+	t.Fatalf("no row is called %q", name)
+	return -1
+}
+
+// replayOf returns the index of the replay that holds row.
+func replayOf(t *testing.T, replays [][]int, row int) int {
+	t.Helper()
+	for g, rows := range replays {
+		if slices.Contains(rows, row) {
+			return g
+		}
+	}
+	t.Fatalf("row %d is in no replay", row)
+	return -1
+}
+
 // refitCheck rides in IRPA's replay after IRPA. Each time IRPA's SVM
 // refits, it fits the SVR the way IRPA did before it shared the SVM's —
 // on its own copy of the window, with a fresh scaler — and requires the
@@ -438,13 +464,14 @@ func (c *refitCheck) Observe(j trace.Job) {
 func TestGroupedReplaysMatchStandalone(t *testing.T) {
 	jobs := replayTrace(900)
 	r := Fig11bRoster(40)
-	irpa := r.Rows[4].(*IRPA)
-	if r.Rows[1].(shared).Estimator != irpa.svm {
+	irpa := r.Rows[rowNamed(t, r.Rows, "IRPA")].(*IRPA)
+	if r.Rows[rowNamed(t, r.Rows, "SVM")].(shared).Estimator != irpa.svm {
 		t.Fatal("the roster's SVM row does not read IRPA's SVM")
 	}
 	check := &refitCheck{t: t, irpa: irpa}
+	g := replayOf(t, r.Replays, rowNamed(t, r.Rows, "IRPA"))
 	r.Rows = append(r.Rows, check)
-	r.Replays[1] = append(r.Replays[1], len(r.Rows)-1)
+	r.Replays[g] = append(r.Replays[g], len(r.Rows)-1)
 	got, work := EvaluateAll(r, jobs)
 	if check.refits < 2 {
 		t.Errorf("IRPA's SVM refit %d times, want >= 2", check.refits)
@@ -455,25 +482,25 @@ func TestGroupedReplaysMatchStandalone(t *testing.T) {
 		t.Fatalf("%d results for %d rows", len(got), len(alone)+1)
 	}
 	var want Work
-	for i, est := range alone {
+	for _, est := range alone {
 		res := Evaluate(est, jobs)
-		if got[i] != res {
-			t.Errorf("row %d: grouped %+v, standalone %+v", i, got[i], res)
+		if i := rowNamed(t, r.Rows, est.Name()); got[i] != res {
+			t.Errorf("%s: grouped %+v, standalone %+v", est.Name(), got[i], res)
 		}
 		if res.Coverage == 0 {
 			t.Errorf("%s covered no job: the comparison is vacuous for it", res.Estimator)
 		}
-		if f, ok := est.(fitter); ok && i != 1 {
+		if f, ok := est.(fitter); ok && est.Name() != "SVM" {
 			want.Add(f.fitWork())
 		}
 	}
-	if g := alone[7].(*Framework).Generations; g < 2 {
+	if g := alone[rowNamed(t, alone, frameworkName)].(*Framework).Generations; g < 2 {
 		t.Fatalf("framework built %d model generations, want >= 2", g)
 	}
 	if work != want {
 		t.Errorf("roster fits %+v, standalone replays less the SVM %+v", work, want)
 	}
-	if svm, shared := alone[1].(*SVM).work, irpa.svm.work; svm != shared || svm.Fits < 2 {
+	if svm, shared := alone[rowNamed(t, alone, "SVM")].(*SVM).work, irpa.svm.work; svm != shared || svm.Fits < 2 {
 		t.Errorf("standalone SVM fits %+v, IRPA's SVM %+v: want the same, >= 2 fits", svm, shared)
 	}
 	// IRPA fits a forest and a ridge per window and no SVR of its own.

@@ -67,7 +67,7 @@ func MetricTaxonomy() []MetricInfo {
 		{"comm.broadcast_elapsed_ns", "histogram", "comm", "broadcast resolution latency (virtual ns)"},
 		{"comm.delivered", "counter", "comm", "deliveries acknowledged"},
 		{"comm.messages", "counter", "comm", "messages transmitted, retries included"},
-		{"comm.outstanding_sends", "gauge", "comm", "delivery chains currently in flight"},
+		{"comm.outstanding_sends", "gauge", "comm", "messages not yet resolved, holding or waiting for a connection slot"},
 		{"comm.retries", "counter", "comm", "retransmissions after loss or timeout"},
 		{"comm.unreachable", "counter", "comm", "targets given up as unreachable"},
 		{"estimate.generations", "counter", "estimate", "estimation-model regenerations"},
